@@ -1,0 +1,8 @@
+"""``python -m perfbench run|compare`` (with ``PYTHONPATH=src:.``)."""
+
+import sys
+
+from perfbench.cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())
