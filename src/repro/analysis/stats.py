@@ -98,50 +98,22 @@ def collect_routes(
 ) -> RouteSample:
     """Run every request of ``trace`` through ``network``.
 
-    Per-hop latencies are recomputed from each path so the low-layer
-    latency split is exact.
-
-    ``engine="batch"`` (default) routes the whole trace through the
-    vectorized frontier engine (:mod:`repro.engine`) whenever the
-    network supports it and no span tracing is attached; the sample is
-    bit-identical to the scalar loop (same hop counts, exact float
-    equality on latencies), just much faster.  ``engine="scalar"``
-    forces the per-request loop.
+    Routing goes through :func:`repro.engine.batch_route`, which alone
+    decides between the vectorized kernels and the per-request scalar
+    loop; ``engine`` is passed straight to it (``"scalar"`` is the
+    reference the batch benchmark compares against).  The sample is
+    bit-identical either way, and the low-layer latency split is exact:
+    a prefix sum of each lookup's per-hop delays.
     """
-    from repro.engine import batch_route, supports_batch
+    from repro.engine import batch_route
 
-    require(engine in ("batch", "scalar"), f"unknown engine {engine!r}")
-    if engine == "batch" and supports_batch(network):
-        result = batch_route(network, trace.sources, trace.keys)
-        return RouteSample(
-            hops=result.hops,
-            latency_ms=result.latency_ms,
-            low_layer_hops=result.low_layer_hops,
-            top_layer_hops=result.top_layer_hops,
-            low_layer_latency_ms=result.low_layer_latency_ms(),
-        )
-    n = len(trace)
-    hops = np.zeros(n, dtype=np.int64)
-    latency = np.zeros(n, dtype=np.float64)
-    low_hops = np.zeros(n, dtype=np.int64)
-    top_hops = np.zeros(n, dtype=np.int64)
-    low_latency = np.zeros(n, dtype=np.float64)
-    lat_model = getattr(network, "latency", None)
-    for i, (source, key) in enumerate(trace):
-        result = network.route(int(source), int(key))
-        hops[i] = result.hops
-        latency[i] = result.latency_ms
-        low_hops[i] = result.low_layer_hops
-        top_hops[i] = result.top_layer_hops
-        if lat_model is not None and result.low_layer_hops and len(result.path) > 1:
-            path = np.asarray(result.path[: result.low_layer_hops + 1], dtype=np.int64)
-            low_latency[i] = float(lat_model.pairs(path[:-1], path[1:]).sum())
+    result = batch_route(network, trace.sources, trace.keys, engine=engine)
     return RouteSample(
-        hops=hops,
-        latency_ms=latency,
-        low_layer_hops=low_hops,
-        top_layer_hops=top_hops,
-        low_layer_latency_ms=low_latency,
+        hops=result.hops,
+        latency_ms=result.latency_ms,
+        low_layer_hops=result.low_layer_hops,
+        top_layer_hops=result.top_layer_hops,
+        low_layer_latency_ms=result.low_layer_latency_ms(),
     )
 
 

@@ -131,7 +131,7 @@ class CachedNetwork(DHTNetwork):
         identical accounting).
     label:
         Span/metric label; defaults to ``cached-chord`` /
-        ``cached-hieras`` from the inner network's type.
+        ``cached-hieras`` from the inner network's ``span_label``.
 
     Notes
     -----
@@ -155,13 +155,8 @@ class CachedNetwork(DHTNetwork):
         self.space = inner.space
         self.latency = inner.latency
         if label is None:
-            name = type(inner).__name__.lower()
-            if "hieras" in name:
-                label = "cached-hieras"
-            elif "chord" in name:
-                label = "cached-chord"
-            else:
-                label = "cached"
+            inner_label = getattr(inner, "span_label", None)
+            label = f"cached-{inner_label}" if inner_label else "cached"
         self.label = label
         #: Simulated cache clock (ms); advanced only by :meth:`advance_to`.
         self.now_ms = 0.0

@@ -26,8 +26,8 @@ import numpy as np
 
 from repro.core.binning import LandmarkOrders
 from repro.core.ring import RingTableDirectory, ring_id
-from repro.dht.base import DHTNetwork, RouteResult, ZeroLatency
-from repro.dht.ring_array import FingerEntry, SortedRing
+from repro.dht.chord import ChordNetwork, _NO_PEERS, _PlanLayer
+from repro.dht.ring_array import SortedRing
 from repro.topology.base import LatencyModel
 from repro.util.ids import IdSpace
 from repro.util.rng import make_rng
@@ -51,8 +51,14 @@ class LayeredFingerRow:
     successors: tuple[tuple[int, int, str], ...]
 
 
-class HierasNetwork(DHTNetwork):
+class HierasNetwork(ChordNetwork):
     """The HIERAS overlay over a static set of peers.
+
+    A :class:`~repro.dht.chord.ChordNetwork` — the global ring, the
+    peer arrays, the membership API and the layered ring walk are the
+    base class's — plus the lower layers: this class describes them in
+    :meth:`_build_plan` and keeps them current in :meth:`_rebuild` and
+    :meth:`_apply_wave`.
 
     Parameters
     ----------
@@ -80,6 +86,12 @@ class HierasNetwork(DHTNetwork):
         both are exposed for the acceleration ablation.
     """
 
+    span_label = "hieras"
+
+    # §3.2: the global loop stops at the key's predecessor, which then
+    # hands the request to the owner in one explicit hop.
+    _greedy_global = False
+
     def __init__(
         self,
         space: IdSpace,
@@ -92,10 +104,7 @@ class HierasNetwork(DHTNetwork):
         successor_list_r: int = 16,
         successor_list_policy: str = "transitions",
     ) -> None:
-        ids = np.asarray(ids, dtype=np.uint64)
         n = len(ids)
-        require(n >= 1, "need at least one peer")
-        require(len(np.unique(ids)) == n, "node ids must be unique")
         require(
             landmark_orders.n_nodes == n,
             f"landmark orders cover {landmark_orders.n_nodes} nodes, network has {n}",
@@ -105,19 +114,13 @@ class HierasNetwork(DHTNetwork):
             2 <= depth <= landmark_orders.depth,
             f"depth must be in [2, {landmark_orders.depth}], got {depth}",
         )
-        require(successor_list_r >= 0, "successor_list_r must be >= 0")
         require(
             successor_list_policy in ("transitions", "always", "off"),
             f"unknown successor_list_policy {successor_list_policy!r}",
         )
-        self.space = space
         self.depth = depth
-        self.latency = latency if latency is not None else ZeroLatency()
         self.orders = landmark_orders
-        self.successor_list_r = successor_list_r
         self.successor_list_policy = successor_list_policy
-        self._id_of_peer = ids.copy()
-        self._alive = np.ones(n, dtype=bool)
         # Ring membership per lower layer, struct-of-arrays: every peer
         # carries one ``int32`` *pool code* per layer (index 0 →
         # layer 2) and the per-layer pool maps codes back to ring-name
@@ -142,12 +145,6 @@ class HierasNetwork(DHTNetwork):
             self._name_pool.append(pool)
             self._name_code_of.append({name: c for c, name in enumerate(pool)})
             self._name_codes.append(layer_codes)
-        #: Full O(N log N) all-ring rebuilds performed (the constructor's
-        #: initial build counts); membership waves splice only the rings
-        #: they touch, so this stays flat under churn.
-        self.rebuild_count = 0
-        #: Membership waves applied incrementally (no full rebuild).
-        self.incremental_waves = 0
         #: Rings created, spliced, or retired by incremental waves — the
         #: O(wave) work certificate the maintenance tests pin.
         self.rings_spliced = 0
@@ -155,7 +152,9 @@ class HierasNetwork(DHTNetwork):
         #: membership did not change across a full rebuild.
         self.publish_skips = 0
         self.directory = RingTableDirectory(space, replicas=ring_table_replicas)
-        self._rebuild()
+        # The base constructor ends in ``_rebuild``, which reads all of
+        # the above.
+        super().__init__(space, ids, latency=latency, successor_list_r=successor_list_r)
 
     # ------------------------------------------------------------------
     # construction / membership
@@ -200,23 +199,17 @@ class HierasNetwork(DHTNetwork):
             self._ring_size_arrays.append(sizes)
 
     @property
-    def _pos_global(self) -> np.ndarray:
-        """Peer → global-ring position (−1 for dead peers), lazy."""
-        pos = self._pos_global_cache
-        if pos is None:
-            pos = np.full(len(self._id_of_peer), -1, dtype=np.int64)
-            pos[self.global_ring.peers] = np.arange(len(self.global_ring))
-            self._pos_global_cache = pos
-        return pos
+    def global_ring(self) -> SortedRing:
+        """The layer-1 ring of every live peer — the base class's ``ring``."""
+        return self.ring
 
     def _rebuild(self) -> None:
-        self.rebuild_count += 1
-        alive = np.flatnonzero(self._alive)
-        ids = self._id_of_peer[alive]
-        order = np.argsort(ids)
-        self.global_ring = SortedRing(self.space, ids[order], alive[order])
+        super()._rebuild()
+        # Live peers in id order; the (code, id) sort below has one
+        # result whatever order it starts from, since ids are unique.
+        alive = self.ring.peers
+        ids = self.ring.ids
         n_total = len(self._id_of_peer)
-        self._pos_global_cache: np.ndarray | None = None
 
         # Lower layers: factorise live peers' interned ring codes, build
         # one SortedRing per distinct name (listed in ring-name order,
@@ -259,16 +252,6 @@ class HierasNetwork(DHTNetwork):
             self.directory.drop(stale)
         self._refresh_layer_caches()
 
-    def rebuild(self) -> None:
-        """Escape hatch: re-derive every ring of every layer from scratch.
-
-        The incremental wave path (:meth:`_apply_wave`) produces state
-        bit-identical to this full rebuild — pinned by
-        ``tests/test_incremental.py`` — so calling it is never *needed*;
-        it exists for operators and for the equivalence tests.
-        """
-        self._rebuild()
-
     def _apply_wave(self, added: np.ndarray, removed: np.ndarray) -> None:
         """Splice one membership wave into every layer's ring state.
 
@@ -281,17 +264,7 @@ class HierasNetwork(DHTNetwork):
         :meth:`SortedRing.splice` and the argsort rebuild agree on the
         unique sorted layout and rings stay listed in name order.
         """
-        self.incremental_waves += 1
-        rm_pos = (
-            np.searchsorted(self.global_ring.ids, self._id_of_peer[removed])
-            if len(removed)
-            else np.empty(0, dtype=np.int64)
-        )
-        self.global_ring = self.global_ring.splice(
-            rm_pos, self._id_of_peer[added], added
-        )
-        self._pos_global_cache = None
-
+        super()._apply_wave(added, removed)
         for k in range(self.depth - 1):
             pool = self._name_pool[k]
             names_k = self._ring_names[k]
@@ -374,19 +347,6 @@ class HierasNetwork(DHTNetwork):
                 self._pos_in_ring[k, ring.peers] = np.arange(len(ring), dtype=np.int32)
         self._refresh_layer_caches()
 
-    @property
-    def n_peers(self) -> int:
-        """Number of live peers."""
-        return int(self._alive.sum())
-
-    def id_of(self, peer: int) -> int:
-        """Node id of ``peer``."""
-        return int(self._id_of_peer[peer])
-
-    def is_alive(self, peer: int) -> bool:
-        """Whether ``peer`` is currently a member."""
-        return bool(self._alive[peer])
-
     def add_peer(self, node_id: int, ring_names: list[str]) -> int:
         """Add a peer (offline equivalent of the §3.3 join protocol).
 
@@ -411,102 +371,24 @@ class HierasNetwork(DHTNetwork):
             len(ring_names_per_peer) == len(node_ids),
             "need one ring-name list per added peer",
         )
-        validated: list[int] = []
-        seen: set[int] = set()
-        for node_id, ring_names in zip(node_ids, ring_names_per_peer):
-            node_id = self.space.validate_id(node_id, name="node_id")
-            require(
-                node_id not in self.global_ring and node_id not in seen,
-                f"id {node_id} already present",
-            )
+        for ring_names in ring_names_per_peer:
             require(
                 len(ring_names) == self.depth - 1,
                 f"need {self.depth - 1} ring names, got {len(ring_names)}",
             )
-            seen.add(node_id)
-            validated.append(node_id)
-        if not validated:
-            return []
-        start = len(self._id_of_peer)
-        count = len(validated)
-        self._id_of_peer = np.concatenate(
-            [self._id_of_peer, np.asarray(validated, dtype=np.uint64)]
-        )
-        self._alive = np.concatenate([self._alive, np.ones(count, dtype=bool)])
-        for k in range(self.depth - 1):
-            codes = np.asarray(
-                [self._intern(k, names[k]) for names in ring_names_per_peer],
-                dtype=np.int32,
-            )
-            self._name_codes[k] = np.concatenate([self._name_codes[k], codes])
-        pad = np.full((self.depth - 1, count), -1, dtype=np.int32)
-        self._ring_of_peer = np.concatenate([self._ring_of_peer, pad], axis=1)
-        self._pos_in_ring = np.concatenate([self._pos_in_ring, pad.copy()], axis=1)
-        self._apply_wave(
-            np.arange(start, start + count, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-        return list(range(start, start + count))
-
-    def remove_peer(self, peer: int) -> None:
-        """Remove ``peer`` (graceful leave or failure)."""
-        self.remove_peers([peer])
-
-    def remove_peers(self, peers: list[int], *, graceful: bool = False) -> None:
-        """Remove several peers in one membership change.
-
-        A sequence of :meth:`remove_peer` calls (same checks, same
-        error messages, in order) with one splice per touched ring —
-        rings the wave does not touch are untouched objects; validation
-        runs against a scratch copy, so a rejected batch leaves the
-        overlay untouched.
-
-        ``graceful=True`` models the §3.3 *announced* leave: after the
-        rings are rebuilt (ring successors re-assigned) but before the
-        departing disks drop, attached stores hear
-        ``on_graceful_leave`` and hand keys/hints off to the keys' new
-        replica groups.  The default (``False``) is a silent failure —
-        disks vanish with the peers.
-        """
-        alive = self._alive.copy()
-        live = int(alive.sum())
-        for peer in peers:
-            require(bool(alive[peer]), f"peer {peer} is not alive")
-            require(live > 1, "cannot remove the last peer")
-            alive[peer] = False
-            live -= 1
-        if not peers:
-            return
-        self._alive = alive
-        self._apply_wave(
-            np.empty(0, dtype=np.int64), np.asarray(peers, dtype=np.int64)
-        )
-        if graceful:
-            self._notify_departing(peers)
-        self._notify_removed(peers)
-
-    def revive_peer(self, peer: int) -> None:
-        """Bring a removed peer back under its old index and ring names.
-
-        The peer re-enters the rings its landmark orders named (its
-        position on the Internet did not change while it was offline);
-        its node id and latency-model index are retained.
-        """
-        self.revive_peers([peer])
-
-    def revive_peers(self, peers: list[int]) -> None:
-        """Revive several previously-removed peers in one spliced wave."""
-        alive = self._alive.copy()
-        for peer in peers:
-            require(not bool(alive[peer]), f"peer {peer} is already alive")
-            alive[peer] = True
-        if not peers:
-            return
-        self._alive = alive
-        self._apply_wave(
-            np.asarray(peers, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
-        self._notify_revived(peers)
+        new_peers = self._admit(node_ids)
+        if len(new_peers):
+            for k in range(self.depth - 1):
+                codes = np.asarray(
+                    [self._intern(k, names[k]) for names in ring_names_per_peer],
+                    dtype=np.int32,
+                )
+                self._name_codes[k] = np.concatenate([self._name_codes[k], codes])
+            pad = np.full((self.depth - 1, len(new_peers)), -1, dtype=np.int32)
+            self._ring_of_peer = np.concatenate([self._ring_of_peer, pad], axis=1)
+            self._pos_in_ring = np.concatenate([self._pos_in_ring, pad.copy()], axis=1)
+            self._apply_wave(new_peers, _NO_PEERS)
+        return new_peers.tolist()
 
     def rebind_peers(
         self, peers: list[int], ring_names_per_peer: list[list[str]]
@@ -540,12 +422,7 @@ class HierasNetwork(DHTNetwork):
     # ------------------------------------------------------------------
     def ring_of(self, peer: int, layer: int) -> SortedRing:
         """The ring ``peer`` belongs to at ``layer`` (1 = global)."""
-        require(1 <= layer <= self.depth, f"layer must be in [1, {self.depth}]")
-        if layer == 1:
-            return self.global_ring
-        code = int(self._ring_of_peer[layer - 2, peer])
-        require(code >= 0, f"peer {peer} is not alive")
-        return self._rings[layer - 2][code]
+        return self._ring_at(peer, layer)[0]
 
     def ring_name_of(self, peer: int, layer: int) -> str:
         """Ring name of ``peer`` at a lower ``layer`` (2..depth)."""
@@ -569,189 +446,40 @@ class HierasNetwork(DHTNetwork):
 
     def ring_table_host(self, name: str) -> int:
         """Peer storing ring ``name``'s ring table (§3.1)."""
-        return self.directory.host_of(name, self.global_ring.ids, self.global_ring.peers)
-
-    def ring_successor_list(self, peer: int, r: int) -> list[int]:
-        """Successors of ``peer`` inside its **lowest-layer** ring.
-
-        The replication layer's ``ring_scoped`` placement asks exactly
-        this question: which nearby nodes — nearby by landmark order,
-        i.e. members of ``peer``'s layer-``depth`` ring — come next on
-        that ring's id circle?  The list wraps, excludes ``peer``
-        itself, and is capped at the ring's size minus one; callers pad
-        from the global ring when they need more copies than the ring
-        can hold.
-        """
-        ring = self.ring_of(peer, self.depth)
-        pos = int(self._pos_in_ring[self.depth - 2, peer])
-        return [int(ring.peers[p]) for p in ring.successor_list(pos, r)]
+        return self.directory.host_of(name, self.ring.ids, self.ring.peers)
 
     # ------------------------------------------------------------------
-    # routing (§3.2)
+    # routing (§3.2): the base class walks this plan
     # ------------------------------------------------------------------
-    def owner_of(self, key: int) -> int:
-        """Peer responsible for ``key`` — the global successor."""
-        return int(self.global_ring.peers[self.global_ring.successor_pos(key)])
+    def _succ_list_r(self, layer: int) -> int:
+        """Successor-list width of one layer's loop under the policy."""
+        if self.successor_list_policy == "off":
+            return 0
+        if self.successor_list_policy == "transitions" and layer == self.depth:
+            return 0  # cold lowest loop: fingers only, like flat Chord
+        return self.successor_list_r
 
-    def route(self, source: int, key: int) -> RouteResult:
-        """Bottom-up hierarchical routing of ``key`` from ``source``.
-
-        One loop per layer, lowest ring first, each running Chord's
-        greedy rule restricted to the current ring's membership.  Lower
-        loops stop at the key's *ring predecessor* — the ring member the
-        key falls immediately after — so the message approaches the key
-        monotonically and never overshoots it (DESIGN.md §5 discusses
-        this reading of the paper's "numerically closest node in this
-        ring").  The final, global loop takes the last hop to the key's
-        owner, exactly like flat Chord's terminating step.
-        """
-        require(bool(self._alive[source]), f"source peer {source} is not alive")
-        key = self.space.wrap(int(key))
-        cur = source
-        path = [source]
-        hops_per_layer: list[int] = []
-        for layer in range(self.depth, 0, -1):
-            ring = self.ring_of(cur, layer)
-            pos = (
-                int(self._pos_global[cur])
-                if layer == 1
-                else int(self._pos_in_ring[layer - 2, cur])
+    def _build_plan(self) -> list[_PlanLayer]:
+        """Bottom-up (§3.2): the lowest layer's rings first, the global ring last."""
+        lower = [
+            _PlanLayer(
+                layer,
+                self._rings[layer - 2],
+                self._ring_of_peer[layer - 2],
+                self._pos_in_ring[layer - 2],
+                self._succ_list_r(layer),
             )
-            if self.successor_list_policy == "off":
-                r = 0
-            elif self.successor_list_policy == "transitions" and layer == self.depth:
-                r = 0  # cold lowest loop: fingers only, like flat Chord
-            else:
-                r = self.successor_list_r
-            sub = ring.predecessor_route(pos, key, succ_list_r=r)
-            hops = len(sub) - 1
-            for p in sub[1:]:
-                path.append(int(ring.peers[p]))
-            cur = path[-1]
-            if layer == 1:
-                # Terminating step (§3.2): the global predecessor hands
-                # the request to its successor — the key's owner — just
-                # like flat Chord's final hop.
-                owner = self.owner_of(key)
-                if cur != owner:
-                    path.append(owner)
-                    cur = owner
-                    hops += 1
-            hops_per_layer.append(hops)
-        result = RouteResult(
-            source=source,
-            key=key,
-            owner=path[-1],
-            path=path,
-            latency_ms=self.route_latency(self.latency, path),
-            hops_per_layer=hops_per_layer,
-        )
-        if self.metrics is not None:
-            layers, rings = self.hop_layer_info(result)
-            self.record_route("hieras", result, layers=layers, rings=rings)
-        return result
+            for layer in range(self.depth, 1, -1)
+        ]
+        (top,) = super()._build_plan()
+        return [*lower, top._replace(succ_list_r=self._succ_list_r(1))]
 
-    def route_lossy(self, source: int, key: int, *, injector) -> RouteResult:
-        """Failure-aware bottom-up routing under an active fault injector.
-
-        Same layer-by-layer procedure as :meth:`route`, but every ring
-        snapshot is treated as stale knowledge: crashed peers still sit
-        in finger tables, contacts can time out, and each loop falls
-        back through next-best fingers and the per-layer §3.3 successor
-        list (``injector.policy.successor_fallback`` entries), charging
-        retry penalties to the result.  Lower loops stop at the key's
-        closest *live* ring predecessor; the global loop ends at the
-        first *live* successor of the key — the peer that actually owns
-        it after the failures.  On failure ``owner`` is ``-1`` and the
-        path covers the hops taken before the lookup died.
-        """
-        from repro.faults.injector import LossyContext
-        from repro.faults.routing import lossy_ring_route
-
-        require(bool(self._alive[source]), f"source peer {source} is not alive")
-        require(not injector.state.is_dead(source), f"source peer {source} has crashed")
-        key = self.space.wrap(int(key))
-        ctx = LossyContext()
-        contact = lambda u, v: injector.contact(u, v, ctx)  # noqa: E731
-        fallback_r = injector.policy.successor_fallback
-        cur = source
-        path = [source]
-        hops_per_layer: list[int] = []
-        ok = True
-        for layer in range(self.depth, 0, -1):
-            ring = self.ring_of(cur, layer)
-            pos = (
-                int(self._pos_global[cur])
-                if layer == 1
-                else int(self._pos_in_ring[layer - 2, cur])
-            )
-            max_hops = 2 * max(len(ring).bit_length(), 4) + fallback_r
-            sub, sub_ok = lossy_ring_route(
-                ring,
-                pos,
-                key,
-                to_owner=(layer == 1),
-                contact=contact,
-                is_dead=injector.state.is_dead,
-                fallback_r=fallback_r,
-                max_hops=max_hops,
-            )
-            for p in sub[1:]:
-                path.append(int(ring.peers[p]))
-            hops_per_layer.append(len(sub) - 1)
-            cur = path[-1]
-            if not sub_ok:
-                ok = False
-                break
-        result = RouteResult(
-            source=source,
-            key=key,
-            owner=path[-1] if ok else -1,
-            path=path,
-            latency_ms=self.route_latency(self.latency, path) * injector.state.delay_factor,
-            hops_per_layer=hops_per_layer,
-            success=ok,
-            timeouts=ctx.timeouts,
-            retry_latency_ms=ctx.retry_latency_ms,
-        )
-        if self.metrics is not None:
-            layers, rings = self.hop_layer_info(result)
-            self.record_route("hieras", result, layers=layers, rings=rings)
-        return result
-
-    def hop_layer_info(self, result: RouteResult) -> tuple[list[int], list[str]]:
-        """Per-hop ``(layers, rings)`` labels for one finished lookup.
-
-        ``hops_per_layer`` is ordered lowest layer first, matching the
-        ``range(depth, 0, -1)`` routing loop, so zipping the two
-        recovers which ring each ``path`` edge ran in.  A hop's ring is
-        named after its *source* peer — the peer whose ring-restricted
-        finger table chose the next hop.
-        """
-        layers: list[int] = []
-        rings: list[str] = []
-        hop_index = 0
-        for layer, layer_hops in zip(range(self.depth, 0, -1), result.hops_per_layer):
-            for _ in range(layer_hops):
-                src = result.path[hop_index]
-                layers.append(layer)
-                rings.append("global" if layer == 1 else self.ring_name_of(src, layer))
-                hop_index += 1
-        return layers, rings
+    def _ring_label(self, peer: int, layer: int) -> str:
+        return "global" if layer == 1 else self.ring_name_of(peer, layer)
 
     # ------------------------------------------------------------------
     # inspection (Table 2, §3.4 cost model)
     # ------------------------------------------------------------------
-    def finger_table(self, peer: int, layer: int) -> list[FingerEntry]:
-        """Materialised finger table of ``peer`` in one layer's ring."""
-        ring = self.ring_of(peer, layer)
-        pos = (
-            int(self._pos_global[peer])
-            if layer == 1
-            else int(self._pos_in_ring[layer - 2, peer])
-        )
-        return ring.finger_table(pos)
-
     def table2_rows(self, peer: int) -> list[LayeredFingerRow]:
         """The paper's Table 2 for ``peer``: fingers across all layers.
 
@@ -789,7 +517,7 @@ class HierasNetwork(DHTNetwork):
         whose finger tables are materialised (None = all).
         """
         rng = make_rng(seed)
-        peers = self.global_ring.peers
+        peers = self.ring.peers
         if sample is not None and sample < len(peers):
             peers = rng.choice(peers, size=sample, replace=False)
         finger_entries = {
@@ -823,42 +551,3 @@ class HierasNetwork(DHTNetwork):
     def ring_id_of(self, name: str) -> int:
         """Ring id (hash of ring name) in this network's id space."""
         return ring_id(self.space, name)
-
-    def explain_route(self, source: int, key: int) -> str:
-        """Human-readable per-hop narration of one lookup.
-
-        Shows, for every hop: the layer/ring it ran in, the peers and
-        node ids involved, and the link delay — the debugging view of
-        §3.2's multi-loop procedure.
-        """
-        result = self.route(source, key)
-        lines = [
-            f"route key={self.space.wrap(int(key))} from peer {source} "
-            f"(id {self.id_of(source)}): {result.hops} hops, "
-            f"{result.latency_ms:.0f}ms"
-        ]
-        hop_index = 0
-        layers = list(range(self.depth, 0, -1))
-        for layer, layer_hops in zip(layers, result.hops_per_layer):
-            ring_label = (
-                "global ring"
-                if layer == 1
-                else f'ring "{self.ring_name_of(result.path[hop_index], layer)}"'
-            )
-            if layer_hops == 0:
-                lines.append(f"  layer {layer} ({ring_label}): no hops needed")
-                hop_index += 0
-                continue
-            for _ in range(layer_hops):
-                a = result.path[hop_index]
-                b = result.path[hop_index + 1]
-                delay = self.latency.pair(a, b)
-                lines.append(
-                    f"  layer {layer} ({ring_label}): peer {a} (id {self.id_of(a)})"
-                    f" -> peer {b} (id {self.id_of(b)})  {delay:.0f}ms"
-                )
-                hop_index += 1
-        lines.append(
-            f"  owner: peer {result.owner} (id {self.id_of(result.owner)})"
-        )
-        return "\n".join(lines)

@@ -11,6 +11,9 @@ make identical next-hop choices on identical memberships.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.dht.base import DHTNetwork, RouteResult, ZeroLatency
@@ -20,6 +23,29 @@ from repro.util.ids import IdSpace
 from repro.util.validation import require
 
 __all__ = ["ChordNetwork"]
+
+_NO_PEERS = np.empty(0, dtype=np.int64)
+
+
+class _PlanLayer(NamedTuple):
+    """One layer of a lookup's plan: the rings it may walk and how.
+
+    The ring and position are peer-indexed maps, not values, because
+    the peer holding the message changes between layers (and, in the
+    batch walker, differs per lane).
+    """
+
+    layer: int
+    rings: Sequence[SortedRing]
+    #: Peer → index into ``rings``; ``None`` when one ring holds everyone.
+    ring_of_peer: np.ndarray | None
+    pos_of_peer: np.ndarray
+    succ_list_r: int
+
+    def at(self, peer: int) -> tuple[SortedRing, int]:
+        """``peer``'s ring at this layer and its position in it."""
+        ring = self.rings[0 if self.ring_of_peer is None else self.ring_of_peer[peer]]
+        return ring, int(self.pos_of_peer[peer])
 
 
 class ChordNetwork(DHTNetwork):
@@ -47,7 +73,22 @@ class ChordNetwork(DHTNetwork):
     available as the :meth:`rebuild` escape hatch and is pinned by the
     incremental-equivalence tests.  :attr:`rebuild_count` and
     :attr:`incremental_waves` expose which path ran.
+
+    This class is also the base of
+    :class:`~repro.core.hieras.HierasNetwork`: it owns the peer arrays,
+    the global ring, the membership API and the layered ring walk, and
+    HIERAS adds lower layers through :meth:`_build_plan`,
+    :meth:`_rebuild` and :meth:`_apply_wave`.
     """
+
+    #: Network label of the spans this stack records.
+    span_label = "chord"
+
+    #: How the perfect global loop ends: greedy to the key's owner, as
+    #: here, or — HIERAS §3.2 — at the key's predecessor, followed by an
+    #: explicit hop to the owner.  The two take different hops when the
+    #: successor list reaches the owner, so they cannot be one rule.
+    _greedy_global = True
 
     def __init__(
         self,
@@ -87,10 +128,10 @@ class ChordNetwork(DHTNetwork):
         alive_ids = self._id_of_peer[alive_peers]
         order = np.argsort(alive_ids)
         self.ring = SortedRing(self.space, alive_ids[order], alive_peers[order])
-        self._pos_cache: np.ndarray | None = None
+        self._plan: list[_PlanLayer] | None = None
 
     def rebuild(self) -> None:
-        """Escape hatch: rebuild the ring view from scratch.
+        """Escape hatch: re-derive every ring from scratch.
 
         Produces bit-identical state to the incremental splice path
         (asserted by ``tests/test_incremental.py``); exists so
@@ -99,20 +140,22 @@ class ChordNetwork(DHTNetwork):
         """
         self._rebuild()
 
+    def _apply_wave(self, added: np.ndarray, removed: np.ndarray) -> None:
+        """Splice one membership wave into the ring state.
+
+        ``added``/``removed`` hold the peer indices whose liveness just
+        flipped (``self._alive`` is already updated).  Every membership
+        call funnels into this hook.
+        """
+        self.incremental_waves += 1
+        rm_pos = np.searchsorted(self.ring.ids, self._id_of_peer[removed])
+        self.ring = self.ring.splice(rm_pos, self._id_of_peer[added], added)
+        self._plan = None
+
     @property
     def _pos_of_peer(self) -> np.ndarray:
-        """Peer → ring-position map (−1 for dead peers), lazily patched.
-
-        Membership waves invalidate rather than recompute it, so a
-        burst of waves with no routing in between pays one scatter pass
-        total instead of one per wave.
-        """
-        pos = self._pos_cache
-        if pos is None:
-            pos = np.full(len(self._id_of_peer), -1, dtype=np.int64)
-            pos[self.ring.peers] = np.arange(len(self.ring))
-            self._pos_cache = pos
-        return pos
+        """Peer → global-ring position (−1 for dead peers); part of the plan."""
+        return self._layer_plan()[-1].pos_of_peer
 
     @property
     def n_peers(self) -> int:
@@ -132,6 +175,38 @@ class ChordNetwork(DHTNetwork):
         """Whether ``peer`` is currently a member."""
         return bool(self._alive[peer])
 
+    def _admit(self, node_ids: list[int]) -> np.ndarray:
+        """Validate new node ids and append them as live peers.
+
+        Returns the new peer indices (empty for an empty batch); the
+        caller splices them in with :meth:`_apply_wave`.  Validation is
+        all-or-nothing, so a rejected id leaves the overlay untouched.
+        Ring membership of the whole batch is checked with one
+        vectorized ``searchsorted`` and in-batch duplicates with a set,
+        so validating a wave of ``k`` joins is O(k log n), not the
+        O(k²) of per-id list scans.
+        """
+        validated: list[int] = []
+        seen: set[int] = set()
+        for node_id in node_ids:
+            node_id = self.space.validate_id(node_id, name="node_id")
+            require(node_id not in seen, f"id {node_id} already present")
+            seen.add(node_id)
+            validated.append(node_id)
+        if not validated:
+            return _NO_PEERS
+        new_ids = np.asarray(validated, dtype=np.uint64)
+        at = np.minimum(np.searchsorted(self.ring.ids, new_ids), len(self.ring) - 1)
+        present = np.flatnonzero(self.ring.ids[at] == new_ids)
+        if present.size:
+            raise ValueError(f"id {validated[int(present[0])]} already present")
+        start = len(self._id_of_peer)
+        self._id_of_peer = np.concatenate([self._id_of_peer, new_ids])
+        self._alive = np.concatenate(
+            [self._alive, np.ones(len(validated), dtype=bool)]
+        )
+        return np.arange(start, start + len(validated), dtype=np.int64)
+
     def add_peer(self, node_id: int) -> int:
         """Add a peer with ``node_id``; returns its new peer index."""
         return self.add_peers([node_id])[0]
@@ -143,35 +218,12 @@ class ChordNetwork(DHTNetwork):
         indices match calling :meth:`add_peer` in sequence, but the new
         members are spliced into the ring view in one O(n + k log n)
         pass — the mutation is all-or-nothing, so a rejected id leaves
-        the overlay untouched.  Ring membership of the whole batch is
-        checked with one vectorized ``searchsorted`` and in-batch
-        duplicates with a set, so validating a wave of ``k`` joins is
-        O(k log n), not the O(k²) of per-id list scans.
+        the overlay untouched.
         """
-        validated: list[int] = []
-        seen: set[int] = set()
-        for node_id in node_ids:
-            node_id = self.space.validate_id(node_id, name="node_id")
-            require(node_id not in seen, f"id {node_id} already present")
-            seen.add(node_id)
-            validated.append(node_id)
-        if not validated:
-            return []
-        new_ids = np.asarray(validated, dtype=np.uint64)
-        at = np.minimum(np.searchsorted(self.ring.ids, new_ids), len(self.ring) - 1)
-        present = np.flatnonzero(self.ring.ids[at] == new_ids)
-        if present.size:
-            raise ValueError(f"id {validated[int(present[0])]} already present")
-        start = len(self._id_of_peer)
-        self._id_of_peer = np.concatenate([self._id_of_peer, new_ids])
-        self._alive = np.concatenate(
-            [self._alive, np.ones(len(validated), dtype=bool)]
-        )
-        new_peers = np.arange(start, start + len(validated), dtype=np.int64)
-        self.ring = self.ring.splice((), new_ids, new_peers)
-        self._pos_cache = None
-        self.incremental_waves += 1
-        return list(range(start, start + len(validated)))
+        new_peers = self._admit(node_ids)
+        if len(new_peers):
+            self._apply_wave(new_peers, _NO_PEERS)
+        return new_peers.tolist()
 
     def remove_peer(self, peer: int) -> None:
         """Remove ``peer`` from the overlay (graceful leave or failure)."""
@@ -181,16 +233,17 @@ class ChordNetwork(DHTNetwork):
         """Remove several peers in one membership change.
 
         Semantically a sequence of :meth:`remove_peer` calls (same
-        checks, same error messages, in order) with a single ring
-        splice at the end; validation runs against a scratch copy, so
-        a rejected batch leaves the overlay untouched.
+        checks, same error messages, in order) with one splice per
+        touched ring at the end — rings the wave does not touch stay
+        the same objects; validation runs against a scratch copy, so a
+        rejected batch leaves the overlay untouched.
 
-        ``graceful=True`` models an *announced* departure: after the
-        ring is rebuilt (successors re-assigned) but before the
-        departing disks are dropped, attached stores hear
+        ``graceful=True`` models an *announced* departure (HIERAS
+        §3.3): after the rings are spliced (successors re-assigned) but
+        before the departing disks are dropped, attached stores hear
         ``on_graceful_leave`` and hand keys/hints off to the keys' new
         replica groups.  The default (``False``) is a silent kill —
-        disks vanish with the peers, exactly as before.
+        disks vanish with the peers.
         """
         alive = self._alive.copy()
         live = int(alive.sum())
@@ -202,11 +255,7 @@ class ChordNetwork(DHTNetwork):
         if not peers:
             return
         self._alive = alive
-        victims = np.asarray(peers, dtype=np.int64)
-        rm_pos = np.searchsorted(self.ring.ids, self._id_of_peer[victims])
-        self.ring = self.ring.splice(rm_pos, (), ())
-        self._pos_cache = None
-        self.incremental_waves += 1
+        self._apply_wave(_NO_PEERS, np.asarray(peers, dtype=np.int64))
         if graceful:
             self._notify_departing(peers)
         self._notify_removed(peers)
@@ -215,14 +264,15 @@ class ChordNetwork(DHTNetwork):
         """Bring a previously-removed peer back under its old index.
 
         A rejoining host keeps its identity (node id, attachment router
-        — and therefore its latency-model index), so churn simulations
-        revive rather than append; :meth:`add_peer` is for genuinely new
+        — and therefore its latency-model index — and, on HIERAS, the
+        rings its landmark orders named), so churn simulations revive
+        rather than append; :meth:`add_peer` is for genuinely new
         peers.
         """
         self.revive_peers([peer])
 
     def revive_peers(self, peers: list[int]) -> None:
-        """Revive several previously-removed peers with one splice."""
+        """Revive several previously-removed peers in one spliced wave."""
         alive = self._alive.copy()
         for peer in peers:
             require(not bool(alive[peer]), f"peer {peer} is already alive")
@@ -230,49 +280,115 @@ class ChordNetwork(DHTNetwork):
         if not peers:
             return
         self._alive = alive
-        back = np.asarray(peers, dtype=np.int64)
-        self.ring = self.ring.splice((), self._id_of_peer[back], back)
-        self._pos_cache = None
-        self.incremental_waves += 1
+        self._apply_wave(np.asarray(peers, dtype=np.int64), _NO_PEERS)
         self._notify_revived(peers)
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
+    def _layer_plan(self) -> list[_PlanLayer]:
+        """The layers a lookup walks, lowest ring first.
+
+        Every walker — :meth:`route`, :meth:`route_lossy`, the batch
+        engine — and every inspector (:meth:`finger_table`,
+        :meth:`hop_layer_info`) reads this one description.  Membership
+        waves invalidate rather than recompute it, so a burst of waves
+        with no routing in between pays one :meth:`_build_plan` total
+        instead of one per wave.
+        """
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = self._build_plan()
+        return plan
+
+    def _build_plan(self) -> list[_PlanLayer]:
+        """Flat Chord is the zero-lower-layer case: the global ring alone."""
+        pos = np.full(len(self._id_of_peer), -1, dtype=np.int64)
+        pos[self.ring.peers] = np.arange(len(self.ring))
+        return [_PlanLayer(1, (self.ring,), None, pos, self.successor_list_r)]
+
+    def _ring_at(self, peer: int, layer: int) -> tuple[SortedRing, int]:
+        """``peer``'s ring at ``layer`` (1 = global) and its position."""
+        plan = self._layer_plan()
+        require(1 <= layer <= len(plan), f"layer must be in [1, {len(plan)}]")
+        require(bool(self._alive[peer]), f"peer {peer} is not alive")
+        return plan[-layer].at(peer)
+
+    def _ring_label(self, peer: int, layer: int) -> str:
+        """Span label of ``peer``'s ring at ``layer``."""
+        return "global"
+
+    def _require_source(self, source: int) -> None:
+        """The one source check of ``route``, ``route_lossy`` and the batch walker."""
+        n = len(self._alive)
+        require(0 <= source < n, f"source peer {source} out of range [0, {n})")
+        require(bool(self._alive[source]), f"source peer {source} is not alive")
+
     def owner_of(self, key: int) -> int:
-        """Peer responsible for ``key`` (successor of the key)."""
+        """Peer responsible for ``key`` — its successor on the global ring."""
         return int(self.ring.peers[self.ring.successor_pos(key)])
 
     def route(self, source: int, key: int) -> RouteResult:
-        """Greedy finger-table routing from ``source`` to ``key``'s owner."""
-        require(bool(self._alive[source]), f"source peer {source} is not alive")
+        """Route ``key`` from ``source`` to its owner, lowest ring first.
+
+        One loop per layer of :meth:`_layer_plan`, each running Chord's
+        greedy finger rule restricted to the current ring's membership.
+        Flat Chord has the global loop only.  HIERAS's lower loops stop
+        at the key's *ring predecessor* — the ring member the key falls
+        immediately after — so the message approaches the key
+        monotonically and never overshoots it (DESIGN.md §5 discusses
+        this reading of the paper's "numerically closest node in this
+        ring"), and its global loop ends with the explicit §3.2 hop to
+        the key's owner.
+        """
+        self._require_source(source)
         key = self.space.wrap(int(key))
-        positions = self.ring.greedy_route(
-            int(self._pos_of_peer[source]), key, succ_list_r=self.successor_list_r
-        )
-        path = [int(self.ring.peers[p]) for p in positions]
+        path = [source]
+        hops_per_layer: list[int] = []
+        for row in self._layer_plan():
+            ring, pos = row.at(path[-1])
+            taken = len(path)
+            greedy = row.layer == 1 and self._greedy_global
+            walk = ring.greedy_route if greedy else ring.predecessor_route
+            peers = ring.peers
+            for p in walk(pos, key, succ_list_r=row.succ_list_r)[1:]:
+                path.append(int(peers[p]))
+            if row.layer == 1 and not greedy:
+                # Terminating step (§3.2): the global predecessor hands
+                # the request to its successor — the key's owner — just
+                # like flat Chord's final hop.
+                owner = self.owner_of(key)
+                if path[-1] != owner:
+                    path.append(owner)
+            hops_per_layer.append(len(path) - taken)
         result = RouteResult(
             source=source,
             key=key,
             owner=path[-1],
             path=path,
             latency_ms=self.route_latency(self.latency, path),
-            hops_per_layer=[len(path) - 1],
+            hops_per_layer=hops_per_layer,
         )
         if self.metrics is not None:
-            self.record_route("chord", result)
+            layers, rings = self.hop_layer_info(result)
+            self.record_route(self.span_label, result, layers=layers, rings=rings)
         return result
 
     def route_lossy(self, source: int, key: int, *, injector) -> RouteResult:
         """Failure-aware routing under an active fault injector.
 
-        Unlike :meth:`route`, the ring snapshot is treated as *stale*
-        knowledge: peers the injector has crashed still appear in finger
-        tables, each contact may time out (dead target, partition, or
-        message loss), and the lookup falls back through next-best
-        fingers and the §3.3 successor list, paying retry penalties from
-        the injector's :class:`~repro.faults.retry.RetryPolicy`.  The
-        returned :class:`RouteResult` carries the per-lookup outcome
+        Same layer-by-layer procedure as :meth:`route`, but every ring
+        snapshot is treated as *stale* knowledge: peers the injector
+        has crashed still appear in finger tables, each contact may
+        time out (dead target, partition, or message loss), and each
+        loop falls back through next-best fingers and the per-layer
+        §3.3 successor list (``injector.policy.successor_fallback``
+        entries), paying retry penalties from the injector's
+        :class:`~repro.faults.retry.RetryPolicy`.  Lower loops stop at
+        the key's closest *live* ring predecessor; the global loop ends
+        at the first *live* successor of the key — the peer that
+        actually owns it after the failures.  The returned
+        :class:`RouteResult` carries the per-lookup outcome
         (``success``, ``timeouts``, ``retry_latency_ms``); on failure
         ``owner`` is ``-1`` and ``path`` covers the hops taken before
         the lookup died.
@@ -280,43 +396,78 @@ class ChordNetwork(DHTNetwork):
         from repro.faults.injector import LossyContext
         from repro.faults.routing import lossy_ring_route
 
-        require(bool(self._alive[source]), f"source peer {source} is not alive")
+        self._require_source(source)
         require(not injector.state.is_dead(source), f"source peer {source} has crashed")
         key = self.space.wrap(int(key))
         ctx = LossyContext()
-        max_hops = 2 * max(len(self.ring).bit_length(), 4) + injector.policy.successor_fallback
-        positions, ok = lossy_ring_route(
-            self.ring,
-            int(self._pos_of_peer[source]),
-            key,
-            to_owner=True,
-            contact=lambda u, v: injector.contact(u, v, ctx),
-            is_dead=injector.state.is_dead,
-            fallback_r=injector.policy.successor_fallback,
-            max_hops=max_hops,
-        )
-        path = [int(self.ring.peers[p]) for p in positions]
+        contact = lambda u, v: injector.contact(u, v, ctx)  # noqa: E731
+        fallback_r = injector.policy.successor_fallback
+        path = [source]
+        hops_per_layer: list[int] = []
+        ok = True
+        for row in self._layer_plan():
+            ring, pos = row.at(path[-1])
+            sub, ok = lossy_ring_route(
+                ring,
+                pos,
+                key,
+                to_owner=(row.layer == 1),
+                contact=contact,
+                is_dead=injector.state.is_dead,
+                fallback_r=fallback_r,
+                max_hops=2 * max(len(ring).bit_length(), 4) + fallback_r,
+            )
+            peers = ring.peers
+            for p in sub[1:]:
+                path.append(int(peers[p]))
+            hops_per_layer.append(len(sub) - 1)
+            if not ok:
+                break
         result = RouteResult(
             source=source,
             key=key,
             owner=path[-1] if ok else -1,
             path=path,
             latency_ms=self.route_latency(self.latency, path) * injector.state.delay_factor,
-            hops_per_layer=[len(path) - 1],
+            hops_per_layer=hops_per_layer,
             success=ok,
             timeouts=ctx.timeouts,
             retry_latency_ms=ctx.retry_latency_ms,
         )
         if self.metrics is not None:
-            self.record_route("chord", result)
+            layers, rings = self.hop_layer_info(result)
+            self.record_route(self.span_label, result, layers=layers, rings=rings)
         return result
+
+    def hop_layer_info(self, result: RouteResult) -> tuple[list[int], list[str]]:
+        """Per-hop ``(layers, rings)`` labels for one finished lookup.
+
+        ``hops_per_layer`` is ordered like :meth:`_layer_plan`, lowest
+        layer first, so zipping the two recovers which ring each
+        ``path`` edge ran in.  A hop's ring is named after its *source*
+        peer — the peer whose ring-restricted finger table chose the
+        next hop.
+        """
+        layers: list[int] = []
+        rings: list[str] = []
+        hop = 0
+        for row, layer_hops in zip(self._layer_plan(), result.hops_per_layer):
+            for src in result.path[hop : hop + layer_hops]:
+                layers.append(row.layer)
+                rings.append(self._ring_label(src, row.layer))
+            hop += layer_hops
+        return layers, rings
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-    def finger_table(self, peer: int) -> list[FingerEntry]:
-        """Materialised finger table of ``peer`` (paper Table 2 layout)."""
-        return self.ring.finger_table(int(self._pos_of_peer[peer]))
+    def finger_table(self, peer: int, layer: int = 1) -> list[FingerEntry]:
+        """Materialised finger table of ``peer`` in one layer's ring.
+
+        Layer 1, the default, is the global ring (paper Table 2 layout).
+        """
+        ring, pos = self._ring_at(peer, layer)
+        return ring.finger_table(pos)
 
     def successor(self, peer: int) -> int:
         """Peer index of ``peer``'s immediate successor."""
@@ -336,12 +487,52 @@ class ChordNetwork(DHTNetwork):
         ]
 
     def ring_successor_list(self, peer: int, r: int) -> list[int]:
-        """Successors of ``peer`` inside its lowest ring.
+        """Successors of ``peer`` inside its **lowest-layer** ring.
 
-        Flat Chord has exactly one ring, so this is
-        :meth:`successor_list` — the degenerate case of the HIERAS
-        ring-scoped query the replication layer's ``ring_scoped``
-        placement issues.  Keeping the method on both stacks lets
-        placement code stay substrate-agnostic.
+        The replication layer's ``ring_scoped`` placement asks exactly
+        this question: which nearby nodes — nearby by landmark order,
+        i.e. members of ``peer``'s lowest ring — come next on that
+        ring's id circle?  The list wraps, excludes ``peer`` itself,
+        and is capped at the ring's size minus one; callers pad from
+        the global ring when they need more copies than the ring can
+        hold.  Flat Chord's lowest ring is the global one, so there
+        this is :meth:`successor_list`.
         """
-        return self.successor_list(peer, r)
+        ring, pos = self._layer_plan()[0].at(peer)
+        return [int(ring.peers[p]) for p in ring.successor_list(pos, r)]
+
+    def explain_route(self, source: int, key: int) -> str:
+        """Human-readable per-hop narration of one lookup.
+
+        Shows, for every hop: the layer/ring it ran in, the peers and
+        node ids involved, and the link delay — the debugging view of
+        §3.2's multi-loop procedure (one loop on flat Chord).
+        """
+        result = self.route(source, key)
+        layers, rings = self.hop_layer_info(result)
+        lines = [
+            f"route key={result.key} from peer {source} "
+            f"(id {self.id_of(source)}): {result.hops} hops, "
+            f"{result.latency_ms:.0f}ms"
+        ]
+
+        def where(layer: int, ring: str) -> str:
+            label = "global ring" if layer == 1 else f'ring "{ring}"'
+            return f"layer {layer} ({label})"
+
+        hop = 0
+        for row, layer_hops in zip(self._layer_plan(), result.hops_per_layer):
+            if layer_hops == 0:
+                idle = self._ring_label(result.path[hop], row.layer)
+                lines.append(f"  {where(row.layer, idle)}: no hops needed")
+            for i in range(hop, hop + layer_hops):
+                a, b = result.path[i], result.path[i + 1]
+                lines.append(
+                    f"  {where(layers[i], rings[i])}: peer {a} (id {self.id_of(a)})"
+                    f" -> peer {b} (id {self.id_of(b)})  {self.latency.pair(a, b):.0f}ms"
+                )
+            hop += layer_hops
+        lines.append(
+            f"  owner: peer {result.owner} (id {self.id_of(result.owner)})"
+        )
+        return "\n".join(lines)

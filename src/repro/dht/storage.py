@@ -91,14 +91,8 @@ class DHTStore:
         return peers
 
     def _successors_of(self, peer: int) -> list[int]:
-        if hasattr(self.network, "successor_list"):
-            return self.network.successor_list(peer, self.replicas)
-        # HIERAS: use the global ring directly.
-        ring = self.network.global_ring
-        pos = ring.pos_of_id(self.network.id_of(peer))
-        return [
-            int(ring.peers[p]) for p in ring.successor_list(pos, self.replicas)
-        ]
+        # Global-ring successors on both ring stacks (HIERAS inherits it).
+        return self.network.successor_list(peer, self.replicas)
 
     # ------------------------------------------------------------------
     def put(self, name: str, value: Any) -> int:

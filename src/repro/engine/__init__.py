@@ -13,8 +13,8 @@ The contract is **bit-identical semantics**: :func:`batch_route`
 produces the same owners, paths, hop counts and latencies (exact float
 equality) as calling ``network.route()`` per request — enforced by the
 property tests in ``tests/test_engine.py`` and relied on by the
-experiment layer, which defaults to the batch engine whenever no span
-tracing is attached (see :func:`supports_batch`).
+experiment layer, which routes everything through :func:`batch_route`,
+traced or not (see :func:`supports_batch`).
 """
 
 from repro.engine.batch import (

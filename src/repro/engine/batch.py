@@ -1,20 +1,22 @@
-"""Batch routers for the trace-driven stacks, plus the dispatch knob.
+"""The layered batch walker for the ring stacks, plus the dispatch point.
 
-``batch_route_chord`` runs one greedy frontier over the flat ring;
-``batch_route_hieras`` runs the §3.2 bottom-up procedure layer by
-layer — grouping active lanes by their current ring, advancing each
-ring's cohort with the shared predecessor-stop kernel, then handing
-survivors to the next layer — and takes the final explicit owner hop
-on the global ring, exactly like the scalar ``HierasNetwork.route``.
+``batch_route_chord`` walks a network's layer plan — the §3.2 bottom-up
+procedure, of which flat Chord is the one-layer case — with one greedy
+frontier per ring: it groups active lanes by their current ring,
+advances each ring's cohort with the shared kernel, hands survivors to
+the next layer, and ends the global ring exactly like the stack's
+scalar ``route``.
 
-``batch_route`` is the experiment-facing entry point: it dispatches to
-the vectorized kernels when the network supports them and no span
-tracing is attached, and otherwise falls back to per-request scalar
-``route()`` calls (which record spans normally), so callers get the
-identical :class:`~repro.engine.result.BatchRouteResult` either way.
+``batch_route`` is the experiment-facing entry point and the only place
+that decides batch vs scalar: the vectorized kernels when the network
+supports them (replaying spans when tracing is attached), per-request
+scalar ``route()`` calls otherwise, the identical
+:class:`~repro.engine.result.BatchRouteResult` either way.
 """
 
 from __future__ import annotations
+
+from typing import TypeGuard
 
 import numpy as np
 import numpy.typing as npt
@@ -22,6 +24,7 @@ import numpy.typing as npt
 from repro.core.hieras import HierasNetwork
 from repro.dht.base import DHTNetwork
 from repro.dht.chord import ChordNetwork
+from repro.dht.ring_array import SortedRing
 from repro.engine.kernel import route_cohort
 from repro.engine.result import BatchRouteResult, row_prefix_sums
 from repro.topology.base import LatencyModel
@@ -90,24 +93,27 @@ class _HopLog:
         self.cur_peer[lanes] = next_peers
 
 
-def supports_batch(network: DHTNetwork) -> bool:
+def supports_batch(network: DHTNetwork) -> TypeGuard[ChordNetwork]:
     """Whether ``batch_route`` may use the vectorized kernels.
 
-    True only for the exact trace-driven classes (subclasses may
-    override ``route`` semantics) with **no span recorder attached**:
-    the batch kernels bypass per-lookup span recording, so an attached
-    ``metrics`` slot triggers the automatic scalar fallback instead.
+    True only for the exact trace-driven classes: a subclass may
+    override ``route`` semantics, so it takes the scalar fallback.
     """
-    return type(network) in (ChordNetwork, HierasNetwork) and network.metrics is None
+    return type(network) in (ChordNetwork, HierasNetwork)
 
 
 def _request_arrays(
-    network: DHTNetwork, sources: object, keys: object
+    network: ChordNetwork, sources: object, keys: object
 ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.uint64]]:
     src = np.ascontiguousarray(np.asarray(sources, dtype=np.int64))
     wrapped = np.ascontiguousarray(np.asarray(keys, dtype=np.uint64))
-    wrapped = wrapped & np.uint64(network.space.size - 1)  # type: ignore[attr-defined]
+    wrapped = wrapped & np.uint64(network.space.size - 1)
     require(len(src) == len(wrapped), "sources and keys must align")
+    ok = (src >= 0) & (src < len(network._alive))
+    if not (ok.all() and network._alive[src].all()):
+        # Raise the scalar route's message for the first offending lane.
+        ok[ok] = network._alive[src[ok]]
+        network._require_source(int(src[int(np.argmin(ok))]))
     return src, wrapped
 
 
@@ -118,137 +124,69 @@ def batch_route_chord(
     *,
     paths: bool = False,
 ) -> BatchRouteResult:
-    """Vectorized equivalent of ``ChordNetwork.route`` per lane.
+    """Vectorized equivalent of ``net.route`` per lane, on either ring stack.
 
-    Bypasses span recording (see :func:`batch_route` for the tracing
-    fallback); all result fields are bit-identical to the scalar path.
+    The one layered batch walker.  One frontier per layer of the
+    network's plan, lowest ring first: at a layer of many rings the
+    active lanes are grouped by the ring their current peer belongs to
+    and each ring's cohort advances with the shared predecessor-stop
+    kernel; the global ring ends the way the stack's scalar ``route``
+    does — greedy to the owner on flat Chord, predecessor-stop plus the
+    explicit §3.2 owner hop on HIERAS.  Hop sequences and per-layer
+    counts are bit-identical to the scalar route.
+
+    Bypasses span recording; :func:`batch_route` replays spans when a
+    recorder is attached.
     """
     src, keys_w = _request_arrays(net, sources, keys)
-    if len(src):
-        require(bool(net._alive[src].all()), "every source peer must be alive")
-    ring = net.ring
     log = _HopLog(src, net.latency, want_paths=paths)
-    peers = ring.peers
+    plan = net._layer_plan()
+    # Hops taken by the end of each layer; differenced into per-layer
+    # counts once, instead of counted per frontier step.
+    hops_per_layer = np.zeros((len(src), len(plan)), dtype=np.int64)
 
-    def sink(
-        lanes: npt.NDArray[np.int64],
-        prev_pos: npt.NDArray[np.int64],
-        next_pos: npt.NDArray[np.int64],
-    ) -> None:
-        log.record(lanes, peers[next_pos])
-
-    route_cohort(
-        ring,
-        net._pos_of_peer[src],
-        keys_w,
-        to_owner=True,
-        succ_list_r=net.successor_list_r,
-        sink=sink,
-    )
-    return BatchRouteResult(
-        sources=src,
-        keys=keys_w,
-        owner=log.cur_peer.copy(),
-        hops=log.hop_count,
-        latency_ms=row_prefix_sums(log.hop_latency, log.hop_count),
-        hops_per_layer=log.hop_count[:, None].copy(),
-        hop_latency_ms=log.hop_latency,
-        paths=log.paths,
-    )
-
-
-def _succ_list_r(net: HierasNetwork, layer: int) -> int:
-    """Per-layer shortcut width, mirroring ``HierasNetwork.route``."""
-    if net.successor_list_policy == "off":
-        return 0
-    if net.successor_list_policy == "transitions" and layer == net.depth:
-        return 0  # cold lowest loop: fingers only, like flat Chord
-    return net.successor_list_r
-
-
-def batch_route_hieras(
-    net: HierasNetwork,
-    sources: object,
-    keys: object,
-    *,
-    paths: bool = False,
-) -> BatchRouteResult:
-    """Vectorized equivalent of ``HierasNetwork.route`` per lane.
-
-    One frontier per layer, lowest ring first: active lanes are grouped
-    by the ring their current peer belongs to at that layer, each ring's
-    cohort advances with the shared predecessor-stop kernel, and the
-    global layer finishes with the explicit owner hop — identical hop
-    sequences and per-layer counts to the scalar route.
-    """
-    src, keys_w = _request_arrays(net, sources, keys)
-    n_lanes = len(src)
-    if n_lanes:
-        require(bool(net._alive[src].all()), "every source peer must be alive")
-    log = _HopLog(src, net.latency, want_paths=paths)
-    hops_per_layer = np.zeros((n_lanes, net.depth), dtype=np.int64)
-
-    for layer in range(net.depth, 1, -1):
-        col = net.depth - layer
-        r = _succ_list_r(net, layer)
-        k = layer - 2
-        codes = net._ring_of_peer[k, log.cur_peer]
-        for code in np.unique(codes):
-            lanes = np.flatnonzero(codes == code)
-            ring = net._rings[k][int(code)]
-            ring_peers = ring.peers
+    for col, row in enumerate(plan):
+        greedy = row.layer == 1 and net._greedy_global
+        cohorts: list[tuple[npt.NDArray[np.int64] | None, SortedRing]]
+        if row.ring_of_peer is None:
+            cohorts = [(None, row.rings[0])]  # one ring holds every lane
+        else:
+            codes = row.ring_of_peer[log.cur_peer]
+            cohorts = [
+                (np.flatnonzero(codes == code), row.rings[int(code)])
+                for code in np.unique(codes)
+            ]
+        for lanes, ring in cohorts:
 
             def sink(
                 sub: npt.NDArray[np.int64],
                 prev_pos: npt.NDArray[np.int64],
                 next_pos: npt.NDArray[np.int64],
-                lanes: npt.NDArray[np.int64] = lanes,
-                ring_peers: npt.NDArray[np.int64] = ring_peers,
-                col: int = col,
+                lanes: npt.NDArray[np.int64] | None = lanes,
+                ring_peers: npt.NDArray[np.int64] = ring.peers,
             ) -> None:
-                moved = lanes[sub]
-                log.record(moved, ring_peers[next_pos])
-                hops_per_layer[moved, col] += 1
+                log.record(sub if lanes is None else lanes[sub], ring_peers[next_pos])
 
             route_cohort(
                 ring,
-                net._pos_in_ring[k, log.cur_peer[lanes]],
-                keys_w[lanes],
-                to_owner=False,
-                succ_list_r=r,
+                row.pos_of_peer[log.cur_peer if lanes is None else log.cur_peer[lanes]],
+                keys_w if lanes is None else keys_w[lanes],
+                to_owner=greedy,
+                succ_list_r=row.succ_list_r,
                 sink=sink,
             )
-
-    # Global layer: predecessor loop over everyone, then the §3.2
-    # terminating step — the global predecessor hands the request to
-    # the key's owner, just like flat Chord's final hop.
-    ring = net.global_ring
-    ring_peers = ring.peers
-    col = net.depth - 1
-
-    def global_sink(
-        lanes: npt.NDArray[np.int64],
-        prev_pos: npt.NDArray[np.int64],
-        next_pos: npt.NDArray[np.int64],
-    ) -> None:
-        log.record(lanes, ring_peers[next_pos])
-        hops_per_layer[lanes, col] += 1
-
-    route_cohort(
-        ring,
-        net._pos_global[log.cur_peer],
-        keys_w,
-        to_owner=False,
-        succ_list_r=_succ_list_r(net, 1),
-        sink=global_sink,
-    )
-    owner_pos = np.searchsorted(ring.ids, keys_w, side="left").astype(np.int64)
-    owner_pos[owner_pos == len(ring)] = 0
-    owner_peer = ring_peers[owner_pos]
-    final = np.flatnonzero(log.cur_peer != owner_peer)
-    if final.size:
-        log.record(final, owner_peer[final])
-        hops_per_layer[final, col] += 1
+        if row.layer == 1 and not greedy:
+            # Terminating step (§3.2): the global predecessor hands the
+            # request to the key's owner, like flat Chord's final hop.
+            ring = net.ring
+            owner_pos = np.searchsorted(ring.ids, keys_w, side="left").astype(np.int64)
+            owner_pos[owner_pos == len(ring)] = 0
+            owner_peer = ring.peers[owner_pos]
+            final = np.flatnonzero(log.cur_peer != owner_peer)
+            if final.size:
+                log.record(final, owner_peer[final])
+        hops_per_layer[:, col] = log.hop_count
+    hops_per_layer[:, 1:] -= hops_per_layer[:, :-1].copy()
 
     return BatchRouteResult(
         sources=src,
@@ -260,6 +198,10 @@ def batch_route_hieras(
         hop_latency_ms=log.hop_latency,
         paths=log.paths,
     )
+
+
+#: HIERAS lanes walk the same code; the name predates the shared walker.
+batch_route_hieras = batch_route_chord
 
 
 def scalar_batch_route(
@@ -331,19 +273,26 @@ def batch_route(
 ) -> BatchRouteResult:
     """Route a batch of lookups through ``network``.
 
-    ``engine="batch"`` (default) uses the vectorized kernels whenever
-    :func:`supports_batch` allows — i.e. on the exact trace-driven
-    classes with no span recorder attached — and silently falls back to
-    per-request scalar routing otherwise (so attached tracing keeps
-    recording every span).  ``engine="scalar"`` forces the fallback.
-    Results are bit-identical either way.
+    The single place that chooses between the vectorized kernels and
+    the per-request scalar loop.  ``engine="batch"`` (default) uses the
+    kernels whenever :func:`supports_batch` allows and per-request
+    ``route()`` calls otherwise.  With a span recorder attached the
+    kernels run with paths and every lane's span is replayed through
+    the recorder in lane order — the same spans, in the same order, as
+    the scalar loop records; the returned result still carries paths
+    only if the caller asked for them.  ``engine="scalar"`` is the door
+    to the scalar reference the equivalence tests and benchmarks
+    compare against.  Results are bit-identical either way.
     """
     require(engine in ("batch", "scalar"), f"unknown engine {engine!r}")
     if engine == "batch" and supports_batch(network):
-        if isinstance(network, HierasNetwork):
-            return batch_route_hieras(network, sources, keys, paths=paths)
-        assert isinstance(network, ChordNetwork)
-        return batch_route_chord(network, sources, keys, paths=paths)
+        traced = network.metrics is not None
+        result = batch_route_chord(network, sources, keys, paths=paths or traced)
+        if traced:
+            replay_spans(network, result, label=network.span_label)
+            if not paths:
+                result.paths = None
+        return result
     return scalar_batch_route(network, sources, keys, paths=paths)
 
 

@@ -120,7 +120,6 @@ def stream_batch_route(
     keys: npt.NDArray[np.uint64],
     *,
     chunk_size: int = 65536,
-    engine: str = "batch",
 ) -> StreamStats:
     """Route ``(sources, keys)`` in bounded chunks, returning aggregates.
 
@@ -137,8 +136,6 @@ def stream_batch_route(
     stats = StreamStats()
     for start in range(0, len(src), chunk_size):
         stop = min(start + chunk_size, len(src))
-        result = batch_route(
-            network, src[start:stop], key_arr[start:stop], paths=False, engine=engine
-        )
+        result = batch_route(network, src[start:stop], key_arr[start:stop], paths=False)
         stats.absorb(result, offset=start)
     return stats

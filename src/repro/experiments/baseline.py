@@ -37,35 +37,22 @@ __all__ = ["run_perf_baseline", "write_baseline", "SCHEMA"]
 SCHEMA = "repro.perf_baseline/1"
 
 
-def _traced_routes(network, trace, *, engine: str = "batch") -> dict[str, object]:
+def _traced_routes(network, trace) -> dict[str, object]:
     """Route the whole trace with spans on; returns the aggregate block.
 
-    With ``engine="batch"`` the trace is routed untraced through the
-    vectorized engine (with materialized paths), then every lane's span
-    is replayed through the network's own ``record_route`` — the spans,
-    and therefore this summary block, are byte-identical to the scalar
-    per-request loop (pinned by ``tests/test_engine.py``).
+    ``batch_route`` records one span per lookup whichever engine it
+    picks, byte-identical to the scalar per-request loop (pinned by
+    ``tests/test_engine.py``), so this summary block is too.
     """
-    from repro.engine import batch_route, replay_spans, supports_batch
+    from repro.engine import batch_route
 
     sink = SummarySink()
-    recorder = SpanRecorder(registry=MetricsRegistry(), sinks=[sink])
-    label = "chord" if type(network).__name__.startswith("Chord") else "hieras"
-    if engine == "batch" and supports_batch(network):
-        result = batch_route(network, trace.sources, trace.keys, paths=True)
-        network.enable_tracing(recorder)
-        try:
-            replay_spans(network, result, label=label)
-        finally:
-            network.disable_tracing()
-        return sink.summary(label)
-    network.enable_tracing(recorder)
+    network.enable_tracing(SpanRecorder(registry=MetricsRegistry(), sinks=[sink]))
     try:
-        for source, key in trace:
-            network.route(int(source), int(key))
+        batch_route(network, trace.sources, trace.keys)
     finally:
         network.disable_tracing()
-    return sink.summary(label)
+    return sink.summary(network.span_label)
 
 
 def _protocol_smoke(seed: int, *, universe: int = 16, n_rings: int = 2,
@@ -130,15 +117,8 @@ def run_perf_baseline(
     seed: int = 42,
     n_peers: int | None = None,
     n_requests: int | None = None,
-    engine: str = "batch",
 ) -> dict[str, object]:
-    """Run every phase once; returns the BENCH_baseline document.
-
-    ``engine`` selects the routing engine for the traced-route phases;
-    the ``metrics`` section is byte-identical between ``"batch"`` and
-    ``"scalar"`` (the batch engine replays identical spans), so only
-    the nondeterministic ``phases`` wall times differ.
-    """
+    """Run every phase once; returns the BENCH_baseline document."""
     if n_peers is None:
         n_peers = 3000 if full else 1000
     if n_requests is None:
@@ -165,9 +145,9 @@ def run_perf_baseline(
     with timed("trace"):
         trace = make_trace(bundle, n_requests)
     with timed("chord_routes"):
-        chord_metrics = _traced_routes(bundle.chord, trace, engine=engine)
+        chord_metrics = _traced_routes(bundle.chord, trace)
     with timed("hieras_routes"):
-        hieras_metrics = _traced_routes(bundle.hieras, trace, engine=engine)
+        hieras_metrics = _traced_routes(bundle.hieras, trace)
     with timed("protocol_smoke"):
         protocol_metrics = _protocol_smoke(seed)
 
@@ -181,7 +161,6 @@ def run_perf_baseline(
             "n_requests": n_requests,
             "depth": bundle.config.depth,
             "model": bundle.config.model,
-            "engine": engine,
         },
         "phases": phases,
         "metrics": {

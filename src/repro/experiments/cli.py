@@ -154,7 +154,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         depths=_parse_ints(args.depths),
         seeds=_parse_ints(args.seeds),
         n_requests=args.requests,
-        engine=args.engine,
     )
     print(f"sweeping {spec.n_cells} cells...")
     rows = run_sweep(spec, progress=print)
@@ -400,10 +399,6 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument("--depths", default="2", help="comma list of depths (2-4)")
     sweep.add_argument("--seeds", default="42", help="comma list of seeds")
     sweep.add_argument("--requests", type=int, default=10_000, help="requests per cell")
-    sweep.add_argument(
-        "--engine", default="batch", choices=("batch", "scalar"),
-        help="routing engine per cell (results are bit-identical; default batch)",
-    )
     sweep.add_argument("--out", default=None, help="write rows to this CSV path")
     sweep.set_defaults(func=_cmd_sweep)
     report = sub.add_parser("report", help="run everything, write a markdown report")

@@ -161,17 +161,7 @@ def make_trace(bundle: SimulationBundle, n_requests: int, *, seed_label: str = "
     )
 
 
-def run_pair(
-    bundle: SimulationBundle, n_requests: int, *, engine: str = "batch"
-) -> tuple[RouteSample, RouteSample]:
-    """Run the trace through Chord and HIERAS; returns both samples.
-
-    ``engine`` selects the routing engine (``"batch"`` uses the
-    vectorized frontier kernels of :mod:`repro.engine`; results are
-    bit-identical to ``"scalar"`` — see ``collect_routes``).
-    """
+def run_pair(bundle: SimulationBundle, n_requests: int) -> tuple[RouteSample, RouteSample]:
+    """Run the trace through Chord and HIERAS; returns both samples."""
     trace = make_trace(bundle, n_requests)
-    return (
-        collect_routes(bundle.chord, trace, engine=engine),
-        collect_routes(bundle.hieras, trace, engine=engine),
-    )
+    return collect_routes(bundle.chord, trace), collect_routes(bundle.hieras, trace)

@@ -38,9 +38,6 @@ class SweepSpec:
     depths: tuple[int, ...] = (2,)
     seeds: tuple[int, ...] = (42,)
     n_requests: int = 10_000
-    #: Routing engine per cell; ``"batch"`` (vectorized, the default)
-    #: and ``"scalar"`` produce bit-identical rows.
-    engine: str = "batch"
 
     def __post_init__(self) -> None:
         require(len(self.models) >= 1, "need at least one model")
@@ -49,7 +46,6 @@ class SweepSpec:
         require(len(self.depths) >= 1, "need at least one depth")
         require(len(self.seeds) >= 1, "need at least one seed")
         require(self.n_requests >= 1, "n_requests must be >= 1")
-        require(self.engine in ("batch", "scalar"), f"unknown engine {self.engine!r}")
 
     @property
     def n_cells(self) -> int:
@@ -72,13 +68,11 @@ class SweepSpec:
             )
 
 
-def _evaluate(
-    config: SimConfig, n_requests: int, *, engine: str = "batch"
-) -> dict[str, object]:
+def _evaluate(config: SimConfig, n_requests: int) -> dict[str, object]:
     bundle = build_bundle(config)
     trace = make_trace(bundle, n_requests)
-    chord = collect_routes(bundle.chord, trace, engine=engine)
-    hieras = collect_routes(bundle.hieras, trace, engine=engine)
+    chord = collect_routes(bundle.chord, trace)
+    hieras = collect_routes(bundle.hieras, trace)
     return {
         "model": config.model,
         "n_peers": config.n_peers,
@@ -112,7 +106,7 @@ def run_sweep(
     rows: list[dict[str, object]] = []
     for config in spec.configs():
         try:
-            row = _evaluate(config, spec.n_requests, engine=spec.engine)
+            row = _evaluate(config, spec.n_requests)
         except ValueError as exc:
             if progress:
                 progress(f"skip {config.model}/{config.n_peers}: {exc}")

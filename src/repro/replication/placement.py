@@ -33,17 +33,13 @@ __all__ = ["global_successors", "replica_group"]
 def global_successors(network: Any, peer: int, r: int) -> list[int]:
     """``peer``'s ``r`` nearest global-ring successors on either stack.
 
-    Flat Chord exposes :meth:`~repro.dht.chord.ChordNetwork.successor_list`
-    directly; HIERAS is asked through its global ring (layer 1), the
-    ring every member is on.
+    :meth:`~repro.dht.chord.ChordNetwork.successor_list` answers for
+    both: HIERAS inherits it, and its global ring (layer 1) is the ring
+    every member is on.
     """
     if r <= 0:
         return []
-    if hasattr(network, "successor_list"):
-        return list(network.successor_list(peer, r))
-    ring = network.global_ring
-    pos = ring.pos_of_id(network.id_of(peer))
-    return [int(ring.peers[p]) for p in ring.successor_list(pos, r)]
+    return list(network.successor_list(peer, r))
 
 
 def replica_group(network: Any, key: int, policy: ReplicationPolicy) -> list[int]:

@@ -22,7 +22,7 @@ from repro.engine import (
     supports_batch,
 )
 from repro.metrics.registry import MetricsRegistry
-from repro.metrics.sinks import SummarySink
+from repro.metrics.sinks import JsonlSink, SummarySink
 from repro.metrics.spans import SpanRecorder
 from repro.topology.latency import CoordinateLatencyModel
 from repro.util.ids import IdSpace
@@ -181,6 +181,23 @@ class TestResultShape:
         with pytest.raises(ValueError):
             batch_route(chord, sources, keys)
 
+    @pytest.mark.parametrize("engine", ["batch", "scalar", None])
+    @pytest.mark.parametrize("bad", [-1, 30])
+    def test_out_of_range_source_rejected(self, engine, bad):
+        """A negative source must not wrap to the last peer, and one past
+        the end must not surface numpy's IndexError — on both stacks,
+        both engines and the direct scalar calls (``engine=None``)."""
+        message = rf"source peer {bad} out of range \[0, 30\)"
+        for net in build_pair(n=30, seed=1):
+            with pytest.raises(ValueError, match=message):
+                if engine is None:
+                    net.route(bad, 7)
+                else:
+                    batch_route(net, [0, bad], [5, 7], engine=engine)
+            if engine is None:
+                with pytest.raises(ValueError, match=message):
+                    net.route_lossy(bad, 7, injector=None)  # rejected before any contact
+
     def test_unknown_engine_rejected(self):
         chord, _ = build_pair(n=30, seed=1)
         sources, keys = make_requests(chord, 4, 1)
@@ -189,16 +206,11 @@ class TestResultShape:
 
 
 class TestFallback:
-    def test_supports_batch_flips_with_tracing(self):
+    def test_supports_batch_ignores_tracing(self):
         chord, hieras = build_pair(n=40, seed=8)
         for net in (chord, hieras):
             assert supports_batch(net)
-            recorder = SpanRecorder(registry=MetricsRegistry(), sinks=[SummarySink()])
-            net.enable_tracing(recorder)
-            try:
-                assert not supports_batch(net)
-            finally:
-                net.disable_tracing()
+            net.enable_tracing(SpanRecorder(registry=MetricsRegistry()))
             assert supports_batch(net)
 
     def test_subclass_not_batchable(self):
@@ -211,17 +223,40 @@ class TestFallback:
         net = WeirdChord(space, space.sample_unique_ids(20, rng))
         assert not supports_batch(net)
 
-    def test_batch_route_falls_back_when_traced(self):
-        chord, _ = build_pair(n=40, seed=8)
-        sources, keys = make_requests(chord, 50, 8)
-        want = batch_route(chord, sources, keys, paths=True)
-        recorder = SpanRecorder(registry=MetricsRegistry(), sinks=[SummarySink()])
-        chord.enable_tracing(recorder)
-        try:
-            got = batch_route(chord, sources, keys, paths=True)
-        finally:
-            chord.disable_tracing()
-        assert_identical(got, want)
+
+def _span_bytes(net, sources, keys, path, *, engine, paths=False):
+    """Route with a JSONL recorder attached; the bytes it wrote, and the result."""
+    sink = JsonlSink(path)
+    net.enable_tracing(SpanRecorder(registry=MetricsRegistry(), sinks=[sink]))
+    try:
+        result = batch_route(net, sources, keys, paths=paths, engine=engine)
+    finally:
+        net.disable_tracing()
+        sink.close()
+    return path.read_bytes(), result
+
+
+class TestTracedBatch:
+    """With a recorder attached ``batch_route`` still runs the kernels and
+    replays spans: the same bytes in the same order as the scalar loop."""
+
+    @pytest.mark.parametrize("policy", ["transitions", "always", "off"])
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_span_stream_equals_scalar_loop(self, depth, policy, tmp_path):
+        nets = build_pair(
+            n=90, depth=depth, seed=17, successor_list_r=6, successor_list_policy=policy
+        )
+        for net in nets:
+            sources, keys = make_requests(net, 200, 17)
+            out = tmp_path / f"{net.span_label}.jsonl"
+            want, _ = _span_bytes(net, sources, keys, out, engine="scalar")
+            got, traced = _span_bytes(net, sources, keys, out, engine="batch")
+            assert got == want
+            assert got.count(b"\n") == 200
+            assert traced.paths is None  # the caller did not ask for paths
+            assert_identical(traced, batch_route(net, sources, keys))
+            _, with_paths = _span_bytes(net, sources, keys, out, engine="batch", paths=True)
+            assert_identical(with_paths, batch_route(net, sources, keys, paths=True))
 
 
 class TestExperimentWiring:
@@ -242,11 +277,23 @@ class TestExperimentWiring:
             assert np.array_equal(a.low_layer_latency_ms, b.low_layer_latency_ms)
 
     def test_perf_baseline_metrics_identical_across_engines(self):
+        """The baseline doc's route blocks equal what the scalar
+        reference engine records for the same deployment and trace."""
         from repro.experiments.baseline import run_perf_baseline
+        from repro.experiments.config import SimConfig
+        from repro.experiments.runner import build_bundle, make_trace
 
-        a = run_perf_baseline(seed=3, n_peers=220, n_requests=300, engine="scalar")
-        b = run_perf_baseline(seed=3, n_peers=220, n_requests=300, engine="batch")
-        assert a["metrics"] == b["metrics"]
+        doc = run_perf_baseline(seed=3, n_peers=220, n_requests=300)
+        bundle = build_bundle(SimConfig(n_peers=220, seed=3))
+        trace = make_trace(bundle, 300)
+        for net in (bundle.chord, bundle.hieras):
+            sink = SummarySink()
+            net.enable_tracing(SpanRecorder(registry=MetricsRegistry(), sinks=[sink]))
+            try:
+                batch_route(net, trace.sources, trace.keys, engine="scalar")
+            finally:
+                net.disable_tracing()
+            assert doc["metrics"][net.span_label] == sink.summary(net.span_label)
 
     def test_cache_uncached_cell_identical_across_engines(self):
         from repro.cache import CachePolicy
@@ -283,9 +330,8 @@ class TestBatchMembership:
     """add_peers/remove_peers/revive_peers ≡ their sequential singles."""
 
     def _state(self, net):
-        ring = net.ring if isinstance(net, ChordNetwork) else net.global_ring
         return (
-            [int(v) for v in ring.ids],
+            [int(v) for v in net.ring.ids],
             [net.is_alive(p) for p in range(len(net._id_of_peer))],
         )
 

@@ -287,3 +287,26 @@ class TestExplainRoute:
         text = hieras.explain_route(5, 999)
         arrow_lines = [ln for ln in text.splitlines() if "->" in ln]
         assert len(arrow_lines) == r.hops
+
+    def test_full_narration_is_pinned(self):
+        """An idle layer, a lower-ring hop and a global hop, character for character."""
+        _, hieras = build_pair(n=80, seed=3, depth=3)
+        assert hieras.explain_route(7, 40000) == (
+            "route key=40000 from peer 7 (id 53744): 2 hops, 0ms\n"
+            '  layer 3 (ring "2122/4244"): no hops needed\n'
+            '  layer 2 (ring "2122"): peer 7 (id 53744) -> peer 29 (id 39885)  0ms\n'
+            "  layer 1 (global ring): peer 29 (id 39885) -> peer 27 (id 40712)  0ms\n"
+            "  owner: peer 27 (id 40712)"
+        )
+
+    def test_flat_chord_gets_the_same_narration(self):
+        chord, _ = build_pair(n=80, seed=3)
+        r = chord.route(7, 40000)
+        lines = chord.explain_route(7, 40000).splitlines()
+        assert lines[0] == f"route key=40000 from peer 7 (id 53744): {r.hops} hops, 0ms"
+        assert lines[1:-1] == [
+            f"  layer 1 (global ring): peer {a} (id {chord.id_of(a)})"
+            f" -> peer {b} (id {chord.id_of(b)})  0ms"
+            for a, b in zip(r.path, r.path[1:])
+        ]
+        assert lines[-1] == "  owner: peer 27 (id 40712)"

@@ -46,12 +46,11 @@ def build_pair(n=120, depth=2, seed=5, bits=16, landmarks=4, headroom=0):
 
 def assert_same_state(a, b):
     """Every ring array and name of ``a`` equals ``b``'s, exactly."""
-    if isinstance(a, ChordNetwork):
-        assert np.array_equal(a.ring.ids, b.ring.ids)
-        assert np.array_equal(a.ring.peers, b.ring.peers)
+    assert np.array_equal(a.ring.ids, b.ring.ids)
+    assert np.array_equal(a.ring.peers, b.ring.peers)
+    if not isinstance(a, HierasNetwork):
         return
-    assert np.array_equal(a.global_ring.ids, b.global_ring.ids)
-    assert np.array_equal(a.global_ring.peers, b.global_ring.peers)
+    assert a.global_ring is a.ring
     for layer in range(2, a.depth + 1):
         ra, rb = a.rings_at_layer(layer), b.rings_at_layer(layer)
         assert sorted(ra) == sorted(rb)
@@ -85,15 +84,10 @@ def assert_same_fingers(a, b, *, seed, sample=6):
     alive = [p for p in range(a.n_peers) if a.is_alive(p)]
     depth = getattr(a, "depth", 1)
     for peer in rng.choice(alive, size=min(sample, len(alive)), replace=False):
-        if isinstance(a, ChordNetwork):
-            ta = [(e.start, e.node_id) for e in a.finger_table(int(peer))]
-            tb = [(e.start, e.node_id) for e in b.finger_table(int(peer))]
+        for layer in range(1, depth + 1):
+            ta = [(e.start, e.node_id) for e in a.finger_table(int(peer), layer)]
+            tb = [(e.start, e.node_id) for e in b.finger_table(int(peer), layer)]
             assert ta == tb
-        else:
-            for layer in range(1, depth + 1):
-                ta = [(e.start, e.node_id) for e in a.finger_table(int(peer), layer)]
-                tb = [(e.start, e.node_id) for e in b.finger_table(int(peer), layer)]
-                assert ta == tb
 
 
 class TestRandomizedInterleavings:
@@ -206,6 +200,38 @@ class TestWaveWorkIsBounded:
         assert net.incremental_waves == waves + 1
         assert net.rings_spliced == spliced + len(touched)
 
+    def test_inherited_membership_path_keeps_identity_and_counters(self):
+        """HIERAS's remove/revive are ``ChordNetwork``'s: the wave still
+        splices only the touched lower rings and moves all four counters
+        exactly as a HIERAS-owned wave did."""
+        assert HierasNetwork.remove_peers is ChordNetwork.remove_peers
+        assert HierasNetwork.revive_peers is ChordNetwork.revive_peers
+        _, net = build_pair(n=150, depth=3, seed=83)
+        victims = [0, 7]
+        for op in (net.remove_peers, net.revive_peers):
+            before = {
+                layer: dict(net.rings_at_layer(layer)) for layer in range(2, net.depth + 1)
+            }
+            touched = {
+                layer: {net.ring_name_of(v, layer) for v in victims} for layer in before
+            }
+            counters = (
+                net.rebuild_count, net.incremental_waves, net.rings_spliced, net.publish_skips
+            )
+            op(victims)
+            for layer, rings in before.items():
+                after = net.rings_at_layer(layer)
+                for name, ring in rings.items():
+                    assert (after[name] is ring) == (name not in touched[layer]), name
+            assert (
+                net.rebuild_count, net.incremental_waves, net.rings_spliced, net.publish_skips
+            ) == (
+                counters[0],
+                counters[1] + 1,
+                counters[2] + sum(len(names) for names in touched.values()),
+                counters[3],
+            )
+
     def test_rebuild_escape_hatch_counts(self):
         chord, hieras = build_pair(n=30, seed=82)
         for net in (chord, hieras):
@@ -219,13 +245,11 @@ class TestValidationParity:
         chord, hieras = build_pair(n=30, seed=90)
         for net in (chord, hieras):
             waves = net.incremental_waves
-            ring = net.ring if isinstance(net, ChordNetwork) else net.global_ring
-            ids_before = ring.ids
+            ids_before = net.ring.ids
             with pytest.raises(ValueError, match="not alive"):
                 net.remove_peers([2, 2])
             assert net.incremental_waves == waves
-            live_ring = net.ring if isinstance(net, ChordNetwork) else net.global_ring
-            assert live_ring.ids is ids_before
+            assert net.ring.ids is ids_before
 
     def test_publish_skips_on_unchanged_rings(self):
         _, net = build_pair(n=120, depth=2, seed=91)

@@ -334,10 +334,10 @@ class TestRealisticDurabilityEdges:
 
 class TestHierasSuccessorsPath:
     def test_successors_of_uses_global_ring(self, small_networks):
-        """HIERAS has no ``successor_list``; the store must fall back to
-        the global ring — and agree with flat Chord over the same ids."""
+        """HIERAS's ``successor_list`` is the inherited global-ring one,
+        so the store agrees with flat Chord over the same ids."""
         chord, hieras = small_networks
-        assert not hasattr(hieras, "successor_list")
+        assert type(hieras).successor_list is type(chord).successor_list
         store = DHTStore(hieras, replicas=3)
         chord_store = DHTStore(chord, replicas=3)
         for peer in (0, 17, 150):
