@@ -8,7 +8,10 @@ Three strategies, all implementing :class:`repro.topology.base.LatencyModel`:
   path decomposes as ``stub → border → core → border → stub`` and the
   model only stores per-stub APSP blocks plus the (tiny) transit-core
   APSP.  This is what makes paper-scale simulation (10 000 routers,
-  100 000 requests × ~13 hops) cheap.
+  100 000 requests × ~13 hops) cheap.  The §4.1 substrate gives every
+  intra-stub link one delay, so a block is hop counts × delay: one
+  bit-parallel BFS from all of a stub's routers at once
+  (:func:`_uniform_apsp`), not a Dijkstra per router.
 * :class:`APSPLatencyModel` — full all-pairs matrix for general graphs
   (Inet, BRITE).  Computed with chunked Dijkstra sweeps and stored as
   ``uint16`` milliseconds (link delays are integral, so the rounding is
@@ -18,10 +21,11 @@ Three strategies, all implementing :class:`repro.topology.base.LatencyModel`:
 
 Million-router topologies don't fit either eager representation, so
 each strategy has a **streaming** twin that answers bit-identical
-queries from an LRU block cache filled by on-demand Dijkstra:
-:class:`StreamingTransitStubLatencyModel` (per-stub blocks on demand;
-border distances from one virtual-source Dijkstra) and
-:class:`StreamingAPSPLatencyModel` (uint16 row blocks on demand).
+queries from an LRU block cache filled on demand:
+:class:`StreamingTransitStubLatencyModel` (the same per-stub blocks,
+computed when first queried; border distances from one multi-source
+Dijkstra) and :class:`StreamingAPSPLatencyModel` (uint16 Dijkstra row
+blocks on demand).
 :func:`latency_model_for` picks eager vs streaming from the projected
 matrix footprint, so existing small configs keep byte-identical models.
 
@@ -168,6 +172,80 @@ class StreamingAPSPLatencyModel(LatencyModel):
         )
 
 
+def _uniform_apsp(sub: csr_matrix) -> np.ndarray:
+    """All-pairs shortest delays of one stub's sub-graph (float64, ``inf`` = unreachable).
+
+    Every stub the generator emits gives all its links one delay, so
+    the delay between two routers is their hop count times that delay
+    and one breadth-first search from all ``n`` routers at once fills
+    the block: bit ``s`` of row ``v`` of ``visited`` says source ``s``
+    has reached ``v`` (64 sources per word), a level ORs each router's
+    neighbours' frontier rows, and a pair's hop count is the number of
+    levels it stayed unvisited.  Delays are read from a running-sum
+    table — the repeated addition Dijkstra performs — so the block
+    equals ``dijkstra(sub, directed=False)`` bit for bit; a sub-graph
+    with mixed delays (or no link at all) still goes through Dijkstra.
+    """
+    n = sub.shape[0]
+    if sub.nnz == 0 or sub.data.min() != sub.data.max():
+        return dijkstra(sub, directed=False)
+    width = -(-n // 64) * 64
+    visited = np.packbits(np.eye(n, width, dtype=bool), axis=1, bitorder="little").view("<u8")
+    frontier = visited.copy()
+    # ``reduceat`` gives a router without links the slot at its start
+    # (and rejects a start past the end): clamp, then zero those rows.
+    starts = np.minimum(sub.indptr[:-1], sub.nnz - 1)
+    isolated = sub.indptr[:-1] == sub.indptr[1:]
+    hops = np.zeros((n, n), dtype=np.uint16)
+    levels = 0
+    while frontier.any():
+        unvisited = ~visited
+        hops += np.unpackbits(unvisited.view(np.uint8), axis=1, count=n, bitorder="little")
+        levels += 1
+        frontier = np.bitwise_or.reduceat(frontier[sub.indices], starts, axis=0)
+        frontier[isolated] = 0
+        frontier &= unvisited
+        visited |= frontier
+    # A pair never reached was unvisited at all ``levels`` levels.
+    reached = np.cumsum(np.full(levels - 1, sub.data[0]))
+    return np.concatenate(([0.0], reached, [np.inf]))[hops]
+
+
+def _stub_adjacency(topology: TransitStubTopology) -> tuple[np.ndarray, np.ndarray, csr_matrix]:
+    """Intra-stub links regrouped by domain: ``(members, starts, adj)``.
+
+    ``members`` lists the stub routers domain by domain, ascending
+    router id within a domain (the ``local_index`` order); domain ``d``
+    is ``members[starts[d]:starts[d + 1]]``, and ``adj`` is the CSR
+    over those positions holding same-domain links only, so a stub's
+    sub-graph is the contiguous ``adj[lo:hi, lo:hi]``.
+    """
+    dom_of = topology.stub_domain_of
+    stub_ids = np.flatnonzero(dom_of >= 0)
+    # ``stub_ids`` ascends, so a stable sort keeps ids ascending per domain.
+    members = stub_ids[np.argsort(dom_of[stub_ids], kind="stable")]
+    starts = np.searchsorted(dom_of[members], np.arange(topology.n_stub_domains + 1))
+    position = np.zeros(topology.n_routers, dtype=np.int64)
+    position[members] = np.arange(len(members))
+    coo = topology.csr().tocoo()
+    row_dom = dom_of[coo.row]
+    keep = (row_dom >= 0) & (row_dom == dom_of[coo.col])
+    adj = csr_matrix(
+        (coo.data[keep], (position[coo.row[keep]], position[coo.col[keep]])),
+        shape=(len(members), len(members)),
+    )
+    return members, starts, adj
+
+
+def _stub_block(adj: csr_matrix, starts: np.ndarray, dom: int) -> np.ndarray:
+    """Float32 APSP block of stub domain ``dom`` (see :func:`_stub_adjacency`)."""
+    lo, hi = starts[dom], starts[dom + 1]
+    block = _uniform_apsp(adj[lo:hi, lo:hi])
+    if np.isinf(block).any():
+        raise ValueError(f"stub domain {dom} is internally disconnected")
+    return block.astype(np.float32)
+
+
 class TransitStubLatencyModel(LatencyModel):
     """Exact hierarchical latency model for transit-stub topologies.
 
@@ -208,14 +286,9 @@ class TransitStubLatencyModel(LatencyModel):
         stub_size = params.stub_domain_size
         n_stubs = topology.n_stub_domains
         blocks = np.zeros((n_stubs, stub_size, stub_size), dtype=np.float32)
-        full_csr = topology.csr()
+        stub_ids, starts, adj = _stub_adjacency(topology)
         for dom in range(n_stubs):
-            members = topology.routers_of_domain(dom)
-            sub = full_csr[np.ix_(members, members)]
-            block = dijkstra(sub, directed=False)
-            if np.isinf(block).any():
-                raise ValueError(f"stub domain {dom} is internally disconnected")
-            blocks[dom] = block
+            blocks[dom] = _stub_block(adj, starts, dom)
         self._stub_blocks = blocks
 
         # Per-router precomputation for vectorised queries.
@@ -223,7 +296,6 @@ class TransitStubLatencyModel(LatencyModel):
         is_stub = dom_of >= 0
         border_local = topology.local_index[topology.border_router_of_domain]
         self._border_dist = np.zeros(n, dtype=np.float64)
-        stub_ids = np.flatnonzero(is_stub)
         self._border_dist[stub_ids] = blocks[
             dom_of[stub_ids], topology.local_index[stub_ids], border_local[dom_of[stub_ids]]
         ]
@@ -264,12 +336,12 @@ class StreamingTransitStubLatencyModel(LatencyModel):
 
     * the tiny transit-core APSP (eager, same as before),
     * every router's distance to its stub's border router, obtained
-      from **one** Dijkstra over the intra-stub edges with a virtual
-      source wired to all border routers (O(E log V) total instead of
-      one Dijkstra per stub), and
+      from **one** Dijkstra over the intra-stub edges started at all
+      border routers together (O(E log V) total instead of one pass
+      per stub), and
     * an LRU of at most ``cache_blocks`` stub blocks, each computed by
-      exactly the Dijkstra the eager model would have run (so cached
-      answers match bit for bit).
+      the block function the eager model runs (so cached answers match
+      bit for bit).
 
     Cross-stub queries never touch a block — the border distances and
     core matrix fully determine them — so only same-domain queries pay
@@ -288,60 +360,30 @@ class StreamingTransitStubLatencyModel(LatencyModel):
         self.cache_misses = 0
         n = topology.n_routers
         n_transit = len(topology.transit_routers)
-        params = topology.params
+        dom_of, local = topology.stub_domain_of, topology.local_index
 
-        full_csr = topology.csr()
-        core = dijkstra(full_csr[:n_transit, :n_transit], directed=False)
+        core = dijkstra(topology.csr()[:n_transit, :n_transit], directed=False)
         if np.isinf(core).any():
             raise ValueError("transit core is disconnected")
         self._core = core
 
-        dom_of = topology.stub_domain_of
-        is_stub = dom_of >= 0
-        stub_ids = np.flatnonzero(is_stub)
-
-        # Border distances from ONE virtual-source Dijkstra: keep only
-        # intra-stub edges (distinct stubs stay disconnected), add a
-        # virtual node joined to every border router by a weight-1
-        # edge, and subtract the 1 afterwards (delays are integral ms,
-        # so the +1/−1 round trip is exact in float64; a weight-0 edge
-        # would risk being dropped as an implicit sparse zero).
-        coo = full_csr.tocoo()
-        keep = (
-            (dom_of[coo.row] >= 0)
-            & (dom_of[coo.row] == dom_of[coo.col])
-        )
-        borders = topology.border_router_of_domain
-        rows = np.concatenate([coo.row[keep], np.full(len(borders), n, dtype=np.int64)])
-        cols = np.concatenate([coo.col[keep], borders.astype(np.int64)])
-        data = np.concatenate([coo.data[keep], np.ones(len(borders))])
-        virt = csr_matrix((data, (rows, cols)), shape=(n + 1, n + 1))
-        from_virtual = dijkstra(virt, directed=False, indices=n)
-        if np.isinf(from_virtual[stub_ids]).any():
-            bad = int(stub_ids[np.isinf(from_virtual[stub_ids])][0])
-            raise ValueError(
-                f"stub domain {int(dom_of[bad])} is internally disconnected"
-            )
+        # Border distances from ONE multi-source Dijkstra: ``adj`` holds
+        # intra-stub links only, so distinct stubs stay disconnected and
+        # the nearest border router is always the router's own.
+        stub_ids, self._dom_starts, self._adj = _stub_adjacency(topology)
+        borders = self._dom_starts[:-1] + local[topology.border_router_of_domain]
+        to_border = dijkstra(self._adj, directed=False, indices=borders, min_only=True)
+        if np.isinf(to_border).any():
+            bad = stub_ids[np.isinf(to_border)][0]
+            raise ValueError(f"stub domain {dom_of[bad]} is internally disconnected")
         self._border_dist = np.zeros(n, dtype=np.float64)
         # Route through float32 to mirror the eager model's block dtype.
-        self._border_dist[stub_ids] = (
-            (from_virtual[stub_ids] - 1.0).astype(np.float32).astype(np.float64)
-        )
-        self._uplink = np.where(is_stub, params.stub_transit_delay, 0.0)
+        self._border_dist[stub_ids] = to_border.astype(np.float32).astype(np.float64)
+        self._uplink = np.where(dom_of >= 0, topology.params.stub_transit_delay, 0.0)
         self._gateway = np.arange(n, dtype=np.int64)
         self._gateway[stub_ids] = topology.gateway_of_domain[dom_of[stub_ids]]
         self._dom_of = dom_of
-        self._local = topology.local_index
-        self._full_csr = full_csr
-        # Per-domain member slices, precomputed once: ``stub_ids`` is
-        # ascending, so a stable sort by domain keeps each domain's
-        # members in ascending router id — the same order
-        # ``routers_of_domain`` (and hence ``local_index``) uses.
-        order = np.argsort(dom_of[stub_ids], kind="stable")
-        self._members_sorted = stub_ids[order]
-        self._dom_starts = np.searchsorted(
-            dom_of[stub_ids][order], np.arange(topology.n_stub_domains + 1)
-        )
+        self._local = local
         self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
 
     def _block(self, dom: int) -> np.ndarray:
@@ -351,12 +393,7 @@ class StreamingTransitStubLatencyModel(LatencyModel):
             self.cache_hits += 1
             return cached
         self.cache_misses += 1
-        members = self._members_sorted[self._dom_starts[dom] : self._dom_starts[dom + 1]]
-        sub = self._full_csr[np.ix_(members, members)]
-        block = dijkstra(sub, directed=False)
-        if np.isinf(block).any():
-            raise ValueError(f"stub domain {dom} is internally disconnected")
-        quantised = block.astype(np.float32)
+        quantised = _stub_block(self._adj, self._dom_starts, dom)
         self._cache[dom] = quantised
         if len(self._cache) > self.cache_blocks:
             self._cache.popitem(last=False)
@@ -477,18 +514,19 @@ def latency_model_for(
     ~1 MB) converge to each block computed exactly once; sizing the
     cache at a fixed small block count instead thrashes — a single
     65 536-lane routing chunk touches nearly every stub domain every
-    hop, re-running the same Dijkstra thousands of times.
+    hop, re-filling the same blocks thousands of times.
     """
     if isinstance(topology, TransitStubTopology) and not topology.params.has_shortcuts:
+        # Neither twin takes a further keyword: a stray one is their TypeError.
         params = topology.params
         block_bytes = params.stub_domain_size**2 * 4
         blocks_bytes = topology.n_stub_domains * block_bytes
         if blocks_bytes > streaming_threshold_bytes:
             cache_blocks = max(64, streaming_cache_bytes // max(block_bytes, 1))
             return StreamingTransitStubLatencyModel(
-                topology, cache_blocks=cache_blocks
+                topology, cache_blocks=cache_blocks, **kwargs  # type: ignore[arg-type]
             )
-        return TransitStubLatencyModel(topology)
+        return TransitStubLatencyModel(topology, **kwargs)  # type: ignore[arg-type]
     if topology.n_routers**2 * 2 > streaming_threshold_bytes:
         chunk = int(kwargs.pop("chunk", 1024))  # type: ignore[call-overload]
         row_block_bytes = chunk * topology.n_routers * 2

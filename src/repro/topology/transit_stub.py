@@ -185,29 +185,27 @@ class TransitStubTopology(Topology):
 
 
 def _connected_random_graph(
-    n: int, extra_edge_prob: float, rng: np.random.Generator
-) -> list[tuple[int, int]]:
-    """Edges of a connected random graph on ``0..n-1``.
+    n: int, extra_edge_prob: float, rng: np.random.Generator, upper: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """``(E, 2)`` edges of a connected random graph on ``0..n-1``.
 
     A random recursive tree guarantees connectivity; every other pair is
     added independently with probability ``extra_edge_prob``.  Local ids.
+    ``upper`` is ``np.triu_indices(n, k=1)``, which the caller computes
+    once for all graphs of one size.
     """
     if n == 1:
-        return []
-    edges: list[tuple[int, int]] = []
+        return np.empty((0, 2), dtype=np.int64)
     order = rng.permutation(n)
-    for i in range(1, n):
-        parent = order[int(rng.integers(0, i))]
-        edges.append((int(order[i]), int(parent)))
-    present = {(min(a, b), max(a, b)) for a, b in edges}
+    parents = [int(rng.integers(0, i)) for i in range(1, n)]
+    edges = np.column_stack([order[1:], order[parents]]).astype(np.int64)
     if extra_edge_prob > 0.0 and n > 2:
-        iu, ju = np.triu_indices(n, k=1)
+        iu, ju = upper
         mask = rng.random(len(iu)) < extra_edge_prob
-        for a, b in zip(iu[mask], ju[mask]):
-            pair = (int(a), int(b))
-            if pair not in present:
-                present.add(pair)
-                edges.append(pair)
+        iu, ju = iu[mask], ju[mask]
+        # Drop extras that repeat a tree link, compared as lo * n + hi.
+        new = ~np.isin(iu * n + ju, edges.min(axis=1) * n + edges.max(axis=1))
+        edges = np.concatenate([edges, np.column_stack([iu[new], ju[new]])])
     return edges
 
 
@@ -231,18 +229,23 @@ def generate_transit_stub(
     params = params or TransitStubParams()
     rng = make_rng(seed)
 
-    edges: list[tuple[int, int]] = []
-    delays: list[float] = []
+    edges: list[np.ndarray] = []
+    delays: list[np.ndarray] = []
+
+    def link(pairs: np.ndarray | tuple[int, int], delay: float) -> None:
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        edges.append(pairs)
+        delays.append(np.full(len(pairs), delay))
+
     n_transit = params.n_transit_routers
     n_domains = params.n_transit_domains
     per_domain = params.transit_nodes_per_domain
 
     # --- transit core -------------------------------------------------
+    upper = np.triu_indices(per_domain, k=1)
     for d in range(n_domains):
-        base = d * per_domain
-        for a, b in _connected_random_graph(per_domain, params.transit_edge_prob, rng):
-            edges.append((base + a, base + b))
-            delays.append(params.intra_transit_delay)
+        graph = _connected_random_graph(per_domain, params.transit_edge_prob, rng, upper)
+        link(d * per_domain + graph, params.intra_transit_delay)
     # Connect transit domains with a random tree over domains; the
     # endpoints of each inter-domain link are random routers of the two
     # domains (GT-ITM's top-level connectivity, delay class = transit).
@@ -250,8 +253,7 @@ def generate_transit_stub(
         other = int(rng.integers(0, d))
         u = d * per_domain + int(rng.integers(0, per_domain))
         v = other * per_domain + int(rng.integers(0, per_domain))
-        edges.append((u, v))
-        delays.append(params.intra_transit_delay)
+        link((u, v), params.intra_transit_delay)
 
     # --- stub domains ---------------------------------------------------
     n_stubs = params.n_stub_domains
@@ -262,6 +264,7 @@ def generate_transit_stub(
     border_router_of_domain = np.zeros(n_stubs, dtype=np.int64)
     gateway_of_domain = np.zeros(n_stubs, dtype=np.int64)
 
+    upper = np.triu_indices(stub_size, k=1)
     domain_id = 0
     next_router = n_transit
     for transit_router in range(n_transit):
@@ -270,13 +273,11 @@ def generate_transit_stub(
             next_router += stub_size
             stub_domain_of[base : base + stub_size] = domain_id
             local_index[base : base + stub_size] = np.arange(stub_size)
-            for a, b in _connected_random_graph(stub_size, params.stub_edge_prob, rng):
-                edges.append((base + a, base + b))
-                delays.append(params.intra_stub_delay)
+            graph = _connected_random_graph(stub_size, params.stub_edge_prob, rng, upper)
+            link(base + graph, params.intra_stub_delay)
             border_local = int(rng.integers(0, stub_size))
             border = base + border_local
-            edges.append((border, transit_router))
-            delays.append(params.stub_transit_delay)
+            link((border, transit_router), params.stub_transit_delay)
             border_router_of_domain[domain_id] = border
             gateway_of_domain[domain_id] = transit_router
             domain_id += 1
@@ -288,8 +289,7 @@ def generate_transit_stub(
                 members = np.flatnonzero(stub_domain_of == dom)
                 src = int(members[int(rng.integers(0, len(members)))])
                 dst = int(rng.integers(0, n_transit))
-                edges.append((src, dst))
-                delays.append(params.stub_transit_delay)
+                link((src, dst), params.stub_transit_delay)
     if params.stub_stub_edge_prob > 0.0 and n_stubs > 1:
         for dom in range(n_stubs):
             if rng.random() < params.stub_stub_edge_prob:
@@ -297,21 +297,17 @@ def generate_transit_stub(
                 other = other + 1 if other >= dom else other
                 a = np.flatnonzero(stub_domain_of == dom)
                 b = np.flatnonzero(stub_domain_of == other)
-                edges.append(
-                    (
-                        int(a[int(rng.integers(0, len(a)))]),
-                        int(b[int(rng.integers(0, len(b)))]),
-                    )
-                )
-                delays.append(params.stub_transit_delay)
+                src = int(a[int(rng.integers(0, len(a)))])
+                dst = int(b[int(rng.integers(0, len(b)))])
+                link((src, dst), params.stub_transit_delay)
 
     kind = np.full(n_routers, ROUTER_STUB, dtype=np.uint8)
     kind[:n_transit] = ROUTER_TRANSIT
 
     topo = TransitStubTopology(
         n_routers=n_routers,
-        edges=np.asarray(edges, dtype=np.int64),
-        delays=np.asarray(delays, dtype=np.float64),
+        edges=np.concatenate(edges),
+        delays=np.concatenate(delays),
         kind=kind,
         name="transit-stub",
         meta={

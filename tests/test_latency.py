@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
+import repro.topology.latency as latency_module
+from repro.topology.base import ROUTER_STUB, ROUTER_TRANSIT, Topology
 from repro.topology.brite import BriteParams, generate_brite
 from repro.topology.latency import (
     APSPLatencyModel,
@@ -13,9 +16,15 @@ from repro.topology.latency import (
     StreamingAPSPLatencyModel,
     StreamingTransitStubLatencyModel,
     TransitStubLatencyModel,
+    _uniform_apsp,
     latency_model_for,
 )
-from repro.topology.transit_stub import TransitStubParams, generate_transit_stub
+from repro.topology.transit_stub import (
+    TransitStubParams,
+    TransitStubTopology,
+    _connected_random_graph,
+    generate_transit_stub,
+)
 
 
 class TestAPSP:
@@ -70,8 +79,6 @@ class TestAPSP:
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
     def test_disconnected_raises(self):
-        from repro.topology.base import Topology
-
         topo = Topology(
             n_routers=3,
             edges=np.asarray([[0, 1]]),
@@ -122,9 +129,131 @@ class TestTransitStubExact:
             TransitStubLatencyModel(topo)  # type: ignore[arg-type]
 
 
+def _sub_graph(n, edges, delays):
+    """Symmetric CSR of an undirected graph, built the way the models' input is."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    delays = np.broadcast_to(np.asarray(delays, dtype=np.float64), len(edges))
+    return Topology(n, edges, delays, kind=np.zeros(n, dtype=np.uint8)).csr()
+
+
+WORD_BOUNDARY_SIZES = [1, 2, 63, 64, 65, 130]
+DELAYS = [5.0, 0.1, 1 / 3]
+
+
+class TestUniformApsp:
+    """The bit-parallel BFS block ≡ Dijkstra, bit for bit in float64."""
+
+    @given(
+        st.sampled_from(WORD_BOUNDARY_SIZES),
+        st.sampled_from(DELAYS),
+        st.floats(min_value=0.0, max_value=0.2),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_dijkstra_on_random_connected_graphs(self, n, delay, extra, seed):
+        rng = np.random.default_rng(seed)
+        edges = _connected_random_graph(n, extra, rng, np.triu_indices(n, k=1))
+        sub = _sub_graph(n, edges, delay)
+        block = _uniform_apsp(sub)
+        assert block.dtype == np.float64
+        np.testing.assert_array_equal(block, dijkstra(sub, directed=False))
+
+    @pytest.mark.parametrize("delay", DELAYS)
+    @pytest.mark.parametrize("n", WORD_BOUNDARY_SIZES[1:])
+    def test_path_and_star(self, n, delay):
+        path = _sub_graph(n, [(i, i + 1) for i in range(n - 1)], delay)  # diameter n - 1
+        star = _sub_graph(n, [(0, i) for i in range(1, n)], delay)
+        for sub in (path, star):
+            np.testing.assert_array_equal(_uniform_apsp(sub), dijkstra(sub, directed=False))
+
+    @pytest.mark.parametrize("loner", [0, 2, 4])
+    def test_router_without_links_is_unreachable(self, loner):
+        """An empty CSR row (first, middle, last) must not borrow a
+        neighbour's slot from ``reduceat``."""
+        others = [r for r in range(5) if r != loner]
+        sub = _sub_graph(5, list(zip(others, others[1:])), 5.0)
+        block = _uniform_apsp(sub)
+        np.testing.assert_array_equal(block, dijkstra(sub, directed=False))
+        assert np.isinf(block[loner, others]).all() and np.isinf(block[others, loner]).all()
+        assert block[loner, loner] == 0.0
+
+    def test_mixed_delays_match_dijkstra(self):
+        sub = _sub_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [5.0, 5.0, 5.0, 20.0])
+        block = _uniform_apsp(sub)
+        np.testing.assert_array_equal(block, dijkstra(sub, directed=False))
+        assert block[0, 3] == 15.0  # three 5 ms hops beat the direct 20 ms link
+
+
+def _split_stub_topology():
+    """One transit router, two 4-router stubs; stub 1 is split into
+    {5, 6} (holding the border) and {7, 8}."""
+    return TransitStubTopology(
+        n_routers=9,
+        edges=np.asarray([[1, 2], [2, 3], [3, 4], [1, 0], [5, 6], [7, 8], [5, 0]]),
+        delays=np.asarray([5.0, 5.0, 5.0, 20.0, 5.0, 5.0, 20.0]),
+        kind=np.asarray([ROUTER_TRANSIT] + [ROUTER_STUB] * 8, dtype=np.uint8),
+        stub_domain_of=np.asarray([-1, 0, 0, 0, 0, 1, 1, 1, 1]),
+        border_router_of_domain=np.asarray([1, 5]),
+        gateway_of_domain=np.asarray([0, 0]),
+        local_index=np.asarray([0, 0, 1, 2, 3, 0, 1, 2, 3]),
+        params=TransitStubParams(
+            n_transit_domains=1,
+            transit_nodes_per_domain=1,
+            stubs_per_transit_node=2,
+            stub_domain_size=4,
+        ),
+    )
+
+
+class TestSplitStub:
+    @pytest.mark.parametrize(
+        "model", [TransitStubLatencyModel, StreamingTransitStubLatencyModel]
+    )
+    def test_both_twins_name_the_split_domain(self, model):
+        with pytest.raises(ValueError, match="stub domain 1 is internally disconnected"):
+            model(_split_stub_topology())
+
+
+class TestDijkstraCallCount:
+    """Perf gate by count, not by clock: stub blocks never run Dijkstra."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(1)
+            return dijkstra(*args, **kwargs)
+
+        monkeypatch.setattr(latency_module, "dijkstra", counting)
+        return made
+
+    def test_eager_build_runs_only_the_core_pass(self, small_topology, calls):
+        TransitStubLatencyModel(small_topology)
+        assert len(calls) == 1
+
+    def test_streaming_build_and_cold_fill(self, small_topology, calls):
+        model = StreamingTransitStubLatencyModel(small_topology, cache_blocks=4)
+        assert len(calls) == 2  # transit core + the multi-source border pass
+        us, vs = np.asarray(
+            [small_topology.routers_of_domain(d)[:2] for d in range(3)]
+        ).T  # one same-domain pair in each of three cold stubs
+        model.pairs(us, vs)
+        assert (model.cache_misses, model.cache_hits) == (3, 0)
+        model.pairs(us[:1], vs[:1])
+        assert (model.cache_misses, model.cache_hits) == (3, 1)
+        assert len(calls) == 2
+
+
 class TestModelSelection:
     def test_ts_gets_exact_model(self, small_topology):
         assert isinstance(latency_model_for(small_topology), TransitStubLatencyModel)
+
+    def test_ts_rejects_unexpected_keyword(self, small_topology):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'chunk'"):
+            latency_model_for(small_topology, chunk=7)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'cache_block'"):
+            latency_model_for(small_topology, streaming_threshold_bytes=0, cache_block=2)
 
     def test_general_gets_apsp(self):
         topo = generate_brite(BriteParams(n_nodes=50), seed=1)

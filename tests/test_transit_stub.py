@@ -1,5 +1,7 @@
 """Tests for the GT-ITM Transit-Stub generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,46 @@ class TestStructure:
         b = generate_transit_stub(TransitStubParams.for_size(320), seed=3)
         np.testing.assert_array_equal(a.edges, b.edges)
         np.testing.assert_array_equal(a.delays, b.delays)
+
+    @pytest.mark.parametrize(
+        "params, seed, n_edges, digest",
+        [
+            (
+                TransitStubParams(),
+                1,
+                546,
+                "e0c6cb039f691fbee01b0d71b3aef689a48ab22828a14794ebbf62c88af78624",
+            ),
+            (
+                TransitStubParams.for_size(5000),
+                7,
+                8489,
+                "e65430712ee0a0b7ec20f7d0249f958df68ce6dfdf02df3b6a6aadfa892f2e13",
+            ),
+            (  # one-router transit domains, two-router stubs, redundancy edges
+                TransitStubParams(
+                    n_transit_domains=3,
+                    transit_nodes_per_domain=1,
+                    stubs_per_transit_node=2,
+                    stub_domain_size=2,
+                    extra_uplink_prob=0.5,
+                    stub_stub_edge_prob=0.5,
+                ),
+                11,
+                18,
+                "0c7aed6a0860dc1ef0e7ce10274d70c2dc0edbd79fb60fdc95702be888219cb2",
+            ),
+        ],
+    )
+    def test_output_pinned_across_generator_rewrites(self, params, seed, n_edges, digest):
+        """sha256 of ``edges`` + ``delays`` recorded from the per-pair
+        Python-loop generator (commit f43c38b): a faster generator must
+        draw the same RNG stream and emit the same links in the same order."""
+        topo = generate_transit_stub(params, seed=seed)
+        assert topo.edges.dtype == np.int64 and topo.delays.dtype == np.float64
+        assert topo.edges.shape == (n_edges, 2)
+        got = hashlib.sha256(topo.edges.tobytes() + topo.delays.tobytes()).hexdigest()
+        assert got == digest
 
     def test_seed_changes_graph(self):
         a = generate_transit_stub(TransitStubParams.for_size(320), seed=3)
