@@ -468,14 +468,12 @@ class HierasNetwork(ChordNetwork):
                 self._ring_of_peer[layer - 2],
                 self._pos_in_ring[layer - 2],
                 self._succ_list_r(layer),
+                self._ring_names[layer - 2],
             )
             for layer in range(self.depth, 1, -1)
         ]
         (top,) = super()._build_plan()
         return [*lower, top._replace(succ_list_r=self._succ_list_r(1))]
-
-    def _ring_label(self, peer: int, layer: int) -> str:
-        return "global" if layer == 1 else self.ring_name_of(peer, layer)
 
     # ------------------------------------------------------------------
     # inspection (Table 2, §3.4 cost model)

@@ -41,11 +41,17 @@ class _PlanLayer(NamedTuple):
     ring_of_peer: np.ndarray | None
     pos_of_peer: np.ndarray
     succ_list_r: int
+    #: Span label of each of ``rings``.
+    ring_names: Sequence[str] = ("global",)
 
     def at(self, peer: int) -> tuple[SortedRing, int]:
         """``peer``'s ring at this layer and its position in it."""
         ring = self.rings[0 if self.ring_of_peer is None else self.ring_of_peer[peer]]
         return ring, int(self.pos_of_peer[peer])
+
+    def ring_name_at(self, peer: int) -> str:
+        """Span label of ``peer``'s ring at this layer."""
+        return self.ring_names[0 if self.ring_of_peer is None else self.ring_of_peer[peer]]
 
 
 class ChordNetwork(DHTNetwork):
@@ -314,10 +320,6 @@ class ChordNetwork(DHTNetwork):
         require(bool(self._alive[peer]), f"peer {peer} is not alive")
         return plan[-layer].at(peer)
 
-    def _ring_label(self, peer: int, layer: int) -> str:
-        """Span label of ``peer``'s ring at ``layer``."""
-        return "global"
-
     def _require_source(self, source: int) -> None:
         """The one source check of ``route``, ``route_lossy`` and the batch walker."""
         n = len(self._alive)
@@ -454,7 +456,7 @@ class ChordNetwork(DHTNetwork):
         for row, layer_hops in zip(self._layer_plan(), result.hops_per_layer):
             for src in result.path[hop : hop + layer_hops]:
                 layers.append(row.layer)
-                rings.append(self._ring_label(src, row.layer))
+                rings.append(row.ring_name_at(src))
             hop += layer_hops
         return layers, rings
 
@@ -523,7 +525,7 @@ class ChordNetwork(DHTNetwork):
         hop = 0
         for row, layer_hops in zip(self._layer_plan(), result.hops_per_layer):
             if layer_hops == 0:
-                idle = self._ring_label(result.path[hop], row.layer)
+                idle = row.ring_name_at(result.path[hop])
                 lines.append(f"  {where(row.layer, idle)}: no hops needed")
             for i in range(hop, hop + layer_hops):
                 a, b = result.path[i], result.path[i + 1]

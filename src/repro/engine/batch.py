@@ -9,9 +9,11 @@ scalar ``route``.
 
 ``batch_route`` is the experiment-facing entry point and the only place
 that decides batch vs scalar: the vectorized kernels when the network
-supports them (replaying spans when tracing is attached), per-request
-scalar ``route()`` calls otherwise, the identical
-:class:`~repro.engine.result.BatchRouteResult` either way.
+supports them, per-request scalar ``route()`` calls otherwise, the
+identical :class:`~repro.engine.result.BatchRouteResult` either way.
+With tracing attached the kernels still run and the result's arrays go
+to the recorder in one ``record_batch`` call; paths are materialized
+only for the caller or for a sink that keeps spans.
 """
 
 from __future__ import annotations
@@ -135,8 +137,8 @@ def batch_route_chord(
     explicit §3.2 owner hop on HIERAS.  Hop sequences and per-layer
     counts are bit-identical to the scalar route.
 
-    Bypasses span recording; :func:`batch_route` replays spans when a
-    recorder is attached.
+    Bypasses span recording; :func:`batch_route` hands the result to an
+    attached recorder.
     """
     src, keys_w = _request_arrays(net, sources, keys)
     log = _HopLog(src, net.latency, want_paths=paths)
@@ -277,38 +279,36 @@ def batch_route(
     the per-request scalar loop.  ``engine="batch"`` (default) uses the
     kernels whenever :func:`supports_batch` allows and per-request
     ``route()`` calls otherwise.  With a span recorder attached the
-    kernels run with paths and every lane's span is replayed through
-    the recorder in lane order — the same spans, in the same order, as
-    the scalar loop records; the returned result still carries paths
-    only if the caller asked for them.  ``engine="scalar"`` is the door
-    to the scalar reference the equivalence tests and benchmarks
-    compare against.  Results are bit-identical either way.
+    kernels still run and the recorder takes the whole batch at once —
+    the same registry state, and the same spans in the same order, as
+    the scalar loop records; paths are materialized only if the caller
+    asked or a sink keeps spans, and returned only if the caller asked.
+    ``engine="scalar"`` is the door to the scalar reference the
+    equivalence tests and benchmarks compare against.  Results are
+    bit-identical either way.
     """
     require(engine in ("batch", "scalar"), f"unknown engine {engine!r}")
     if engine == "batch" and supports_batch(network):
-        traced = network.metrics is not None
-        result = batch_route_chord(network, sources, keys, paths=paths or traced)
-        if traced:
-            replay_spans(network, result, label=network.span_label)
+        recorder = network.metrics
+        keep = recorder is not None and recorder.keeps_spans
+        result = batch_route_chord(network, sources, keys, paths=paths or keep)
+        if recorder is not None:
+            recorder.record_batch(network.span_label, result, network._layer_plan())
             if not paths:
                 result.paths = None
         return result
     return scalar_batch_route(network, sources, keys, paths=paths)
 
 
-def replay_spans(network: DHTNetwork, result: BatchRouteResult, *, label: str) -> None:
-    """Record one span per lane through the network's attached recorder.
+def replay_spans(network: ChordNetwork, result: BatchRouteResult, *, label: str) -> None:
+    """Record every lane of ``result`` through the network's attached recorder.
 
-    Bridges batch routing and the metrics layer: each lane is rebuilt
-    as its scalar ``RouteResult`` (requires materialized paths) and fed
-    through the network's own ``record_route``/``hop_layer_info``, so
-    the emitted spans — and every downstream sink/registry aggregate —
-    are identical to what per-request scalar routing would have
-    produced.
+    One ``record_batch`` call: the registry is folded from the arrays,
+    and spans — identical to what per-request scalar routing would have
+    produced — are built only for sinks that keep them (which requires
+    materialized paths).
     """
-    require(network.metrics is not None, "no span recorder attached")
-    require(result.paths is not None, "replaying spans requires paths=True")
-    for lane in range(len(result)):
-        rr = result.to_route_result(lane)
-        layers, rings = network.hop_layer_info(rr)
-        network.record_route(label, rr, layers=layers, rings=rings)
+    recorder = network.metrics
+    if recorder is None:
+        raise ValueError("no span recorder attached")
+    recorder.record_batch(label, result, network._layer_plan())

@@ -2,11 +2,9 @@
 
 A :class:`BatchRouteResult` stores one lane per lookup: owners, hop
 counts, per-layer hop counts, total latencies, the per-hop latency
-values (needed for the exact low-layer latency split) and — optionally
-— materialized paths for tracing parity.  Per-lane
-:class:`~repro.dht.base.RouteResult` records can be reconstructed when
-paths were materialized, which is how the perf-baseline pipeline
-replays identical spans through the metrics layer.
+values (needed for the exact low-layer latency split, and what the
+metrics layer folds a traced batch from) and — optionally —
+materialized paths, for callers and for sinks that keep spans.
 
 Float contract: ``latency_ms[i]`` is produced by summing lane ``i``'s
 contiguous per-hop row with ``np.sum`` — the same pairwise summation,
@@ -22,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from repro.dht.base import RouteResult
 from repro.util.validation import require
 
 __all__ = ["BatchRouteResult", "row_prefix_sums"]
@@ -122,19 +119,3 @@ class BatchRouteResult:
         assert self.paths is not None
         row = self.paths[lane]
         return [int(p) for p in row[: int(self.hops[lane]) + 1]]
-
-    def to_route_result(self, lane: int) -> RouteResult:
-        """Rebuild the scalar ``RouteResult`` of one lane.
-
-        Bit-identical to what ``network.route()`` returns for the same
-        request (same path, same floats) — the bridge used to replay
-        spans through the metrics layer after batch routing.
-        """
-        return RouteResult(
-            source=int(self.sources[lane]),
-            key=int(self.keys[lane]),
-            owner=int(self.owner[lane]),
-            path=self.path(lane),
-            latency_ms=float(self.latency_ms[lane]),
-            hops_per_layer=[int(v) for v in self.hops_per_layer[lane]],
-        )

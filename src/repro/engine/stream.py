@@ -6,7 +6,9 @@ gigabytes of per-lane state that exists only to be summed.  The
 streaming front-end routes the trace in bounded chunks and folds each
 chunk's :class:`~repro.engine.result.BatchRouteResult` into a compact
 :class:`StreamStats` accumulator, so peak memory is O(chunk) regardless
-of trace length.
+of trace length.  That holds with a span recorder attached too: each
+chunk is folded into the registry from its arrays, and paths are
+materialized only if a sink that keeps spans is attached.
 
 Determinism contract: all *integer* statistics (hop counts, histogram,
 per-layer sums, the owner checksum) are chunk-size invariant — the
@@ -124,10 +126,11 @@ def stream_batch_route(
     """Route ``(sources, keys)`` in bounded chunks, returning aggregates.
 
     Each chunk goes through :func:`~repro.engine.batch.batch_route`
-    (``paths`` stays off — streaming exists to avoid per-lane state),
-    so owners, hop counts, and latencies per lane are exactly what one
-    monolithic batch call would produce; only the float latency *sum*
-    depends on the chunking (see module docstring).
+    with ``paths=False`` (streaming exists to avoid per-lane state; only
+    an attached sink that keeps spans makes the engine materialize
+    paths), so owners, hop counts, and latencies per lane are exactly
+    what one monolithic batch call would produce; only the float latency
+    *sum* depends on the chunking (see module docstring).
     """
     require(chunk_size >= 1, "chunk_size must be >= 1")
     src = np.asarray(sources, dtype=np.int64)

@@ -7,8 +7,11 @@ batch kernels — and writes ``BENCH_batchroute.json`` in the
 ``BENCH_baseline.json`` convention:
 
 * ``phases`` — wall-clock milliseconds and lookups/sec per (stack, N)
-  cell plus the resulting speedup.  **Nondeterministic** (machine- and
-  load-dependent); the headline number (">= 5x at N=4096") lives here.
+  cell plus the resulting speedup, and a third, batch pass with a
+  registry-only span recorder attached (``traced_lookups_per_s``;
+  ``traced_overhead`` = its wall time ÷ the untraced batch pass's).
+  **Nondeterministic** (machine- and load-dependent); the headline
+  number (">= 5x at N=4096") lives here.
 * ``metrics`` — per-cell route aggregates **and the engines-agree
   bits**: exact array equality (hop counts, bit-identical float
   latencies, layer splits) between the two engines.  **Deterministic**:
@@ -30,6 +33,8 @@ import numpy as np
 from repro.analysis.stats import RouteSample, collect_routes
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle, make_trace
+from repro.metrics.registry import MetricsRegistry
+from repro.metrics.spans import SpanRecorder
 from repro.util.proc import peak_rss_mb
 
 __all__ = ["SCHEMA", "run_bench_batchroute", "write_bench_batchroute"]
@@ -92,14 +97,23 @@ def run_bench_batchroute(
             t1 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
             batch = collect_routes(network, trace, engine="batch")
             t2 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
+            network.enable_tracing(SpanRecorder(MetricsRegistry()))
+            try:
+                collect_routes(network, trace, engine="batch")
+            finally:
+                network.disable_tracing()
+            t3 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
             scalar_ms = (t1 - t0) * 1000.0
             batch_ms = (t2 - t1) * 1000.0
+            traced_ms = (t3 - t2) * 1000.0
             phases[f"{stack}_n{n_peers}"] = {
                 "scalar_wall_ms": scalar_ms,
                 "batch_wall_ms": batch_ms,
                 "scalar_lookups_per_s": n_requests / (scalar_ms / 1000.0),
                 "batch_lookups_per_s": n_requests / (batch_ms / 1000.0),
                 "speedup": scalar_ms / batch_ms if batch_ms else 0.0,
+                "traced_lookups_per_s": n_requests / (traced_ms / 1000.0),
+                "traced_overhead": traced_ms / batch_ms if batch_ms else 0.0,
             }
             cells[f"{stack}_n{n_peers}"] = {
                 "stack": stack,

@@ -25,7 +25,8 @@ Subcommands
 ``batch-bench``
     Benchmark the vectorized batch routing engine against the scalar
     loop (``repro.experiments.batchbench``) and write
-    ``BENCH_batchroute.json``: lookups/sec and speedup per (stack, N)
+    ``BENCH_batchroute.json``: lookups/sec and speedup per (stack, N),
+    the traced-batch rate and its overhead over the untraced batch,
     plus deterministic engines-agree equality bits.
 ``durability-bench``
     Run the durability-under-churn sweep (``repro.experiments.durability``)
@@ -237,7 +238,9 @@ def _cmd_batch_bench(args: argparse.Namespace) -> int:
         print(
             f"  {name:<14} scalar {phase['scalar_lookups_per_s']:>9.0f}/s  "
             f"batch {phase['batch_lookups_per_s']:>10.0f}/s  "
-            f"speedup {phase['speedup']:5.1f}x  engines {agree}"
+            f"speedup {phase['speedup']:5.1f}x  "
+            f"traced {phase['traced_lookups_per_s']:>10.0f}/s "
+            f"({phase['traced_overhead']:.2f}x batch)  engines {agree}"
         )
     print(f"wrote {path}")
     return 0 if all(c["engines_agree"] for c in doc["metrics"]["cells"].values()) else 1

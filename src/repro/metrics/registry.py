@@ -2,11 +2,12 @@
 
 The registry is the single accumulation point of the observability
 subsystem (DESIGN.md §7): routing spans, protocol counters, simulator
-event accounting and benchmark phase timers all land here.  Everything
-is pure Python — no numpy — so the hot paths that carry a registry
-(``SimNetwork.send``, ``route`` instrumentation) pay only dict lookups
-and integer adds, and an *unattached* path pays a single ``is None``
-check.
+event accounting and benchmark phase timers all land here.  The scalar
+record path is pure Python — no numpy — so the hot paths that carry a
+registry (``SimNetwork.send``, ``route`` instrumentation) pay only dict
+lookups and integer adds, and an *unattached* path pays a single
+``is None`` check.  The bulk :meth:`Histogram.record_many` is numpy and
+leaves exactly the state the same values recorded one by one would.
 
 Histograms are **deterministic log-bucketed streaming** estimators:
 values are counted in geometric buckets ``[base**i, base**(i+1))``, so
@@ -26,6 +27,8 @@ from contextlib import contextmanager
 from collections.abc import Iterable, Iterator
 from typing import Any, cast
 
+import numpy as np
+
 from repro.util.validation import require
 
 __all__ = [
@@ -42,6 +45,8 @@ __all__ = [
 #: ~160 buckets covering 1e-3 .. 1e7 — plenty for hop counts (units)
 #: and latencies (ms) alike.
 DEFAULT_BASE = 1.1
+
+_BAD_VALUE = "histogram values must be finite and >= 0, got {}"
 
 
 class Counter:
@@ -75,8 +80,9 @@ class Gauge:
 class Histogram:
     """Deterministic log-bucketed streaming histogram.
 
-    Records non-negative values; zeros are counted apart (a log bucket
-    cannot hold them), negatives are rejected.  Exact ``count``,
+    Records finite non-negative values; zeros are counted apart (a log
+    bucket cannot hold them); negatives, NaN and infinities are rejected
+    before anything is counted.  Exact ``count``,
     ``total``, ``min`` and ``max`` are kept alongside the buckets, so
     the mean is exact and quantiles are clamped to the observed range.
     """
@@ -102,9 +108,9 @@ class Histogram:
         return math.floor(math.log(value) / self._log_base)
 
     def record(self, value: float) -> None:
-        """Record one observation (``value >= 0``)."""
+        """Record one observation (finite, ``value >= 0``)."""
         value = float(value)
-        require(value >= 0.0, f"histogram values must be >= 0, got {value}")
+        require(0.0 <= value < math.inf, _BAD_VALUE.format(value))
         self.count += 1
         self.total += value
         if value < self.min:
@@ -118,9 +124,35 @@ class Histogram:
         self.buckets[idx] = self.buckets.get(idx, 0) + 1
 
     def record_many(self, values: Iterable[float]) -> None:
-        """Record an iterable of observations."""
-        for v in values:
-            self.record(v)
+        """Record many observations, all or none: bit for bit the state
+        :meth:`record` on each value in order leaves.
+
+        ``total`` accumulates left to right from the current total (not
+        pairwise ``np.sum``); values within ~1e-9 of a bucket edge, where
+        ``np.log`` and ``math.log`` may disagree, go through :meth:`_index`.
+        """
+        arr = np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=np.float64)
+        if arr.size == 0:
+            return
+        ok = (arr >= 0.0) & (arr < math.inf)
+        require(bool(ok.all()), _BAD_VALUE.format(float(arr[np.argmin(ok)])))
+        self.count += arr.size
+        self.total = float(np.add.accumulate(np.concatenate(([self.total], arr)))[-1])
+        # argmin/argmax: the first of equal extremes, like the scalar's
+        # strict comparisons (it decides the sign of a zero).
+        self.min = min(self.min, float(arr[np.argmin(arr)]))
+        self.max = max(self.max, float(arr[np.argmax(arr)]))
+        positive = arr[arr > 0.0]
+        self.zero_count += arr.size - positive.size
+        quotient = np.log(positive) / self._log_base
+        index = np.floor(quotient)
+        edge = np.abs(quotient - np.rint(quotient)) <= 1e-9 * np.maximum(1.0, np.abs(quotient))
+        if edge.any():
+            near, inverse = np.unique(positive[edge], return_inverse=True)
+            index[edge] = np.array([self._index(v) for v in near.tolist()], dtype=np.float64)[inverse]
+        found, counts = np.unique(index.astype(np.int64), return_counts=True)
+        for idx, n in zip(found.tolist(), counts.tolist()):
+            self.buckets[idx] = self.buckets.get(idx, 0) + n
 
     # ------------------------------------------------------------------
     @property
@@ -356,6 +388,9 @@ class _NullHistogram(Histogram):
     __slots__ = ()
 
     def record(self, value: float) -> None:
+        pass
+
+    def record_many(self, values: Iterable[float]) -> None:
         pass
 
 

@@ -15,11 +15,16 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from pathlib import Path
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
 from repro.metrics.registry import MetricsRegistry
-from repro.metrics.spans import LookupSpan, SpanRecorder
+from repro.metrics.spans import LookupSpan, SpanRecorder, batch_spans
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a runtime cycle)
+    from repro.dht.chord import _PlanLayer
+    from repro.engine.result import BatchRouteResult
 
 __all__ = ["SpanSink", "MemorySink", "JsonlSink", "SummarySink", "read_jsonl"]
 
@@ -27,9 +32,20 @@ __all__ = ["SpanSink", "MemorySink", "JsonlSink", "SummarySink", "read_jsonl"]
 class SpanSink(ABC):
     """Receiver of finished lookup spans."""
 
+    #: False on a sink that takes a batch without the spans themselves;
+    #: the batch engine then routes without materializing paths.
+    keeps_spans: bool = True
+
     @abstractmethod
     def emit(self, span: LookupSpan) -> None:
         """Accept one span."""
+
+    def emit_batch(
+        self, label: str, result: "BatchRouteResult", plan: "Sequence[_PlanLayer]"
+    ) -> None:
+        """Accept every lane of a batch (default: build the spans, emit each)."""
+        for span in batch_spans(label, result, plan):
+            self.emit(span)
 
     def close(self) -> None:
         """Flush and release resources (default: nothing to do)."""
@@ -97,12 +113,19 @@ class SummarySink(SpanSink):
     identical.
     """
 
+    keeps_spans = False
+
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
         self._recorder = SpanRecorder(self.registry)
 
     def emit(self, span: LookupSpan) -> None:
         self._recorder.record(span)
+
+    def emit_batch(
+        self, label: str, result: "BatchRouteResult", plan: "Sequence[_PlanLayer]"
+    ) -> None:
+        self._recorder.record_batch(label, result, plan)
 
     def _count(self, name: str) -> int:
         counter = self.registry.counters.get(name)

@@ -10,6 +10,8 @@ the JSONL sink (:mod:`repro.metrics.sinks`).
 The :class:`SpanRecorder` is the glue the routing stacks talk to: it
 folds each span into a :class:`~repro.metrics.registry.MetricsRegistry`
 (hop/latency histograms, per-layer counters) and fans it out to sinks.
+A batch is folded from its arrays by :meth:`SpanRecorder.record_batch`
+(same registry state); spans are built only for sinks that keep them.
 Collection is **off by default** — networks carry ``metrics = None``
 and ``route()`` only builds span inputs after a not-None check, so the
 uninstrumented hot path pays one attribute load.
@@ -21,13 +23,17 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any, cast
 
+import numpy as np
+
 from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
 from repro.util.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a runtime cycle)
+    from repro.dht.chord import _PlanLayer
+    from repro.engine.result import BatchRouteResult
     from repro.metrics.sinks import SpanSink
 
-__all__ = ["HopRecord", "LookupSpan", "SpanRecorder"]
+__all__ = ["HopRecord", "LookupSpan", "SpanRecorder", "batch_spans"]
 
 
 @dataclass(frozen=True)
@@ -102,8 +108,14 @@ class LookupSpan:
 
     @property
     def latency_ms(self) -> float:
-        """Sum of per-hop link delays (excludes retry penalties)."""
-        return sum(h.latency_ms for h in self.hops)
+        """Left-to-right sum of per-hop link delays (excludes retry penalties).
+
+        Not builtin ``sum()``, which is compensated from Python 3.12 on.
+        """
+        total = 0.0
+        for hop in self.hops:
+            total += hop.latency_ms
+        return total
 
     @property
     def total_latency_ms(self) -> float:
@@ -153,6 +165,31 @@ class LookupSpan:
         )
 
 
+def batch_spans(
+    label: str, result: "BatchRouteResult", plan: "Sequence[_PlanLayer]"
+) -> list[LookupSpan]:
+    """Every lane's span, built from the batch's arrays.
+
+    Equal to the spans the scalar ``route`` records for the same
+    requests; ``plan`` is the routed network's layer plan, which names
+    the ring of each hop's source peer.
+    """
+    require(result.paths is not None, "building spans requires paths=True")
+    assert result.paths is not None
+    spans: list[LookupSpan] = []
+    for source, key, owner, per_layer, path, delay in zip(
+        *(a.tolist() for a in (result.sources, result.keys, result.owner,
+                               result.hops_per_layer, result.paths, result.hop_latency_ms))
+    ):
+        hops: list[HopRecord] = []
+        for row, layer_hops in zip(plan, per_layer):
+            for i in range(len(hops), len(hops) + layer_hops):
+                ring = row.ring_name_at(path[i])
+                hops.append(HopRecord(i, path[i], path[i + 1], row.layer, ring, delay[i]))
+        spans.append(LookupSpan(label, source, key, owner, hops=hops))
+    return spans
+
+
 class SpanRecorder:
     """Folds spans into a registry and fans them out to sinks.
 
@@ -192,6 +229,44 @@ class SpanRecorder:
                     reg.inc(f"{label}.cache.{hop.cache}")
         for sink in self.sinks:
             sink.emit(span)
+
+    @property
+    def keeps_spans(self) -> bool:
+        """Whether any attached sink needs the spans themselves."""
+        return any(sink.keeps_spans for sink in self.sinks)
+
+    def record_batch(
+        self, label: str, result: "BatchRouteResult", plan: "Sequence[_PlanLayer]"
+    ) -> None:
+        """Account every lane of a batch routed over ``plan``'s network.
+
+        Leaves the registry exactly as :meth:`record` on each lane's
+        span would — no counter the spans would not have created, same
+        histogram bytes.  ``result`` needs paths only if a sink keeps spans.
+        """
+        lanes = len(result)
+        if lanes == 0:
+            return
+        reg = self.registry
+        if reg.enabled:
+            reg.inc(f"{label}.lookups", lanes)
+            reg.histogram(f"{label}.hops").record_many(result.hops)
+            # Column by column is LookupSpan.latency_ms's left-to-right
+            # add for every lane at once; the padding adds exact zeros.
+            latency = np.zeros(lanes, dtype=np.float64)
+            for col in range(int(result.hops.max())):
+                latency += result.hop_latency_ms[:, col]
+            reg.histogram(f"{label}.latency_ms").record_many(latency)
+            reg.inc(f"{label}.total_hops", int(result.hops.sum()))
+            low = 0
+            for row, hops in zip(plan, result.hops_per_layer.sum(axis=0).tolist()):
+                if hops:
+                    reg.inc(f"{label}.hops.layer{row.layer}", hops)
+                    low += hops if row.layer >= 2 else 0
+            if low:
+                reg.inc(f"{label}.low_layer_hops", low)
+        for sink in self.sinks:
+            sink.emit_batch(label, result, plan)
 
     def close(self) -> None:
         """Close every attached sink (flushes file-backed ones)."""

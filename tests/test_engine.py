@@ -7,9 +7,12 @@ stacks × depths × successor-list settings and compare array-for-array
 with no tolerance.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+import repro.engine.batch as batch_module
 from repro.analysis.stats import collect_routes
 from repro.core.binning import BinningScheme
 from repro.core.hieras import HierasNetwork
@@ -19,10 +22,11 @@ from repro.engine import (
     BatchRouteResult,
     batch_route,
     scalar_batch_route,
+    stream_batch_route,
     supports_batch,
 )
 from repro.metrics.registry import MetricsRegistry
-from repro.metrics.sinks import JsonlSink, SummarySink
+from repro.metrics.sinks import JsonlSink, MemorySink, SummarySink
 from repro.metrics.spans import SpanRecorder
 from repro.topology.latency import CoordinateLatencyModel
 from repro.util.ids import IdSpace
@@ -158,12 +162,11 @@ class TestResultShape:
         sources, keys = make_requests(net, 40, 6)
         result = batch_route(net, sources, keys, paths=True)
         for lane in (0, 7, 39):
-            rr = result.to_route_result(lane)
             direct = net.route(int(sources[lane]), int(keys[lane]))
-            assert rr.path == direct.path
-            assert rr.owner == direct.owner
-            assert rr.latency_ms == direct.latency_ms
-            assert rr.hops_per_layer == direct.hops_per_layer
+            assert result.path(lane) == direct.path
+            assert result.owner[lane] == direct.owner
+            assert result.latency_ms[lane] == direct.latency_ms
+            assert result.hops_per_layer[lane].tolist() == direct.hops_per_layer
 
     def test_paths_require_opt_in(self):
         chord, _ = build_pair(n=30, seed=1)
@@ -224,21 +227,25 @@ class TestFallback:
         assert not supports_batch(net)
 
 
-def _span_bytes(net, sources, keys, path, *, engine, paths=False):
-    """Route with a JSONL recorder attached; the bytes it wrote, and the result."""
-    sink = JsonlSink(path)
-    net.enable_tracing(SpanRecorder(registry=MetricsRegistry(), sinks=[sink]))
+def _traced(net, sources, keys, sinks=(), *, engine="batch", paths=False, calls=1):
+    """Route with a recorder attached, in ``calls`` equal slices; the
+    registry snapshot as JSON bytes, the registry, and the last result."""
+    registry = MetricsRegistry()
+    net.enable_tracing(SpanRecorder(registry, sinks))
     try:
-        result = batch_route(net, sources, keys, paths=paths, engine=engine)
+        for part in np.array_split(np.arange(len(sources)), calls):
+            result = batch_route(net, sources[part], keys[part], paths=paths, engine=engine)
     finally:
         net.disable_tracing()
-        sink.close()
-    return path.read_bytes(), result
+        for sink in sinks:
+            sink.close()
+    return json.dumps(registry.snapshot(), sort_keys=True), registry, result
 
 
 class TestTracedBatch:
     """With a recorder attached ``batch_route`` still runs the kernels and
-    replays spans: the same bytes in the same order as the scalar loop."""
+    hands the recorder the arrays: the registry and the span stream come
+    out byte for byte as the scalar loop leaves them."""
 
     @pytest.mark.parametrize("policy", ["transitions", "always", "off"])
     @pytest.mark.parametrize("depth", [2, 3])
@@ -249,14 +256,89 @@ class TestTracedBatch:
         for net in nets:
             sources, keys = make_requests(net, 200, 17)
             out = tmp_path / f"{net.span_label}.jsonl"
-            want, _ = _span_bytes(net, sources, keys, out, engine="scalar")
-            got, traced = _span_bytes(net, sources, keys, out, engine="batch")
-            assert got == want
-            assert got.count(b"\n") == 200
+            want_reg, _, _ = _traced(net, sources, keys, [JsonlSink(out)], engine="scalar")
+            want = out.read_bytes()
+            got_reg, _, traced = _traced(net, sources, keys, [JsonlSink(out)])
+            assert out.read_bytes() == want
+            assert want.count(b"\n") == 200
+            assert got_reg == want_reg
             assert traced.paths is None  # the caller did not ask for paths
             assert_identical(traced, batch_route(net, sources, keys))
-            _, with_paths = _span_bytes(net, sources, keys, out, engine="batch", paths=True)
+            _, _, with_paths = _traced(net, sources, keys, [JsonlSink(out)], paths=True)
             assert_identical(with_paths, batch_route(net, sources, keys, paths=True))
+
+    @pytest.mark.parametrize("policy", ["transitions", "always", "off"])
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("summary", [False, True])
+    def test_registry_equals_scalar_loop(self, depth, policy, summary):
+        """The bulk fold against the scalar ``record(span)`` reference:
+        same snapshot bytes, and no counter the spans would not create."""
+        nets = build_pair(
+            n=90, depth=depth, seed=19, successor_list_r=6, successor_list_policy=policy
+        )
+        for net in nets:
+            sources, keys = make_requests(net, 300, 19)
+            sources[:5] = [net.owner_of(int(k)) for k in keys[:5]]  # zero-hop lanes
+            want_sinks = [SummarySink()] if summary else []
+            got_sinks = [SummarySink()] if summary else []
+            want, want_reg, _ = _traced(net, sources, keys, want_sinks, engine="scalar")
+            got, got_reg, _ = _traced(net, sources, keys, got_sinks, calls=3)
+            assert got == want
+            assert set(got_reg.counters) == set(want_reg.counters)
+            assert (f"{net.span_label}.low_layer_hops" in got_reg.counters) == (
+                net is not nets[0]
+            )
+            for a, b in zip(got_sinks, want_sinks):
+                assert a.registry.snapshot() == b.registry.snapshot()
+                assert a.summary(net.span_label) == b.summary(net.span_label)
+
+    def test_empty_batch_creates_no_metric(self):
+        chord, _ = build_pair(n=30, seed=1)
+        got, _, _ = _traced(chord, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64))
+        assert got == json.dumps(MetricsRegistry().snapshot(), sort_keys=True)
+
+    def test_zero_hop_batch_creates_no_layer_counter(self):
+        for net in build_pair(n=30, seed=1):
+            keys = np.asarray([net.id_of(4)], dtype=np.uint64)
+            sources = np.asarray([4], dtype=np.int64)
+            want, _, _ = _traced(net, sources, keys, engine="scalar")
+            got, registry, _ = _traced(net, sources, keys)
+            assert got == want
+            label = net.span_label
+            assert set(registry.counters) == {f"{label}.lookups", f"{label}.total_hops"}
+
+    def test_one_wide_call_equals_sixteen(self):
+        """``total`` accumulates left to right from the running total, so
+        how a trace is cut into calls cannot show in the registry."""
+        for net in build_pair(n=90, depth=3, seed=23):
+            sources, keys = make_requests(net, 65536, 23)
+            whole, _, _ = _traced(net, sources, keys)
+            parts, _, _ = _traced(net, sources, keys, calls=16)
+            assert whole == parts
+
+    def test_paths_only_for_sinks_that_keep_spans(self, monkeypatch):
+        asked = []
+        walk = batch_module.batch_route_chord
+
+        def spy(net, sources, keys, *, paths=False):
+            asked.append(paths)
+            return walk(net, sources, keys, paths=paths)
+
+        monkeypatch.setattr(batch_module, "batch_route_chord", spy)
+        _, net = build_pair(n=60, depth=3, seed=29)
+        sources, keys = make_requests(net, 50, 29)
+        _traced(net, sources, keys)
+        _traced(net, sources, keys, [SummarySink()])
+        net.enable_tracing(SpanRecorder(MetricsRegistry()))
+        try:
+            stream_batch_route(net, sources, keys, chunk_size=20)
+        finally:
+            net.disable_tracing()
+        assert asked == [False] * 5
+        memory = MemorySink()
+        _, _, result = _traced(net, sources, keys, [memory])
+        assert asked[-1] is True and result.paths is None
+        assert len(memory) == 50
 
 
 class TestExperimentWiring:
@@ -324,6 +406,8 @@ class TestExperimentWiring:
         assert set(cells) == {"chord_n128", "hieras_n128"}
         assert all(c["engines_agree"] for c in cells.values())
         assert all(doc["phases"][name]["speedup"] > 0 for name in cells)
+        assert all(doc["phases"][name]["traced_overhead"] > 0 for name in cells)
+        assert all(doc["phases"][name]["traced_lookups_per_s"] > 0 for name in cells)
 
 
 class TestBatchMembership:

@@ -1,9 +1,12 @@
 """Tests for the unified observability subsystem (repro.metrics)."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dht.base import ZeroLatency
 from repro.dht.chord_protocol import ChordProtocolNode
@@ -116,6 +119,74 @@ class TestHistogram:
         with pytest.raises(ValueError):
             h.record(-1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1.0])
+    def test_bad_value_rejected_before_any_mutation(self, bad):
+        """``inf`` used to pass the ``>= 0`` check, bump count/total/max
+        and then die in ``math.floor``, leaving the histogram corrupted."""
+        h = Histogram()
+        h.record(2.0)
+        before = h.to_dict()
+        message = "histogram values must be finite and >= 0"
+        with pytest.raises(ValueError, match=message):
+            h.record(bad)
+        with pytest.raises(ValueError, match=message):
+            h.record_many([1.0, 3.0, bad, 4.0])  # all or nothing
+        assert h.to_dict() == before
+
+    def test_null_histogram_ignores_bulk_records(self):
+        NULL_REGISTRY.histogram("h").record_many([1.0, 2.0])
+        assert NULL_REGISTRY.histogram("h").count == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.sampled_from([1.1, 1.3, 2.0, 1.0001]),
+        start=st.lists(st.floats(0.0, 1e6), max_size=3),
+        edges=st.lists(st.integers(-300, 300), max_size=20),
+        extra=st.lists(
+            st.one_of(
+                st.floats(0.0, 1e300),
+                st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 1.0, 1e300]),
+                st.integers(0, 40).map(float),
+            ),
+            max_size=60,
+        ),
+        seed=st.integers(0, 2**31),
+    )
+    def test_record_many_equals_record_loop(self, base, start, edges, extra, seed):
+        """Bit for bit: every bucket-edge neighbour lands where the scalar
+        ``_index`` puts it, and ``total`` is the same left-to-right sum."""
+        values = list(extra)
+        for i in edges:
+            edge = base**i
+            values += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+        np.random.default_rng(seed).shuffle(values)
+        bulk, loop = Histogram(base=base), Histogram(base=base)
+        for v in start:
+            bulk.record(v)
+            loop.record(v)
+        bulk.record_many(np.asarray(values, dtype=np.float64))
+        for v in values:
+            loop.record(v)
+        assert json.dumps(bulk.to_dict(), sort_keys=True) == json.dumps(
+            loop.to_dict(), sort_keys=True
+        )
+        assert math.copysign(1.0, bulk.min) == math.copysign(1.0, loop.min)
+
+    @pytest.mark.parametrize("toward", [-math.inf, math.inf])
+    def test_bucket_edges_survive_an_ulp_of_log_disagreement(self, monkeypatch, toward):
+        """``np.log`` and ``math.log`` may differ by an ulp; push every
+        ``np.log`` an ulp either way and the buckets must not move."""
+        values = [1.1**i for i in range(-300, 301)]
+        values += [math.nextafter(v, toward) for v in values] + [1.0, 2.0, 1e300, 5e-324]
+        loop = Histogram()
+        for v in values:
+            loop.record(v)
+        log = np.log
+        monkeypatch.setattr(np, "log", lambda x: np.nextafter(log(x), toward))
+        bulk = Histogram()
+        bulk.record_many(np.asarray(values))
+        assert bulk.to_dict() == loop.to_dict()
+
     def test_serialization_round_trip(self):
         h = Histogram(base=1.2)
         h.record_many([0.0, 1.5, 77.0, 3200.0])
@@ -150,6 +221,16 @@ class TestSpans:
         assert span.layers == [2, 2, 1]
         assert span.low_layer_hops == 2
         assert span.low_layer_hop_share == pytest.approx(2 / 3)
+
+    def test_latency_is_a_left_to_right_add(self):
+        """Builtin ``sum()`` is compensated from Python 3.12 on and would
+        give 1.0000000000000002e16 here; the span (and the bulk fold that
+        must equal it) adds left to right on every interpreter."""
+        hops = [
+            HopRecord(index=i, src=i, dst=i + 1, layer=1, ring="global", latency_ms=ms)
+            for i, ms in enumerate([1e16, 1.0, 1.0])
+        ]
+        assert LookupSpan("chord", 0, 1, 3, hops=hops).latency_ms == 1e16
 
     def test_dict_round_trip(self):
         span = _make_span()
