@@ -13,11 +13,23 @@ corresponding finger table").
 Finger semantics: node ``n``'s ``i``-th finger is the ring's successor
 of ``n + 2**(i-1)`` *restricted to ring members*, exactly how the paper
 builds lower-layer finger tables (§3.1, Table 2).  Rather than
-materialising every table, the ring answers finger queries with binary
-search on the sorted id array — bit-for-bit the same next-hop choice,
-two orders of magnitude less memory, which is what makes paper-scale
-sweeps tractable.  (:meth:`SortedRing.finger_table` materialises a
-table on demand for inspection and for the Table 2 reproduction.)
+materialising every table, the ring answers finger queries with a
+successor search on the sorted id array — bit-for-bit the same next-hop
+choice, two orders of magnitude less memory, which is what makes
+paper-scale sweeps tractable.  (:meth:`SortedRing.finger_table`
+materialises a table on demand for inspection and for the Table 2
+reproduction.)
+
+Two successor searches answer the same question.  The scalar routes
+(the reference the batch engine is proven against) bisect the id list
+one key at a time.  :meth:`SortedRing.successor_positions` answers a
+whole array of keys through a bucket index built lazily per snapshot:
+``first[b]`` is the position of the first id whose top
+``ceil(log2 n) + 1`` bits are ``>= b``, so a lookup is one gather plus a
+short "advance while ``ids[pos] < key``" loop — at most half a member
+per bucket on average, so hashed ids resolve in under one extra round.
+Snapshots are immutable, so the index needs no maintenance: a spliced
+ring builds its own on first batch use.
 """
 
 from __future__ import annotations
@@ -31,6 +43,12 @@ from repro.util.ids import IdSpace
 from repro.util.validation import require
 
 __all__ = ["SortedRing", "FingerEntry"]
+
+#: Advance rounds ``successor_positions`` runs before the lanes still
+#: behind their key finish by binary search.  Hashed ids leave ~1 lane
+#: in 10 000 for it; clustered or hand-picked ids (every member in one
+#: bucket) would otherwise turn the loop into O(n) Python rounds.
+_ADVANCE_ROUNDS = 4
 
 
 @dataclass(frozen=True)
@@ -58,7 +76,7 @@ class SortedRing:
         ``ids[i]``).
     """
 
-    __slots__ = ("space", "ids", "peers", "_idlist_cache", "_size", "_n")
+    __slots__ = ("space", "ids", "peers", "_idlist_cache", "_succ_index", "_size", "_n")
 
     def __init__(self, space: IdSpace, ids: np.ndarray, peers: np.ndarray) -> None:
         ids = np.asarray(ids, dtype=np.uint64)
@@ -72,6 +90,7 @@ class SortedRing:
         self.ids = ids
         self.peers = peers
         self._idlist_cache: list[int] | None = None
+        self._succ_index: tuple[np.uint64, np.ndarray, np.ndarray] | None = None
         self._size = space.size
         self._n = len(ids)
 
@@ -113,6 +132,56 @@ class SortedRing:
         """Position of the ring member owning ``key`` (successor of key)."""
         i = int(np.searchsorted(self.ids, np.uint64(int(key) % self._size)))
         return 0 if i == self._n else i
+
+    def _successor_index(self) -> tuple[np.uint64, np.ndarray, np.ndarray]:
+        """``(shift, first, padded)`` behind :meth:`successor_positions` (lazy).
+
+        ``first[b]`` counts the ids whose bucket ``id >> shift`` is below
+        ``b`` — the position of the first id in bucket ``>= b`` — in the
+        narrowest unsigned dtype that holds ``n``; ``padded`` is the id
+        array plus one ``2**64 - 1`` sentinel no key exceeds, so the
+        advance loop needs no bounds test.  O(n) to build; at most
+        ``4 * 2**(ceil(log2 n) + 1) + 8 * (n + 1)`` bytes below 2³²
+        members.
+        """
+        index = self._succ_index
+        if index is None:
+            bucket_bits = min(self.space.bits, (self._n - 1).bit_length() + 1)
+            shift = np.uint64(self.space.bits - bucket_bits)
+            counts = np.bincount(
+                (self.ids >> shift).view(np.int64), minlength=1 << bucket_bits
+            )
+            first = (np.cumsum(counts) - counts).astype(np.min_scalar_type(self._n))
+            padded = np.append(self.ids, np.uint64(2**64 - 1))
+            index = self._succ_index = (shift, first, padded)
+        return index
+
+    def successor_positions(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`successor_pos` of every key at once (``int64`` positions).
+
+        The batch engine's one successor search.  Keys must already lie
+        in the id space (the scalar method wraps; the kernels mask
+        before they call).
+        """
+        keys = np.asarray(keys, dtype=np.uint64)
+        if keys.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        if int(keys.max()) >= self._size:
+            outside = keys[keys > np.uint64(self._size - 1)]
+            require(False, f"key {int(outside[0])} is outside the {self.space.bits}-bit id space")
+        shift, first, padded = self._successor_index()
+        pos = first[(keys >> shift).view(np.int64)].astype(np.int64)
+        behind = np.flatnonzero(padded[pos] < keys)
+        for _ in range(_ADVANCE_ROUNDS):
+            if behind.size == 0:
+                break
+            nxt = pos[behind] + 1
+            pos[behind] = nxt
+            behind = behind[padded[nxt] < keys[behind]]
+        else:
+            pos[behind] = np.searchsorted(self.ids, keys[behind])
+        pos[pos == self._n] = 0
+        return pos
 
     def successor_of_pos(self, pos: int) -> int:
         """Position following ``pos`` clockwise."""

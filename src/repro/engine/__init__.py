@@ -25,7 +25,7 @@ from repro.engine.batch import (
     scalar_batch_route,
     supports_batch,
 )
-from repro.engine.kernel import closest_preceding_fingers, route_cohort
+from repro.engine.kernel import route_cohort
 from repro.engine.result import BatchRouteResult
 from repro.engine.stream import StreamStats, stream_batch_route
 
@@ -35,7 +35,6 @@ __all__ = [
     "batch_route",
     "batch_route_chord",
     "batch_route_hieras",
-    "closest_preceding_fingers",
     "replay_spans",
     "route_cohort",
     "scalar_batch_route",

@@ -49,7 +49,8 @@ class _HopLog:
     moved, their hop's link delay (one bulk ``LatencyModel.pairs``
     call) and optionally the peer reached.  Buffers are C-ordered so a
     lane's hop latencies form a contiguous row — the property the
-    exact-float total relies on (see ``row_prefix_sums``).
+    exact-float total relies on (see ``row_prefix_sums``).  The first
+    buffer holds ``cap`` hops per lane and doubles beyond that.
     """
 
     def __init__(
@@ -57,11 +58,12 @@ class _HopLog:
         sources: npt.NDArray[np.int64],
         latency: LatencyModel,
         *,
+        cap: int,
         want_paths: bool,
     ) -> None:
         n_lanes = len(sources)
         self._latency = latency
-        self._cap = 8
+        self._cap = cap
         self.hop_count = np.zeros(n_lanes, dtype=np.int64)
         self.cur_peer = sources.copy()
         self.hop_latency = np.zeros((n_lanes, self._cap), dtype=np.float64)
@@ -141,7 +143,11 @@ def batch_route_chord(
     attached recorder.
     """
     src, keys_w = _request_arrays(net, sources, keys)
-    log = _HopLog(src, net.latency, want_paths=paths)
+    # Routes rarely exceed log2(n) hops.  Starting at the power of two
+    # that doubling from 8 would reach for them spares ``_grow``
+    # re-copying every lane's row mid-batch, twice at N >= 32 768.
+    log_n = len(net.ring).bit_length()
+    log = _HopLog(src, net.latency, cap=max(8, 1 << (log_n - 1).bit_length()), want_paths=paths)
     plan = net._layer_plan()
     # Hops taken by the end of each layer; differenced into per-layer
     # counts once, instead of counted per frontier step.
@@ -153,10 +159,16 @@ def batch_route_chord(
         if row.ring_of_peer is None:
             cohorts = [(None, row.rings[0])]  # one ring holds every lane
         else:
+            # One stable sort groups the lanes by ring code: cohorts in
+            # ascending code order, lanes ascending inside each.
             codes = row.ring_of_peer[log.cur_peer]
+            order = np.argsort(codes, kind="stable")
+            by_ring = codes[order]
+            bounds = np.flatnonzero(by_ring[1:] != by_ring[:-1]) + 1
             cohorts = [
-                (np.flatnonzero(codes == code), row.rings[int(code)])
-                for code in np.unique(codes)
+                (lanes, row.rings[int(codes[lanes[0]])])
+                for lanes in np.split(order, bounds)
+                if lanes.size
             ]
         for lanes, ring in cohorts:
 
@@ -181,9 +193,7 @@ def batch_route_chord(
             # Terminating step (§3.2): the global predecessor hands the
             # request to the key's owner, like flat Chord's final hop.
             ring = net.ring
-            owner_pos = np.searchsorted(ring.ids, keys_w, side="left").astype(np.int64)
-            owner_pos[owner_pos == len(ring)] = 0
-            owner_peer = ring.peers[owner_pos]
+            owner_peer = ring.peers[ring.successor_positions(keys_w)]
             final = np.flatnonzero(log.cur_peer != owner_peer)
             if final.size:
                 log.record(final, owner_peer[final])

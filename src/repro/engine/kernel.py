@@ -2,18 +2,26 @@
 
 One :class:`~repro.dht.ring_array.SortedRing` holds a sorted ``uint64``
 id array; the scalar routing rule (``next_hop`` / ``greedy_route`` /
-``predecessor_route``) walks it one lookup at a time.  This module runs
-the *same* rule over a whole cohort of lookups at once: every frontier
-step computes, for all still-active lanes, the final-hop test and the
-closest-preceding-finger choice with masked ``np.searchsorted`` calls —
-iterating finger bit levels high→low across the batch and settling
-lanes as their finger is found, exactly mirroring the scalar loop
-``for i in range((d - 1).bit_length() - 1, -1, -1)``.
+``predecessor_route``) walks it one lookup at a time, trying finger
+levels high→low until one lands strictly inside ``(cur, key)``.  This
+module runs the *same* rule over a whole cohort of lookups at once, and
+finds the winning level without trying any: with ``pred`` the last
+member strictly before the key and ``dp`` its clockwise distance from
+``cur``, the scalar loop stops at level ``floor(log2(dp))``.
 
-Equivalence is structural, not approximate: each vector operation is
-the batched transcription of one line of the scalar rule, so the hop
-sequences are identical position-for-position (pinned by
-``tests/test_engine.py``).
+* That level wins: its finger start ``cur + 2**i`` is at distance
+  ``2**i <= dp``, so the start's ring successor lies in ``[2**i, dp]``
+  — strictly inside ``(cur, key)``.
+* No higher level does: a start past ``pred`` has no member before the
+  key in front of it, so its successor is at or beyond the key.
+
+So every frontier step is the final-hop test plus one successor search
+per finger lane (``SortedRing.successor_positions``) — no level loop.
+
+Equivalence is exact, not approximate: the hop sequences are identical
+position-for-position to the scalar rule, which stays untouched as the
+oracle (pinned exhaustively on small id spaces and by the batch ≡
+scalar property tests in ``tests/test_engine.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import numpy.typing as npt
 from repro.dht.ring_array import SortedRing
 from repro.util.validation import require
 
-__all__ = ["HopSink", "closest_preceding_fingers", "route_cohort"]
+__all__ = ["HopSink", "route_cohort"]
 
 #: Per-step callback: ``sink(lanes, prev_pos, next_pos)`` receives the
 #: cohort-relative indices of the lanes that moved this frontier step
@@ -37,49 +45,17 @@ HopSink = Callable[
 ]
 
 
-def closest_preceding_fingers(
-    ids: npt.NDArray[np.uint64],
-    size_mask: np.uint64,
-    cur_id: npt.NDArray[np.uint64],
-    d: npt.NDArray[np.uint64],
-    fallback: npt.NDArray[np.int64],
-) -> npt.NDArray[np.int64]:
-    """Vectorized closest-preceding-finger choice for one frontier step.
+def _floor_pow2(x: npt.NDArray[np.uint64]) -> npt.NDArray[np.uint64]:
+    """Highest power of two ``<= x`` per element (``x >= 1``), bit-exact.
 
-    For every lane: the highest finger level ``i`` whose start
-    ``cur + 2**i`` has a ring successor strictly inside ``(cur, key)``
-    wins — the batched transcription of ``SortedRing.next_hop``'s
-    finger loop.  Lanes participate at level ``i`` iff ``d > 2**i``
-    (equivalent to the scalar start level ``(d - 1).bit_length() - 1``);
-    lanes with no winning finger fall back to ``fallback`` (their ring
-    successor), matching the scalar loop's unreachable tail.
-
-    All distances are clockwise id distances mod ``2**bits``; because
-    the id space is a power of two, ``uint64`` wraparound followed by
-    ``& size_mask`` computes them exactly.
+    Or-shift smearing fills every bit below the top set bit; xor with
+    the half-shifted smear keeps the top bit alone.  No floats: a
+    ``float64`` ``log2`` rounds 64-bit distances.
     """
-    n = len(ids)
-    nxt = fallback.copy()
-    unsettled = np.ones(len(d), dtype=bool)
-    zero = np.uint64(0)
-    top = (int(d.max()) - 1).bit_length() - 1 if len(d) else -1
-    for i in range(top, -1, -1):
-        step = np.uint64(1 << i)
-        lvl = np.flatnonzero(unsettled & (d > step))
-        if lvl.size == 0:
-            continue
-        start = (cur_id[lvl] + step) & size_mask
-        j = np.searchsorted(ids, start, side="left").astype(np.int64)
-        j[j == n] = 0
-        fd = (ids[j] - cur_id[lvl]) & size_mask
-        ok = (fd > zero) & (fd < d[lvl])
-        if ok.any():
-            sel = lvl[ok]
-            nxt[sel] = j[ok]
-            unsettled[sel] = False
-            if not unsettled.any():
-                break
-    return nxt
+    x = x | (x >> np.uint64(1))
+    for shift in (2, 4, 8, 16, 32):
+        x |= x >> np.uint64(shift)
+    return x ^ (x >> np.uint64(1))
 
 
 def route_cohort(
@@ -115,14 +91,17 @@ def route_cohort(
     size_mask = np.uint64(ring.space.size - 1)
     zero = np.uint64(0)
 
-    owner = np.searchsorted(ids, keys, side="left").astype(np.int64)
-    owner[owner == n] = 0
+    owner = ring.successor_positions(keys)
     if not to_owner and n == 1:
         # A single-member ring owns every key; the scalar loop returns
         # the start immediately.
         return cur
     active = cur != owner
-    pred = (owner - 1) % n  # predecessor-stop target (pred mode only)
+    # The last member strictly before the key: the predecessor-stop
+    # target, and in both modes what fixes each hop's finger level.
+    pred = owner - 1
+    pred[pred < 0] = n - 1
+    pred_id = ids[pred]
 
     # Safety bound: greedy Chord takes at most ~bits finger hops plus a
     # successor walk; anything past n + bits steps is a kernel bug.
@@ -175,10 +154,12 @@ def route_cohort(
             nxt[fh] = succ[fh]
             rest &= ~fh
         if rest.any():
+            # Closest preceding finger.  d > dsucc puts the successor
+            # strictly before the key, so pred != cur and dp >= dsucc >= 1.
             ri = np.flatnonzero(rest)
-            nxt[ri] = closest_preceding_fingers(
-                ids, size_mask, cur_id[ri], d[ri], succ[ri]
-            )
+            cid = cur_id[ri]
+            step = _floor_pow2((pred_id[idx[ri]] - cid) & size_mask)
+            nxt[ri] = ring.successor_positions((cid + step) & size_mask)
         if sink is not None:
             sink(idx, cp, nxt)
         cur[idx] = nxt

@@ -149,6 +149,15 @@ def hot_state_bytes(bundle: SimulationBundle) -> dict[str, int]:
     they are the receipts for the "no per-peer Python objects on the
     hot path" claim: every entry is a numpy buffer, with ring-name
     strings interned once per *ring*, not per peer.
+
+    Not counted: each ring's successor index
+    (``SortedRing.successor_positions``).  It is derived state, built
+    lazily on a snapshot's first batch lookup, so whether it exists
+    depends on what has been routed — not on the seed — and it stays
+    outside the byte-compared audit.  Per ring of ``n`` members it is a
+    bucket table of ``2**(ceil(log2 n) + 1)`` positions (4 B each for
+    2¹⁶ ≤ n < 2³², narrower below) plus an ``8 * (n + 1)`` B
+    sentinel-padded id copy: ≈ 16–24 B per member.
     """
     chord = bundle.chord
     hieras = bundle.hieras

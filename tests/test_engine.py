@@ -18,9 +18,11 @@ from repro.core.binning import BinningScheme
 from repro.core.hieras import HierasNetwork
 from repro.dht.chord import ChordNetwork
 from repro.dht.base import ZeroLatency
+from repro.dht.ring_array import SortedRing
 from repro.engine import (
     BatchRouteResult,
     batch_route,
+    route_cohort,
     scalar_batch_route,
     stream_batch_route,
     supports_batch,
@@ -154,6 +156,50 @@ class TestBatchScalarEquivalence:
         assert np.array_equal(result.owner, owners)
         assert np.array_equal(result.hops, np.zeros(len(keys), dtype=np.int64))
         assert np.array_equal(result.latency_ms, np.zeros(len(keys)))
+
+
+def _member_sets(bits):
+    """n = 1, n = 2, the full space, and sampled sets in between."""
+    size = 1 << bits
+    rng = np.random.default_rng(bits)
+    yield [size - 1]
+    yield [0, size // 2 + 1]
+    yield list(range(size))
+    for n in (3, size // 4, size // 2 + 1):
+        yield sorted(rng.choice(size, size=n, replace=False).tolist())
+    yield list(range(3, 3 + size // 4))  # one clustered arc, the rest empty
+
+
+class TestFingerLevelRule:
+    """The kernel's O(1) finger level ≡ the scalar level loop, exhaustively.
+
+    Every ``(cur, key)`` of a small id space starts one lane, so each
+    frontier step of the kernel is compared with ``SortedRing.next_hop``
+    (through the scalar routes built on it) from every possible state.
+    """
+
+    @pytest.mark.parametrize("bits", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("to_owner", [True, False])
+    @pytest.mark.parametrize("r", [0, 3])
+    def test_every_cur_and_key(self, bits, to_owner, r):
+        space = IdSpace(bits)
+        for members in _member_sets(bits):
+            n = len(members)
+            ring = SortedRing(space, np.asarray(members, dtype=np.uint64), np.arange(n))
+            start = np.repeat(np.arange(n), space.size)
+            keys = np.tile(np.arange(space.size, dtype=np.uint64), n)
+            hops = [[] for _ in range(len(start))]
+
+            def sink(lanes, prev_pos, next_pos):
+                for lane, pos in zip(lanes.tolist(), next_pos.tolist()):
+                    hops[lane].append(pos)
+
+            end = route_cohort(ring, start, keys, to_owner=to_owner, succ_list_r=r, sink=sink)
+            scalar = ring.greedy_route if to_owner else ring.predecessor_route
+            for lane, (cur, key) in enumerate(zip(start.tolist(), keys.tolist())):
+                path = scalar(cur, key, succ_list_r=r)
+                assert [cur] + hops[lane] == path, (members, cur, key)
+                assert end[lane] == path[-1]
 
 
 class TestResultShape:

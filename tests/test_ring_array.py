@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dht.ring_array import SortedRing
+from repro.dht.ring_array import _ADVANCE_ROUNDS, SortedRing
 from repro.util.ids import IdSpace
 from repro.util.intervals import clockwise_distance, in_interval
 
@@ -265,3 +265,114 @@ class TestEdgeGeometry:
         assert ring.greedy_route(1, 1) == [1]  # successor of 1 is 128
         assert ring.greedy_route(1, 0) == [1, 0]
         assert ring.next_hop(0, 200) == 1
+
+
+def scalar_positions(ring, keys):
+    return [ring.successor_pos(int(k)) for k in keys]
+
+
+class TestSuccessorPositions:
+    """The vectorised successor search ≡ ``successor_pos`` per key."""
+
+    def test_every_key_of_a_small_space(self):
+        # The paper's Table 2 ring in an 8-bit space: fewer id bits than
+        # a hashed ring's bucket bits would want.
+        ring = make_ring([10, 40, 121, 125, 171, 200, 243, 255])
+        keys = np.arange(256, dtype=np.uint64)  # 0, size - 1, every member id, the wrap
+        assert ring.successor_positions(keys).tolist() == scalar_positions(ring, keys)
+
+    def test_wraps_past_the_last_member(self):
+        ring = make_ring([10, 20, 30])
+        got = ring.successor_positions(np.asarray([0, 10, 11, 30, 31, 255], dtype=np.uint64))
+        assert got.tolist() == [0, 0, 1, 2, 0, 0]
+        assert got.dtype == np.int64
+
+    def test_empty_batch(self):
+        got = make_ring([10, 20]).successor_positions(np.zeros(0, dtype=np.uint64))
+        assert got.shape == (0,) and got.dtype == np.int64
+
+    @pytest.mark.parametrize("ids", [[5], [0, 2**64 - 1], [2**63, 2**63 + 1, 2**64 - 2]])
+    def test_64_bit_space(self, ids):
+        ring = make_ring(ids, bits=64)
+        keys = np.asarray(
+            [0, 1, 5, 6, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64
+        )
+        assert ring.successor_positions(keys).tolist() == scalar_positions(ring, keys)
+
+    def test_members_sharing_their_top_bits_finish_by_binary_search(self, monkeypatch):
+        # 3000 consecutive ids in a 32-bit space all fall in bucket 0:
+        # the advance loop alone would need up to 2999 rounds.
+        n = 3000
+        ring = make_ring(range(n), bits=32)
+        last_round = _ADVANCE_ROUNDS
+        keys = np.asarray(
+            [0, last_round, last_round + 1, 1500, n - 1, n, 2**32 - 1], dtype=np.uint64
+        )
+        searched = []
+        real = np.searchsorted
+
+        def counting(ids, lanes, *args, **kwargs):
+            searched.append(len(lanes))
+            return real(ids, lanes, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "searchsorted", counting)
+            got = ring.successor_positions(keys)
+        assert got.tolist() == [0, last_round, last_round + 1, 1500, n - 1, 0, 0]
+        # The first two keys resolve inside the advance rounds and the
+        # last one from its (empty, final) bucket; the other four go to
+        # one binary search instead of thousands of rounds.
+        assert searched == [4]
+
+    @given(
+        st.integers(min_value=1, max_value=64).flatmap(
+            lambda bits: st.tuples(
+                st.just(bits),
+                st.lists(
+                    st.integers(min_value=0, max_value=2**bits - 1),
+                    min_size=1, max_size=40, unique=True,
+                ),
+                st.lists(st.integers(min_value=0, max_value=2**bits - 1), max_size=40),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_on_random_id_sets(self, case):
+        bits, ids, keys = case
+        ring = make_ring(ids, bits=bits)
+        # Member ids and their neighbours are where an off-by-one shows.
+        keys = keys + ids + [(i + 1) % 2**bits for i in ids]
+        got = ring.successor_positions(np.asarray(keys, dtype=np.uint64))
+        assert got.tolist() == scalar_positions(ring, keys)
+
+    def test_spliced_ring_answers_from_its_own_index(self):
+        rng = np.random.default_rng(11)
+        space = IdSpace(bits=32)
+        ids = space.sample_unique_ids(600, rng)
+        order = np.argsort(ids[:400])
+        parent = SortedRing(space, ids[:400][order], order)
+        keys = rng.integers(0, space.size, size=2000, dtype=np.uint64)
+        parent_before = parent.successor_positions(keys)  # parent index built here
+
+        ring, members = parent, set(range(400))
+        for wave in range(4):
+            gone = rng.choice(sorted(members), size=30, replace=False)
+            new = np.arange(400 + 50 * wave, 450 + 50 * wave)
+            positions = [ring.pos_of_id(int(ids[p])) for p in gone]
+            ring = ring.splice(positions, ids[new], new)
+            members = (members - set(gone.tolist())) | set(new.tolist())
+            live = np.asarray(sorted(members))
+            order = np.argsort(ids[live])
+            rebuilt = SortedRing(space, ids[live][order], live[order])
+            got = ring.successor_positions(keys)
+            assert np.array_equal(got, rebuilt.successor_positions(keys))
+            assert got.tolist() == scalar_positions(ring, keys)
+        # The parent snapshot is untouched by its descendants.
+        assert np.array_equal(parent.successor_positions(keys), parent_before)
+        assert parent_before.tolist() == scalar_positions(parent, keys)
+
+    def test_key_outside_the_space_is_named(self):
+        ring = make_ring([10, 20, 30])
+        keys = np.asarray([5, 300, 255, 999], dtype=np.uint64)
+        with pytest.raises(ValueError, match="key 300 is outside the 8-bit id space"):
+            ring.successor_positions(keys)
