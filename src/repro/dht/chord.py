@@ -179,6 +179,8 @@ class ChordNetwork(DHTNetwork):
 
     def is_alive(self, peer: int) -> bool:
         """Whether ``peer`` is currently a member."""
+        n = len(self._alive)
+        require(0 <= peer < n, f"peer {peer} out of range [0, {n})")
         return bool(self._alive[peer])
 
     def _admit(self, node_ids: list[int]) -> np.ndarray:

@@ -4,8 +4,9 @@
 (DESIGN.md §12): a :class:`DHTService` accepts ``get``/``put``/
 ``join``/``leave`` requests across an explicit bounded-queue boundary,
 dispatches them with configurable worker concurrency on a
-deterministic simulated clock, coalesces queued lookups into
-:mod:`repro.engine` batch-route calls, fans writes out through
+deterministic simulated clock, coalesces queued lookups into batched
+dispatches (routed by one :mod:`repro.engine` call per membership
+epoch), fans writes out through
 :class:`~repro.replication.store.ReplicatedStore`, and records a
 queue-wait / service / route / replica-fan-out latency breakdown into
 :mod:`repro.metrics` histograms.  Pair it with :mod:`repro.loadgen`

@@ -35,7 +35,7 @@ class ServiceConfig:
     workers: int = 4
     #: Max pending requests before arrivals are rejected (None = unbounded).
     queue_limit: int | None = None
-    #: Coalescing window: lookups dispatched per batch-route call.
+    #: Coalescing window: lookups per simulated dispatch.
     max_batch: int = 32
     #: Queue-wait budget; requests older than this are shed at dispatch.
     deadline_ms: float | None = None

@@ -16,11 +16,12 @@ never gate them).  Admission control happens at the door: when
 rejected immediately (load shedding).  Dispatch is work-conserving
 FIFO with **read coalescing**: when the oldest pending request is a
 ``get``, the dispatcher collects up to ``max_batch`` pending gets into
-one :func:`repro.engine.batch_route` call — the serving path is where
-batching pays off, because the per-dispatch overhead amortizes across
-the batch.  Writes dispatch one at a time when they reach the head and
-fan out through :class:`~repro.replication.store.ReplicatedStore`;
-membership waves apply the network's batch mutation primitives.
+one dispatch, whose overhead amortizes across the batch.  Coalescing
+belongs to the *simulated* dispatcher: it sets worker occupancy and
+``serve.batch_size``, not the width the host routes at (below).
+Writes dispatch one at a time when they reach the head and fan out
+through :class:`~repro.replication.store.ReplicatedStore`; membership
+waves apply the network's batch mutation primitives.
 
 A worker slot is occupied for the *dispatch cost* only
 (``dispatch_overhead_ms`` + marginal per-request cost): the front-end
@@ -30,17 +31,38 @@ capacity.  Saturation therefore arrives when offered load exceeds
 ``workers / mean_dispatch_cost``, and coalescing moves that knee by
 shrinking the mean cost per lookup.
 
-Every completed request records a four-phase latency breakdown (queue
-wait → dispatch service → route → replica fan-out) into the service's
-:class:`~repro.metrics.registry.MetricsRegistry` — the registry *is*
-the product here (the SLO reporter reads it), so it is always on.
+Schedule, then resolve per membership epoch
+-------------------------------------------
+Occupancy depends on the batch size alone, so the event loop reads no
+route result: it only *schedules*, appending every dispatched request
+— and every completion that is final already (``rejected``,
+``deadline``, a departed source's ``failed``) — to one completion log
+in dispatch order.  A route is a function of (source, key, membership)
+and membership changes only at a ``join``/``leave``, so the log is
+*resolved* once per membership epoch: one
+:func:`repro.engine.batch_route` call over every logged lookup, then a
+replay in dispatch order that runs the store operations and builds the
+completions — read-your-writes, hint / disk-drop ordering and the fault
+injector's draws inside ``put`` fall exactly where per-dispatch routing
+put them.  The log is flushed before a wave touches the network, at the
+end of the run, and at ``_MAX_LANES`` logged lookups (bounded memory on
+any stream).  With a span recorder on the *network*, one
+``record_batch`` folds an epoch's gets in dispatch order and each put's
+scalar route (inside ``ReplicatedStore.put``) lands after them.
+
+Every completion contributes a four-phase latency breakdown (queue wait
+→ dispatch service → route → replica fan-out) to the service's always-on
+:class:`~repro.metrics.registry.MetricsRegistry` — the registry *is* the
+product here (the SLO reporter reads it) — folded in bulk, in dispatch
+order, when the run ends.  ``serve.engine_calls`` / ``serve.engine_lanes``
+show the host's width beside the simulated ``serve.batches``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -48,10 +70,14 @@ from repro.engine import batch_route
 from repro.metrics.registry import MetricsRegistry
 from repro.replication.store import ReplicatedStore
 from repro.serve.config import ServiceConfig
-from repro.serve.request import Completion, Request
+from repro.serve.request import OPS, Completion, Request
 from repro.util.validation import require
 
 __all__ = ["DHTService", "ServeResult"]
+
+#: Lookups the completion log holds before it is resolved: the engine's
+#: design width (``stream_batch_route``'s default chunk).
+_MAX_LANES = 65_536
 
 
 @dataclass
@@ -95,6 +121,26 @@ class ServeResult:
 
 #: A queued entry: (sequence number, request).
 _Entry = tuple[int, Request]
+#: A dispatched get/put awaiting its route: (sequence number, request,
+#: dispatch instant, worker occupancy, batch size).
+_Dispatched = tuple[int, Request, float, float, int]
+
+
+@dataclass
+class _Run:
+    """State of one :meth:`DHTService.run`: the scheduler's (free-at,
+    worker) ``heap`` and FIFO queues, and the completion log in dispatch
+    order — ``pending`` is what was logged since the last flush (final
+    completions and dispatched requests, those in ``routed`` awaiting
+    the engine) until :meth:`DHTService._resolve` moves it to ``done``.
+    """
+
+    heap: list[tuple[float, int]]
+    gets: deque[_Entry] = field(default_factory=deque)
+    others: deque[_Entry] = field(default_factory=deque)
+    done: list[Completion] = field(default_factory=list)
+    pending: list[Completion | _Dispatched] = field(default_factory=list)
+    routed: list[Request] = field(default_factory=list)
 
 
 class DHTService:
@@ -157,22 +203,45 @@ class DHTService:
             return cfg.dispatch_overhead_ms + cfg.per_write_ms
         return cfg.dispatch_overhead_ms + cfg.per_membership_ms
 
-    def _record(self, completion: Completion) -> None:
+    def _validate(self, requests: list[Request]) -> None:
+        """Reject a bad stream whole, before anything is served (and while
+        the error can still name the request: resolution is deferred)."""
+        last_at = 0.0
+        for seq, req in enumerate(requests):
+            require(req.at_ms >= last_at, "requests must be sorted by at_ms")
+            last_at = req.at_ms
+            for peer in (req.source,) if req.op in ("get", "put") else req.peers:
+                try:
+                    self.network.is_alive(peer)
+                except ValueError as exc:
+                    raise ValueError(f"request {seq} ({req.op}): {exc}") from None
+
+    def _fold(self, done: list[Completion]) -> None:
+        """Fold a run's completions, in dispatch order, into the registry."""
         reg = self.registry
-        reg.inc("serve.arrivals")
-        reg.inc(f"serve.{completion.op}.arrivals")
-        reg.inc(f"serve.{completion.outcome}")
-        if completion.outcome == "rejected":
-            return
-        if completion.outcome == "deadline":
-            reg.observe("serve.shed_wait_ms", completion.queue_wait_ms)
-            return
-        reg.observe("serve.total_ms", completion.total_ms)
-        reg.observe("serve.queue_wait_ms", completion.queue_wait_ms)
-        reg.observe("serve.service_ms", completion.service_ms)
-        reg.observe("serve.route_ms", completion.route_ms)
-        reg.observe("serve.fanout_ms", completion.fanout_ms)
-        reg.observe(f"serve.{completion.op}.total_ms", completion.total_ms)
+        tally = Counter(
+            name
+            for c in done
+            for name in ("serve.arrivals", f"serve.{c.op}.arrivals", f"serve.{c.outcome}")
+        )
+        for name, n in tally.items():
+            reg.inc(name, n)
+        # A rejected or shed request never reached the later phases.
+        reached = [c for c in done if c.outcome in ("ok", "failed")]
+        totals = [c.total_ms for c in reached]
+        columns = {
+            "serve.shed_wait_ms": [c.queue_wait_ms for c in done if c.outcome == "deadline"],
+            "serve.total_ms": totals,
+            "serve.queue_wait_ms": [c.queue_wait_ms for c in reached],
+            "serve.service_ms": [c.service_ms for c in reached],
+            "serve.route_ms": [c.route_ms for c in reached],
+            "serve.fanout_ms": [c.fanout_ms for c in reached],
+        }
+        for op in OPS:
+            columns[f"serve.{op}.total_ms"] = [t for t, c in zip(totals, reached) if c.op == op]
+        for name, values in columns.items():
+            if values:
+                reg.histogram(name).record_many(values)
 
     # ------------------------------------------------------------------
     # the event loop
@@ -180,42 +249,40 @@ class DHTService:
     def run(self, requests: list[Request]) -> ServeResult:
         """Serve an arrival-ordered request sequence to completion.
 
-        Requests must be sorted by ``at_ms``.  The loop interleaves
+        Requests must be sorted by ``at_ms``, and every source and wave
+        peer must be a peer index of the network; a stream that is not
+        raises before anything is served.  The loop interleaves
         arrivals with dispatches in simulated-time order: before each
         arrival every worker that frees up earlier gets to drain the
         queue, then admission control sees the true queue depth at the
         arrival instant.  After the last arrival the backlog drains.
         """
         cfg = self.config
-        heap: list[tuple[float, int]] = [(0.0, w) for w in range(cfg.workers)]
-        gets: deque[_Entry] = deque()
-        others: deque[_Entry] = deque()
-        out: list[Completion] = []
+        self._validate(requests)
+        run = _Run(heap=[(0.0, w) for w in range(cfg.workers)])
+        gets, others = run.gets, run.others
         max_depth = 0
-        last_at = 0.0
         for seq, req in enumerate(requests):
-            require(req.at_ms >= last_at, "requests must be sorted by at_ms")
-            last_at = req.at_ms
-            self._drain(heap, gets, others, req.at_ms, out)
+            self._drain(run, req.at_ms)
             depth = len(gets) + len(others)
             if cfg.queue_limit is not None and depth >= cfg.queue_limit:
-                completion = Completion(
-                    seq=seq, op=req.op, outcome="rejected",
-                    arrival_ms=req.at_ms, finish_ms=req.at_ms,
+                run.pending.append(
+                    Completion(
+                        seq=seq, op=req.op, outcome="rejected",
+                        arrival_ms=req.at_ms, finish_ms=req.at_ms,
+                    )
                 )
-                out.append(completion)
-                self._record(completion)
                 continue
             (gets if req.op == "get" else others).append((seq, req))
             if depth + 1 > max_depth:
                 max_depth = depth + 1
-            self._drain(heap, gets, others, req.at_ms, out)
-        self._drain(heap, gets, others, math.inf, out)
-        makespan = max([last_at] + [busy_until for busy_until, _ in heap])
-        out.sort(key=lambda c: c.seq)
-        counts: dict[str, int] = {}
-        for c in out:
-            counts[c.outcome] = counts.get(c.outcome, 0) + 1
+            self._drain(run, req.at_ms)
+        self._drain(run, math.inf)
+        self._resolve(run)
+        last_at = requests[-1].at_ms if requests else 0.0
+        makespan = max([last_at] + [busy_until for busy_until, _ in run.heap])
+        self._fold(run.done)
+        out = sorted(run.done, key=lambda c: c.seq)
         self.registry.set_gauge("serve.max_queue_depth", float(max_depth))
         self.registry.set_gauge("serve.makespan_ms", makespan)
         return ServeResult(
@@ -224,22 +291,17 @@ class DHTService:
             registry=self.registry,
             makespan_ms=makespan,
             max_queue_depth=max_depth,
-            counts=counts,
+            counts=dict(Counter(c.outcome for c in out)),
         )
 
-    def _drain(
-        self,
-        heap: list[tuple[float, int]],
-        gets: deque[_Entry],
-        others: deque[_Entry],
-        until: float,
-        out: list[Completion],
-    ) -> None:
+    def _drain(self, run: _Run, until: float) -> None:
         """Dispatch until the queue is empty or no worker frees by ``until``."""
-        while (gets or others) and heap[0][0] <= until:
+        heap = run.heap
+        while (run.gets or run.others) and heap[0][0] <= until:
             free_at, worker = heapq.heappop(heap)
-            busy_until = self._dispatch_one(free_at, gets, others, out)
-            heapq.heappush(heap, (busy_until, worker))
+            heapq.heappush(heap, (self._dispatch_one(run, free_at), worker))
+            if len(run.routed) >= _MAX_LANES:
+                self._resolve(run)
 
     @staticmethod
     def _head_is_get(gets: deque[_Entry], others: deque[_Entry]) -> bool:
@@ -249,150 +311,121 @@ class DHTService:
             return False
         return gets[0][0] < others[0][0]
 
-    def _shed(self, seq: int, req: Request, now: float, out: list[Completion]) -> None:
-        completion = Completion(
-            seq=seq, op=req.op, outcome="deadline",
+    @staticmethod
+    def _unserved(seq: int, req: Request, outcome: str, now: float) -> Completion:
+        """A request dropped at dispatch: shed, or its source has left."""
+        return Completion(
+            seq=seq, op=req.op, outcome=outcome,
             arrival_ms=req.at_ms, dispatch_ms=now, finish_ms=now,
             queue_wait_ms=now - req.at_ms,
         )
-        out.append(completion)
-        self._record(completion)
 
-    def _take(
-        self,
-        free_at: float,
-        gets: deque[_Entry],
-        others: deque[_Entry],
-        out: list[Completion],
-    ) -> list[_Entry]:
+    def _take(self, run: _Run, free_at: float) -> list[_Entry]:
         """Form the next dispatch batch, shedding expired requests.
 
         Returns the (non-empty) batch, or ``[]`` when shedding emptied
         the queue.  A get at the head coalesces up to ``max_batch``
         pending gets (oldest first); any other op dispatches alone.
         """
+        gets, others = run.gets, run.others
         deadline = self.config.deadline_ms
         while gets or others:
             if self._head_is_get(gets, others):
                 batch: list[_Entry] = []
                 while gets and len(batch) < self.config.max_batch:
                     seq, req = gets.popleft()
-                    if deadline is not None and max(free_at, req.at_ms) - req.at_ms > deadline:
-                        self._shed(seq, req, max(free_at, req.at_ms), out)
+                    now = max(free_at, req.at_ms)
+                    if deadline is not None and now - req.at_ms > deadline:
+                        run.pending.append(self._unserved(seq, req, "deadline", now))
                         continue
                     batch.append((seq, req))
                 if batch:
                     return batch
                 continue
             seq, req = others.popleft()
-            if deadline is not None and max(free_at, req.at_ms) - req.at_ms > deadline:
-                self._shed(seq, req, max(free_at, req.at_ms), out)
+            now = max(free_at, req.at_ms)
+            if deadline is not None and now - req.at_ms > deadline:
+                run.pending.append(self._unserved(seq, req, "deadline", now))
                 continue
             return [(seq, req)]
         return []
 
-    def _dispatch_one(
-        self,
-        free_at: float,
-        gets: deque[_Entry],
-        others: deque[_Entry],
-        out: list[Completion],
-    ) -> float:
+    def _dispatch_one(self, run: _Run, free_at: float) -> float:
         """Dispatch one batch (or single op); returns the worker's busy-until."""
-        batch = self._take(free_at, gets, others, out)
+        batch = self._take(run, free_at)
         if not batch:
             return free_at
         now = max(free_at, batch[0][1].at_ms)
         op = batch[0][1].op
-        if op == "get":
-            return self._dispatch_gets(now, batch, out)
-        if op == "put":
-            return self._dispatch_put(now, batch[0], out)
-        return self._dispatch_membership(now, batch[0], out)
-
-    # -- get: coalesced batch routing ----------------------------------
-    def _dispatch_gets(self, now: float, batch: list[_Entry], out: list[Completion]) -> float:
+        if op in ("join", "leave"):
+            return self._dispatch_membership(run, now, batch[0])
+        # A get or put whose source has left fails here; the rest of the
+        # batch is logged for its epoch's engine call.
         live: list[_Entry] = []
         for seq, req in batch:
             if self.network.is_alive(req.source):
                 live.append((seq, req))
             else:
-                completion = Completion(
-                    seq=seq, op=req.op, outcome="failed",
-                    arrival_ms=req.at_ms, dispatch_ms=now, finish_ms=now,
-                    queue_wait_ms=now - req.at_ms,
-                )
-                out.append(completion)
-                self._record(completion)
-        occupancy = self._occupancy_ms("get", len(live))
+                run.pending.append(self._unserved(seq, req, "failed", now))
         if not live:
             return now
-        sources = [req.source for _, req in live]
-        keys = [self._key_of(req.name) for _, req in live]
-        result = batch_route(self.network, sources, keys)
-        self.registry.inc("serve.batches")
-        self.registry.inc("serve.batched_lookups", len(live))
-        self.registry.observe("serve.batch_size", float(len(live)))
-        for lane, (seq, req) in enumerate(live):
-            owner = int(result.owner[lane])
-            route_ms = float(result.latency_ms[lane])
-            value = None
-            if self.store is not None:
-                value = self.store.read_at(owner, req.name)
-            completion = Completion(
-                seq=seq, op=req.op, outcome="ok",
-                arrival_ms=req.at_ms, dispatch_ms=now,
-                finish_ms=now + occupancy + route_ms,
-                queue_wait_ms=now - req.at_ms,
-                service_ms=occupancy, route_ms=route_ms,
-                batch_size=len(live), owner=owner, value=value,
-            )
-            out.append(completion)
-            self._record(completion)
+        occupancy = self._occupancy_ms(op, len(live))
+        if op == "get":
+            self.registry.inc("serve.batches")
+            self.registry.inc("serve.batched_lookups", len(live))
+            self.registry.observe("serve.batch_size", float(len(live)))
+        run.pending.extend((seq, req, now, occupancy, len(live)) for seq, req in live)
+        if op == "get" or self.store is None:  # a store routes its own puts
+            run.routed.extend(req for _, req in live)
         return now + occupancy
 
-    # -- put: replicated write fan-out ---------------------------------
-    def _dispatch_put(self, now: float, entry: _Entry, out: list[Completion]) -> float:
-        seq, req = entry
-        if not self.network.is_alive(req.source):
-            completion = Completion(
-                seq=seq, op=req.op, outcome="failed",
-                arrival_ms=req.at_ms, dispatch_ms=now, finish_ms=now,
-                queue_wait_ms=now - req.at_ms,
+    # -- resolve: one engine call per epoch, then an in-order replay ----
+    def _resolve(self, run: _Run) -> None:
+        """Turn ``run.pending`` into completions under the current
+        membership: one engine call for every logged get (and put, when
+        no store routes it), then the store operations in dispatch order."""
+        store, routed = self.store, run.routed
+        owners: list[int] = []
+        latency: list[float] = []
+        if routed:
+            sources = [req.source for req in routed]
+            result = batch_route(self.network, sources, [self._key_of(req.name) for req in routed])
+            owners, latency = result.owner.tolist(), result.latency_ms.tolist()
+            self.registry.inc("serve.engine_calls")
+            self.registry.inc("serve.engine_lanes", len(routed))
+        lanes = zip(owners, latency)
+        for entry in run.pending:
+            if isinstance(entry, Completion):
+                run.done.append(entry)
+                continue
+            seq, req, now, occupancy, batch_size = entry
+            outcome, value, fanout_ms = "ok", None, 0.0
+            if req.op == "put" and store is not None:
+                put = store.put(req.source, req.name, req.value)
+                route = put.route
+                route_ms = route.latency_ms + route.retry_latency_ms if route is not None else 0.0
+                fanout_ms = put.total_latency_ms - route_ms
+                outcome = "ok" if put.success else "failed"
+                owner = int(route.owner) if route is not None else -1
+            else:
+                owner, route_ms = next(lanes)
+                if store is not None:
+                    value = store.read_at(owner, req.name)
+            run.done.append(
+                Completion(
+                    seq=seq, op=req.op, outcome=outcome,
+                    arrival_ms=req.at_ms, dispatch_ms=now,
+                    finish_ms=now + occupancy + route_ms + fanout_ms,
+                    queue_wait_ms=now - req.at_ms,
+                    service_ms=occupancy, route_ms=route_ms, fanout_ms=fanout_ms,
+                    batch_size=batch_size, owner=owner, value=value,
+                )
             )
-            out.append(completion)
-            self._record(completion)
-            return now
-        occupancy = self._occupancy_ms("put", 1)
-        if self.store is not None:
-            put = self.store.put(req.source, req.name, req.value)
-            route = put.route
-            route_ms = (
-                route.latency_ms + route.retry_latency_ms if route is not None else 0.0
-            )
-            fanout_ms = put.total_latency_ms - route_ms
-            outcome = "ok" if put.success else "failed"
-            owner = int(route.owner) if route is not None else -1
-        else:
-            result = batch_route(self.network, [req.source], [self._key_of(req.name)])
-            route_ms = float(result.latency_ms[0])
-            fanout_ms = 0.0
-            outcome = "ok"
-            owner = int(result.owner[0])
-        completion = Completion(
-            seq=seq, op=req.op, outcome=outcome,
-            arrival_ms=req.at_ms, dispatch_ms=now,
-            finish_ms=now + occupancy + route_ms + fanout_ms,
-            queue_wait_ms=now - req.at_ms,
-            service_ms=occupancy, route_ms=route_ms, fanout_ms=fanout_ms,
-            batch_size=1, owner=owner,
-        )
-        out.append(completion)
-        self._record(completion)
-        return now + occupancy
+        run.pending.clear()
+        routed.clear()
 
     # -- join/leave: batch membership waves ----------------------------
-    def _dispatch_membership(self, now: float, entry: _Entry, out: list[Completion]) -> float:
+    def _dispatch_membership(self, run: _Run, now: float, entry: _Entry) -> float:
         seq, req = entry
         if req.op == "leave":
             wave = [int(p) for p in req.peers if self.network.is_alive(int(p))]
@@ -400,20 +433,23 @@ class DHTService:
             alive = int(self.network.n_peers)
             if len(wave) >= alive:
                 wave = wave[: max(0, alive - 1)]
-            if wave:
-                self.network.remove_peers(wave)
+            change = self.network.remove_peers
         else:
             wave = [int(p) for p in req.peers if not self.network.is_alive(int(p))]
-            if wave:
-                self.network.revive_peers(wave)
-        occupancy = self._occupancy_ms(req.op, len(wave)) if wave else 0.0
+            change = self.network.revive_peers
+        if wave:
+            # The epoch ends here: what was dispatched before the wave is
+            # routed, and its store operations run, on the old membership.
+            self._resolve(run)
+            change(wave)
+        occupancy = self._occupancy_ms(req.op, len(wave))
         self.registry.inc(f"serve.{req.op}.peers", len(wave))
-        completion = Completion(
-            seq=seq, op=req.op, outcome="ok",
-            arrival_ms=req.at_ms, dispatch_ms=now, finish_ms=now + occupancy,
-            queue_wait_ms=now - req.at_ms, service_ms=occupancy,
-            batch_size=len(wave),
+        run.pending.append(
+            Completion(
+                seq=seq, op=req.op, outcome="ok",
+                arrival_ms=req.at_ms, dispatch_ms=now, finish_ms=now + occupancy,
+                queue_wait_ms=now - req.at_ms, service_ms=occupancy,
+                batch_size=len(wave),
+            )
         )
-        out.append(completion)
-        self._record(completion)
         return now + occupancy

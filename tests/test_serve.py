@@ -254,6 +254,191 @@ class TestMembership:
         assert c.batch_size == 0 and c.service_ms == 0.0
 
 
+class TestFailBeforeServing:
+    """A bad peer index is rejected before anything is served."""
+
+    @pytest.mark.parametrize("peer", [-1, N_PEERS])
+    def test_is_alive_range_checks(self, bundle, peer):
+        with pytest.raises(ValueError, match=rf"peer {peer} out of range \[0, {N_PEERS}\)"):
+            bundle.hieras.is_alive(peer)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (Request(op="get", at_ms=3.0, source=N_PEERS, name="k"),
+             rf"request 2 \(get\): peer {N_PEERS} out of range \[0, {N_PEERS}\)"),
+            (Request(op="leave", at_ms=3.0, peers=(4, N_PEERS + 5)),
+             rf"request 2 \(leave\): peer {N_PEERS + 5} out of range"),
+            (Request(op="join", at_ms=3.0, peers=(-1,)),
+             r"request 2 \(join\): peer -1 out of range"),
+        ],
+    )
+    def test_rejected_run_touches_nothing(self, bundle, bad, message):
+        net = bundle.chord
+        store = make_store(net)
+        reqs = [
+            Request(op="put", at_ms=0.0, source=1, name="w", value="v"),
+            Request(op="leave", at_ms=1.0, peers=(30, 31)),
+            bad,
+        ]
+        svc = DHTService(net, store=store)
+        with pytest.raises(ValueError, match=message):
+            svc.run(reqs)
+        assert int(net.n_peers) == N_PEERS
+        assert len(store) == 0 and store.stats.puts == 0
+        assert svc.registry.snapshot()["counters"] == {}
+
+
+def _without_engine_counters(registry):
+    snap = registry.snapshot()
+    for name in ("serve.engine_calls", "serve.engine_lanes"):
+        snap["counters"].pop(name, None)
+    return snap
+
+
+def _mixed_stream(net, n):
+    """``n`` gets/puts (1 in 4 a put) from peers 0..49 at 2 ms spacing; a
+    third of the way in, three of the keys' owners leave, and they
+    rejoin at two thirds.  Returns the requests and the wave."""
+    names = [f"k{j}" for j in range(11)]
+    owners = sorted({net.owner_of(int(net.space.hash_key(name))) for name in names})
+    wave = tuple(p for p in owners if p >= 50)[:3]
+    assert len(wave) == 3
+    reqs = [
+        Request(op="put", at_ms=2.0 * i, source=i % 50, name=names[i % 11], value=f"v{i}")
+        if i % 4 == 0
+        else Request(op="get", at_ms=2.0 * i, source=i % 50, name=names[i % 11])
+        for i in range(n)
+    ]
+    reqs.insert(2 * n // 3, Request(op="join", at_ms=reqs[2 * n // 3].at_ms, peers=wave))
+    reqs.insert(n // 3, Request(op="leave", at_ms=reqs[n // 3].at_ms, peers=wave))
+    return reqs, wave
+
+
+class TestMembershipEpochs:
+    """Routes are resolved per membership epoch, store ops in dispatch order."""
+
+    def test_get_sees_the_membership_it_was_dispatched_under(self, bundle):
+        net = bundle.hieras
+        key = int(net.space.hash_key("moving"))
+        owner = net.owner_of(key)
+        source = (owner + 1) % 50
+        reqs = [
+            Request(op="get", at_ms=0.0, source=source, name="moving"),
+            Request(op="leave", at_ms=100.0, peers=(owner,)),
+            Request(op="get", at_ms=200.0, source=source, name="moving"),
+            Request(op="join", at_ms=300.0, peers=(owner,)),
+            Request(op="get", at_ms=400.0, source=source, name="moving"),
+        ]
+        result = DHTService(net).run(reqs)
+        before, _, between, _, after = result.completions
+        present = net.route(source, key)
+        net.remove_peers([owner])
+        try:
+            absent = net.route(source, key)
+        finally:
+            net.revive_peers([owner])
+        assert absent.owner != owner
+        assert [before.owner, between.owner, after.owner] == [owner, absent.owner, owner]
+        assert [before.route_ms, between.route_ms, after.route_ms] == [
+            present.latency_ms, absent.latency_ms, present.latency_ms,
+        ]
+
+    def test_read_your_writes_inside_one_epoch(self, bundle):
+        store = make_store(bundle.chord)
+        reqs = [
+            Request(op="put", at_ms=0.0, source=3, name="k", value="v1"),
+            Request(op="get", at_ms=100.0, source=4, name="k"),
+            Request(op="put", at_ms=200.0, source=5, name="k", value="v2"),
+            Request(op="get", at_ms=300.0, source=6, name="k"),
+        ]
+        result = DHTService(bundle.chord, store=store).run(reqs)
+        assert [c.value for c in result.completions] == [None, "v1", None, "v2"]
+        assert result.registry.counters["serve.engine_calls"].value == 1
+
+    def test_departed_source_fails_alone_in_its_batch(self, bundle):
+        """The leave dispatches first; the three gets queued behind it
+        form one simulated batch, which the dead source shrinks to two."""
+        cfg = ServiceConfig(workers=1)
+        reqs = [
+            Request(op="leave", at_ms=0.0, peers=(9,)),
+            *[Request(op="get", at_ms=0.0, source=s, name="k") for s in (8, 9, 10)],
+            Request(op="join", at_ms=50.0, peers=(9,)),
+        ]
+        result = DHTService(bundle.chord, config=cfg).run(reqs)
+        leave, ok_a, failed, ok_b, _ = result.completions
+        assert failed.outcome == "failed" and failed.total_ms == failed.queue_wait_ms
+        for c in (ok_a, ok_b):
+            assert c.outcome == "ok" and c.batch_size == 2
+            assert c.service_ms == cfg.dispatch_overhead_ms + 2 * cfg.per_lookup_ms
+            assert c.dispatch_ms == failed.dispatch_ms == leave.service_ms
+        assert result.registry.histograms["serve.batch_size"].to_dict()["total"] == 2.0
+
+    def test_storeless_scalar_matches_batched_across_epochs(self, bundle):
+        reqs, wave = _mixed_stream(bundle.hieras, 60)
+        wide = DHTService(bundle.hieras, config=ServiceConfig(max_batch=32)).run(list(reqs))
+        scalar = DHTService(bundle.hieras, config=ServiceConfig(max_batch=1)).run(list(reqs))
+        assert [c.owner for c in wide.completions] == [c.owner for c in scalar.completions]
+        assert [c.route_ms for c in wide.completions] == [c.route_ms for c in scalar.completions]
+        assert all(c.outcome == "ok" for c in wide.completions)
+        leave, join = (i for i, r in enumerate(reqs) if r.op in ("leave", "join"))
+        away = {c.owner for c in wide.completions[leave + 1 : join]}
+        present = {c.owner for c in wide.completions[:leave] + wide.completions[join + 1 :]}
+        assert not away & set(wave) and set(wave) <= present
+
+    def test_lane_cap_changes_nothing_but_the_engine_calls(self, bundle, monkeypatch):
+        net = bundle.hieras
+        reqs, _ = _mixed_stream(net, 300)
+
+        def serve():
+            store = make_store(net)
+            net.attach_store(store)
+            try:
+                return DHTService(net, store=store).run(list(reqs))
+            finally:
+                net.detach_store(store)
+
+        whole = serve()
+        monkeypatch.setattr("repro.serve.service._MAX_LANES", 7)
+        capped = serve()
+        assert capped.completions == whole.completions
+        assert _without_engine_counters(capped.registry) == _without_engine_counters(whole.registry)
+        assert whole.registry.counters["serve.engine_calls"].value == 3
+        assert capped.registry.counters["serve.engine_calls"].value > 30
+        assert (
+            capped.registry.counters["serve.engine_lanes"].value
+            == whole.registry.counters["serve.engine_lanes"].value
+            == sum(c.op == "get" for c in whole.completions)
+        )
+
+
+class TestEngineWidth:
+    """The registry shows the host's engine calls beside the modelled batches."""
+
+    def test_one_engine_call_per_membership_epoch(self, bundle):
+        steady = [
+            Request(op="get", at_ms=1.0 * i, source=i % 50, name=f"k{i % 13}") for i in range(300)
+        ]
+        counters = DHTService(bundle.chord).run(steady).registry.counters
+        assert counters["serve.engine_calls"].value == 1
+        assert counters["serve.engine_lanes"].value == 300
+        assert counters["serve.batched_lookups"].value == 300
+        assert counters["serve.batches"].value > 1
+
+        wave = (80, 81, 82)
+        churned = sorted(
+            [
+                *steady,
+                Request(op="leave", at_ms=100.0, peers=wave),
+                Request(op="join", at_ms=200.0, peers=wave),
+            ],
+            key=lambda r: r.at_ms,
+        )
+        counters = DHTService(bundle.chord).run(churned).registry.counters
+        assert counters["serve.engine_calls"].value == 3
+        assert counters["serve.engine_lanes"].value == 300
+
+
 class TestDeterminism:
     def test_same_inputs_same_completions(self, bundle):
         reqs = [
