@@ -20,7 +20,7 @@ protocol stack still performs it explicitly to avoid sending messages).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -473,7 +473,7 @@ class HierasNetwork(ChordNetwork):
             for layer in range(self.depth, 1, -1)
         ]
         (top,) = super()._build_plan()
-        return [*lower, top._replace(succ_list_r=self._succ_list_r(1))]
+        return [*lower, replace(top, succ_list_r=self._succ_list_r(1))]
 
     # ------------------------------------------------------------------
     # inspection (Table 2, §3.4 cost model)

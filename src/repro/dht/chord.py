@@ -12,12 +12,12 @@ make identical next-hop choices on identical memberships.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.dht.base import DHTNetwork, RouteResult, ZeroLatency
-from repro.dht.ring_array import FingerEntry, SortedRing
+from repro.dht.ring_array import FingerEntry, RingLayer, SortedRing
 from repro.topology.base import LatencyModel
 from repro.util.ids import IdSpace
 from repro.util.validation import require
@@ -27,7 +27,8 @@ __all__ = ["ChordNetwork"]
 _NO_PEERS = np.empty(0, dtype=np.int64)
 
 
-class _PlanLayer(NamedTuple):
+@dataclass
+class _PlanLayer:
     """One layer of a lookup's plan: the rings it may walk and how.
 
     The ring and position are peer-indexed maps, not values, because
@@ -43,6 +44,22 @@ class _PlanLayer(NamedTuple):
     succ_list_r: int
     #: Span label of each of ``rings``.
     ring_names: Sequence[str] = ("global",)
+    _view: RingLayer | None = field(default=None, init=False, repr=False)
+
+    def view(self) -> RingLayer:
+        """All of ``rings`` as one array, for the batch walker (lazy).
+
+        Built on the first batch call after a membership wave and
+        dropped with the plan; the scalar walks never ask for it.
+        """
+        view = self._view
+        if view is None:
+            if self.ring_of_peer is None:
+                view = self.rings[0].layer_view()
+            else:
+                view = RingLayer(self.rings)
+            self._view = view
+        return view
 
     def at(self, peer: int) -> tuple[SortedRing, int]:
         """``peer``'s ring at this layer and its position in it."""

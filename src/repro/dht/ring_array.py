@@ -22,19 +22,27 @@ reproduction.)
 
 Two successor searches answer the same question.  The scalar routes
 (the reference the batch engine is proven against) bisect the id list
-one key at a time.  :meth:`SortedRing.successor_positions` answers a
-whole array of keys through a bucket index built lazily per snapshot:
-``first[b]`` is the position of the first id whose top
-``ceil(log2 n) + 1`` bits are ``>= b``, so a lookup is one gather plus a
-short "advance while ``ids[pos] < key``" loop — at most half a member
-per bucket on average, so hashed ids resolve in under one extra round.
-Snapshots are immutable, so the index needs no maintenance: a spliced
-ring builds its own on first batch use.
+one key at a time.  The batch engine searches a :class:`RingLayer`: all
+rings of one hierarchy layer in **one** sorted id array, each ring
+followed by a ``2**64 - 1`` sentinel slot, with one bucket index over
+the lot.  Ring ``r`` buckets its ids by their top ``ceil(log2 n_r) + 1``
+bits and ``first[offset_r + b]`` is the slot of its first id in a
+bucket ``>= b`` (the ring's sentinel when there is none), so a lookup
+is one gather plus a short "advance while ``ids[slot] < key``" loop the
+sentinel ends — at most half a member per bucket on average, so hashed
+ids resolve in under one extra round, and a lane never leaves its own
+ring's slice.  Slot-indexed ``owner_of``/``pred_of`` tables close each
+slice into a circle, so the raw slot needs no wrap test.  A single ring
+is the one-ring layer: :meth:`SortedRing.successor_positions` searches
+the ring's own :meth:`~SortedRing.layer_view`.  Snapshots are immutable,
+so a view needs no maintenance: it is built on first batch use and
+dropped with the rings it was built from.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +50,16 @@ import numpy as np
 from repro.util.ids import IdSpace
 from repro.util.validation import require
 
-__all__ = ["SortedRing", "FingerEntry"]
+__all__ = ["SortedRing", "RingLayer", "FingerEntry"]
 
-#: Advance rounds ``successor_positions`` runs before the lanes still
+#: Advance rounds ``RingLayer.successor_slots`` runs before the lanes still
 #: behind their key finish by binary search.  Hashed ids leave ~1 lane
 #: in 10 000 for it; clustered or hand-picked ids (every member in one
 #: bucket) would otherwise turn the loop into O(n) Python rounds.
 _ADVANCE_ROUNDS = 4
+
+#: What follows each ring's ids in a :class:`RingLayer`; no key exceeds it.
+_SENTINEL = np.uint64(2**64 - 1)
 
 
 @dataclass(frozen=True)
@@ -76,7 +87,7 @@ class SortedRing:
         ``ids[i]``).
     """
 
-    __slots__ = ("space", "ids", "peers", "_idlist_cache", "_succ_index", "_size", "_n")
+    __slots__ = ("space", "ids", "peers", "_idlist_cache", "_layer_view", "_size", "_n")
 
     def __init__(self, space: IdSpace, ids: np.ndarray, peers: np.ndarray) -> None:
         ids = np.asarray(ids, dtype=np.uint64)
@@ -90,7 +101,7 @@ class SortedRing:
         self.ids = ids
         self.peers = peers
         self._idlist_cache: list[int] | None = None
-        self._succ_index: tuple[np.uint64, np.ndarray, np.ndarray] | None = None
+        self._layer_view: RingLayer | None = None
         self._size = space.size
         self._n = len(ids)
 
@@ -133,55 +144,26 @@ class SortedRing:
         i = int(np.searchsorted(self.ids, np.uint64(int(key) % self._size)))
         return 0 if i == self._n else i
 
-    def _successor_index(self) -> tuple[np.uint64, np.ndarray, np.ndarray]:
-        """``(shift, first, padded)`` behind :meth:`successor_positions` (lazy).
+    def layer_view(self) -> RingLayer:
+        """This ring as a one-ring :class:`RingLayer` (lazy).
 
-        ``first[b]`` counts the ids whose bucket ``id >> shift`` is below
-        ``b`` — the position of the first id in bucket ``>= b`` — in the
-        narrowest unsigned dtype that holds ``n``; ``padded`` is the id
-        array plus one ``2**64 - 1`` sentinel no key exceeds, so the
-        advance loop needs no bounds test.  O(n) to build; at most
-        ``4 * 2**(ceil(log2 n) + 1) + 8 * (n + 1)`` bytes below 2³²
-        members.
+        Slot ``i`` of the view is position ``i`` of the ring, so the
+        batch kernel runs on a single ring — flat Chord, the global
+        layer of HIERAS — exactly as it runs on a layer of many.
         """
-        index = self._succ_index
-        if index is None:
-            bucket_bits = min(self.space.bits, (self._n - 1).bit_length() + 1)
-            shift = np.uint64(self.space.bits - bucket_bits)
-            counts = np.bincount(
-                (self.ids >> shift).view(np.int64), minlength=1 << bucket_bits
-            )
-            first = (np.cumsum(counts) - counts).astype(np.min_scalar_type(self._n))
-            padded = np.append(self.ids, np.uint64(2**64 - 1))
-            index = self._succ_index = (shift, first, padded)
-        return index
+        view = self._layer_view
+        if view is None:
+            view = self._layer_view = RingLayer((self,))
+        return view
 
     def successor_positions(self, keys: np.ndarray) -> np.ndarray:
         """:meth:`successor_pos` of every key at once (``int64`` positions).
 
-        The batch engine's one successor search.  Keys must already lie
-        in the id space (the scalar method wraps; the kernels mask
-        before they call).
+        Keys must already lie in the id space (the scalar method wraps;
+        the kernels mask before they search).
         """
-        keys = np.asarray(keys, dtype=np.uint64)
-        if keys.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if int(keys.max()) >= self._size:
-            outside = keys[keys > np.uint64(self._size - 1)]
-            require(False, f"key {int(outside[0])} is outside the {self.space.bits}-bit id space")
-        shift, first, padded = self._successor_index()
-        pos = first[(keys >> shift).view(np.int64)].astype(np.int64)
-        behind = np.flatnonzero(padded[pos] < keys)
-        for _ in range(_ADVANCE_ROUNDS):
-            if behind.size == 0:
-                break
-            nxt = pos[behind] + 1
-            pos[behind] = nxt
-            behind = behind[padded[nxt] < keys[behind]]
-        else:
-            pos[behind] = np.searchsorted(self.ids, keys[behind])
-        pos[pos == self._n] = 0
-        return pos
+        view = self.layer_view()
+        return view.owner_of[view.successor_slots(np.asarray(keys, dtype=np.uint64))]
 
     def successor_of_pos(self, pos: int) -> int:
         """Position following ``pos`` clockwise."""
@@ -390,3 +372,101 @@ class SortedRing:
             ids = np.insert(ids, at, ins_ids)
             peers = np.insert(peers, at, ins_peers)
         return SortedRing(self.space, ids, peers)
+
+
+class RingLayer:
+    """Every ring of one hierarchy layer in one sentinel-separated id array.
+
+    Ring ``r`` occupies slots ``[base[r], base[r] + sizes[r])`` of
+    :attr:`ids` and :attr:`peers` in its own sorted order; the slot
+    after them holds the sentinel, where a successor search of that
+    ring stops when the key lies past its last member.  Two slot-indexed
+    tables close each slice into a circle for the raw slot
+    :meth:`successor_slots` returns: ``owner_of[raw]`` is the key's
+    owner (``raw`` itself, or the ring's first member for its sentinel
+    slot) and ``pred_of[raw]`` the last member strictly before the key
+    (``raw - 1``, or the ring's last member for its first) — no wrap
+    test, whatever ring the lane is in.
+
+    Derived state: O(members) to build from immutable ring snapshots,
+    never maintained.  Per member it holds the id (8 B), the peer (8 B),
+    the two slot tables (8 B each) and two to four bucket entries
+    (1, 2 or 4 B each, by the layer's slot count).
+    """
+
+    __slots__ = (
+        "space", "ids", "peers", "base", "sizes", "owner_of", "pred_of",
+        "_shift", "_offset", "_first",
+    )
+
+    def __init__(self, rings: Sequence[SortedRing]) -> None:
+        require(len(rings) >= 1, "a layer needs at least one ring")
+        self.space = space = rings[0].space
+        self.sizes = sizes = np.asarray([len(ring) for ring in rings], dtype=np.int64)
+        ends = np.cumsum(sizes + 1)  # one past each ring's sentinel slot
+        total = int(ends[-1])
+        self.base = base = ends - sizes - 1
+        last = ends - 2
+
+        # Identity on members; a sentinel slot is owned by its ring's first.
+        self.owner_of = np.arange(total, dtype=np.int64)
+        self.owner_of[ends - 1] = base
+        self.pred_of = np.arange(-1, total - 1, dtype=np.int64)
+        self.pred_of[base] = last
+
+        # Ring r buckets its ids by their top ceil(log2 n_r) + 1 bits:
+        # at most half a member per bucket, whatever the ring's size.
+        bucket_bits = [min(space.bits, (len(ring) - 1).bit_length() + 1) for ring in rings]
+        n_buckets = np.asarray([1 << b for b in bucket_bits], dtype=np.int64)
+        self._shift = np.asarray([space.bits - b for b in bucket_bits], dtype=np.uint64)
+        self._offset = np.cumsum(n_buckets) - n_buckets
+        self._first = np.empty(int(n_buckets.sum()), dtype=np.min_scalar_type(total))
+        self.ids = np.full(total, _SENTINEL, dtype=np.uint64)
+        self.peers = np.full(total, -1, dtype=np.int64)
+        for ring, lo, shift, at, width in zip(
+            rings, base.tolist(), self._shift, self._offset.tolist(), n_buckets.tolist()
+        ):
+            self.ids[lo : lo + len(ring)] = ring.ids
+            self.peers[lo : lo + len(ring)] = ring.peers
+            counts = np.bincount((ring.ids >> shift).view(np.int64), minlength=width)
+            self._first[at : at + width] = lo + np.cumsum(counts) - counts
+
+    def successor_slots(
+        self, keys: np.ndarray, code: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per key, the first slot of its ring holding an id ``>= key``.
+
+        ``code[i]`` is the ring key ``i`` is searched in; ``None`` on a
+        one-ring layer.  The result is raw — the ring's sentinel slot
+        when the key lies past its last member; ``owner_of``/``pred_of``
+        turn it into the owner and the predecessor.  The batch engine's
+        one successor search; keys must already lie in the id space.
+        """
+        if keys.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        if int(keys.max()) >= self.space.size:
+            outside = keys[keys > np.uint64(self.space.size - 1)]
+            require(False, f"key {int(outside[0])} is outside the {self.space.bits}-bit id space")
+        if code is None:
+            require(len(self.sizes) == 1, "a layer of several rings needs each key's ring code")
+            bucket = (keys >> self._shift[0]).view(np.int64)
+        else:
+            bucket = (keys >> self._shift[code]).view(np.int64) + self._offset[code]
+        ids = self.ids
+        slot = self._first[bucket].astype(np.int64)
+        behind = np.flatnonzero(ids[slot] < keys)
+        for _ in range(_ADVANCE_ROUNDS):
+            if behind.size == 0:
+                break
+            nxt = slot[behind] + 1
+            slot[behind] = nxt
+            behind = behind[ids[nxt] < keys[behind]]
+        else:
+            # Clustered ids: one binary search per ring still behind.
+            rings = np.zeros(behind.size, dtype=np.int64) if code is None else code[behind]
+            for ring in np.unique(rings).tolist():
+                lanes = behind[rings == ring]
+                lo = int(self.base[ring])
+                members = ids[lo : lo + int(self.sizes[ring])]
+                slot[lanes] = lo + np.searchsorted(members, keys[lanes])
+        return slot

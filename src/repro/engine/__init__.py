@@ -20,12 +20,11 @@ traced or not (see :func:`supports_batch`).
 from repro.engine.batch import (
     batch_route,
     batch_route_chord,
-    batch_route_hieras,
     replay_spans,
     scalar_batch_route,
     supports_batch,
 )
-from repro.engine.kernel import route_cohort
+from repro.engine.kernel import route_cohort, route_layer
 from repro.engine.result import BatchRouteResult
 from repro.engine.stream import StreamStats, stream_batch_route
 
@@ -34,9 +33,9 @@ __all__ = [
     "StreamStats",
     "batch_route",
     "batch_route_chord",
-    "batch_route_hieras",
     "replay_spans",
     "route_cohort",
+    "route_layer",
     "scalar_batch_route",
     "stream_batch_route",
     "supports_batch",

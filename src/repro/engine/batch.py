@@ -2,10 +2,11 @@
 
 ``batch_route_chord`` walks a network's layer plan — the §3.2 bottom-up
 procedure, of which flat Chord is the one-layer case — with one greedy
-frontier per ring: it groups active lanes by their current ring,
-advances each ring's cohort with the shared kernel, hands survivors to
-the next layer, and ends the global ring exactly like the stack's
-scalar ``route``.
+frontier per layer: every lane enters the layer's one kernel call at its
+current peer's slot in that peer's ring, all rings of the layer advance
+together, survivors go on to the next layer, and the global ring ends
+exactly like the stack's scalar ``route``.  A call therefore makes as
+many kernel calls as the plan has layers, however many rings they hold.
 
 ``batch_route`` is the experiment-facing entry point and the only place
 that decides batch vs scalar: the vectorized kernels when the network
@@ -18,7 +19,7 @@ only for the caller or for a sink that keeps spans.
 
 from __future__ import annotations
 
-from typing import TypeGuard
+from typing import Any, TypeGuard
 
 import numpy as np
 import numpy.typing as npt
@@ -26,8 +27,7 @@ import numpy.typing as npt
 from repro.core.hieras import HierasNetwork
 from repro.dht.base import DHTNetwork
 from repro.dht.chord import ChordNetwork
-from repro.dht.ring_array import SortedRing
-from repro.engine.kernel import route_cohort
+from repro.engine.kernel import route_layer
 from repro.engine.result import BatchRouteResult, row_prefix_sums
 from repro.topology.base import LatencyModel
 from repro.util.validation import require
@@ -35,7 +35,6 @@ from repro.util.validation import require
 __all__ = [
     "batch_route",
     "batch_route_chord",
-    "batch_route_hieras",
     "replay_spans",
     "scalar_batch_route",
     "supports_batch",
@@ -106,12 +105,32 @@ def supports_batch(network: DHTNetwork) -> TypeGuard[ChordNetwork]:
     return type(network) in (ChordNetwork, HierasNetwork)
 
 
+def _lanes(values: object, name: str, dtype: type[np.generic]) -> npt.NDArray[Any]:
+    """``values`` as a contiguous 1-D ``dtype`` array, one lane per element.
+
+    Integers only and at most one dimension: a float would be truncated
+    to a peer it does not name, and a nested list dies deep in the
+    walker.  numpy types a bare ``[]`` as float64, so an empty request
+    passes whatever its dtype — and Python ints on both sides of
+    ``2**63`` too, so a non-integer dtype is let through when every
+    element is an ``int`` (converted exactly, or numpy's OverflowError).
+    """
+    arr = np.asarray(values, dtype=None)  # numpy's own reading of them is what is checked
+    require(arr.ndim <= 1, f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.size and arr.dtype.kind not in "iu":
+        require(
+            all(type(v) is int for v in np.asarray(values, dtype=object).flat),
+            f"{name} must be integers, got dtype {arr.dtype}",
+        )
+        arr = np.asarray(values, dtype=dtype)
+    return np.ascontiguousarray(arr, dtype=dtype)  # a scalar becomes one lane
+
+
 def _request_arrays(
     network: ChordNetwork, sources: object, keys: object
 ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.uint64]]:
-    src = np.ascontiguousarray(np.asarray(sources, dtype=np.int64))
-    wrapped = np.ascontiguousarray(np.asarray(keys, dtype=np.uint64))
-    wrapped = wrapped & np.uint64(network.space.size - 1)
+    src = _lanes(sources, "sources", np.int64)
+    wrapped = _lanes(keys, "keys", np.uint64) & np.uint64(network.space.size - 1)
     require(len(src) == len(wrapped), "sources and keys must align")
     ok = (src >= 0) & (src < len(network._alive))
     if not (ok.all() and network._alive[src].all()):
@@ -130,14 +149,14 @@ def batch_route_chord(
 ) -> BatchRouteResult:
     """Vectorized equivalent of ``net.route`` per lane, on either ring stack.
 
-    The one layered batch walker.  One frontier per layer of the
-    network's plan, lowest ring first: at a layer of many rings the
-    active lanes are grouped by the ring their current peer belongs to
-    and each ring's cohort advances with the shared predecessor-stop
-    kernel; the global ring ends the way the stack's scalar ``route``
-    does — greedy to the owner on flat Chord, predecessor-stop plus the
-    explicit §3.2 owner hop on HIERAS.  Hop sequences and per-layer
-    counts are bit-identical to the scalar route.
+    The one layered batch walker.  One kernel call per layer of the
+    network's plan, lowest first: at a layer of many rings each lane
+    starts at its current peer's slot in the layer view and the
+    predecessor-stop kernel advances all the rings in one frontier; the
+    global ring ends the way the stack's scalar ``route`` does — greedy
+    to the owner on flat Chord, predecessor-stop plus the explicit §3.2
+    owner hop on HIERAS.  Hop sequences and per-layer counts are
+    bit-identical to the scalar route.
 
     Bypasses span recording; :func:`batch_route` hands the result to an
     attached recorder.
@@ -155,40 +174,27 @@ def batch_route_chord(
 
     for col, row in enumerate(plan):
         greedy = row.layer == 1 and net._greedy_global
-        cohorts: list[tuple[npt.NDArray[np.int64] | None, SortedRing]]
-        if row.ring_of_peer is None:
-            cohorts = [(None, row.rings[0])]  # one ring holds every lane
-        else:
-            # One stable sort groups the lanes by ring code: cohorts in
-            # ascending code order, lanes ascending inside each.
-            codes = row.ring_of_peer[log.cur_peer]
-            order = np.argsort(codes, kind="stable")
-            by_ring = codes[order]
-            bounds = np.flatnonzero(by_ring[1:] != by_ring[:-1]) + 1
-            cohorts = [
-                (lanes, row.rings[int(codes[lanes[0]])])
-                for lanes in np.split(order, bounds)
-                if lanes.size
-            ]
-        for lanes, ring in cohorts:
+        view = row.view()
+        # Each lane enters at its current peer's slot: the peer's
+        # position in its ring, past the rings laid out before it.
+        start = row.pos_of_peer[log.cur_peer]
+        code = None
+        if row.ring_of_peer is not None:
+            code = row.ring_of_peer[log.cur_peer]
+            start = view.base[code] + start
 
-            def sink(
-                sub: npt.NDArray[np.int64],
-                prev_pos: npt.NDArray[np.int64],
-                next_pos: npt.NDArray[np.int64],
-                lanes: npt.NDArray[np.int64] | None = lanes,
-                ring_peers: npt.NDArray[np.int64] = ring.peers,
-            ) -> None:
-                log.record(sub if lanes is None else lanes[sub], ring_peers[next_pos])
+        def sink(
+            lanes: npt.NDArray[np.int64],
+            prev_slot: npt.NDArray[np.int64],
+            next_slot: npt.NDArray[np.int64],
+            peers: npt.NDArray[np.int64] = view.peers,
+        ) -> None:
+            log.record(lanes, peers[next_slot])
 
-            route_cohort(
-                ring,
-                row.pos_of_peer[log.cur_peer if lanes is None else log.cur_peer[lanes]],
-                keys_w if lanes is None else keys_w[lanes],
-                to_owner=greedy,
-                succ_list_r=row.succ_list_r,
-                sink=sink,
-            )
+        route_layer(
+            view, start, keys_w, code,
+            to_owner=greedy, succ_list_r=row.succ_list_r, sink=sink,
+        )
         if row.layer == 1 and not greedy:
             # Terminating step (§3.2): the global predecessor hands the
             # request to the key's owner, like flat Chord's final hop.
@@ -212,10 +218,6 @@ def batch_route_chord(
     )
 
 
-#: HIERAS lanes walk the same code; the name predates the shared walker.
-batch_route_hieras = batch_route_chord
-
-
 def scalar_batch_route(
     network: DHTNetwork,
     sources: object,
@@ -230,8 +232,8 @@ def scalar_batch_route(
     recomputed from each path with one bulk ``pairs`` call, which
     yields the same elementwise values the scalar route summed.
     """
-    src = np.ascontiguousarray(np.asarray(sources, dtype=np.int64))
-    keys_in = np.asarray(keys, dtype=np.uint64)
+    src = _lanes(sources, "sources", np.int64)
+    keys_in = _lanes(keys, "keys", np.uint64)
     require(len(src) == len(keys_in), "sources and keys must align")
     results = [
         network.route(int(s), int(k)) for s, k in zip(src.tolist(), keys_in.tolist())

@@ -150,14 +150,15 @@ def hot_state_bytes(bundle: SimulationBundle) -> dict[str, int]:
     hot path" claim: every entry is a numpy buffer, with ring-name
     strings interned once per *ring*, not per peer.
 
-    Not counted: each ring's successor index
-    (``SortedRing.successor_positions``).  It is derived state, built
-    lazily on a snapshot's first batch lookup, so whether it exists
-    depends on what has been routed — not on the seed — and it stays
-    outside the byte-compared audit.  Per ring of ``n`` members it is a
-    bucket table of ``2**(ceil(log2 n) + 1)`` positions (4 B each for
-    2¹⁶ ≤ n < 2³², narrower below) plus an ``8 * (n + 1)`` B
-    sentinel-padded id copy: ≈ 16–24 B per member.
+    Not counted: the batch engine's layer views
+    (``RingLayer``, one per plan layer).  They are derived state, built
+    lazily on the first batch lookup after a membership wave and dropped
+    by the next, so whether they exist depends on what has been routed
+    — not on the seed — and they stay outside the byte-compared audit.
+    Per member of a layer a view holds a sentinel-separated copy of the
+    id and the peer (8 B each), the ``owner_of``/``pred_of`` slot tables
+    (8 B each) and two to four bucket entries (4 B each for
+    2¹⁶ ≤ slots < 2³², narrower below): ≈ 40–48 B.
     """
     chord = bundle.chord
     hieras = bundle.hieras

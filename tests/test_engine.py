@@ -18,11 +18,14 @@ from repro.core.binning import BinningScheme
 from repro.core.hieras import HierasNetwork
 from repro.dht.chord import ChordNetwork
 from repro.dht.base import ZeroLatency
-from repro.dht.ring_array import SortedRing
+from repro.dht.ring_array import RingLayer, SortedRing
+from repro.experiments.config import SimConfig
+from repro.scale import build_scale_bundle
 from repro.engine import (
     BatchRouteResult,
     batch_route,
     route_cohort,
+    route_layer,
     scalar_batch_route,
     stream_batch_route,
     supports_batch,
@@ -201,6 +204,175 @@ class TestFingerLevelRule:
                 assert [cur] + hops[lane] == path, (members, cur, key)
                 assert end[lane] == path[-1]
 
+    @pytest.mark.parametrize("bits", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("to_owner", [True, False])
+    @pytest.mark.parametrize("r", [0, 3])
+    def test_every_ring_cur_and_key_in_one_layer(self, bits, to_owner, r):
+        """The same member sets side by side as the rings of one layer:
+        every ``(ring, cur, key)`` is one lane of one kernel call, and
+        each lane must walk its own ring as if the others were absent."""
+        space = IdSpace(bits)
+        size = space.size
+        # Two more rings, short runs of consecutive ids: from 7 bits up
+        # their lanes outlast the advance rounds and finish by binary
+        # search, two rings in the same step.
+        runs = [list(range(at, at + max(size // 16, 1))) for at in (size // 8, size // 2)]
+        rings = [
+            SortedRing(space, np.asarray(members, dtype=np.uint64), np.arange(len(members)))
+            for members in [*_member_sets(bits), *runs]
+        ]
+        view = RingLayer(rings)
+        lanes_of = [len(ring) * space.size for ring in rings]
+        code = np.repeat(np.arange(len(rings), dtype=np.int32), lanes_of)
+        start = np.concatenate([np.repeat(np.arange(len(ring)), space.size) for ring in rings])
+        keys = np.concatenate(
+            [np.tile(np.arange(space.size, dtype=np.uint64), len(ring)) for ring in rings]
+        )
+        hops = [[] for _ in range(len(start))]
+
+        def sink(lanes, prev_slot, next_slot):
+            for lane, slot in zip(lanes.tolist(), next_slot.tolist()):
+                hops[lane].append(slot)
+
+        end = route_layer(
+            view, view.base[code] + start, keys, code,
+            to_owner=to_owner, succ_list_r=r, sink=sink,
+        )
+        for lane, (c, cur, key) in enumerate(zip(code.tolist(), start.tolist(), keys.tolist())):
+            ring, lo = rings[c], int(view.base[c])
+            scalar = ring.greedy_route if to_owner else ring.predecessor_route
+            path = [lo + pos for pos in scalar(cur, key, succ_list_r=r)]
+            assert [lo + cur] + hops[lane] == path, (c, cur, key)
+            assert end[lane] == path[-1]
+
+
+def build_binned(ring_sizes, *, depth=2, spare=0, seed=3, bits=32, **hieras_kw):
+    """A HIERAS network whose lowest-layer rings have exactly
+    ``ring_sizes`` members: one landmark, and every peer of ring ``i``
+    measures a delay inside the ``i``-th cell of the finest layer's
+    boundaries (coarser layers merge neighbouring cells).  ``spare``
+    leaves room in the latency model for peers added later."""
+    rng = np.random.default_rng(seed)
+    n = sum(ring_sizes)
+    scheme = BinningScheme.default_for_depth(max(depth, 2))
+    cells = sorted({0.0, *(b for bounds in scheme.level_boundaries for b in bounds)})
+    delay = np.repeat([cells[i] + 1.0 for i in range(len(ring_sizes))], ring_sizes)
+    space = IdSpace(bits)
+    return HierasNetwork(
+        space,
+        space.sample_unique_ids(n, rng),
+        latency=CoordinateLatencyModel(rng.uniform(0, 500, size=(n + spare, 2))),
+        landmark_orders=scheme.orders(delay[:, None]),
+        depth=depth,
+        **hieras_kw,
+    )
+
+
+def assert_equals_route(net, sources, keys):
+    """The batch result ≡ ``net.route`` per lane; returns the result."""
+    result = batch_route(net, sources, keys, paths=True)
+    for lane, (source, key) in enumerate(zip(sources.tolist(), keys.tolist())):
+        direct = net.route(source, key)
+        assert result.path(lane) == direct.path
+        assert result.owner[lane] == direct.owner
+        assert result.latency_ms[lane] == direct.latency_ms
+        assert result.hops_per_layer[lane].tolist() == direct.hops_per_layer
+    return result
+
+
+class TestLayerFrontier:
+    """One kernel call advances every ring of a layer: the cases the
+    per-ring grouping used to keep apart."""
+
+    @pytest.mark.parametrize("policy", ["transitions", "always"])
+    def test_depth_three_middle_layer_shortcuts_across_many_rings(self, policy):
+        _, net = build_pair(
+            n=1500, depth=3, seed=31, landmarks=6, bits=32,
+            successor_list_r=8, successor_list_policy=policy,
+        )
+        plan = net._layer_plan()
+        assert [row.layer for row in plan] == [3, 2, 1]
+        assert len(plan[1].rings) >= 20 and plan[1].succ_list_r == 8
+        sources, keys = make_requests(net, 4000, 31)
+        assert_identical(
+            batch_route(net, sources, keys, paths=True),
+            scalar_batch_route(net, sources, keys, paths=True),
+        )
+
+    @pytest.mark.parametrize("r", [0, 4])
+    def test_rings_a_hundred_times_apart_in_size(self, r):
+        net = build_binned(
+            [1, 2, 5, 500], depth=3, successor_list_r=r, successor_list_policy="always"
+        )
+        assert sorted(net.ring_sizes(3).tolist()) == [1, 2, 5, 500]
+        # Every peer is a source, so every call mixes all four rings.
+        sources = np.tile(np.arange(508), 8)
+        keys = make_requests(net, len(sources), 41)[1]
+        keys[:508] = [net.id_of(p) for p in range(508)]
+        assert_identical(
+            batch_route(net, sources, keys, paths=True),
+            scalar_batch_route(net, sources, keys, paths=True),
+        )
+
+    def test_first_call_after_the_ring_set_changes(self):
+        """Waves that retire a ring and found one under a new name
+        renumber the layer's rings; the first batch call after each must
+        not read a view of the rings before it."""
+        net = build_binned([40, 6, 30], spare=5, successor_list_r=4, successor_list_policy="always")
+        rng = np.random.default_rng(43)
+
+        def check():
+            live = np.flatnonzero(net._alive)
+            sources = rng.choice(live, size=300)
+            keys = rng.integers(0, net.space.size, size=300, dtype=np.uint64)
+            first = assert_equals_route(net, sources, keys)
+            net.rebuild()
+            assert_identical(first, batch_route(net, sources, keys, paths=True))
+
+        check()  # builds every layer's view before the first wave
+        names = list(net.rings_at_layer(2))
+        doomed = net.rings_at_layer(2)[names[1]].peers.tolist()
+        assert len(doomed) == 6
+        net.remove_peers(doomed)  # a whole ring dies: the one after it moves down
+        assert list(net.rings_at_layer(2)) == [names[0], names[2]]
+        check()
+        fresh = [
+            int(v) for v in net.space.sample_unique_ids(50, rng) if int(v) not in net.ring
+        ][:5]
+        net.add_peers(fresh, [["!"]] * 5)  # a new name that sorts first: every ring moves up
+        assert list(net.rings_at_layer(2)) == ["!", names[0], names[2]]
+        check()
+        net.revive_peers(doomed)
+        assert list(net.rings_at_layer(2)) == ["!", *names]
+        check()
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("landmarks", [4, 8])
+    def test_one_kernel_call_per_plan_layer(self, depth, landmarks, monkeypatch):
+        """The gate on the walker's shape: kernel calls per ``batch_route``
+        are the plan's layers — 1 on Chord, ``depth`` on HIERAS — however
+        many rings a layer holds."""
+        bundle = build_scale_bundle(
+            SimConfig(model="ts", n_peers=8192, n_landmarks=landmarks, depth=depth)
+        )
+        rings = [len(row.rings) for row in bundle.hieras._layer_plan()]
+        assert sum(rings) - 1 >= {2: 9, 3: 30}[depth] and rings[-1] == 1
+        calls = []
+        kernel = batch_module.route_layer
+
+        def spy(view, *args, **kwargs):
+            calls.append(len(view.sizes))
+            return kernel(view, *args, **kwargs)
+
+        monkeypatch.setattr(batch_module, "route_layer", spy)
+        for net, layers in ((bundle.chord, 1), (bundle.hieras, depth)):
+            assert len(net._layer_plan()) == layers
+            sources, keys = make_requests(net, 256, depth)
+            for engine_call in (batch_route, stream_batch_route):
+                calls.clear()
+                engine_call(net, sources, keys)
+                assert calls == [len(row.rings) for row in net._layer_plan()]
+
 
 class TestResultShape:
     def test_route_result_round_trip(self):
@@ -246,6 +418,51 @@ class TestResultShape:
             if engine is None:
                 with pytest.raises(ValueError, match=message):
                     net.route_lossy(bad, 7, injector=None)  # rejected before any contact
+
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_non_integer_and_nested_requests_rejected(self, engine):
+        """A float source must not be truncated to a peer it does not
+        name, and a nested list must not reach the walker."""
+        for net in build_pair(n=30, seed=1):
+            for sources, keys, message in (
+                ([1.7, 2.2], [5, 6], "sources must be integers, got dtype float64"),
+                ([1, 2], np.asarray([5.0, 6.0]), "keys must be integers, got dtype float64"),
+                ([True, False], [5, 6], "sources must be integers, got dtype bool"),
+                ([1, 2], ["5", "6"], "keys must be integers, got dtype <U1"),
+                ([[1, 2]], [[5, 6]], r"sources must be one-dimensional, got shape \(1, 2\)"),
+                ([1, 2], np.zeros((2, 1), dtype=np.uint64),
+                 r"keys must be one-dimensional, got shape \(2, 1\)"),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    batch_route(net, sources, keys, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_integer_request_forms_accepted(self, engine):
+        for net in build_pair(n=30, seed=1):
+            want = [net.owner_of(5), net.owner_of(6)]
+            for sources, keys in (
+                ([1, 2], [5, 6]),
+                ((1, 2), (5, 6)),
+                (np.asarray([1, 2], dtype=np.uint8), np.asarray([5, 6], dtype=np.int32)),
+                ([1, 2], [5 + net.space.size, 6 - net.space.size]),  # keys wrap
+            ):
+                result = batch_route(net, sources, keys, engine=engine)
+                assert result.owner.tolist() == want
+                assert result.sources.tolist() == [1, 2] and result.keys.tolist() == [5, 6]
+            assert batch_route(net, 1, 5, engine=engine).owner.tolist() == want[:1]
+            assert len(batch_route(net, [], [], engine=engine)) == 0
+
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_python_ints_on_both_sides_of_two_to_the_63(self, engine):
+        # numpy types this key list as float64; every element is an int.
+        ids = np.asarray([5, 2**62, 2**63 + 9, 2**64 - 3], dtype=np.uint64)
+        net = ChordNetwork(IdSpace(64), ids)
+        keys = [2**63 + 5, 7, 2**64 - 1]
+        result = batch_route(net, [0, 1, 2], keys, engine=engine)
+        assert result.keys.tolist() == keys
+        assert result.owner.tolist() == [net.owner_of(k) for k in keys]
+        with pytest.raises(ValueError, match="keys must be integers, got dtype float64"):
+            batch_route(net, [0, 1], [2**63 + 5, 7.5], engine=engine)
 
     def test_unknown_engine_rejected(self):
         chord, _ = build_pair(n=30, seed=1)

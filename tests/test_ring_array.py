@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dht.ring_array import _ADVANCE_ROUNDS, SortedRing
+from repro.dht.ring_array import _ADVANCE_ROUNDS, RingLayer, SortedRing
 from repro.util.ids import IdSpace
 from repro.util.intervals import clockwise_distance, in_interval
 
@@ -376,3 +376,114 @@ class TestSuccessorPositions:
         keys = np.asarray([5, 300, 255, 999], dtype=np.uint64)
         with pytest.raises(ValueError, match="key 300 is outside the 8-bit id space"):
             ring.successor_positions(keys)
+
+
+def every_ring_and_key(rings, keys):
+    """``(code, keys)`` searching every key in every ring of a layer."""
+    code = np.repeat(np.arange(len(rings), dtype=np.int32), len(keys))
+    return code, np.tile(np.asarray(keys, dtype=np.uint64), len(rings))
+
+
+class TestRingLayer:
+    """Many rings in one id array: each key is searched in its own ring's
+    slice, and the two slot tables turn the raw slot into owner and
+    predecessor exactly as ``successor_pos`` and a wrap would."""
+
+    def check(self, rings, keys):
+        view = RingLayer(rings)
+        code, tiled = every_ring_and_key(rings, keys)
+        raw = view.successor_slots(tiled, code)
+        pred, owner = view.pred_of[raw], view.owner_of[raw]
+        base = view.base[code]
+        want = [ring.successor_pos(int(k)) for ring in rings for k in keys]
+        assert (owner - base).tolist() == want
+        sizes = view.sizes[code].tolist()
+        assert (pred - base).tolist() == [(w - 1) % n for w, n in zip(want, sizes)]
+        assert view.peers[owner].tolist() == [
+            int(ring.peers[ring.successor_pos(int(k))]) for ring in rings for k in keys
+        ]
+
+    def test_every_key_in_every_ring_of_a_small_space(self):
+        rings = [
+            make_ring([255]),  # one member: owns every key
+            make_ring([0, 129]),
+            make_ring(range(256)),  # the full space, id 0 and id size - 1 included
+            make_ring([10, 40, 121, 125, 171, 200, 243, 255]),
+            make_ring(range(3, 67)),
+        ]
+        self.check(rings, np.arange(256))
+
+    def test_64_bit_ids_equal_to_the_sentinel(self):
+        # A member whose id is 2**64 - 1 looks like the slot after it.
+        rings = [make_ring(ids, bits=64) for ids in ([2**64 - 1], [0, 2**64 - 1], [5, 2**63])]
+        self.check(rings, [0, 1, 5, 6, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1])
+
+    def test_a_one_ring_layer_is_the_ring(self):
+        ring = make_ring([10, 20, 30])
+        view = ring.layer_view()
+        assert view is ring.layer_view()  # built once per snapshot
+        assert view.base.tolist() == [0] and view.sizes.tolist() == [3]
+        assert view.ids[:3].tolist() == [10, 20, 30] and view.peers[:3].tolist() == [0, 1, 2]
+        keys = np.asarray([0, 10, 11, 30, 31, 255], dtype=np.uint64)
+        assert view.successor_slots(keys).tolist() == [0, 0, 1, 2, 3, 3]  # raw: 3 is the sentinel
+        assert view.owner_of.tolist() == [0, 1, 2, 0]
+        assert view.pred_of.tolist() == [2, 0, 1, 2]
+
+    def test_several_rings_need_a_code_per_key(self):
+        view = RingLayer([make_ring([10, 20]), make_ring([30])])
+        with pytest.raises(ValueError, match="needs each key's ring code"):
+            view.successor_slots(np.asarray([5], dtype=np.uint64))
+        with pytest.raises(ValueError, match="key 300 is outside the 8-bit id space"):
+            view.successor_slots(np.asarray([5, 300], dtype=np.uint64), np.zeros(2, dtype=np.int32))
+
+    def test_clustered_rings_finish_by_one_binary_search_each(self, monkeypatch):
+        # Two rings of consecutive ids (every member in one bucket) around
+        # a hashed one: only lanes of the clustered rings reach the
+        # fallback, grouped into one search per ring.
+        rng = np.random.default_rng(5)
+        space = IdSpace(bits=32)
+        rings = [
+            make_ring(range(100, 3100), bits=32),
+            make_ring(space.sample_unique_ids(500, rng).tolist(), bits=32),
+            make_ring(range(2**31, 2**31 + 2000), bits=32),
+        ]
+        keys = np.asarray([0, 100, 1600, 3099, 3100, 2**31 + 1000, 2**32 - 1], dtype=np.uint64)
+        view = RingLayer(rings)
+        code, tiled = every_ring_and_key(rings, keys)
+        searched = []
+        real = np.searchsorted
+
+        def counting(ids, lanes, *args, **kwargs):
+            searched.append((len(ids), len(lanes)))
+            return real(ids, lanes, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "searchsorted", counting)
+            got = view.successor_slots(tiled, code)
+        assert searched == [(3000, 3), (2000, 1)]
+        want = [ring.successor_pos(int(k)) for ring in rings for k in keys]
+        assert (view.owner_of[got] - view.base[code]).tolist() == want
+
+    @given(
+        st.integers(min_value=1, max_value=64).flatmap(
+            lambda bits: st.tuples(
+                st.just(bits),
+                st.lists(
+                    st.lists(
+                        st.integers(min_value=0, max_value=2**bits - 1),
+                        min_size=1, max_size=25, unique=True,
+                    ),
+                    min_size=1, max_size=6,
+                ),
+                st.lists(st.integers(min_value=0, max_value=2**bits - 1), max_size=25),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_on_random_layers(self, case):
+        bits, id_sets, keys = case
+        # Member ids of every ring and their neighbours are where an
+        # off-by-one — or a search leaking into the next slice — shows.
+        members = [i for ids in id_sets for i in ids]
+        keys = keys + members + [(i + 1) % 2**bits for i in members]
+        self.check([make_ring(ids, bits=bits) for ids in id_sets], keys)
