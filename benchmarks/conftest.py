@@ -1,36 +1,8 @@
-"""Benchmark helpers.
-
-Every paper table/figure has one benchmark module
-(``bench_table1.py`` … ``bench_fig9.py``) that runs the corresponding
-registered experiment end to end, records its wall time via
-pytest-benchmark, prints the paper-style rows, and asserts the shape
-checks passed.  ``bench_micro.py`` additionally benchmarks the hot
-primitives (routing, topology generation, binning).
-
-Scale: reduced by default; run with ``REPRO_FULL=1`` for the paper's
-10000-node / 100000-request parameters.
-"""
+"""Fixtures shared by the benchmark modules."""
 
 from __future__ import annotations
 
 import pytest
-
-from repro.experiments.config import is_full_scale
-from repro.experiments.figures import get_experiment
-
-
-def run_experiment_benchmark(benchmark, experiment_id: str, *, seed: int = 42):
-    """Run one registered experiment under the benchmark timer."""
-    exp = get_experiment(experiment_id)
-    full = is_full_scale()
-
-    result = benchmark.pedantic(
-        exp.run, args=(full, seed), rounds=1, iterations=1, warmup_rounds=0
-    )
-    print()
-    print(result.text)
-    assert "[DIVERGES]" not in result.text, f"{experiment_id} diverged from the paper"
-    return result
 
 
 @pytest.fixture(scope="session")

@@ -11,28 +11,25 @@ with two clearly separated sections:
   load-dependent); useful for spotting order-of-magnitude regressions.
 * ``metrics`` — hop/latency aggregates and simulator/protocol counters.
   **Deterministic**: re-running the same seed reproduces this section
-  bit-for-bit, which is what the regression check in
-  ``tests/test_perf_baseline.py`` pins.
+  bit-for-bit, which ``bench perf_baseline --check`` (CI) and
+  ``tests/test_bench.py`` pin.
 
-The CLI front-end is ``python -m repro.experiments perf-baseline``;
-the pytest benchmark (``benchmarks/bench_baseline.py``) dispatches
-through the registered ``perf_baseline`` experiment.
+Registered as the ``perf_baseline`` experiment (see
+:mod:`repro.experiments.bench` for the bench-module convention);
+``python -m repro.experiments bench perf_baseline`` writes the document.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
+from repro.analysis.tables import format_table
+from repro.experiments.bench import BenchRun, claim
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle, make_trace
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.sinks import SummarySink
 from repro.metrics.spans import SpanRecorder
-from repro.util.proc import peak_rss_mb
 
-__all__ = ["run_perf_baseline", "write_baseline", "SCHEMA"]
+__all__ = ["SCHEMA", "report", "run_bench"]
 
 SCHEMA = "repro.perf_baseline/1"
 
@@ -111,7 +108,7 @@ def _protocol_smoke(seed: int, *, universe: int = 16, n_rings: int = 2,
     }
 
 
-def run_perf_baseline(
+def run_bench(
     *,
     full: bool = False,
     seed: int = 42,
@@ -124,55 +121,91 @@ def run_perf_baseline(
     if n_requests is None:
         n_requests = 12_000 if full else 3_000
 
-    phases: dict[str, dict[str, float]] = {}
-
-    def timed(name: str):
-        class _Phase:
-            def __enter__(self_inner):
-                self_inner.t0 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-                return self_inner
-
-            def __exit__(self_inner, *exc):
-                phases[name] = {
-                    "wall_ms": (time.perf_counter() - self_inner.t0) * 1000.0  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-                }
-                return False
-
-        return _Phase()
-
-    with timed("build"):
+    bench = BenchRun(SCHEMA, full=full, seed=seed)
+    with bench.timed("build"):
         bundle = build_bundle(SimConfig(n_peers=n_peers, seed=seed))
-    with timed("trace"):
+    with bench.timed("trace"):
         trace = make_trace(bundle, n_requests)
-    with timed("chord_routes"):
+    with bench.timed("chord_routes"):
         chord_metrics = _traced_routes(bundle.chord, trace)
-    with timed("hieras_routes"):
+    with bench.timed("hieras_routes"):
         hieras_metrics = _traced_routes(bundle.hieras, trace)
-    with timed("protocol_smoke"):
+    with bench.timed("protocol_smoke"):
         protocol_metrics = _protocol_smoke(seed)
 
-    phases["peak_rss"] = {"peak_rss_mb": peak_rss_mb()}
-    return {
-        "schema": SCHEMA,
-        "config": {
-            "full": full,
-            "seed": seed,
+    return bench.document(
+        config={
             "n_peers": n_peers,
             "n_requests": n_requests,
             "depth": bundle.config.depth,
             "model": bundle.config.model,
         },
-        "phases": phases,
-        "metrics": {
+        metrics={
             "chord": chord_metrics,
             "hieras": hieras_metrics,
             "protocol": protocol_metrics,
         },
-    }
+    )
 
 
-def write_baseline(doc: dict[str, object], out: str | Path) -> Path:
-    """Write one baseline document as stable, indented JSON."""
-    path = Path(out)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+def report(doc: dict[str, object]) -> str:
+    """Render the perf-baseline report from its document.
+
+    Wall times come from ``phases`` (machine-dependent, shown for
+    regression spotting only); the claims read only ``metrics``, a pure
+    function of the seed.
+    """
+    metrics = doc["metrics"]
+    rows = []
+    for net in ("chord", "hieras"):
+        m = metrics[net]
+        rows.append(
+            {
+                "network": net,
+                "lookups": int(m["lookups"]),
+                "mean_hops": round(m["hops"]["mean"], 2),
+                "p99_hops": round(m["hops"]["p99"], 2),
+                "mean_latency_ms": round(m["latency_ms"]["mean"], 0),
+                "p99_latency_ms": round(m["latency_ms"]["p99"], 0),
+                "low_layer_hop_%": round(100 * m["low_layer_hop_share"], 1),
+            }
+        )
+    proto = metrics["protocol"]
+    config = doc["config"]
+    n_requests = config["n_requests"]
+    phase_line = "  ".join(
+        f"{name}={p['wall_ms']:.0f}ms"
+        for name, p in doc["phases"].items()
+        if "wall_ms" in p
+    )
+    lines = [
+        f"{config['n_peers']} peers, {n_requests} lookups, seed {config['seed']}; "
+        "wall times are machine-dependent, metrics are seed-deterministic",
+        format_table(rows),
+        "",
+        f"phases (wall): {phase_line}",
+        f"protocol smoke: {int(proto['counters'].get('sim.messages_sent', 0))} "
+        f"messages, {int(proto['counters'].get('sim.events_processed', 0))} events",
+        "",
+        claim(
+            metrics["chord"]["lookups"] == n_requests
+            and metrics["hieras"]["lookups"] == n_requests,
+            "span collection sees every routed request on both stacks",
+        ),
+        claim(
+            metrics["hieras"]["low_layer_hop_share"] > 0.5,
+            "the majority of HIERAS hops resolve inside lower-layer rings "
+            "(§4.3's mechanism, observed per-hop by the span layer)",
+        ),
+        claim(
+            metrics["hieras"]["latency_ms"]["mean"]
+            < metrics["chord"]["latency_ms"]["mean"],
+            "HIERAS's latency advantage shows up in the streaming histograms",
+        ),
+        claim(
+            proto["lookups_completed"] == proto["lookups_issued"],
+            "protocol smoke: every scheduled lookup completes with the "
+            "simulator registry attached",
+        ),
+    ]
+    return "\n".join(lines)

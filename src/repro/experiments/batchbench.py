@@ -17,27 +17,23 @@ batch kernels — and writes ``BENCH_batchroute.json`` in the
   latencies, layer splits) between the two engines.  **Deterministic**:
   a pure function of the seed.
 
-CLI front-end: ``python -m repro.experiments batch-bench``; the pytest
-benchmark (``benchmarks/bench_batchroute.py``) dispatches through the
-registered ``batch_route`` experiment.
+Registered as the ``batch_route`` experiment;
+``python -m repro.experiments bench batch_route`` writes the document.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import numpy as np
 
 from repro.analysis.stats import RouteSample, collect_routes
+from repro.analysis.tables import format_table
+from repro.experiments.bench import BenchRun, claim, rate_per_s
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle, make_trace
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.spans import SpanRecorder
-from repro.util.proc import peak_rss_mb
 
-__all__ = ["SCHEMA", "run_bench_batchroute", "write_bench_batchroute"]
+__all__ = ["SCHEMA", "report", "run_bench"]
 
 SCHEMA = "repro.bench_batchroute/1"
 
@@ -62,7 +58,7 @@ def _samples_agree(a: RouteSample, b: RouteSample) -> bool:
     )
 
 
-def run_bench_batchroute(
+def run_bench(
     *,
     full: bool = False,
     seed: int = 42,
@@ -81,41 +77,34 @@ def run_bench_batchroute(
     if n_requests is None:
         n_requests = 50_000 if full else 10_000
 
-    phases: dict[str, dict[str, float]] = {}
+    bench = BenchRun(SCHEMA, full=full, seed=seed)
     cells: dict[str, dict[str, object]] = {}
 
     for n_peers in sizes:
-        t0 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-        bundle = build_bundle(SimConfig(model="ts", n_peers=n_peers, seed=seed))
-        trace = make_trace(bundle, n_requests)
-        phases[f"build_n{n_peers}"] = {
-            "wall_ms": (time.perf_counter() - t0) * 1000.0  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-        }
+        with bench.timed(f"build_n{n_peers}"):
+            bundle = build_bundle(SimConfig(model="ts", n_peers=n_peers, seed=seed))
+            trace = make_trace(bundle, n_requests)
         for stack, network in (("chord", bundle.chord), ("hieras", bundle.hieras)):
-            t0 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-            scalar = collect_routes(network, trace, engine="scalar")
-            t1 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-            batch = collect_routes(network, trace, engine="batch")
-            t2 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-            network.enable_tracing(SpanRecorder(MetricsRegistry()))
-            try:
-                collect_routes(network, trace, engine="batch")
-            finally:
-                network.disable_tracing()
-            t3 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-            scalar_ms = (t1 - t0) * 1000.0
-            batch_ms = (t2 - t1) * 1000.0
-            traced_ms = (t3 - t2) * 1000.0
-            phases[f"{stack}_n{n_peers}"] = {
-                "scalar_wall_ms": scalar_ms,
-                "batch_wall_ms": batch_ms,
-                "scalar_lookups_per_s": n_requests / (scalar_ms / 1000.0),
-                "batch_lookups_per_s": n_requests / (batch_ms / 1000.0),
-                "speedup": scalar_ms / batch_ms if batch_ms else 0.0,
-                "traced_lookups_per_s": n_requests / (traced_ms / 1000.0),
-                "traced_overhead": traced_ms / batch_ms if batch_ms else 0.0,
-            }
-            cells[f"{stack}_n{n_peers}"] = {
+            name = f"{stack}_n{n_peers}"
+            with bench.timed(name, "scalar_wall_ms"):
+                scalar = collect_routes(network, trace, engine="scalar")
+            with bench.timed(name, "batch_wall_ms"):
+                batch = collect_routes(network, trace, engine="batch")
+            with bench.timed(name, "traced_wall_ms") as phase:
+                network.enable_tracing(SpanRecorder(MetricsRegistry()))
+                try:
+                    collect_routes(network, trace, engine="batch")
+                finally:
+                    network.disable_tracing()
+            scalar_ms = phase["scalar_wall_ms"]
+            batch_ms = phase["batch_wall_ms"]
+            traced_ms = phase["traced_wall_ms"]
+            phase["scalar_lookups_per_s"] = rate_per_s(n_requests, scalar_ms)
+            phase["batch_lookups_per_s"] = rate_per_s(n_requests, batch_ms)
+            phase["speedup"] = scalar_ms / batch_ms if batch_ms else 0.0
+            phase["traced_lookups_per_s"] = rate_per_s(n_requests, traced_ms)
+            phase["traced_overhead"] = traced_ms / batch_ms if batch_ms else 0.0
+            cells[name] = {
                 "stack": stack,
                 "n_peers": n_peers,
                 "lookups": n_requests,
@@ -126,24 +115,61 @@ def run_bench_batchroute(
                 "mean_top_layer_hops": batch.mean_top_layer_hops,
             }
 
-    phases["peak_rss"] = {"peak_rss_mb": peak_rss_mb()}
-    return {
-        "schema": SCHEMA,
-        "config": {
-            "full": full,
-            "seed": seed,
+    return bench.document(
+        config={
             "sizes": list(sizes),
             "n_requests": n_requests,
             "headline_n": HEADLINE_N,
             "headline_speedup": HEADLINE_SPEEDUP,
         },
-        "phases": phases,
-        "metrics": {"cells": cells},
-    }
+        metrics={"cells": cells},
+    )
 
 
-def write_bench_batchroute(doc: dict[str, object], out: str | Path) -> Path:
-    """Write one BENCH_batchroute document as stable, indented JSON."""
-    path = Path(out)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+def report(doc: dict[str, object]) -> str:
+    """Render the batch-vs-scalar report from its document.
+
+    The claims pin only the deterministic ``engines_agree`` bits (exact
+    array equality, bit-identical floats); the speedups are printed for
+    the record but never gate the run — wall time is machine-dependent
+    and CI-flaky by nature (the committed BENCH_batchroute.json holds
+    the ">= 5x at N=4096" acceptance evidence).
+    """
+    cells = doc["metrics"]["cells"]
+    rows = []
+    for name, cell in cells.items():
+        phase = doc["phases"][name]
+        rows.append(
+            {
+                "cell": name,
+                "lookups": cell["lookups"],
+                "agree": "yes" if cell["engines_agree"] else "NO",
+                "mean_hops": round(cell["mean_hops"], 3),
+                "mean_latency_ms": round(cell["mean_latency_ms"], 1),
+                "scalar_per_s": round(phase["scalar_lookups_per_s"]),
+                "batch_per_s": round(phase["batch_lookups_per_s"]),
+                "speedup": round(phase["speedup"], 1),
+                "traced_per_s": round(phase["traced_lookups_per_s"]),
+                "traced_x": round(phase["traced_overhead"], 2),
+            }
+        )
+    hieras_low = [
+        c["low_layer_hop_share"] for c in cells.values() if c["stack"] == "hieras"
+    ]
+    lines = [
+        f"{doc['config']['n_requests']} lookups per cell, seed {doc['config']['seed']}; "
+        "agreement bits are seed-deterministic, speedups are wall-clock",
+        format_table(rows),
+        "",
+        claim(
+            all(c["engines_agree"] for c in cells.values()),
+            "batch engine reproduces the scalar loop exactly on every cell "
+            "(same hop counts, bit-identical latencies, same layer splits)",
+        ),
+        claim(
+            all(share > 0.5 for share in hieras_low),
+            "the batch engine's layer accounting preserves §4.3's "
+            "majority-of-hops-in-lower-rings signal at every size",
+        ),
+    ]
+    return "\n".join(lines)

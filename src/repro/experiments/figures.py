@@ -5,11 +5,15 @@ the request trace through Chord and HIERAS, and renders the same rows
 or series the paper reports, followed by a shape check against the
 paper's qualitative claims.  ``EXPERIMENTS`` maps ids to
 :class:`Experiment` records; the CLI and the pytest benchmarks both
-dispatch through it.
+dispatch through it.  It is the only registry: the seven *benches*
+(experiments whose data is also a committed ``BENCH_*.json``) are
+``_bench(...)`` lines in it, each naming a producer module that lives
+beside this one and is imported on first use.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from collections.abc import Callable
 
@@ -24,6 +28,7 @@ from repro.core.hieras import HierasNetwork
 from repro.core.hieras_can import HierasCanNetwork
 from repro.dht.can import CanNetwork, CanParams
 from repro.dht.pastry import PastryNetwork, PastryParams
+from repro.experiments.bench import claim as _claim
 from repro.experiments.config import DEFAULT_REQUESTS, FULL_REQUESTS, SimConfig, is_full_scale
 from repro.experiments.runner import build_bundle, make_trace
 from repro.topology.latency import NoisyLatencyModel
@@ -44,12 +49,43 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class Experiment:
-    """A registered, runnable reproduction of one paper artifact."""
+    """A registered, runnable reproduction of one paper artifact.
+
+    A *bench* additionally names its producer ``module`` (under
+    ``repro.experiments``; see :mod:`repro.experiments.bench` for what
+    it exposes) and the committed repo-root ``document`` its ``data``
+    regenerates.  Both are registry data, ``None`` for every other id.
+    """
 
     id: str
     title: str
     paper_claim: str
     run: Callable[[bool, int], ExperimentResult]
+    module: str | None = None
+    document: str | None = None
+
+    def load(self):
+        """Import a bench's producer module (``SCHEMA``/``run_bench``/``report``)."""
+        return importlib.import_module(f"repro.experiments.{self.module}")
+
+
+def _bench(
+    experiment_id: str, title: str, paper_claim: str, module: str, document: str
+) -> Experiment:
+    """Register a bench: run the module's producer, render its report.
+
+    The module is imported on first use, not here — ``perfbench``
+    imports ``repro.experiments.config``/``.runner`` and so pays for
+    whatever this package's ``__init__`` pulls in.
+    """
+
+    def run(full: bool, seed: int) -> ExperimentResult:
+        producer = experiment.load()
+        doc = producer.run_bench(full=full, seed=seed)
+        return ExperimentResult(experiment_id, title, producer.report(doc), data=doc)
+
+    experiment = Experiment(experiment_id, title, paper_claim, run, module, document)
+    return experiment
 
 
 # ----------------------------------------------------------------------
@@ -87,10 +123,6 @@ def _sizes(full: bool, model: str) -> list[int]:
     if model == "inet":
         sizes = [s for s in sizes if s * 1.25 >= 3000] or [3000]
     return sizes
-
-
-def _claim(ok: bool, text: str) -> str:
-    return f"  [{'ok' if ok else 'DIVERGES'}] {text}"
 
 
 # ----------------------------------------------------------------------
@@ -1320,650 +1352,6 @@ def _run_resilience(full: bool, seed: int) -> ExperimentResult:
     )
 
 
-def _run_perf_baseline(full: bool, seed: int) -> ExperimentResult:
-    """Perf baseline: per-phase wall times + deterministic lookup metrics.
-
-    Wall times live in the ``phases`` section (machine-dependent, shown
-    for regression spotting only); the ``metrics`` section is a pure
-    function of the seed, so the shape checks below — and the
-    reproducibility test — pin it exactly.
-    """
-    from repro.experiments.baseline import run_perf_baseline
-
-    doc = run_perf_baseline(full=full, seed=seed)
-    metrics = doc["metrics"]
-    rows = []
-    for net in ("chord", "hieras"):
-        m = metrics[net]
-        rows.append(
-            {
-                "network": net,
-                "lookups": int(m["lookups"]),
-                "mean_hops": round(m["hops"]["mean"], 2),
-                "p99_hops": round(m["hops"]["p99"], 2),
-                "mean_latency_ms": round(m["latency_ms"]["mean"], 0),
-                "p99_latency_ms": round(m["latency_ms"]["p99"], 0),
-                "low_layer_hop_%": round(100 * m["low_layer_hop_share"], 1),
-            }
-        )
-    proto = metrics["protocol"]
-    n_requests = doc["config"]["n_requests"]
-    low_share = metrics["hieras"]["low_layer_hop_share"]
-    checks = [
-        _claim(
-            metrics["chord"]["lookups"] == n_requests
-            and metrics["hieras"]["lookups"] == n_requests,
-            "span collection sees every routed request on both stacks",
-        ),
-        _claim(
-            low_share > 0.5,
-            "the majority of HIERAS hops resolve inside lower-layer rings "
-            "(§4.3's mechanism, observed per-hop by the span layer)",
-        ),
-        _claim(
-            metrics["hieras"]["latency_ms"]["mean"]
-            < metrics["chord"]["latency_ms"]["mean"],
-            "HIERAS's latency advantage shows up in the streaming histograms",
-        ),
-        _claim(
-            proto["lookups_completed"] == proto["lookups_issued"],
-            "protocol smoke: every scheduled lookup completes with the "
-            "simulator registry attached",
-        ),
-    ]
-    phase_line = "  ".join(
-        f"{name}={p['wall_ms']:.0f}ms" for name, p in doc["phases"].items()
-    )
-    lines = [
-        f"{doc['config']['n_peers']} peers, {n_requests} lookups, seed {seed}; "
-        "wall times are machine-dependent, metrics are seed-deterministic",
-        format_table(rows),
-        "",
-        f"phases (wall): {phase_line}",
-        f"protocol smoke: {int(proto['counters'].get('sim.messages_sent', 0))} "
-        f"messages, {int(proto['counters'].get('sim.events_processed', 0))} events",
-        "",
-        *checks,
-    ]
-    return ExperimentResult(
-        "perf_baseline",
-        "Perf baseline — phase timings and lookup metrics",
-        "\n".join(lines),
-        data=doc,
-    )
-
-
-def _run_cache_effect(full: bool, seed: int) -> ExperimentResult:
-    """Cache effect: Zipf workloads through ``repro.cache`` (DESIGN.md §9).
-
-    Sweeps Zipf exponent × per-node cache capacity (plus churn and TTL
-    cells) over both stacks and reports hop/latency reduction vs the
-    paired uncached baseline, cache hit rates, and the
-    owner-load-concentration metric.  Everything in ``data["metrics"]``
-    is seed-deterministic; wall times live in ``data["phases"]``.
-    """
-    from repro.experiments.cache_exp import (
-        HEADLINE_CAPACITY,
-        HEADLINE_EXPONENT,
-        run_bench_cache,
-    )
-
-    doc = run_bench_cache(full=full, seed=seed)
-    metrics = doc["metrics"]
-    cells = metrics["cells"]
-    headline = metrics["headline"]
-    rows = []
-    for c in cells:
-        if c["churn_fraction"] or c["eviction"] != "lru":
-            continue
-        rows.append(
-            {
-                "stack": c["stack"],
-                "zipf_s": c["zipf_exponent"],
-                "capacity": c["capacity"],
-                "hops": round(c["mean_hops"], 3),
-                "latency_ms": round(c["mean_total_latency_ms"], 1),
-                "hit_%": round(100 * c["cache_hit_rate"], 1),
-                "latency_cut_%": round(c.get("latency_reduction_percent", 0.0), 1),
-                "load_conc": round(c["load_concentration"], 1),
-            }
-        )
-    churn_rows = [
-        {
-            "stack": c["stack"],
-            "eviction": c["eviction"],
-            "capacity": c["capacity"],
-            "success_%": round(100 * c["success_rate"], 2),
-            "latency_ms": round(c["mean_total_latency_ms"], 1),
-            "stale_evictions": int(c["cache_stale_evictions"]),
-            "expirations": int(c["cache_expirations"]),
-        }
-        for c in cells
-        if c["churn_fraction"]
-    ]
-
-    def _hit_rates(stack: str) -> list[float]:
-        return [
-            c["cache_hit_rate"]
-            for c in cells
-            if c["stack"] == stack
-            and c["zipf_exponent"] == HEADLINE_EXPONENT
-            and not c["churn_fraction"]
-            and c["eviction"] == "lru"
-            and c["capacity"] > 0
-        ]
-
-    reductions = {s: headline[s]["latency_reduction_percent"] for s in headline}
-    hit_monotone = all(
-        all(a <= b + 1e-9 for a, b in zip(rates, rates[1:]))
-        for rates in (_hit_rates("chord"), _hit_rates("hieras"))
-    )
-    spread_ok = all(
-        headline[s]["cached_concentration"] < 0.5 * headline[s]["uncached_concentration"]
-        for s in headline
-    )
-    churn_ok = all(r["success_%"] >= 99.0 for r in churn_rows) and any(
-        r["stale_evictions"] > 0 or r["expirations"] > 0 for r in churn_rows
-    )
-    config = doc["config"]
-    lines = [
-        f"{config['n_peers']} peers, TS model, {config['n_requests']} Zipf requests "
-        f"over a {config['catalog_size']}-file catalogue",
-        format_table(rows),
-        "",
-        f"under churn (crash {config['churn_fraction']:.0%} mid-trace, "
-        "shortcut-only caching):",
-        format_table(churn_rows),
-        "",
-        _claim(
-            all(r >= 20.0 for r in reductions.values()),
-            f"headline cell (zipf={HEADLINE_EXPONENT}, capacity="
-            f"{HEADLINE_CAPACITY}): mean latency drops "
-            f"{ {s: round(r, 1) for s, r in reductions.items()} }% vs uncached "
-            "— well past the 20% gate on both stacks",
-        ),
-        _claim(
-            hit_monotone,
-            "hit rate grows monotonically with cache capacity on both stacks",
-        ),
-        _claim(
-            spread_ok,
-            "caching cuts owner-load concentration (max/mean served) by more "
-            "than half — hot-key owners stop being hotspots",
-        ),
-        _claim(
-            churn_ok,
-            "with 15% of peers crashed, every lookup still succeeds; stale "
-            "cached owners are detected and evicted (or TTL-expired) along "
-            "the way",
-        ),
-    ]
-    return ExperimentResult(
-        "cache_effect",
-        "Cache effect — Zipf workloads under path caching",
-        "\n".join(lines),
-        data=doc,
-    )
-
-
-def _run_batch_route(full: bool, seed: int) -> ExperimentResult:
-    """Batch engine vs scalar loop: exact agreement + measured speedup.
-
-    The claims pin only the deterministic ``engines_agree`` bits (exact
-    array equality, bit-identical floats); the speedups are printed for
-    the record but never gate the run — wall time is machine-dependent
-    and CI-flaky by nature (the committed BENCH_batchroute.json holds
-    the ">= 5x at N=4096" acceptance evidence).
-    """
-    from repro.experiments.batchbench import run_bench_batchroute
-
-    doc = run_bench_batchroute(full=full, seed=seed)
-    cells = doc["metrics"]["cells"]
-    rows = []
-    for name, cell in cells.items():
-        phase = doc["phases"][name]
-        rows.append(
-            {
-                "cell": name,
-                "lookups": cell["lookups"],
-                "agree": "yes" if cell["engines_agree"] else "NO",
-                "mean_hops": round(cell["mean_hops"], 3),
-                "mean_latency_ms": round(cell["mean_latency_ms"], 1),
-                "scalar_per_s": round(phase["scalar_lookups_per_s"]),
-                "batch_per_s": round(phase["batch_lookups_per_s"]),
-                "speedup": round(phase["speedup"], 1),
-            }
-        )
-    hieras_low = [
-        c["low_layer_hop_share"] for c in cells.values() if c["stack"] == "hieras"
-    ]
-    lines = [
-        f"{doc['config']['n_requests']} lookups per cell, seed {seed}; "
-        "agreement bits are seed-deterministic, speedups are wall-clock",
-        format_table(rows),
-        "",
-        _claim(
-            all(c["engines_agree"] for c in cells.values()),
-            "batch engine reproduces the scalar loop exactly on every cell "
-            "(same hop counts, bit-identical latencies, same layer splits)",
-        ),
-        _claim(
-            all(share > 0.5 for share in hieras_low),
-            "the batch engine's layer accounting preserves §4.3's "
-            "majority-of-hops-in-lower-rings signal at every size",
-        ),
-    ]
-    return ExperimentResult(
-        "batch_route",
-        "Batch routing engine — vectorized vs scalar equivalence",
-        "\n".join(lines),
-        data=doc,
-    )
-
-
-def _run_scale(full: bool, seed: int) -> ExperimentResult:
-    """Million-peer scale-out: incremental membership + streamed lookups.
-
-    The claims pin the three deterministic contracts of the scale work:
-    membership waves go through the splice path (zero full rebuilds),
-    the spliced state is bit-identical to a from-scratch rebuild, and
-    both stacks' streamed lookups resolve every key to the same global
-    owner (equal order-weighted checksums).  Build times, wave times,
-    lookups/sec and peak RSS are printed from ``phases`` for the record
-    but never gate the run; the committed BENCH_scale.json holds the
-    N=10⁶ acceptance evidence.
-    """
-    from repro.experiments.scale_exp import run_bench_scale
-
-    doc = run_bench_scale(full=full, seed=seed)
-    cells = doc["metrics"]["cells"]
-    rows = []
-    for name, cell in cells.items():
-        n = cell["n_peers"]
-        mem = cell["membership"]
-        rows.append(
-            {
-                "cell": name,
-                "lookups": cell["lookups"],
-                "stacks_agree": "yes" if cell["stacks_agree_owners"] else "NO",
-                "inc==rebuild": "yes" if mem["incremental_matches_rebuild"] else "NO",
-                "mean_hops_hieras": round(cell["hieras"]["mean_hops"], 3),
-                "build_s": round(doc["phases"][f"build_n{n}"]["wall_ms"] / 1000.0, 2),
-                "lookups_per_s": round(
-                    doc["phases"][f"hieras_lookup_n{n}"]["lookups_per_s"]
-                ),
-                "peak_rss_mb": round(
-                    doc["phases"][f"hieras_lookup_n{n}"]["peak_rss_mb"]
-                ),
-            }
-        )
-    lines = [
-        f"seed {seed}; agreement bits are seed-deterministic, "
-        "build/lookup rates and RSS are wall-clock",
-        format_table(rows),
-        "",
-        _claim(
-            all(
-                c["membership"]["full_rebuilds_during_waves_chord"] == 0
-                and c["membership"]["full_rebuilds_during_waves_hieras"] == 0
-                for c in cells.values()
-            ),
-            "membership waves never trigger a full rebuild on either stack "
-            "(splice path only, pinned by the stacks' own rebuild counters)",
-        ),
-        _claim(
-            all(
-                c["membership"]["incremental_matches_rebuild"]
-                for c in cells.values()
-            ),
-            "after remove+revive waves, the incremental state is "
-            "bit-identical to a from-scratch rebuild (every ring id, peer, "
-            "and ring name)",
-        ),
-        _claim(
-            all(c["stacks_agree_owners"] for c in cells.values()),
-            "Chord and HIERAS streamed lookups resolve every key to the "
-            "same owner (equal order-weighted checksums per cell)",
-        ),
-    ]
-    return ExperimentResult(
-        "scale",
-        "Scale — incremental membership and streamed million-peer lookups",
-        "\n".join(lines),
-        data=doc,
-    )
-
-
-def _run_durability(full: bool, seed: int) -> ExperimentResult:
-    """Durability under churn through ``repro.replication`` (DESIGN.md §11).
-
-    Sweeps replication factor × churn × consistency mode × placement
-    over both stacks and reports data-loss probability, read staleness,
-    chain-abort and hinted-handoff traffic.  The claims pin the four
-    headline effects: replication eliminates the replicas=0 loss,
-    quorum out-survives chain under the same faults, hinted handoff
-    cuts loss vs handoff-disabled, and HIERAS ring-scoped placement is
-    cheaper to write to without costing durability under uniform churn.
-    """
-    from repro.experiments.durability import (
-        HEADLINE_CHURN,
-        HEADLINE_REPLICAS,
-        run_bench_durability,
-    )
-
-    doc = run_bench_durability(full=full, seed=seed)
-    metrics = doc["metrics"]
-    cells = metrics["cells"]
-    headline = metrics["headline"]
-    rows = [
-        {
-            "stack": c["stack"],
-            "r": c["replicas"],
-            "churn": c["churn_fraction"],
-            "mode": c["consistency"],
-            "placement": c["placement"],
-            "loss_%": round(100 * c["loss_probability"], 2),
-            "put_ok_%": round(100 * c["put_success_rate"], 1),
-            "read_ok_%": round(100 * c["read_success_rate"], 1),
-            "stale_%": round(100 * c["stale_value_rate"], 2),
-            "aborts": int(c["chain_aborts"]),
-            "repairs": int(c["read_repairs"]),
-            "hints": int(c["hints_replayed"]),
-        }
-        for c in cells
-        if c["churn_fraction"] == HEADLINE_CHURN
-    ]
-
-    def _loss(stack: str, replicas: int) -> float:
-        return max(
-            c["loss_probability"]
-            for c in cells
-            if c["stack"] == stack
-            and c["replicas"] == replicas
-            and c["churn_fraction"] == HEADLINE_CHURN
-        )
-
-    bare_loss = {s: _loss(s, 0) for s in ("chord", "hieras")}
-    replicated_loss = {s: _loss(s, HEADLINE_REPLICAS) for s in ("chord", "hieras")}
-    divergence = headline["chain_vs_quorum"]
-    handoff = headline["handoff_loss"]
-    locality = headline["ring_locality"]
-    config = doc["config"]
-    lines = [
-        f"{config['n_peers']} peers, TS model, {config['n_keys']} keys per cell, "
-        f"two crash waves of {HEADLINE_CHURN:.0%} each + rejoin, seed {seed}",
-        format_table(rows),
-        "",
-        _claim(
-            all(bare_loss[s] > 0.1 and replicated_loss[s] < bare_loss[s] / 2 for s in bare_loss),
-            f"replication works: replicas=0 loses "
-            f"{ {s: round(100 * v, 1) for s, v in bare_loss.items()} }% of keys at "
-            f"{HEADLINE_CHURN:.0%} churn; replicas={HEADLINE_REPLICAS} cuts loss to "
-            f"{ {s: round(100 * v, 1) for s, v in replicated_loss.items()} }%",
-        ),
-        _claim(
-            all(
-                d["quorum_put_success"] > d["chain_put_success"]
-                for d in divergence.values()
-            ),
-            "chain and quorum diverge under the same faults: chain writes abort "
-            "on any broken link while quorum writes ride out minority failures "
-            f"(put success { {s: (round(d['chain_put_success'], 3), round(d['quorum_put_success'], 3)) for s, d in divergence.items()} } chain vs quorum)",
-        ),
-        _claim(
-            all(h["on"] <= h["off"] for h in handoff.values())
-            and any(h["on"] < h["off"] for h in handoff.values()),
-            "hinted handoff reduces loss vs handoff-disabled on the paired "
-            f"scenario (loss on/off: { {s: (round(h['on'], 3), round(h['off'], 3)) for s, h in handoff.items()} })",
-        ),
-        _claim(
-            locality["hieras"]["ring_scoped_put_latency_ms"]
-            < locality["hieras"]["successor_put_latency_ms"]
-            and locality["hieras"]["ring_scoped_loss"]
-            <= locality["hieras"]["successor_loss"] + 0.05,
-            "HIERAS ring-scoped placement writes to topologically-near "
-            "replicas — cheaper puts "
-            f"({locality['hieras']['ring_scoped_put_latency_ms']:.0f} vs "
-            f"{locality['hieras']['successor_put_latency_ms']:.0f} ms mean) "
-            "without hurting durability under uniform churn",
-        ),
-    ]
-    return ExperimentResult(
-        "durability",
-        "Durability under churn — fault-aware replication",
-        "\n".join(lines),
-        data=doc,
-    )
-
-
-def _run_saturation(full: bool, seed: int) -> ExperimentResult:
-    """Serving-layer saturation through ``repro.serve`` (DESIGN.md §12).
-
-    Sweeps offered load over both stacks behind a :class:`DHTService`
-    front door (3:1 read:write Zipf mix through a quorum replicated
-    store) and reports achieved throughput + p99 per rate.  The claims
-    pin the four headline effects: achieved throughput tracks offered
-    load until the cost-model knee and plateaus there, batch coalescing
-    moves the knee vs per-request dispatch, admission control bounds
-    the flash-crowd queue-wait tail, and HIERAS serves the same
-    capacity at a lower end-to-end p99 than Chord.
-    """
-    from repro.experiments.serve_exp import run_bench_serve
-
-    doc = run_bench_serve(full=full, seed=seed)
-    metrics = doc["metrics"]
-    sweep = metrics["sweep"]
-    headline = metrics["headline"]
-    knee = headline["knee"]
-    rows = [
-        {
-            "stack": c["stack"],
-            "offered/s": int(c["offered_per_s"]),
-            "achieved/s": round(c["achieved_per_s"], 1),
-            "q_p99_ms": round(c["phases"]["queue_wait"]["p99"], 1),
-            "total_p99_ms": round(c["phases"]["total"]["p99"], 1),
-            "total_p999_ms": round(c["phases"]["total"]["p999"], 1),
-            "batch": round(c["mean_batch_size"], 2),
-            "depth": c["max_queue_depth"],
-        }
-        for c in sweep
-    ]
-
-    def _tracks(c: dict) -> bool:
-        capacity = knee[c["stack"]]["model_capacity_per_s"]
-        if c["offered_per_s"] < 0.95 * capacity:
-            return c["achieved_per_s"] >= 0.95 * c["offered_per_s"]
-        return c["achieved_per_s"] <= 1.05 * capacity
-
-    shift = headline["knee_shift"]
-    admission = headline["admission"]
-    tail_pairs = [
-        (
-            next(c for c in sweep if c["stack"] == "chord" and c["offered_per_s"] == r),
-            next(c for c in sweep if c["stack"] == "hieras" and c["offered_per_s"] == r),
-        )
-        for r in (c["offered_per_s"] for c in sweep if c["stack"] == "chord")
-    ]
-    config = doc["config"]
-    lines = [
-        f"{config['n_peers']} peers, TS model, {config['duration_ms']:.0f} ms windows, "
-        f"{config['mix']['read_fraction']:.0%} reads over a Zipf({config['mix']['zipf_exponent']}) "
-        f"catalogue of {config['mix']['catalog_size']}, quorum replicas=2, seed {seed}",
-        format_table(rows),
-        "",
-        _claim(
-            all(_tracks(c) for c in sweep),
-            "achieved throughput tracks offered load until the cost-model knee "
-            f"(~{knee['hieras']['model_capacity_per_s']:.0f}/s batched) and plateaus there "
-            f"(measured max { {s: round(k['achieved_max_per_s']) for s, k in knee.items()} }/s)",
-        ),
-        _claim(
-            all(
-                p["batched_achieved_per_s"] > 1.5 * p["scalar_achieved_per_s"]
-                for p in shift.values()
-            ),
-            "batch coalescing moves the knee: at "
-            f"{config['coalesce_rate']:.0f}/s offered, scalar dispatch serves "
-            f"~{shift['hieras']['scalar_achieved_per_s']:.0f}/s "
-            f"(model {knee['hieras']['model_scalar_capacity_per_s']:.0f}) vs "
-            f"~{shift['hieras']['batched_achieved_per_s']:.0f}/s coalesced",
-        ),
-        _claim(
-            all(
-                a["bounded_queue_p99_ms"] < 0.5 * a["unbounded_queue_p99_ms"]
-                for a in admission.values()
-            ),
-            "admission control bounds the flash-crowd tail: queue-wait p99 "
-            f"{ {s: (round(a['unbounded_queue_p99_ms']), round(a['bounded_queue_p99_ms'])) for s, a in admission.items()} } ms "
-            f"unbounded vs queue_limit={config['flash_queue_limit']} "
-            f"(goodput {admission['hieras']['bounded_goodput']:.0%})",
-        ),
-        _claim(
-            all(h["phases"]["total"]["p99"] <= ch["phases"]["total"]["p99"] for ch, h in tail_pairs)
-            and any(
-                h["phases"]["total"]["p99"] < 0.9 * ch["phases"]["total"]["p99"]
-                for ch, h in tail_pairs
-            ),
-            "the stacks share the front-end capacity knee, but HIERAS serves it "
-            "at a lower end-to-end p99 than Chord at every offered rate "
-            "(routing latency is the differentiator, capacity is not)",
-        ),
-        _claim(
-            all(
-                c["failed"] == 0 and c["leave_peers"] > 0 and c["join_peers"] == c["leave_peers"]
-                for c in metrics["churn"].values()
-            ),
-            "the service serves through a leave wave + rejoin "
-            f"({metrics['churn']['hieras']['leave_peers']} peers churned) with zero "
-            "failed requests — membership is just another queued operation",
-        ),
-    ]
-    return ExperimentResult(
-        "saturation",
-        "Saturation — serving-layer capacity under open-loop load",
-        "\n".join(lines),
-        data=doc,
-    )
-
-
-def _run_scenarios(full: bool, seed: int) -> ExperimentResult:
-    """Failure-campaign suite through ``repro.scenarios``.
-
-    Replays six named campaigns — graceful vs abrupt mass departure,
-    the correlated regional (whole lowest-ring) failure, a flash join,
-    long-running Weibull session churn, rolling landmark outages —
-    against both stacks and reports availability, route stretch vs a
-    fault-free twin, sustained recovery time, and data durability per
-    cell.  The claims pin the suite's headline contrasts.
-    """
-    from repro.experiments.scenarios_exp import check_gates, run_bench_scenarios
-
-    doc = run_bench_scenarios(full=full, seed=seed)
-    metrics = doc["metrics"]
-    scenarios = metrics["scenarios"]
-    headline = metrics["headline"]
-    rows = [
-        {
-            "scenario": name,
-            "stack": stack,
-            "avail_min": round(c["availability_min"], 3),
-            "avail_final": round(c["availability_final"], 3),
-            "recovery_ms": int(c["recovery_ms"]),
-            "stretch": round(c["stretch_mean"], 2),
-            "loss_%": round(100 * c["loss_probability"], 2),
-            "handoffs": int(c["graceful_handoffs"]),
-        }
-        for name, cells in scenarios.items()
-        for stack, c in cells.items()
-    ]
-    regional = headline["regional_failure"]
-    pair = headline["graceful_vs_abrupt"]
-    flash = headline["flash_join"]
-    landmark = headline["landmark_outage"]
-    weibull = headline["weibull_churn"]
-    regional_cells = scenarios["regional_failure"]
-    config = doc["config"]
-    lines = [
-        f"{config['n_peers']} peers, TS model, {len(config['scenarios'])} campaigns "
-        f"x both stacks, {config['duration_ms']:.0f} ms per run, seed {seed}",
-        format_table(rows),
-        "",
-        _claim(
-            all(
-                c["notes"]["ring_size"] > 0
-                and c["crashed_final"] == c["notes"]["ring_size"]
-                and c["availability_min"] < 1.0
-                and c["recovered"] == 1.0
-                for c in regional_cells.values()
-            ),
-            "the regional campaign crashes an entire lowest-layer HIERAS ring "
-            f"({regional['hieras']['ring_size']} peers) in one wave on both "
-            "stacks; availability dips "
-            f"({ {s: round(r['availability_min'], 2) for s, r in regional.items()} } min) "
-            "and sustainably recovers "
-            f"({ {s: round(r['recovery_ms']) for s, r in regional.items()} } ms)",
-        ),
-        _claim(
-            all(
-                p["graceful_stretch"] < p["abrupt_stretch"]
-                and p["graceful_loss"] <= p["abrupt_loss"]
-                for p in pair.values()
-            ),
-            "announcing a departure is worth the handoff: the same cohort "
-            "leaving gracefully routes at "
-            f"{ {s: round(p['graceful_stretch'], 2) for s, p in pair.items()} } stretch vs "
-            f"{ {s: round(p['abrupt_stretch'], 2) for s, p in pair.items()} } when it "
-            "crashes silently (stale fingers until the stabilize purge)",
-        ),
-        _claim(
-            all(
-                f["rebalanced"] > 0
-                and f["post_rebalance_get_failure"] < f["pre_rebalance_get_failure"]
-                for f in flash.values()
-            ),
-            "the flash join shifts ownership away from the data until the "
-            "rebalance pass re-homes it: get failure "
-            f"{ {s: round(f['pre_rebalance_get_failure'], 3) for s, f in flash.items()} } pre- vs "
-            f"{ {s: round(f['post_rebalance_get_failure'], 3) for s, f in flash.items()} } post-rebalance",
-        ),
-        _claim(
-            all(
-                w["availability_mean"] >= 0.9 and w["graceful_handoffs"] > 0
-                for w in weibull.values()
-            ),
-            "both stacks serve through sustained heavy-tailed (Weibull) session "
-            "churn at >=90% mean probe availability "
-            f"({ {s: round(w['availability_mean'], 3) for s, w in weibull.items()} })",
-        ),
-        _claim(
-            landmark["hieras"]["stretch_mean"] > landmark["chord"]["stretch_mean"],
-            "rolling landmark outages are a HIERAS-specific hazard: rejoiners "
-            "binned from blinded coordinates land in the wrong low-layer rings "
-            f"(stretch {landmark['hieras']['stretch_mean']:.2f} vs flat Chord "
-            f"{landmark['chord']['stretch_mean']:.2f}, which ignores landmarks)",
-        ),
-        _claim(
-            regional["hieras"]["loss_probability"] > regional["chord"]["loss_probability"],
-            "ring-scoped placement trades correlated-failure durability for "
-            "write locality: the whole-ring crash takes every co-located "
-            f"replica ({100 * regional['hieras']['loss_probability']:.1f}% keys "
-            f"lost on HIERAS vs {100 * regional['chord']['loss_probability']:.1f}% "
-            "on Chord, whose replicas spread hash-uniformly)",
-        ),
-        _claim(
-            not check_gates(doc),
-            "all pinned regional regression gates hold "
-            "(availability floor, recovery ceiling, loss ceiling)",
-        ),
-    ]
-    return ExperimentResult(
-        "scenarios",
-        "Scenarios — adversarial & realistic failure campaigns",
-        "\n".join(lines),
-        data=doc,
-    )
-
-
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
@@ -2085,61 +1473,68 @@ EXPERIMENTS: dict[str, Experiment] = {
             "successor lists keep lookups succeeding through failures (§3.3)",
             _run_resilience,
         ),
-        Experiment(
+        _bench(
             "perf_baseline",
             "Perf baseline — phase timings and lookup metrics",
             "majority of HIERAS hops in lower rings; latency advantage in "
             "streaming histograms (§4.3)",
-            _run_perf_baseline,
+            "baseline",
+            "BENCH_baseline.json",
         ),
-        Experiment(
+        _bench(
             "cache_effect",
             "Cache effect — Zipf workloads under path caching",
             "path caching cuts mean latency >=20% on skewed workloads and "
             "spreads hot-key owner load (CFS-style, DESIGN.md §9)",
-            _run_cache_effect,
+            "cache_exp",
+            "BENCH_cache.json",
         ),
-        Experiment(
+        _bench(
             "batch_route",
             "Batch routing engine — vectorized vs scalar equivalence",
             "frontier-stepped numpy routing is bit-identical to the scalar "
             "loop and an order of magnitude faster",
-            _run_batch_route,
+            "batchbench",
+            "BENCH_batchroute.json",
         ),
-        Experiment(
+        _bench(
             "scale",
             "Scale — incremental membership and streamed million-peer lookups",
             "membership waves splice only affected rings (bit-identical to a "
             "full rebuild), hot routing state is struct-of-arrays, and "
             "latency blocks stream on demand so lookups run at N=10⁶ in "
             "bounded memory",
-            _run_scale,
+            "scale_exp",
+            "BENCH_scale.json",
         ),
-        Experiment(
+        _bench(
             "durability",
             "Durability under churn — fault-aware replication",
             "successor-list replication keeps data alive through churn "
             "(§3.2's 'for free' inheritance, made quantitative: loss "
             "probability vs replication factor, chain vs quorum, hinted "
             "handoff, ring-scoped placement)",
-            _run_durability,
+            "durability",
+            "BENCH_durability.json",
         ),
-        Experiment(
+        _bench(
             "saturation",
             "Saturation — serving-layer capacity under open-loop load",
             "achieved throughput tracks offered load to the cost-model knee; "
             "batch coalescing moves the knee, admission control bounds the "
             "flash-crowd tail, HIERAS serves at lower p99 (DESIGN.md §12)",
-            _run_saturation,
+            "serve_exp",
+            "BENCH_serve.json",
         ),
-        Experiment(
+        _bench(
             "scenarios",
             "Scenarios — adversarial & realistic failure campaigns",
             "named churn campaigns (whole-ring regional failure, graceful vs "
             "abrupt departure, flash joins, Weibull churn, landmark outages) "
             "replay identically on both stacks with availability, stretch, "
             "recovery-time and durability measurements",
-            _run_scenarios,
+            "scenarios_exp",
+            "BENCH_scenarios.json",
         ),
     ]
 }

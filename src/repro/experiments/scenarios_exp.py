@@ -8,35 +8,27 @@ durability — into one ``BENCH_scenarios.json`` document.
 
 The document follows the repo-wide ``BENCH_*`` convention: ``phases``
 holds wall-clock timings (nondeterministic), ``metrics`` is a pure
-function of ``(config, seed)`` and byte-reproducible — CI re-runs the
-reduced sweep twice and compares the serialized ``metrics`` sections.
+function of ``(config, seed)`` and byte-reproducible — CI regenerates
+the reduced sweep and compares it with the committed document.
 
 :data:`GATES` pins regression thresholds for the adversarial headline
 (the correlated regional failure): if HIERAS availability collapses
 further than observed at pin time, recovery slows past the ceiling, or
 data loss appears where none was, :func:`check_gates` reports the
-violations and the CI job fails.
+violations; the report's last claim is "no violations", so every
+runner of the ``scenarios`` experiment fails on them.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
+from repro.analysis.tables import format_table
+from repro.experiments.bench import BenchRun, claim
 from repro.experiments.config import SimConfig
 from repro.scenarios.runner import run_scenario_cell
 from repro.scenarios.spec import ScenarioParams
 from repro.scenarios.library import scenario_names
-from repro.util.proc import peak_rss_mb
 
-__all__ = [
-    "SCHEMA",
-    "GATES",
-    "run_bench_scenarios",
-    "check_gates",
-    "write_bench_scenarios",
-]
+__all__ = ["GATES", "SCHEMA", "check_gates", "report", "run_bench"]
 
 SCHEMA = "repro.bench_scenarios/1"
 
@@ -65,7 +57,7 @@ GATES: dict[tuple[str, str], dict[str, tuple[str, float]]] = {
 }
 
 
-def run_bench_scenarios(
+def run_bench(
     *,
     full: bool = False,
     seed: int = 42,
@@ -99,37 +91,17 @@ def run_bench_scenarios(
         catalog_size=128 if full else 64,
     )
 
-    phases: dict[str, dict[str, float]] = {}
-
-    def timed(name: str):
-        class _Phase:
-            def __enter__(self_inner):
-                self_inner.t0 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-                return self_inner
-
-            def __exit__(self_inner, *exc):
-                phases[name] = {
-                    "wall_ms": (time.perf_counter() - self_inner.t0) * 1000.0  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-                }
-                return False
-
-        return _Phase()
-
+    bench = BenchRun(SCHEMA, full=full, seed=seed)
     results: dict[str, dict[str, dict[str, object]]] = {}
     for name in names:
-        with timed(name):
+        with bench.timed(name):
             results[name] = {
                 stack: run_scenario_cell(config, name, stack, params)
                 for stack in ("chord", "hieras")
             }
 
-    headline = _headline(results, params)
-    phases["peak_rss"] = {"peak_rss_mb": peak_rss_mb()}
-    return {
-        "schema": SCHEMA,
-        "config": {
-            "full": full,
-            "seed": seed,
+    return bench.document(
+        config={
             "n_peers": config.n_peers,
             "n_landmarks": config.n_landmarks,
             "depth": config.depth,
@@ -139,9 +111,8 @@ def run_bench_scenarios(
             "rate_per_s": params.rate_per_s,
             "scenarios": names,
         },
-        "phases": phases,
-        "metrics": {"scenarios": results, "headline": headline},
-    }
+        metrics={"scenarios": results, "headline": _headline(results, params)},
+    )
 
 
 def _headline(
@@ -268,8 +239,116 @@ def check_gates(doc: dict[str, object]) -> list[str]:
     return violations
 
 
-def write_bench_scenarios(doc: dict[str, object], out: str | Path) -> Path:
-    """Write one BENCH_scenarios document as stable, indented JSON."""
-    path = Path(out)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+def report(doc: dict[str, object]) -> str:
+    """Render the scenario-suite report from its document.
+
+    One claim per headline contrast the document carries (a run
+    restricted to some campaigns reports on those), then the pinned
+    regression gates.
+    """
+    metrics = doc["metrics"]
+    scenarios = metrics["scenarios"]
+    headline = metrics["headline"]
+    rows = [
+        {
+            "scenario": name,
+            "stack": stack,
+            "avail_min": round(c["availability_min"], 3),
+            "avail_final": round(c["availability_final"], 3),
+            "recovery_ms": int(c["recovery_ms"]),
+            "stretch": round(c["stretch_mean"], 2),
+            "loss_%": round(100 * c["loss_probability"], 2),
+            "handoffs": int(c["graceful_handoffs"]),
+        }
+        for name, cells in scenarios.items()
+        for stack, c in cells.items()
+    ]
+    claims = []
+    if "regional_failure" in headline:
+        regional = headline["regional_failure"]
+        claims.append(claim(
+            all(
+                c["notes"]["ring_size"] > 0
+                and c["crashed_final"] == c["notes"]["ring_size"]
+                and c["availability_min"] < 1.0
+                and c["recovered"] == 1.0
+                for c in scenarios["regional_failure"].values()
+            ),
+            "the regional campaign crashes an entire lowest-layer HIERAS ring "
+            f"({regional['hieras']['ring_size']} peers) in one wave on both "
+            "stacks; availability dips "
+            f"({ {s: round(r['availability_min'], 2) for s, r in regional.items()} } min) "
+            "and sustainably recovers "
+            f"({ {s: round(r['recovery_ms']) for s, r in regional.items()} } ms)",
+        ))
+        claims.append(claim(
+            regional["hieras"]["loss_probability"] > regional["chord"]["loss_probability"],
+            "ring-scoped placement trades correlated-failure durability for "
+            "write locality: the whole-ring crash takes every co-located "
+            f"replica ({100 * regional['hieras']['loss_probability']:.1f}% keys "
+            f"lost on HIERAS vs {100 * regional['chord']['loss_probability']:.1f}% "
+            "on Chord, whose replicas spread hash-uniformly)",
+        ))
+    if "graceful_vs_abrupt" in headline:
+        pair = headline["graceful_vs_abrupt"]
+        claims.append(claim(
+            all(
+                p["graceful_stretch"] < p["abrupt_stretch"]
+                and p["graceful_loss"] <= p["abrupt_loss"]
+                for p in pair.values()
+            ),
+            "announcing a departure is worth the handoff: the same cohort "
+            "leaving gracefully routes at "
+            f"{ {s: round(p['graceful_stretch'], 2) for s, p in pair.items()} } stretch vs "
+            f"{ {s: round(p['abrupt_stretch'], 2) for s, p in pair.items()} } when it "
+            "crashes silently (stale fingers until the stabilize purge)",
+        ))
+    if "flash_join" in headline:
+        flash = headline["flash_join"]
+        claims.append(claim(
+            all(
+                f["rebalanced"] > 0
+                and f["post_rebalance_get_failure"] < f["pre_rebalance_get_failure"]
+                for f in flash.values()
+            ),
+            "the flash join shifts ownership away from the data until the "
+            "rebalance pass re-homes it: get failure "
+            f"{ {s: round(f['pre_rebalance_get_failure'], 3) for s, f in flash.items()} } pre- vs "
+            f"{ {s: round(f['post_rebalance_get_failure'], 3) for s, f in flash.items()} } post-rebalance",
+        ))
+    if "weibull_churn" in headline:
+        weibull = headline["weibull_churn"]
+        claims.append(claim(
+            all(
+                w["availability_mean"] >= 0.9 and w["graceful_handoffs"] > 0
+                for w in weibull.values()
+            ),
+            "both stacks serve through sustained heavy-tailed (Weibull) session "
+            "churn at >=90% mean probe availability "
+            f"({ {s: round(w['availability_mean'], 3) for s, w in weibull.items()} })",
+        ))
+    if "landmark_outage" in headline:
+        landmark = headline["landmark_outage"]
+        claims.append(claim(
+            landmark["hieras"]["stretch_mean"] > landmark["chord"]["stretch_mean"],
+            "rolling landmark outages are a HIERAS-specific hazard: rejoiners "
+            "binned from blinded coordinates land in the wrong low-layer rings "
+            f"(stretch {landmark['hieras']['stretch_mean']:.2f} vs flat Chord "
+            f"{landmark['chord']['stretch_mean']:.2f}, which ignores landmarks)",
+        ))
+    violations = check_gates(doc)
+    claims.append(claim(
+        not violations,
+        "all pinned regional regression gates hold "
+        "(availability floor, recovery ceiling, loss ceiling)"
+        + "".join(f"; VIOLATED {v}" for v in violations),
+    ))
+    config = doc["config"]
+    lines = [
+        f"{config['n_peers']} peers, TS model, {len(config['scenarios'])} campaigns "
+        f"x both stacks, {config['duration_ms']:.0f} ms per run, seed {config['seed']}",
+        format_table(rows),
+        "",
+        *claims,
+    ]
+    return "\n".join(lines)

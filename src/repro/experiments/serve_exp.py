@@ -32,13 +32,12 @@ Output follows the ``BENCH_*`` convention: one JSON document whose
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from repro.analysis.tables import format_table
+from repro.experiments.bench import BenchRun, claim
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import SimulationBundle, build_bundle
 from repro.loadgen import (
@@ -51,15 +50,8 @@ from repro.loadgen import (
 )
 from repro.replication import ReplicatedStore, ReplicationPolicy
 from repro.serve import DHTService, Request, ServiceConfig
-from repro.util.proc import peak_rss_mb
 
-__all__ = [
-    "SCHEMA",
-    "mixed_capacity_per_s",
-    "run_serve_cell",
-    "run_bench_serve",
-    "write_bench_serve",
-]
+__all__ = ["SCHEMA", "mixed_capacity_per_s", "report", "run_bench", "run_serve_cell"]
 
 SCHEMA = "repro.bench_serve/1"
 
@@ -184,7 +176,7 @@ def run_serve_cell(
     return cell
 
 
-def run_bench_serve(
+def run_bench(
     *,
     full: bool = False,
     seed: int = 42,
@@ -207,23 +199,8 @@ def run_bench_serve(
     batched = ServiceConfig()
     scalar = ServiceConfig(max_batch=1)
 
-    phases: dict[str, dict[str, float]] = {}
-
-    def timed(name: str):
-        class _Phase:
-            def __enter__(self_inner):
-                self_inner.t0 = time.perf_counter()  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-                return self_inner
-
-            def __exit__(self_inner, *exc):
-                phases[name] = {
-                    "wall_ms": (time.perf_counter() - self_inner.t0) * 1000.0  # lint: allow-wallclock -- phase timing; lands in the nondeterministic "phases" key
-                }
-                return False
-
-        return _Phase()
-
-    with timed("build"):
+    bench = BenchRun(SCHEMA, full=full, seed=seed)
+    with bench.timed("build"):
         bundle = build_bundle(
             SimConfig(model="ts", n_peers=n_peers, n_landmarks=4, depth=2, seed=seed)
         )
@@ -231,7 +208,7 @@ def run_bench_serve(
     sweep: list[dict[str, Any]] = []
     knee: dict[str, dict[str, float]] = {}
     for stack in ("chord", "hieras"):
-        with timed(f"{stack}_sweep"):
+        with bench.timed(f"{stack}_sweep"):
             for rate in rates:
                 cell = run_serve_cell(
                     bundle,
@@ -259,7 +236,7 @@ def run_bench_serve(
         }
 
     flash: dict[str, dict[str, Any]] = {}
-    with timed("flash_pairs"):
+    with bench.timed("flash_pairs"):
         for stack in ("chord", "hieras"):
             pair: dict[str, Any] = {}
             for label, limit in (("unbounded", None), ("bounded", FLASH_QUEUE_LIMIT)):
@@ -276,7 +253,7 @@ def run_bench_serve(
             flash[stack] = pair
 
     coalescing: dict[str, dict[str, Any]] = {}
-    with timed("coalescing_pairs"):
+    with bench.timed("coalescing_pairs"):
         for stack in ("chord", "hieras"):
             batched_cell = next(
                 c
@@ -297,7 +274,7 @@ def run_bench_serve(
             }
 
     churn: dict[str, Any] = {}
-    with timed("churn_cells"):
+    with bench.timed("churn_cells"):
         for stack in ("chord", "hieras"):
             churn[stack] = run_serve_cell(
                 bundle,
@@ -333,12 +310,8 @@ def run_bench_serve(
         "knee": knee,
     }
 
-    phases["peak_rss"] = {"peak_rss_mb": peak_rss_mb()}
-    return {
-        "schema": SCHEMA,
-        "config": {
-            "full": full,
-            "seed": seed,
+    return bench.document(
+        config={
             "n_peers": n_peers,
             "duration_ms": duration_ms,
             "rates": list(rates),
@@ -361,19 +334,111 @@ def run_bench_serve(
                 "per_membership_ms": batched.per_membership_ms,
             },
         },
-        "phases": phases,
-        "metrics": {
+        metrics={
             "sweep": sweep,
             "flash": flash,
             "coalescing": coalescing,
             "churn": churn,
             "headline": headline,
         },
-    }
+    )
 
 
-def write_bench_serve(doc: dict[str, object], out: str | Path) -> Path:
-    """Write one BENCH_serve document as stable, indented JSON."""
-    path = Path(out)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+def report(doc: dict[str, object]) -> str:
+    """Render the saturation report from its document.
+
+    The claims pin the headline effects: achieved throughput tracks
+    offered load until the cost-model knee and plateaus there, batch
+    coalescing moves the knee vs per-request dispatch, admission control
+    bounds the flash-crowd queue-wait tail, HIERAS serves the same
+    capacity at a lower end-to-end p99 than Chord, and the service
+    keeps serving through a leave wave + rejoin.
+    """
+    metrics = doc["metrics"]
+    sweep = metrics["sweep"]
+    headline = metrics["headline"]
+    knee = headline["knee"]
+    rows = [
+        {
+            "stack": c["stack"],
+            "offered/s": int(c["offered_per_s"]),
+            "achieved/s": round(c["achieved_per_s"], 1),
+            "q_p99_ms": round(c["phases"]["queue_wait"]["p99"], 1),
+            "total_p99_ms": round(c["phases"]["total"]["p99"], 1),
+            "total_p999_ms": round(c["phases"]["total"]["p999"], 1),
+            "batch": round(c["mean_batch_size"], 2),
+            "depth": c["max_queue_depth"],
+        }
+        for c in sweep
+    ]
+
+    def _tracks(c: dict) -> bool:
+        capacity = knee[c["stack"]]["model_capacity_per_s"]
+        if c["offered_per_s"] < 0.95 * capacity:
+            return c["achieved_per_s"] >= 0.95 * c["offered_per_s"]
+        return c["achieved_per_s"] <= 1.05 * capacity
+
+    shift = headline["knee_shift"]
+    admission = headline["admission"]
+    tail_pairs = [
+        (
+            next(c for c in sweep if c["stack"] == "chord" and c["offered_per_s"] == r),
+            next(c for c in sweep if c["stack"] == "hieras" and c["offered_per_s"] == r),
+        )
+        for r in (c["offered_per_s"] for c in sweep if c["stack"] == "chord")
+    ]
+    config = doc["config"]
+    lines = [
+        f"{config['n_peers']} peers, TS model, {config['duration_ms']:.0f} ms windows, "
+        f"{config['mix']['read_fraction']:.0%} reads over a Zipf({config['mix']['zipf_exponent']}) "
+        f"catalogue of {config['mix']['catalog_size']}, quorum replicas=2, seed {config['seed']}",
+        format_table(rows),
+        "",
+        claim(
+            all(_tracks(c) for c in sweep),
+            "achieved throughput tracks offered load until the cost-model knee "
+            f"(~{knee['hieras']['model_capacity_per_s']:.0f}/s batched) and plateaus there "
+            f"(measured max { {s: round(k['achieved_max_per_s']) for s, k in knee.items()} }/s)",
+        ),
+        claim(
+            all(
+                p["batched_achieved_per_s"] > 1.5 * p["scalar_achieved_per_s"]
+                for p in shift.values()
+            ),
+            "batch coalescing moves the knee: at "
+            f"{config['coalesce_rate']:.0f}/s offered, scalar dispatch serves "
+            f"~{shift['hieras']['scalar_achieved_per_s']:.0f}/s "
+            f"(model {knee['hieras']['model_scalar_capacity_per_s']:.0f}) vs "
+            f"~{shift['hieras']['batched_achieved_per_s']:.0f}/s coalesced",
+        ),
+        claim(
+            all(
+                a["bounded_queue_p99_ms"] < 0.5 * a["unbounded_queue_p99_ms"]
+                for a in admission.values()
+            ),
+            "admission control bounds the flash-crowd tail: queue-wait p99 "
+            f"{ {s: (round(a['unbounded_queue_p99_ms']), round(a['bounded_queue_p99_ms'])) for s, a in admission.items()} } ms "
+            f"unbounded vs queue_limit={config['flash_queue_limit']} "
+            f"(goodput {admission['hieras']['bounded_goodput']:.0%})",
+        ),
+        claim(
+            all(h["phases"]["total"]["p99"] <= ch["phases"]["total"]["p99"] for ch, h in tail_pairs)
+            and any(
+                h["phases"]["total"]["p99"] < 0.9 * ch["phases"]["total"]["p99"]
+                for ch, h in tail_pairs
+            ),
+            "the stacks share the front-end capacity knee, but HIERAS serves it "
+            "at a lower end-to-end p99 than Chord at every offered rate "
+            "(routing latency is the differentiator, capacity is not)",
+        ),
+        claim(
+            all(
+                c["failed"] == 0 and c["leave_peers"] > 0 and c["join_peers"] == c["leave_peers"]
+                for c in metrics["churn"].values()
+            ),
+            "the service serves through a leave wave + rejoin "
+            f"({metrics['churn']['hieras']['leave_peers']} peers churned) with zero "
+            "failed requests — membership is just another queued operation",
+        ),
+    ]
+    return "\n".join(lines)

@@ -1,22 +1,20 @@
 """Tests for the cache-effect experiment pipeline (``BENCH_cache.json``).
 
-Small-scale runs of :func:`repro.experiments.cache_exp.run_bench_cache`:
-document shape, paired-baseline reductions, churn/staleness cells, and
-byte-identical ``metrics`` across runs (the determinism gate the full
-benchmark is held to).
+Small-scale runs of :func:`repro.experiments.cache_exp.run_bench`:
+document shape, paired-baseline reductions, churn/staleness cells.  The
+envelope, reproducibility and writer checks every bench shares live in
+``tests/test_bench.py``.
 """
 
-import json
+import pytest
 
 from repro.cache import CachePolicy
 from repro.experiments.cache_exp import (
     HEADLINE_CAPACITY,
     HEADLINE_EXPONENT,
-    SCHEMA,
     make_zipf_trace,
-    run_bench_cache,
+    run_bench,
     run_cache_cell,
-    write_bench_cache,
 )
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle
@@ -66,13 +64,11 @@ class TestRunCacheCell:
 
 
 class TestRunBenchCache:
-    def setup_method(self):
-        self.doc = run_bench_cache(**SMALL)
+    @pytest.fixture(scope="class")
+    def doc(self):
+        return run_bench(**SMALL)
 
-    def test_document_shape(self):
-        doc = self.doc
-        assert doc["schema"] == SCHEMA
-        assert set(doc) == {"schema", "config", "phases", "metrics"}
+    def test_document_shape(self, doc):
         assert doc["config"]["n_peers"] == 200
         metrics = doc["metrics"]
         assert set(metrics) == {"cells", "headline"}
@@ -81,22 +77,22 @@ class TestRunBenchCache:
         assert {c["stack"] for c in metrics["cells"]} == {"chord", "hieras"}
         assert set(metrics["headline"]) == {"chord", "hieras"}
 
-    def test_cached_cells_reduce_hops_and_latency(self):
-        for cell in self.doc["metrics"]["cells"]:
+    def test_cached_cells_reduce_hops_and_latency(self, doc):
+        for cell in doc["metrics"]["cells"]:
             if cell["churn_fraction"] == 0.0 and cell["capacity"] > 0:
                 assert cell["hop_reduction_percent"] > 0.0
                 assert cell["latency_reduction_percent"] > 0.0
                 assert cell["cache_hit_rate"] > 0.0
 
-    def test_headline_spreads_owner_load(self):
+    def test_headline_spreads_owner_load(self, doc):
         for stack in ("chord", "hieras"):
-            head = self.doc["metrics"]["headline"][stack]
+            head = doc["metrics"]["headline"][stack]
             assert head["cached_concentration"] < head["uncached_concentration"]
             assert head["cached_max_served"] < head["uncached_max_served"]
 
-    def test_churn_cells_detect_staleness(self):
+    def test_churn_cells_detect_staleness(self, doc):
         churn = [
-            c for c in self.doc["metrics"]["cells"]
+            c for c in doc["metrics"]["cells"]
             if c["churn_fraction"] > 0.0 and c["capacity"] > 0
         ]
         assert len(churn) == 4  # (lru + ttl-lru) x 2 stacks
@@ -107,22 +103,6 @@ class TestRunBenchCache:
         assert len(ttl) == 2
         assert sum(c["cache_expirations"] for c in ttl) > 0
 
-    def test_metrics_block_is_deterministic(self):
-        again = run_bench_cache(**SMALL)
-        assert json.dumps(self.doc["metrics"], sort_keys=True) == json.dumps(
-            again["metrics"], sort_keys=True
-        )
-        # Wall-clock phases exist but stay out of the deterministic block.
-        assert set(self.doc["phases"]) == set(again["phases"])
-
-    def test_write_bench_cache(self, tmp_path):
-        out = write_bench_cache(self.doc, tmp_path / "BENCH_cache.json")
-        loaded = json.loads(out.read_text())
-        assert loaded["schema"] == SCHEMA
-        assert loaded["metrics"] == json.loads(
-            json.dumps(self.doc["metrics"])
-        )
-
 
 class TestExperimentRegistration:
     def test_cache_effect_registered(self):
@@ -131,8 +111,3 @@ class TestExperimentRegistration:
         exp = EXPERIMENTS["cache_effect"]
         assert "cach" in exp.title.lower()
         assert "20%" in exp.paper_claim or ">=20" in exp.paper_claim
-
-    def test_cli_lists_cache_bench(self):
-        from repro.experiments import cli
-
-        assert hasattr(cli, "_cmd_cache_bench")

@@ -624,11 +624,11 @@ class TestExperimentWiring:
     def test_perf_baseline_metrics_identical_across_engines(self):
         """The baseline doc's route blocks equal what the scalar
         reference engine records for the same deployment and trace."""
-        from repro.experiments.baseline import run_perf_baseline
+        from repro.experiments.baseline import run_bench
         from repro.experiments.config import SimConfig
         from repro.experiments.runner import build_bundle, make_trace
 
-        doc = run_perf_baseline(seed=3, n_peers=220, n_requests=300)
+        doc = run_bench(seed=3, n_peers=220, n_requests=300)
         bundle = build_bundle(SimConfig(n_peers=220, seed=3))
         trace = make_trace(bundle, 300)
         for net in (bundle.chord, bundle.hieras):
@@ -661,10 +661,9 @@ class TestExperimentWiring:
             assert a == b
 
     def test_bench_batchroute_document(self):
-        from repro.experiments.batchbench import SCHEMA, run_bench_batchroute
+        from repro.experiments.batchbench import run_bench
 
-        doc = run_bench_batchroute(seed=2, sizes=(128,), n_requests=200)
-        assert doc["schema"] == SCHEMA
+        doc = run_bench(seed=2, sizes=(128,), n_requests=200)
         cells = doc["metrics"]["cells"]
         assert set(cells) == {"chord_n128", "hieras_n128"}
         assert all(c["engines_agree"] for c in cells.values())

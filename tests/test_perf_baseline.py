@@ -1,28 +1,27 @@
-"""Tests for the perf-baseline pipeline and its CLI front-end."""
+"""Tests for the perf-baseline document's content.
+
+The envelope, reproducibility, writer and ``bench`` CLI checks every
+bench shares live in ``tests/test_bench.py``.
+"""
 
 import json
 
 import pytest
 
-from repro.experiments.baseline import SCHEMA, run_perf_baseline, write_baseline
+from repro.experiments.baseline import run_bench
 
 
 @pytest.fixture(scope="module")
 def small_doc():
-    return run_perf_baseline(n_peers=200, n_requests=400, seed=7)
+    return run_bench(n_peers=200, n_requests=400, seed=7)
 
 
 class TestPipeline:
     def test_document_shape(self, small_doc):
-        assert small_doc["schema"] == SCHEMA
         assert set(small_doc["phases"]) == {
             "build", "trace", "chord_routes", "hieras_routes", "protocol_smoke",
             "peak_rss",
         }
-        assert small_doc["phases"]["peak_rss"]["peak_rss_mb"] > 0.0
-        for name, phase in small_doc["phases"].items():
-            if name != "peak_rss":
-                assert phase["wall_ms"] >= 0.0
         assert set(small_doc["metrics"]) == {"chord", "hieras", "protocol"}
 
     def test_both_stacks_covered(self, small_doc):
@@ -41,37 +40,12 @@ class TestPipeline:
         assert proto["counters"]["sim.events_processed"] > 0
         assert proto["counters"]["protocol.lookups"] >= proto["lookups_issued"]
 
-    def test_same_seed_reproduces_metrics(self, small_doc):
-        again = run_perf_baseline(n_peers=200, n_requests=400, seed=7)
-        # Wall times may differ; the metrics section must not.
-        assert again["metrics"] == small_doc["metrics"]
-        assert again["config"] == small_doc["config"]
-
     def test_different_seed_differs(self, small_doc):
-        other = run_perf_baseline(n_peers=200, n_requests=400, seed=8)
+        other = run_bench(n_peers=200, n_requests=400, seed=8)
         assert other["metrics"] != small_doc["metrics"]
-
-    def test_write_is_stable_json(self, small_doc, tmp_path):
-        p1 = write_baseline(small_doc, tmp_path / "a.json")
-        p2 = write_baseline(small_doc, tmp_path / "b.json")
-        assert p1.read_text() == p2.read_text()
-        assert json.loads(p1.read_text())["schema"] == SCHEMA
 
 
 class TestCli:
-    def test_perf_baseline_subcommand_writes_artifact(self, tmp_path, monkeypatch, capsys):
-        from repro.experiments.cli import main
-
-        monkeypatch.chdir(tmp_path)
-        assert main(["perf-baseline", "--out", "BENCH_baseline.json"]) == 0
-        out = capsys.readouterr().out
-        assert "wrote BENCH_baseline.json" in out
-        doc = json.loads((tmp_path / "BENCH_baseline.json").read_text())
-        assert doc["schema"] == SCHEMA
-        assert doc["metrics"]["hieras"]["low_layer_hop_share"] > 0.5
-        for net in ("chord", "hieras"):
-            assert doc["metrics"][net]["lookups"] == doc["config"]["n_requests"]
-
     def test_run_emits_metrics_artifact(self, tmp_path, monkeypatch, capsys):
         from repro.experiments.cli import main
 

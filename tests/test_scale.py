@@ -4,11 +4,13 @@ Covers the scale package's three exports (transit-stub sizing, the
 uncached scale build, the struct-of-arrays memory audit), the
 ``stream_batch_route`` aggregates (exact agreement with a direct
 ``batch_route`` call, chunk-size invariance of every integer statistic
-and the owner checksum), the peak-RSS helper, and the shape plus
-metrics-determinism of the ``BENCH_scale`` document at tiny N.
+and the owner checksum), the peak-RSS helper, and the shape and contract
+claims of the ``BENCH_scale`` document at tiny N (the envelope,
+reproducibility and writer checks every bench shares live in
+``tests/test_bench.py``).
 """
 
-import json
+import copy
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ import pytest
 from repro.engine import batch_route, stream_batch_route
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle, make_trace
-from repro.experiments.scale_exp import SCHEMA, run_bench_scale, write_bench_scale
+from repro.experiments.scale_exp import report, run_bench
 from repro.scale import build_scale_bundle, hot_state_bytes, scale_ts_params
 from repro.topology.transit_stub import TransitStubParams
 from repro.util.proc import peak_rss_mb
@@ -150,10 +152,9 @@ class TestPeakRss:
 class TestBenchScaleDocument:
     @pytest.fixture(scope="class")
     def doc(self):
-        return run_bench_scale(sizes=(192, 320))
+        return run_bench(sizes=(192, 320))
 
     def test_shape_and_contracts(self, doc):
-        assert doc["schema"] == SCHEMA
         cells = doc["metrics"]["cells"]
         assert set(cells) == {"n192", "n320"}
         for cell in cells.values():
@@ -168,16 +169,20 @@ class TestBenchScaleDocument:
             assert f"build_n{n}" in doc["phases"]
             assert doc["phases"][f"hieras_lookup_n{n}"]["lookups_per_s"] > 0
 
-    def test_metrics_deterministic(self, doc):
-        again = run_bench_scale(sizes=(192, 320))
-        assert json.dumps(doc["metrics"], sort_keys=True) == json.dumps(
-            again["metrics"], sort_keys=True
-        )
-
-    def test_write_round_trips(self, doc, tmp_path):
-        path = write_bench_scale(doc, tmp_path / "BENCH_scale.json")
-        loaded = json.loads(path.read_text())
-        assert loaded["schema"] == SCHEMA
-        assert loaded["metrics"] == json.loads(
-            json.dumps(doc["metrics"], sort_keys=True)
-        )
+    def test_every_contract_is_a_claim(self, doc):
+        """One gate per bench: each contract bit flips the report to DIVERGES."""
+        assert "[DIVERGES]" not in report(doc)
+        for path in (
+            ("engines_agree",),
+            ("stacks_agree_owners",),
+            ("membership", "incremental_matches_rebuild"),
+        ):
+            broken = copy.deepcopy(doc)
+            node = broken["metrics"]["cells"]["n192"]
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = False
+            assert "[DIVERGES]" in report(broken), path
+        broken = copy.deepcopy(doc)
+        broken["metrics"]["cells"]["n320"]["membership"]["full_rebuilds_during_waves_hieras"] = 1
+        assert "[DIVERGES]" in report(broken)

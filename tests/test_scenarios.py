@@ -6,12 +6,7 @@ import pytest
 
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle
-from repro.experiments.scenarios_exp import (
-    SCHEMA,
-    check_gates,
-    run_bench_scenarios,
-    write_bench_scenarios,
-)
+from repro.experiments.scenarios_exp import check_gates, report, run_bench
 from repro.replication import ReplicatedStore, ReplicationPolicy
 from repro.scenarios import (
     SCENARIOS,
@@ -210,17 +205,21 @@ class TestRebindPeers:
 
 
 class TestBench:
-    def test_bench_document_and_gates(self, tmp_path):
-        doc = run_bench_scenarios(seed=7, scenarios=("regional_failure",))
-        assert doc["schema"] == SCHEMA
+    def test_bench_document_and_gates(self):
+        doc = run_bench(seed=7, scenarios=("regional_failure",))
         cells = doc["metrics"]["scenarios"]["regional_failure"]
         assert set(cells) == {"chord", "hieras"}
         for cell in cells.values():
             assert cell["notes"]["ring_size"] > 0
             assert cell["crashed_final"] == cell["notes"]["ring_size"]
-        path = write_bench_scenarios(doc, tmp_path / "BENCH_scenarios.json")
-        again = json.loads(path.read_text())
-        assert again["metrics"] == json.loads(json.dumps(doc["metrics"]))
+        # The gates are a claim of the report, so every runner of the
+        # experiment fails on a violation — and says which.
+        assert not check_gates(doc) and "[DIVERGES]" not in report(doc)
+        cells["hieras"]["availability_min"] = 0.1
+        violation = "regional_failure/hieras: availability_min=0.1000 below floor 0.4"
+        assert check_gates(doc) == [violation]
+        assert "[DIVERGES] all pinned regional regression gates hold" in report(doc)
+        assert f"VIOLATED {violation}" in report(doc)
 
     def test_check_gates_flags_regressions(self):
         doc = {

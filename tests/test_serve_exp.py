@@ -1,4 +1,8 @@
-"""Tests for the saturation experiment (``repro.experiments.serve_exp``)."""
+"""Tests for the saturation experiment (``repro.experiments.serve_exp``).
+
+The envelope, reproducibility and writer checks every bench shares live
+in ``tests/test_bench.py``.
+"""
 
 import json
 
@@ -6,13 +10,7 @@ import pytest
 
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle
-from repro.experiments.serve_exp import (
-    SCHEMA,
-    mixed_capacity_per_s,
-    run_bench_serve,
-    run_serve_cell,
-    write_bench_serve,
-)
+from repro.experiments.serve_exp import mixed_capacity_per_s, run_bench, run_serve_cell
 from repro.loadgen import WorkloadMix
 from repro.serve import ServiceConfig
 
@@ -92,7 +90,7 @@ class TestServeCell:
 class TestBenchDocument:
     @pytest.fixture(scope="class")
     def doc(self):
-        return run_bench_serve(
+        return run_bench(
             full=False,
             seed=42,
             n_peers=N_PEERS,
@@ -101,7 +99,6 @@ class TestBenchDocument:
         )
 
     def test_schema_and_shape(self, doc):
-        assert doc["schema"] == SCHEMA
         assert set(doc["metrics"]) == {"sweep", "flash", "coalescing", "churn", "headline"}
         assert len(doc["metrics"]["sweep"]) == 6  # 3 rates x 2 stacks
 
@@ -121,26 +118,6 @@ class TestBenchDocument:
         for row in doc["metrics"]["headline"]["admission"].values():
             assert row["bounded_queue_p99_ms"] <= row["unbounded_queue_p99_ms"]
             assert row["rejected"] > 0
-
-    def test_metrics_reproducible(self, doc):
-        again = run_bench_serve(
-            full=False,
-            seed=42,
-            n_peers=N_PEERS,
-            duration_ms=DURATION_MS,
-            rates=(200.0, 1600.0, 2400.0),
-        )
-        assert json.dumps(doc["metrics"], sort_keys=True) == json.dumps(
-            again["metrics"], sort_keys=True
-        )
-
-    def test_write_round_trips(self, doc, tmp_path):
-        path = write_bench_serve(doc, tmp_path / "BENCH_serve.json")
-        loaded = json.loads(path.read_text())
-        assert loaded["schema"] == SCHEMA
-        assert loaded["metrics"]["headline"] == json.loads(
-            json.dumps(doc["metrics"]["headline"])
-        )
 
 
 class TestRegistryEntry:
