@@ -28,12 +28,6 @@ from repro.util.validation import require
 
 __all__ = ["build_scale_bundle", "hot_state_bytes", "scale_ts_params"]
 
-#: Past this eager-model footprint, builds switch to streaming latency.
-DEFAULT_STREAMING_THRESHOLD_BYTES = 1 << 30
-
-#: Hard ceiling on a streaming model's resident blocks (LRU budget).
-DEFAULT_STREAMING_CACHE_BYTES = 4 << 30
-
 
 def scale_ts_params(n_routers: int) -> TransitStubParams:
     """Transit-stub parameters sized for very large internetworks.
@@ -42,12 +36,11 @@ def scale_ts_params(n_routers: int) -> TransitStubParams:
     :meth:`~repro.topology.transit_stub.TransitStubParams.for_size`, so
     every existing config keeps its exact topology.  Above, the transit
     tier grows with the network while stub domains are pinned near 512
-    routers: per-stub APSP blocks stay ≈1 MB (``512² × 4`` bytes), the
-    unit of work both the streaming latency cache and the exact border
-    decomposition operate on.  At 1.25 M routers that yields 38 transit
-    domains × 8 routers, 2 432 stubs of 514 — a core APSP under 1 MB
-    and a bounded block working set, instead of one monolithic
-    quadratic matrix.
+    routers: a per-stub hop-count block stays ≈0.26 MB (``512²`` bytes),
+    the unit the latency model fills, evicts and budgets by.  At 1.25 M
+    routers that yields 38 transit domains × 8 routers, 2 432 stubs of
+    514 — a core APSP under 1 MB and a bounded block working set,
+    instead of one monolithic quadratic matrix.
     """
     require(n_routers >= 16, f"transit-stub networks need >= 16 routers, got {n_routers}")
     if n_routers < 100_000:
@@ -81,12 +74,7 @@ def _scale_topology(config: SimConfig, seed: np.random.Generator) -> Topology:
     return generate_brite(BriteParams(n_nodes=config.n_routers), seed=seed)
 
 
-def build_scale_bundle(
-    config: SimConfig,
-    *,
-    streaming_threshold_bytes: int = DEFAULT_STREAMING_THRESHOLD_BYTES,
-    streaming_cache_bytes: int = DEFAULT_STREAMING_CACHE_BYTES,
-) -> SimulationBundle:
+def build_scale_bundle(config: SimConfig, **latency_budget: int) -> SimulationBundle:
     """Build a deployment sized for millions of peers.
 
     Same pipeline and seeding as
@@ -94,16 +82,14 @@ def build_scale_bundle(
     → attachment → landmarks → binning → both stacks — with three scale
     adaptations: no process-wide substrate cache (a million-peer
     substrate is not something to keep two of), transit-stub sizing via
-    :func:`scale_ts_params`, and latency models that stream blocks once
-    their eager form would cross ``streaming_threshold_bytes``.
+    :func:`scale_ts_params`, and :func:`latency_model_for`'s two numbers
+    exposed as ``latency_budget``: blocks totalling more than
+    ``streaming_threshold_bytes`` are filled on first use, and no more
+    than ``streaming_cache_bytes`` of them are ever held.
     """
     rngs = RngFactory(config.seed)
     topology = _scale_topology(config, rngs.get("topology"))
-    model = latency_model_for(
-        topology,
-        streaming_threshold_bytes=streaming_threshold_bytes,
-        streaming_cache_bytes=streaming_cache_bytes,
-    )
+    model = latency_model_for(topology, **latency_budget)
     routers = attach_overlay(topology, config.n_peers, seed=rngs.get("attach"))
     landmarks = place_landmarks(
         topology,

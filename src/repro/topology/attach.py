@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.topology.base import LatencyModel, Topology
+from repro.topology.base import LatencyModel, Topology, index_lanes
 from repro.util.rng import make_rng
 from repro.util.validation import require
 
@@ -36,16 +36,8 @@ class PeerLatencyView(LatencyModel):
         return self.model.pair(int(self.router_of_peer[u]), int(self.router_of_peer[v]))
 
     def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        return self.model.pairs(
-            self.router_of_peer[np.asarray(us, dtype=np.int64)],
-            self.router_of_peer[np.asarray(vs, dtype=np.int64)],
-        )
-
-    def to_targets(self, source: int, targets: np.ndarray) -> np.ndarray:
-        return self.model.to_targets(
-            int(self.router_of_peer[source]),
-            self.router_of_peer[np.asarray(targets, dtype=np.int64)],
-        )
+        us, vs = index_lanes(us, vs)
+        return self.model.pairs(self.router_of_peer[us], self.router_of_peer[vs])
 
 
 @dataclass

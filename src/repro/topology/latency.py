@@ -6,28 +6,26 @@ Three strategies, all implementing :class:`repro.topology.base.LatencyModel`:
   memory-light** model for transit-stub topologies.  Because every stub
   domain hangs off the core through a single border link, a shortest
   path decomposes as ``stub → border → core → border → stub`` and the
-  model only stores per-stub APSP blocks plus the (tiny) transit-core
-  APSP.  This is what makes paper-scale simulation (10 000 routers,
-  100 000 requests × ~13 hops) cheap.  The §4.1 substrate gives every
-  intra-stub link one delay, so a block is hop counts × delay: one
-  bit-parallel BFS from all of a stub's routers at once
-  (:func:`_uniform_apsp`), not a Dijkstra per router.
-* :class:`APSPLatencyModel` — full all-pairs matrix for general graphs
-  (Inet, BRITE).  Computed with chunked Dijkstra sweeps and stored as
+  model stores one fused ``border distance + uplink`` per router, the
+  (tiny) transit-core APSP and per-stub all-pairs blocks for the
+  same-domain lanes.  The §4.1 substrate gives every intra-stub link
+  one delay, so a block is **hop counts** — ``uint8``, one byte per
+  pair, from one bit-parallel BFS over all of a stub's routers at once
+  (:func:`_bfs_hops`) — read through one running-sum table of that
+  delay.  This is what makes paper-scale simulation (10 000 routers,
+  100 000 requests × ~13 hops) cheap and a million routers fit.
+* :class:`APSPLatencyModel` — all-pairs matrix for general graphs
+  (Inet, BRITE), in row blocks of chunked Dijkstra sweeps stored as
   ``uint16`` milliseconds (link delays are integral, so the rounding is
   exact): 10 000 routers cost 200 MB.
 * :class:`CoordinateLatencyModel` — Euclidean delays from plane
   coordinates; used by synthetic tests and micro-examples.
 
-Million-router topologies don't fit either eager representation, so
-each strategy has a **streaming** twin that answers bit-identical
-queries from an LRU block cache filled on demand:
-:class:`StreamingTransitStubLatencyModel` (the same per-stub blocks,
-computed when first queried; border distances from one multi-source
-Dijkstra) and :class:`StreamingAPSPLatencyModel` (uint16 Dijkstra row
-blocks on demand).
-:func:`latency_model_for` picks eager vs streaming from the projected
-matrix footprint, so existing small configs keep byte-identical models.
+Both block models are a :class:`_BlockModel`: blocks in a pool of slots
+under a byte budget, filled on first use, evicted least recently used.
+"Eager" is the same object with every block filled at construction
+(:func:`latency_model_for` decides): a budget changes time and memory,
+never an answer.
 
 :class:`NoisyLatencyModel` wraps any model with multiplicative
 measurement noise, emulating the paper's observation (§2.2) that *ping*
@@ -36,30 +34,143 @@ is "not very accurate" yet adequate for the binning scheme.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections.abc import Iterator
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from repro.topology.base import LatencyModel, Topology
+from repro.metrics.registry import MetricsRegistry
+from repro.topology.base import LatencyModel, Topology, index_lanes
 from repro.topology.transit_stub import TransitStubTopology
 from repro.util.rng import make_rng
 from repro.util.validation import require
 
 __all__ = [
     "APSPLatencyModel",
-    "StreamingAPSPLatencyModel",
     "TransitStubLatencyModel",
-    "StreamingTransitStubLatencyModel",
     "CoordinateLatencyModel",
     "NoisyLatencyModel",
     "latency_model_for",
 ]
 
 
-class APSPLatencyModel(LatencyModel):
-    """All-pairs shortest-path delays stored as a ``uint16`` matrix.
+class _BlockModel(LatencyModel):
+    """A model answering from equal-shaped blocks held in a pool of slots.
+
+    ``_pool[_slot_of[b]]`` is block ``b`` while ``_slot_of[b] >= 0``.
+    The pool comes from ``np.zeros``, so a slot costs no resident memory
+    until :meth:`_fill` writes a block into it, and residency lives in
+    ``_slot_of`` alone — never in a sentinel written through the pool.
+    There are ``cache_bytes // block bytes`` slots (default: one per
+    block): the budget is a hard ceiling on resident block bytes, and
+    once every slot is taken a cold block replaces the least recently
+    used one.  A footprint within both the budget and ``eager_bytes``
+    (default: any) is filled whole at construction.
+    """
+
+    #: The graph blocks are filled from, held (and counted) beside the pool.
+    _graph: csr_matrix
+
+    def _init_pool(
+        self,
+        n_blocks: int,
+        shape: tuple[int, int],
+        dtype: type,
+        cache_bytes: int | None,
+        eager_bytes: int | None,
+    ) -> None:
+        size = self._block_bytes = shape[0] * shape[1] * np.dtype(dtype).itemsize
+        footprint = n_blocks * size
+        budget = footprint if cache_bytes is None else int(cache_bytes)
+        require(budget >= size, f"a cache budget of {budget} bytes is below one latency block ({size} bytes)")
+        n_slots = min(n_blocks, budget // size)
+        self._pool = np.zeros((n_slots, *shape), dtype=dtype)
+        self._slot_of = np.full(n_blocks, -1, dtype=np.int64)
+        self._block_in = np.zeros(n_slots, dtype=np.int64)
+        self._stamp = np.zeros(n_slots, dtype=np.int64)  # recency, for eviction
+        self._tick = 0
+        self._evicting = n_slots < n_blocks
+        self._resident = 0  # slots holding a block
+        #: Blocks filled (construction included) / lanes answered from a
+        #: block that was already resident / resident blocks replaced.
+        self.cache_misses = self.cache_hits = self.evictions = 0
+        if not self._evicting and (eager_bytes is None or footprint <= eager_bytes):
+            for block in range(n_blocks):
+                self._load(block)
+
+    def _fill(self, block: int, out: np.ndarray) -> None:
+        """Compute block ``block`` into the slot ``out``."""
+        raise NotImplementedError
+
+    def _load(self, block: int) -> None:
+        slot = self._resident
+        if slot == len(self._pool):
+            slot = int(self._stamp.argmin())
+            self._slot_of[self._block_in[slot]] = -1
+            self.evictions += 1
+        self._fill(block, self._pool[slot])
+        self._resident = max(self._resident, slot + 1)
+        self.cache_misses += 1
+        self._slot_of[block] = slot
+        self._block_in[slot] = block
+        self._stamp[slot] = self._tick
+
+    def _slots(self, blocks: np.ndarray) -> np.ndarray | None:
+        """Each lane's slot if every lane's block is resident (the lanes
+        then count as hits), else ``None``: go through :meth:`_groups`."""
+        slot = self._slot_of[blocks]
+        if self._resident < len(self._slot_of):
+            if (slot < 0).any():
+                return None
+            if self._evicting:
+                self._tick += 1
+                self._stamp[slot] = self._tick
+        self.cache_hits += blocks.size
+        return slot
+
+    def _groups(self, blocks: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield ``(lanes, slots)`` over all lanes, filling what is cold.
+
+        One group, unless the call needs more distinct blocks than there
+        are slots: then ascending runs of that many blocks, each made
+        resident (and read by the caller) before the next may evict it.
+        """
+        needed = np.unique(blocks)
+        for start in range(0, needed.size, len(self._pool)):
+            group = needed[start : start + len(self._pool)]
+            lanes = np.flatnonzero((blocks >= group[0]) & (blocks <= group[-1]))
+            mine, slot = blocks[lanes], self._slot_of[group]
+            self.cache_hits += int((self._slot_of[mine] >= 0).sum())
+            # Stamp the group's resident blocks first, so no fill evicts one.
+            self._tick += 1
+            self._stamp[slot[slot >= 0]] = self._tick
+            for block in group[slot < 0].tolist():
+                self._load(block)
+            yield lanes, self._slot_of[mine]
+
+    @property
+    def resident_bytes(self) -> int:
+        """Bytes held, by arithmetic: every array attribute and the
+        graph's, the pool counted by its *filled* slots only."""
+        held = [a for a in vars(self).values() if isinstance(a, np.ndarray)]
+        held += [self._graph.data, self._graph.indices, self._graph.indptr]
+        return sum(a.nbytes for a in held) - self._pool.nbytes + self._resident * self._block_bytes
+
+    def stats(self) -> dict[str, int]:
+        """What the model holds and what its pool did — seed-deterministic."""
+        keys = ("resident_bytes", "cache_misses", "cache_hits", "evictions")
+        return {key: getattr(self, key) for key in keys}
+
+    def publish(self, registry: MetricsRegistry) -> None:
+        """Set :meth:`stats` as ``topology.latency.*`` gauges — for a bench
+        to call at a phase end; ``pairs`` never does."""
+        for key, value in self.stats().items():
+            registry.set_gauge(f"topology.latency.{key}", value)
+
+
+class APSPLatencyModel(_BlockModel):
+    """All-pairs shortest-path delays in ``uint16`` row blocks.
 
     Parameters
     ----------
@@ -68,127 +179,81 @@ class APSPLatencyModel(LatencyModel):
         are, for every generator in :mod:`repro.topology`) so that the
         ``uint16`` quantisation is exact.
     chunk:
-        Number of Dijkstra source rows computed per sweep; bounds peak
-        ``float64`` scratch memory at ``chunk * n_routers * 8`` bytes.
+        Source rows per block — one Dijkstra sweep, so peak ``float64``
+        scratch is ``chunk * n_routers * 8`` bytes.
+    cache_bytes, eager_bytes:
+        See :class:`_BlockModel`; the defaults hold and fill the whole
+        matrix.  A lazy model stays queryable past the dense matrix's
+        O(n²) wall, and meets a disconnected graph at its first fill.
     """
 
-    def __init__(self, topology: Topology, *, chunk: int = 1024) -> None:
+    def __init__(
+        self,
+        topology: Topology,
+        *,
+        chunk: int = 1024,
+        cache_bytes: int | None = None,
+        eager_bytes: int | None = None,
+    ) -> None:
         require(chunk >= 1, "chunk must be >= 1")
-        n = topology.n_routers
-        matrix = np.empty((n, n), dtype=np.uint16)
-        csr = topology.csr()
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            block = dijkstra(csr, directed=False, indices=np.arange(start, stop))
-            if np.isinf(block).any():
-                raise ValueError("topology is disconnected; latency undefined")
-            require(float(block.max()) < 65535, "path delay overflows uint16 ms")
-            matrix[start:stop] = np.round(block).astype(np.uint16)
-        self._matrix = matrix
-        self.n_routers = n
+        n = self.n_routers = topology.n_routers
+        self.chunk = min(int(chunk), n)
+        self._graph = topology.csr()
+        self._init_pool(-(-n // self.chunk), (self.chunk, n), np.uint16, cache_bytes, eager_bytes)
+
+    def _fill(self, block: int, out: np.ndarray) -> None:
+        start = block * self.chunk
+        stop = min(start + self.chunk, self.n_routers)
+        rows = dijkstra(self._graph, directed=False, indices=np.arange(start, stop))
+        if np.isinf(rows).any():
+            raise ValueError("topology is disconnected; latency undefined")
+        require(float(rows.max()) < 65535, "path delay overflows uint16 ms")
+        out[: stop - start] = np.round(rows)
 
     @property
     def matrix(self) -> np.ndarray:
         """The full ``(n, n)`` delay matrix in ms (read-only view)."""
-        view = self._matrix.view()
+        require(
+            bool((self._slot_of == np.arange(len(self._slot_of))).all()),
+            "matrix needs a model filled at construction (every row block resident)",
+        )
+        view = self._pool.reshape(-1, self.n_routers)[: self.n_routers]
         view.flags.writeable = False
         return view
 
-    def pair(self, u: int, v: int) -> float:
-        return float(self._matrix[u, v])
-
     def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        return self._matrix[np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)].astype(
-            np.float64
-        )
-
-    def to_targets(self, source: int, targets: np.ndarray) -> np.ndarray:
-        return self._matrix[source, np.asarray(targets, dtype=np.int64)].astype(np.float64)
-
-
-class StreamingAPSPLatencyModel(LatencyModel):
-    """APSP delays computed on demand in ``uint16`` row blocks.
-
-    Query-compatible (bit-identical answers) with
-    :class:`APSPLatencyModel` — the same chunked Dijkstra sweeps, the
-    same overflow/disconnection checks, the same rounding — but only
-    ``cache_blocks`` row blocks of ``chunk`` sources each are resident
-    at a time, so general graphs far past the dense matrix's O(n²)
-    memory wall stay queryable.  Peak memory is
-    ``cache_blocks * chunk * n * 2`` bytes of cached rows plus one
-    ``chunk × n`` float64 Dijkstra scratch.
-    """
-
-    def __init__(
-        self, topology: Topology, *, chunk: int = 1024, cache_blocks: int = 64
-    ) -> None:
-        require(chunk >= 1, "chunk must be >= 1")
-        require(cache_blocks >= 1, "cache_blocks must be >= 1")
-        self.n_routers = topology.n_routers
-        self.chunk = int(chunk)
-        self.cache_blocks = int(cache_blocks)
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._csr = topology.csr()
-        self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
-
-    def _rows(self, block: int) -> np.ndarray:
-        cached = self._cache.get(block)
-        if cached is not None:
-            self._cache.move_to_end(block)
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        start = block * self.chunk
-        stop = min(start + self.chunk, self.n_routers)
-        rows = dijkstra(self._csr, directed=False, indices=np.arange(start, stop))
-        if np.isinf(rows).any():
-            raise ValueError("topology is disconnected; latency undefined")
-        require(float(rows.max()) < 65535, "path delay overflows uint16 ms")
-        quantised = np.round(rows).astype(np.uint16)
-        self._cache[block] = quantised
-        if len(self._cache) > self.cache_blocks:
-            self._cache.popitem(last=False)
-        return quantised
-
-    def pair(self, u: int, v: int) -> float:
-        return float(self._rows(u // self.chunk)[u % self.chunk, v])
-
-    def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        out = np.empty(len(us), dtype=np.float64)
-        blocks = us // self.chunk
-        for block in np.unique(blocks):
-            m = blocks == block
-            rows = self._rows(int(block))
-            out[m] = rows[us[m] % self.chunk, vs[m]]
+        us, vs = index_lanes(us, vs)
+        block, row = np.divmod(us, self.chunk)
+        slot = self._slots(block)
+        if slot is not None:
+            return self._pool[slot, row, vs].astype(np.float64)
+        out = np.empty(us.size, dtype=np.float64)
+        for lanes, slot in self._groups(block):
+            out[lanes] = self._pool[slot, row[lanes], vs[lanes]]
         return out
 
-    def to_targets(self, source: int, targets: np.ndarray) -> np.ndarray:
-        rows = self._rows(source // self.chunk)
-        return rows[source % self.chunk, np.asarray(targets, dtype=np.int64)].astype(
-            np.float64
-        )
+
+#: Most hops a ``uint8`` block entry can count: the search below runs one
+#: level past the deepest pair, and a 256th level would wrap.
+_MAX_HOPS = 254
 
 
-def _uniform_apsp(sub: csr_matrix) -> np.ndarray:
-    """All-pairs shortest delays of one stub's sub-graph (float64, ``inf`` = unreachable).
+def _bfs_hops(sub: csr_matrix, hops: np.ndarray) -> int:
+    """All-pairs hop counts of one stub's sub-graph into ``hops`` (n × n ``uint8``).
 
-    Every stub the generator emits gives all its links one delay, so
-    the delay between two routers is their hop count times that delay
-    and one breadth-first search from all ``n`` routers at once fills
-    the block: bit ``s`` of row ``v`` of ``visited`` says source ``s``
-    has reached ``v`` (64 sources per word), a level ORs each router's
-    neighbours' frontier rows, and a pair's hop count is the number of
-    levels it stayed unvisited.  Delays are read from a running-sum
-    table — the repeated addition Dijkstra performs — so the block
-    equals ``dijkstra(sub, directed=False)`` bit for bit; a sub-graph
-    with mixed delays (or no link at all) still goes through Dijkstra.
+    One breadth-first search from all ``n`` routers at once: bit ``s``
+    of row ``v`` of ``visited`` says source ``s`` has reached ``v`` (64
+    sources per word), a level ORs each router's neighbours' frontier
+    rows, and every level adds 1 to each pair still unvisited — so a
+    pair's count ends as its hop distance, accumulated straight into the
+    caller's bytes.  Link weights are not read.  Returns the number of
+    levels run, which is also what a pair *never* reached ends on (one
+    more than the largest finite count).
     """
     n = sub.shape[0]
-    if sub.nnz == 0 or sub.data.min() != sub.data.max():
-        return dijkstra(sub, directed=False)
+    if sub.nnz == 0:
+        hops[...] = ~np.eye(n, dtype=bool)
+        return 1
     width = -(-n // 64) * 64
     visited = np.packbits(np.eye(n, width, dtype=bool), axis=1, bitorder="little").view("<u8")
     frontier = visited.copy()
@@ -196,9 +261,10 @@ def _uniform_apsp(sub: csr_matrix) -> np.ndarray:
     # (and rejects a start past the end): clamp, then zero those rows.
     starts = np.minimum(sub.indptr[:-1], sub.nnz - 1)
     isolated = sub.indptr[:-1] == sub.indptr[1:]
-    hops = np.zeros((n, n), dtype=np.uint16)
+    hops[...] = 0
     levels = 0
     while frontier.any():
+        require(levels <= _MAX_HOPS, f"sub-graph is more than {_MAX_HOPS} hops deep")
         unvisited = ~visited
         hops += np.unpackbits(unvisited.view(np.uint8), axis=1, count=n, bitorder="little")
         levels += 1
@@ -206,9 +272,17 @@ def _uniform_apsp(sub: csr_matrix) -> np.ndarray:
         frontier[isolated] = 0
         frontier &= unvisited
         visited |= frontier
-    # A pair never reached was unvisited at all ``levels`` levels.
-    reached = np.cumsum(np.full(levels - 1, sub.data[0]))
-    return np.concatenate(([0.0], reached, [np.inf]))[hops]
+    return levels
+
+
+def _hop_ms(delay: float) -> np.ndarray:
+    """``float32`` delay of 0 … ``_MAX_HOPS`` hops over links of one ``delay``.
+
+    A running sum — the repeated addition Dijkstra performs along a
+    path — **not** ``hops * delay``: the two differ in the last bit for
+    a delay like 0.1, and a block promises Dijkstra's answer.
+    """
+    return np.concatenate(([0.0], np.cumsum(np.full(_MAX_HOPS, delay)))).astype(np.float32)
 
 
 def _stub_adjacency(topology: TransitStubTopology) -> tuple[np.ndarray, np.ndarray, csr_matrix]:
@@ -237,16 +311,7 @@ def _stub_adjacency(topology: TransitStubTopology) -> tuple[np.ndarray, np.ndarr
     return members, starts, adj
 
 
-def _stub_block(adj: csr_matrix, starts: np.ndarray, dom: int) -> np.ndarray:
-    """Float32 APSP block of stub domain ``dom`` (see :func:`_stub_adjacency`)."""
-    lo, hi = starts[dom], starts[dom + 1]
-    block = _uniform_apsp(adj[lo:hi, lo:hi])
-    if np.isinf(block).any():
-        raise ValueError(f"stub domain {dom} is internally disconnected")
-    return block.astype(np.float32)
-
-
-class TransitStubLatencyModel(LatencyModel):
+class TransitStubLatencyModel(_BlockModel):
     """Exact hierarchical latency model for transit-stub topologies.
 
     Correctness rests on two structural facts of
@@ -260,11 +325,34 @@ class TransitStubLatencyModel(LatencyModel):
        twice and, by the triangle inequality on the stub's own metric,
        cannot beat the internal path).
 
+    Cross-stub lanes never touch a block: the model keeps the tiny
+    transit-core APSP and, per router, its gateway and the fused
+    ``border distance + uplink`` (border distances from **one** Dijkstra
+    over the intra-stub links started at all border routers together).
+    Same-domain lanes read per-stub blocks, pooled as in
+    :class:`_BlockModel` (the defaults hold and fill every block).
+
+    Blocks are ``uint8`` hop counts read through :func:`_hop_ms` where
+    the data allow it: every intra-stub link carries
+    ``params.intra_stub_delay`` and no router is more than 127 hops from
+    its border, so no stub is more than ``_MAX_HOPS`` across — true of
+    every generated topology.  Anything else (a hand-built stub with
+    mixed delays, duplicate links the CSR summed, a delay off the table,
+    a 300-router path) makes the blocks ``float32`` milliseconds from
+    per-stub Dijkstra: four times the bytes behind the same queries,
+    decided from the data, no flag.
+
     ``tests/test_latency.py`` cross-checks this model against plain
-    Dijkstra on every generated instance.
+    Dijkstra on every generated instance, ``test_latency_budgets.py`` too.
     """
 
-    def __init__(self, topology: TransitStubTopology) -> None:
+    def __init__(
+        self,
+        topology: TransitStubTopology,
+        *,
+        cache_bytes: int | None = None,
+        eager_bytes: int | None = None,
+    ) -> None:
         require(
             isinstance(topology, TransitStubTopology),
             "TransitStubLatencyModel requires a TransitStubTopology",
@@ -273,154 +361,81 @@ class TransitStubLatencyModel(LatencyModel):
         n = topology.n_routers
         n_transit = len(topology.transit_routers)
         params = topology.params
+        dom_of = topology.stub_domain_of
 
         # Core APSP on the transit-only subgraph (transit routers are
         # laid out first, so the submatrix slice is contiguous).
-        core_csr = topology.csr()[:n_transit, :n_transit]
-        core = dijkstra(core_csr, directed=False)
-        if np.isinf(core).any():
-            raise ValueError("transit core is disconnected")
-        self._core = core
-
-        # Per-stub APSP blocks over intra-stub links only.
-        stub_size = params.stub_domain_size
-        n_stubs = topology.n_stub_domains
-        blocks = np.zeros((n_stubs, stub_size, stub_size), dtype=np.float32)
-        stub_ids, starts, adj = _stub_adjacency(topology)
-        for dom in range(n_stubs):
-            blocks[dom] = _stub_block(adj, starts, dom)
-        self._stub_blocks = blocks
-
-        # Per-router precomputation for vectorised queries.
-        dom_of = topology.stub_domain_of
-        is_stub = dom_of >= 0
-        border_local = topology.local_index[topology.border_router_of_domain]
-        self._border_dist = np.zeros(n, dtype=np.float64)
-        self._border_dist[stub_ids] = blocks[
-            dom_of[stub_ids], topology.local_index[stub_ids], border_local[dom_of[stub_ids]]
-        ]
-        self._uplink = np.where(is_stub, params.stub_transit_delay, 0.0)
-        self._gateway = np.arange(n, dtype=np.int64)
-        self._gateway[stub_ids] = topology.gateway_of_domain[dom_of[stub_ids]]
-        self._dom_of = dom_of
-        self._local = topology.local_index
-
-    def pair(self, u: int, v: int) -> float:
-        return float(self.pairs(np.asarray([u]), np.asarray([v]))[0])
-
-    def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        out = (
-            self._border_dist[us]
-            + self._border_dist[vs]
-            + self._uplink[us]
-            + self._uplink[vs]
-            + self._core[self._gateway[us], self._gateway[vs]]
-        )
-        same = (self._dom_of[us] == self._dom_of[vs]) & (self._dom_of[us] >= 0)
-        if same.any():
-            su, sv = us[same], vs[same]
-            out[same] = self._stub_blocks[self._dom_of[su], self._local[su], self._local[sv]]
-        return out
-
-
-class StreamingTransitStubLatencyModel(LatencyModel):
-    """Transit-stub latency with per-stub APSP blocks computed on demand.
-
-    Query-compatible (bit-identical answers) with
-    :class:`TransitStubLatencyModel`; the difference is purely where
-    the per-stub blocks live.  The eager model precomputes all
-    ``n_stubs × stub_size²`` float32 entries — at a million stub
-    routers that's tens of GB — while this model keeps:
-
-    * the tiny transit-core APSP (eager, same as before),
-    * every router's distance to its stub's border router, obtained
-      from **one** Dijkstra over the intra-stub edges started at all
-      border routers together (O(E log V) total instead of one pass
-      per stub), and
-    * an LRU of at most ``cache_blocks`` stub blocks, each computed by
-      the block function the eager model runs (so cached answers match
-      bit for bit).
-
-    Cross-stub queries never touch a block — the border distances and
-    core matrix fully determine them — so only same-domain queries pay
-    cache traffic.
-    """
-
-    def __init__(self, topology: TransitStubTopology, *, cache_blocks: int = 64) -> None:
-        require(
-            isinstance(topology, TransitStubTopology),
-            "StreamingTransitStubLatencyModel requires a TransitStubTopology",
-        )
-        require(cache_blocks >= 1, "cache_blocks must be >= 1")
-        self.topology = topology
-        self.cache_blocks = int(cache_blocks)
-        self.cache_hits = 0
-        self.cache_misses = 0
-        n = topology.n_routers
-        n_transit = len(topology.transit_routers)
-        dom_of, local = topology.stub_domain_of, topology.local_index
-
         core = dijkstra(topology.csr()[:n_transit, :n_transit], directed=False)
         if np.isinf(core).any():
             raise ValueError("transit core is disconnected")
-        self._core = core
 
-        # Border distances from ONE multi-source Dijkstra: ``adj`` holds
-        # intra-stub links only, so distinct stubs stay disconnected and
-        # the nearest border router is always the router's own.
-        stub_ids, self._dom_starts, self._adj = _stub_adjacency(topology)
-        borders = self._dom_starts[:-1] + local[topology.border_router_of_domain]
-        to_border = dijkstra(self._adj, directed=False, indices=borders, min_only=True)
+        # ``_graph`` holds intra-stub links only, so distinct stubs stay
+        # disconnected and the nearest border router is the router's own.
+        stub_ids, self._starts, self._graph = _stub_adjacency(topology)
+        borders = self._starts[:-1] + topology.local_index[topology.border_router_of_domain]
+        to_border = dijkstra(self._graph, directed=False, indices=borders, min_only=True)
         if np.isinf(to_border).any():
             bad = stub_ids[np.isinf(to_border)][0]
             raise ValueError(f"stub domain {dom_of[bad]} is internally disconnected")
-        self._border_dist = np.zeros(n, dtype=np.float64)
-        # Route through float32 to mirror the eager model's block dtype.
-        self._border_dist[stub_ids] = to_border.astype(np.float32).astype(np.float64)
-        self._uplink = np.where(dom_of >= 0, topology.params.stub_transit_delay, 0.0)
-        self._gateway = np.arange(n, dtype=np.int64)
-        self._gateway[stub_ids] = topology.gateway_of_domain[dom_of[stub_ids]]
-        self._dom_of = dom_of
-        self._local = local
-        self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
 
-    def _block(self, dom: int) -> np.ndarray:
-        cached = self._cache.get(dom)
-        if cached is not None:
-            self._cache.move_to_end(dom)
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        quantised = _stub_block(self._adj, self._dom_starts, dom)
-        self._cache[dom] = quantised
-        if len(self._cache) > self.cache_blocks:
-            self._cache.popitem(last=False)
-        return quantised
+        # Per-router tables for vectorised queries.  A border distance is
+        # a block entry, so it is rounded through the blocks' float32
+        # (``near``).
+        # The ``_u``/``_v`` pairs are one fact seen from either side of a
+        # lane: a transit router's "domain" differs by side, so ``==``
+        # alone finds the same-stub lanes, and the source's gateway is
+        # pre-multiplied into a row offset of the flattened core matrix
+        # (a 1-D gather is about twice as fast as ``core[gu, gv]``).
+        near = to_border.astype(np.float32)
+        edge = np.zeros(n, dtype=np.float64)
+        edge[stub_ids] = near + np.float64(params.stub_transit_delay)
+        gateway = np.arange(n, dtype=np.int64)
+        gateway[stub_ids] = topology.gateway_of_domain[dom_of[stub_ids]]
+        self._gw_u, self._gw_v = gateway * n_transit, gateway
+        self._dom_u, self._dom_v = np.where(dom_of < 0, [[-1], [-2]], dom_of)
+        self._core, self._edge, self._local = core.ravel(), edge, topology.local_index
+
+        links, ms = self._graph.data, _hop_ms(params.intra_stub_delay)
+        uniform = links.size == 0 or links.min() == links.max() == params.intra_stub_delay
+        #: Hop → ms table; ``None`` when the blocks hold float32 ms themselves.
+        self._ms = ms if uniform and near.max() <= ms[_MAX_HOPS // 2] else None
+        size = params.stub_domain_size
+        dtype = np.float32 if self._ms is None else np.uint8
+        self._init_pool(topology.n_stub_domains, (size, size), dtype, cache_bytes, eager_bytes)
+
+    def _fill(self, block: int, out: np.ndarray) -> None:
+        lo, hi = self._starts[block], self._starts[block + 1]
+        sub = self._graph[lo:hi, lo:hi]
+        if self._ms is None:
+            out[: hi - lo, : hi - lo] = dijkstra(sub, directed=False)
+        else:
+            _bfs_hops(sub, out[: hi - lo, : hi - lo])
+
+    def _block_ms(self, slot: np.ndarray, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
+        entries = self._pool[slot, lu, lv]
+        return entries if self._ms is None else self._ms[entries]
 
     def pair(self, u: int, v: int) -> float:
-        return float(self.pairs(np.asarray([u]), np.asarray([v]))[0])
+        if self._dom_u[u] == self._dom_v[v]:
+            return super().pair(u, v)
+        return float(self._edge[u] + self._edge[v] + self._core[self._gw_u[u] + self._gw_v[v]])
 
     def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        out = (
-            self._border_dist[us]
-            + self._border_dist[vs]
-            + self._uplink[us]
-            + self._uplink[vs]
-            + self._core[self._gateway[us], self._gateway[vs]]
-        )
-        same = np.flatnonzero(
-            (self._dom_of[us] == self._dom_of[vs]) & (self._dom_of[us] >= 0)
-        )
+        us, vs = index_lanes(us, vs)
+        dom = self._dom_u[us]
+        out = self._edge[us] + self._edge[vs]
+        hop = self._gw_u[us]
+        hop += self._gw_v[vs]
+        out += self._core[hop]
+        same = (dom == self._dom_v[vs]).nonzero()[0]
         if same.size:
-            doms = self._dom_of[us[same]]
-            for dom in np.unique(doms):
-                m = same[doms == dom]
-                block = self._block(int(dom))
-                out[m] = block[self._local[us[m]], self._local[vs[m]]]
+            dom, lu, lv = dom[same], self._local[us[same]], self._local[vs[same]]
+            slot = self._slots(dom)
+            if slot is not None:
+                out[same] = self._block_ms(slot, lu, lv)
+            else:
+                for lanes, slot in self._groups(dom):
+                    out[same[lanes]] = self._block_ms(slot, lu[lanes], lv[lanes])
         return out
 
 
@@ -438,9 +453,6 @@ class CoordinateLatencyModel(LatencyModel):
         require(scale > 0, "scale must be positive")
         self.coords = coords
         self.scale = float(scale)
-
-    def pair(self, u: int, v: int) -> float:
-        return float(self.pairs(np.asarray([u]), np.asarray([v]))[0])
 
     def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         a = self.coords[np.asarray(us, dtype=np.int64)]
@@ -470,18 +482,8 @@ class NoisyLatencyModel(LatencyModel):
         self.sigma = float(sigma)
         self._rng = make_rng(seed)
 
-    def pair(self, u: int, v: int) -> float:
-        return float(self.pairs(np.asarray([u]), np.asarray([v]))[0])
-
     def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         clean = self.inner.pairs(us, vs)
-        if self.sigma == 0:
-            return clean
-        noise = self._rng.lognormal(mean=0.0, sigma=self.sigma, size=np.shape(clean))
-        return clean * noise
-
-    def to_targets(self, source: int, targets: np.ndarray) -> np.ndarray:
-        clean = self.inner.to_targets(source, targets)
         if self.sigma == 0:
             return clean
         noise = self._rng.lognormal(mean=0.0, sigma=self.sigma, size=np.shape(clean))
@@ -500,38 +502,18 @@ def latency_model_for(
     Transit-stub instances get the exact hierarchical model — unless the
     generator added redundancy edges (extra uplinks / stub-stub links),
     which break its single-uplink precondition; those, and every general
-    graph, get the APSP matrix.  When the eager model's precomputed
-    state would exceed ``streaming_threshold_bytes``, the bit-identical
-    streaming twin is returned instead; every config in the repo's
-    standard sweeps stays under the default 1 GiB threshold, so their
-    models are byte-for-byte what they always were.
-
-    A streaming model's LRU is sized so resident blocks stay under
-    ``streaming_cache_bytes`` (default 4 GiB) — blocks are built on
-    demand, only touched blocks are ever paid for, and the budget is
-    the hard ceiling.  Workloads whose working set fits the budget
-    (e.g. a million-router transit-stub instance: ~2.4 k blocks of
-    ~1 MB) converge to each block computed exactly once; sizing the
-    cache at a fixed small block count instead thrashes — a single
-    65 536-lane routing chunk touches nearly every stub domain every
-    hop, re-filling the same blocks thousands of times.
+    graph, get the APSP row blocks.  The two numbers are the models'
+    ``eager_bytes`` and ``cache_bytes``: blocks are filled at
+    construction while they total at most ``streaming_threshold_bytes``
+    (every standard sweep, by far), otherwise on first use — same
+    answers either way — and ``streaming_cache_bytes`` is the hard
+    ceiling on resident block bytes (below one block: an error; far
+    below the working set: the same blocks re-filled on every chunk —
+    a million-router transit-stub instance is ~2.4 k blocks of 0.26 MB).
     """
-    if isinstance(topology, TransitStubTopology) and not topology.params.has_shortcuts:
-        # Neither twin takes a further keyword: a stray one is their TypeError.
-        params = topology.params
-        block_bytes = params.stub_domain_size**2 * 4
-        blocks_bytes = topology.n_stub_domains * block_bytes
-        if blocks_bytes > streaming_threshold_bytes:
-            cache_blocks = max(64, streaming_cache_bytes // max(block_bytes, 1))
-            return StreamingTransitStubLatencyModel(
-                topology, cache_blocks=cache_blocks, **kwargs  # type: ignore[arg-type]
-            )
-        return TransitStubLatencyModel(topology, **kwargs)  # type: ignore[arg-type]
-    if topology.n_routers**2 * 2 > streaming_threshold_bytes:
-        chunk = int(kwargs.pop("chunk", 1024))  # type: ignore[call-overload]
-        row_block_bytes = chunk * topology.n_routers * 2
-        cache_blocks = max(4, streaming_cache_bytes // max(row_block_bytes, 1))
-        return StreamingAPSPLatencyModel(
-            topology, chunk=chunk, cache_blocks=cache_blocks, **kwargs  # type: ignore[arg-type]
-        )
-    return APSPLatencyModel(topology, **kwargs)  # type: ignore[arg-type]
+    exact = isinstance(topology, TransitStubTopology) and not topology.params.has_shortcuts
+    model = TransitStubLatencyModel if exact else APSPLatencyModel
+    # A keyword the chosen model does not take is its TypeError.
+    return model(
+        topology, cache_bytes=streaming_cache_bytes, eager_bytes=streaming_threshold_bytes, **kwargs
+    )

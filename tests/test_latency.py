@@ -1,4 +1,8 @@
-"""Tests for latency models, including exactness cross-checks."""
+"""Tests for latency models, including exactness cross-checks.
+
+What a model answers at different cache budgets, the hand-built stubs
+and the pool's counters live in ``tests/test_latency_budgets.py``.
+"""
 
 import numpy as np
 import pytest
@@ -6,25 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 
-import repro.topology.latency as latency_module
-from repro.topology.base import ROUTER_STUB, ROUTER_TRANSIT, Topology
+from repro.topology.base import Topology
 from repro.topology.brite import BriteParams, generate_brite
 from repro.topology.latency import (
     APSPLatencyModel,
     CoordinateLatencyModel,
     NoisyLatencyModel,
-    StreamingAPSPLatencyModel,
-    StreamingTransitStubLatencyModel,
     TransitStubLatencyModel,
-    _uniform_apsp,
+    _bfs_hops,
+    _hop_ms,
     latency_model_for,
 )
 from repro.topology.transit_stub import (
     TransitStubParams,
-    TransitStubTopology,
     _connected_random_graph,
     generate_transit_stub,
 )
+from tests.test_latency_budgets import HAND_BUILT
 
 
 class TestAPSP:
@@ -140,8 +142,23 @@ WORD_BOUNDARY_SIZES = [1, 2, 63, 64, 65, 130]
 DELAYS = [5.0, 0.1, 1 / 3]
 
 
+def _bfs_block(sub, delay):
+    """The kernel's ``uint8`` hop counts, read the way the model reads
+    them: float32 ms through the running-sum table, ``inf`` for a pair
+    the search never reached."""
+    n = sub.shape[0]
+    hops = np.full((n, n), 201, dtype=np.uint8)  # an evicted block's stale bytes
+    levels = _bfs_hops(sub, hops)
+    assert hops.dtype == np.uint8 and hops.max() <= levels
+    return np.where(hops == levels, np.float32(np.inf), _hop_ms(delay)[hops])
+
+
+def _dijkstra32(sub):
+    return dijkstra(sub, directed=False).astype(np.float32)
+
+
 class TestUniformApsp:
-    """The bit-parallel BFS block ≡ Dijkstra, bit for bit in float64."""
+    """The bit-parallel BFS block ≡ Dijkstra, bit for bit in the blocks' float32."""
 
     @given(
         st.sampled_from(WORD_BOUNDARY_SIZES),
@@ -154,9 +171,9 @@ class TestUniformApsp:
         rng = np.random.default_rng(seed)
         edges = _connected_random_graph(n, extra, rng, np.triu_indices(n, k=1))
         sub = _sub_graph(n, edges, delay)
-        block = _uniform_apsp(sub)
-        assert block.dtype == np.float64
-        np.testing.assert_array_equal(block, dijkstra(sub, directed=False))
+        block = _bfs_block(sub, delay)
+        assert block.dtype == np.float32
+        np.testing.assert_array_equal(block, _dijkstra32(sub))
 
     @pytest.mark.parametrize("delay", DELAYS)
     @pytest.mark.parametrize("n", WORD_BOUNDARY_SIZES[1:])
@@ -164,7 +181,7 @@ class TestUniformApsp:
         path = _sub_graph(n, [(i, i + 1) for i in range(n - 1)], delay)  # diameter n - 1
         star = _sub_graph(n, [(0, i) for i in range(1, n)], delay)
         for sub in (path, star):
-            np.testing.assert_array_equal(_uniform_apsp(sub), dijkstra(sub, directed=False))
+            np.testing.assert_array_equal(_bfs_block(sub, delay), _dijkstra32(sub))
 
     @pytest.mark.parametrize("loner", [0, 2, 4])
     def test_router_without_links_is_unreachable(self, loner):
@@ -172,77 +189,29 @@ class TestUniformApsp:
         neighbour's slot from ``reduceat``."""
         others = [r for r in range(5) if r != loner]
         sub = _sub_graph(5, list(zip(others, others[1:])), 5.0)
-        block = _uniform_apsp(sub)
-        np.testing.assert_array_equal(block, dijkstra(sub, directed=False))
+        block = _bfs_block(sub, 5.0)
+        np.testing.assert_array_equal(block, _dijkstra32(sub))
         assert np.isinf(block[loner, others]).all() and np.isinf(block[others, loner]).all()
         assert block[loner, loner] == 0.0
 
     def test_mixed_delays_match_dijkstra(self):
-        sub = _sub_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [5.0, 5.0, 5.0, 20.0])
-        block = _uniform_apsp(sub)
-        np.testing.assert_array_equal(block, dijkstra(sub, directed=False))
-        assert block[0, 3] == 15.0  # three 5 ms hops beat the direct 20 ms link
+        """The kernel reads no link weight, so a stub with mixed delays
+        must never reach it: the model keeps float32 ms from Dijkstra."""
+        topo = HAND_BUILT["mixed_delays"][0]()
+        model = TransitStubLatencyModel(topo)
+        assert model._pool.dtype == np.float32
+        members = topo.routers_of_domain(1)
+        got = model.pairs(np.repeat(members, 4), np.tile(members, 4)).reshape(4, 4)
+        np.testing.assert_array_equal(got, _dijkstra32(topo.csr()[members][:, members]))
+        assert got[0, 3] == 15.0  # three 5 ms hops beat the direct 20 ms link
 
-
-def _split_stub_topology():
-    """One transit router, two 4-router stubs; stub 1 is split into
-    {5, 6} (holding the border) and {7, 8}."""
-    return TransitStubTopology(
-        n_routers=9,
-        edges=np.asarray([[1, 2], [2, 3], [3, 4], [1, 0], [5, 6], [7, 8], [5, 0]]),
-        delays=np.asarray([5.0, 5.0, 5.0, 20.0, 5.0, 5.0, 20.0]),
-        kind=np.asarray([ROUTER_TRANSIT] + [ROUTER_STUB] * 8, dtype=np.uint8),
-        stub_domain_of=np.asarray([-1, 0, 0, 0, 0, 1, 1, 1, 1]),
-        border_router_of_domain=np.asarray([1, 5]),
-        gateway_of_domain=np.asarray([0, 0]),
-        local_index=np.asarray([0, 0, 1, 2, 3, 0, 1, 2, 3]),
-        params=TransitStubParams(
-            n_transit_domains=1,
-            transit_nodes_per_domain=1,
-            stubs_per_transit_node=2,
-            stub_domain_size=4,
-        ),
-    )
-
-
-class TestSplitStub:
-    @pytest.mark.parametrize(
-        "model", [TransitStubLatencyModel, StreamingTransitStubLatencyModel]
-    )
-    def test_both_twins_name_the_split_domain(self, model):
-        with pytest.raises(ValueError, match="stub domain 1 is internally disconnected"):
-            model(_split_stub_topology())
-
-
-class TestDijkstraCallCount:
-    """Perf gate by count, not by clock: stub blocks never run Dijkstra."""
-
-    @pytest.fixture()
-    def calls(self, monkeypatch):
-        made = []
-
-        def counting(*args, **kwargs):
-            made.append(1)
-            return dijkstra(*args, **kwargs)
-
-        monkeypatch.setattr(latency_module, "dijkstra", counting)
-        return made
-
-    def test_eager_build_runs_only_the_core_pass(self, small_topology, calls):
-        TransitStubLatencyModel(small_topology)
-        assert len(calls) == 1
-
-    def test_streaming_build_and_cold_fill(self, small_topology, calls):
-        model = StreamingTransitStubLatencyModel(small_topology, cache_blocks=4)
-        assert len(calls) == 2  # transit core + the multi-source border pass
-        us, vs = np.asarray(
-            [small_topology.routers_of_domain(d)[:2] for d in range(3)]
-        ).T  # one same-domain pair in each of three cold stubs
-        model.pairs(us, vs)
-        assert (model.cache_misses, model.cache_hits) == (3, 0)
-        model.pairs(us[:1], vs[:1])
-        assert (model.cache_misses, model.cache_hits) == (3, 1)
-        assert len(calls) == 2
+    def test_a_search_deeper_than_uint8_counts_is_refused(self):
+        """``hops +=`` would wrap silently at level 256."""
+        sub = _sub_graph(300, [(i, i + 1) for i in range(299)], 5.0)
+        with pytest.raises(ValueError, match="more than 254 hops deep"):
+            _bfs_hops(sub, np.zeros((300, 300), dtype=np.uint8))
+        deepest = _sub_graph(255, [(i, i + 1) for i in range(254)], 5.0)  # diameter 254
+        np.testing.assert_array_equal(_bfs_block(deepest, 5.0), _dijkstra32(deepest))
 
 
 class TestModelSelection:
@@ -295,106 +264,6 @@ class TestNoisyModel:
     def test_rejects_negative_sigma(self, small_latency):
         with pytest.raises(ValueError):
             NoisyLatencyModel(small_latency, sigma=-0.1)
-
-
-class TestStreamingAPSP:
-    """Streaming row-block APSP ≡ the eager matrix, bit for bit."""
-
-    @pytest.fixture(scope="class")
-    def pair_of_models(self):
-        topo = generate_brite(BriteParams(n_nodes=220), seed=3)
-        return APSPLatencyModel(topo), StreamingAPSPLatencyModel(topo, chunk=64), topo
-
-    def test_pairs_bit_identical(self, pair_of_models, rng):
-        eager, streaming, topo = pair_of_models
-        us = rng.integers(0, topo.n_routers, 500)
-        vs = rng.integers(0, topo.n_routers, 500)
-        np.testing.assert_array_equal(eager.pairs(us, vs), streaming.pairs(us, vs))
-
-    def test_pair_and_to_targets_bit_identical(self, pair_of_models):
-        eager, streaming, topo = pair_of_models
-        assert eager.pair(1, 200) == streaming.pair(1, 200)
-        targets = np.arange(0, topo.n_routers, 7)
-        np.testing.assert_array_equal(
-            eager.to_targets(9, targets), streaming.to_targets(9, targets)
-        )
-
-    def test_lru_evicts_and_still_agrees(self, rng):
-        topo = generate_brite(BriteParams(n_nodes=150), seed=4)
-        eager = APSPLatencyModel(topo)
-        tiny = StreamingAPSPLatencyModel(topo, chunk=16, cache_blocks=2)
-        us = rng.integers(0, topo.n_routers, 400)
-        vs = rng.integers(0, topo.n_routers, 400)
-        np.testing.assert_array_equal(eager.pairs(us, vs), tiny.pairs(us, vs))
-        assert tiny.cache_misses > 2  # evictions happened, results unchanged
-        hits = tiny.cache_hits
-        assert tiny.pair(0, 5) == tiny.pair(0, 5)  # same block twice
-        assert tiny.cache_hits > hits
-
-
-class TestStreamingTransitStub:
-    """Streaming per-stub blocks ≡ the eager exact decomposition."""
-
-    @pytest.fixture(scope="class")
-    def pair_of_models(self, small_topology):
-        return (
-            TransitStubLatencyModel(small_topology),
-            StreamingTransitStubLatencyModel(small_topology, cache_blocks=4),
-            small_topology,
-        )
-
-    def test_pairs_bit_identical(self, pair_of_models, rng):
-        eager, streaming, topo = pair_of_models
-        us = rng.integers(0, topo.n_routers, 600)
-        vs = rng.integers(0, topo.n_routers, 600)
-        np.testing.assert_array_equal(eager.pairs(us, vs), streaming.pairs(us, vs))
-
-    def test_same_domain_pairs_bit_identical(self, pair_of_models):
-        """Intra-stub queries take the on-demand Dijkstra block path."""
-        eager, streaming, topo = pair_of_models
-        dom = topo.stub_domain_of
-        for target in range(3):
-            members = np.flatnonzero(dom == target)
-            us = np.repeat(members, len(members))
-            vs = np.tile(members, len(members))
-            np.testing.assert_array_equal(eager.pairs(us, vs), streaming.pairs(us, vs))
-
-    def test_to_targets_bit_identical(self, pair_of_models):
-        eager, streaming, topo = pair_of_models
-        targets = np.arange(0, topo.n_routers, 5)
-        np.testing.assert_array_equal(
-            eager.to_targets(2, targets), streaming.to_targets(2, targets)
-        )
-
-
-class TestStreamingDispatch:
-    def test_zero_threshold_streams(self, small_topology):
-        model = latency_model_for(small_topology, streaming_threshold_bytes=0)
-        assert isinstance(model, StreamingTransitStubLatencyModel)
-        topo = generate_brite(BriteParams(n_nodes=50), seed=1)
-        assert isinstance(
-            latency_model_for(topo, streaming_threshold_bytes=0),
-            StreamingAPSPLatencyModel,
-        )
-
-    def test_default_threshold_keeps_small_models_eager(self, small_topology):
-        assert isinstance(latency_model_for(small_topology), TransitStubLatencyModel)
-
-    def test_cache_budget_sizes_lru(self, small_topology):
-        """cache_blocks is derived from streaming_cache_bytes so the
-        resident-block ceiling is a byte budget, not a fixed count."""
-        block_bytes = small_topology.params.stub_domain_size**2 * 4
-        model = latency_model_for(
-            small_topology,
-            streaming_threshold_bytes=0,
-            streaming_cache_bytes=200 * block_bytes,
-        )
-        assert model.cache_blocks == max(64, 200)
-        topo = generate_brite(BriteParams(n_nodes=64), seed=2)
-        apsp = latency_model_for(
-            topo, streaming_threshold_bytes=0, streaming_cache_bytes=0
-        )
-        assert apsp.cache_blocks == 4  # floor
 
 
 class TestNoisyScalarAndTargets:
