@@ -1,9 +1,11 @@
 """Convenience facade: build a ready-to-route HIERAS network in one call.
 
-Most users start with :func:`quick_network`; it wires together a
-transit-stub topology, overlay attachment, landmark placement, binning
-and a two-layer HIERAS network, returning everything as a
-:class:`NetworkBundle`.  Everything the facade does can be done (and is
+Most users start with :func:`quick_network`: the experiments' own
+deployment pipeline (:func:`repro.experiments.runner.build_bundle` —
+topology, overlay attachment, landmark placement, binning, Chord and
+HIERAS, all seeded from one :class:`~repro.experiments.config.SimConfig`)
+repackaged as a :class:`NetworkBundle`, so a network built here is the
+network the figures route on.  Everything it does can be done (and is
 documented) piecewise in the underlying packages — this is sugar, not
 the only entry point.
 """
@@ -12,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-from repro.util.rng import RngFactory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.hieras import HierasNetwork
@@ -69,7 +69,9 @@ def quick_network(
     Parameters mirror the paper's defaults: 4 landmark nodes, a
     two-layer hierarchy, and the transit-stub topology (§4.1); ``model``
     selects ``"ts"``, ``"inet"`` or ``"brite"`` (Inet requires
-    ``n_peers * 1.25 >= 3000``, the generator's floor).
+    ``n_peers * 1.25 >= 3000``, the generator's floor).  The arguments
+    are validated as :class:`~repro.experiments.config.SimConfig`
+    fields (``n_peers >= 8``, ``depth`` in ``[2, 4]``, …).
 
     Examples
     --------
@@ -80,47 +82,18 @@ def quick_network(
     """
     # Imported here so `import repro` stays light and the facade module
     # can be imported while the heavier packages are being built/tested.
-    from repro.core.binning import BinningScheme
-    from repro.core.hieras import HierasNetwork
-    from repro.dht.chord import ChordNetwork
-    from repro.topology.attach import OverlayAttachment, attach_overlay, place_landmarks
-    from repro.topology.brite import BriteParams, generate_brite
-    from repro.topology.inet import InetParams, generate_inet
-    from repro.topology.latency import latency_model_for
-    from repro.topology.transit_stub import TransitStubParams, generate_transit_stub
-    from repro.util.ids import IdSpace
-    from repro.util.validation import require
+    from repro.experiments.config import SimConfig
+    from repro.experiments.runner import build_bundle
 
-    require(model in ("ts", "inet", "brite"), f"unknown model {model!r}")
-    rngs = RngFactory(seed)
-    n_routers = max(64, int(n_peers * 1.25))
-    if model == "ts":
-        params = TransitStubParams.for_size(n_routers)
-        topology = generate_transit_stub(params, seed=rngs.get("topology"))
-    elif model == "inet":
-        topology = generate_inet(InetParams(n_nodes=n_routers), seed=rngs.get("topology"))
-    else:
-        topology = generate_brite(BriteParams(n_nodes=n_routers), seed=rngs.get("topology"))
-    model = latency_model_for(topology)
-    routers = attach_overlay(topology, n_peers, seed=rngs.get("attach"))
-    landmarks = place_landmarks(topology, model, n_landmarks, seed=rngs.get("landmarks"))
-    attachment = OverlayAttachment(topology, routers, landmarks)
-    peer_latency = attachment.peer_latency(model)
-
-    space = IdSpace(bits=bits)
-    node_ids = space.sample_unique_ids(n_peers, rngs.get("node-ids"))
-    chord = ChordNetwork(space, node_ids, latency=peer_latency)
-
-    distances = attachment.landmark_distances(model)
-    binning = BinningScheme.default_for_depth(depth)
-    orders = binning.orders(distances)
-    hieras = HierasNetwork(
-        space, node_ids, latency=peer_latency, landmark_orders=orders, depth=depth
+    built = build_bundle(
+        SimConfig(
+            model=model, n_peers=n_peers, n_landmarks=n_landmarks, depth=depth, seed=seed, bits=bits
+        )
     )
     return NetworkBundle(
-        topology=topology,
-        attachment=attachment,
-        peer_latency=peer_latency,
-        chord=chord,
-        hieras=hieras,
+        topology=built.topology,
+        attachment=built.attachment,
+        peer_latency=built.peer_latency,
+        chord=built.chord,
+        hieras=built.hieras,
     )

@@ -33,45 +33,16 @@ counts ``cache.*`` events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol
+from dataclasses import dataclass
 
 from repro.cache.policy import CachePolicy
 from repro.cache.store import CacheEntry, NodeCache
 from repro.dht.base import DHTNetwork, RouteResult
+from repro.dht.chord import ChordNetwork
 from repro.faults.injector import FaultInjector, LossyContext
-from repro.topology.base import LatencyModel
-from repro.util.ids import IdSpace
 from repro.util.validation import require
 
-__all__ = ["CacheableNetwork", "CachedNetwork", "CacheStats"]
-
-
-class CacheableNetwork(Protocol):
-    """Surface the cache layer needs from an inner routing stack.
-
-    Both trace-driven stacks (:class:`~repro.dht.chord.ChordNetwork`,
-    :class:`~repro.core.hieras.HierasNetwork`) satisfy this
-    structurally; anything else that does can be cached too.
-    """
-
-    space: IdSpace
-    latency: LatencyModel
-
-    @property
-    def n_peers(self) -> int: ...
-
-    def owner_of(self, key: int) -> int: ...
-
-    def is_alive(self, peer: int) -> bool: ...
-
-    def route(self, source: int, key: int) -> RouteResult: ...
-
-    def route_lossy(
-        self, source: int, key: int, *, injector: FaultInjector
-    ) -> RouteResult: ...
-
-    def hop_layer_info(self, result: RouteResult) -> tuple[list[int], list[str]]: ...
+__all__ = ["CachedNetwork", "CacheStats"]
 
 
 @dataclass
@@ -145,7 +116,7 @@ class CachedNetwork(DHTNetwork):
 
     def __init__(
         self,
-        inner: CacheableNetwork,
+        inner: ChordNetwork,
         policy: CachePolicy | None = None,
         *,
         label: str | None = None,
@@ -154,10 +125,7 @@ class CachedNetwork(DHTNetwork):
         self.policy = policy if policy is not None else CachePolicy()
         self.space = inner.space
         self.latency = inner.latency
-        if label is None:
-            inner_label = getattr(inner, "span_label", None)
-            label = f"cached-{inner_label}" if inner_label else "cached"
-        self.label = label
+        self.label = label if label is not None else f"cached-{inner.span_label}"
         #: Simulated cache clock (ms); advanced only by :meth:`advance_to`.
         self.now_ms = 0.0
         self._caches: dict[int, NodeCache] = {}
@@ -237,101 +205,57 @@ class CachedNetwork(DHTNetwork):
            population installs the answer along it.
         """
         key = self.space.wrap(int(key))
-        now = self.now_ms
         self.stats.lookups += 1
-        src_cache = self.cache_of(source)
-        entry, expired = src_cache.get(key, now)
-        if expired:
-            self.stats.expirations += 1
-            self._count("cache.expirations")
+        entry = self._read(source, key)
         if entry is not None and entry.has_value:
-            return self._finish_hit(source, key, [source], "value-hit")
+            return self._finish(source, key, [source], [], [], "value-hit")
+        probe = None
         if entry is not None:
             owner = entry.owner
             if self.inner.is_alive(owner) and self.inner.owner_of(key) == owner:
-                return self._finish_hit(source, key, [source, owner], "shortcut")
+                return self._finish(source, key, [source, owner], [], [], "shortcut")
             # Stale shortcut: the cached owner is gone or demoted.
-            src_cache.evict(key)
-            self.stats.stale_evictions += 1
-            self._count("cache.stale_evictions")
+            self._evict_stale(source, key)
             if self.inner.is_alive(owner):
                 # The ex-owner is still a member: it forwards the
                 # request onward, so the probe hop is part of the path.
                 cont = self.inner.route(owner, key)
                 layers, rings = self.inner.hop_layer_info(cont)
-                return self._routed(
-                    source,
-                    key,
-                    [source, *cont.path],
-                    [1, *layers],
-                    ["global", *rings],
-                    ["stale", *([""] * (len(cont.path) - 1))],
-                    timeouts=0,
-                    retry_latency_ms=0.0,
+                return self._finish(
+                    source, key, [source, *cont.path], [1, *layers], ["global", *rings], "stale"
                 )
             # The cached owner left the overlay entirely: the probe
             # times out and the lookup restarts from the source.
-            penalty = float(self.latency.pair(source, owner))
-            return self._route_miss(source, key, timeouts=1, retry_latency_ms=penalty)
-        return self._route_miss(source, key)
+            probe = LossyContext(1, float(self.latency.pair(source, owner)))
+        return self._route_miss(source, key, probe)
 
-    def _route_miss(
-        self, source: int, key: int, *, timeouts: int = 0, retry_latency_ms: float = 0.0
-    ) -> RouteResult:
+    def _route_miss(self, source: int, key: int, probe: LossyContext | None) -> RouteResult:
         """Real routing with path-cache consultation and population."""
         inner_res = self.inner.route(source, key)
         path = inner_res.path
         layers, rings = self.inner.hop_layer_info(inner_res)
-        now = self.now_ms
         for i in range(1, len(path) - 1):
             node = path[i]
-            entry, expired = self.cache_of(node).get(key, now)
-            if expired:
-                self.stats.expirations += 1
-                self._count("cache.expirations")
+            entry = self._read(node, key)
             if entry is None:
                 continue
             if entry.has_value:
                 # The request terminates here: this node serves the
                 # cached answer instead of forwarding further.
-                return self._finish_hit(
-                    source,
-                    key,
-                    path[: i + 1],
-                    "value-hit",
-                    layers=layers[:i],
-                    rings=rings[:i],
-                    owner_hint=entry.owner,
-                    timeouts=timeouts,
-                    retry_latency_ms=retry_latency_ms,
+                return self._finish(
+                    source, key, path[: i + 1], layers[:i], rings[:i], "value-hit",
+                    owner_hint=entry.owner, probe=probe,
                 )
             if self.inner.is_alive(entry.owner) and entry.owner == path[-1]:
                 # Routing shortcut: forward straight to the owner.
-                return self._finish_hit(
-                    source,
-                    key,
-                    [*path[: i + 1], path[-1]],
-                    "shortcut",
-                    layers=layers[:i],
-                    rings=rings[:i],
-                    timeouts=timeouts,
-                    retry_latency_ms=retry_latency_ms,
+                return self._finish(
+                    source, key, [*path[: i + 1], path[-1]], layers[:i], rings[:i], "shortcut",
+                    probe=probe,
                 )
-            self.cache_of(node).evict(key)
-            self.stats.stale_evictions += 1
-            self._count("cache.stale_evictions")
+            self._evict_stale(node, key)
         self.stats.misses += 1
         self._count("cache.misses")
-        return self._routed(
-            source,
-            key,
-            path,
-            layers,
-            rings,
-            [""] * (len(path) - 1),
-            timeouts=timeouts,
-            retry_latency_ms=retry_latency_ms,
-        )
+        return self._finish(source, key, path, layers, rings, routed=inner_res, probe=probe)
 
     # ------------------------------------------------------------------
     # failure-aware cache routing
@@ -352,56 +276,25 @@ class CachedNetwork(DHTNetwork):
         success, so the cache keeps adapting to the post-fault world.
         """
         key = self.space.wrap(int(key))
-        now = self.now_ms
         self.stats.lookups += 1
-        src_cache = self.cache_of(source)
-        entry, expired = src_cache.get(key, now)
-        if expired:
-            self.stats.expirations += 1
-            self._count("cache.expirations")
+        entry = self._read(source, key)
         if entry is not None and entry.has_value:
-            return self._finish_hit(source, key, [source], "value-hit")
-        ctx = LossyContext()
+            return self._finish(source, key, [source], [], [], "value-hit")
+        probe = LossyContext()
         if entry is not None:
-            if injector.contact(source, entry.owner, ctx):
-                return self._finish_hit(
-                    source,
-                    key,
-                    [source, entry.owner],
-                    "shortcut",
-                    timeouts=ctx.timeouts,
-                    retry_latency_ms=ctx.retry_latency_ms,
+            if injector.contact(source, entry.owner, probe):
+                return self._finish(
+                    source, key, [source, entry.owner], [], [], "shortcut", probe=probe
                 )
             # The cached owner is unreachable (crashed, partitioned or
             # lossy): detected by the failed contact, evicted, and the
             # lookup falls back to failure-aware routing.
-            src_cache.evict(key)
-            self.stats.stale_evictions += 1
-            self._count("cache.stale_evictions")
+            self._evict_stale(source, key)
         result = self.inner.route_lossy(source, key, injector=injector)
         self.stats.misses += 1
         self._count("cache.misses")
         layers, rings = self.inner.hop_layer_info(result)
-        merged = RouteResult(
-            source=result.source,
-            key=result.key,
-            owner=result.owner,
-            path=result.path,
-            latency_ms=result.latency_ms,
-            hops_per_layer=result.hops_per_layer,
-            success=result.success,
-            timeouts=result.timeouts + ctx.timeouts,
-            retry_latency_ms=result.retry_latency_ms + ctx.retry_latency_ms,
-        )
-        if merged.success:
-            self._serve(merged.path[-1])
-            self._populate(key, merged.path, merged.path[-1])
-        if self.metrics is not None:
-            self.record_route(
-                self.label, merged, layers=layers, rings=rings,
-                cache=[""] * (len(merged.path) - 1),
-            )
-        return merged
+        return self._finish(source, key, result.path, layers, rings, routed=result, probe=probe)
 
     # ------------------------------------------------------------------
     # internals
@@ -410,6 +303,20 @@ class CachedNetwork(DHTNetwork):
         """Registry-side cache counter (no-op without a recorder)."""
         if self.metrics is not None:
             self.metrics.registry.inc(name, n)
+
+    def _read(self, node: int, key: int) -> CacheEntry | None:
+        """``node``'s live entry for ``key``; an expired one is dropped and counted."""
+        entry, expired = self.cache_of(node).get(key, self.now_ms)
+        if expired:
+            self.stats.expirations += 1
+            self._count("cache.expirations")
+        return entry
+
+    def _evict_stale(self, node: int, key: int) -> None:
+        """Drop ``node``'s entry for ``key``: its owner is gone, demoted or unreachable."""
+        self.cache_of(node).evict(key)
+        self.stats.stale_evictions += 1
+        self._count("cache.stale_evictions")
 
     def _serve(self, peer: int) -> None:
         self._served[peer] = self._served.get(peer, 0) + 1
@@ -443,92 +350,79 @@ class CachedNetwork(DHTNetwork):
             counts[depth - layer] += 1
         return counts
 
-    def _finish_hit(
-        self,
-        source: int,
-        key: int,
-        path: list[int],
-        mode: str,
-        *,
-        layers: list[int] | None = None,
-        rings: list[str] | None = None,
-        owner_hint: int | None = None,
-        timeouts: int = 0,
-        retry_latency_ms: float = 0.0,
-    ) -> RouteResult:
-        """Account one cache-served lookup and build its result.
-
-        ``layers``/``rings`` cover the *routed* prefix of ``path``; the
-        terminal cache hop (shortcut jump) is labelled layer 1/global.
-        ``owner_hint`` is the owner to advertise when populating after
-        an intermediate value hit (the serving node's cached owner).
-        """
-        if mode == "value-hit":
-            self.stats.value_hits += 1
-            self._count("cache.value_hits")
-        else:
-            self.stats.shortcut_hits += 1
-            self._count("cache.shortcut_hits")
-        self._count("cache.hits")
-        n_hops = len(path) - 1
-        hop_layers = list(layers) if layers is not None else []
-        hop_rings = list(rings) if rings is not None else []
-        while len(hop_layers) < n_hops:  # terminal shortcut hop(s)
-            hop_layers.append(1)
-            hop_rings.append("global")
-        cache_ann = [""] * n_hops
-        if n_hops:
-            cache_ann[-1] = mode
-        server = path[-1]
-        self._serve(server)
-        if owner_hint is not None and self.policy.populate_path:
-            # Spread the answer down the prefix that walked to the hit.
-            self._populate(key, [*path[:-1], owner_hint], server)
-        result = RouteResult(
-            source=source,
-            key=key,
-            owner=server,
-            path=path,
-            latency_ms=self.route_latency(self.latency, path),
-            hops_per_layer=self._layer_counts(hop_layers),
-            timeouts=timeouts,
-            retry_latency_ms=retry_latency_ms,
-        )
-        if self.metrics is not None:
-            self.record_route(
-                self.label, result, layers=hop_layers, rings=hop_rings,
-                cache=cache_ann,
-            )
-        return result
-
-    def _routed(
+    def _finish(
         self,
         source: int,
         key: int,
         path: list[int],
         layers: list[int],
         rings: list[str],
-        cache_ann: list[str],
+        mode: str = "",
         *,
-        timeouts: int,
-        retry_latency_ms: float,
+        owner_hint: int | None = None,
+        routed: RouteResult | None = None,
+        probe: LossyContext | None = None,
     ) -> RouteResult:
-        """Account one fully routed lookup (miss or stale forward)."""
+        """Account one finished lookup and build its result and span.
+
+        Every exit of both cached routes ends here.  ``mode`` says what
+        the caches did: ``"value-hit"`` / ``"shortcut"`` — one served,
+        or pointed, the last hop; ``"stale"`` — the first hop probed a
+        demoted owner, which forwarded; ``""`` — routed all the way.
+        ``layers``/``rings`` cover the *routed* hops of ``path``; cache
+        hops past them (the shortcut jump) are labelled layer 1/global.
+        ``owner_hint`` is the owner to advertise when populating after
+        an intermediate value hit (the serving node's cached owner).
+        ``routed`` is the inner result when ``path`` is exactly its
+        path: latency, layer counts and — under faults — the outcome
+        are then its own.  ``probe`` holds the timeouts a cached
+        shortcut's owner cost before the lookup got here.
+        """
+        if mode == "value-hit":
+            self.stats.value_hits += 1
+            self._count("cache.value_hits")
+            self._count("cache.hits")
+        elif mode == "shortcut":
+            self.stats.shortcut_hits += 1
+            self._count("cache.shortcut_hits")
+            self._count("cache.hits")
+        n_hops = len(path) - 1
+        pad = n_hops - len(layers)
+        layers = [*layers, *([1] * pad)]
+        rings = [*rings, *(["global"] * pad)]
         server = path[-1]
-        self._serve(server)
-        self._populate(key, path, server)
+        ok = routed is None or routed.success
+        if ok:
+            self._serve(server)
+            if mode in ("", "stale"):
+                self._populate(key, path, server)
+            elif owner_hint is not None and self.policy.populate_path:
+                # Spread the answer down the prefix that walked to the hit.
+                self._populate(key, [*path[:-1], owner_hint], server)
+        timeouts, retry_latency_ms = (0, 0.0) if probe is None else (probe.timeouts, probe.retry_latency_ms)
+        if routed is None:
+            latency_ms = self.route_latency(self.latency, path)
+            hops_per_layer = self._layer_counts(layers)
+        else:
+            latency_ms, hops_per_layer = routed.latency_ms, routed.hops_per_layer
+            timeouts += routed.timeouts
+            retry_latency_ms = routed.retry_latency_ms + retry_latency_ms
         result = RouteResult(
             source=source,
             key=key,
-            owner=server,
+            owner=server if ok else -1,
             path=path,
-            latency_ms=self.route_latency(self.latency, path),
-            hops_per_layer=self._layer_counts(layers),
+            latency_ms=latency_ms,
+            hops_per_layer=hops_per_layer,
+            success=ok,
             timeouts=timeouts,
             retry_latency_ms=retry_latency_ms,
         )
         if self.metrics is not None:
+            cache_ann = [""] * n_hops
+            if mode and n_hops:
+                cache_ann[0 if mode == "stale" else -1] = mode
             self.record_route(
-                self.label, result, layers=layers, rings=rings, cache=cache_ann,
+                self.label, result, layers=layers, rings=rings, cache=cache_ann
             )
         return result

@@ -100,7 +100,6 @@ class HierasNetwork(ChordNetwork):
         landmark_orders: LandmarkOrders,
         latency: LatencyModel | None = None,
         depth: int | None = None,
-        ring_table_replicas: int = 2,
         successor_list_r: int = 16,
         successor_list_policy: str = "transitions",
     ) -> None:
@@ -151,7 +150,7 @@ class HierasNetwork(ChordNetwork):
         #: ``directory.publish`` calls skipped because a ring's
         #: membership did not change across a full rebuild.
         self.publish_skips = 0
-        self.directory = RingTableDirectory(space, replicas=ring_table_replicas)
+        self.directory = RingTableDirectory(space)
         # The base constructor ends in ``_rebuild``, which reads all of
         # the above.
         super().__init__(space, ids, latency=latency, successor_list_r=successor_list_r)

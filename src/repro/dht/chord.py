@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.dht.base import DHTNetwork, RouteResult, ZeroLatency
 from repro.dht.ring_array import FingerEntry, RingLayer, SortedRing
+from repro.faults.injector import FaultInjector, LookupFaults
 from repro.topology.base import LatencyModel
 from repro.util.ids import IdSpace
 from repro.util.validation import require
@@ -363,39 +364,9 @@ class ChordNetwork(DHTNetwork):
         the key's owner.
         """
         self._require_source(source)
-        key = self.space.wrap(int(key))
-        path = [source]
-        hops_per_layer: list[int] = []
-        for row in self._layer_plan():
-            ring, pos = row.at(path[-1])
-            taken = len(path)
-            greedy = row.layer == 1 and self._greedy_global
-            walk = ring.greedy_route if greedy else ring.predecessor_route
-            peers = ring.peers
-            for p in walk(pos, key, succ_list_r=row.succ_list_r)[1:]:
-                path.append(int(peers[p]))
-            if row.layer == 1 and not greedy:
-                # Terminating step (§3.2): the global predecessor hands
-                # the request to its successor — the key's owner — just
-                # like flat Chord's final hop.
-                owner = self.owner_of(key)
-                if path[-1] != owner:
-                    path.append(owner)
-            hops_per_layer.append(len(path) - taken)
-        result = RouteResult(
-            source=source,
-            key=key,
-            owner=path[-1],
-            path=path,
-            latency_ms=self.route_latency(self.latency, path),
-            hops_per_layer=hops_per_layer,
-        )
-        if self.metrics is not None:
-            layers, rings = self.hop_layer_info(result)
-            self.record_route(self.span_label, result, layers=layers, rings=rings)
-        return result
+        return self._walk_plan(source, key, None)
 
-    def route_lossy(self, source: int, key: int, *, injector) -> RouteResult:
+    def route_lossy(self, source: int, key: int, *, injector: FaultInjector) -> RouteResult:
         """Failure-aware routing under an active fault injector.
 
         Same layer-by-layer procedure as :meth:`route`, but every ring
@@ -414,34 +385,46 @@ class ChordNetwork(DHTNetwork):
         ``owner`` is ``-1`` and ``path`` covers the hops taken before
         the lookup died.
         """
-        from repro.faults.injector import LossyContext
-        from repro.faults.routing import lossy_ring_route
-
         self._require_source(source)
         require(not injector.state.is_dead(source), f"source peer {source} has crashed")
+        return self._walk_plan(source, key, LookupFaults(injector))
+
+    def _walk_plan(self, source: int, key: int, faults: LookupFaults | None) -> RouteResult:
+        """The one plan walk: :meth:`SortedRing.walk` per layer, either contact policy.
+
+        All that failure mode changes about the plan is on the four
+        lines marked below.  It never applies the §3.2 successor-list
+        acceleration and ends the global loop greedily on every stack,
+        so a fault-free :meth:`route_lossy` equals :meth:`route` only
+        where neither matters — flat Chord, HIERAS with
+        ``successor_list_policy="off"`` (ROADMAP: "failure-mode HIERAS
+        is not the figures' HIERAS").
+        """
         key = self.space.wrap(int(key))
-        ctx = LossyContext()
-        contact = lambda u, v: injector.contact(u, v, ctx)  # noqa: E731
-        fallback_r = injector.policy.successor_fallback
+        lossy = faults is not None
         path = [source]
         hops_per_layer: list[int] = []
         ok = True
         for row in self._layer_plan():
             ring, pos = row.at(path[-1])
-            sub, ok = lossy_ring_route(
-                ring,
-                pos,
-                key,
-                to_owner=(row.layer == 1),
-                contact=contact,
-                is_dead=injector.state.is_dead,
-                fallback_r=fallback_r,
-                max_hops=2 * max(len(ring).bit_length(), 4) + fallback_r,
-            )
+            taken = len(path)
+            # -- what the contact policy decides, and nothing else does --
+            to_owner = row.layer == 1 and (lossy or self._greedy_global)
+            succ_list_r = 0 if lossy else row.succ_list_r
+            owner_hop = row.layer == 1 and not to_owner
+            delay_factor = faults.delay_factor if lossy else 1.0
+            sub, ok = ring.walk(pos, key, to_owner=to_owner, succ_list_r=succ_list_r, faults=faults)
             peers = ring.peers
             for p in sub[1:]:
                 path.append(int(peers[p]))
-            hops_per_layer.append(len(sub) - 1)
+            if owner_hop:
+                # Terminating step (§3.2): the global predecessor hands
+                # the request to its successor — the key's owner — just
+                # like flat Chord's final hop.
+                owner = self.owner_of(key)
+                if path[-1] != owner:
+                    path.append(owner)
+            hops_per_layer.append(len(path) - taken)
             if not ok:
                 break
         result = RouteResult(
@@ -449,11 +432,11 @@ class ChordNetwork(DHTNetwork):
             key=key,
             owner=path[-1] if ok else -1,
             path=path,
-            latency_ms=self.route_latency(self.latency, path) * injector.state.delay_factor,
+            latency_ms=self.route_latency(self.latency, path) * delay_factor,
             hops_per_layer=hops_per_layer,
             success=ok,
-            timeouts=ctx.timeouts,
-            retry_latency_ms=ctx.retry_latency_ms,
+            timeouts=faults.timeouts if lossy else 0,
+            retry_latency_ms=faults.retry_latency_ms if lossy else 0.0,
         )
         if self.metrics is not None:
             layers, rings = self.hop_layer_info(result)

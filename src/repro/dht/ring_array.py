@@ -20,10 +20,11 @@ paper-scale sweeps tractable.  (:meth:`SortedRing.finger_table`
 materialises a table on demand for inspection and for the Table 2
 reproduction.)
 
-Two successor searches answer the same question.  The scalar routes
-(the reference the batch engine is proven against) bisect the id list
-one key at a time.  The batch engine searches a :class:`RingLayer`: all
-rings of one hierarchy layer in **one** sorted id array, each ring
+Two successor searches answer the same question.  The scalar
+:meth:`SortedRing.walk` (the reference the batch engine is proven
+against) bisects the id list one key at a time.  The batch engine
+searches a :class:`RingLayer`: all rings of one hierarchy layer in
+**one** sorted id array, each ring
 followed by a ``2**64 - 1`` sentinel slot, with one bucket index over
 the lot.  Ring ``r`` buckets its ids by their top ``ceil(log2 n_r) + 1``
 bits and ``first[offset_r + b]`` is the slot of its first id in a
@@ -42,13 +43,17 @@ dropped with the rings it was built from.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.util.ids import IdSpace
 from repro.util.validation import require
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.injector import LookupFaults
 
 __all__ = ["SortedRing", "RingLayer", "FingerEntry"]
 
@@ -110,7 +115,7 @@ class SortedRing:
         """Python-int id list for the scalar bisect paths (lazy).
 
         Million-member rings never materialise this unless a scalar
-        route (or the lossy fault router) actually runs on them; the
+        :meth:`walk` actually runs on them; the
         vectorized kernels and all membership queries work straight off
         the ``uint64`` :attr:`ids` array.
         """
@@ -176,131 +181,165 @@ class SortedRing:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def next_hop(self, cur_pos: int, key: int) -> int:
-        """Chord's next hop from member ``cur_pos`` towards ``key``.
+    def walk(
+        self,
+        start_pos: int,
+        key: int,
+        *,
+        to_owner: bool,
+        succ_list_r: int = 0,
+        faults: LookupFaults | None = None,
+    ) -> tuple[list[int], bool]:
+        """Positions visited routing ``key`` from ``start_pos``, and whether it arrived.
 
-        Final-hop rule first (key in ``(cur, successor]`` → successor),
-        otherwise the closest preceding finger: the highest finger whose
-        *ring* successor still precedes the key.
+        The one scalar transcription of the ring rule (DESIGN.md §5),
+        walked by every layer of every stack under either contact
+        policy.  The start is included: hops = ``len(positions) - 1``.
+
+        ``to_owner=True`` ends at the member owning ``key`` (flat
+        Chord's loop; every global loop under faults).
+        ``to_owner=False`` stops at the key's ring *predecessor*
+        without the final hop — each HIERAS loop: stopping before the
+        key, not at the ring successor that generally overshoots it,
+        lets the next layer keep shrinking the distance instead of
+        re-circling the space.  A start that already owns the key goes
+        nowhere (the §3.2 destination check).
+
+        The best hop is the §3.2 shortcut onto the goal when the
+        current member's ``succ_list_r``-entry successor list holds it,
+        else the closest preceding finger, else — the key in
+        ``(current, successor]`` — the hop onto the owner.  With
+        ``faults=None`` it is taken outright and the walk arrives.
+        Under a fault handle (DESIGN.md §6) the ring is a *stale*
+        snapshot: owner and predecessor are the closest *live* ones
+        (ground truth fixes the destination only — a node learns a
+        finger is dead by timing out on it), the best hop is contacted
+        first and, after a timeout, whatever :meth:`_fallback` offers.
+        The walk dies (``False``) when every candidate timed out, no
+        live member owns the key, the owner is beyond the fallback
+        list's reach, or the hop budget ran out (a heavily damaged ring
+        must not loop).
         """
         size = self._size
         idlist = self._idlist
         n = self._n
-        cur_id = idlist[cur_pos]
+        peers = self.peers
+        key = int(key) % size
+        first = bisect_left(idlist, key)
+        if first == n:
+            first = 0
+        path = [start_pos]
+        owner = first
+        if faults is not None:
+            is_dead = faults.is_dead
+            reach = max(faults.fallback_r, 1)
+            budget = 2 * max(n.bit_length(), 4) + faults.fallback_r
+            while is_dead(int(peers[owner])):
+                owner = (owner + 1) % n
+                if owner == first:
+                    return path, False  # nobody left alive to own the key
+        goal = owner
+        if not to_owner and start_pos != owner:
+            goal = (owner - 1) % n
+            while faults is not None and is_dead(int(peers[goal])):
+                goal = (goal - 1) % n
+        cur = start_pos
+        while cur != goal:
+            if faults is not None and len(path) > budget:
+                return path, False
+            succ = cur + 1 if cur + 1 < n else 0
+            if succ_list_r and (goal - cur) % n <= succ_list_r:
+                nxt, step = goal, size  # no finger level tried yet
+            elif succ == first:
+                # Key in (cur, successor]: no finger precedes it.  On a
+                # stale ring the owner may sit past dead successors, in
+                # reach only while the §3.3 list covers it.
+                if faults is not None and (owner - cur) % n > reach:
+                    return path, False
+                nxt, step = owner, 0
+            else:
+                # Closest preceding finger: the largest step 2**i with
+                # cur + 2**i inside (cur, key) whose ring successor is
+                # still strictly inside (cur, key) — finger 0, the
+                # successor, at the latest.  ``step <= size / 2`` and
+                # ``cur_id < size``, so one conditional subtraction (or
+                # addition, for the signed id difference) replaces each
+                # ``%`` inside the loop.
+                cur_id = idlist[cur]
+                d = (key - cur_id) % size
+                step = 1 << (d - 1).bit_length()
+                nxt = succ
+                while step > 1:
+                    step >>= 1
+                    start = cur_id + step
+                    if start >= size:
+                        start -= size
+                    j = bisect_left(idlist, start)
+                    fpos = 0 if j == n else j
+                    fd = idlist[fpos] - cur_id
+                    if fd < 0:
+                        fd += size
+                    if 0 < fd < d:
+                        nxt = fpos
+                        break
+            if faults is not None and not faults.contact(int(peers[cur]), int(peers[nxt])):
+                for nxt in self._fallback(cur, key, nxt, step, owner if to_owner else -1, reach):
+                    if faults.contact(int(peers[cur]), int(peers[nxt])):
+                        break
+                else:
+                    return path, False  # every known candidate is dead/unreachable
+            cur = nxt
+            path.append(cur)
+        return path, True
+
+    def _fallback(
+        self, cur: int, key: int, tried: int, step: int, owner: int, reach: int
+    ) -> Iterator[int]:
+        """What ``cur`` still knows once its best hop ``tried`` timed out (§3.3).
+
+        Best first, each still strictly advancing towards the key: every
+        finger below level ``step``, then the ``reach`` entries of the
+        successor list, then — ``owner >= 0``, the global loop — the
+        live owner itself while the list reaches it (a node's list
+        reaches past dead immediate successors).  Enumerated lazily:
+        only a timeout brings :meth:`walk` here.
+        """
+        size = self._size
+        idlist = self._idlist
+        n = self._n
+        cur_id = idlist[cur]
         d = (key - cur_id) % size
-        if d == 0:
-            return cur_pos
-        succ_pos = cur_pos + 1 if cur_pos + 1 < n else 0
-        dsucc = (idlist[succ_pos] - cur_id) % size
-        if d <= dsucc:
-            return succ_pos
-        # Closest preceding finger: largest i with finger start
-        # cur + 2**i inside (cur, key), whose ring successor is still
-        # strictly inside (cur, key).  The start level and the modular
-        # reductions are hoisted out of the loop: ``step <= size / 2``
-        # and ``cur_id < size``, so one conditional subtraction (or
-        # addition for the signed id difference) replaces each ``%``.
-        step = 1 << max((d - 1).bit_length() - 1, 0)
-        while step:
-            start = cur_id + step
-            if start >= size:
-                start -= size
-            j = bisect_left(idlist, start)
-            fpos = 0 if j == n else j
-            fd = idlist[fpos] - cur_id
-            if fd < 0:
-                fd += size
-            if 0 < fd < d:
-                return fpos
+        seen = {tried}
+        while step > 1:
             step >>= 1
-        return succ_pos  # unreachable: finger i=0 is the successor
-
-    def greedy_route(self, start_pos: int, key: int, *, succ_list_r: int = 0) -> list[int]:
-        """Positions visited routing ``key`` from ``start_pos``.
-
-        Ends at the ring member owning ``key``; the start position is
-        included, so hops taken = ``len(result) - 1``.
-
-        ``succ_list_r > 0`` lets every node additionally consult its
-        successor list of ``r`` entries: whenever the owner is within
-        the current node's list, the message jumps to it in one hop
-        (the §3.2 "predecessor and successor lists can be used to
-        accelerate the process" optimisation).
-        """
-        owner = self.successor_pos(key)
-        cur = start_pos
-        path = [cur]
-        n = self._n
-        while cur != owner:
-            if succ_list_r > 0 and 0 < (owner - cur) % n <= succ_list_r:
-                path.append(owner)
-                return path
-            cur = self.next_hop(cur, key)
-            path.append(cur)
-        return path
-
-    def predecessor_route(self, start_pos: int, key: int, *, succ_list_r: int = 0) -> list[int]:
-        """Route towards ``key`` but stop at its ring *predecessor*.
-
-        This is each lower layer's loop in HIERAS: the message advances
-        clockwise with Chord's finger rule until the key falls between
-        the current member and its ring successor, then stops *without*
-        taking the final hop.  Stopping before the key (instead of at
-        the ring successor, which generally overshoots it) is what lets
-        the next layer continue shrinking the remaining distance rather
-        than re-circling the space — see DESIGN.md §5.  If the start
-        member's id equals the key, the route is empty (the owner has
-        been reached).
-
-        ``succ_list_r`` enables the same successor-list shortcut as
-        :meth:`greedy_route`, jumping straight to the ring predecessor
-        when it is within the current node's ``r``-entry successor list
-        (paper §3.3 keeps one such list per layer).
-        """
-        cur = start_pos
-        path = [cur]
-        if self._n == 1:
-            return path
-        size = self._size
-        idlist = self._idlist
-        n = self._n
-        owner = self.successor_pos(key)
-        if cur == owner:
-            # The start already owns the key (it knows: key lies in
-            # (predecessor, me]) — the §3.2 destination check; walking
-            # to the key's predecessor from here would circle the ring.
-            return path
-        pred = (owner - 1) % n
-        while True:
-            cur_id = idlist[cur]
-            d = (key - cur_id) % size
-            if d == 0:  # sitting exactly on the key: cur owns it
-                return path
-            succ_pos = cur + 1 if cur + 1 < n else 0
-            dsucc = (idlist[succ_pos] - cur_id) % size
-            if d <= dsucc:  # key in (cur, successor]: cur is predecessor
-                return path
-            if succ_list_r > 0 and 0 < (pred - cur) % n <= succ_list_r:
-                path.append(pred)
-                return path
-            cur = self.next_hop(cur, key)
-            path.append(cur)
+            j = bisect_left(idlist, (cur_id + step) % size)
+            fpos = 0 if j == n else j
+            if 0 < (idlist[fpos] - cur_id) % size < d and fpos not in seen:
+                seen.add(fpos)
+                yield fpos
+        for k in range(1, min(reach, n - 1) + 1):
+            p = (cur + k) % n
+            if 0 < (idlist[p] - cur_id) % size < d and p not in seen:
+                seen.add(p)
+                yield p
+        if owner >= 0 and owner not in seen and 0 < (owner - cur) % n <= reach:
+            yield owner
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-    def finger_table(self, pos: int, *, max_entries: int | None = None) -> list[FingerEntry]:
+    def finger_table(self, pos: int) -> list[FingerEntry]:
         """Materialise the finger table of the member at ``pos``.
 
         Used by the Table 2 reproduction and by the protocol stack's
         correctness tests; routing itself queries fingers lazily.
         """
         node_id = int(self.ids[pos])
-        bits = self.space.bits if max_entries is None else max_entries
+        bits = self.space.bits
         entries = []
         for i in range(1, bits + 1):
             start = (node_id + (1 << (i - 1))) % self._size
-            nxt = (node_id + (1 << i)) % self._size if i < self.space.bits else node_id
+            nxt = (node_id + (1 << i)) % self._size if i < bits else node_id
             spos = self.successor_pos(start)
             entries.append(
                 FingerEntry(  # lint: allow-loop-alloc -- inspection/Table 2 helper; routing queries fingers lazily from the SoA arrays

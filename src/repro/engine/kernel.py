@@ -3,10 +3,11 @@
 A :class:`~repro.dht.ring_array.RingLayer` holds every ring of one
 hierarchy layer in one sorted ``uint64`` id array (a single ring — flat
 Chord, HIERAS's global layer — is the one-ring layer).  The scalar
-routing rule (``next_hop`` / ``greedy_route`` / ``predecessor_route``)
-walks one ring one lookup at a time, trying finger levels high→low
-until one lands strictly inside ``(cur, key)``.  This module runs the
-*same* rule over a whole cohort of lookups at once — each lane inside
+routing rule (:meth:`SortedRing.walk
+<repro.dht.ring_array.SortedRing.walk>`, the oracle this kernel is
+proven against and shares no code with) walks one ring one lookup at a
+time, trying finger levels high→low until one lands strictly inside
+``(cur, key)``.  This module runs the *same* rule over a whole cohort of lookups at once — each lane inside
 its own ring's slice, all rings of the layer in one frontier — and
 replaces the scalar rule's tests by what they decide.  With ``pred``
 the last member strictly before the key, searched once per lane:
@@ -100,11 +101,11 @@ def route_layer(
     Lane ``i`` starts at slot ``start[i]`` of ``view`` and stays inside
     the ring that slot belongs to, ring ``code[i]`` (``None`` on a
     one-ring layer).  ``to_owner=True`` runs Chord's greedy rule to the
-    key's ring successor (``SortedRing.greedy_route``);
-    ``to_owner=False`` stops at the key's ring *predecessor* without
-    taking the final hop (``SortedRing.predecessor_route`` — each HIERAS
-    lower-layer loop).  ``succ_list_r`` enables the §3.2 successor-list
-    shortcut with the same semantics as the scalar methods.
+    key's ring successor; ``to_owner=False`` stops at the key's ring
+    *predecessor* without taking the final hop (each HIERAS loop).
+    ``succ_list_r`` enables the §3.2 successor-list shortcut.  All three
+    mean what they mean to the scalar ``SortedRing.walk`` under perfect
+    contacts.
 
     Returns the final slot per lane.  ``sink`` is invoked once per
     frontier step with the lanes that moved; lanes settle out of the

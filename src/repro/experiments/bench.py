@@ -16,7 +16,8 @@ This module owns the rest:
   readings and is never compared;
 * :func:`timed`, the one wall-clock site of ``repro.experiments``;
 * the closing ``peak_rss`` phase;
-* :func:`write_doc`, the one stable-JSON writer;
+* :func:`write_doc`, the one stable-JSON writer, and
+  :func:`artifact_path`, where ``run``'s uncommitted artifacts go;
 * :func:`read_committed` / :func:`drift`, which decide whether a
   regenerated document still matches the committed one.
 """
@@ -24,6 +25,7 @@ This module owns the rest:
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections.abc import Iterator
 from contextlib import AbstractContextManager, contextmanager
@@ -34,6 +36,7 @@ from repro.util.validation import require
 
 __all__ = [
     "BenchRun",
+    "artifact_path",
     "claim",
     "drift",
     "rate_per_s",
@@ -105,6 +108,18 @@ def write_doc(doc: dict[str, object], out: str | Path) -> Path:
     path = Path(out)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
+
+
+def artifact_path(name: str) -> Path:
+    """Where the run artifact ``name`` goes: ``REPRO_ARTIFACT_DIR`` (default:
+    the current directory, where such files are gitignored), created if missing.
+
+    ``run``'s ``metrics_<id>.json`` and ``resilience``'s ``resilience.json``
+    both land here; a directory that cannot be created or written raises.
+    """
+    directory = Path(os.environ.get("REPRO_ARTIFACT_DIR", "."))
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory / name
 
 
 def read_committed(path: str | Path, schema: str) -> dict[str, object]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments.bench import drift, read_committed, timed, write_doc
+from repro.experiments.bench import artifact_path, drift, read_committed, timed, write_doc
 from repro.experiments.config import is_full_scale
 from repro.experiments.figures import EXPERIMENTS, Experiment, ExperimentResult, get_experiment
 from repro.util.validation import require
@@ -68,8 +68,6 @@ def _write_metrics_artifact(result, *, full: bool, seed: int, wall_s: float) -> 
     can upload the structured numbers behind each printed report.
     """
     import json
-    import os
-    from pathlib import Path
 
     doc = {
         "experiment": result.experiment_id,
@@ -80,8 +78,7 @@ def _write_metrics_artifact(result, *, full: bool, seed: int, wall_s: float) -> 
         "diverged": "[DIVERGES]" in result.text,
         "data": result.data,
     }
-    directory = Path(os.environ.get("REPRO_ARTIFACT_DIR", "."))
-    target = directory / f"metrics_{result.experiment_id}.json"
+    target = artifact_path(f"metrics_{result.experiment_id}.json")
     target.write_text(json.dumps(doc, indent=2, default=_json_default), encoding="utf-8")
     print(f"(wrote {target})")
 

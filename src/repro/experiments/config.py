@@ -21,6 +21,10 @@ from repro.util.validation import require
 
 __all__ = ["SimConfig", "is_full_scale", "DEFAULT_REQUESTS", "FULL_REQUESTS"]
 
+#: Router count relative to overlay size; >1 leaves unoccupied routers,
+#: as in the paper's emulated networks.
+ROUTER_FACTOR = 1.25
+
 #: Requests per experiment at reduced / paper scale (paper: §4.2).
 DEFAULT_REQUESTS = 20_000
 FULL_REQUESTS = 100_000
@@ -43,9 +47,6 @@ class SimConfig:
     depth: int = 2
     seed: int = 42
     bits: int = 32
-    #: Router count relative to overlay size; >1 leaves unoccupied
-    #: routers, as in the paper's emulated networks.
-    router_factor: float = 1.25
     #: ``"auto"`` picks per model: max–min *spread* placement on
     #: transit-stub (one landmark per backbone region) and *random*
     #: placement on Inet (random machines land in population hotspots —
@@ -60,7 +61,6 @@ class SimConfig:
         require(self.n_peers >= 8, "n_peers must be >= 8")
         require(self.n_landmarks >= 1, "n_landmarks must be >= 1")
         require(2 <= self.depth <= 4, "depth must be in [2, 4]")
-        require(self.router_factor >= 1.0, "router_factor must be >= 1")
         require(
             self.landmark_strategy in ("auto", "spread", "random"),
             f"unknown landmark_strategy {self.landmark_strategy!r}",
@@ -76,7 +76,7 @@ class SimConfig:
     @property
     def n_routers(self) -> int:
         """Router count of the generated topology."""
-        return max(64, int(self.n_peers * self.router_factor))
+        return max(64, int(self.n_peers * ROUTER_FACTOR))
 
     def with_(self, **changes: object) -> "SimConfig":
         """Functional update (frozen dataclass convenience)."""
@@ -92,6 +92,5 @@ class SimConfig:
             self.n_landmarks,
             self.seed,
             self.bits,
-            self.router_factor,
             self.landmark_strategy,
         )

@@ -28,7 +28,7 @@ from repro.core.hieras import HierasNetwork
 from repro.core.hieras_can import HierasCanNetwork
 from repro.dht.can import CanNetwork, CanParams
 from repro.dht.pastry import PastryNetwork, PastryParams
-from repro.experiments.bench import claim as _claim
+from repro.experiments.bench import artifact_path, claim as _claim
 from repro.experiments.config import DEFAULT_REQUESTS, FULL_REQUESTS, SimConfig, is_full_scale
 from repro.experiments.runner import build_bundle, make_trace
 from repro.topology.latency import NoisyLatencyModel
@@ -1257,8 +1257,6 @@ def _run_resilience(full: bool, seed: int) -> ExperimentResult:
     ``resilience.json`` (directory overridable via REPRO_ARTIFACT_DIR).
     """
     import json
-    import os
-    from pathlib import Path
 
     from repro.experiments.resilience import (
         run_protocol_resilience,
@@ -1337,13 +1335,9 @@ def _run_resilience(full: bool, seed: int) -> ExperimentResult:
         "n_requests": n_requests,
         "seed": seed,
     }
-    artifact_dir = Path(os.environ.get("REPRO_ARTIFACT_DIR", "."))
-    try:
-        artifact_path = artifact_dir / "resilience.json"
-        artifact_path.write_text(json.dumps(data, indent=2), encoding="utf-8")
-        lines.append(f"\nwrote {artifact_path}")
-    except OSError:  # pragma: no cover - unwritable artifact dir
-        pass
+    target = artifact_path("resilience.json")
+    target.write_text(json.dumps(data, indent=2), encoding="utf-8")
+    lines.append(f"\nwrote {target}")
     return ExperimentResult(
         "resilience",
         "Resilience — failure-aware lookups under crashes and loss",

@@ -153,11 +153,11 @@ def build_bundle(config: SimConfig) -> SimulationBundle:
     )
 
 
-def make_trace(bundle: SimulationBundle, n_requests: int, *, seed_label: str = "requests") -> RequestTrace:
+def make_trace(bundle: SimulationBundle, n_requests: int) -> RequestTrace:
     """The experiment's request trace (uniform, as in the paper)."""
     rngs = RngFactory(bundle.config.seed)
     return generate_requests(
-        n_requests, bundle.config.n_peers, bundle.space, seed=rngs.get(seed_label)
+        n_requests, bundle.config.n_peers, bundle.space, seed=rngs.get("requests")
     )
 
 

@@ -10,18 +10,17 @@ landmark outages, while the static networks gain a lossy routing mode
 shared :class:`RetryPolicy`.
 """
 
-from repro.faults.injector import FaultInjector, FaultState, LossyContext, ScaledLatency
+from repro.faults.injector import FaultInjector, FaultState, LookupFaults, LossyContext, ScaledLatency
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.retry import RetryPolicy
-from repro.faults.routing import lossy_ring_route
 
 __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FaultInjector",
     "FaultState",
+    "LookupFaults",
     "LossyContext",
     "RetryPolicy",
     "ScaledLatency",
-    "lossy_ring_route",
 ]

@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
     from repro.sim.network import SimNetwork
 
-__all__ = ["FaultState", "FaultInjector", "LossyContext", "ScaledLatency"]
+__all__ = ["FaultState", "FaultInjector", "LossyContext", "LookupFaults", "ScaledLatency"]
 
 
 @dataclass
@@ -45,6 +45,30 @@ class LossyContext:
 
     timeouts: int = 0
     retry_latency_ms: float = 0.0
+
+
+class LookupFaults(LossyContext):
+    """What one ``route_lossy`` lookup sees of the fault world.
+
+    The handle :meth:`SortedRing.walk
+    <repro.dht.ring_array.SortedRing.walk>` routes under: how a contact
+    goes (:meth:`contact`, charging this lookup's accumulators), who is
+    really alive (``is_dead`` — ground truth, used only to fix the
+    destination, never to pick hops), how many successor-list entries a
+    node falls back on (``fallback_r``, §3.3) and the latency-spike
+    factor the lookup's link delays are scaled by.
+    """
+
+    def __init__(self, injector: FaultInjector) -> None:
+        super().__init__()
+        self._injector = injector
+        self.is_dead = injector.state.is_dead
+        self.fallback_r = injector.policy.successor_fallback
+        self.delay_factor = injector.state.delay_factor
+
+    def contact(self, src: int, dst: int) -> bool:
+        """Whether ``src`` reaches ``dst``; timeouts are charged here."""
+        return self._injector.contact(src, dst, self)
 
 
 class FaultState:

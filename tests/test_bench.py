@@ -197,6 +197,21 @@ class TestReadCommitted:
             read_committed(path, "repro.x/1")
 
 
+@pytest.fixture()
+def stub_resilience(monkeypatch):
+    """``resilience`` with its 15 s of lookups replaced by fixed cell readings."""
+    from repro.experiments import resilience
+
+    cell = {
+        net: {"success_rate": 1.0, "mean_hops": 5.0, "timeouts_per_lookup": 0.0,
+              "mean_total_latency_ms": latency}
+        for net, latency in (("chord", 900.0), ("hieras", 600.0))
+    }
+    proto = {"completed": 10.0, "failed": 0.0, "correct": 10.0, "retries_used": 0.0}
+    monkeypatch.setattr(resilience, "run_static_resilience_cell", lambda *a, **kw: cell)
+    monkeypatch.setattr(resilience, "run_protocol_resilience", lambda **kw: proto)
+
+
 class TestCli:
     def test_bench_writes_the_document(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -264,9 +279,24 @@ class TestCli:
         assert cli.main(["bench", "bad"]) == 1
         assert json.loads((tmp_path / "BENCH_bad.json").read_text()) == doc
 
-    def test_unwritable_artifact_dir_raises(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "no" / "such" / "dir"))
+    def test_artifact_dir_is_created_on_demand(self, tmp_path, monkeypatch, stub_resilience):
+        """``REPRO_ARTIFACT_DIR`` may name a directory that does not exist
+        yet: ``run``'s metrics artifact and ``resilience``'s own rows both
+        land in it, through the one path helper."""
+        fresh = tmp_path / "a" / "b"
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(fresh))
+        assert cli.main(["run", "table1", "resilience"]) == 0
+        assert json.loads((fresh / "metrics_table1.json").read_text())["experiment"] == "table1"
+        rows = json.loads((fresh / "resilience.json").read_text())["rows"]
+        assert len(rows) == 8
+
+    def test_unwritable_artifact_dir_raises(self, tmp_path, monkeypatch, stub_resilience):
+        """Neither artifact writer swallows a directory it cannot write."""
+        (tmp_path / "file").write_text("not a directory")
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "file" / "dir"))
         with pytest.raises(OSError):
             cli.main(["run", "table1"])
+        with pytest.raises(OSError):
+            EXPERIMENTS["resilience"].run(False, 42)
         with pytest.raises(OSError):
             cli.main(["bench", "perf_baseline", "--out", str(tmp_path / "no" / "x.json")])

@@ -177,8 +177,8 @@ class TestFingerLevelRule:
     """The kernel's O(1) finger level ≡ the scalar level loop, exhaustively.
 
     Every ``(cur, key)`` of a small id space starts one lane, so each
-    frontier step of the kernel is compared with ``SortedRing.next_hop``
-    (through the scalar routes built on it) from every possible state.
+    frontier step of the kernel is compared with the hop
+    ``SortedRing.walk`` takes from every possible state.
     """
 
     @pytest.mark.parametrize("bits", [4, 5, 6, 7, 8])
@@ -198,9 +198,8 @@ class TestFingerLevelRule:
                     hops[lane].append(pos)
 
             end = route_cohort(ring, start, keys, to_owner=to_owner, succ_list_r=r, sink=sink)
-            scalar = ring.greedy_route if to_owner else ring.predecessor_route
             for lane, (cur, key) in enumerate(zip(start.tolist(), keys.tolist())):
-                path = scalar(cur, key, succ_list_r=r)
+                path, _ = ring.walk(cur, key, to_owner=to_owner, succ_list_r=r)
                 assert [cur] + hops[lane] == path, (members, cur, key)
                 assert end[lane] == path[-1]
 
@@ -240,8 +239,8 @@ class TestFingerLevelRule:
         )
         for lane, (c, cur, key) in enumerate(zip(code.tolist(), start.tolist(), keys.tolist())):
             ring, lo = rings[c], int(view.base[c])
-            scalar = ring.greedy_route if to_owner else ring.predecessor_route
-            path = [lo + pos for pos in scalar(cur, key, succ_list_r=r)]
+            walked, _ = ring.walk(cur, key, to_owner=to_owner, succ_list_r=r)
+            path = [lo + pos for pos in walked]
             assert [lo + cur] + hops[lane] == path, (c, cur, key)
             assert end[lane] == path[-1]
 

@@ -1,8 +1,11 @@
 """Tests for the quick_network facade."""
 
+import numpy as np
 import pytest
 
 from repro import NetworkBundle, quick_network
+from repro.experiments import runner
+from repro.experiments.config import SimConfig
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +52,50 @@ class TestQuickNetwork:
                 for a, b in zip(r.path[:-1], r.path[1:])
             )
             assert r.latency_ms == pytest.approx(manual)
+
+
+class TestIsTheExperimentsPipeline:
+    """The facade is ``build_bundle(SimConfig(...))`` repackaged — the
+    network a user builds is the network the figures route on."""
+
+    @pytest.mark.parametrize("n, seed, depth, landmarks", [(96, 5, 2, 4), (150, 8, 3, 6)])
+    def test_equals_build_bundle(self, n, seed, depth, landmarks):
+        config = SimConfig(n_peers=n, seed=seed, depth=depth, n_landmarks=landmarks)
+        quick = quick_network(n, seed=seed, depth=depth, n_landmarks=landmarks)
+        runner.clear_cache()  # build the other one from scratch
+        built = runner.build_bundle(config)
+        assert quick.topology is not built.topology
+        assert np.array_equal(quick.attachment.landmark_routers, built.attachment.landmark_routers)
+        for mine, theirs in ((quick.chord, built.chord), (quick.hieras, built.hieras)):
+            for a, b in zip(mine._layer_plan(), theirs._layer_plan()):
+                assert a.ring_names == b.ring_names
+                for ring_a, ring_b in zip(a.rings, b.rings):
+                    assert np.array_equal(ring_a.ids, ring_b.ids)
+                    assert np.array_equal(ring_a.peers, ring_b.peers)
+            for src, key in ((0, 99), (7, 2**31), (n - 1, 123456789)):
+                ra, rb = mine.route(src, key), theirs.route(src, key)
+                assert ra.path == rb.path and ra.latency_ms == rb.latency_ms
+
+    def test_inet_landmarks_are_placed_like_simconfig_places_them(self, monkeypatch):
+        """``"auto"`` resolves to random placement on Inet (max–min would
+        pick pathological fringe routers there); the facade used to
+        spread them."""
+        strategies = []
+        real = runner.place_landmarks
+
+        def spy(*args, **kw):
+            strategies.append(kw["strategy"])
+            return real(*args, **kw)
+
+        monkeypatch.setattr(runner, "place_landmarks", spy)
+        quick_network(2400, model="inet", seed=977)
+        assert strategies == ["random"]
+
+    def test_bad_sizes_fail_through_simconfig(self):
+        with pytest.raises(ValueError, match="n_peers must be >= 8"):
+            quick_network(n_peers=4)
+        with pytest.raises(ValueError, match=r"depth must be in \[2, 4\]"):
+            quick_network(n_peers=64, depth=1)
 
 
 class TestModelParameter:

@@ -86,7 +86,7 @@ class TestCrossStackRouteEquality:
             r = hieras.route(s, k)
             ring = hieras.ring_of(s, 2)
             pos = ring.pos_of_id(hieras.id_of(s))
-            expected = ring.predecessor_route(pos, bundle.space.wrap(k))
+            expected, _ = ring.walk(pos, k, to_owner=False)
             low = r.hops_per_layer[0]
             assert [int(ring.peers[p]) for p in expected] == r.path[: low + 1]
 

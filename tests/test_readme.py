@@ -114,3 +114,16 @@ def test_ci_bench_matrix_is_the_registry():
         e.id for e in EXPERIMENTS.values() if e.document
     )
     assert workflow.count("repro.experiments bench ") == 1
+
+
+def test_ci_figures_job_runs_every_experiment():
+    """The ``figures`` job's command parses against the CLI and names ``all``."""
+    from repro.experiments.cli import build_parser
+
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    (_, job) = re.split(r"^  figures:$", workflow, flags=re.MULTILINE)
+    job = re.split(r"^  \w+:$", job, flags=re.MULTILINE)[0]
+    (line,) = (ln for ln in job.splitlines() if "repro.experiments" in ln)
+    (words,) = cli_invocations(line)
+    args = build_parser().parse_args(words)
+    assert (args.command, args.ids, args.full) == ("run", ["all"], False)

@@ -19,6 +19,20 @@ def make_ring(ids, bits=8):
     )
 
 
+def to_owner(ring, start, key, **kw):
+    """Positions of the perfect walk that ends at the key's owner."""
+    path, ok = ring.walk(start, key, to_owner=True, **kw)
+    assert ok  # perfect contacts always arrive
+    return path
+
+
+def to_predecessor(ring, start, key, **kw):
+    """Positions of the perfect walk that stops at the key's ring predecessor."""
+    path, ok = ring.walk(start, key, to_owner=False, **kw)
+    assert ok
+    return path
+
+
 def brute_force_owner(ids, key, size):
     """Reference implementation: first member at or clockwise-after key."""
     return min(ids, key=lambda m: clockwise_distance(key, m, size) and (size - clockwise_distance(m, key, size)))
@@ -83,7 +97,7 @@ class TestGreedyRouting:
     def test_route_reaches_owner(self, ids, key, start_idx):
         ring = make_ring(ids)
         start = start_idx % len(ring)
-        path = ring.greedy_route(start, key)
+        path = to_owner(ring, start, key)
         assert path[0] == start
         assert path[-1] == ring.successor_pos(key)
 
@@ -92,7 +106,7 @@ class TestGreedyRouting:
     def test_distance_strictly_decreases(self, ids, key, start_idx):
         ring = make_ring(ids)
         start = start_idx % len(ring)
-        path = ring.greedy_route(start, key)
+        path = to_owner(ring, start, key)
         size = 256
         dists = [clockwise_distance(int(ring.ids[p]), key, size) for p in path[:-1]]
         # Before reaching the owner, every hop strictly reduces the
@@ -104,25 +118,25 @@ class TestGreedyRouting:
     def test_hop_bound_logarithmic(self, ids, key, start_idx):
         ring = make_ring(ids)
         start = start_idx % len(ring)
-        path = ring.greedy_route(start, key)
+        path = to_owner(ring, start, key)
         # Bits of the space plus the final hop bound the route length.
         assert len(path) - 1 <= 8 + 1
 
     def test_single_member_routes_to_self(self):
         ring = make_ring([42])
-        assert ring.greedy_route(0, 200) == [0]
+        assert to_owner(ring, 0, 200) == [0]
 
     def test_owner_start_is_zero_hops(self):
         ring = make_ring([10, 20, 30])
-        assert ring.greedy_route(1, 15) == [1]
+        assert to_owner(ring, 1, 15) == [1]
 
     @given(ids_strategy, key_strategy, st.integers(min_value=0, max_value=23))
     @settings(max_examples=100, deadline=None)
     def test_succ_list_shortcut_preserves_owner(self, ids, key, start_idx):
         ring = make_ring(ids)
         start = start_idx % len(ring)
-        plain = ring.greedy_route(start, key)
-        fast = ring.greedy_route(start, key, succ_list_r=4)
+        plain = to_owner(ring, start, key)
+        fast = to_owner(ring, start, key, succ_list_r=4)
         assert fast[-1] == plain[-1]
         assert len(fast) <= len(plain)
 
@@ -133,7 +147,7 @@ class TestPredecessorRouting:
     def test_stops_at_predecessor(self, ids, key, start_idx):
         ring = make_ring(ids)
         start = start_idx % len(ring)
-        path = ring.predecessor_route(start, key)
+        path = to_predecessor(ring, start, key)
         end_id = int(ring.ids[path[-1]])
         size = 256
         if len(ring) == 1:
@@ -154,7 +168,7 @@ class TestPredecessorRouting:
         clockwise distance to the key never exceeds the previous one."""
         ring = make_ring(ids)
         start = start_idx % len(ring)
-        path = ring.predecessor_route(start, key)
+        path = to_predecessor(ring, start, key)
         size = 256
         dists = [clockwise_distance(int(ring.ids[p]), key, size) for p in path]
         assert all(a >= b for a, b in zip(dists, dists[1:]))
@@ -164,8 +178,8 @@ class TestPredecessorRouting:
     def test_one_hop_shorter_than_greedy(self, ids, key, start_idx):
         ring = make_ring(ids)
         start = start_idx % len(ring)
-        greedy = ring.greedy_route(start, key)
-        pred = ring.predecessor_route(start, key)
+        greedy = to_owner(ring, start, key)
+        pred = to_predecessor(ring, start, key)
         assert len(pred) <= len(greedy)
         # Completing the predecessor route with the final hop reaches
         # the same owner the greedy route found.
@@ -243,28 +257,28 @@ class TestEdgeGeometry:
         assert ring.successor_list(0, 5) == []
         # Every key routes to the sole member in zero hops beyond start.
         for key in (0, 41, 42, 43, 255):
-            assert ring.greedy_route(0, key) == [0]
-            assert ring.next_hop(0, key) == 0
+            assert to_owner(ring, 0, key) == [0]
+            assert to_predecessor(ring, 0, key) == [0]
         assert sorted(ring.arc_members(42, 42).tolist()) == [0]
 
     def test_key_equal_to_member_id(self):
         ring = make_ring([10, 20, 30, 40])
         # Exact hit owns itself: distance 0, no successor handoff.
         assert ring.successor_pos(30) == 2
-        assert ring.next_hop(2, 30) == 2
-        path = ring.greedy_route(0, 30)
+        assert to_owner(ring, 2, 30) == [2]
+        path = to_owner(ring, 0, 30)
         assert path[-1] == 2
         # Predecessor routing stops strictly before the exact owner
         # unless the start already owns the key.
-        assert ring.predecessor_route(2, 30) == [2]
+        assert to_predecessor(ring, 2, 30) == [2]
 
     def test_two_member_ring_routes_both_ways(self):
         ring = make_ring([0, 128])
-        assert ring.greedy_route(0, 128) == [0, 1]
-        assert ring.greedy_route(1, 128) == [1]
-        assert ring.greedy_route(1, 1) == [1]  # successor of 1 is 128
-        assert ring.greedy_route(1, 0) == [1, 0]
-        assert ring.next_hop(0, 200) == 1
+        assert to_owner(ring, 0, 128) == [0, 1]
+        assert to_owner(ring, 1, 128) == [1]
+        assert to_owner(ring, 1, 1) == [1]  # successor of 1 is 128
+        assert to_owner(ring, 1, 0) == [1, 0]
+        assert to_owner(ring, 1, 200) == [1, 0]  # 200 wraps to member 0
 
 
 def scalar_positions(ring, keys):
