@@ -27,7 +27,7 @@ from typing import Any
 
 from repro.replication.policy import ReplicationPolicy
 
-__all__ = ["global_successors", "replica_group"]
+__all__ = ["global_successors", "group_at", "replica_group"]
 
 
 def global_successors(network: Any, peer: int, r: int) -> list[int]:
@@ -43,15 +43,20 @@ def global_successors(network: Any, peer: int, r: int) -> list[int]:
 
 
 def replica_group(network: Any, key: int, policy: ReplicationPolicy) -> list[int]:
-    """The ordered replica group of ``key`` under ``policy``.
+    """The ordered replica group of ``key`` under ``policy``: :func:`group_at`
+    its owner (the believed global successor of the key)."""
+    return group_at(network, int(network.owner_of(key)), policy)
 
-    Always starts with the key's owner (the believed global successor
-    of the key).  Duplicates are dropped while preserving order — on
-    tiny rings the successor walk wraps and would otherwise re-include
-    the owner — so the group may be shorter than ``policy.group_size``
-    when the network itself is smaller.
+
+def group_at(network: Any, owner: int, policy: ReplicationPolicy) -> list[int]:
+    """The ordered replica group headed by ``owner``, for a caller that
+    a perfect route has already told who owns the key.
+
+    Duplicates are dropped while preserving order — on tiny rings the
+    successor walk wraps and would otherwise re-include the owner — so
+    the group may be shorter than ``policy.group_size`` when the network
+    itself is smaller.
     """
-    owner = int(network.owner_of(key))
     group = [owner]
     if policy.replicas <= 0:
         return group

@@ -47,7 +47,7 @@ from typing import Any
 from repro.dht.base import RouteResult
 from repro.faults.injector import FaultInjector, LossyContext
 from repro.metrics.spans import SpanRecorder
-from repro.replication.placement import replica_group
+from repro.replication.placement import group_at, replica_group
 from repro.replication.policy import ReplicationPolicy
 
 __all__ = [
@@ -222,6 +222,11 @@ class ReplicatedStore:
     (``network.attach_store(store)``) to have membership waves mirrored
     automatically: ``remove_peers`` drops departed disks,
     ``revive_peers`` replays hinted-handoff queues.
+
+    ``put`` is *hash → route →* :meth:`write_at`; :meth:`write_at` and
+    :meth:`read_at` start at a peer the caller already reached and take
+    the wrapped key id, not the name (the serving layer routes a whole
+    epoch in one engine call and hashes each name once).
     """
 
     def __init__(
@@ -408,44 +413,47 @@ class ReplicatedStore:
     # writes
     # ------------------------------------------------------------------
     def put(self, source: int, name: str, value: Any) -> PutResult:
-        """Replicated write of ``value`` under ``name`` from ``source``.
-
-        Routes to the key's owner first (failure-aware under an
-        injector); the live peer that answered the lookup coordinates
-        the fan-out prescribed by the policy's consistency mode.  The
-        result carries the route, a per-replica contact record, and the
-        version the write stamped.
-        """
+        """Replicated write of ``value`` under ``name`` from ``source``:
+        hash, route to the key's owner (failure-aware under an injector),
+        then :meth:`write_at` the live peer that answered the lookup.  The
+        result carries the route, the per-replica contacts and the version."""
         key = int(self.network.space.hash_key(name))
-        self._version_clock += 1
-        version = self._version_clock
-        self._catalog[key] = value
-        self._latest[key] = version
-        self.stats.puts += 1
-        self._count("replication.puts")
         route = self._route(source, key)
-        if not route.success:
+        if route.success:
+            result = self.write_at(int(route.owner), key, value)
+        else:
+            result = PutResult(key=key, version=self._stamp_put(key, value), success=False)
             self.stats.routed_put_failures += 1
             self._count("replication.routed_put_failures")
-            return PutResult(key=key, version=version, success=False, route=route)
-        group = replica_group(self.network, key, self.policy)
-        coordinator = int(route.owner)
-        if self.policy.consistency == "chain":
-            result = self._chain_write(coordinator, group, key, value, version, route)
-        else:
-            result = self._quorum_write(coordinator, group, key, value, version, route)
+        result.route = route
+        return result
+
+    def write_at(self, coordinator: int, key: int, value: Any) -> PutResult:
+        """:meth:`put` from the coordinator on, for callers that already
+        routed ``key`` (the serving layer's epoch call): stamps a version
+        and fans out as the policy's consistency mode prescribes; the
+        result has no ``route``.  Without an injector a route ends at
+        the key's owner, so the coordinator heads the replica group."""
+        version = self._stamp_put(key, value)
+        owner = coordinator if self.injector is None else int(self.network.owner_of(key))
+        group = group_at(self.network, owner, self.policy)
+        write = self._chain_write if self.policy.consistency == "chain" else self._quorum_write
+        result = write(coordinator, group, key, value, version)
         if result.success:
             self.stats.put_successes += 1
         return result
 
+    def _stamp_put(self, key: int, value: Any) -> int:
+        """Count a put and publish ``value`` as ``key``'s latest version."""
+        self.stats.puts += 1
+        self._count("replication.puts")
+        self._version_clock += 1
+        self._catalog[key] = value
+        self._latest[key] = self._version_clock
+        return self._version_clock
+
     def _chain_write(
-        self,
-        coordinator: int,
-        group: list[int],
-        key: int,
-        value: Any,
-        version: int,
-        route: RouteResult,
+        self, coordinator: int, group: list[int], key: int, value: Any, version: int
     ) -> PutResult:
         """Head→tail propagation; the first broken link aborts the write."""
         contacts: list[ReplicaContact] = []
@@ -480,17 +488,11 @@ class ReplicatedStore:
             prev = peer
         return PutResult(
             key=key, version=version, success=not aborted, aborted=aborted,
-            acks=acks, route=route, contacts=contacts,
+            acks=acks, contacts=contacts,
         )
 
     def _quorum_write(
-        self,
-        coordinator: int,
-        group: list[int],
-        key: int,
-        value: Any,
-        version: int,
-        route: RouteResult,
+        self, coordinator: int, group: list[int], key: int, value: Any, version: int
     ) -> PutResult:
         """Coordinator fan-out; succeeds on ``W`` acks, hints the rest."""
         contacts: list[ReplicaContact] = []
@@ -521,7 +523,7 @@ class ReplicatedStore:
         return PutResult(
             key=key, version=version,
             success=acks >= self.policy.effective_write_quorum,
-            acks=acks, route=route, contacts=contacts,
+            acks=acks, contacts=contacts,
         )
 
     # ------------------------------------------------------------------
@@ -690,15 +692,14 @@ class ReplicatedStore:
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-    def read_at(self, peer: int, name: str) -> Any:
-        """The copy of ``name`` held locally by ``peer`` (None if absent).
+    def read_at(self, peer: int, key: int) -> Any:
+        """The copy of ``key`` held locally by ``peer`` (None if absent).
 
         A zero-cost local read — no routing, no charged contact — for
         callers that already reached ``peer`` by other means (the
         serving layer's coalesced lookups resolve owners through the
         batch engine and then read the owner's disk in place).
         """
-        key = int(self.network.space.hash_key(name))
         held = self._read_local(int(peer), key)
         return held[0] if held is not None else None
 

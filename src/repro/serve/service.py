@@ -40,15 +40,20 @@ route result: it only *schedules*, appending every dispatched request
 in dispatch order.  A route is a function of (source, key, membership)
 and membership changes only at a ``join``/``leave``, so the log is
 *resolved* once per membership epoch: one
-:func:`repro.engine.batch_route` call over every logged lookup, then a
-replay in dispatch order that runs the store operations and builds the
-completions — read-your-writes, hint / disk-drop ordering and the fault
-injector's draws inside ``put`` fall exactly where per-dispatch routing
-put them.  The log is flushed before a wave touches the network, at the
-end of the run, and at ``_MAX_LANES`` logged lookups (bounded memory on
-any stream).  With a span recorder on the *network*, one
-``record_batch`` folds an epoch's gets in dispatch order and each put's
-scalar route (inside ``ReplicatedStore.put``) lands after them.
+:func:`repro.engine.batch_route` call over every logged get **and put**,
+then a replay in dispatch order that hands the store what the call
+answered — a lane's (key id, owner, route latency) goes to ``read_at`` /
+``write_at``, so nothing is routed, hashed or located twice — and builds
+the completions.  It is exact: the engine returns the scalar walk's
+owner and latency bit for bit, and read-your-writes and hint /
+disk-drop ordering fall where per-dispatch routing put them.  Only a
+store under a fault injector keeps its puts off the engine call: a
+lossy route is scalar and draws from the injector's stream, so the
+replay calls ``store.put`` and the draws stay in dispatch order.  The
+log is flushed before a wave touches the network, at the end of the
+run, and at ``_MAX_LANES`` logged lanes (bounded memory on any stream).
+With a span recorder on the *network*, the epoch's one ``record_batch``
+folds gets and puts alike, in dispatch order.
 
 Every completion contributes a four-phase latency breakdown (queue wait
 → dispatch service → route → replica fan-out) to the service's always-on
@@ -75,7 +80,7 @@ from repro.util.validation import require
 
 __all__ = ["DHTService", "ServeResult"]
 
-#: Lookups the completion log holds before it is resolved: the engine's
+#: Lanes the completion log holds before it is resolved: the engine's
 #: design width (``stream_batch_route``'s default chunk).
 _MAX_LANES = 65_536
 
@@ -155,11 +160,11 @@ class DHTService:
     config:
         Frozen :class:`~repro.serve.config.ServiceConfig`.
     store:
-        Optional :class:`~repro.replication.store.ReplicatedStore`;
-        when present, ``put`` fans out through it and ``get`` returns
-        the owner's local copy.  Without one, both ops are pure owner
-        lookups (the service still charges write-shaped dispatch cost
-        for puts).  Attach the store to the network
+        Optional :class:`~repro.replication.store.ReplicatedStore` over
+        this same ``network`` (checked); when present, ``put`` fans out
+        through it and ``get`` returns the owner's local copy.  Without
+        one, both ops are pure owner lookups (the service still charges
+        write-shaped dispatch cost for puts).  Attach the store to the network
         (``network.attach_store``) if membership waves should drop
         disks / replay hints.
     registry:
@@ -176,6 +181,13 @@ class DHTService:
         store: ReplicatedStore | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
+        if store is not None:
+            require(
+                store.network is network,
+                f"the store replicates over the {store.network.span_label} network of "
+                f"{store.network.n_peers} peers, not the {network.span_label} network of "
+                f"{network.n_peers} peers this service serves",
+            )
         self.network = network
         self.config = config if config is not None else ServiceConfig()
         self.store = store
@@ -375,32 +387,33 @@ class DHTService:
             self.registry.inc("serve.batched_lookups", len(live))
             self.registry.observe("serve.batch_size", float(len(live)))
         run.pending.extend((seq, req, now, occupancy, len(live)) for seq, req in live)
-        if op == "get" or self.store is None:  # a store routes its own puts
+        # A put under an injector is the store's to route: scalar, seeded draws.
+        if op == "get" or self.store is None or self.store.injector is None:
             run.routed.extend(req for _, req in live)
         return now + occupancy
 
     # -- resolve: one engine call per epoch, then an in-order replay ----
     def _resolve(self, run: _Run) -> None:
         """Turn ``run.pending`` into completions under the current
-        membership: one engine call for every logged get (and put, when
-        no store routes it), then the store operations in dispatch order."""
+        membership: one engine call for every logged get and put (but a
+        lossy store's puts), then the store operations in dispatch order."""
         store, routed = self.store, run.routed
+        keys = [self._key_of(req.name) for req in routed]
         owners: list[int] = []
         latency: list[float] = []
         if routed:
-            sources = [req.source for req in routed]
-            result = batch_route(self.network, sources, [self._key_of(req.name) for req in routed])
+            result = batch_route(self.network, [req.source for req in routed], keys)
             owners, latency = result.owner.tolist(), result.latency_ms.tolist()
             self.registry.inc("serve.engine_calls")
             self.registry.inc("serve.engine_lanes", len(routed))
-        lanes = zip(owners, latency)
+        lanes = zip(keys, owners, latency)
         for entry in run.pending:
             if isinstance(entry, Completion):
                 run.done.append(entry)
                 continue
             seq, req, now, occupancy, batch_size = entry
             outcome, value, fanout_ms = "ok", None, 0.0
-            if req.op == "put" and store is not None:
+            if req.op == "put" and store is not None and store.injector is not None:
                 put = store.put(req.source, req.name, req.value)
                 route = put.route
                 route_ms = route.latency_ms + route.retry_latency_ms if route is not None else 0.0
@@ -408,9 +421,14 @@ class DHTService:
                 outcome = "ok" if put.success else "failed"
                 owner = int(route.owner) if route is not None else -1
             else:
-                owner, route_ms = next(lanes)
-                if store is not None:
-                    value = store.read_at(owner, req.name)
+                key, owner, route_ms = next(lanes)
+                if store is not None and req.op == "get":
+                    value = store.read_at(owner, key)
+                elif store is not None:
+                    put = store.write_at(owner, key, req.value)
+                    # Total minus route in the float order ``store.put``'s result sums them.
+                    fanout_ms = (route_ms + put.total_latency_ms) - route_ms
+                    outcome = "ok" if put.success else "failed"
             run.done.append(
                 Completion(
                     seq=seq, op=req.op, outcome=outcome,

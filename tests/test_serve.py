@@ -7,6 +7,7 @@ from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle
 from repro.replication import ReplicatedStore, ReplicationPolicy
 from repro.serve import Completion, DHTService, Request, ServiceConfig
+from tests.test_serve_epoch import QUORUM, lossy, mixed_stream, serve
 
 N_PEERS = 120
 
@@ -200,7 +201,7 @@ class TestStoreIntegration:
 
     def test_read_at_missing_key_is_none(self, bundle):
         store = make_store(bundle.chord)
-        assert store.read_at(0, "nope") is None
+        assert store.read_at(0, int(bundle.chord.space.hash_key("nope"))) is None
 
     def test_dead_source_fails_cleanly(self, bundle):
         net = bundle.chord
@@ -296,25 +297,6 @@ def _without_engine_counters(registry):
     return snap
 
 
-def _mixed_stream(net, n):
-    """``n`` gets/puts (1 in 4 a put) from peers 0..49 at 2 ms spacing; a
-    third of the way in, three of the keys' owners leave, and they
-    rejoin at two thirds.  Returns the requests and the wave."""
-    names = [f"k{j}" for j in range(11)]
-    owners = sorted({net.owner_of(int(net.space.hash_key(name))) for name in names})
-    wave = tuple(p for p in owners if p >= 50)[:3]
-    assert len(wave) == 3
-    reqs = [
-        Request(op="put", at_ms=2.0 * i, source=i % 50, name=names[i % 11], value=f"v{i}")
-        if i % 4 == 0
-        else Request(op="get", at_ms=2.0 * i, source=i % 50, name=names[i % 11])
-        for i in range(n)
-    ]
-    reqs.insert(2 * n // 3, Request(op="join", at_ms=reqs[2 * n // 3].at_ms, peers=wave))
-    reqs.insert(n // 3, Request(op="leave", at_ms=reqs[n // 3].at_ms, peers=wave))
-    return reqs, wave
-
-
 class TestMembershipEpochs:
     """Routes are resolved per membership epoch, store ops in dispatch order."""
 
@@ -375,7 +357,7 @@ class TestMembershipEpochs:
         assert result.registry.histograms["serve.batch_size"].to_dict()["total"] == 2.0
 
     def test_storeless_scalar_matches_batched_across_epochs(self, bundle):
-        reqs, wave = _mixed_stream(bundle.hieras, 60)
+        reqs, wave = mixed_stream(bundle.hieras, 60)
         wide = DHTService(bundle.hieras, config=ServiceConfig(max_batch=32)).run(list(reqs))
         scalar = DHTService(bundle.hieras, config=ServiceConfig(max_batch=1)).run(list(reqs))
         assert [c.owner for c in wide.completions] == [c.owner for c in scalar.completions]
@@ -386,30 +368,47 @@ class TestMembershipEpochs:
         present = {c.owner for c in wide.completions[:leave] + wide.completions[join + 1 :]}
         assert not away & set(wave) and set(wave) <= present
 
-    def test_lane_cap_changes_nothing_but_the_engine_calls(self, bundle, monkeypatch):
-        net = bundle.hieras
-        reqs, _ = _mixed_stream(net, 300)
+    @staticmethod
+    def _whole_and_capped(net, monkeypatch, *, faulty):
+        """Serve one 300-request churned stream twice on fresh attached
+        stores (each under a fresh injector if ``faulty``), the second
+        time with the log flushed every 7 lanes; asserts nothing but the
+        engine counters moved and returns the requests and both
+        registries' counters."""
 
-        def serve():
-            store = make_store(net)
-            net.attach_store(store)
-            try:
-                return DHTService(net, store=store).run(list(reqs))
-            finally:
-                net.detach_store(store)
+        def run():
+            injector = lossy(net) if faulty else None
+            reqs, _ = mixed_stream(net, 300, injector=injector)
+            return reqs, serve(net, QUORUM, reqs, injector=injector)[0]
 
-        whole = serve()
+        reqs, whole = run()
         monkeypatch.setattr("repro.serve.service._MAX_LANES", 7)
-        capped = serve()
+        _, capped = run()
         assert capped.completions == whole.completions
         assert _without_engine_counters(capped.registry) == _without_engine_counters(whole.registry)
         assert whole.registry.counters["serve.engine_calls"].value == 3
         assert capped.registry.counters["serve.engine_calls"].value > 30
+        return reqs, whole.registry.counters, capped.registry.counters
+
+    def test_lane_cap_changes_nothing_but_the_engine_calls(self, bundle, monkeypatch):
+        reqs, whole, capped = self._whole_and_capped(bundle.hieras, monkeypatch, faulty=False)
+        # An injector-free store's puts ride the epoch's call: every get
+        # and put is a lane.
         assert (
-            capped.registry.counters["serve.engine_lanes"].value
-            == whole.registry.counters["serve.engine_lanes"].value
-            == sum(c.op == "get" for c in whole.completions)
+            capped["serve.engine_lanes"].value
+            == whole["serve.engine_lanes"].value
+            == sum(r.op in ("get", "put") for r in reqs)
         )
+
+    def test_lane_cap_under_an_injector_counts_gets_only(self, bundle, monkeypatch):
+        """A lossy store routes its own puts, so they are no lanes."""
+        reqs, whole, capped = self._whole_and_capped(bundle.hieras, monkeypatch, faulty=True)
+        assert (
+            capped["serve.engine_lanes"].value
+            == whole["serve.engine_lanes"].value
+            == sum(r.op == "get" for r in reqs)
+        )
+        assert whole["serve.failed"].value > 0
 
 
 class TestEngineWidth:
