@@ -114,8 +114,8 @@ def artifact_path(name: str) -> Path:
     """Where the run artifact ``name`` goes: ``REPRO_ARTIFACT_DIR`` (default:
     the current directory, where such files are gitignored), created if missing.
 
-    ``run``'s ``metrics_<id>.json`` and ``resilience``'s ``resilience.json``
-    both land here; a directory that cannot be created or written raises.
+    ``run``'s ``metrics_<id>.json`` lands here; a directory that cannot be
+    created or written raises.
     """
     directory = Path(os.environ.get("REPRO_ARTIFACT_DIR", "."))
     directory.mkdir(parents=True, exist_ok=True)

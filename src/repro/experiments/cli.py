@@ -146,8 +146,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return status
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+def _int_list(text: str) -> tuple[int, ...]:
+    """A ``--sizes``-style comma list; argparse names the flag when it is malformed."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}") from None
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -156,10 +160,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     spec = SweepSpec(
         models=tuple(args.models.split(",")),
-        sizes=_parse_ints(args.sizes),
-        landmarks=_parse_ints(args.landmarks),
-        depths=_parse_ints(args.depths),
-        seeds=_parse_ints(args.seeds),
+        sizes=args.sizes,
+        landmarks=args.landmarks,
+        depths=args.depths,
+        seeds=args.seeds,
         n_requests=args.requests,
     )
     print(f"sweeping {spec.n_cells} cells...")
@@ -225,10 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=_cmd_run)
     sweep = sub.add_parser("sweep", help="evaluate a custom parameter grid")
     sweep.add_argument("--models", default="ts", help="comma list: ts,inet,brite")
-    sweep.add_argument("--sizes", default="1000", help="comma list of peer counts")
-    sweep.add_argument("--landmarks", default="4", help="comma list of landmark counts")
-    sweep.add_argument("--depths", default="2", help="comma list of depths (2-4)")
-    sweep.add_argument("--seeds", default="42", help="comma list of seeds")
+    sweep.add_argument("--sizes", type=_int_list, default="1000", help="comma list of peer counts")
+    sweep.add_argument("--landmarks", type=_int_list, default="4", help="comma list of landmark counts")
+    sweep.add_argument("--depths", type=_int_list, default="2", help="comma list of depths (2-4)")
+    sweep.add_argument("--seeds", type=_int_list, default="42", help="comma list of seeds")
     sweep.add_argument("--requests", type=int, default=10_000, help="requests per cell")
     sweep.add_argument("--out", default=None, help="write rows to this CSV path")
     sweep.set_defaults(func=_cmd_sweep)

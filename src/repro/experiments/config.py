@@ -4,7 +4,8 @@ A :class:`SimConfig` pins every knob of one simulated deployment —
 topology family and size, landmark count and placement, binning depth,
 id-space width, seeds — and is hashable so the runner can cache built
 simulations across experiments (fig2 and fig3 share their sweep, fig4
-and fig5 share their 10000-node network, …).
+and fig5 share their 10000-node network, …).  A :class:`SweepSpec` is
+a cartesian grid of them: every figure's deployments, and ``sweep``'s.
 
 Scale control: experiments run at a CI-friendly reduced scale by
 default; passing ``full=True`` (CLI ``--full``) or setting the
@@ -14,12 +15,14 @@ default; passing ``full=True`` (CLI ``--full``) or setting the
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, replace
 
+from repro.topology.inet import INET_MIN_NODES
 from repro.util.validation import require
 
-__all__ = ["SimConfig", "is_full_scale", "DEFAULT_REQUESTS", "FULL_REQUESTS"]
+__all__ = ["SimConfig", "SweepSpec", "below_inet_floor", "is_full_scale", "DEFAULT_REQUESTS", "FULL_REQUESTS"]
 
 #: Router count relative to overlay size; >1 leaves unoccupied routers,
 #: as in the paper's emulated networks.
@@ -94,3 +97,47 @@ class SimConfig:
             self.bits,
             self.landmark_strategy,
         )
+
+
+def below_inet_floor(config: SimConfig) -> bool:
+    """Whether ``config`` is Inet below the generator's ``INET_MIN_NODES`` routers."""
+    return config.model == "inet" and config.n_routers < INET_MIN_NODES
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """The cartesian grid of configurations to evaluate."""
+
+    models: tuple[str, ...] = ("ts",)
+    sizes: tuple[int, ...] = (1000,)
+    landmarks: tuple[int, ...] = (4,)
+    depths: tuple[int, ...] = (2,)
+    seeds: tuple[int, ...] = (42,)
+    n_requests: int = 10_000
+
+    def __post_init__(self) -> None:
+        require(len(self.models) >= 1, "need at least one model")
+        require(len(self.sizes) >= 1, "need at least one size")
+        require(len(self.landmarks) >= 1, "need at least one landmark count")
+        require(len(self.depths) >= 1, "need at least one depth")
+        require(len(self.seeds) >= 1, "need at least one seed")
+        require(self.n_requests >= 1, "n_requests must be >= 1")
+
+    @property
+    def n_cells(self) -> int:
+        """Number of grid cells, skipped ones included."""
+        return len(self.configs())
+
+    def configs(self) -> list[SimConfig]:
+        """Every cell's config in deterministic order, all built — and so
+        validated — before any of them runs."""
+        return [
+            SimConfig(model=model, n_peers=size, n_landmarks=lms, depth=depth, seed=seed)
+            for model, size, lms, depth, seed in itertools.product(
+                self.models, self.sizes, self.landmarks, self.depths, self.seeds
+            )
+        ]
+
+    def cells(self) -> list[SimConfig]:
+        """The configs that run: :meth:`configs` minus :func:`below_inet_floor`'s."""
+        return [config for config in self.configs() if not below_inet_floor(config)]

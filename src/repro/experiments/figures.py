@@ -3,19 +3,21 @@
 Each experiment builds its deployments through the cached runner, runs
 the request trace through Chord and HIERAS, and renders the same rows
 or series the paper reports, followed by a shape check against the
-paper's qualitative claims.  ``EXPERIMENTS`` maps ids to
-:class:`Experiment` records; the CLI and the pytest benchmarks both
-dispatch through it.  It is the only registry: the seven *benches*
-(experiments whose data is also a committed ``BENCH_*.json``) are
-``_bench(...)`` lines in it, each naming a producer module that lives
-beside this one and is imported on first use.
+paper's qualitative claims.  Deployments are data: ``_GRIDS`` holds a
+reduced- and a full-scale :class:`SweepSpec` per experiment.
+``EXPERIMENTS`` maps ids to :class:`Experiment` records; the CLI and
+the pytest benchmarks both dispatch through it.  It is the only
+registry: a run function returns ``(text, data)``, its entry adds the
+id and title, and the seven *benches* (experiments whose data is also
+a committed ``BENCH_*.json``) are ``_bench(...)`` lines naming a
+producer module beside this one, imported on first use.
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
-from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -23,14 +25,14 @@ from repro.analysis.compare import bootstrap_ratio_ci
 from repro.analysis.plots import bar_chart, line_plot
 from repro.analysis.stats import RouteSample, collect_routes, hop_pdf, ratio_percent
 from repro.analysis.tables import format_table, render_series
-from repro.core.binning import BinningScheme, LandmarkOrders
+from repro.core.binning import BinningScheme
 from repro.core.hieras import HierasNetwork
 from repro.core.hieras_can import HierasCanNetwork
 from repro.dht.can import CanNetwork, CanParams
 from repro.dht.pastry import PastryNetwork, PastryParams
-from repro.experiments.bench import artifact_path, claim as _claim
-from repro.experiments.config import DEFAULT_REQUESTS, FULL_REQUESTS, SimConfig, is_full_scale
-from repro.experiments.runner import build_bundle, make_trace
+from repro.experiments.bench import claim as _claim
+from repro.experiments.config import DEFAULT_REQUESTS, FULL_REQUESTS, SimConfig, SweepSpec
+from repro.experiments.runner import SimulationBundle, build_bundle, make_trace, sample_pair
 from repro.topology.latency import NoisyLatencyModel
 from repro.util.rng import RngFactory
 
@@ -69,6 +71,27 @@ class Experiment:
         return importlib.import_module(f"repro.experiments.{self.module}")
 
 
+#: What a run function returns: the report text and its structured data.
+_Output = tuple[str, dict[str, object]]
+
+
+def _entry(
+    experiment_id: str,
+    title: str,
+    paper_claim: str,
+    produce: Callable[[bool, int], _Output],
+    module: str | None = None,
+    document: str | None = None,
+) -> Experiment:
+    """Register ``produce(full, seed) -> (text, data)`` under this id and title."""
+
+    def run(full: bool, seed: int) -> ExperimentResult:
+        text, data = produce(full, seed)
+        return ExperimentResult(experiment_id, title, text, data)
+
+    return Experiment(experiment_id, title, paper_claim, run, module, document)
+
+
 def _bench(
     experiment_id: str, title: str, paper_claim: str, module: str, document: str
 ) -> Experiment:
@@ -79,57 +102,155 @@ def _bench(
     whatever this package's ``__init__`` pulls in.
     """
 
-    def run(full: bool, seed: int) -> ExperimentResult:
-        producer = experiment.load()
+    def produce(full: bool, seed: int) -> _Output:
+        producer = importlib.import_module(f"repro.experiments.{module}")
         doc = producer.run_bench(full=full, seed=seed)
-        return ExperimentResult(experiment_id, title, producer.report(doc), data=doc)
+        return producer.report(doc), doc
 
-    experiment = Experiment(experiment_id, title, paper_claim, run, module, document)
-    return experiment
-
-
-# ----------------------------------------------------------------------
-# shared helpers
-# ----------------------------------------------------------------------
-
-_SAMPLES: dict[tuple, tuple[RouteSample, RouteSample]] = {}
-
-
-def _pair(config: SimConfig, n_requests: int) -> tuple[RouteSample, RouteSample]:
-    """Cached (chord, hieras) samples for a config + request count."""
-    key = (config, n_requests)
-    if key not in _SAMPLES:
-        bundle = build_bundle(config)
-        trace = make_trace(bundle, n_requests)
-        _SAMPLES[key] = (
-            collect_routes(bundle.chord, trace),
-            collect_routes(bundle.hieras, trace),
-        )
-        if len(_SAMPLES) > 48:
-            _SAMPLES.pop(next(iter(_SAMPLES)))
-    return _SAMPLES[key]
-
-
-def _requests(full: bool) -> int:
-    return FULL_REQUESTS if full else DEFAULT_REQUESTS
-
-
-def _sizes(full: bool, model: str) -> list[int]:
-    """Network-size sweep per model (paper §4.1: 1000–10000; Inet ≥ 3000)."""
-    if full:
-        sizes = list(range(1000, 10_001, 1000))
-    else:
-        sizes = [1000, 2000, 3000, 4000]
-    if model == "inet":
-        sizes = [s for s in sizes if s * 1.25 >= 3000] or [3000]
-    return sizes
+    return _entry(experiment_id, title, paper_claim, produce, module, document)
 
 
 # ----------------------------------------------------------------------
-# Table 1 — distributed binning example
+# the grids and their readers
 # ----------------------------------------------------------------------
 
-def _run_table1(full: bool, seed: int) -> ExperimentResult:
+_MODELS = ("ts", "inet", "brite")
+_HALF = (DEFAULT_REQUESTS // 2, FULL_REQUESTS // 2)
+
+
+def _scaled(
+    sizes: tuple[tuple[int, ...], tuple[int, ...]],
+    requests: tuple[int, int] = (DEFAULT_REQUESTS, FULL_REQUESTS),
+    **axes: tuple,
+) -> tuple[SweepSpec, SweepSpec]:
+    """A (reduced-scale, full-scale) grid pair: per-scale sizes and request
+    counts, shared other ``axes``."""
+    reduced, full = (SweepSpec(sizes=s, n_requests=r, **axes) for s, r in zip(sizes, requests))
+    return reduced, full
+
+
+#: Every deployment an experiment reads, as a (reduced-scale,
+#: full-scale) pair; :func:`_grid` sets the run's seed.  Inet cells
+#: below the generator's floor drop out through ``SweepSpec.cells``.
+_GRIDS: dict[str, tuple[SweepSpec, SweepSpec]] = {
+    # Figs 2/3 — §4.1: 1000–10000 nodes on all three topology models.
+    "size": _scaled(((1000, 2000, 3000, 4000), tuple(range(1000, 10_001, 1000))), models=_MODELS),
+    # Figs 6/7 — §4.4: the landmark count.
+    "landmarks": (
+        SweepSpec(sizes=(3000,), landmarks=(2, 4, 6, 8, 10, 12), n_requests=DEFAULT_REQUESTS),
+        SweepSpec(sizes=(10_000,), landmarks=tuple(range(2, 13)), n_requests=FULL_REQUESTS),
+    ),
+    # Figs 8/9 — §4.5: hierarchy depth 2–4 with 6 landmarks.
+    "depth": _scaled(
+        ((2000, 3000, 4000), tuple(range(5000, 10_001, 1000))), landmarks=(6,), depths=(2, 3, 4)
+    ),
+    # Figs 4/5 — the distributions on one large transit-stub network.
+    "dist": _scaled(((4000,), (10_000,))),
+    # ablation_binning / _succlist / _noise, and landmark_failure.
+    "ablation": _scaled(((2000,), (4000,)), _HALF),
+    "landmark_failure": _scaled(((2000,), (4000,)), _HALF, landmarks=(6,)),
+    "can": _scaled(((512,), (2048,)), (1500, 4000)),
+    "pastry": _scaled(((1500,), (4000,)), (3000, 8000)),
+    # cost_analysis measures state, not routes: its requests go unused.
+    "cost": _scaled(((1500,), (4000,)), landmarks=(6,), depths=(2, 3, 4)),
+    "resilience": _scaled(((1000,), (3000,)), (6000, 12_000)),
+}
+
+_Pair = tuple[RouteSample, RouteSample]
+_Column = Callable[[RouteSample, RouteSample], float]
+
+
+def _grid(name: str, full: bool, seed: int) -> SweepSpec:
+    """Grid ``name`` at this scale, for this run's seed."""
+    return replace(_GRIDS[name][int(full)], seeds=(seed,))
+
+
+def _sweep(
+    name: str, full: bool, seed: int, group: str, x: str
+) -> tuple[SweepSpec, dict[object, tuple[list[int], list[_Pair]]]]:
+    """Grid ``name`` through the sample cache: per value of config field
+    ``group``, the values of field ``x`` and each cell's (chord, hieras)."""
+    spec = _grid(name, full, seed)
+    groups: dict[object, tuple[list[int], list[_Pair]]] = {}
+    for config in spec.cells():
+        xs, pairs = groups.setdefault(getattr(config, group), ([], []))
+        xs.append(getattr(config, x))
+        pairs.append(sample_pair(config, spec.n_requests))
+    return spec, groups
+
+
+def _cell(name: str, full: bool, seed: int) -> tuple[SimConfig, int]:
+    """The one deployment of grid ``name`` and its request count."""
+    spec = _grid(name, full, seed)
+    (config,) = spec.configs()
+    return config, spec.n_requests
+
+
+def _variants(
+    name: str,
+    full: bool,
+    seed: int,
+    networks: Callable[[SimulationBundle], Iterable[tuple[object, object]]],
+) -> tuple[SimulationBundle, RouteSample, RouteSample, list[tuple[object, object, RouteSample]]]:
+    """Grid ``name``'s one deployment with networks rebuilt on it.
+
+    Returns its bundle, its cached (chord, hieras) samples and, for each
+    ``(label, network)`` that ``networks(bundle)`` yields, that network
+    and its sample over the bundle's own trace.
+    """
+    config, n_requests = _cell(name, full, seed)
+    chord, hieras = sample_pair(config, n_requests)
+    bundle = build_bundle(config)
+    trace = make_trace(bundle, n_requests)
+    rebuilt = [(label, net, collect_routes(net, trace)) for label, net in networks(bundle)]
+    return bundle, chord, hieras, rebuilt
+
+
+def _rebinned(bundle: SimulationBundle, orders, **options) -> HierasNetwork:
+    """HIERAS on the bundle's ids and latency, re-binned (at the orders' depth) or reconfigured."""
+    return HierasNetwork(
+        bundle.space, bundle.node_ids, latency=bundle.peer_latency, landmark_orders=orders, **options
+    )
+
+
+#: Table columns over one cell's (chord, hieras) samples.
+_HOPS: dict[str, _Column] = {
+    "chord_hops": lambda c, h: round(c.mean_hops, 3),
+    "hieras_hops": lambda c, h: round(h.mean_hops, 3),
+}
+
+
+def _latency(digits: int) -> dict[str, _Column]:
+    return {
+        "chord_ms": lambda c, h: round(c.mean_latency_ms, 1),
+        "hieras_ms": lambda c, h: round(h.mean_latency_ms, 1),
+        "hieras/chord_%": lambda c, h: round(ratio_percent(h.mean_latency_ms, c.mean_latency_ms), digits),
+    }
+
+
+def _series(pairs: list[_Pair], columns: dict[str, _Column]) -> dict[str, list[float]]:
+    return {name: [column(c, h) for c, h in pairs] for name, column in columns.items()}
+
+
+def _vs_rows(samples: dict[str, RouteSample], base: str) -> list[dict[str, object]]:
+    """``variant / hops / latency_ms / vs_<base>_%`` rows against the first sample."""
+    base_ms = next(iter(samples.values())).mean_latency_ms
+    return [
+        {
+            "variant": name,
+            "hops": round(s.mean_hops, 3),
+            "latency_ms": round(s.mean_latency_ms, 1),
+            f"vs_{base}_%": round(ratio_percent(s.mean_latency_ms, base_ms), 1),
+        }
+        for name, s in samples.items()
+    ]
+
+
+# ----------------------------------------------------------------------
+# Tables 1/2 — the distributed binning example and layered finger tables
+# ----------------------------------------------------------------------
+
+def _run_table1(full: bool, seed: int) -> _Output:
     """Reproduce Table 1: landmark orders of the paper's 6 sample nodes."""
     distances = np.asarray(
         [
@@ -153,19 +274,10 @@ def _run_table1(full: bool, seed: int) -> ExperimentResult:
         _claim(got == expected, f"orders match the paper exactly: {got}"),
         _claim(same_ring, 'C and D share layer-2 ring "2200"'),
     ]
-    return ExperimentResult(
-        "table1",
-        "Table 1 — distributed binning of 6 sample nodes, 4 landmarks",
-        "\n".join(lines),
-        data={"orders": got, "expected": expected},
-    )
+    return "\n".join(lines), {"orders": got, "expected": expected}
 
 
-# ----------------------------------------------------------------------
-# Table 2 — layered finger tables
-# ----------------------------------------------------------------------
-
-def _run_table2(full: bool, seed: int) -> ExperimentResult:
+def _run_table2(full: bool, seed: int) -> _Output:
     """Reproduce Table 2's layout: one node's finger table per layer.
 
     The paper's sample is a 2**8 id space with 3 landmarks; we build an
@@ -201,42 +313,24 @@ def _run_table2(full: bool, seed: int) -> ExperimentResult:
             "(layer-1 successors roam freely) — Table 2's defining property",
         ),
     ]
-    return ExperimentResult(
-        "table2",
-        "Table 2 — two-layer finger tables of one node",
-        "\n".join(lines),
-        data={"rows": rows},
-    )
+    return "\n".join(lines), {"rows": rows}
 
 
 # ----------------------------------------------------------------------
 # Figures 2/3 — hops and latency vs network size, three models
 # ----------------------------------------------------------------------
 
-def _run_fig2(full: bool, seed: int) -> ExperimentResult:
+def _run_fig2(full: bool, seed: int) -> _Output:
     """Figure 2: average routing hops vs size, HIERAS ≈ Chord."""
-    n_req = _requests(full)
     sections = []
     deltas: list[float] = []
     growth: dict[str, float] = {}
-    for model in ("ts", "inet", "brite"):
-        sizes = _sizes(full, model)
-        chord_hops, hieras_hops = [], []
-        for n in sizes:
-            config = SimConfig(model=model, n_peers=n, n_landmarks=4, depth=2, seed=seed)
-            chord, hieras = _pair(config, n_req)
-            chord_hops.append(round(chord.mean_hops, 3))
-            hieras_hops.append(round(hieras.mean_hops, 3))
-            deltas.append(100 * (hieras.mean_hops - chord.mean_hops) / chord.mean_hops)
-        growth[model] = 100 * (hieras_hops[-1] - hieras_hops[0]) / hieras_hops[0]
-        sections.append(
-            f"model={model}\n"
-            + render_series(
-                "nodes",
-                sizes,
-                {"chord_hops": chord_hops, "hieras_hops": hieras_hops},
-            )
-        )
+    for model, (sizes, pairs) in _sweep("size", full, seed, "model", "n_peers")[1].items():
+        series = _series(pairs, _HOPS)
+        sections.append(f"model={model}\n" + render_series("nodes", sizes, series))
+        deltas += [100 * (h.mean_hops - c.mean_hops) / c.mean_hops for c, h in pairs]
+        hops = series["hieras_hops"]
+        growth[model] = 100 * (hops[-1] - hops[0]) / hops[0]
     mean_delta = float(np.mean(deltas))
     lines = sections + [
         "",
@@ -252,41 +346,17 @@ def _run_fig2(full: bool, seed: int) -> ExperimentResult:
             "for 1000→10000 nodes) — both algorithms scale as O(log N)",
         ),
     ]
-    return ExperimentResult(
-        "fig2",
-        "Figure 2 — average routing hops vs network size",
-        "\n".join(lines),
-        data={"mean_delta_percent": mean_delta, "growth_percent": growth},
-    )
+    return "\n".join(lines), {"mean_delta_percent": mean_delta, "growth_percent": growth}
 
 
-def _run_fig3(full: bool, seed: int) -> ExperimentResult:
+def _run_fig3(full: bool, seed: int) -> _Output:
     """Figure 3: average routing latency vs size, per topology model."""
-    n_req = _requests(full)
     sections = []
     ratios: dict[str, float] = {}
-    for model in ("ts", "inet", "brite"):
-        sizes = _sizes(full, model)
-        chord_lat, hieras_lat, ratio = [], [], []
-        for n in sizes:
-            config = SimConfig(model=model, n_peers=n, n_landmarks=4, depth=2, seed=seed)
-            chord, hieras = _pair(config, n_req)
-            chord_lat.append(round(chord.mean_latency_ms, 1))
-            hieras_lat.append(round(hieras.mean_latency_ms, 1))
-            ratio.append(round(ratio_percent(hieras.mean_latency_ms, chord.mean_latency_ms), 1))
-        ratios[model] = float(np.mean(ratio))
-        sections.append(
-            f"model={model}\n"
-            + render_series(
-                "nodes",
-                sizes,
-                {
-                    "chord_ms": chord_lat,
-                    "hieras_ms": hieras_lat,
-                    "hieras/chord_%": ratio,
-                },
-            )
-        )
+    for model, (sizes, pairs) in _sweep("size", full, seed, "model", "n_peers")[1].items():
+        series = _series(pairs, _latency(1))
+        sections.append(f"model={model}\n" + render_series("nodes", sizes, series))
+        ratios[model] = float(np.mean(series["hieras/chord_%"]))
     paper = {"ts": 51.8, "inet": 53.41, "brite": 62.47}
     lines = sections + [""]
     for model, mean_ratio in ratios.items():
@@ -297,51 +367,38 @@ def _run_fig3(full: bool, seed: int) -> ExperimentResult:
                 f"(paper: {paper[model]}%) — HIERAS wins decisively",
             )
         )
-    return ExperimentResult(
-        "fig3",
-        "Figure 3 — average routing latency vs network size (TS/Inet/BRITE)",
-        "\n".join(lines),
-        data={"mean_ratio_percent": ratios, "paper_ratio_percent": paper},
-    )
+    return "\n".join(lines), {"mean_ratio_percent": ratios, "paper_ratio_percent": paper}
 
 
 # ----------------------------------------------------------------------
 # Figures 4/5 — distributions on the big TS network
 # ----------------------------------------------------------------------
 
-def _dist_config(full: bool, seed: int) -> SimConfig:
-    return SimConfig(
-        model="ts", n_peers=10_000 if full else 4000, n_landmarks=4, depth=2, seed=seed
-    )
-
-
-def _run_fig4(full: bool, seed: int) -> ExperimentResult:
+def _run_fig4(full: bool, seed: int) -> _Output:
     """Figure 4: PDF of routing hops (Chord vs HIERAS vs low layer)."""
-    config = _dist_config(full, seed)
-    chord, hieras = _pair(config, _requests(full))
+    config, n_req = _cell("dist", full, seed)
+    chord, hieras = sample_pair(config, n_req)
     top = int(max(chord.hops.max(), hieras.hops.max()))
-    xs, chord_pdf = hop_pdf(chord.hops, max_hops=top)
-    _, hieras_pdf = hop_pdf(hieras.hops, max_hops=top)
-    _, low_pdf = hop_pdf(hieras.low_layer_hops, max_hops=top)
+    pdfs = {
+        name: hop_pdf(hops, max_hops=top)[1]
+        for name, hops in (
+            ("chord", chord.hops), ("hieras", hieras.hops), ("hieras_low_layer", hieras.low_layer_hops)
+        )
+    }
+    xs = list(range(top + 1))
     table = render_series(
-        "hops",
-        xs.tolist(),
-        {
-            "chord_pdf": [round(v, 4) for v in chord_pdf],
-            "hieras_pdf": [round(v, 4) for v in hieras_pdf],
-            "hieras_low_layer_pdf": [round(v, 4) for v in low_pdf],
-        },
+        "hops", xs, {f"{name}_pdf": [round(v, 4) for v in pdf] for name, pdf in pdfs.items()}
     )
     low_share = 100 * hieras.low_layer_hop_share
     delta = 100 * (hieras.mean_hops - chord.mean_hops) / chord.mean_hops
     chart = bar_chart(
-        [f"{h:>2}" for h in xs.tolist()],
-        hieras_pdf.tolist(),
+        [f"{h:>2}" for h in xs],
+        pdfs["hieras"].tolist(),
         width=42,
         title="HIERAS hop-count PDF:",
     )
     lines = [
-        f"network: {config.n_peers} peers, TS model, {_requests(full)} requests",
+        f"network: {config.n_peers} peers, TS model, {n_req} requests",
         table,
         "",
         chart,
@@ -360,41 +417,27 @@ def _run_fig4(full: bool, seed: int) -> ExperimentResult:
             "(paper: 71.38%)",
         ),
     ]
-    return ExperimentResult(
-        "fig4",
-        "Figure 4 — PDF of the number of routing hops",
-        "\n".join(lines),
-        data={
-            "chord_mean_hops": chord.mean_hops,
-            "hieras_mean_hops": hieras.mean_hops,
-            "low_layer_hop_share": hieras.low_layer_hop_share,
-            "top_layer_hops": hieras.mean_top_layer_hops,
-        },
-    )
+    return "\n".join(lines), {
+        "chord_mean_hops": chord.mean_hops,
+        "hieras_mean_hops": hieras.mean_hops,
+        "low_layer_hop_share": hieras.low_layer_hop_share,
+        "top_layer_hops": hieras.mean_top_layer_hops,
+    }
 
 
-def _run_fig5(full: bool, seed: int) -> ExperimentResult:
+def _run_fig5(full: bool, seed: int) -> _Output:
     """Figure 5: CDF of routing latency + the §4.3 link-delay split."""
-    config = _dist_config(full, seed)
-    chord, hieras = _pair(config, _requests(full))
-    points = 15
-    hi = float(max(chord.latency_ms.max(), hieras.latency_ms.max()))
-    xs = np.linspace(0, hi, points)
-    chord_sorted = np.sort(chord.latency_ms)
-    hieras_sorted = np.sort(hieras.latency_ms)
+    config, n_req = _cell("dist", full, seed)
+    chord, hieras = sample_pair(config, n_req)
+    xs = np.linspace(0, float(max(chord.latency_ms.max(), hieras.latency_ms.max())), 15)
+    cdfs = {
+        name: np.searchsorted(np.sort(s.latency_ms), xs, side="right") / len(s)
+        for name, s in (("chord", chord), ("hieras", hieras))
+    }
     table = render_series(
         "latency_ms",
         [round(x, 1) for x in xs],
-        {
-            "chord_cdf": [
-                round(float(np.searchsorted(chord_sorted, x, side="right") / len(chord_sorted)), 4)
-                for x in xs
-            ],
-            "hieras_cdf": [
-                round(float(np.searchsorted(hieras_sorted, x, side="right") / len(hieras_sorted)), 4)
-                for x in xs
-            ],
-        },
+        {f"{name}_cdf": [round(float(f), 4) for f in cdf] for name, cdf in cdfs.items()},
     )
     ratio = ratio_percent(hieras.mean_latency_ms, chord.mean_latency_ms)
     ratio_ci = bootstrap_ratio_ci(hieras.latency_ms, chord.latency_ms, seed=seed)
@@ -402,23 +445,14 @@ def _run_fig5(full: bool, seed: int) -> ExperimentResult:
     top_delay = hieras.mean_link_delay(layer="top")
     plot = line_plot(
         [round(x, 1) for x in xs],
-        {
-            "chord": [
-                float(np.searchsorted(chord_sorted, x, side="right") / len(chord_sorted))
-                for x in xs
-            ],
-            "hieras": [
-                float(np.searchsorted(hieras_sorted, x, side="right") / len(hieras_sorted))
-                for x in xs
-            ],
-        },
+        {name: [float(f) for f in cdf] for name, cdf in cdfs.items()},
         width=60,
         height=12,
         x_label="latency (ms)",
         title="latency CDFs:",
     )
     lines = [
-        f"network: {config.n_peers} peers, TS model, {_requests(full)} requests",
+        f"network: {config.n_peers} peers, TS model, {n_req} requests",
         table,
         "",
         plot,
@@ -440,53 +474,31 @@ def _run_fig5(full: bool, seed: int) -> ExperimentResult:
             "lower-layer links are far cheaper than higher-layer links",
         ),
     ]
-    return ExperimentResult(
-        "fig5",
-        "Figure 5 — CDF of routing latency",
-        "\n".join(lines),
-        data={
-            "latency_ratio_percent": ratio,
-            "low_link_delay_ms": low_delay,
-            "top_link_delay_ms": top_delay,
-            "low_latency_share": hieras.low_layer_latency_share,
-        },
-    )
+    return "\n".join(lines), {
+        "latency_ratio_percent": ratio,
+        "low_link_delay_ms": low_delay,
+        "top_link_delay_ms": top_delay,
+        "low_latency_share": hieras.low_layer_latency_share,
+    }
 
 
 # ----------------------------------------------------------------------
 # Figures 6/7 — landmark count sweep
 # ----------------------------------------------------------------------
 
-def _landmark_configs(full: bool, seed: int) -> tuple[list[int], int]:
-    n_peers = 10_000 if full else 3000
-    counts = list(range(2, 13)) if full else [2, 4, 6, 8, 10, 12]
-    return counts, n_peers
-
-
-def _run_fig6(full: bool, seed: int) -> ExperimentResult:
+def _run_fig6(full: bool, seed: int) -> _Output:
     """Figure 6: hops vs number of landmarks."""
-    counts, n_peers = _landmark_configs(full, seed)
-    n_req = _requests(full)
-    chord_hops, hieras_hops, low_hops = [], [], []
-    for L in counts:
-        config = SimConfig(model="ts", n_peers=n_peers, n_landmarks=L, depth=2, seed=seed)
-        chord, hieras = _pair(config, n_req)
-        chord_hops.append(round(chord.mean_hops, 3))
-        hieras_hops.append(round(hieras.mean_hops, 3))
-        low_hops.append(round(float(hieras.low_layer_hops.mean()), 3))
-    table = render_series(
-        "landmarks",
-        counts,
-        {
-            "chord_hops": chord_hops,
-            "hieras_hops": hieras_hops,
-            "hieras_low_layer_hops": low_hops,
-        },
+    spec, groups = _sweep("landmarks", full, seed, "n_peers", "n_landmarks")
+    ((n_peers, (counts, pairs)),) = groups.items()
+    series = _series(
+        pairs,
+        {**_HOPS, "hieras_low_layer_hops": lambda c, h: round(float(h.low_layer_hops.mean()), 3)},
     )
+    hieras_hops, low_hops = series["hieras_hops"], series["hieras_low_layer_hops"]
     spread = max(hieras_hops) - min(hieras_hops)
     lines = [
-        f"network: {n_peers} peers, TS model, {n_req} requests",
-        table,
+        f"network: {n_peers} peers, TS model, {spec.n_requests} requests",
+        render_series("landmarks", counts, series),
         "",
         _claim(
             spread < 0.12 * float(np.mean(hieras_hops)),
@@ -499,35 +511,19 @@ def _run_fig6(full: bool, seed: int) -> ExperimentResult:
             "rings; paper: 'reduces sharply' from 2 to 8 landmarks)",
         ),
     ]
-    return ExperimentResult(
-        "fig6",
-        "Figure 6 — average routing hops vs number of landmarks",
-        "\n".join(lines),
-        data={"counts": counts, "hieras_hops": hieras_hops, "low_hops": low_hops},
-    )
+    return "\n".join(lines), {"counts": counts, "hieras_hops": hieras_hops, "low_hops": low_hops}
 
 
-def _run_fig7(full: bool, seed: int) -> ExperimentResult:
+def _run_fig7(full: bool, seed: int) -> _Output:
     """Figure 7: latency vs number of landmarks."""
-    counts, n_peers = _landmark_configs(full, seed)
-    n_req = _requests(full)
-    ratios = []
-    hieras_lat, chord_lat = [], []
-    for L in counts:
-        config = SimConfig(model="ts", n_peers=n_peers, n_landmarks=L, depth=2, seed=seed)
-        chord, hieras = _pair(config, n_req)
-        chord_lat.append(round(chord.mean_latency_ms, 1))
-        hieras_lat.append(round(hieras.mean_latency_ms, 1))
-        ratios.append(round(ratio_percent(hieras.mean_latency_ms, chord.mean_latency_ms), 2))
-    table = render_series(
-        "landmarks",
-        counts,
-        {"chord_ms": chord_lat, "hieras_ms": hieras_lat, "hieras/chord_%": ratios},
-    )
+    spec, groups = _sweep("landmarks", full, seed, "n_peers", "n_landmarks")
+    ((n_peers, (counts, pairs)),) = groups.items()
+    series = _series(pairs, _latency(2))
+    ratios = series["hieras/chord_%"]
     best = min(ratios)
     lines = [
-        f"network: {n_peers} peers, TS model, {n_req} requests",
-        table,
+        f"network: {n_peers} peers, TS model, {spec.n_requests} requests",
+        render_series("landmarks", counts, series),
         "",
         _claim(
             ratios[0] > best + 1.0,
@@ -540,41 +536,24 @@ def _run_fig7(full: bool, seed: int) -> ExperimentResult:
             "beyond the sweet spot, more landmarks give little extra gain",
         ),
     ]
-    return ExperimentResult(
-        "fig7",
-        "Figure 7 — average routing latency vs number of landmarks",
-        "\n".join(lines),
-        data={"counts": counts, "ratios_percent": ratios},
-    )
+    return "\n".join(lines), {"counts": counts, "ratios_percent": ratios}
 
 
 # ----------------------------------------------------------------------
 # Figures 8/9 — hierarchy depth sweep
 # ----------------------------------------------------------------------
 
-def _depth_configs(full: bool) -> list[int]:
-    return [5000, 6000, 7000, 8000, 9000, 10_000] if full else [2000, 3000, 4000]
-
-
-def _run_fig8(full: bool, seed: int) -> ExperimentResult:
+def _run_fig8(full: bool, seed: int) -> _Output:
     """Figure 8: hops vs hierarchy depth (2–4), 6 landmarks."""
-    sizes = _depth_configs(full)
-    n_req = _requests(full)
-    series: dict[str, list[float]] = {f"depth{d}_hops": [] for d in (2, 3, 4)}
-    increments = []
-    for n in sizes:
-        per_depth = []
-        for depth in (2, 3, 4):
-            config = SimConfig(model="ts", n_peers=n, n_landmarks=6, depth=depth, seed=seed)
-            _, hieras = _pair(config, n_req)
-            series[f"depth{depth}_hops"].append(round(hieras.mean_hops, 3))
-            per_depth.append(hieras.mean_hops)
-        increments.append(100 * (per_depth[2] - per_depth[0]) / per_depth[0])
-    table = render_series("nodes", sizes, series)
+    spec, groups = _sweep("depth", full, seed, "depth", "n_peers")
+    (sizes, _), *_ = groups.values()
+    hops = [[h.mean_hops for _, h in pairs] for _, pairs in groups.values()]
+    series = {f"depth{d}_hops": [round(v, 3) for v in vs] for d, vs in zip(groups, hops)}
+    increments = [100 * (deep - shallow) / shallow for shallow, deep in zip(hops[0], hops[-1])]
     max_inc = max(abs(v) for v in increments)
     lines = [
-        f"TS model, 6 landmarks, {n_req} requests",
-        table,
+        f"TS model, 6 landmarks, {spec.n_requests} requests",
+        render_series("nodes", sizes, series),
         "",
         _claim(
             max_inc < 8.0,
@@ -582,33 +561,20 @@ def _run_fig8(full: bool, seed: int) -> ExperimentResult:
             f"{max_inc:.2f}%; paper: +0.29% to +1.65%)",
         ),
     ]
-    return ExperimentResult(
-        "fig8",
-        "Figure 8 — hops vs hierarchy depth",
-        "\n".join(lines),
-        data={"sizes": sizes, "series": series, "increments_percent": increments},
-    )
+    return "\n".join(lines), {"sizes": sizes, "series": series, "increments_percent": increments}
 
 
-def _run_fig9(full: bool, seed: int) -> ExperimentResult:
+def _run_fig9(full: bool, seed: int) -> _Output:
     """Figure 9: latency vs hierarchy depth (2–4), 6 landmarks."""
-    sizes = _depth_configs(full)
-    n_req = _requests(full)
-    series: dict[str, list[float]] = {f"depth{d}_ms": [] for d in (2, 3, 4)}
-    gain_23, gain_34 = [], []
-    for n in sizes:
-        per_depth = []
-        for depth in (2, 3, 4):
-            config = SimConfig(model="ts", n_peers=n, n_landmarks=6, depth=depth, seed=seed)
-            _, hieras = _pair(config, n_req)
-            series[f"depth{depth}_ms"].append(round(hieras.mean_latency_ms, 1))
-            per_depth.append(hieras.mean_latency_ms)
-        gain_23.append(100 * (per_depth[0] - per_depth[1]) / per_depth[0])
-        gain_34.append(100 * (per_depth[1] - per_depth[2]) / per_depth[1])
-    table = render_series("nodes", sizes, series)
+    spec, groups = _sweep("depth", full, seed, "depth", "n_peers")
+    (sizes, _), *_ = groups.values()
+    ms = [[h.mean_latency_ms for _, h in pairs] for _, pairs in groups.values()]
+    series = {f"depth{d}_ms": [round(v, 1) for v in vs] for d, vs in zip(groups, ms)}
+    gain_23 = [100 * (d2 - d3) / d2 for d2, d3 in zip(ms[0], ms[1])]
+    gain_34 = [100 * (d3 - d4) / d3 for d3, d4 in zip(ms[1], ms[2])]
     lines = [
-        f"TS model, 6 landmarks, {n_req} requests",
-        table,
+        f"TS model, 6 landmarks, {spec.n_requests} requests",
+        render_series("nodes", sizes, series),
         "",
         f"latency reduction 2→3 layers: {[round(g, 2) for g in gain_23]}% "
         "(paper: 9.64%–16.15%)",
@@ -620,63 +586,35 @@ def _run_fig9(full: bool, seed: int) -> ExperimentResult:
             "is the practical optimum (paper §4.5's conclusion)",
         ),
     ]
-    return ExperimentResult(
-        "fig9",
-        "Figure 9 — latency vs hierarchy depth",
-        "\n".join(lines),
-        data={"sizes": sizes, "series": series, "gain_23": gain_23, "gain_34": gain_34},
-    )
+    return "\n".join(lines), {
+        "sizes": sizes, "series": series, "gain_23": gain_23, "gain_34": gain_34,
+    }
 
 
 # ----------------------------------------------------------------------
 # Ablations (DESIGN.md §4)
 # ----------------------------------------------------------------------
 
-def _run_ablation_binning(full: bool, seed: int) -> ExperimentResult:
+def _run_ablation_binning(full: bool, seed: int) -> _Output:
     """Random ring assignment vs distributed binning.
 
     Keeps ring count and sizes identical and only destroys the
     *topological* grouping — isolating the binning scheme's entire
     contribution (paper §2.2 argues it is essential).
     """
-    n_peers = 4000 if full else 2000
-    n_req = _requests(full) // 2
-    config = SimConfig(model="ts", n_peers=n_peers, n_landmarks=4, depth=2, seed=seed)
-    bundle = build_bundle(config)
-    trace = make_trace(bundle, n_req)
-    chord = collect_routes(bundle.chord, trace)
-    hieras = collect_routes(bundle.hieras, trace)
 
-    rng = RngFactory(seed).get("ablation-binning")
-    shuffled = bundle.orders.names_per_layer[0].copy()
-    rng.shuffle(shuffled)
-    random_orders = LandmarkOrders(
-        scheme=bundle.orders.scheme,
-        distances=bundle.orders.distances,
-        level_matrices=bundle.orders.level_matrices,
-        names_per_layer=[shuffled],
+    def random_rings(bundle: SimulationBundle):
+        shuffled = bundle.orders.names_per_layer[0].copy()
+        RngFactory(seed).get("ablation-binning").shuffle(shuffled)
+        orders = replace(
+            bundle.orders, names_per_layer=[shuffled], codes_per_layer=None, name_pools=None
+        )
+        yield "hieras_random_rings", _rebinned(bundle, orders)
+
+    _, chord, hieras, [(_, _, random_sample)] = _variants("ablation", full, seed, random_rings)
+    rows = _vs_rows(
+        {"chord": chord, "hieras_binned": hieras, "hieras_random_rings": random_sample}, "chord"
     )
-    random_net = HierasNetwork(
-        bundle.space,
-        bundle.node_ids,
-        latency=bundle.peer_latency,
-        landmark_orders=random_orders,
-        depth=2,
-    )
-    random_sample = collect_routes(random_net, trace)
-    rows = [
-        {
-            "variant": name,
-            "hops": round(s.mean_hops, 3),
-            "latency_ms": round(s.mean_latency_ms, 1),
-            "vs_chord_%": round(ratio_percent(s.mean_latency_ms, chord.mean_latency_ms), 1),
-        }
-        for name, s in [
-            ("chord", chord),
-            ("hieras_binned", hieras),
-            ("hieras_random_rings", random_sample),
-        ]
-    ]
     ok = hieras.mean_latency_ms < 0.8 * random_sample.mean_latency_ms
     lines = [
         format_table(rows),
@@ -687,77 +625,52 @@ def _run_ablation_binning(full: bool, seed: int) -> ExperimentResult:
             "the gain comes from the binning scheme, not from hierarchy alone",
         ),
     ]
-    return ExperimentResult(
-        "ablation_binning",
-        "Ablation — distributed binning vs random ring assignment",
-        "\n".join(lines),
-        data={"rows": rows},
-    )
+    return "\n".join(lines), {"rows": rows}
 
 
-def _run_ablation_succlist(full: bool, seed: int) -> ExperimentResult:
+def _run_ablation_succlist(full: bool, seed: int) -> _Output:
     """Successor-list acceleration policies (§3.2/§3.3).
 
     The paper reports HIERAS taking slightly *more* hops than Chord yet
     only 1.887 hops in the top ring; the acceleration policy controls
     exactly that trade-off (DESIGN.md §5).
     """
-    n_peers = 4000 if full else 2000
-    n_req = _requests(full) // 2
-    base = SimConfig(model="ts", n_peers=n_peers, n_landmarks=4, depth=2, seed=seed)
-    bundle = build_bundle(base)
-    trace = make_trace(bundle, n_req)
-    chord = collect_routes(bundle.chord, trace)
-    rows = []
-    by_policy: dict[str, RouteSample] = {}
-    for policy in ("off", "transitions", "always"):
-        net = HierasNetwork(
-            bundle.space,
-            bundle.node_ids,
-            latency=bundle.peer_latency,
-            landmark_orders=bundle.orders,
-            depth=2,
-            successor_list_policy=policy,
-        )
-        sample = collect_routes(net, trace)
-        by_policy[policy] = sample
-        rows.append(
-            {
-                "policy": policy,
-                "hops": round(sample.mean_hops, 3),
-                "hops_vs_chord_%": round(
-                    100 * (sample.mean_hops - chord.mean_hops) / chord.mean_hops, 2
-                ),
-                "top_layer_hops": round(sample.mean_top_layer_hops, 3),
-                "latency_vs_chord_%": round(
-                    ratio_percent(sample.mean_latency_ms, chord.mean_latency_ms), 1
-                ),
-            }
-        )
-    ok = (
-        by_policy["off"].mean_hops
-        > by_policy["transitions"].mean_hops
-        > by_policy["always"].mean_hops
+    _, chord, _, variants = _variants(
+        "ablation", full, seed,
+        lambda bundle: (
+            (policy, _rebinned(bundle, bundle.orders, successor_list_policy=policy))
+            for policy in ("off", "transitions", "always")
+        ),
     )
+    rows = [
+        {
+            "policy": policy,
+            "hops": round(sample.mean_hops, 3),
+            "hops_vs_chord_%": round(
+                100 * (sample.mean_hops - chord.mean_hops) / chord.mean_hops, 2
+            ),
+            "top_layer_hops": round(sample.mean_top_layer_hops, 3),
+            "latency_vs_chord_%": round(
+                ratio_percent(sample.mean_latency_ms, chord.mean_latency_ms), 1
+            ),
+        }
+        for policy, _, sample in variants
+    ]
+    off, transitions, always = (sample.mean_hops for _, _, sample in variants)
     lines = [
         f"chord: hops={chord.mean_hops:.3f} latency={chord.mean_latency_ms:.1f}ms",
         format_table(rows),
         "",
         _claim(
-            ok,
+            off > transitions > always,
             "each widening of successor-list use trims hops; 'off' brackets "
             "the paper's +hops regime, 'transitions' its 1.9 top-layer hops",
         ),
     ]
-    return ExperimentResult(
-        "ablation_succlist",
-        "Ablation — successor-list acceleration policy",
-        "\n".join(lines),
-        data={"rows": rows},
-    )
+    return "\n".join(lines), {"rows": rows}
 
 
-def _run_ablation_can(full: bool, seed: int) -> ExperimentResult:
+def _run_ablation_can(full: bool, seed: int) -> _Output:
     """HIERAS over CAN vs flat CAN vs multiple realities (§3.2).
 
     Multiple realities are CAN's own route-shortening mechanism
@@ -767,45 +680,26 @@ def _run_ablation_can(full: bool, seed: int) -> ExperimentResult:
     """
     from repro.dht.can_realities import MultiRealityCan
 
-    n_peers = 2048 if full else 512
-    n_req = 4000 if full else 1500
-    config = SimConfig(model="ts", n_peers=n_peers, n_landmarks=4, depth=2, seed=seed)
-    bundle = build_bundle(config)
-    trace = make_trace(bundle, n_req)
-    flat = CanNetwork(
-        np.arange(n_peers), params=CanParams(dimensions=2),
-        latency=bundle.peer_latency, seed=seed,
+    def can_networks(bundle: SimulationBundle):
+        peers, params = np.arange(bundle.config.n_peers), CanParams(dimensions=2)
+        yield "can_flat", CanNetwork(peers, params=params, latency=bundle.peer_latency, seed=seed)
+        yield "can_3_realities", MultiRealityCan(
+            peers, realities=3, params=params, latency=bundle.peer_latency, seed=seed,
+        )
+        yield "hieras_over_can", HierasCanNetwork(
+            len(peers), landmark_orders=bundle.orders, params=params,
+            latency=bundle.peer_latency, depth=2, seed=seed,
+        )
+
+    config, n_req = _cell("can", full, seed)
+    _, _, _, variants = _variants("can", full, seed, can_networks)
+    samples = {name: sample for name, _, sample in variants}
+    rows = _vs_rows(samples, "flat")
+    ratio = ratio_percent(
+        samples["hieras_over_can"].mean_latency_ms, samples["can_flat"].mean_latency_ms
     )
-    layered = HierasCanNetwork(
-        n_peers,
-        landmark_orders=bundle.orders,
-        params=CanParams(dimensions=2),
-        latency=bundle.peer_latency,
-        depth=2,
-        seed=seed,
-    )
-    realities = MultiRealityCan(
-        np.arange(n_peers), realities=3, params=CanParams(dimensions=2),
-        latency=bundle.peer_latency, seed=seed,
-    )
-    samples = {
-        "can_flat": collect_routes(flat, trace),
-        "can_3_realities": collect_routes(realities, trace),
-        "hieras_over_can": collect_routes(layered, trace),
-    }
-    flat_lat = samples["can_flat"].mean_latency_ms
-    rows = [
-        {
-            "variant": name,
-            "hops": round(s.mean_hops, 3),
-            "latency_ms": round(s.mean_latency_ms, 1),
-            "vs_flat_%": round(ratio_percent(s.mean_latency_ms, flat_lat), 1),
-        }
-        for name, s in samples.items()
-    ]
-    ratio = ratio_percent(samples["hieras_over_can"].mean_latency_ms, flat_lat)
     lines = [
-        f"{n_peers} peers, 2-d CAN, {n_req} requests",
+        f"{config.n_peers} peers, 2-d CAN, {n_req} requests",
         format_table(rows),
         "",
         _claim(
@@ -821,15 +715,10 @@ def _run_ablation_can(full: bool, seed: int) -> ExperimentResult:
             "but pay full-cost links; HIERAS's hops run over cheap ones",
         ),
     ]
-    return ExperimentResult(
-        "ablation_can",
-        "Ablation — HIERAS over CAN vs flat CAN vs multiple realities",
-        "\n".join(lines),
-        data={"rows": rows, "ratio_percent": ratio},
-    )
+    return "\n".join(lines), {"rows": rows, "ratio_percent": ratio}
 
 
-def _run_ablation_pastry(full: bool, seed: int) -> ExperimentResult:
+def _run_ablation_pastry(full: bool, seed: int) -> _Output:
     """The locality-technique panel: Chord, Chord+PFS, HIERAS, Pastry,
     Tapestry — the comparison the paper's §6 plans ("compare HIERAS
     performance with other low latency DHT algorithms such as Pastry
@@ -837,45 +726,27 @@ def _run_ablation_pastry(full: bool, seed: int) -> ExperimentResult:
     from repro.dht.chord_pfs import PfsChordNetwork
     from repro.dht.tapestry import TapestryNetwork, TapestryParams
 
-    n_peers = 4000 if full else 1500
-    n_req = 8000 if full else 3000
-    config = SimConfig(model="ts", n_peers=n_peers, n_landmarks=4, depth=2, seed=seed)
-    bundle = build_bundle(config)
-    trace = make_trace(bundle, n_req)
-    pastry = PastryNetwork(
-        bundle.space, bundle.node_ids, params=PastryParams(),
-        latency=bundle.peer_latency, seed=seed,
-    )
-    tapestry = TapestryNetwork(
-        bundle.space, bundle.node_ids, params=TapestryParams(),
-        latency=bundle.peer_latency, seed=seed,
-    )
-    pfs = PfsChordNetwork(
-        bundle.space, bundle.node_ids, latency=bundle.peer_latency, seed=seed
-    )
+    def locality_networks(bundle: SimulationBundle):
+        ids, latency = bundle.node_ids, bundle.peer_latency
+        yield "chord_pfs", PfsChordNetwork(bundle.space, ids, latency=latency, seed=seed)
+        yield "pastry_pns", PastryNetwork(
+            bundle.space, ids, params=PastryParams(), latency=latency, seed=seed
+        )
+        yield "tapestry_pns", TapestryNetwork(
+            bundle.space, ids, params=TapestryParams(), latency=latency, seed=seed
+        )
+
+    config, n_req = _cell("pastry", full, seed)
+    _, chord, hieras, variants = _variants("pastry", full, seed, locality_networks)
+    pfs, pastry, tapestry = (sample for _, _, sample in variants)
     samples = {
-        "chord": collect_routes(bundle.chord, trace),
-        "chord_pfs": collect_routes(pfs, trace),
-        "hieras": collect_routes(bundle.hieras, trace),
-        "pastry_pns": collect_routes(pastry, trace),
-        "tapestry_pns": collect_routes(tapestry, trace),
+        "chord": chord, "chord_pfs": pfs, "hieras": hieras,
+        "pastry_pns": pastry, "tapestry_pns": tapestry,
     }
-    chord_lat = samples["chord"].mean_latency_ms
-    rows = [
-        {
-            "variant": name,
-            "hops": round(s.mean_hops, 3),
-            "latency_ms": round(s.mean_latency_ms, 1),
-            "vs_chord_%": round(ratio_percent(s.mean_latency_ms, chord_lat), 1),
-        }
-        for name, s in samples.items()
-    ]
-    ok = all(
-        samples[name].mean_latency_ms < chord_lat
-        for name in ("chord_pfs", "hieras", "pastry_pns", "tapestry_pns")
-    )
+    rows = _vs_rows(samples, "chord")
+    ok = all(s.mean_latency_ms < chord.mean_latency_ms for s in (pfs, hieras, pastry, tapestry))
     lines = [
-        f"{n_peers} peers, TS model, {n_req} requests",
+        f"{config.n_peers} peers, TS model, {n_req} requests",
         format_table(rows),
         "",
         _claim(
@@ -885,48 +756,31 @@ def _run_ablation_pastry(full: bool, seed: int) -> ExperimentResult:
             "paper's core argument vs Pastry/Tapestry complexity)",
         ),
     ]
-    return ExperimentResult(
-        "ablation_pastry",
-        "Ablation — locality techniques: Chord / PFS / HIERAS / Pastry / Tapestry",
-        "\n".join(lines),
-        data={"rows": rows},
-    )
+    return "\n".join(lines), {"rows": rows}
 
 
-def _run_ablation_noise(full: bool, seed: int) -> ExperimentResult:
+def _run_ablation_noise(full: bool, seed: int) -> _Output:
     """Binning under noisy ping measurements (paper §2.2's robustness)."""
-    n_peers = 4000 if full else 2000
-    n_req = _requests(full) // 2
-    config = SimConfig(model="ts", n_peers=n_peers, n_landmarks=4, depth=2, seed=seed)
-    bundle = build_bundle(config)
-    trace = make_trace(bundle, n_req)
-    chord = collect_routes(bundle.chord, trace)
-    rows = []
-    ratios = []
-    for sigma in (0.0, 0.1, 0.2, 0.4):
-        noisy_model = NoisyLatencyModel(
-            bundle.peer_latency.model, sigma=sigma, seed=seed + int(sigma * 100)
-        )
-        distances = bundle.attachment.landmark_distances(noisy_model)
-        orders = BinningScheme.default_for_depth(2).orders(distances)
-        net = HierasNetwork(
-            bundle.space,
-            bundle.node_ids,
-            latency=bundle.peer_latency,
-            landmark_orders=orders,
-            depth=2,
-        )
-        sample = collect_routes(net, trace)
-        ratio = ratio_percent(sample.mean_latency_ms, chord.mean_latency_ms)
-        ratios.append(ratio)
-        rows.append(
-            {
-                "ping_noise_sigma": sigma,
-                "rings": len(net.rings_at_layer(2)),
-                "hieras_ms": round(sample.mean_latency_ms, 1),
-                "vs_chord_%": round(ratio, 1),
-            }
-        )
+
+    def noisy_rings(bundle: SimulationBundle):
+        for sigma in (0.0, 0.1, 0.2, 0.4):
+            noisy = NoisyLatencyModel(
+                bundle.peer_latency.model, sigma=sigma, seed=seed + int(sigma * 100)
+            )
+            distances = bundle.attachment.landmark_distances(noisy)
+            yield sigma, _rebinned(bundle, BinningScheme.default_for_depth(2).orders(distances))
+
+    _, chord, _, variants = _variants("ablation", full, seed, noisy_rings)
+    ratios = [ratio_percent(s.mean_latency_ms, chord.mean_latency_ms) for _, _, s in variants]
+    rows = [
+        {
+            "ping_noise_sigma": sigma,
+            "rings": len(net.rings_at_layer(2)),
+            "hieras_ms": round(sample.mean_latency_ms, 1),
+            "vs_chord_%": round(ratio, 1),
+        }
+        for (sigma, net, sample), ratio in zip(variants, ratios)
+    ]
     lines = [
         format_table(rows),
         "",
@@ -936,12 +790,7 @@ def _run_ablation_noise(full: bool, seed: int) -> ExperimentResult:
             "noise — binning 'is adequate for HIERAS' (§2.2)",
         ),
     ]
-    return ExperimentResult(
-        "ablation_noise",
-        "Ablation — binning under noisy latency measurement",
-        "\n".join(lines),
-        data={"rows": rows},
-    )
+    return "\n".join(lines), {"rows": rows}
 
 
 def _measure_join_costs(seed: int) -> list[dict[str, object]]:
@@ -965,26 +814,19 @@ def _measure_join_costs(seed: int) -> list[dict[str, object]]:
     n = 20
     ids = space.sample_unique_ids(n, rng)
     rows = []
-    for variant in ("chord", "hieras"):
+    for variant, node_type in (("chord", ChordProtocolNode), ("hieras", HierasProtocolNode)):
         sim = Simulator()
         net = SimNetwork(sim, ZeroLatency())
+        nodes = [node_type(p, int(ids[p]), space, sim, net) for p in range(n)]
         if variant == "chord":
-            nodes = [
-                ChordProtocolNode(p, int(ids[p]), space, sim, net) for p in range(n)
-            ]
             nodes[0].create_ring(GLOBAL_RING)
             start = lambda p: nodes[p].join_ring(GLOBAL_RING, 0)  # noqa: E731
         else:
-            nodes = [
-                HierasProtocolNode(p, int(ids[p]), space, sim, net) for p in range(n)
-            ]
             nodes[0].found_system(["0"], landmark_table=[1, 2])
             start = lambda p: nodes[p].join_system(0, [str(p % 2)])  # noqa: E731
-        t = 0.0
         for p in range(1, n - 5):
-            t += 400.0
-            sim.schedule_at(t, start, p)
-        sim.run(until=t + 20_000, max_events=8_000_000)
+            sim.schedule_at(400.0 * p, start, p)
+        sim.run(until=400.0 * (n - 6) + 20_000, max_events=8_000_000)
         window_ms = 4_000.0
         # Baseline: steady-state maintenance traffic over one idle window.
         tracer = MessageTracer(net)
@@ -1011,7 +853,7 @@ def _measure_join_costs(seed: int) -> list[dict[str, object]]:
     return rows
 
 
-def _run_cost_analysis(full: bool, seed: int) -> ExperimentResult:
+def _run_cost_analysis(full: bool, seed: int) -> _Output:
     """Quantitative overhead analysis (§3.4 + the paper's future work).
 
     The paper argues HIERAS's extra state is "hundreds or thousands of
@@ -1019,7 +861,8 @@ def _run_cost_analysis(full: bool, seed: int) -> ExperimentResult:
     its future work promises a quantitative analysis.  This experiment
     measures, per hierarchy depth: routing-state entries and bytes per
     node (closed-form model vs measured), and the mean per-ping delay of
-    one maintenance round per layer.
+    one maintenance round per layer.  Each depth's HIERAS is the
+    runner's own: ``build_bundle`` bins at the config's depth.
     """
     from repro.core.maintenance import (
         maintenance_traffic_cost,
@@ -1027,20 +870,12 @@ def _run_cost_analysis(full: bool, seed: int) -> ExperimentResult:
         state_cost_model,
     )
 
-    n_peers = 4000 if full else 1500
-    base = SimConfig(model="ts", n_peers=n_peers, n_landmarks=6, seed=seed)
-    bundle = build_bundle(base)
+    spec = _grid("cost", full, seed)
+    n_peers = spec.sizes[0]
     rows = []
     ping_rows = []
-    for depth in (2, 3, 4):
-        orders = BinningScheme.default_for_depth(depth).orders(bundle.orders.distances)
-        net = HierasNetwork(
-            bundle.space,
-            bundle.node_ids,
-            latency=bundle.peer_latency,
-            landmark_orders=orders,
-            depth=depth,
-        )
+    for config in spec.cells():
+        depth, net = config.depth, build_bundle(config).hieras
         measured = measured_state_cost(net, sample=48, seed=seed)
         ring_counts = [
             float(len(net.rings_at_layer(layer))) for layer in range(2, depth + 1)
@@ -1060,7 +895,7 @@ def _run_cost_analysis(full: bool, seed: int) -> ExperimentResult:
     chord_entries = state_cost_model(n_peers, 1).total_entries
     join_rows = _measure_join_costs(seed)
     lines = [
-        f"{n_peers} peers, TS model, 6 landmarks "
+        f"{n_peers} peers, TS model, {spec.landmarks[0]} landmarks "
         f"(flat Chord: {chord_entries:.1f} entries/node)",
         format_table(rows),
         "",
@@ -1085,82 +920,61 @@ def _run_cost_analysis(full: bool, seed: int) -> ExperimentResult:
             "global-ring pings (§3.4: lower-layer upkeep is affordable)",
         ),
     ]
-    return ExperimentResult(
-        "cost_analysis",
-        "Cost analysis — §3.4 state and maintenance overheads, quantified",
-        "\n".join(lines),
-        data={"state_rows": rows, "ping_rows": ping_rows},
-    )
+    return "\n".join(lines), {"state_rows": rows, "ping_rows": ping_rows}
 
 
-def _run_ablation_landmark_failure(full: bool, seed: int) -> ExperimentResult:
+def _run_ablation_landmark_failure(full: bool, seed: int) -> _Output:
     """Landmark failure (§2.3): drop landmarks, re-bin, re-measure.
 
     "In case of a landmark node failure ... previous binned nodes only
     need to drop the failed landmark(s) from their order information.
     In this case, performance degrades."  We quantify the degradation.
     """
-    n_peers = 4000 if full else 2000
-    n_req = _requests(full) // 2
-    config = SimConfig(model="ts", n_peers=n_peers, n_landmarks=6, depth=2, seed=seed)
-    bundle = build_bundle(config)
-    trace = make_trace(bundle, n_req)
-    chord = collect_routes(bundle.chord, trace)
-    rows = []
-    ratios = []
-    orders = bundle.orders
-    for failed in range(0, 4):
-        net = HierasNetwork(
-            bundle.space,
-            bundle.node_ids,
-            latency=bundle.peer_latency,
-            landmark_orders=orders,
-            depth=2,
-        )
-        sample = collect_routes(net, trace)
-        ratio = ratio_percent(sample.mean_latency_ms, chord.mean_latency_ms)
-        ratios.append(ratio)
-        rows.append(
-            {
-                "landmarks_failed": failed,
-                "landmarks_left": orders.n_landmarks,
-                "rings": len(net.rings_at_layer(2)),
-                "vs_chord_%": round(ratio, 1),
-            }
-        )
-        if failed < 3:
-            orders = orders.drop_landmark(0)
+
+    def failed_landmarks(bundle: SimulationBundle):
+        orders = bundle.orders
+        for failed in range(4):
+            if failed:
+                orders = orders.drop_landmark(0)
+            yield failed, _rebinned(bundle, orders)
+
+    config, n_req = _cell("landmark_failure", full, seed)
+    bundle, chord, _, variants = _variants("landmark_failure", full, seed, failed_landmarks)
+    ratios = [ratio_percent(s.mean_latency_ms, chord.mean_latency_ms) for _, _, s in variants]
+    rows = [
+        {
+            "landmarks_failed": failed,
+            "landmarks_left": net.orders.n_landmarks,
+            "rings": len(net.rings_at_layer(2)),
+            "vs_chord_%": round(ratio, 1),
+        }
+        for (failed, net, _), ratio in zip(variants, ratios)
+    ]
     # §2.3's mitigation: "use multiple geographically closest nodes as
     # one logical landmark" — losing one group member only perturbs the
     # measured distance instead of deleting an order digit.
     from repro.core.landmarks import LandmarkSet
 
     model = bundle.peer_latency.model  # the router-level latency model
-    landmark_routers = bundle.attachment.landmark_routers
-    groups = []
-    for lm in landmark_routers:
-        delays = model.to_targets(int(lm), bundle.topology.stub_routers)
-        buddy = int(bundle.topology.stub_routers[int(np.argsort(delays)[1])])
-        groups.append(np.asarray([int(lm), buddy]))
-    logical = LandmarkSet.logical(groups)
-    base_orders = BinningScheme.default_for_depth(2).orders(
-        logical.measure(model, bundle.attachment.router_of_peer)
-    )
-    logical.members[0] = logical.members[0][1:]  # primary of group 0 dies
-    degraded_orders = BinningScheme.default_for_depth(2).orders(
-        logical.measure(model, bundle.attachment.router_of_peer)
-    )
-    unchanged = float(
-        np.mean(
-            [
-                base_orders.order_of(i) == degraded_orders.order_of(i)
-                for i in range(n_peers)
-            ]
-        )
+    stubs = bundle.topology.stub_routers
+    logical = LandmarkSet.logical(
+        [
+            np.asarray([int(lm), int(stubs[int(np.argsort(model.to_targets(int(lm), stubs))[1])])])
+            for lm in bundle.attachment.landmark_routers
+        ]
     )
 
+    def layer2_names() -> np.ndarray:
+        distances = logical.measure(model, bundle.attachment.router_of_peer)
+        return BinningScheme.default_for_depth(2).orders(distances).names_per_layer[0]
+
+    before = layer2_names()
+    logical.members[0] = logical.members[0][1:]  # primary of group 0 dies
+    unchanged = float(np.mean(before == layer2_names()))
+
     lines = [
-        f"{n_peers} peers, TS model, 6 landmarks initially, {n_req} requests",
+        f"{config.n_peers} peers, TS model, {config.n_landmarks} landmarks initially, "
+        f"{n_req} requests",
         format_table(rows),
         "",
         f"logical-landmark mitigation: after one group member dies, "
@@ -1183,15 +997,10 @@ def _run_ablation_landmark_failure(full: bool, seed: int) -> ExperimentResult:
             "landmark')",
         ),
     ]
-    return ExperimentResult(
-        "ablation_landmark_failure",
-        "Ablation — landmark failures (§2.3)",
-        "\n".join(lines),
-        data={"rows": rows, "logical_unchanged_fraction": unchanged},
-    )
+    return "\n".join(lines), {"rows": rows, "logical_unchanged_fraction": unchanged}
 
 
-def _run_churn(full: bool, seed: int) -> ExperimentResult:
+def _run_churn(full: bool, seed: int) -> _Output:
     """Protocol-stack churn: correctness and upkeep under membership flux.
 
     Two scenarios: a lossless network and one dropping 2% of messages —
@@ -1237,15 +1046,10 @@ def _run_churn(full: bool, seed: int) -> ExperimentResult:
             "maintenance machinery works",
         ),
     ]
-    return ExperimentResult(
-        "churn",
-        "Churn — the §3.3 protocol under membership churn",
-        "\n".join(lines),
-        data={"rows": rows},
-    )
+    return "\n".join(lines), {"rows": rows}
 
 
-def _run_resilience(full: bool, seed: int) -> ExperimentResult:
+def _run_resilience(full: bool, seed: int) -> _Output:
     """Resilience sweep: lookup survival under crashes and loss (§3.3).
 
     Static stack: a per-cell FaultPlan crashes a fraction of peers
@@ -1253,19 +1057,14 @@ def _run_resilience(full: bool, seed: int) -> ExperimentResult:
     ``route_lossy`` lookups pay timeout penalties for dead fingers and
     fall back through successor lists.  Protocol stack: the same kind of
     plan drives the discrete-event simulation (SimNode crashes, loss
-    bursts) against retrying lookups.  Writes the structured rows to
-    ``resilience.json`` (directory overridable via REPRO_ARTIFACT_DIR).
+    bursts) against retrying lookups.
     """
-    import json
-
     from repro.experiments.resilience import (
         run_protocol_resilience,
         run_static_resilience_cell,
     )
 
-    n_peers = 3000 if full else 1000
-    n_requests = 12_000 if full else 6_000
-    config = SimConfig(n_peers=n_peers, seed=seed)
+    config, n_requests = _cell("resilience", full, seed)
     bundle = build_bundle(config)
     rows = []
     for fail_fraction in (0.0, 0.1, 0.2, 0.3):
@@ -1318,7 +1117,7 @@ def _run_resilience(full: bool, seed: int) -> ExperimentResult:
         ),
     ]
     lines = [
-        f"{n_peers} peers, {n_requests} lookups/cell; crash at mid-trace, "
+        f"{config.n_peers} peers, {n_requests} lookups/cell; crash at mid-trace, "
         "ambient loss for the whole run; latency includes timeout penalties",
         format_table(rows),
         "",
@@ -1328,22 +1127,13 @@ def _run_resilience(full: bool, seed: int) -> ExperimentResult:
         "",
         *checks,
     ]
-    data = {
+    return "\n".join(lines), {
         "rows": rows,
         "protocol": proto,
-        "n_peers": n_peers,
+        "n_peers": config.n_peers,
         "n_requests": n_requests,
         "seed": seed,
     }
-    target = artifact_path("resilience.json")
-    target.write_text(json.dumps(data, indent=2), encoding="utf-8")
-    lines.append(f"\nwrote {target}")
-    return ExperimentResult(
-        "resilience",
-        "Resilience — failure-aware lookups under crashes and loss",
-        "\n".join(lines),
-        data=data,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1353,115 +1143,115 @@ def _run_resilience(full: bool, seed: int) -> ExperimentResult:
 EXPERIMENTS: dict[str, Experiment] = {
     e.id: e
     for e in [
-        Experiment(
+        _entry(
             "table1",
             "Table 1 — distributed binning of sample nodes",
             "orders 1012/1002/2200/2200/1020/0211; C and D share ring 2200",
             _run_table1,
         ),
-        Experiment(
+        _entry(
             "table2",
             "Table 2 — two-layer finger tables",
             "layer-2 successors stay inside the node's own ring",
             _run_table2,
         ),
-        Experiment(
+        _entry(
             "fig2",
             "Figure 2 — hops vs network size",
             "HIERAS within a few % of Chord; ~32% hop growth 1000→10000",
             _run_fig2,
         ),
-        Experiment(
+        _entry(
             "fig3",
             "Figure 3 — latency vs network size",
             "HIERAS ≈ 52%/53%/62% of Chord on TS/Inet/BRITE",
             _run_fig3,
         ),
-        Experiment(
+        _entry(
             "fig4",
             "Figure 4 — hop-count PDF",
             "distributions nearly coincide; ~71% of hops in lower rings",
             _run_fig4,
         ),
-        Experiment(
+        _entry(
             "fig5",
             "Figure 5 — latency CDF",
             "mean 276.53 vs 511.47 ms (54.07%); low-layer links ~35% the delay",
             _run_fig5,
         ),
-        Experiment(
+        _entry(
             "fig6",
             "Figure 6 — hops vs landmark count",
             "hop count varies little; lower-layer hops shrink with landmarks",
             _run_fig6,
         ),
-        Experiment(
+        _entry(
             "fig7",
             "Figure 7 — latency vs landmark count",
             "2 landmarks nearly useless; best ~43% of Chord around 8",
             _run_fig7,
         ),
-        Experiment(
+        _entry(
             "fig8",
             "Figure 8 — hops vs hierarchy depth",
             "depth adds at most ~1.65% hops",
             _run_fig8,
         ),
-        Experiment(
+        _entry(
             "fig9",
             "Figure 9 — latency vs hierarchy depth",
             "2→3 layers gains 9.6–16.2%; 3→4 gains ≤5.4%",
             _run_fig9,
         ),
-        Experiment(
+        _entry(
             "ablation_binning",
             "Ablation — binning vs random rings",
             "topological grouping, not hierarchy alone, delivers the win",
             _run_ablation_binning,
         ),
-        Experiment(
+        _entry(
             "ablation_succlist",
             "Ablation — successor-list policy",
             "acceleration trades hops for simplicity across policies",
             _run_ablation_succlist,
         ),
-        Experiment(
+        _entry(
             "ablation_can",
             "Ablation — HIERAS over CAN",
             "hierarchy transplants to CAN (§3.2)",
             _run_ablation_can,
         ),
-        Experiment(
+        _entry(
             "ablation_pastry",
             "Ablation — Pastry comparison",
             "future-work comparison vs a PNS low-latency DHT (§6)",
             _run_ablation_pastry,
         ),
-        Experiment(
+        _entry(
             "ablation_noise",
             "Ablation — noisy ping binning",
             "binning tolerates measurement noise (§2.2)",
             _run_ablation_noise,
         ),
-        Experiment(
+        _entry(
             "ablation_landmark_failure",
             "Ablation — landmark failures",
             "drop failed landmarks from orders; performance degrades (§2.3)",
             _run_ablation_landmark_failure,
         ),
-        Experiment(
+        _entry(
             "cost_analysis",
             "Cost analysis — state & maintenance overheads",
             "hundreds-to-thousands of bytes per node; cheap low-layer upkeep (§3.4)",
             _run_cost_analysis,
         ),
-        Experiment(
+        _entry(
             "churn",
             "Churn — the §3.3 protocol under membership churn",
             "join/leave/fail with stabilization; lookups stay correct",
             _run_churn,
         ),
-        Experiment(
+        _entry(
             "resilience",
             "Resilience — failure-aware lookups under crashes and loss",
             "successor lists keep lookups succeeding through failures (§3.3)",
@@ -1541,8 +1331,3 @@ def get_experiment(experiment_id: str) -> Experiment:
             f"unknown experiment {experiment_id!r}; available: {sorted(EXPERIMENTS)}"
         )
     return EXPERIMENTS[experiment_id]
-
-
-def run_experiment(experiment_id: str, *, full: bool | None = None, seed: int = 42) -> ExperimentResult:
-    """Run one experiment end to end."""
-    return get_experiment(experiment_id).run(is_full_scale(full), seed)

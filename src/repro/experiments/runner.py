@@ -5,12 +5,13 @@ The runner is the bridge between configuration and measurement:
 * :func:`build_bundle` — topology → latency model → overlay attachment
   → landmark placement → binning → Chord + HIERAS networks, all seeded
   from the config for exact reproducibility.  Substrates are cached per
-  :meth:`~repro.experiments.config.SimConfig.topology_key` so sweeps
-  that share a deployment (fig2/fig3; fig4/fig5; fig6/fig7) only build
-  it once per process.
+  :meth:`~repro.experiments.config.SimConfig.topology_key` so configs
+  that differ only in binning depth or routing settings share one.
 * :func:`run_pair` — run one trace through both networks, returning
   :class:`~repro.analysis.stats.RouteSample` pairs ready for the
-  figure-level reporting.
+  figure-level reporting; :func:`sample_pair` caches it per
+  ``(config, n_requests)``, so a sweep read twice (fig2/fig3,
+  fig4/fig5, fig6/fig7, fig8/fig9) routes each cell once per process.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ from repro.topology.latency import latency_model_for
 from repro.topology.transit_stub import TransitStubParams, generate_transit_stub
 from repro.util.ids import IdSpace
 from repro.util.rng import RngFactory
-from repro.util.validation import require
 from repro.workloads.requests import RequestTrace, generate_requests
 
-__all__ = ["SimulationBundle", "build_bundle", "run_pair", "clear_cache", "make_trace"]
+__all__ = ["SimulationBundle", "build_bundle", "run_pair", "sample_pair", "clear_cache", "make_trace"]
 
 
 @dataclass
@@ -66,15 +66,19 @@ class SimulationBundle:
 
 
 _SUBSTRATES: dict[tuple, _Substrate] = {}
+_SAMPLE_PAIRS: dict[tuple[SimConfig, int], tuple[RouteSample, RouteSample]] = {}
 
-#: Cache ceiling: full-scale Inet/BRITE substrates hold a 200 MB APSP
-#: matrix each, so sweeps evict oldest-first beyond this many entries.
+#: Cache ceilings, both evicting oldest-first: full-scale Inet/BRITE
+#: substrates hold a 200 MB APSP matrix each; a full-scale fig2/fig3
+#: sweep reads 28 sample pairs.
 _MAX_SUBSTRATES = 6
+_MAX_SAMPLE_PAIRS = 48
 
 
 def clear_cache() -> None:
-    """Drop cached substrates (tests; memory pressure in huge sweeps)."""
+    """Drop both caches (tests; memory pressure in huge sweeps)."""
     _SUBSTRATES.clear()
+    _SAMPLE_PAIRS.clear()
 
 
 def _generate_topology(config: SimConfig, seed) -> Topology:
@@ -82,11 +86,6 @@ def _generate_topology(config: SimConfig, seed) -> Topology:
     if config.model == "ts":
         return generate_transit_stub(TransitStubParams.for_size(n), seed=seed)
     if config.model == "inet":
-        require(
-            n >= 3000,
-            f"Inet topologies need >= 3000 routers (got {n}); the paper "
-            "imposes the same floor (§4.1)",
-        )
         return generate_inet(InetParams(n_nodes=n), seed=seed)
     return generate_brite(BriteParams(n_nodes=n), seed=seed)
 
@@ -165,3 +164,13 @@ def run_pair(bundle: SimulationBundle, n_requests: int) -> tuple[RouteSample, Ro
     """Run the trace through Chord and HIERAS; returns both samples."""
     trace = make_trace(bundle, n_requests)
     return collect_routes(bundle.chord, trace), collect_routes(bundle.hieras, trace)
+
+
+def sample_pair(config: SimConfig, n_requests: int) -> tuple[RouteSample, RouteSample]:
+    """:func:`run_pair` on ``config``'s bundle, cached per ``(config, n_requests)``."""
+    key = (config, n_requests)
+    if key not in _SAMPLE_PAIRS:
+        _SAMPLE_PAIRS[key] = run_pair(build_bundle(config), n_requests)
+        while len(_SAMPLE_PAIRS) > _MAX_SAMPLE_PAIRS:
+            _SAMPLE_PAIRS.pop(next(iter(_SAMPLE_PAIRS)))
+    return _SAMPLE_PAIRS[key]

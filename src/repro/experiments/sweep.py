@@ -15,82 +15,16 @@ Used by the ``sweep`` CLI subcommand:
 from __future__ import annotations
 
 import csv
-import itertools
-from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
-from repro.analysis.stats import collect_routes, ratio_percent
-from repro.experiments.config import SimConfig
-from repro.experiments.runner import build_bundle, make_trace
+from repro.analysis.stats import ratio_percent
+from repro.experiments.config import SweepSpec, below_inet_floor
+from repro.experiments.runner import build_bundle, sample_pair
+from repro.topology.inet import INET_MIN_NODES
 from repro.util.validation import require
 
 __all__ = ["SweepSpec", "run_sweep", "write_csv"]
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """The cartesian grid of configurations to evaluate."""
-
-    models: tuple[str, ...] = ("ts",)
-    sizes: tuple[int, ...] = (1000,)
-    landmarks: tuple[int, ...] = (4,)
-    depths: tuple[int, ...] = (2,)
-    seeds: tuple[int, ...] = (42,)
-    n_requests: int = 10_000
-
-    def __post_init__(self) -> None:
-        require(len(self.models) >= 1, "need at least one model")
-        require(len(self.sizes) >= 1, "need at least one size")
-        require(len(self.landmarks) >= 1, "need at least one landmark count")
-        require(len(self.depths) >= 1, "need at least one depth")
-        require(len(self.seeds) >= 1, "need at least one seed")
-        require(self.n_requests >= 1, "n_requests must be >= 1")
-
-    @property
-    def n_cells(self) -> int:
-        """Number of grid cells the sweep will evaluate."""
-        return (
-            len(self.models)
-            * len(self.sizes)
-            * len(self.landmarks)
-            * len(self.depths)
-            * len(self.seeds)
-        )
-
-    def configs(self) -> Iterable[SimConfig]:
-        """The grid, in deterministic iteration order."""
-        for model, size, lms, depth, seed in itertools.product(
-            self.models, self.sizes, self.landmarks, self.depths, self.seeds
-        ):
-            yield SimConfig(
-                model=model, n_peers=size, n_landmarks=lms, depth=depth, seed=seed
-            )
-
-
-def _evaluate(config: SimConfig, n_requests: int) -> dict[str, object]:
-    bundle = build_bundle(config)
-    trace = make_trace(bundle, n_requests)
-    chord = collect_routes(bundle.chord, trace)
-    hieras = collect_routes(bundle.hieras, trace)
-    return {
-        "model": config.model,
-        "n_peers": config.n_peers,
-        "n_landmarks": config.n_landmarks,
-        "depth": config.depth,
-        "seed": config.seed,
-        "n_requests": n_requests,
-        "rings_layer2": len(bundle.hieras.rings_at_layer(2)),
-        "chord_hops": round(chord.mean_hops, 4),
-        "hieras_hops": round(hieras.mean_hops, 4),
-        "chord_latency_ms": round(chord.mean_latency_ms, 2),
-        "hieras_latency_ms": round(hieras.mean_latency_ms, 2),
-        "latency_ratio_pct": round(
-            ratio_percent(hieras.mean_latency_ms, chord.mean_latency_ms), 2
-        ),
-        "low_layer_hop_share": round(hieras.low_layer_hop_share, 4),
-        "top_layer_hops": round(hieras.mean_top_layer_hops, 4),
-    }
 
 
 def run_sweep(
@@ -100,24 +34,45 @@ def run_sweep(
 ) -> list[dict[str, object]]:
     """Evaluate every grid cell; returns one tidy row per cell.
 
-    Invalid cells (e.g. Inet below its 3000-router floor) are skipped
-    with a progress note rather than aborting the sweep.
+    Every cell's config is built before the first one runs, so a bad
+    grid fails before any work.  Inet cells below the generator's floor
+    are skipped with a progress note; any other error raises.
     """
+    note = progress or (lambda _text: None)
     rows: list[dict[str, object]] = []
     for config in spec.configs():
-        try:
-            row = _evaluate(config, spec.n_requests)
-        except ValueError as exc:
-            if progress:
-                progress(f"skip {config.model}/{config.n_peers}: {exc}")
-            continue
-        rows.append(row)
-        if progress:
-            progress(
-                f"{config.model} n={config.n_peers} L={config.n_landmarks} "
-                f"d={config.depth} seed={config.seed}: "
-                f"ratio={row['latency_ratio_pct']}%"
+        if below_inet_floor(config):
+            note(
+                f"skip {config.model}/{config.n_peers}: Inet needs >= "
+                f"{INET_MIN_NODES} routers, this cell has {config.n_routers}"
             )
+            continue
+        chord, hieras = sample_pair(config, spec.n_requests)
+        rows.append(
+            {
+                "model": config.model,
+                "n_peers": config.n_peers,
+                "n_landmarks": config.n_landmarks,
+                "depth": config.depth,
+                "seed": config.seed,
+                "n_requests": spec.n_requests,
+                "rings_layer2": len(build_bundle(config).hieras.rings_at_layer(2)),
+                "chord_hops": round(chord.mean_hops, 4),
+                "hieras_hops": round(hieras.mean_hops, 4),
+                "chord_latency_ms": round(chord.mean_latency_ms, 2),
+                "hieras_latency_ms": round(hieras.mean_latency_ms, 2),
+                "latency_ratio_pct": round(
+                    ratio_percent(hieras.mean_latency_ms, chord.mean_latency_ms), 2
+                ),
+                "low_layer_hop_share": round(hieras.low_layer_hop_share, 4),
+                "top_layer_hops": round(hieras.mean_top_layer_hops, 4),
+            }
+        )
+        note(
+            f"{config.model} n={config.n_peers} L={config.n_landmarks} "
+            f"d={config.depth} seed={config.seed}: "
+            f"ratio={rows[-1]['latency_ratio_pct']}%"
+        )
     return rows
 
 

@@ -66,10 +66,6 @@ def _scale_topology(config: SimConfig, seed: np.random.Generator) -> Topology:
     if config.model == "ts":
         return generate_transit_stub(scale_ts_params(config.n_routers), seed=seed)
     if config.model == "inet":
-        require(
-            config.n_routers >= 3000,
-            f"Inet topologies need >= 3000 routers (got {config.n_routers})",
-        )
         return generate_inet(InetParams(n_nodes=config.n_routers), seed=seed)
     return generate_brite(BriteParams(n_nodes=config.n_routers), seed=seed)
 

@@ -281,22 +281,24 @@ class TestCli:
 
     def test_artifact_dir_is_created_on_demand(self, tmp_path, monkeypatch, stub_resilience):
         """``REPRO_ARTIFACT_DIR`` may name a directory that does not exist
-        yet: ``run``'s metrics artifact and ``resilience``'s own rows both
-        land in it, through the one path helper."""
+        yet: ``run``'s metrics artifacts land in it, ``resilience``'s rows
+        among them, and under the registry's one title."""
         fresh = tmp_path / "a" / "b"
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(fresh))
         assert cli.main(["run", "table1", "resilience"]) == 0
         assert json.loads((fresh / "metrics_table1.json").read_text())["experiment"] == "table1"
-        rows = json.loads((fresh / "resilience.json").read_text())["rows"]
-        assert len(rows) == 8
+        doc = json.loads((fresh / "metrics_resilience.json").read_text())
+        assert len(doc["data"]["rows"]) == 8
+        assert doc["title"] == EXPERIMENTS["resilience"].title
+        assert sorted(p.name for p in fresh.iterdir()) == [
+            "metrics_resilience.json", "metrics_table1.json",
+        ]
 
-    def test_unwritable_artifact_dir_raises(self, tmp_path, monkeypatch, stub_resilience):
-        """Neither artifact writer swallows a directory it cannot write."""
+    def test_unwritable_artifact_dir_raises(self, tmp_path, monkeypatch):
+        """The artifact writers do not swallow a directory they cannot write."""
         (tmp_path / "file").write_text("not a directory")
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "file" / "dir"))
         with pytest.raises(OSError):
             cli.main(["run", "table1"])
-        with pytest.raises(OSError):
-            EXPERIMENTS["resilience"].run(False, 42)
         with pytest.raises(OSError):
             cli.main(["bench", "perf_baseline", "--out", str(tmp_path / "no" / "x.json")])

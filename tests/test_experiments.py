@@ -87,6 +87,18 @@ class TestRunner:
             build_bundle(SimConfig(model="inet", n_peers=500))
 
 
+class TestCaches:
+    def test_clear_cache_drops_sample_pairs_too(self):
+        from repro.experiments import clear_cache as clear_all
+        from repro.experiments.runner import sample_pair
+
+        config = SimConfig(n_peers=200, seed=4)
+        before = sample_pair(config, 100)
+        assert sample_pair(config, 100) is before
+        clear_all()
+        assert sample_pair(config, 100) is not before
+
+
 class TestRegistry:
     PAPER_ARTIFACTS = [
         "table1", "table2",

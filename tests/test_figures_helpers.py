@@ -3,6 +3,12 @@
 import repro
 from repro.experiments import figures
 from repro.experiments.config import SimConfig
+from repro.experiments.runner import sample_pair
+
+
+def _sizes(full: bool, model: str) -> list[int]:
+    """The sizes the Fig 2/3 grid runs for one topology model."""
+    return [c.n_peers for c in figures._grid("size", full, 1).cells() if c.model == model]
 
 
 class TestHelpers:
@@ -11,35 +17,36 @@ class TestHelpers:
         assert figures._claim(False, "no").strip() == "[DIVERGES] no"
 
     def test_requests_scales(self):
-        assert figures._requests(True) > figures._requests(False)
+        assert figures._grid("size", True, 1).n_requests > figures._grid("size", False, 1).n_requests
 
     def test_sizes_full_vs_reduced(self):
-        assert figures._sizes(True, "ts") == list(range(1000, 10_001, 1000))
-        assert figures._sizes(False, "ts") == [1000, 2000, 3000, 4000]
+        assert _sizes(True, "ts") == list(range(1000, 10_001, 1000))
+        assert _sizes(False, "ts") == [1000, 2000, 3000, 4000]
 
     def test_sizes_inet_floor(self):
         for full in (True, False):
-            for size in figures._sizes(full, "inet"):
+            for size in _sizes(full, "inet"):
                 assert size * 1.25 >= 3000
 
     def test_pair_caches(self):
         config = SimConfig(n_peers=200, seed=3)
-        a = figures._pair(config, 200)
-        b = figures._pair(config, 200)
+        a = sample_pair(config, 200)
+        b = sample_pair(config, 200)
         assert a is b  # exact same tuple from the cache
-        c = figures._pair(config, 300)
+        c = sample_pair(config, 300)
         assert c is not a
 
 
 class TestDistConfig:
     def test_reduced_vs_full_scale(self):
-        assert figures._dist_config(False, 1).n_peers == 4000
-        assert figures._dist_config(True, 1).n_peers == 10_000
+        assert figures._cell("dist", False, 1)[0].n_peers == 4000
+        assert figures._cell("dist", True, 1)[0].n_peers == 10_000
 
     def test_landmark_configs(self):
-        counts, n = figures._landmark_configs(False, 1)
+        reduced, full = (figures._grid("landmarks", f, 1) for f in (False, True))
+        counts, (n,) = reduced.landmarks, reduced.sizes
         assert 2 in counts and 12 in counts
-        full_counts, full_n = figures._landmark_configs(True, 1)
+        full_counts, (full_n,) = full.landmarks, full.sizes
         assert full_n > n
         assert len(full_counts) >= len(counts)
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.dht.base import ZeroLatency
 from repro.dht.chord_protocol import GLOBAL_RING, ChordProtocolNode
+from repro.experiments import sweep
 from repro.experiments.sweep import SweepSpec, run_sweep, write_csv
 from repro.sim.engine import Simulator
 from repro.sim.network import SimNetwork
@@ -54,6 +55,33 @@ class TestRunSweep:
         rows = run_sweep(spec, progress=notes.append)
         assert rows == []
         assert any("skip" in n for n in notes)
+        assert notes == ["skip inet/200: Inet needs >= 3000 routers, this cell has 250"]
+
+    def test_bad_cell_fails_before_any_cell_runs(self, monkeypatch):
+        routed = []
+        monkeypatch.setattr(sweep, "sample_pair", lambda *a: routed.append(a))
+        spec = SweepSpec(sizes=(200,), depths=(2, 5), n_requests=100)
+        with pytest.raises(ValueError, match=r"depth must be in \[2, 4\]"):
+            run_sweep(spec)
+        assert routed == []
+
+    def test_other_errors_are_not_skips(self, monkeypatch):
+        def fail(config, n_requests):
+            raise ValueError("routing broke")
+
+        monkeypatch.setattr(sweep, "sample_pair", fail)
+        notes = []
+        with pytest.raises(ValueError, match="routing broke"):
+            run_sweep(SweepSpec(sizes=(200,), n_requests=100), progress=notes.append)
+        assert notes == []
+
+    def test_malformed_int_list_names_the_flag(self, capsys):
+        from repro.experiments.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["sweep", "--sizes", "2x0"])
+        err = capsys.readouterr().err
+        assert "argument --sizes: expected a comma list of integers, got '2x0'" in err
 
     def test_write_csv_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
