@@ -48,10 +48,11 @@ class _PlanLayer:
     _view: RingLayer | None = field(default=None, init=False, repr=False)
 
     def view(self) -> RingLayer:
-        """All of ``rings`` as one array, for the batch walker (lazy).
+        """All of ``rings`` as one array, for the batch walker and
+        :meth:`ChordNetwork.successor_lists` (lazy).
 
-        Built on the first batch call after a membership wave and
-        dropped with the plan; the scalar walks never ask for it.
+        Built on the first such call after a membership wave and dropped
+        with the plan; the scalar walks never ask for it.
         """
         view = self._view
         if view is None:
@@ -271,17 +272,9 @@ class ChordNetwork(DHTNetwork):
         replica groups.  The default (``False``) is a silent kill —
         disks vanish with the peers.
         """
-        alive = self._alive.copy()
-        live = int(alive.sum())
-        for peer in peers:
-            require(bool(alive[peer]), f"peer {peer} is not alive")
-            require(live > 1, "cannot remove the last peer")
-            alive[peer] = False
-            live -= 1
         if not peers:
             return
-        self._alive = alive
-        self._apply_wave(_NO_PEERS, np.asarray(peers, dtype=np.int64))
+        self._apply_wave(_NO_PEERS, self._flip(peers, alive=False))
         if graceful:
             self._notify_departing(peers)
         self._notify_removed(peers)
@@ -299,15 +292,31 @@ class ChordNetwork(DHTNetwork):
 
     def revive_peers(self, peers: list[int]) -> None:
         """Revive several previously-removed peers in one spliced wave."""
-        alive = self._alive.copy()
-        for peer in peers:
-            require(not bool(alive[peer]), f"peer {peer} is already alive")
-            alive[peer] = True
         if not peers:
             return
-        self._alive = alive
-        self._apply_wave(np.asarray(peers, dtype=np.int64), _NO_PEERS)
+        self._apply_wave(self._flip(peers, alive=True), _NO_PEERS)
         self._notify_revived(peers)
+
+    def _flip(self, peers: list[int], *, alive: bool) -> np.ndarray:
+        """Set ``peers``' membership to ``alive``; returns them as indices.
+        One vectorised check stands for the per-peer sequence: the first
+        peer out of range or already so (a repeat is), or removing the last
+        live one, raises and leaves the overlay untouched."""
+        wave = np.asarray(peers, dtype=np.int64).reshape(-1)
+        n = len(self._alive)
+        inside = (wave >= 0) & (wave < n)
+        repeat = np.ones(wave.size, dtype=bool)
+        repeat[np.unique(wave, return_index=True)[1]] = False
+        bad = np.flatnonzero(~inside | repeat | (self._alive[np.where(inside, wave, 0)] == alive))
+        last = wave.size if alive else int(self._alive.sum()) - 1  # where "last peer" fires
+        if bad.size and bad[0] <= last:
+            peer, state = peers[bad[0]], "already" if alive else "not"
+            require(bool(inside[bad[0]]), f"peer {peer} out of range [0, {n})")
+            raise ValueError(f"peer {peer} is {state} alive")
+        require(last >= wave.size, "cannot remove the last peer")
+        self._alive = self._alive.copy()
+        self._alive[wave] = alive
+        return wave
 
     # ------------------------------------------------------------------
     # routing
@@ -483,12 +492,23 @@ class ChordNetwork(DHTNetwork):
         pos = self.ring.predecessor_of_pos(int(self._pos_of_peer[peer]))
         return int(self.ring.peers[pos])
 
+    def successor_lists(self, peers: np.ndarray, r: int, *, lowest: bool = False) -> np.ndarray:
+        """Row ``i``: the ``r`` nearest successors of ``peers[i]`` on the
+        global ring (``lowest``: on its lowest-layer ring), ``-1`` where
+        the ring has no ``r`` other members — one gather for every row."""
+        require(r >= 0, "r must be >= 0")
+        peers = np.asarray(peers, dtype=np.int64)
+        row = self._layer_plan()[0 if lowest else -1]
+        view = row.view()
+        code = 0 if row.ring_of_peer is None else row.ring_of_peer[peers][:, None]
+        size, step = view.sizes[code], np.arange(1, r + 1)
+        out = view.peers[view.base[code] + (row.pos_of_peer[peers][:, None] + step) % size]
+        return np.where(step < size, out, -1)
+
     def successor_list(self, peer: int, r: int) -> list[int]:
         """Peer indices of ``peer``'s ``r`` nearest successors."""
-        return [
-            int(self.ring.peers[p])
-            for p in self.ring.successor_list(int(self._pos_of_peer[peer]), r)
-        ]
+        row = self.successor_lists(np.asarray([peer], dtype=np.int64), r)[0]
+        return row[row >= 0].tolist()
 
     def ring_successor_list(self, peer: int, r: int) -> list[int]:
         """Successors of ``peer`` inside its **lowest-layer** ring.
@@ -502,8 +522,8 @@ class ChordNetwork(DHTNetwork):
         hold.  Flat Chord's lowest ring is the global one, so there
         this is :meth:`successor_list`.
         """
-        ring, pos = self._layer_plan()[0].at(peer)
-        return [int(ring.peers[p]) for p in ring.successor_list(pos, r)]
+        row = self.successor_lists(np.asarray([peer], dtype=np.int64), r, lowest=True)[0]
+        return row[row >= 0].tolist()
 
     def explain_route(self, source: int, key: int) -> str:
         """Human-readable per-hop narration of one lookup.

@@ -12,7 +12,7 @@ experiment measures probability of data loss and read-staleness vs
 replication factor × churn × consistency mode on both stacks.
 """
 
-from repro.replication.placement import global_successors, replica_group
+from repro.replication.placement import replica_group
 from repro.replication.policy import ReplicationPolicy
 from repro.replication.store import (
     GetResult,
@@ -29,6 +29,5 @@ __all__ = [
     "ReplicatedStore",
     "ReplicationPolicy",
     "ReplicationStats",
-    "global_successors",
     "replica_group",
 ]

@@ -25,21 +25,12 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.replication.policy import ReplicationPolicy
 
-__all__ = ["global_successors", "group_at", "replica_group"]
-
-
-def global_successors(network: Any, peer: int, r: int) -> list[int]:
-    """``peer``'s ``r`` nearest global-ring successors on either stack.
-
-    :meth:`~repro.dht.chord.ChordNetwork.successor_list` answers for
-    both: HIERAS inherits it, and its global ring (layer 1) is the ring
-    every member is on.
-    """
-    if r <= 0:
-        return []
-    return list(network.successor_list(peer, r))
+__all__ = ["group_at", "groups_at", "replica_group"]
 
 
 def replica_group(network: Any, key: int, policy: ReplicationPolicy) -> list[int]:
@@ -50,28 +41,47 @@ def replica_group(network: Any, key: int, policy: ReplicationPolicy) -> list[int
 
 def group_at(network: Any, owner: int, policy: ReplicationPolicy) -> list[int]:
     """The ordered replica group headed by ``owner``, for a caller that
-    a perfect route has already told who owns the key.
+    a perfect route has already told who owns the key: the one-row case
+    of :func:`groups_at`."""
+    row = groups_at(network, np.asarray([owner], dtype=np.int64), policy)[0]
+    group: list[int] = row[row >= 0].tolist()
+    return group
+
+
+def groups_at(
+    network: Any, owners: npt.NDArray[np.int64], policy: ReplicationPolicy
+) -> npt.NDArray[np.int64]:
+    """The ordered replica group headed by each of ``owners``: row ``i``
+    holds ``owners[i]`` and its replicas in placement order, ``-1`` past
+    the end of a group cut short.
 
     Duplicates are dropped while preserving order — on tiny rings the
     successor walk wraps and would otherwise re-include the owner — so
-    the group may be shorter than ``policy.group_size`` when the network
+    a group may be shorter than ``policy.group_size`` when the network
     itself is smaller.
     """
-    group = [owner]
-    if policy.replicas <= 0:
+    owners = np.asarray(owners, dtype=np.int64)
+    r = policy.replicas
+    if policy.placement == "successor":
+        # Distinct, never the owner, and any -1s come last: a group as is.
+        group: npt.NDArray[np.int64] = np.concatenate(
+            [owners[:, None], network.successor_lists(owners, r)], axis=1
+        )
         return group
-    if policy.placement == "ring_scoped":
-        candidates = list(network.ring_successor_list(owner, policy.replicas))
-        # The owner's low-layer ring may be smaller than the group; pad
-        # with global successors so the replication factor is honoured.
-        if len(candidates) < policy.replicas:
-            candidates += global_successors(network, owner, policy.replicas + len(candidates))
-    else:
-        candidates = global_successors(network, owner, policy.replicas)
-    for peer in candidates:
-        peer = int(peer)
-        if peer not in group:
-            group.append(peer)
-        if len(group) == policy.group_size:
-            break
+    # The owner's low-layer ring may be smaller than the group; pad with
+    # global successors so the replication factor is honoured (a ring of
+    # k < r others lacks r - k peers, and the first r + k global
+    # successors already hold that many new ones).
+    candidates = np.concatenate(
+        [network.successor_lists(owners, r, lowest=True), network.successor_lists(owners, 2 * r)],
+        axis=1,
+    )
+    width = candidates.shape[1]
+    seen = (candidates[:, :, None] == candidates[:, None, :]) & np.tri(width, width, -1, dtype=bool)
+    fresh = (candidates >= 0) & (candidates != owners[:, None]) & ~seen.any(axis=2)
+    rank = np.cumsum(fresh, axis=1)
+    lane, col = np.nonzero(fresh & (rank <= r))
+    group = np.full((len(owners), r + 1), -1, dtype=np.int64)
+    group[:, 0] = owners
+    group[lane, rank[lane, col]] = candidates[lane, col]
     return group

@@ -44,11 +44,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.dht.base import RouteResult
 from repro.faults.injector import FaultInjector, LossyContext
 from repro.metrics.spans import SpanRecorder
-from repro.replication.placement import group_at, replica_group
+from repro.replication.placement import group_at, groups_at, replica_group
 from repro.replication.policy import ReplicationPolicy
+from repro.util.validation import require
 
 __all__ = [
     "GetResult",
@@ -122,17 +126,11 @@ class ReplicationStats:
         }
 
 
-@dataclass
-class PutResult:
-    """Outcome of one replicated write."""
+class _Cost:
+    """What one put or get cost: the routed path plus each replica contact."""
 
-    key: int
-    version: int
-    success: bool
-    aborted: bool = False
-    acks: int = 0
-    route: RouteResult | None = None
-    contacts: list[ReplicaContact] = field(default_factory=list)
+    route: RouteResult | None
+    contacts: list[ReplicaContact]
 
     @property
     def hops(self) -> int:
@@ -163,7 +161,20 @@ class PutResult:
 
 
 @dataclass
-class GetResult:
+class PutResult(_Cost):
+    """Outcome of one replicated write."""
+
+    key: int
+    version: int
+    success: bool
+    aborted: bool = False
+    acks: int = 0
+    route: RouteResult | None = None
+    contacts: list[ReplicaContact] = field(default_factory=list)
+
+
+@dataclass
+class GetResult(_Cost):
     """Outcome of one replicated read."""
 
     key: int
@@ -175,30 +186,6 @@ class GetResult:
     lost: bool = False
     route: RouteResult | None = None
     contacts: list[ReplicaContact] = field(default_factory=list)
-
-    @property
-    def hops(self) -> int:
-        routed = self.route.hops if self.route is not None else 0
-        return routed + sum(1 for c in self.contacts if c.ok and c.peer != c.src)
-
-    @property
-    def latency_ms(self) -> float:
-        routed = self.route.latency_ms if self.route is not None else 0.0
-        return routed + sum(c.link_latency_ms for c in self.contacts)
-
-    @property
-    def retry_latency_ms(self) -> float:
-        routed = self.route.retry_latency_ms if self.route is not None else 0.0
-        return routed + sum(c.retry_latency_ms for c in self.contacts)
-
-    @property
-    def timeouts(self) -> int:
-        routed = self.route.timeouts if self.route is not None else 0
-        return routed + sum(c.timeouts for c in self.contacts)
-
-    @property
-    def total_latency_ms(self) -> float:
-        return self.latency_ms + self.retry_latency_ms
 
 
 class ReplicatedStore:
@@ -225,8 +212,9 @@ class ReplicatedStore:
 
     ``put`` is *hash → route →* :meth:`write_at`; :meth:`write_at` and
     :meth:`read_at` start at a peer the caller already reached and take
-    the wrapped key id, not the name (the serving layer routes a whole
-    epoch in one engine call and hashes each name once).
+    the wrapped key id, not the name; :meth:`serve_epoch` is both over
+    a whole fault-free serving epoch at once (the serving layer routes
+    an epoch in one engine call and hashes each name once).
     """
 
     def __init__(
@@ -384,12 +372,20 @@ class ReplicatedStore:
             delay *= self.injector.state.delay_factor
         return delay
 
-    def _contact(self, src: int, dst: int, ctx: LossyContext) -> bool:
-        """One modelled replica contact (always succeeds fault-free)."""
+    def _reach(self, src: int, dst: int, role: str) -> ReplicaContact:
+        """One modelled replica contact: free at ``src`` itself, otherwise
+        charged through the injector (always answered fault-free)."""
+        if src == dst:
+            return ReplicaContact(src, dst, role, True, 0, 0.0, 0.0)
         self.stats.replica_contacts += 1
-        if self.injector is None:
-            return True
-        return self.injector.contact(src, dst, ctx)
+        ctx = LossyContext()
+        ok = self.injector is None or self.injector.contact(src, dst, ctx)
+        if not ok:
+            self.stats.contact_failures += 1
+        return ReplicaContact(
+            src, dst, role, ok, ctx.timeouts, ctx.retry_latency_ms,
+            self._link_ms(src, dst) if ok else 0.0,
+        )
 
     def _write_local(self, peer: int, key: int, value: Any, version: int) -> None:
         """Apply a write at one replica unless it already holds newer."""
@@ -443,6 +439,46 @@ class ReplicatedStore:
             self.stats.put_successes += 1
         return result
 
+    def serve_epoch(
+        self, puts: list[bool], owners: npt.NDArray[np.int64], keys: list[int], values: list[Any]
+    ) -> tuple[list[Any], npt.NDArray[np.float64], list[bool]]:
+        """A fault-free serving epoch in dispatch order: lane ``i`` puts
+        ``values[i]`` (else gets) key id ``keys[i]`` at ``owners[i]``, where
+        its route ended.  Bit for bit :meth:`read_at` / :meth:`write_at`
+        lane by lane, but every replica group is placed in one
+        :func:`groups_at` call and every fan-out link — owner → replica
+        for quorum, down the chain for chain — priced in one
+        ``latency.pairs`` call.  Returns per lane the value read, the
+        fan-out latency and whether the operation succeeded."""
+        require(self.injector is None, "an injector draws each contact: serve puts through put()")
+        lanes = np.flatnonzero(puts)
+        groups = groups_at(self.network, owners[lanes], self.policy)
+        replicas, chain = groups[:, 1:], self.policy.consistency == "chain"
+        real = replicas >= 0
+        delay = np.zeros(replicas.shape)
+        if real.any():
+            senders = np.broadcast_to(groups[:, :-1] if chain else groups[:, :1], replicas.shape)
+            delay[real] = self.network.latency.pairs(senders[real], replicas[real])
+        fanout = np.zeros(len(keys))
+        for column in delay.T:  # left to right, as the contacts are summed
+            fanout[lanes] += column
+        ok = np.ones(len(keys), dtype=bool)
+        if not chain:
+            ok[lanes] = 1 + real.sum(axis=1) >= self.policy.effective_write_quorum
+        self.stats.replica_contacts += int(real.sum())
+        self.stats.put_successes += int(ok[lanes].sum())
+        read: list[Any] = [None] * len(keys)
+        rows = iter(groups.tolist())
+        for lane, (put, owner, key, value) in enumerate(zip(puts, owners.tolist(), keys, values)):
+            if not put:
+                read[lane] = self.read_at(owner, key)
+                continue
+            version = self._stamp_put(key, value)
+            for peer in next(rows):
+                if peer >= 0:
+                    self._write_local(peer, key, value, version)
+        return read, fanout, ok.tolist()
+
     def _stamp_put(self, key: int, value: Any) -> int:
         """Count a put and publish ``value`` as ``key``'s latest version."""
         self.stats.puts += 1
@@ -458,37 +494,19 @@ class ReplicatedStore:
         """Head→tail propagation; the first broken link aborts the write."""
         contacts: list[ReplicaContact] = []
         prev = coordinator
-        acks = 0
-        aborted = False
         for peer in group:
-            if peer == prev:
-                self._write_local(peer, key, value, version)
-                acks += 1
-                contacts.append(
-                    ReplicaContact(prev, peer, "chain", True, 0, 0.0, 0.0)
-                )
-                continue
-            ctx = LossyContext()
-            ok = self._contact(prev, peer, ctx)
-            contacts.append(
-                ReplicaContact(
-                    prev, peer, "chain", ok, ctx.timeouts, ctx.retry_latency_ms,
-                    self._link_ms(prev, peer) if ok else 0.0,
-                )
-            )
-            if not ok:
-                aborted = True
-                self.stats.contact_failures += 1
+            contacts.append(self._reach(prev, peer, "chain"))
+            if not contacts[-1].ok:
                 self.stats.chain_aborts += 1
                 self._count("replication.chain_aborts")
                 self._queue_hint(peer, key, value, version)
                 break
             self._write_local(peer, key, value, version)
-            acks += 1
             prev = peer
+        aborted = not contacts[-1].ok
         return PutResult(
             key=key, version=version, success=not aborted, aborted=aborted,
-            acks=acks, contacts=contacts,
+            acks=sum(c.ok for c in contacts), contacts=contacts,
         )
 
     def _quorum_write(
@@ -496,33 +514,15 @@ class ReplicatedStore:
     ) -> PutResult:
         """Coordinator fan-out; succeeds on ``W`` acks, hints the rest."""
         contacts: list[ReplicaContact] = []
-        acks = 0
         for peer in group:
-            if peer == coordinator:
+            contacts.append(self._reach(coordinator, peer, "write"))
+            if contacts[-1].ok:
                 self._write_local(peer, key, value, version)
-                acks += 1
-                contacts.append(
-                    ReplicaContact(coordinator, peer, "write", True, 0, 0.0, 0.0)
-                )
-                continue
-            ctx = LossyContext()
-            ok = self._contact(coordinator, peer, ctx)
-            contacts.append(
-                ReplicaContact(
-                    coordinator, peer, "write", ok, ctx.timeouts,
-                    ctx.retry_latency_ms,
-                    self._link_ms(coordinator, peer) if ok else 0.0,
-                )
-            )
-            if ok:
-                self._write_local(peer, key, value, version)
-                acks += 1
             else:
-                self.stats.contact_failures += 1
                 self._queue_hint(peer, key, value, version)
+        acks = sum(c.ok for c in contacts)
         return PutResult(
-            key=key, version=version,
-            success=acks >= self.policy.effective_write_quorum,
+            key=key, version=version, success=acks >= self.policy.effective_write_quorum,
             acks=acks, contacts=contacts,
         )
 
@@ -565,32 +565,13 @@ class ReplicatedStore:
         self, coordinator: int, group: list[int], key: int, route: RouteResult
     ) -> GetResult:
         """Read at the chain tail; an unreachable tail fails the read."""
-        tail = group[-1]
-        contacts: list[ReplicaContact] = []
-        if tail == coordinator:
-            held = self._read_local(tail, key)
-            contacts.append(ReplicaContact(coordinator, tail, "tail", True, 0, 0.0, 0.0))
-        else:
-            ctx = LossyContext()
-            ok = self._contact(coordinator, tail, ctx)
-            contacts.append(
-                ReplicaContact(
-                    coordinator, tail, "tail", ok, ctx.timeouts,
-                    ctx.retry_latency_ms,
-                    self._link_ms(coordinator, tail) if ok else 0.0,
-                )
-            )
-            if not ok:
-                self.stats.contact_failures += 1
-                return GetResult(
-                    key=key, value=None, success=False, route=route,
-                    contacts=contacts,
-                )
-            held = self._read_local(tail, key)
-        value, version = held if held is not None else (None, -1)
+        contact = self._reach(coordinator, group[-1], "tail")
+        if not contact.ok:
+            return GetResult(key=key, value=None, success=False, route=route, contacts=[contact])
+        value, version = self._read_local(group[-1], key) or (None, -1)
         return GetResult(
             key=key, value=value, success=True, version=version,
-            route=route, contacts=contacts,
+            route=route, contacts=[contact],
         )
 
     def _quorum_read(
@@ -603,25 +584,9 @@ class ReplicatedStore:
         for peer in group:
             if len(responses) >= needed:
                 break
-            if peer == coordinator:
+            contacts.append(self._reach(coordinator, peer, "read"))
+            if contacts[-1].ok:
                 responses.append((peer, self._read_local(peer, key)))
-                contacts.append(
-                    ReplicaContact(coordinator, peer, "read", True, 0, 0.0, 0.0)
-                )
-                continue
-            ctx = LossyContext()
-            ok = self._contact(coordinator, peer, ctx)
-            contacts.append(
-                ReplicaContact(
-                    coordinator, peer, "read", ok, ctx.timeouts,
-                    ctx.retry_latency_ms,
-                    self._link_ms(coordinator, peer) if ok else 0.0,
-                )
-            )
-            if ok:
-                responses.append((peer, self._read_local(peer, key)))
-            else:
-                self.stats.contact_failures += 1
         if len(responses) < needed:
             return GetResult(
                 key=key, value=None, success=False, route=route, contacts=contacts,

@@ -16,6 +16,8 @@ waves that touch only affected rings.  The contract pinned here:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.binning import BinningScheme
 from repro.core.hieras import HierasNetwork
@@ -250,6 +252,69 @@ class TestValidationParity:
                 net.remove_peers([2, 2])
             assert net.incremental_waves == waves
             assert net.ring.ids is ids_before
+
+    @pytest.mark.parametrize(
+        "reviving, wave, message",
+        [
+            (False, [3, -1], "peer -1 out of range [0, 30)"),
+            (True, [-1], "peer -1 out of range [0, 30)"),
+            (False, [30], "peer 30 out of range [0, 30)"),
+            (True, [5, 31], "peer 31 out of range [0, 30)"),
+            (False, [4, 4], "peer 4 is not alive"),
+            (True, [5, 5], "peer 5 is already alive"),
+            (False, [1, 5, 2], "peer 5 is not alive"),
+            (True, [5, 6, 7], "peer 6 is already alive"),
+            # Peer 5 is gone already: 29 live, so the 29th removal is the last peer ...
+            (False, [p for p in range(30) if p != 5], "cannot remove the last peer"),
+            # ... unless that peer fails the liveness check first ...
+            (False, [*range(6, 30), 0, 1, 2, 3, 0], "peer 0 is not alive"),
+            # ... while a bad peer after it is never reached.
+            (False, [p for p in range(30) if p != 5] + [99], "cannot remove the last peer"),
+        ],
+    )
+    def test_a_bad_wave_raises_and_changes_nothing(self, reviving, wave, message):
+        chord, hieras = build_pair(n=30, seed=92)
+        for net in (chord, hieras):
+            net.remove_peers([5])
+            alive, waves = net._alive.copy(), net.incremental_waves
+            before = (net.ring.ids.copy(), net.ring.peers.copy())
+            with pytest.raises(ValueError) as caught:
+                (net.revive_peers if reviving else net.remove_peers)(wave)
+            assert str(caught.value) == message
+            assert net.incremental_waves == waves
+            assert np.array_equal(net._alive, alive)
+            assert np.array_equal(net.ring.ids, before[0]) and np.array_equal(net.ring.peers, before[1])
+            twin = build_pair(n=30, seed=92)[net is hieras]
+            twin.remove_peers([5])
+            assert_same_state(net, twin)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        reviving=st.booleans(),
+        gone=st.sets(st.integers(0, 9), max_size=9),
+        wave=st.lists(st.integers(-3, 12), max_size=12),
+    )
+    def test_the_vectorised_check_is_the_per_peer_sequence(self, reviving, gone, wave):
+        net = ChordNetwork(IdSpace(16), np.arange(10, dtype=np.uint64) * 97)
+        net.remove_peers(sorted(gone))
+        alive, live, expected = net._alive.copy(), net.n_peers, None
+        for peer in wave:
+            if not 0 <= peer < 10:
+                expected = f"peer {peer} out of range [0, 10)"
+            elif alive[peer] == reviving:
+                expected = f"peer {peer} is {'already' if reviving else 'not'} alive"
+            elif not reviving and live <= 1:
+                expected = "cannot remove the last peer"
+            if expected is not None:
+                break
+            alive[peer] = reviving
+            live += 1 if reviving else -1
+        try:
+            (net.revive_peers if reviving else net.remove_peers)(wave)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None and np.array_equal(net._alive, alive)
 
     def test_publish_skips_on_unchanged_rings(self):
         _, net = build_pair(n=120, depth=2, seed=91)

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.binning import BinningScheme
+from repro.core.hieras import HierasNetwork
 from repro.dht.chord import ChordNetwork
 from repro.faults import FaultInjector, FaultPlan
 from repro.metrics.registry import MetricsRegistry
@@ -10,9 +14,10 @@ from repro.metrics.spans import SpanRecorder
 from repro.replication import (
     ReplicatedStore,
     ReplicationPolicy,
-    global_successors,
     replica_group,
 )
+from repro.replication.placement import group_at, groups_at
+from repro.topology.latency import CoordinateLatencyModel
 from repro.util.ids import IdSpace
 
 
@@ -113,13 +118,89 @@ class TestPlacement:
         chord, hieras = small_networks
         # Same membership, same ids: the global successor walk agrees.
         for peer in (0, 7, 123):
-            assert global_successors(chord, peer, 3) == global_successors(hieras, peer, 3)
+            assert chord.successor_list(peer, 3) == hieras.successor_list(peer, 3)
 
     def test_zero_replicas_owner_only(self):
         net = make_chord()
         policy = ReplicationPolicy(replicas=0)
         group = group_of(net, "file", policy)
         assert group == [net.owner_of(net.space.hash_key("file"))]
+
+
+def scalar_group_at(net, owner, policy):
+    """The per-owner placement rule as written before ``groups_at``: one
+    ``SortedRing.successor_list`` walk per ring, deduplicated in order."""
+
+    def successors(row, r):
+        ring, pos = row.at(owner)
+        return [int(ring.peers[p]) for p in ring.successor_list(pos, r)]
+
+    plan = net._layer_plan()
+    group = [owner]
+    if policy.replicas <= 0:
+        return group
+    if policy.placement == "ring_scoped":
+        candidates = successors(plan[0], policy.replicas)
+        if len(candidates) < policy.replicas:
+            candidates += successors(plan[-1], policy.replicas + len(candidates))
+    else:
+        candidates = successors(plan[-1], policy.replicas)
+    for peer in candidates:
+        if peer not in group:
+            group.append(peer)
+        if len(group) == policy.group_size:
+            break
+    return group
+
+
+def tiny_pair(n, seed, depth):
+    """(chord, hieras) on ``n`` peers with planar latencies: rings of one
+    to a few members, so successor walks wrap and groups come up short."""
+    rng = np.random.default_rng(seed)
+    space = IdSpace(16)
+    ids = space.sample_unique_ids(n, rng)
+    orders = BinningScheme.default_for_depth(depth).orders(rng.uniform(0, 300, size=(n, 3)))
+    model = CoordinateLatencyModel(rng.uniform(0, 500, size=(n, 2)))
+    return ChordNetwork(space, ids, latency=model), HierasNetwork(
+        space, ids, latency=model, landmark_orders=orders, depth=depth
+    )
+
+
+class TestGroupsAt:
+    """``groups_at`` is the placement rule, row for row, and ``group_at``
+    its one-row case."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 14),
+        seed=st.integers(0, 10_000),
+        depth=st.sampled_from([2, 3]),
+        replicas=st.integers(0, 5),
+        placement=st.sampled_from(["successor", "ring_scoped"]),
+        gone=st.sets(st.integers(0, 13), max_size=6),
+    )
+    def test_equals_the_scalar_rule_row_for_row(self, n, seed, depth, replicas, placement, gone):
+        policy = ReplicationPolicy(replicas=replicas, placement=placement, consistency="quorum",
+                                   write_quorum=1, read_quorum=1)
+        for net in tiny_pair(n, seed, depth):
+            wave = sorted(p for p in gone if p < n)[: n - 1]
+            net.remove_peers(wave)
+            owners = np.asarray([p for p in range(n) if net.is_alive(p)], dtype=np.int64)
+            rows = groups_at(net, owners, policy)
+            assert rows.shape == (len(owners), policy.group_size)
+            for owner, row in zip(owners.tolist(), rows.tolist()):
+                expected = scalar_group_at(net, owner, policy)
+                assert row == expected + [-1] * (policy.group_size - len(expected))
+                assert group_at(net, owner, policy) == expected
+
+    @pytest.mark.parametrize("replicas", [0, 2, 8])
+    @pytest.mark.parametrize("placement", ["successor", "ring_scoped"])
+    def test_both_stacks_on_a_transit_stub_deployment(self, small_networks, placement, replicas):
+        policy = ReplicationPolicy(replicas=replicas, placement=placement)
+        for net in small_networks:
+            owners = np.arange(net.n_peers, dtype=np.int64)
+            rows = groups_at(net, owners, policy).tolist()
+            assert rows == [scalar_group_at(net, owner, policy) for owner in owners.tolist()]
 
 
 class TestFaultFree:

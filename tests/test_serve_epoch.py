@@ -10,11 +10,13 @@ at the parent commit (PR 23), where ``_resolve`` still called
 
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.replication.store as store_module
 import repro.serve.service as service_module
 import repro.util.ids as ids_module
 from repro.dht.chord import ChordNetwork
@@ -72,14 +74,17 @@ def lossy(net):
     return injector
 
 
-def serve(net, policy, reqs, *, injector=None, config=None):
+def serve(net, policy, reqs, *, injector=None, config=None, store_recorder=None):
     """Serve ``reqs`` over ``net`` on a fresh, attached, half-seeded store
-    (none when ``policy`` is None); returns the result and the store."""
+    (none when ``policy`` is None), traced by ``store_recorder`` when
+    given; returns the result and the store."""
     if policy is None:
         return DHTService(net, config=config).run(list(reqs)), None
     store = ReplicatedStore(net, policy, injector=injector)
     for name in NAMES[::2]:
         store.seed_key(name, "v0")
+    if store_recorder is not None:
+        store.enable_tracing(store_recorder)
     net.attach_store(store)
     try:
         return DHTService(net, config=config, store=store).run(list(reqs)), store
@@ -87,9 +92,13 @@ def serve(net, policy, reqs, *, injector=None, config=None):
         net.detach_store(store)
 
 
-def serve_digest(net, policy, reqs, *, injector=None):
-    """SHA-256 over everything a run leaves behind but ``serve.engine_lanes``."""
-    result, store = serve(net, policy, reqs, injector=injector)
+def serve_digest(net, policy, reqs, *, injector=None, config=None, traced=False):
+    """SHA-256 over everything a run leaves behind but ``serve.engine_lanes``
+    (and, ``traced``, the store recorder's registry)."""
+    recorder = SpanRecorder(MetricsRegistry()) if traced else None
+    result, store = serve(
+        net, policy, reqs, injector=injector, config=config, store_recorder=recorder
+    )
     snapshot = result.registry.snapshot()
     snapshot["counters"].pop("serve.engine_lanes")
     state = [result.completions, sorted(result.counts.items()), result.makespan_ms, snapshot]
@@ -100,6 +109,8 @@ def serve_digest(net, policy, reqs, *, injector=None):
             store.stats.as_dict(),
             store.loss_audit(),
         ]
+    if recorder is not None:
+        state.append(recorder.registry.snapshot())
     if injector is not None:
         state.append(float(injector.rng.random()))
     return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
@@ -127,6 +138,27 @@ PARENT_LOSSY_DIGESTS = {
     ("chord", "chain"): "d5c025c89a19c0b4",
     ("hieras", "quorum"): "65c77a6be7823fa2",
 }
+#: Configurations beside the defaults: label → (policy, scene, config,
+#: whether a span recorder traces the store's ``replication.*`` counters).
+CONFIGS = {
+    # Rejected, deadline-shed and failed completions all reach the fold.
+    "shedding": ("quorum", "inside", ServiceConfig(workers=1, queue_limit=12, deadline_ms=30.0), False),
+    "store_recorder": ("chain", "churn", None, True),
+    # One worker, so the queue builds and max_batch=1 splits what would coalesce.
+    "max_batch_1": ("quorum", "churn", ServiceConfig(workers=1, max_batch=1), False),
+}
+#: Recorded before the serving epoch went columnar: label → stack → digest.
+PARENT_CONFIG_DIGESTS = {
+    "shedding": {"chord": "c5e3ed09364ff9dc", "hieras": "28ad7089bbff70f4"},
+    "store_recorder": {"chord": "73fc9b24fe2d3735", "hieras": "1f728f52a106b55e"},
+    "max_batch_1": {"chord": "5f9aa13b96246a26", "hieras": "658188a1c14a0de8"},
+}
+
+
+def config_digest(net, label):
+    policy, scene, config, traced = CONFIGS[label]
+    reqs, _ = mixed_stream(net, 240, scene=scene)
+    return serve_digest(net, POLICIES[policy], reqs, config=config, traced=traced)
 
 
 class TestPinnedServing:
@@ -149,14 +181,43 @@ class TestPinnedServing:
             PARENT_LOSSY_DIGESTS[stack, policy]
         )
 
+    @pytest.mark.parametrize("policy", [QUORUM, CHAIN])
+    def test_a_crashed_source_fails_at_dispatch(self, bundle, policy):
+        net = bundle.hieras
+        injector = lossy(net)
+        crashed = [p for p in range(net.n_peers) if injector.state.is_dead(p)][:5]
+        reqs, _ = mixed_stream(net, 240, injector=injector)
+        # Every seventh get or put now comes from a peer the injector crashed.
+        reqs = [
+            replace(r, source=crashed[i % 5]) if r.op in ("get", "put") and i % 7 == 0 else r
+            for i, r in enumerate(reqs)
+        ]
+        result, store = serve(net, policy, reqs, injector=injector)
+        assert sum(result.counts.values()) == len(result.completions) == len(reqs)
+        for c, r in zip(result.completions, reqs):
+            if r.op in ("get", "put") and injector.state.is_dead(r.source):
+                assert (c.outcome, c.route_ms, c.owner) == ("failed", 0.0, -1)
+        assert result.counts["failed"] >= sum(r.source in crashed for r in reqs)
+        assert store.stats.puts == sum(
+            r.op == "put" and not injector.state.is_dead(r.source) for r in reqs
+        )
+
+    @pytest.mark.parametrize("label", list(CONFIGS))
+    @pytest.mark.parametrize("stack", ["chord", "hieras"])
+    def test_digest_under_another_config(self, bundle, stack, label):
+        assert config_digest(getattr(bundle, stack), label) == PARENT_CONFIG_DIGESTS[label][stack]
+
 
 class Spies:
-    """Records the engine calls, scalar walks and name hashes of a run."""
+    """Records the engine calls, scalar walks, name hashes, liveness
+    checks and the store's replica placements of a run."""
 
     def __init__(self, monkeypatch):
         self.engine_lanes, self.walks, self.lossy_routes, self.hashed = [], [], [], []
+        self.placed, self.placed_one, self.alive_checks = [], [], []
         engine, sha1_int = service_module.batch_route, ids_module.sha1_int
         walk, route_lossy = ChordNetwork._walk_plan, ChordNetwork.route_lossy
+        groups_at, group_at, is_alive = store_module.groups_at, store_module.group_at, ChordNetwork.is_alive
 
         def batch_spy(net, sources, keys):
             self.engine_lanes.append(len(sources))
@@ -174,10 +235,25 @@ class Spies:
             self.hashed.append(data)
             return sha1_int(data, bits)
 
+        def groups_spy(net, owners, policy):
+            self.placed.append(len(owners))
+            return groups_at(net, owners, policy)
+
+        def group_spy(net, owner, policy):
+            self.placed_one.append(owner)
+            return group_at(net, owner, policy)
+
+        def alive_spy(net, peer):
+            self.alive_checks.append(peer)
+            return is_alive(net, peer)
+
         monkeypatch.setattr(service_module, "batch_route", batch_spy)
         monkeypatch.setattr(ChordNetwork, "_walk_plan", walk_spy)
         monkeypatch.setattr(ChordNetwork, "route_lossy", lossy_spy)
         monkeypatch.setattr(ids_module, "sha1_int", sha1_spy)
+        monkeypatch.setattr(store_module, "groups_at", groups_spy)
+        monkeypatch.setattr(store_module, "group_at", group_spy)
+        monkeypatch.setattr(ChordNetwork, "is_alive", alive_spy)
 
 
 class TestCallCounts:
@@ -197,6 +273,9 @@ class TestCallCounts:
         # calls (a HIERAS wave hashes its ring names too).
         assert sorted(h for h in spies.hashed if h in NAMES) == sorted([*NAMES[::2], *NAMES])
         assert store.stats.puts == store.stats.put_successes == 60
+        # One placement call per epoch places all of its puts; no lane asks alone.
+        assert len(spies.placed) == 3 and sum(spies.placed) == 60 and spies.placed_one == []
+        assert spies.alive_checks == []
 
     @pytest.mark.parametrize("policy", [QUORUM, CHAIN])
     def test_an_injector_keeps_every_put_a_lossy_route_in_dispatch_order(
@@ -215,6 +294,7 @@ class TestCallCounts:
             (reqs[c.seq].source, int(net.space.hash_key(reqs[c.seq].name))) for c in puts
         ]
         assert len(spies.walks) == len(puts) == store.stats.puts == 60
+        assert spies.placed == [] and spies.alive_checks == []
 
 
 class TestWriteAt:
@@ -335,6 +415,9 @@ if __name__ == "__main__":  # PYTHONPATH=src:. python tests/test_serve_epoch.py 
         reqs, _ = mixed_stream(net, 240, injector=injector)
         digest = serve_digest(net, POLICIES[label], reqs, injector=injector)
         print(f"lossy {stack} {label}: {digest!r}")
+    for label in CONFIGS:
+        cells = {stack: config_digest(getattr(nets, stack), label) for stack in ("chord", "hieras")}
+        print(f"{label}: {cells!r}")
     for stack in PARENT_RECORDER:
         net = getattr(nets, stack)
         snapshot, total, _, _ = recorder_state(net, mixed_stream(net, 240)[0])
