@@ -33,7 +33,10 @@ from repro.util.ids import IdSpace
 from repro.util.rng import make_rng
 from repro.util.validation import require
 
-__all__ = ["HierasNetwork", "LayeredFingerRow"]
+__all__ = ["SUCCESSOR_LIST_POLICIES", "HierasNetwork", "LayeredFingerRow"]
+
+#: Accepted ``successor_list_policy`` values (see :class:`HierasNetwork`).
+SUCCESSOR_LIST_POLICIES = ("transitions", "always", "off")
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,7 @@ class HierasNetwork(ChordNetwork):
             f"depth must be in [2, {landmark_orders.depth}], got {depth}",
         )
         require(
-            successor_list_policy in ("transitions", "always", "off"),
+            successor_list_policy in SUCCESSOR_LIST_POLICIES,
             f"unknown successor_list_policy {successor_list_policy!r}",
         )
         self.depth = depth

@@ -19,7 +19,9 @@ import itertools
 import os
 from dataclasses import dataclass, replace
 
+from repro.core.hieras import SUCCESSOR_LIST_POLICIES
 from repro.topology.inet import INET_MIN_NODES
+from repro.util.ids import IdSpace
 from repro.util.validation import require
 
 __all__ = ["SimConfig", "SweepSpec", "below_inet_floor", "is_full_scale", "DEFAULT_REQUESTS", "FULL_REQUESTS"]
@@ -67,6 +69,18 @@ class SimConfig:
         require(
             self.landmark_strategy in ("auto", "spread", "random"),
             f"unknown landmark_strategy {self.landmark_strategy!r}",
+        )
+        # What the id sampler and HierasNetwork would reject, rejected
+        # here, before any topology is built.
+        space = IdSpace(self.bits)
+        require(
+            self.n_peers <= space.size,
+            f"cannot draw {self.n_peers} unique ids from a space of {space.size}",
+        )
+        require(self.successor_list_r >= 0, "successor_list_r must be >= 0")
+        require(
+            self.successor_list_policy in SUCCESSOR_LIST_POLICIES,
+            f"unknown successor_list_policy {self.successor_list_policy!r}",
         )
 
     @property

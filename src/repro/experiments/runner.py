@@ -4,9 +4,14 @@ The runner is the bridge between configuration and measurement:
 
 * :func:`build_bundle` — topology → latency model → overlay attachment
   → landmark placement → binning → Chord + HIERAS networks, all seeded
-  from the config for exact reproducibility.  Substrates are cached per
-  :meth:`~repro.experiments.config.SimConfig.topology_key` so configs
-  that differ only in binning depth or routing settings share one.
+  from the config for exact reproducibility.  It is the one deployment
+  pipeline, from paper scale to N=10⁶: transit-stub sizing is
+  :meth:`~repro.topology.transit_stub.TransitStubParams.for_size` at
+  every size, and the latency model's byte budget is a keyword.
+  Substrates are cached per
+  :meth:`~repro.experiments.config.SimConfig.topology_key` and budget,
+  so configs that differ only in binning depth or routing settings
+  share one; ``cache=False`` builds one that dies with its bundle.
 * :func:`run_pair` — run one trace through both networks, returning
   :class:`~repro.analysis.stats.RouteSample` pairs ready for the
   figure-level reporting; :func:`sample_pair` caches it per
@@ -90,14 +95,10 @@ def _generate_topology(config: SimConfig, seed) -> Topology:
     return generate_brite(BriteParams(n_nodes=n), seed=seed)
 
 
-def _build_substrate(config: SimConfig) -> _Substrate:
-    key = config.topology_key()
-    cached = _SUBSTRATES.get(key)
-    if cached is not None:
-        return cached
+def _build_substrate(config: SimConfig, **latency_budget: int) -> _Substrate:
     rngs = RngFactory(config.seed)
     topology = _generate_topology(config, rngs.get("topology"))
-    model = latency_model_for(topology)
+    model = latency_model_for(topology, **latency_budget)
     routers = attach_overlay(topology, config.n_peers, seed=rngs.get("attach"))
     landmarks = place_landmarks(
         topology,
@@ -109,7 +110,7 @@ def _build_substrate(config: SimConfig) -> _Substrate:
     attachment = OverlayAttachment(topology, routers, landmarks)
     space = IdSpace(config.bits)
     node_ids = space.sample_unique_ids(config.n_peers, rngs.get("node-ids"))
-    substrate = _Substrate(
+    return _Substrate(
         topology=topology,
         model=model,
         attachment=attachment,
@@ -117,15 +118,27 @@ def _build_substrate(config: SimConfig) -> _Substrate:
         node_ids=node_ids,
         landmark_distances=attachment.landmark_distances(model),
     )
-    _SUBSTRATES[key] = substrate
-    while len(_SUBSTRATES) > _MAX_SUBSTRATES:
-        _SUBSTRATES.pop(next(iter(_SUBSTRATES)))
-    return substrate
 
 
-def build_bundle(config: SimConfig) -> SimulationBundle:
-    """Build (or fetch from cache and finish) a full simulation."""
-    sub = _build_substrate(config)
+def build_bundle(config: SimConfig, *, cache: bool = True, **latency_budget: int) -> SimulationBundle:
+    """Build (or fetch the substrate from cache and finish) a full simulation.
+
+    ``latency_budget`` goes to :func:`~repro.topology.latency.latency_model_for`:
+    blocks totalling more than ``streaming_threshold_bytes`` are filled on
+    first use, and no more than ``streaming_cache_bytes`` of them are held.
+    The substrate cache is keyed by the config's
+    :meth:`~repro.experiments.config.SimConfig.topology_key` and the budget;
+    ``cache=False`` neither reads nor fills it, so nothing outlives the
+    returned bundle (the choice for a million-peer substrate).
+    """
+    key = (config.topology_key(), tuple(sorted(latency_budget.items())))
+    sub = _SUBSTRATES.get(key) if cache else None
+    if sub is None:
+        sub = _build_substrate(config, **latency_budget)
+        if cache:
+            _SUBSTRATES[key] = sub
+            while len(_SUBSTRATES) > _MAX_SUBSTRATES:
+                _SUBSTRATES.pop(next(iter(_SUBSTRATES)))
     space = IdSpace(config.bits)
     chord = ChordNetwork(space, sub.node_ids, latency=sub.peer_latency)
     scheme = BinningScheme.default_for_depth(config.depth)

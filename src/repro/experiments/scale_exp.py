@@ -2,8 +2,8 @@
 
 One run, per network size, on both stacks:
 
-1. **build** — :func:`repro.scale.build_scale_bundle` (streaming
-   latency models, bounded-block transit-stub sizing) timed end-to-end;
+1. **build** — :func:`repro.experiments.runner.build_bundle` uncached
+   (the substrate dies with its bundle) timed end-to-end;
 2. **membership waves** — remove then revive a seeded wave of peers
    through the incremental splice path, verifying with the stacks' own
    counters that *zero* full rebuilds happened, then force a full
@@ -34,8 +34,8 @@ from repro.engine.batch import batch_route
 from repro.engine.stream import stream_batch_route
 from repro.experiments.bench import BenchRun, claim, rate_per_s
 from repro.experiments.config import SimConfig
-from repro.experiments.runner import SimulationBundle, make_trace
-from repro.scale import build_scale_bundle, hot_state_bytes
+from repro.experiments.runner import SimulationBundle, build_bundle, make_trace
+from repro.scale import hot_state_bytes
 from repro.util.proc import peak_rss_mb
 from repro.util.rng import RngFactory
 
@@ -129,7 +129,7 @@ def run_bench(
         n_lookups = _lookups_for(n_peers, full=full)
 
         with bench.timed(f"build_n{n_peers}") as phase:
-            bundle = build_scale_bundle(SimConfig(model="ts", n_peers=n_peers, seed=seed))
+            bundle = build_bundle(SimConfig(model="ts", n_peers=n_peers, seed=seed), cache=False)
         phase["peak_rss_mb"] = peak_rss_mb()
 
         # --- membership waves through the incremental splice path ----

@@ -109,17 +109,29 @@ class TransitStubParams:
         kept sparse (bounded expected extra degree) so intra-stub
         distances stay in the low tens of milliseconds and the paper's
         binning levels ``[0,20] / (20,100) / [100,∞)`` all occur.
+
+        From 100 000 routers on, the transit tier grows with the network
+        instead: 8 transit routers per domain by default, and as many
+        domains (at least 4) as keep stub domains near 512 routers, so a
+        per-stub hop-count block stays ≈0.26 MB (``512²`` bytes) — the
+        unit the latency model fills, evicts and budgets by.  At 1.25 M
+        routers that is 38 domains × 8 routers and 2 432 stubs of 514.
+        Only the defaults change with the regime; every override is
+        honoured in both.
         """
         require(n_routers >= 16, f"transit-stub networks need >= 16 routers, got {n_routers}")
-        if n_routers < 3000:
+        large = n_routers >= 100_000
+        per_domain = int(overrides.pop("transit_nodes_per_domain", 8 if large else 2))
+        stubs_per = int(overrides.pop("stubs_per_transit_node", 8))
+        if large:
+            default_domains = max(4, round(n_routers / (per_domain * (1 + stubs_per * 512))))
+        elif n_routers < 3000:
             default_domains = 2
         elif n_routers < 7000:
             default_domains = 3
         else:
             default_domains = 4
         n_domains = int(overrides.pop("n_transit_domains", default_domains))
-        per_domain = int(overrides.pop("transit_nodes_per_domain", 2))
-        stubs_per = int(overrides.pop("stubs_per_transit_node", 8))
         n_transit = n_domains * per_domain
         stub_size = max(2, round((n_routers / n_transit - 1) / stubs_per))
         stub_size = int(overrides.pop("stub_domain_size", stub_size))

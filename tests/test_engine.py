@@ -20,7 +20,7 @@ from repro.dht.chord import ChordNetwork
 from repro.dht.base import ZeroLatency
 from repro.dht.ring_array import RingLayer, SortedRing
 from repro.experiments.config import SimConfig
-from repro.scale import build_scale_bundle
+from repro.experiments.runner import build_bundle
 from repro.engine import (
     BatchRouteResult,
     batch_route,
@@ -351,8 +351,8 @@ class TestLayerFrontier:
         """The gate on the walker's shape: kernel calls per ``batch_route``
         are the plan's layers — 1 on Chord, ``depth`` on HIERAS — however
         many rings a layer holds."""
-        bundle = build_scale_bundle(
-            SimConfig(model="ts", n_peers=8192, n_landmarks=landmarks, depth=depth)
+        bundle = build_bundle(
+            SimConfig(model="ts", n_peers=8192, n_landmarks=landmarks, depth=depth), cache=False
         )
         rings = [len(row.rings) for row in bundle.hieras._layer_plan()]
         assert sum(rings) - 1 >= {2: 9, 3: 30}[depth] and rings[-1] == 1

@@ -1,8 +1,11 @@
 """Tests for the experiment harness: config, runner, registry, CLI."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.config import DEFAULT_REQUESTS, FULL_REQUESTS, SimConfig, is_full_scale
 from repro.experiments.figures import EXPERIMENTS, get_experiment
 from repro.experiments.runner import build_bundle, clear_cache, make_trace, run_pair
@@ -32,6 +35,38 @@ class TestConfig:
             SimConfig(depth=1)
         with pytest.raises(ValueError):
             SimConfig(landmark_strategy="bogus")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"bits": 0}, "bits must be in [1, 160], got 0"),
+            ({"bits": 161}, "bits must be in [1, 160], got 161"),
+            ({"n_peers": 300, "bits": 8}, "cannot draw 300 unique ids from a space of 256"),
+            ({"successor_list_r": -1}, "successor_list_r must be >= 0"),
+            ({"successor_list_policy": "bogus"}, "unknown successor_list_policy 'bogus'"),
+        ],
+    )
+    def test_rejects_before_any_topology_is_built(self, fields, message, monkeypatch):
+        """What the id sampler, ``ChordNetwork`` and ``HierasNetwork``
+        would reject fails at ``SimConfig``, with their messages — not
+        after the topology, latency model and attachment are paid for."""
+        generated = []
+        real = runner._generate_topology
+
+        def spy(*args):
+            generated.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(runner, "_generate_topology", spy)
+        monkeypatch.setattr(runner, "_SUBSTRATES", {})  # a cache hit would hide the spy
+        with pytest.raises(ValueError, match=re.escape(message)):
+            runner.build_bundle(SimConfig(**fields))
+        assert generated == []
+
+    def test_edge_values_accepted(self):
+        SimConfig(n_peers=256, bits=8, successor_list_r=0)
+        for policy in ("transitions", "always", "off"):
+            SimConfig(successor_list_policy=policy)
 
     def test_auto_strategy_resolution(self):
         assert SimConfig(model="ts").resolved_landmark_strategy == "spread"

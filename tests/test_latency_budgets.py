@@ -18,9 +18,8 @@ from scipy.sparse.csgraph import dijkstra
 import repro.topology.latency as latency_module
 from repro.engine import stream_batch_route
 from repro.experiments.config import SimConfig
-from repro.experiments.runner import make_trace
+from repro.experiments.runner import build_bundle, make_trace
 from repro.metrics.registry import MetricsRegistry
-from repro.scale import build_scale_bundle
 from repro.topology.attach import PeerLatencyView
 from repro.topology.base import ROUTER_STUB, ROUTER_TRANSIT
 from repro.topology.brite import BriteParams, generate_brite
@@ -387,8 +386,8 @@ class TestObservability:
     @pytest.fixture(scope="class")
     def filled_by_routing(self):
         """N=2 048 in lazy mode after a fill pass — ``route_large`` in small."""
-        bundle = build_scale_bundle(
-            SimConfig(model="ts", n_peers=2048, seed=3), streaming_threshold_bytes=1
+        bundle = build_bundle(
+            SimConfig(model="ts", n_peers=2048, seed=3), cache=False, streaming_threshold_bytes=1
         )
         model = bundle.peer_latency.model
         assert model.cache_misses < 8  # landmark placement asked about a few stubs

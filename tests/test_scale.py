@@ -1,13 +1,13 @@
 """Tests for repro.scale and the streamed routing aggregates.
 
-Covers the scale package's three exports (transit-stub sizing, the
-uncached scale build, the struct-of-arrays memory audit), the
-``stream_batch_route`` aggregates (exact agreement with a direct
-``batch_route`` call, chunk-size invariance of every integer statistic
-and the owner checksum), the peak-RSS helper, and the shape and contract
-claims of the ``BENCH_scale`` document at tiny N (the envelope,
-reproducibility and writer checks every bench shares live in
-``tests/test_bench.py``).
+Covers transit-stub sizing at every size (``for_size``, which absorbed
+the scale package's own sizing rule), the uncached build, the
+struct-of-arrays memory audit, the ``stream_batch_route`` aggregates
+(exact agreement with a direct ``batch_route`` call, chunk-size
+invariance of every integer statistic and the owner checksum), the
+peak-RSS helper, and the shape and contract claims of the
+``BENCH_scale`` document at tiny N (the envelope, reproducibility and
+writer checks every bench shares live in ``tests/test_bench.py``).
 """
 
 import copy
@@ -16,67 +16,122 @@ import numpy as np
 import pytest
 
 from repro.engine import batch_route, stream_batch_route
+from repro.experiments import runner
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle, make_trace
 from repro.experiments.scale_exp import report, run_bench
-from repro.scale import build_scale_bundle, hot_state_bytes, scale_ts_params
+from repro.scale import hot_state_bytes
 from repro.topology.transit_stub import TransitStubParams
 from repro.util.proc import peak_rss_mb
 
+#: ``(n_transit_domains, transit_nodes_per_domain, stubs_per_transit_node,
+#: stub_domain_size, stub_edge_prob)`` per router count, recorded from the
+#: sizing rule the scale package used before ``for_size`` absorbed it
+#: (which deferred to ``for_size`` below 100 000 routers).
+SIZING_TABLE = {
+    80: (2, 2, 8, 2, 0.5),
+    1_250: (2, 2, 8, 39, 0.038461538461538464),
+    5_120: (3, 2, 8, 107, 0.014018691588785047),
+    81_920: (4, 2, 8, 1280, 0.001171875),
+    99_999: (4, 2, 8, 1562, 0.0009603072983354673),
+    100_000: (4, 8, 8, 390, 0.0038461538461538464),
+    163_840: (5, 8, 8, 512, 0.0029296875),
+    1_250_000: (38, 8, 8, 514, 0.0029182879377431907),
+}
+
+
+def _fields(params):
+    return (
+        params.n_transit_domains,
+        params.transit_nodes_per_domain,
+        params.stubs_per_transit_node,
+        params.stub_domain_size,
+        params.stub_edge_prob,
+    )
+
 
 class TestScaleTsParams:
-    def test_small_sizes_defer_to_for_size(self):
-        for n in (320, 2000, 50_000):
-            assert scale_ts_params(n) == TransitStubParams.for_size(n)
+    @pytest.mark.parametrize("n", sorted(SIZING_TABLE))
+    def test_for_size_matches_the_recorded_sizing(self, n):
+        params = TransitStubParams.for_size(n)
+        assert _fields(params) == SIZING_TABLE[n]
+        assert params == TransitStubParams(*SIZING_TABLE[n][:4], stub_edge_prob=SIZING_TABLE[n][4])
+
+    def test_overrides_hold_in_the_large_regime(self):
+        params = TransitStubParams.for_size(1_250_000, stub_edge_prob=0.1)
+        assert _fields(params) == (38, 8, 8, 514, 0.1)
+        wider = TransitStubParams.for_size(1_250_000, n_transit_domains=40, stub_domain_size=500)
+        assert _fields(wider)[:4] == (40, 8, 8, 500)
 
     def test_large_sizes_bound_stub_blocks(self):
-        params = scale_ts_params(1_250_000)
+        params = TransitStubParams.for_size(1_250_000)
         assert params.stub_domain_size <= 600  # ≈0.26 MB uint8 hop blocks
         assert 0.8 <= params.n_routers / 1_250_000 <= 1.2
         block_bytes = params.stub_domain_size**2  # one byte per router pair
         assert block_bytes < 512 * 1024
 
     def test_rejects_tiny(self):
-        with pytest.raises(ValueError):
-            scale_ts_params(8)
+        with pytest.raises(ValueError, match="need >= 16 routers"):
+            TransitStubParams.for_size(8)
+
+
+def _assert_same_deployment(a, b):
+    assert np.array_equal(a.node_ids, b.node_ids)
+    assert np.array_equal(a.attachment.router_of_peer, b.attachment.router_of_peer)
+    assert np.array_equal(a.attachment.landmark_routers, b.attachment.landmark_routers)
+    assert np.array_equal(a.topology.edges, b.topology.edges)
+    for mine, theirs in ((a.chord, b.chord), (a.hieras, b.hieras)):
+        for x, y in zip(mine._layer_plan(), theirs._layer_plan(), strict=True):
+            assert x.ring_names == y.ring_names
+            for ring_x, ring_y in zip(x.rings, y.rings, strict=True):
+                assert np.array_equal(ring_x.ids, ring_y.ids)
+                assert np.array_equal(ring_x.peers, ring_y.peers)
+    rng = np.random.default_rng(0)
+    us = rng.integers(0, len(a.node_ids), 200)
+    vs = rng.integers(0, len(a.node_ids), 200)
+    np.testing.assert_array_equal(a.peer_latency.pairs(us, vs), b.peer_latency.pairs(us, vs))
 
 
 class TestBuildScaleBundle:
-    def test_small_config_reproduces_standard_build(self):
-        """Below every threshold the scale path is byte-for-byte the
-        standard runner: same topology, ids, rings, latencies."""
+    def test_uncached_build_leaves_the_cache_and_equals_the_cached_one(self, monkeypatch):
+        """``cache=False`` neither reads nor fills the substrate cache,
+        and builds what the cached path builds, array for array."""
         config = SimConfig(model="ts", n_peers=300, seed=9)
-        std = build_bundle(config)
-        scale = build_scale_bundle(config)
-        assert np.array_equal(std.node_ids, scale.node_ids)
-        assert np.array_equal(std.chord.ring.ids, scale.chord.ring.ids)
-        assert np.array_equal(std.chord.ring.peers, scale.chord.ring.peers)
-        assert np.array_equal(
-            std.hieras.global_ring.ids, scale.hieras.global_ring.ids
-        )
-        for layer in range(2, std.hieras.depth + 1):
-            assert sorted(std.hieras.rings_at_layer(layer)) == sorted(
-                scale.hieras.rings_at_layer(layer)
-            )
-        rng = np.random.default_rng(0)
-        us = rng.integers(0, 300, 200)
-        vs = rng.integers(0, 300, 200)
-        np.testing.assert_array_equal(
-            std.peer_latency.pairs(us, vs), scale.peer_latency.pairs(us, vs)
-        )
+        monkeypatch.setattr(runner, "_SUBSTRATES", {})
+        uncached = build_bundle(config, cache=False)
+        assert runner._SUBSTRATES == {}
+        cached = build_bundle(config)
+        assert len(runner._SUBSTRATES) == 1
+        assert uncached.topology is not cached.topology
+        _assert_same_deployment(uncached, cached)
+        # ... and a cached substrate is not read either.
+        again = build_bundle(config, cache=False)
+        assert again.topology is not cached.topology
+        _assert_same_deployment(again, cached)
 
     def test_zero_threshold_builds_streaming_and_agrees(self):
         config = SimConfig(model="ts", n_peers=200, seed=4)
         eager = build_bundle(config)
-        streaming = build_scale_bundle(config, streaming_threshold_bytes=0)
+        streaming = build_bundle(config, cache=False, streaming_threshold_bytes=0)
         trace = make_trace(eager, 500)
         a = batch_route(eager.hieras, trace.sources, trace.keys)
         b = batch_route(streaming.hieras, trace.sources, trace.keys)
         assert np.array_equal(a.owner, b.owner)
         assert np.array_equal(a.latency_ms, b.latency_ms)
 
+    def test_a_latency_budget_gets_its_own_cache_entry(self, monkeypatch):
+        config = SimConfig(model="ts", n_peers=200, seed=4)
+        monkeypatch.setattr(runner, "_SUBSTRATES", {})
+        default = build_bundle(config)
+        lazy = build_bundle(config, streaming_threshold_bytes=0)
+        assert len(runner._SUBSTRATES) == 2
+        assert lazy.peer_latency.model is not default.peer_latency.model
+        assert lazy.peer_latency.model.cache_misses < default.peer_latency.model.cache_misses
+        assert build_bundle(config, streaming_threshold_bytes=0).topology is lazy.topology
+        assert build_bundle(config).topology is default.topology
+
     def test_hot_state_bytes_audit(self):
-        bundle = build_scale_bundle(SimConfig(model="ts", n_peers=256, seed=3))
+        bundle = build_bundle(SimConfig(model="ts", n_peers=256, seed=3), cache=False)
         audit = hot_state_bytes(bundle)
         assert audit["chord_bytes"] > 0
         assert audit["hieras_bytes"] > audit["chord_bytes"]
@@ -165,7 +220,7 @@ class TestBenchScaleDocument:
             assert mem["incremental_matches_rebuild"] is True
             assert cell["memory"]["hieras_bytes"] > 0
             # Small cells fill every stub block at construction: 1 B per pair.
-            params = scale_ts_params(SimConfig(model="ts", n_peers=cell["n_peers"]).n_routers)
+            params = TransitStubParams.for_size(SimConfig(model="ts", n_peers=cell["n_peers"]).n_routers)
             assert cell["memory"]["latency_block_fills"] == params.n_stub_domains
             blocks = params.n_stub_domains * params.stub_domain_size**2
             assert blocks < cell["memory"]["latency_bytes"] < blocks + 128 * params.n_routers
