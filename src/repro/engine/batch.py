@@ -28,7 +28,7 @@ from repro.core.hieras import HierasNetwork
 from repro.dht.base import DHTNetwork
 from repro.dht.chord import ChordNetwork
 from repro.engine.kernel import route_layer
-from repro.engine.result import BatchRouteResult, row_prefix_sums
+from repro.engine.result import BatchRouteResult, hop_sums
 from repro.topology.base import LatencyModel
 from repro.util.validation import require
 
@@ -42,58 +42,57 @@ __all__ = [
 
 
 class _HopLog:
-    """Growing per-lane hop buffers: latency values and optional paths.
+    """The walk's hops, hop-major: peers while it runs, delays after.
 
-    One ``record`` call per frontier step appends, for the lanes that
-    moved, their hop's link delay (one bulk ``LatencyModel.pairs``
-    call) and optionally the peer reached.  Buffers are C-ordered so a
-    lane's hop latencies form a contiguous row — the property the
-    exact-float total relies on (see ``row_prefix_sums``).  The first
-    buffer holds ``cap`` hops per lane and doubles beyond that.
+    Row ``h`` of the ``(cap, lanes)`` buffer holds the peer each lane
+    reached on its hop ``h`` (zero past the lane's hop count); ``record``
+    writes one row entry per lane that moved and touches no latency
+    model.  Once the walk ends, ``priced`` overwrites each peer with the
+    delay of the hop that reached it, one bulk ``LatencyModel.pairs``
+    call per row, so the ring arrays and the latency tables are not in
+    cache at once.  The buffer starts at ``cap`` rows and doubles beyond.
     """
 
-    def __init__(
-        self,
-        sources: npt.NDArray[np.int64],
-        latency: LatencyModel,
-        *,
-        cap: int,
-        want_paths: bool,
-    ) -> None:
-        n_lanes = len(sources)
-        self._latency = latency
-        self._cap = cap
-        self.hop_count = np.zeros(n_lanes, dtype=np.int64)
-        self.cur_peer = sources.copy()
-        self.hop_latency = np.zeros((n_lanes, self._cap), dtype=np.float64)
-        self.paths: npt.NDArray[np.int64] | None = None
-        if want_paths:
-            self.paths = np.full((n_lanes, self._cap + 1), -1, dtype=np.int64)
-            self.paths[:, 0] = sources
+    def __init__(self, sources: npt.NDArray[np.int64], *, cap: int) -> None:
+        self.sources = sources
+        self.hop_count = np.zeros(len(sources), dtype=np.int64)
+        self.peers = np.zeros((cap, len(sources)), dtype=np.int64)
 
-    def _grow(self, need: int) -> None:
-        old = self._cap
-        while self._cap < need:
-            self._cap *= 2
-        lat = np.zeros((len(self.hop_count), self._cap), dtype=np.float64)
-        lat[:, :old] = self.hop_latency
-        self.hop_latency = lat
-        if self.paths is not None:
-            paths = np.full((len(self.hop_count), self._cap + 1), -1, dtype=np.int64)
-            paths[:, : old + 1] = self.paths
-            self.paths = paths
+    def record(self, lanes: npt.NDArray[np.int64], reached: npt.NDArray[np.int64]) -> None:
+        """Append one hop for ``lanes``, each arriving at ``reached``."""
+        rows = self.hop_count[lanes]
+        top, cap = int(rows.max()), len(self.peers)
+        if top >= cap:
+            while cap <= top:
+                cap *= 2
+            grown = np.zeros((cap, len(self.sources)), dtype=np.int64)
+            grown[: len(self.peers)] = self.peers
+            self.peers = grown
+        self.peers[rows, lanes] = reached
+        self.hop_count[lanes] = rows + 1
 
-    def record(self, lanes: npt.NDArray[np.int64], next_peers: npt.NDArray[np.int64]) -> None:
-        """Append one hop for ``lanes``, each arriving at ``next_peers``."""
-        hc = self.hop_count[lanes]
-        top = int(hc.max()) if hc.size else 0
-        if top >= self._cap:
-            self._grow(top + 1)
-        self.hop_latency[lanes, hc] = self._latency.pairs(self.cur_peer[lanes], next_peers)
-        if self.paths is not None:
-            self.paths[lanes, hc + 1] = next_peers
-        self.hop_count[lanes] = hc + 1
-        self.cur_peer[lanes] = next_peers
+    def paths(self) -> npt.NDArray[np.int64]:
+        """``(lanes, cap + 1)`` visited peers, ``-1``-padded; before ``priced``."""
+        cap = len(self.peers)
+        out = np.empty((len(self.sources), cap + 1), dtype=np.int64)
+        out[:, 0] = self.sources
+        out[:, 1:] = np.where(np.arange(cap)[:, None] < self.hop_count, self.peers, -1).T
+        return out
+
+    def priced(self, latency: LatencyModel) -> npt.NDArray[np.float64]:
+        """The buffer, in place, as hop delays (``0.0`` past each lane's hops)."""
+        delays = self.peers.view(np.float64)
+        # Longest walks first: the lanes taking a hop h are a prefix of
+        # the order, each at the same place as in the row before.
+        order = np.argsort(self.hop_count)[::-1]
+        walking = np.bincount(self.hop_count)[::-1].cumsum()[::-1]
+        prev = self.sources[order]
+        for h in range(1, len(walking)):
+            lanes = order[: walking[h]]
+            reached = self.peers[h - 1, lanes]
+            delays[h - 1, lanes] = latency.pairs(prev[: len(lanes)], reached)
+            prev = reached
+        return delays
 
 
 def supports_batch(network: DHTNetwork) -> TypeGuard[ChordNetwork]:
@@ -163,24 +162,25 @@ def batch_route_chord(
     """
     src, keys_w = _request_arrays(net, sources, keys)
     # Routes rarely exceed log2(n) hops.  Starting at the power of two
-    # that doubling from 8 would reach for them spares ``_grow``
-    # re-copying every lane's row mid-batch, twice at N >= 32 768.
+    # that doubling from 8 would reach for them spares ``record``
+    # re-copying the buffer mid-batch, twice at N >= 32 768.
     log_n = len(net.ring).bit_length()
-    log = _HopLog(src, net.latency, cap=max(8, 1 << (log_n - 1).bit_length()), want_paths=paths)
+    log = _HopLog(src, cap=max(8, 1 << (log_n - 1).bit_length()))
     plan = net._layer_plan()
     # Hops taken by the end of each layer; differenced into per-layer
     # counts once, instead of counted per frontier step.
     hops_per_layer = np.zeros((len(src), len(plan)), dtype=np.int64)
+    cur = src
 
     for col, row in enumerate(plan):
         greedy = row.layer == 1 and net._greedy_global
         view = row.view()
         # Each lane enters at its current peer's slot: the peer's
         # position in its ring, past the rings laid out before it.
-        start = row.pos_of_peer[log.cur_peer]
+        start = row.pos_of_peer[cur]
         code = None
         if row.ring_of_peer is not None:
-            code = row.ring_of_peer[log.cur_peer]
+            code = row.ring_of_peer[cur]
             start = view.base[code] + start
 
         def sink(
@@ -191,30 +191,34 @@ def batch_route_chord(
         ) -> None:
             log.record(lanes, peers[next_slot])
 
-        route_layer(
+        final = route_layer(
             view, start, keys_w, code,
             to_owner=greedy, succ_list_r=row.succ_list_r, sink=sink,
         )
+        cur = view.peers[final]
         if row.layer == 1 and not greedy:
             # Terminating step (§3.2): the global predecessor hands the
             # request to the key's owner, like flat Chord's final hop.
             ring = net.ring
             owner_peer = ring.peers[ring.successor_positions(keys_w)]
-            final = np.flatnonzero(log.cur_peer != owner_peer)
-            if final.size:
-                log.record(final, owner_peer[final])
+            last = np.flatnonzero(cur != owner_peer)
+            if last.size:
+                log.record(last, owner_peer[last])
+            cur = owner_peer
         hops_per_layer[:, col] = log.hop_count
     hops_per_layer[:, 1:] -= hops_per_layer[:, :-1].copy()
 
+    path_buf = log.paths() if paths else None
+    delays = log.priced(net.latency)
     return BatchRouteResult(
         sources=src,
         keys=keys_w,
-        owner=log.cur_peer.copy(),
+        owner=cur,
         hops=log.hop_count,
-        latency_ms=row_prefix_sums(log.hop_latency, log.hop_count),
+        latency_ms=hop_sums(delays, log.hop_count),
         hops_per_layer=hops_per_layer,
-        hop_latency_ms=log.hop_latency,
-        paths=log.paths,
+        hop_latency_ms=delays.T,
+        paths=path_buf,
     )
 
 
@@ -247,7 +251,7 @@ def scalar_batch_route(
     hops = np.array([r.hops for r in results], dtype=np.int64)
     latency_ms = np.array([r.latency_ms for r in results], dtype=np.float64)
     hops_per_layer = np.zeros((n_lanes, n_layers), dtype=np.int64)
-    hop_latency = np.zeros((n_lanes, cap), dtype=np.float64)
+    hop_latency = np.zeros((cap, n_lanes), dtype=np.float64)  # hop-major, as the walker's
     path_buf: npt.NDArray[np.int64] | None = None
     if paths:
         path_buf = np.full((n_lanes, cap + 1), -1, dtype=np.int64)
@@ -262,7 +266,7 @@ def scalar_batch_route(
         if r.hops:
             arr = np.asarray(r.path, dtype=np.int64)
             if latency_model is not None:
-                hop_latency[i, : r.hops] = latency_model.pairs(arr[:-1], arr[1:])
+                hop_latency[: r.hops, i] = latency_model.pairs(arr[:-1], arr[1:])
             if path_buf is not None:
                 path_buf[i, 1 : r.hops + 1] = arr[1:]
     return BatchRouteResult(
@@ -272,7 +276,7 @@ def scalar_batch_route(
         hops=hops,
         latency_ms=latency_ms,
         hops_per_layer=hops_per_layer,
-        hop_latency_ms=hop_latency,
+        hop_latency_ms=hop_latency.T,
         paths=path_buf,
     )
 

@@ -6,11 +6,11 @@ values (needed for the exact low-layer latency split, and what the
 metrics layer folds a traced batch from) and — optionally —
 materialized paths, for callers and for sinks that keep spans.
 
-Float contract: ``latency_ms[i]`` is produced by summing lane ``i``'s
-contiguous per-hop row with ``np.sum`` — the same pairwise summation,
-over the same values in the same order, as the scalar
-``route_latency``'s ``pairs(...).sum()`` — so equality with the scalar
-engine is exact, not approximate.
+Float contract: ``latency_ms[i]`` equals ``np.sum`` over lane ``i``'s
+hop delays — the scalar ``route_latency``'s ``pairs(...).sum()`` over
+the same values in the same order — bit for bit, not approximately.
+:func:`hop_sums` replays numpy's pairwise association for every lane
+at once, and a tier-1 property test holds it to ``np.sum``.
 """
 
 from __future__ import annotations
@@ -22,28 +22,47 @@ import numpy.typing as npt
 
 from repro.util.validation import require
 
-__all__ = ["BatchRouteResult", "row_prefix_sums"]
+__all__ = ["BatchRouteResult", "hop_sums"]
+
+#: Lanes :func:`hop_sums` reduces per pass; bounds its temporaries.
+_SUM_LANES = 8192
 
 
-def row_prefix_sums(
-    values: npt.NDArray[np.float64], lengths: npt.NDArray[np.int64]
+def hop_sums(
+    hops: npt.NDArray[np.float64], lengths: npt.NDArray[np.int64]
 ) -> npt.NDArray[np.float64]:
-    """Per-row sums of the first ``lengths[i]`` entries of row ``i``.
+    """``np.sum(hops[:lengths[i], i])`` for every lane ``i``, bit for bit.
 
-    Rows are grouped by prefix length so each group reduces with one
-    ``np.sum(..., axis=1)`` call over a C-contiguous block — numpy's
-    pairwise summation over a contiguous row is a pure function of the
-    row's values and length, so each lane's sum is bit-identical to
-    ``values[i, :h].sum()`` and therefore to the scalar engine's
-    ``pairs(...).sum()`` over the same hops.
+    ``hops`` is hop-major, ``(rows, lanes)``.  numpy sums ``n`` floats as
+    ``0.0 + pairwise(n)``: sequentially below 8; up to 128 into eight
+    strided partial sums, reduced ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
+    then the ``n % 8`` tail in order; beyond 128 by halves.  The first
+    two cases run here for every lane of a slice at once, unmasked:
+    ``partial[h]`` is numpy's running value after the first ``h`` values
+    of a row whose length lies in ``h``'s block of eight — the tree over
+    the whole blocks before that block (``-0.0``, float addition's exact
+    identity, before the first), then that block's values in order.
+    Each lane reads ``partial[length]``, so nothing at or past its
+    length reaches its sum.  A lane past 128 hops takes ``np.sum`` on
+    its own.
     """
     out = np.zeros(len(lengths), dtype=np.float64)
-    for h in np.unique(lengths):
-        hops = int(h)
-        if hops <= 0:
-            continue
-        lanes = np.flatnonzero(lengths == h)
-        out[lanes] = np.sum(values[lanes, :hops], axis=1)
+    for lo in range(0, len(lengths), _SUM_LANES):
+        length = np.minimum(lengths[lo : lo + _SUM_LANES], 128)
+        values = hops[:, lo : lo + _SUM_LANES]
+        top = int(length.max(initial=0))
+        partial = np.empty((top + 1, len(length)), dtype=np.float64)
+        partial[0] = -0.0
+        for b in range(0, top + 1, 8):
+            if b:
+                acc = values[:8] if b == 8 else acc + values[b - 8 : b]
+                pairs = acc[0::2] + acc[1::2]
+                partial[b] = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+            for h in range(b, min(b + 7, top)):
+                np.add(partial[h], values[h], out=partial[h + 1])
+        out[lo : lo + _SUM_LANES] = 0.0 + partial[length, np.arange(len(length))]
+    for lane in np.flatnonzero(lengths > 128).tolist():
+        out[lane] = np.sum(hops[: lengths[lane], lane])
     return out
 
 
@@ -70,7 +89,9 @@ class BatchRouteResult:
     hop_latency_ms:
         ``(lanes, capacity)`` per-hop link delays in hop order (rows
         zero-padded past ``hops[i]``); the raw material for the exact
-        low-layer latency split.
+        low-layer latency split.  The engines return it as the
+        transpose of a hop-major buffer, so ``hop_latency_ms[:, h]`` —
+        every lane's hop ``h`` — is contiguous.
     paths:
         ``(lanes, capacity + 1)`` visited peers (``-1``-padded), only
         when the batch was routed with ``paths=True``.
@@ -111,7 +132,7 @@ class BatchRouteResult:
         the same values, order and summation as the scalar split in
         ``repro.analysis.stats.collect_routes``.
         """
-        return row_prefix_sums(self.hop_latency_ms, self.low_layer_hops)
+        return hop_sums(self.hop_latency_ms.T, self.low_layer_hops)
 
     def path(self, lane: int) -> list[int]:
         """The peers visited by one lane (requires materialized paths)."""

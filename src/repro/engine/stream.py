@@ -27,7 +27,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.dht.base import DHTNetwork
-from repro.engine.batch import batch_route
+from repro.engine.batch import _lanes, batch_route
 from repro.engine.result import BatchRouteResult
 from repro.util.validation import require
 
@@ -118,8 +118,8 @@ class StreamStats:
 
 def stream_batch_route(
     network: DHTNetwork,
-    sources: npt.NDArray[np.int64],
-    keys: npt.NDArray[np.uint64],
+    sources: object,
+    keys: object,
     *,
     chunk_size: int = 65536,
 ) -> StreamStats:
@@ -132,9 +132,14 @@ def stream_batch_route(
     what one monolithic batch call would produce; only the float latency
     *sum* depends on the chunking (see module docstring).
     """
-    require(chunk_size >= 1, "chunk_size must be >= 1")
-    src = np.asarray(sources, dtype=np.int64)
-    key_arr = np.asarray(keys, dtype=np.uint64)
+    require(
+        isinstance(chunk_size, (int, np.integer)) and chunk_size >= 1,
+        f"chunk_size must be an integer >= 1, got {chunk_size!r}",
+    )
+    # Checked once, before chunking: the engine's own conversion, so a
+    # float source fails here as it does in ``batch_route``.
+    src = _lanes(sources, "sources", np.int64)
+    key_arr = _lanes(keys, "keys", np.uint64)
     require(len(src) == len(key_arr), "sources and keys must have equal length")
     stats = StreamStats()
     for start in range(0, len(src), chunk_size):

@@ -251,11 +251,12 @@ class SpanRecorder:
         if reg.enabled:
             reg.inc(f"{label}.lookups", lanes)
             reg.histogram(f"{label}.hops").record_many(result.hops)
-            # Column by column is LookupSpan.latency_ms's left-to-right
-            # add for every lane at once; the padding adds exact zeros.
+            # Hop by hop is LookupSpan.latency_ms's left-to-right add for
+            # every lane at once, each hop one contiguous row of the
+            # engines' hop-major buffer; the padding adds exact zeros.
             latency = np.zeros(lanes, dtype=np.float64)
-            for col in range(int(result.hops.max())):
-                latency += result.hop_latency_ms[:, col]
+            for delays in result.hop_latency_ms.T[: int(result.hops.max())]:
+                latency += delays
             reg.histogram(f"{label}.latency_ms").record_many(latency)
             reg.inc(f"{label}.total_hops", int(result.hops.sum()))
             low = 0

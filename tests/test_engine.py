@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro.engine.batch as batch_module
+import repro.engine.result as result_module
 from repro.analysis.stats import collect_routes
 from repro.core.binning import BinningScheme
 from repro.core.hieras import HierasNetwork
@@ -30,6 +31,7 @@ from repro.engine import (
     stream_batch_route,
     supports_batch,
 )
+from repro.engine.result import hop_sums
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.sinks import JsonlSink, MemorySink, SummarySink
 from repro.metrics.spans import SpanRecorder
@@ -373,6 +375,112 @@ class TestLayerFrontier:
                 assert calls == [len(row.rings) for row in net._layer_plan()]
 
 
+#: Length of the planted id chain in ``build_chained``.
+CHAIN = 20
+
+
+def build_chained(depth, *, n=600, seed=37):
+    """A (chord, hieras) pair whose first peers carry a planted id chain.
+
+    Peer 0 has id 0 and peer ``j`` id ``2**32 - 2**(32 - j)`` for
+    ``j = 1..CHAIN``, all with one landmark vector, so they share a ring
+    at every HIERAS layer.  Routed to the key just past the chain's last
+    id (which wraps to peer 0), peer ``j``'s finger is always the next
+    chain member — one hop per bit — so its lookup takes ``CHAIN + 1 - j``
+    hops, every length from 1 to ``CHAIN``.  No successor lists: they
+    would cut the chain short.
+    """
+    rng = np.random.default_rng(seed)
+    space = IdSpace(32)
+    chain = np.asarray([0] + [2**32 - 2 ** (32 - j) for j in range(1, CHAIN + 1)], dtype=np.uint64)
+    rest = space.sample_unique_ids(n, rng)
+    ids = np.concatenate([chain, rest[~np.isin(rest, chain)][: n - len(chain)]])
+    distances = rng.uniform(0, 300, size=(n, 4))
+    distances[: len(chain)] = distances[0]
+    model = CoordinateLatencyModel(rng.uniform(0, 500, size=(n, 2)))
+    chord = ChordNetwork(space, ids, latency=model)
+    hieras = HierasNetwork(
+        space, ids, latency=model, depth=depth, successor_list_r=0,
+        landmark_orders=BinningScheme.default_for_depth(depth).orders(distances),
+    )
+    return chord, hieras
+
+
+class TestHopLog:
+    """The hop-major log: peers during the walk, one pricing pass after
+    it, and totals summed exactly as ``np.sum`` sums each lane's row."""
+
+    @pytest.mark.parametrize("layout", ["hop_major", "lane_major"])
+    def test_hop_sums_equal_np_sum_bit_for_bit(self, layout, monkeypatch):
+        """Every length 0…140 — both sides of numpy's 8-wide unroll and of
+        its 128-value block — over values of random sign and magnitude,
+        ``-0.0`` among them, with garbage past each lane's length.  A
+        numpy whose summation order changes fails here."""
+        rng = np.random.default_rng(2028)
+        lengths = np.repeat(np.arange(141), 7)
+        shape = (150, len(lengths))
+        values = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300, 300, shape)
+        values[rng.random(shape) < 0.05] = -0.0
+        if layout == "lane_major":
+            values = np.ascontiguousarray(values.T).T
+        rows = [values[:, lane].copy() for lane in range(len(lengths))]
+        want = np.array([np.sum(row[:h]) for row, h in zip(rows, lengths.tolist())])
+        assert np.array_equal(hop_sums(values, lengths).view(np.int64), want.view(np.int64))
+        monkeypatch.setattr(result_module, "_SUM_LANES", 100)  # slices end mid-length
+        assert np.array_equal(hop_sums(values, lengths).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(("stack", "depth"), [("chord", 2), ("hieras", 2), ("hieras", 3)])
+    def test_long_rows_match_scalar(self, stack, depth):
+        """Non-integer delays on lanes of 8 hops and more, where the sum
+        is numpy's unrolled tree rather than a sequential add, and past
+        16, where the log outgrows the 16 rows it starts with at N=600."""
+        nets = build_chained(depth)
+        net = nets[0] if stack == "chord" else nets[1]
+        sources, keys = make_requests(net, 1500, depth)
+        sources[:CHAIN] = np.arange(1, CHAIN + 1)
+        keys[:CHAIN] = int(net.id_of(CHAIN)) + 1
+        batch = batch_route(net, sources, keys, paths=True)
+        assert batch.hops[:CHAIN].tolist() == list(range(CHAIN, 0, -1))
+        assert (batch.hops >= 8).sum() > CHAIN and (batch.hops >= 16).any()
+        assert batch.hop_latency_ms.shape[1] == 32
+        assert_identical(batch, scalar_batch_route(net, sources, keys, paths=True))
+        assert_identical(batch_route(net, sources, keys), batch)
+        if stack == "hieras":
+            assert batch.low_layer_hops.max() >= 16
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_pairs_only_after_the_walk_once_per_hop_row(self, depth, monkeypatch):
+        """The call-count gate: one ``pairs`` call per hop row, none while
+        a kernel runs."""
+        kernel = batch_module.route_layer
+        walking = [False]
+
+        def spy_kernel(*args, **kwargs):
+            walking[0] = True
+            try:
+                return kernel(*args, **kwargs)
+            finally:
+                walking[0] = False
+
+        chord, hieras = build_pair(n=300, depth=depth, seed=depth)
+        assert chord.latency is hieras.latency
+        pairs = chord.latency.pairs
+        calls = []
+
+        def spy_pairs(us, vs):
+            calls.append(walking[0])
+            return pairs(us, vs)
+
+        monkeypatch.setattr(batch_module, "route_layer", spy_kernel)
+        monkeypatch.setattr(chord.latency, "pairs", spy_pairs)
+        for net in (chord, hieras):
+            calls.clear()
+            sources, keys = make_requests(net, 2000, depth)
+            result = batch_module.batch_route_chord(net, sources, keys)
+            assert len(calls) == int(result.hops.max()) > 0
+            assert not any(calls)
+
+
 class TestResultShape:
     def test_route_result_round_trip(self):
         _, net = build_pair(n=70, depth=3, seed=6)
@@ -434,6 +542,23 @@ class TestResultShape:
             ):
                 with pytest.raises(ValueError, match=message):
                     batch_route(net, sources, keys, engine=engine)
+
+    def test_stream_checks_requests_like_batch_route(self):
+        """Streaming converts sources and keys once, up front, through the
+        engine's own checks: a float source is not truncated to a peer
+        before chunking, and a fractional chunk size is refused."""
+        for net in build_pair(n=30, seed=1):
+            for sources, keys, message in (
+                (np.array([0.5, 1.9]), [5, 6], "sources must be integers, got dtype float64"),
+                ([0, 1], [5.0, 6.5], "keys must be integers, got dtype float64"),
+                ([[0, 1]], [5, 6], r"sources must be one-dimensional, got shape \(1, 2\)"),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    stream_batch_route(net, sources, keys)
+            for size in (1.5, 0):
+                with pytest.raises(ValueError, match=f"chunk_size must be an integer >= 1, got {size}"):
+                    stream_batch_route(net, [0, 1], [5, 6], chunk_size=size)
+            assert stream_batch_route(net, [0, 1], [5, 6], chunk_size=1).lookups == 2
 
     @pytest.mark.parametrize("engine", ["batch", "scalar"])
     def test_integer_request_forms_accepted(self, engine):
