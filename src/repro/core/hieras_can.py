@@ -33,6 +33,8 @@ __all__ = ["HierasCanNetwork"]
 class HierasCanNetwork(DHTNetwork):
     """Multi-layer CAN: one coordinate-space division per layer."""
 
+    span_label = "hieras_can"
+
     def __init__(
         self,
         n_peers: int,
@@ -111,20 +113,21 @@ class HierasCanNetwork(DHTNetwork):
     def route(self, source: int, key: int) -> RouteResult:
         """Bottom-up routing through the layered CANs."""
         point = key_point(int(key), self.params.dimensions)
-        cur = source
-        path = [source]
+        path = [int(source)]
         hops_per_layer: list[int] = []
         for layer in range(self.depth, 0, -1):
-            can = self.can_of(cur, layer)
-            sub = can.route_to_point(cur, point)
+            sub = self.can_of(path[-1], layer).route_to_point(path[-1], point)
             hops_per_layer.append(len(sub) - 1)
             path.extend(sub[1:])
-            cur = path[-1]
-        return RouteResult(
-            source=source,
-            key=int(key),
-            owner=path[-1],
-            path=path,
-            latency_ms=self.route_latency(self.latency, path),
-            hops_per_layer=hops_per_layer,
-        )
+        return self._routed(source, int(key), path, hops_per_layer)
+
+    def hop_layer_info(self, result: RouteResult) -> tuple[list[int], list[str]]:
+        """Each hop's CAN layer (``hops_per_layer`` runs lowest first, as
+        :meth:`route` walks) and the ring of its source peer at that layer."""
+        per_layer = zip(range(self.depth, 0, -1), result.hops_per_layer)
+        layers = [layer for layer, hops in per_layer for _ in range(hops)]
+        rings = [
+            "global" if layer == 1 else self.orders.order_of(src, layer - 2)
+            for layer, src in zip(layers, result.path)
+        ]
+        return layers, rings

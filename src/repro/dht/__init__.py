@@ -10,15 +10,26 @@ provides those substrates:
 * :mod:`repro.dht.chord_protocol` — message-level Chord on the
   discrete-event engine (join/stabilize/fix-fingers), used by churn
   experiments and to validate the array-backed stack.
+* :mod:`repro.dht.ring_array` — the sorted-id ring and its one scalar
+  walk, shared by Chord and every HIERAS ring.
 * :mod:`repro.dht.can` — CAN, the second underlying algorithm the paper
-  sketches for HIERAS (§3.2).
+  sketches for HIERAS (§3.2); :mod:`repro.dht.can_realities` adds CAN's
+  own multiple realities.
 * :mod:`repro.dht.pastry` — a Pastry baseline with proximity neighbour
   selection, the "low latency DHT" the paper's future work compares
   against (§6).
 * :mod:`repro.dht.tapestry` — a Tapestry baseline (surrogate routing +
   PNS), the other comparison target §6 names.
+* :mod:`repro.dht.chord_pfs` — Chord with proximity-chosen fingers.
+* :mod:`repro.dht.pns` — the sampled proximity pick and the prefix
+  tables Pastry, Tapestry and Chord+PFS fill their state with.
 * :mod:`repro.dht.storage` — a replicated key→value layer over the ring
   networks, the "location information" service the lookups exist for.
+
+The side stacks (CAN, multi-reality CAN, Pastry, Tapestry, Chord+PFS and
+:mod:`repro.core.hieras_can`) route through
+:meth:`~repro.dht.base.DHTNetwork._walk`; each supplies only its
+forwarding and ownership rules.
 """
 
 from repro.dht.base import DHTNetwork, RouteResult

@@ -1,14 +1,22 @@
 """Common DHT abstractions: route results and the network interface.
 
-Every routing stack in the repository (flat Chord, CAN, Pastry, HIERAS
-over either substrate) produces :class:`RouteResult` records, so the
-analysis and experiment layers are substrate-agnostic.
+Every routing stack in the repository produces :class:`RouteResult`
+records, so the analysis and experiment layers are substrate-agnostic:
+the ring arrays — flat Chord (:mod:`repro.dht.chord`) and HIERAS over
+Chord (:mod:`repro.core.hieras`) — and the side stacks, CAN
+(:mod:`repro.dht.can`), multi-reality CAN
+(:mod:`repro.dht.can_realities`), HIERAS over CAN
+(:mod:`repro.core.hieras_can`), Pastry (:mod:`repro.dht.pastry`),
+Tapestry (:mod:`repro.dht.tapestry`) and Chord with proximity fingers
+(:mod:`repro.dht.chord_pfs`).  A side stack states only its forwarding
+and ownership rules: its lookup is :meth:`DHTNetwork._walk` over a step
+function, finished by :meth:`DHTNetwork._routed`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
@@ -16,6 +24,7 @@ import numpy as np
 
 from repro.metrics.spans import HopRecord, LookupSpan, SpanRecorder
 from repro.topology.base import LatencyModel
+from repro.util.validation import require
 
 __all__ = ["RouteResult", "DHTNetwork", "StorageListener", "ZeroLatency"]
 
@@ -140,6 +149,12 @@ class DHTNetwork(ABC):
 
     #: Per-lookup span recorder; ``None`` disables collection entirely.
     metrics: SpanRecorder | None = None
+
+    #: Registry scope and span ``network`` name of this stack's lookups.
+    span_label: str
+
+    #: Per-hop delay source of :meth:`_routed`.
+    latency: LatencyModel
 
     #: Storage layers notified on membership waves (see attach_store).
     _stores: tuple[StorageListener, ...] = ()
@@ -282,3 +297,35 @@ class DHTNetwork(ABC):
             return 0.0
         arr = np.asarray(path, dtype=np.int64)
         return float(latency.pairs(arr[:-1], arr[1:]).sum())
+
+    def _walk(self, source: int, step: Callable[[int], int | None]) -> list[int]:
+        """Peers one lookup visits from ``source``: the side stacks' one scalar route.
+
+        ``step`` is the stack's forwarding rule for this lookup: the
+        peer the current one hands the message to, or ``None`` where the
+        lookup ends.  A deterministic step that revisits a peer never
+        ends, so a path longer than :attr:`n_peers` is a stall.
+        """
+        path = [int(source)]
+        limit = self.n_peers
+        while (nxt := step(path[-1])) is not None:
+            path.append(nxt)
+            require(len(path) <= limit, f"{self.span_label} routing stalled at peer {nxt}")
+        return path
+
+    def _routed(
+        self, source: int, key: int, path: list[int], hops_per_layer: list[int] | None = None
+    ) -> RouteResult:
+        """The :class:`RouteResult` of a finished :meth:`_walk`, recorded when traced."""
+        result = RouteResult(
+            source=source,
+            key=key,
+            owner=path[-1],
+            path=path,
+            latency_ms=self.route_latency(self.latency, path),
+            hops_per_layer=[len(path) - 1] if hops_per_layer is None else hops_per_layer,
+        )
+        if self.metrics is not None:
+            layers, rings = self.hop_layer_info(result)
+            self.record_route(self.span_label, result, layers=layers, rings=rings)
+        return result

@@ -30,7 +30,7 @@ from repro.dht.base import DHTNetwork, RouteResult, ZeroLatency
 from repro.topology.base import LatencyModel
 from repro.util.ids import sha1_int
 from repro.util.rng import make_rng
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 
 __all__ = ["CanParams", "CanNetwork", "key_point", "peer_point", "COORD_BITS", "COORD_MAX"]
 
@@ -47,7 +47,7 @@ class CanParams:
     dimensions: int = 2
 
     def __post_init__(self) -> None:
-        require(1 <= self.dimensions <= 8, "dimensions must be in [1, 8]")
+        require_int(self.dimensions, 1, 8, name="dimensions")
 
 
 def key_point(key: int, dims: int) -> np.ndarray:
@@ -93,6 +93,8 @@ class CanNetwork(DHTNetwork):
         deterministic :func:`peer_point`); the same seed reproduces the
         same zone tree.
     """
+
+    span_label = "can"
 
     def __init__(
         self,
@@ -222,32 +224,24 @@ class CanNetwork(DHTNetwork):
         per_dim = np.where(inside, 0.0, np.minimum(gap_lo, gap_hi).astype(np.float64))
         return (per_dim**2).sum(axis=1)
 
+    def _greedy_hop(self, peer: int, point: np.ndarray) -> tuple[float, int]:
+        """``(squared distance, peer)`` of ``peer``'s neighbour zone closest to ``point``."""
+        nbrs = self._neighbors[self.slot_of_peer(peer)]
+        dists = self._zone_distance_sq(nbrs, point)
+        i = int(np.argmin(dists))
+        return float(dists[i]), int(self.peers[int(nbrs[i])])
+
     def route_to_point(self, source: int, point: np.ndarray) -> list[int]:
         """Greedy geometric route (peer path) to ``point``'s owner."""
-        slot = self.slot_of_peer(source)
-        target = self._owner_slot(point)
-        path = [slot]
-        guard = 4 * len(self.peers) + 8
-        while slot != target:
-            nbrs = self._neighbors[slot]
-            dists = self._zone_distance_sq(nbrs, point)
-            slot = int(nbrs[int(np.argmin(dists))])
-            path.append(slot)
-            require(len(path) <= guard, "CAN routing failed to converge")
-        return [int(self.peers[s]) for s in path]
+        target = self.owner_of_point(point)
+        return self._walk(
+            source, lambda peer: None if peer == target else self._greedy_hop(peer, point)[1]
+        )
 
     def route(self, source: int, key: int) -> RouteResult:
         """Greedy CAN routing of ``key`` from ``source``."""
-        point = key_point(key, self.params.dimensions)
-        path = self.route_to_point(source, point)
-        return RouteResult(
-            source=source,
-            key=int(key),
-            owner=path[-1],
-            path=path,
-            latency_ms=self.route_latency(self.latency, path),
-            hops_per_layer=[len(path) - 1],
-        )
+        path = self.route_to_point(source, key_point(key, self.params.dimensions))
+        return self._routed(source, int(key), path)
 
     def neighbor_count(self, peer: int) -> int:
         """Size of a member's neighbour set (CAN's per-node state)."""

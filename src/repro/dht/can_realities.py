@@ -16,18 +16,22 @@ routes, through redundancy vs through topology-awareness — the
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
 from repro.dht.base import DHTNetwork, RouteResult, ZeroLatency
 from repro.dht.can import CanNetwork, CanParams, key_point
 from repro.topology.base import LatencyModel
-from repro.util.validation import require
+from repro.util.validation import require_int
 
 __all__ = ["MultiRealityCan"]
 
 
 class MultiRealityCan(DHTNetwork):
     """``r`` independent CANs over the same peers, routed jointly."""
+
+    span_label = "can_realities"
 
     def __init__(
         self,
@@ -38,7 +42,7 @@ class MultiRealityCan(DHTNetwork):
         latency: LatencyModel | None = None,
         seed: int = 0,
     ) -> None:
-        require(realities >= 1, "need at least one reality")
+        require_int(realities, 1, name="realities")
         peers = np.asarray(peers, dtype=np.int64)
         self.params = params or CanParams()
         self.latency = latency if latency is not None else ZeroLatency()
@@ -87,31 +91,12 @@ class MultiRealityCan(DHTNetwork):
         """
         point = key_point(int(key), self.params.dimensions)
         owners = set(self.owners_of(int(key)))
-        cur = source
-        path = [cur]
-        guard = 4 * self.n_peers + 8
-        while cur not in owners:
-            best_peer = None
-            best_dist = None
-            for can in self.realities:
-                slot = can.slot_of_peer(cur)
-                nbrs = can._neighbors[slot]
-                if len(nbrs) == 0:
-                    continue
-                dists = can._zone_distance_sq(nbrs, point)
-                i = int(np.argmin(dists))
-                if best_dist is None or dists[i] < best_dist:
-                    best_dist = float(dists[i])
-                    best_peer = int(can.peers[int(nbrs[i])])
-            require(best_peer is not None, "multi-reality routing has no neighbours")
-            cur = best_peer
-            path.append(cur)
-            require(len(path) <= guard, "multi-reality routing failed to converge")
-        return RouteResult(
-            source=source,
-            key=int(key),
-            owner=cur,
-            path=path,
-            latency_ms=self.route_latency(self.latency, path),
-            hops_per_layer=[len(path) - 1],
-        )
+
+        def step(cur: int) -> int | None:
+            if cur in owners:
+                return None
+            # The first reality wins a tie, as min keeps the first minimum.
+            hops = (can._greedy_hop(cur, point) for can in self.realities)
+            return min(hops, key=itemgetter(0))[1]
+
+        return self._routed(source, int(key), self._walk(source, step))

@@ -12,7 +12,7 @@ instead of the interval's first successor.
 
 This gives HIERAS a third comparison point between vanilla Chord and
 Pastry: same ring geometry and hop count as Chord, latency improved
-purely through neighbour choice.  The ``ablation_locality`` experiment
+purely through neighbour choice.  The ``ablation_pastry`` experiment
 runs Chord / Chord+PFS / HIERAS / Pastry / Tapestry side by side.
 """
 
@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dht import pns
 from repro.dht.base import DHTNetwork, RouteResult, ZeroLatency
+from repro.dht.ring_array import SortedRing
 from repro.topology.base import LatencyModel
 from repro.util.ids import IdSpace
 from repro.util.rng import make_rng
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 
 __all__ = ["PfsChordNetwork"]
 
@@ -43,6 +45,8 @@ class PfsChordNetwork(DHTNetwork):
         Drives candidate sampling.
     """
 
+    span_label = "chord_pfs"
+
     def __init__(
         self,
         space: IdSpace,
@@ -55,50 +59,29 @@ class PfsChordNetwork(DHTNetwork):
         ids = np.asarray(ids, dtype=np.uint64)
         require(len(ids) >= 1, "need at least one peer")
         require(len(np.unique(ids)) == len(ids), "node ids must be unique")
-        require(pns_samples >= 1, "pns_samples must be >= 1")
+        require_int(pns_samples, 1, name="pns_samples")
         self.space = space
         self.latency = latency if latency is not None else ZeroLatency()
         self.pns_samples = pns_samples
         self._id_of_peer = ids.copy()
         order = np.argsort(ids)
-        self._sorted_ids = ids[order]
-        self._sorted_peers = np.arange(len(ids), dtype=np.int64)[order]
-        self._pos_of_peer = np.empty(len(ids), dtype=np.int64)
-        self._pos_of_peer[self._sorted_peers] = np.arange(len(ids))
-        self._rng = make_rng(seed)
-        self._fingers = self._build_fingers()
+        self.ring = SortedRing(space, ids[order], np.arange(len(ids), dtype=np.int64)[order])
+        self._fingers = self._build_fingers(make_rng(seed))
 
     # ------------------------------------------------------------------
-    def _interval_positions(self, node_id: int, i: int) -> np.ndarray:
-        """Sorted-array positions of peers in ``[n+2^(i-1), n+2^i)``."""
-        size = self.space.size
-        lo = (node_id + (1 << (i - 1))) % size
-        hi = (node_id + (1 << i)) % size
-        a = int(np.searchsorted(self._sorted_ids, lo))
-        b = int(np.searchsorted(self._sorted_ids, hi))
-        n = len(self._sorted_ids)
-        if lo < hi:
-            return np.arange(a, b)
-        return np.concatenate([np.arange(a, n), np.arange(0, b)])
-
-    def _build_fingers(self) -> list[dict[int, int]]:
-        """Per-peer finger map: finger index -> chosen peer."""
-        n = len(self._id_of_peer)
-        fingers: list[dict[int, int]] = [dict() for _ in range(n)]
-        for peer in range(n):
-            node_id = int(self._id_of_peer[peer])
+    def _build_fingers(self, rng: np.random.Generator) -> list[dict[int, int]]:
+        """Per-peer finger map: finger index -> the closest sampled peer of
+        ``[n+2^(i-1), n+2^i)``, which is the ring arc ``(n+2^(i-1)-1, n+2^i-1]``."""
+        ring = self.ring
+        fingers: list[dict[int, int]] = [dict() for _ in range(self.n_peers)]
+        for peer, table in enumerate(fingers):
+            node_id = self.id_of(peer)
             for i in range(1, self.space.bits + 1):
-                positions = self._interval_positions(node_id, i)
-                positions = positions[self._sorted_peers[positions] != peer]
-                if len(positions) == 0:
-                    continue
-                if len(positions) > self.pns_samples:
-                    positions = self._rng.choice(
-                        positions, size=self.pns_samples, replace=False
-                    )
-                candidates = self._sorted_peers[positions]
-                delays = self.latency.to_targets(peer, candidates)
-                fingers[peer][i] = int(candidates[int(np.argmin(delays))])
+                half = 1 << (i - 1)
+                arc = ring.peers[ring.arc_members(node_id + half - 1, node_id + 2 * half - 1)]
+                arc = arc[arc != peer]
+                if len(arc):
+                    table[i] = pns.closest(self.latency, rng, peer, arc, self.pns_samples)
         return fingers
 
     # ------------------------------------------------------------------
@@ -113,53 +96,34 @@ class PfsChordNetwork(DHTNetwork):
 
     def owner_of(self, key: int) -> int:
         """Chord ownership: the key's successor."""
-        key = self.space.wrap(int(key))
-        idx = int(np.searchsorted(self._sorted_ids, key))
-        return int(self._sorted_peers[idx % len(self._sorted_ids)])
+        return int(self.ring.peers[self.ring.successor_pos(key)])
 
     def finger(self, peer: int, i: int) -> int | None:
         """The chosen ``i``-th finger of ``peer`` (None if interval empty)."""
         return self._fingers[peer].get(i)
 
     # ------------------------------------------------------------------
-    def _successor_peer(self, peer: int) -> int:
-        pos = (int(self._pos_of_peer[peer]) + 1) % len(self._sorted_ids)
-        return int(self._sorted_peers[pos])
+    def _next_hop(self, cur: int, key: int) -> int:
+        """The successor when it owns ``key``, else the highest chosen
+        finger still preceding ``key`` (the successor if none does)."""
+        size = self.space.size
+        cur_id = self.id_of(cur)
+        d = (key - cur_id) % size
+        succ = self.owner_of(cur_id + 1)
+        if d <= (self.id_of(succ) - cur_id) % size:
+            return succ
+        for i in range((d - 1).bit_length(), 0, -1):
+            cand = self._fingers[cur].get(i)
+            if cand is None:
+                continue
+            fd = (self.id_of(cand) - cur_id) % size
+            if 0 < fd < d:
+                return cand
+        return succ
 
     def route(self, source: int, key: int) -> RouteResult:
         """Greedy Chord routing over the proximity-chosen fingers."""
         key = self.space.wrap(int(key))
-        size = self.space.size
         owner = self.owner_of(key)
-        cur = source
-        path = [cur]
-        guard = self.space.bits + self.n_peers
-        while cur != owner:
-            cur_id = self.id_of(cur)
-            d = (key - cur_id) % size
-            succ = self._successor_peer(cur)
-            dsucc = (self.id_of(succ) - cur_id) % size
-            if d <= dsucc:
-                cur = succ
-            else:
-                # Highest finger whose chosen node still precedes the key.
-                nxt = None
-                for i in range((d - 1).bit_length(), 0, -1):
-                    cand = self._fingers[cur].get(i)
-                    if cand is None:
-                        continue
-                    fd = (self.id_of(cand) - cur_id) % size
-                    if 0 < fd < d:
-                        nxt = cand
-                        break
-                cur = nxt if nxt is not None else succ
-            path.append(cur)
-            require(len(path) <= guard, "PFS routing stalled")
-        return RouteResult(
-            source=source,
-            key=key,
-            owner=owner,
-            path=path,
-            latency_ms=self.route_latency(self.latency, path),
-            hops_per_layer=[len(path) - 1],
-        )
+        path = self._walk(source, lambda cur: None if cur == owner else self._next_hop(cur, key))
+        return self._routed(source, key, path)

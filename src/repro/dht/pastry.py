@@ -29,12 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.dht import pns
 from repro.dht.base import DHTNetwork, RouteResult, ZeroLatency
 from repro.topology.base import LatencyModel
 from repro.util.ids import IdSpace
 from repro.util.intervals import ring_distance
 from repro.util.rng import make_rng
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 
 __all__ = ["PastryParams", "PastryNetwork"]
 
@@ -51,13 +52,16 @@ class PastryParams:
     pns_samples: int = 8
 
     def __post_init__(self) -> None:
-        require(1 <= self.b <= 8, "b must be in [1, 8]")
-        require(self.leaf_set >= 2 and self.leaf_set % 2 == 0, "leaf_set must be even >= 2")
-        require(self.pns_samples >= 1, "pns_samples must be >= 1")
+        require_int(self.b, 1, 8, name="b")
+        require_int(self.leaf_set, 2, name="leaf_set")
+        require(self.leaf_set % 2 == 0, f"leaf_set must be even, got {self.leaf_set}")
+        require_int(self.pns_samples, 1, name="pns_samples")
 
 
 class PastryNetwork(DHTNetwork):
     """A static Pastry overlay with PNS routing tables."""
+
+    span_label = "pastry"
 
     def __init__(
         self,
@@ -84,62 +88,10 @@ class PastryNetwork(DHTNetwork):
         self._sorted_peers = np.arange(len(ids), dtype=np.int64)[order]
         self._pos_of_peer = np.empty(len(ids), dtype=np.int64)
         self._pos_of_peer[self._sorted_peers] = np.arange(len(ids))
-        self._levels = space.bits // self.params.b
-        self._rng = make_rng(seed)
-        self._tables = self._build_tables()
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    def _digit(self, value: np.ndarray | int, level: int) -> np.ndarray | int:
-        """Digit of ``value`` at ``level`` (0 = most significant)."""
-        shift = self.space.bits - self.params.b * (level + 1)
-        mask = (1 << self.params.b) - 1
-        if isinstance(value, np.ndarray):
-            return (value >> np.uint64(shift)).astype(np.uint64) & np.uint64(mask)
-        return (int(value) >> shift) & mask
-
-    def _build_tables(self) -> list[dict[tuple[int, int], int]]:
-        """Per-peer routing tables via sampled PNS.
-
-        Nodes are grouped by id prefix level by level; within a group,
-        the bucket of nodes whose next digit is ``d`` supplies the
-        candidates for every other member's ``(level, d)`` entry, and
-        the lowest-latency sampled candidate wins.
-        """
-        n = len(self._id_of_peer)
-        tables: list[dict[tuple[int, int], int]] = [dict() for _ in range(n)]
-        ids = self._id_of_peer
-        groups: dict[int, np.ndarray] = {0: np.arange(n)}
-        for level in range(self._levels):
-            next_groups: dict[int, np.ndarray] = {}
-            digits = np.asarray(self._digit(ids, level), dtype=np.int64)
-            for prefix, members in groups.items():
-                if len(members) <= 1:
-                    continue
-                member_digits = digits[members]
-                buckets = {
-                    int(d): members[member_digits == d]
-                    for d in np.unique(member_digits)
-                }
-                for d, bucket in buckets.items():
-                    next_groups[(prefix << self.params.b) | d] = bucket
-                for peer in members:
-                    my_digit = int(digits[peer])
-                    for d, bucket in buckets.items():
-                        if d == my_digit:
-                            continue
-                        cand = bucket
-                        if len(cand) > self.params.pns_samples:
-                            cand = self._rng.choice(
-                                cand, size=self.params.pns_samples, replace=False
-                            )
-                        delays = self.latency.to_targets(int(peer), cand)
-                        tables[int(peer)][(level, d)] = int(cand[int(np.argmin(delays))])
-            groups = next_groups
-            if not groups:
-                break
-        return tables
+        self._tables = pns.prefix_tables(
+            ids, b=self.params.b, bits=space.bits, latency=self.latency,
+            rng=make_rng(seed), samples=self.params.pns_samples, own_digit=False,
+        )
 
     # ------------------------------------------------------------------
     # queries
@@ -170,17 +122,15 @@ class PastryNetwork(DHTNetwork):
         half = self.params.leaf_set // 2
         n = len(self._sorted_ids)
         pos = int(self._pos_of_peer[peer])
-        offsets = [k for k in range(-half, half + 1) if k != 0]
-        return np.asarray(
-            [int(self._sorted_peers[(pos + k) % n]) for k in offsets], dtype=np.int64
-        )[: min(2 * half, n - 1)]
+        if n - 1 < 2 * half:  # too few peers to fill both sides: everyone else
+            offsets: range | list[int] = range(1, n)
+        else:
+            offsets = [k for k in range(-half, half + 1) if k != 0]
+        return np.asarray([int(self._sorted_peers[(pos + k) % n]) for k in offsets], dtype=np.int64)
 
     def shared_prefix_level(self, a: int, b: int) -> int:
         """Number of leading base-``2**b`` digits ids ``a`` and ``b`` share."""
-        level = 0
-        while level < self._levels and self._digit(a, level) == self._digit(b, level):
-            level += 1
-        return level
+        return (self.space.bits - (int(a) ^ int(b)).bit_length()) // self.params.b
 
     def routing_table_entry(self, peer: int, level: int, digit: int) -> int | None:
         """PNS routing-table entry of ``peer`` (None if empty)."""
@@ -204,22 +154,8 @@ class PastryNetwork(DHTNetwork):
         """Pastry prefix routing from ``source`` to ``key``'s owner."""
         key = self.space.wrap(int(key))
         owner = self.owner_of(key)
-        cur = source
-        path = [cur]
-        guard = 4 * self._levels + self.n_peers
-        while cur != owner:
-            nxt = self._next_hop(cur, key)
-            require(nxt != cur and len(path) <= guard, "Pastry routing stalled")
-            cur = nxt
-            path.append(cur)
-        return RouteResult(
-            source=source,
-            key=key,
-            owner=owner,
-            path=path,
-            latency_ms=self.route_latency(self.latency, path),
-            hops_per_layer=[len(path) - 1],
-        )
+        path = self._walk(source, lambda cur: None if cur == owner else self._next_hop(cur, key))
+        return self._routed(source, key, path)
 
     def _next_hop(self, cur: int, key: int) -> int:
         size = self.space.size
@@ -233,7 +169,8 @@ class PastryNetwork(DHTNetwork):
                     best, best_d = int(leaf), d
             return best
         level = self.shared_prefix_level(cur_id, key)
-        entry = self._tables[cur].get((level, int(self._digit(key, level))))
+        want = pns.digit(key, level, b=self.params.b, bits=self.space.bits)
+        entry = self._tables[cur].get((level, want))
         if entry is not None:
             return entry
         # Rare case: no table entry — fall back to any known node with a

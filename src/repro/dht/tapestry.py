@@ -27,11 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.dht import pns
 from repro.dht.base import DHTNetwork, RouteResult, ZeroLatency
 from repro.topology.base import LatencyModel
 from repro.util.ids import IdSpace
 from repro.util.rng import make_rng
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 
 __all__ = ["TapestryParams", "TapestryNetwork"]
 
@@ -46,12 +47,14 @@ class TapestryParams:
     pns_samples: int = 8
 
     def __post_init__(self) -> None:
-        require(1 <= self.b <= 8, "b must be in [1, 8]")
-        require(self.pns_samples >= 1, "pns_samples must be >= 1")
+        require_int(self.b, 1, 8, name="b")
+        require_int(self.pns_samples, 1, name="pns_samples")
 
 
 class TapestryNetwork(DHTNetwork):
     """A static Tapestry overlay with surrogate routing."""
+
+    span_label = "tapestry"
 
     def __init__(
         self,
@@ -75,49 +78,10 @@ class TapestryNetwork(DHTNetwork):
         self._id_of_peer = ids.copy()
         self._levels = space.bits // self.params.b
         self._base = 1 << self.params.b
-        self._rng = make_rng(seed)
-        self._tables = self._build_tables()
-
-    # ------------------------------------------------------------------
-    def _digit(self, value: int, level: int) -> int:
-        shift = self.space.bits - self.params.b * (level + 1)
-        return (int(value) >> shift) & (self._base - 1)
-
-    def _build_tables(self) -> list[dict[tuple[int, int], int]]:
-        """Routing tables: entry (level, d) = nearest node whose id
-        shares my first ``level`` digits and has digit ``d`` next."""
-        n = len(self._id_of_peer)
-        tables: list[dict[tuple[int, int], int]] = [dict() for _ in range(n)]
-        ids = self._id_of_peer
-        groups: dict[int, np.ndarray] = {0: np.arange(n)}
-        for level in range(self._levels):
-            shift = self.space.bits - self.params.b * (level + 1)
-            digits = ((ids >> np.uint64(shift)) & np.uint64(self._base - 1)).astype(np.int64)
-            next_groups: dict[int, np.ndarray] = {}
-            for prefix, members in groups.items():
-                if len(members) <= 1:
-                    continue
-                member_digits = digits[members]
-                buckets = {
-                    int(d): members[member_digits == d] for d in np.unique(member_digits)
-                }
-                for d, bucket in buckets.items():
-                    next_groups[(prefix << self.params.b) | d] = bucket
-                for peer in members:
-                    for d, bucket in buckets.items():
-                        cand = bucket[bucket != peer]
-                        if len(cand) == 0:
-                            continue
-                        if len(cand) > self.params.pns_samples:
-                            cand = self._rng.choice(
-                                cand, size=self.params.pns_samples, replace=False
-                            )
-                        delays = self.latency.to_targets(int(peer), cand)
-                        tables[int(peer)][(level, d)] = int(cand[int(np.argmin(delays))])
-            groups = next_groups
-            if not groups:
-                break
-        return tables
+        self._tables = pns.prefix_tables(
+            ids, b=self.params.b, bits=space.bits, latency=self.latency,
+            rng=make_rng(seed), samples=self.params.pns_samples, own_digit=True,
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -138,9 +102,10 @@ class TapestryNetwork(DHTNetwork):
         to entries the node actually has, plus itself).
         """
         cur_id = self.id_of(cur)
+        b, bits = self.params.b, self.space.bits
         for level in range(self._levels):
-            want = self._digit(key, level)
-            have = self._digit(cur_id, level)
+            want = pns.digit(key, level, b=b, bits=bits)
+            have = pns.digit(cur_id, level, b=b, bits=bits)
             if want == have:
                 continue
             entry = self._tables[cur].get((level, want))
@@ -162,33 +127,9 @@ class TapestryNetwork(DHTNetwork):
     def owner_of(self, key: int) -> int:
         """The key's surrogate root (unique, neighbour-set-free)."""
         key = self.space.wrap(int(key))
-        cur = 0
-        guard = self._levels * self._base + self.n_peers
-        for _ in range(guard):
-            nxt = self._next_hop(cur, key)
-            if nxt is None:
-                return cur
-            cur = nxt
-        raise RuntimeError("surrogate routing failed to converge")
+        return self._walk(0, lambda cur: self._next_hop(cur, key))[-1]
 
     def route(self, source: int, key: int) -> RouteResult:
         """Tapestry prefix routing with surrogate holes."""
         key = self.space.wrap(int(key))
-        cur = source
-        path = [cur]
-        guard = self._levels * self._base + self.n_peers
-        while True:
-            nxt = self._next_hop(cur, key)
-            if nxt is None:
-                break
-            cur = nxt
-            path.append(cur)
-            require(len(path) <= guard, "Tapestry routing stalled")
-        return RouteResult(
-            source=source,
-            key=key,
-            owner=cur,
-            path=path,
-            latency_ms=self.route_latency(self.latency, path),
-            hops_per_layer=[len(path) - 1],
-        )
+        return self._routed(source, key, self._walk(source, lambda cur: self._next_hop(cur, key)))

@@ -45,15 +45,6 @@ class TestOwnership:
 
 
 class TestRouting:
-    def test_terminates_at_a_replica(self, nets, rng):
-        _, multi = nets
-        for _ in range(200):
-            k = int(rng.integers(0, 2**32))
-            s = int(rng.integers(0, 256))
-            r = multi.route(s, k)
-            assert r.owner in multi.owners_of(k)
-            assert r.path[0] == s
-
     def test_fewer_hops_than_single_reality(self, nets, rng):
         """The CAN paper's claim: realities shorten routes."""
         single, multi = nets
