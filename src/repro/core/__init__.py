@@ -20,14 +20,13 @@
 from repro.core.binning import DEFAULT_LEVELS, BinningScheme, LandmarkOrders
 from repro.core.hieras import HierasNetwork
 from repro.core.landmarks import LandmarkSet
-from repro.core.ring import RingInfo, RingTable, RingTableDirectory, ring_id, ring_name
+from repro.core.ring import RingTable, RingTableDirectory, ring_id, ring_name
 
 __all__ = [
     "BinningScheme",
     "LandmarkOrders",
     "DEFAULT_LEVELS",
     "LandmarkSet",
-    "RingInfo",
     "RingTable",
     "RingTableDirectory",
     "ring_id",

@@ -148,44 +148,28 @@ class BinningScheme:
         distances = np.asarray(distances, dtype=np.float64)
         require(distances.ndim == 2, "distances must be (n_nodes, n_landmarks)")
         require(distances.shape[1] >= 1, "need at least one landmark")
-        matrices = [
-            self.level_matrix(distances, k) for k in range(len(self.level_boundaries))
-        ]
-        # Factorised construction: render each *distinct* level row once
-        # (O(#rings) Python string work, not O(n_nodes)) and keep the
-        # per-node assignment as int codes into the name pool.  The
-        # object-array names are views into the pool (shared strings),
-        # so million-node order sets stay cheap to build and hold.
-        names: list[np.ndarray] = []
+        # Render each *distinct* level row once (O(#rings) Python string
+        # work, not O(n_nodes)) and keep the per-node assignment as int
+        # codes into the layer's name pool, numbered in name order.
         pools: list[list[str]] = []
         codes_per_layer: list[np.ndarray] = []
-        parent_codes = np.zeros(len(distances), dtype=np.int64)
-        parent_pool: list[str] = []
-        for k, mat in enumerate(matrices):
-            rows, inv = np.unique(mat, axis=0, return_inverse=True)
-            digit_pool = [_digits(row) for row in rows]
-            if k == 0:
-                pool = digit_pool
-                layer_codes = inv.astype(np.int64)
-            else:
-                pairs = np.stack([parent_codes, inv.astype(np.int64)], axis=1)
-                uniq_pairs, pair_inv = np.unique(pairs, axis=0, return_inverse=True)
-                pool = [
-                    f"{parent_pool[int(p)]}/{digit_pool[int(d)]}" for p, d in uniq_pairs
-                ]
-                layer_codes = pair_inv.astype(np.int64)
-            pools.append(pool)
-            codes_per_layer.append(layer_codes)
-            names.append(np.asarray(pool, dtype=object)[layer_codes])
-            parent_codes = layer_codes
-            parent_pool = pool
+        for k in range(len(self.level_boundaries)):
+            rows, codes = np.unique(self.level_matrix(distances, k), axis=0, return_inverse=True)
+            names = [_digits(row) for row in rows]
+            if k:
+                pairs, codes = np.unique(
+                    np.stack([codes_per_layer[-1], codes.reshape(-1)], axis=1),
+                    axis=0,
+                    return_inverse=True,
+                )
+                names = [f"{pools[-1][p]}/{names[d]}" for p, d in pairs.tolist()]
+            order = sorted(range(len(names)), key=names.__getitem__)
+            rank = np.empty(len(names), dtype=np.int64)
+            rank[order] = np.arange(len(names))
+            pools.append([names[i] for i in order])
+            codes_per_layer.append(rank[codes.reshape(-1)])
         return LandmarkOrders(
-            scheme=self,
-            distances=distances,
-            level_matrices=matrices,
-            names_per_layer=names,
-            codes_per_layer=codes_per_layer,
-            name_pools=pools,
+            scheme=self, distances=distances, codes_per_layer=codes_per_layer, name_pools=pools
         )
 
 
@@ -193,22 +177,17 @@ class BinningScheme:
 class LandmarkOrders:
     """Per-node landmark orders for every lower layer of the hierarchy.
 
-    ``names_per_layer[k][i]`` is the ring name node ``i`` joins at layer
-    ``k + 2``; deeper names embed their parent name, so rings nest by
-    construction.
+    ``codes_per_layer[k][i]`` indexes ``name_pools[k]``: node ``i``'s
+    ring at layer ``k + 2``.  Each pool lists its layer's distinct ring
+    names in name order, so code order is name order; deeper names embed
+    their parent name, so rings nest by construction.  Per-node names
+    are derived (:meth:`names`, :meth:`order_of`), never stored.
     """
 
     scheme: BinningScheme
     distances: np.ndarray
-    level_matrices: list[np.ndarray]
-    names_per_layer: list[np.ndarray]
-    #: Optional factorised form (set by :meth:`BinningScheme.orders`):
-    #: ``codes_per_layer[k][i]`` indexes ``name_pools[k]``, node ``i``'s
-    #: ring name at layer ``k + 2``.  Consumers that can work on int
-    #: codes (e.g. :class:`~repro.core.hieras.HierasNetwork`) use these
-    #: directly and never touch the per-node string arrays.
-    codes_per_layer: list[np.ndarray] | None = None
-    name_pools: list[list[str]] | None = None
+    codes_per_layer: list[np.ndarray]
+    name_pools: list[list[str]]
 
     @property
     def n_nodes(self) -> int:
@@ -223,20 +202,25 @@ class LandmarkOrders:
     @property
     def depth(self) -> int:
         """Hierarchy depth (layers including the global ring)."""
-        return len(self.names_per_layer) + 1
+        return len(self.codes_per_layer) + 1
 
     def ring_codes(self, layer_index: int) -> tuple[np.ndarray, list[str]]:
         """Factorised ring assignment at one lower layer.
 
         Returns ``(codes, names)`` where ``codes[i]`` indexes ``names``
-        — the distinct ring names at layer ``layer_index + 2``.
+        — the distinct ring names at layer ``layer_index + 2``, in name
+        order.
         """
-        uniq, inverse = np.unique(self.names_per_layer[layer_index], return_inverse=True)
-        return inverse.astype(np.int64), [str(u) for u in uniq]
+        return self.codes_per_layer[layer_index], self.name_pools[layer_index]
+
+    def names(self, layer_index: int) -> np.ndarray:
+        """Every node's ring name at one lower layer (an object array)."""
+        pool = np.asarray(self.name_pools[layer_index], dtype=object)
+        return pool[self.codes_per_layer[layer_index]]
 
     def order_of(self, node: int, layer_index: int = 0) -> str:
         """Ring name of ``node`` at one lower layer (default layer 2)."""
-        return str(self.names_per_layer[layer_index][node])
+        return self.name_pools[layer_index][int(self.codes_per_layer[layer_index][node])]
 
     def drop_landmark(self, landmark: int) -> "LandmarkOrders":
         """Orders after a landmark failure (paper §2.3).

@@ -31,12 +31,20 @@ from repro.dht.ring_array import SortedRing
 from repro.topology.base import LatencyModel
 from repro.util.ids import IdSpace
 from repro.util.rng import make_rng
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 
 __all__ = ["SUCCESSOR_LIST_POLICIES", "HierasNetwork", "LayeredFingerRow"]
 
 #: Accepted ``successor_list_policy`` values (see :class:`HierasNetwork`).
 SUCCESSOR_LIST_POLICIES = ("transitions", "always", "off")
+
+
+def _by_code(peers: np.ndarray, codes: np.ndarray) -> dict[int, np.ndarray]:
+    """``peers`` grouped by ``codes[peer]``: code → its peers."""
+    wave = codes[peers]
+    order = np.argsort(wave, kind="stable")
+    present, starts = np.unique(wave[order], return_index=True)
+    return dict(zip(present.tolist(), np.split(peers[order], starts[1:])))
 
 
 @dataclass(frozen=True)
@@ -112,10 +120,7 @@ class HierasNetwork(ChordNetwork):
             f"landmark orders cover {landmark_orders.n_nodes} nodes, network has {n}",
         )
         depth = depth if depth is not None else landmark_orders.depth
-        require(
-            2 <= depth <= landmark_orders.depth,
-            f"depth must be in [2, {landmark_orders.depth}], got {depth}",
-        )
+        require_int(depth, 2, landmark_orders.depth, name="depth")
         require(
             successor_list_policy in SUCCESSOR_LIST_POLICIES,
             f"unknown successor_list_policy {successor_list_policy!r}",
@@ -123,30 +128,17 @@ class HierasNetwork(ChordNetwork):
         self.depth = depth
         self.orders = landmark_orders
         self.successor_list_policy = successor_list_policy
-        # Ring membership per lower layer, struct-of-arrays: every peer
-        # carries one ``int32`` *pool code* per layer (index 0 →
-        # layer 2) and the per-layer pool maps codes back to ring-name
-        # strings — no per-peer Python string ever sits on the hot
-        # path, which is what keeps million-peer networks in budget.
-        self._name_pool: list[list[str]] = []
-        self._name_code_of: list[dict[str, int]] = []
-        self._name_codes: list[np.ndarray] = []
-        pools = getattr(landmark_orders, "name_pools", None)
-        codes = getattr(landmark_orders, "codes_per_layer", None)
-        for k in range(depth - 1):
-            if pools is not None and codes is not None:
-                pool = [str(s) for s in pools[k]]
-                layer_codes = np.asarray(codes[k], dtype=np.int32)
-            else:
-                uniq, inverse = np.unique(
-                    np.asarray(landmark_orders.names_per_layer[k], dtype=object),
-                    return_inverse=True,
-                )
-                pool = [str(u) for u in uniq]
-                layer_codes = inverse.astype(np.int32)
-            self._name_pool.append(pool)
-            self._name_code_of.append({name: c for c, name in enumerate(pool)})
-            self._name_codes.append(layer_codes)
+        # Ring membership per lower layer (row ``k`` → layer ``k + 2``),
+        # struct-of-arrays: each peer's interned ring *code* and its
+        # position in that ring, one ``int32`` each.  Code ``c`` of a
+        # layer names ``_name_pool[k][c]`` and has one slot in
+        # ``_rings[k]`` (``None`` while the ring has no live member), so
+        # no per-peer Python string ever sits on the hot path.
+        self._name_pool = [list(pool) for pool in landmark_orders.name_pools[: depth - 1]]
+        self._name_code_of = [{name: c for c, name in enumerate(pool)} for pool in self._name_pool]
+        self._ring_code = np.array(landmark_orders.codes_per_layer[: depth - 1], dtype=np.int32)
+        self._rings: list[list[SortedRing | None]] = []
+        self._by_name: list[tuple[dict[str, SortedRing], np.ndarray]] | None = None
         #: Rings created, spliced, or retired by incremental waves — the
         #: O(wave) work certificate the maintenance tests pin.
         self.rings_spliced = 0
@@ -162,43 +154,14 @@ class HierasNetwork(ChordNetwork):
     # construction / membership
     # ------------------------------------------------------------------
     def _intern(self, k: int, name: str) -> int:
-        """Pool code for ``name`` at layer index ``k`` (interning it)."""
+        """Code for ring ``name`` at layer index ``k``; a new name gets an empty slot."""
         code = self._name_code_of[k].get(name)
         if code is None:
             code = len(self._name_pool[k])
             self._name_pool[k].append(name)
             self._name_code_of[k][name] = code
+            self._rings[k].append(None)
         return code
-
-    def _publish(
-        self, name: str, ring: SortedRing, prev: dict[str, SortedRing] | None
-    ) -> None:
-        """Publish one ring table, skipping unchanged memberships."""
-        if prev is not None:
-            old = prev.get(name)
-            if (
-                old is not None
-                and np.array_equal(old.ids, ring.ids)
-                and np.array_equal(old.peers, ring.peers)
-            ):
-                self.publish_skips += 1
-                return
-        self.directory.publish(name, ring.ids, ring.peers)
-
-    def _refresh_layer_caches(self) -> None:
-        # Per-layer accessor caches: ring membership only changes in
-        # ``_rebuild``/``_apply_wave``, so the name->ring maps and size
-        # vectors sweeps poll per cell are materialized once per
-        # membership change instead of per call.
-        self._rings_by_name: list[dict[str, SortedRing]] = [
-            dict(zip(names, rings))
-            for names, rings in zip(self._ring_names, self._rings)
-        ]
-        self._ring_size_arrays: list[np.ndarray] = []
-        for rings in self._rings:
-            sizes = np.asarray([len(r) for r in rings], dtype=np.int64)
-            sizes.setflags(write=False)
-            self._ring_size_arrays.append(sizes)
 
     @property
     def global_ring(self) -> SortedRing:
@@ -207,147 +170,70 @@ class HierasNetwork(ChordNetwork):
 
     def _rebuild(self) -> None:
         super()._rebuild()
-        # Live peers in id order; the (code, id) sort below has one
-        # result whatever order it starts from, since ids are unique.
+        # Live peers in id order, so a stable sort by code lists each
+        # ring's members in id order.
         alive = self.ring.peers
-        ids = self.ring.ids
-        n_total = len(self._id_of_peer)
-
-        # Lower layers: factorise live peers' interned ring codes, build
-        # one SortedRing per distinct name (listed in ring-name order,
-        # matching the incremental path), record each peer's ring + slot.
-        prev_tables = getattr(self, "_rings_by_name", None)
-        self._rings: list[list[SortedRing]] = []
-        self._ring_names: list[list[str]] = []
-        self._ring_of_peer = np.full((self.depth - 1, n_total), -1, dtype=np.int32)
-        self._pos_in_ring = np.full((self.depth - 1, n_total), -1, dtype=np.int32)
-        known_names = set(self.directory.names())
-        seen_names: set[str] = set()
-        for k in range(self.depth - 1):
-            pool = self._name_pool[k]
-            codes_alive = self._name_codes[k][alive]
-            grouped = np.lexsort((ids, codes_alive))
-            codes_sorted = codes_alive[grouped]
-            members_sorted = alive[grouped]
-            ids_sorted = ids[grouped]
-            present = np.unique(codes_alive)
-            starts = np.searchsorted(codes_sorted, present, side="left")
-            ends = np.searchsorted(codes_sorted, present, side="right")
-            by_name = sorted(range(len(present)), key=lambda i: pool[int(present[i])])
-            layer_rings: list[SortedRing] = []
-            layer_names: list[str] = []
-            prev = prev_tables[k] if prev_tables is not None else None
-            for gi in by_name:
-                name = pool[int(present[gi])]
-                a, b = int(starts[gi]), int(ends[gi])
-                ring = SortedRing(self.space, ids_sorted[a:b], members_sorted[a:b])
-                code = len(layer_rings)
-                layer_rings.append(ring)
-                layer_names.append(name)
-                self._ring_of_peer[k, ring.peers] = code
-                self._pos_in_ring[k, ring.peers] = np.arange(len(ring), dtype=np.int32)
-                self._publish(name, ring, prev)
-                seen_names.add(name)
-            self._rings.append(layer_rings)
-            self._ring_names.append(layer_names)
-        for stale in sorted(known_names - seen_names):
-            self.directory.drop(stale)
-        self._refresh_layer_caches()
+        prev = self._rings
+        self._rings = []
+        self._by_name = None
+        self._pos_in_ring = np.full(self._ring_code.shape, -1, dtype=np.int32)
+        for k, pool in enumerate(self._name_pool):
+            codes = self._ring_code[k, alive]
+            order = np.argsort(codes, kind="stable")
+            members = alive[order]
+            bounds = np.searchsorted(codes[order], np.arange(len(pool) + 1))
+            self._pos_in_ring[k, members] = np.arange(len(members)) - bounds[codes[order]]
+            rings: list[SortedRing | None] = []
+            for c, name in enumerate(pool):
+                peers = members[bounds[c] : bounds[c + 1]]
+                ring = SortedRing(self.space, self._id_of_peer[peers], peers) if len(peers) else None
+                old = prev[k][c] if prev else None
+                if ring is None:
+                    self.directory.drop(name)
+                elif old is not None and np.array_equal(old.peers, ring.peers):
+                    self.publish_skips += 1  # same members, so the same table
+                else:
+                    self.directory.publish(name, ring.ids, ring.peers)
+                rings.append(ring)
+            self._rings.append(rings)
 
     def _apply_wave(self, added: np.ndarray, removed: np.ndarray) -> None:
         """Splice one membership wave into every layer's ring state.
 
         ``added``/``removed`` hold the peer indices whose liveness just
-        flipped (``self._alive`` is already updated).  Only the rings
-        those peers belong to are rebuilt/spliced — O(wave + touched
-        ring sizes) work instead of the full rebuild's O(N log N) sort
-        plus every ring of every layer — and the resulting state is
-        bit-identical to :meth:`_rebuild` (tests pin this), because
-        :meth:`SortedRing.splice` and the argsort rebuild agree on the
-        unique sorted layout and rings stay listed in name order.
+        flipped (``self._alive`` is already updated).  Each layer groups
+        them by ring code and splices only those codes' slots — a ring
+        born or retired fills or empties its own slot and no other ring
+        moves — so the work is O(wave + touched ring sizes), and the
+        state is bit-identical to :meth:`_rebuild` (tests pin this),
+        because :meth:`SortedRing.splice` and the sorted rebuild agree
+        on the unique sorted layout.
         """
         super()._apply_wave(added, removed)
-        for k in range(self.depth - 1):
-            pool = self._name_pool[k]
-            names_k = self._ring_names[k]
-            rings_k = self._rings[k]
-            index_of = {nm: i for i, nm in enumerate(names_k)}
-            layer_codes = self._name_codes[k]
-            rm_by_name: dict[str, list[int]] = {}
-            for p in removed.tolist():
-                rm_by_name.setdefault(pool[int(layer_codes[p])], []).append(p)
-            add_by_name: dict[str, list[int]] = {}
-            for p in added.tolist():
-                add_by_name.setdefault(pool[int(layer_codes[p])], []).append(p)
-
-            touched: dict[str, SortedRing | None] = {}
-            for name in sorted(set(rm_by_name) | set(add_by_name)):
-                leavers = rm_by_name.get(name, [])
-                joiners = add_by_name.get(name, [])
-                old_idx = index_of.get(name)
-                old_ring = rings_k[old_idx] if old_idx is not None else None
+        self._by_name = None
+        for k, (rings, codes) in enumerate(zip(self._rings, self._ring_code)):
+            leaving, joining = _by_code(removed, codes), _by_code(added, codes)
+            for c in sorted(leaving.keys() | joining.keys()):
+                leavers = leaving.get(c, _NO_PEERS)
+                joiners = joining.get(c, _NO_PEERS)
+                old = rings[c]
                 self.rings_spliced += 1
-                if old_ring is None:
-                    members = np.asarray(joiners, dtype=np.int64)
-                    m_ids = self._id_of_peer[members]
-                    srt = np.argsort(m_ids)
-                    new_ring: SortedRing | None = SortedRing(
-                        self.space, m_ids[srt], members[srt]
-                    )
-                elif len(leavers) == len(old_ring) and not joiners:
-                    new_ring = None  # its last members left: the ring dies
+                if old is None:
+                    joiners = joiners[np.argsort(self._id_of_peer[joiners])]
+                    ring = SortedRing(self.space, self._id_of_peer[joiners], joiners)
+                elif len(leavers) == len(old) and not len(joiners):
+                    ring = None  # its last members left: the ring retires
                 else:
-                    lv = np.asarray(leavers, dtype=np.int64)
-                    jn = np.asarray(joiners, dtype=np.int64)
-                    new_ring = old_ring.splice(
-                        self._pos_in_ring[k, lv], self._id_of_peer[jn], jn
+                    ring = old.splice(
+                        self._pos_in_ring[k, leavers], self._id_of_peer[joiners], joiners
                     )
-                touched[name] = new_ring
-                if new_ring is None:
-                    self.directory.drop(name)
-                else:
-                    self.directory.publish(name, new_ring.ids, new_ring.peers)
-            if len(removed):
-                self._ring_of_peer[k, removed] = -1
-                self._pos_in_ring[k, removed] = -1
-
-            births = [
-                nm for nm, r in touched.items() if r is not None and nm not in index_of
-            ]
-            deaths = {nm for nm, r in touched.items() if r is None}
-            if births or deaths:
-                # The ring *set* changed: renumber so rings stay listed
-                # in name order (one vectorized old→new code remap).
-                new_names = sorted((set(names_k) - deaths) | set(births))
-                remap = np.full(len(names_k), -1, dtype=np.int32)
-                new_rings: list[SortedRing] = []
-                for new_idx, nm in enumerate(new_names):
-                    old_idx = index_of.get(nm)
-                    if old_idx is not None:
-                        remap[old_idx] = np.int32(new_idx)
-                        ring = touched.get(nm, rings_k[old_idx])
-                    else:
-                        ring = touched[nm]
-                    assert ring is not None
-                    new_rings.append(ring)
-                col = self._ring_of_peer[k]
-                live = col >= 0
-                col[live] = remap[col[live]]
-                self._ring_names[k] = new_names
-                self._rings[k] = new_rings
-            else:
-                self._rings[k] = [
-                    touched.get(nm, ring) for nm, ring in zip(names_k, rings_k)
-                ]
-            # Re-index members of every touched, surviving ring.
-            idx_by_name = {nm: i for i, nm in enumerate(self._ring_names[k])}
-            for nm, ring in touched.items():
+                rings[c] = ring
                 if ring is None:
-                    continue
-                i = idx_by_name[nm]
-                self._ring_of_peer[k, ring.peers] = i
-                self._pos_in_ring[k, ring.peers] = np.arange(len(ring), dtype=np.int32)
-        self._refresh_layer_caches()
+                    self.directory.drop(self._name_pool[k][c])
+                else:
+                    self.directory.publish(self._name_pool[k][c], ring.ids, ring.peers)
+                    self._pos_in_ring[k, ring.peers] = np.arange(len(ring), dtype=np.int32)
+            self._pos_in_ring[k, removed] = -1
 
     def add_peer(self, node_id: int, ring_names: list[str]) -> int:
         """Add a peer (offline equivalent of the §3.3 join protocol).
@@ -380,15 +266,12 @@ class HierasNetwork(ChordNetwork):
             )
         new_peers = self._admit(node_ids)
         if len(new_peers):
-            for k in range(self.depth - 1):
-                codes = np.asarray(
-                    [self._intern(k, names[k]) for names in ring_names_per_peer],
-                    dtype=np.int32,
-                )
-                self._name_codes[k] = np.concatenate([self._name_codes[k], codes])
-            pad = np.full((self.depth - 1, len(new_peers)), -1, dtype=np.int32)
-            self._ring_of_peer = np.concatenate([self._ring_of_peer, pad], axis=1)
-            self._pos_in_ring = np.concatenate([self._pos_in_ring, pad.copy()], axis=1)
+            codes = np.asarray(
+                [[self._intern(k, names[k]) for names in ring_names_per_peer] for k in range(self.depth - 1)],
+                dtype=np.int32,
+            )
+            self._ring_code = np.concatenate([self._ring_code, codes], axis=1)
+            self._pos_in_ring = np.concatenate([self._pos_in_ring, np.full_like(codes, -1)], axis=1)
             self._apply_wave(new_peers, _NO_PEERS)
         return new_peers.tolist()
 
@@ -417,7 +300,7 @@ class HierasNetwork(ChordNetwork):
             )
         for peer, ring_names in zip(peers, ring_names_per_peer):
             for k in range(self.depth - 1):
-                self._name_codes[k][peer] = self._intern(k, ring_names[k])
+                self._ring_code[k, peer] = self._intern(k, ring_names[k])
 
     # ------------------------------------------------------------------
     # ring accessors
@@ -430,21 +313,35 @@ class HierasNetwork(ChordNetwork):
         """Ring name of ``peer`` at a lower ``layer`` (2..depth)."""
         require(2 <= layer <= self.depth, f"layer must be in [2, {self.depth}]")
         k = layer - 2
-        return self._name_pool[k][int(self._name_codes[k][peer])]
+        return self._name_pool[k][int(self._ring_code[k, peer])]
+
+    def _rings_by_name(self, layer: int) -> tuple[dict[str, SortedRing], np.ndarray]:
+        """One lower layer's live rings in name order, and their sizes.
+
+        Built on the first call after a membership change and shared by
+        every caller until the next one (sweeps poll these per cell).
+        """
+        require(2 <= layer <= self.depth, f"layer must be in [2, {self.depth}]")
+        if self._by_name is None:
+            self._by_name = []
+            for pool, rings in zip(self._name_pool, self._rings):
+                live = sorted((c for c, ring in enumerate(rings) if ring is not None), key=pool.__getitem__)
+                sizes = np.asarray([len(rings[c]) for c in live], dtype=np.int64)
+                sizes.setflags(write=False)
+                self._by_name.append(({pool[c]: rings[c] for c in live}, sizes))
+        return self._by_name[layer - 2]
 
     def rings_at_layer(self, layer: int) -> dict[str, SortedRing]:
-        """All rings of one lower layer, keyed by ring name.
+        """All rings of one lower layer, keyed by ring name, in name order.
 
         The returned mapping is a cache shared by every caller (rebuilt
         on membership change); treat it as read-only.
         """
-        require(2 <= layer <= self.depth, f"layer must be in [2, {self.depth}]")
-        return self._rings_by_name[layer - 2]
+        return self._rings_by_name(layer)[0]
 
     def ring_sizes(self, layer: int) -> np.ndarray:
-        """Member counts of the rings at one lower layer (read-only)."""
-        require(2 <= layer <= self.depth, f"layer must be in [2, {self.depth}]")
-        return self._ring_size_arrays[layer - 2]
+        """Member counts of the rings at one lower layer, in name order (read-only)."""
+        return self._rings_by_name(layer)[1]
 
     def ring_table_host(self, name: str) -> int:
         """Peer storing ring ``name``'s ring table (§3.1)."""
@@ -467,10 +364,10 @@ class HierasNetwork(ChordNetwork):
             _PlanLayer(
                 layer,
                 self._rings[layer - 2],
-                self._ring_of_peer[layer - 2],
+                self._ring_code[layer - 2],
                 self._pos_in_ring[layer - 2],
                 self._succ_list_r(layer),
-                self._ring_names[layer - 2],
+                self._name_pool[layer - 2],
             )
             for layer in range(self.depth, 1, -1)
         ]
@@ -536,7 +433,9 @@ class HierasNetwork(ChordNetwork):
         )
         return {
             "depth": float(self.depth),
-            "n_rings": float(sum(len(layer) for layer in self._rings) + 1),
+            "n_rings": float(
+                sum(len(self.rings_at_layer(layer)) for layer in range(2, self.depth + 1)) + 1
+            ),
             "avg_distinct_fingers_total": float(sum(finger_entries.values())),
             **{
                 f"avg_distinct_fingers_layer{layer}": v

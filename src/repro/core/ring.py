@@ -13,7 +13,7 @@ each ring they must join (§3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from repro.util.ids import IdSpace
 from repro.util.intervals import ring_distance
 from repro.util.validation import require
 
-__all__ = ["ring_name", "ring_id", "RingTable", "RingInfo", "RingTableDirectory"]
+__all__ = ["ring_name", "ring_id", "RingTable", "RingTableDirectory"]
 
 
 def ring_name(order: str) -> str:
@@ -94,21 +94,6 @@ class RingTable:
         second smallest entry.
         """
         return node_id > self.second_largest[0] or node_id < self.second_smallest[0]
-
-
-@dataclass
-class RingInfo:
-    """A ring's identity plus its current membership snapshot."""
-
-    name: str
-    ringid: int
-    layer: int  # 1 = global ring, 2.. = lower layers
-    member_peers: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-    @property
-    def n_members(self) -> int:
-        """Current member count."""
-        return len(self.member_peers)
 
 
 class RingTableDirectory:

@@ -21,7 +21,7 @@ from repro.dht.ring_array import FingerEntry, RingLayer, SortedRing
 from repro.faults.injector import FaultInjector, LookupFaults
 from repro.topology.base import LatencyModel
 from repro.util.ids import IdSpace
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 
 __all__ = ["ChordNetwork"]
 
@@ -38,12 +38,14 @@ class _PlanLayer:
     """
 
     layer: int
-    rings: Sequence[SortedRing]
-    #: Peer → index into ``rings``; ``None`` when one ring holds everyone.
+    #: One slot per ring code; ``None`` for a code with no live member.
+    rings: Sequence[SortedRing | None]
+    #: Peer → ring code (index into ``rings``); ``None`` when one ring
+    #: holds everyone.
     ring_of_peer: np.ndarray | None
     pos_of_peer: np.ndarray
     succ_list_r: int
-    #: Span label of each of ``rings``.
+    #: Span label of each code.
     ring_names: Sequence[str] = ("global",)
     _view: RingLayer | None = field(default=None, init=False, repr=False)
 
@@ -126,7 +128,7 @@ class ChordNetwork(DHTNetwork):
         ids = np.asarray(ids, dtype=np.uint64)
         require(len(ids) >= 1, "need at least one peer")
         require(len(np.unique(ids)) == len(ids), "node ids must be unique")
-        require(successor_list_r >= 0, "successor_list_r must be >= 0")
+        require_int(successor_list_r, 0, name="successor_list_r")
         self.space = space
         self.latency = latency if latency is not None else ZeroLatency()
         # The paper's Chord baseline routes with fingers only (its hop

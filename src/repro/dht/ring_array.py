@@ -427,6 +427,10 @@ class RingLayer:
     (``raw - 1``, or the ring's last member for its first) — no wrap
     test, whatever ring the lane is in.
 
+    Rings are laid out in the order given, which for a layer of many is
+    ring-code order; a ``None`` ring (a retired code) is an empty slice,
+    its sentinel slot alone, that no lane ever enters.
+
     Derived state: O(members) to build from immutable ring snapshots,
     never maintained.  Per member it holds the id (8 B), the peer (8 B),
     the two slot tables (8 B each) and two to four bucket entries
@@ -438,10 +442,11 @@ class RingLayer:
         "_shift", "_offset", "_first",
     )
 
-    def __init__(self, rings: Sequence[SortedRing]) -> None:
-        require(len(rings) >= 1, "a layer needs at least one ring")
-        self.space = space = rings[0].space
-        self.sizes = sizes = np.asarray([len(ring) for ring in rings], dtype=np.int64)
+    def __init__(self, rings: Sequence[SortedRing | None]) -> None:
+        live = [ring for ring in rings if ring is not None]
+        require(len(live) >= 1, "a layer needs at least one ring")
+        self.space = space = live[0].space
+        self.sizes = sizes = np.asarray([0 if r is None else len(r) for r in rings], dtype=np.int64)
         ends = np.cumsum(sizes + 1)  # one past each ring's sentinel slot
         total = int(ends[-1])
         self.base = base = ends - sizes - 1
@@ -455,7 +460,7 @@ class RingLayer:
 
         # Ring r buckets its ids by their top ceil(log2 n_r) + 1 bits:
         # at most half a member per bucket, whatever the ring's size.
-        bucket_bits = [min(space.bits, (len(ring) - 1).bit_length() + 1) for ring in rings]
+        bucket_bits = [min(space.bits, (n - 1).bit_length() + 1) for n in sizes.tolist()]
         n_buckets = np.asarray([1 << b for b in bucket_bits], dtype=np.int64)
         self._shift = np.asarray([space.bits - b for b in bucket_bits], dtype=np.uint64)
         self._offset = np.cumsum(n_buckets) - n_buckets
@@ -465,6 +470,9 @@ class RingLayer:
         for ring, lo, shift, at, width in zip(
             rings, base.tolist(), self._shift, self._offset.tolist(), n_buckets.tolist()
         ):
+            if ring is None:
+                self._first[at : at + width] = lo
+                continue
             self.ids[lo : lo + len(ring)] = ring.ids
             self.peers[lo : lo + len(ring)] = ring.peers
             counts = np.bincount((ring.ids >> shift).view(np.int64), minlength=width)

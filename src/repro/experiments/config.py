@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from repro.core.hieras import SUCCESSOR_LIST_POLICIES
 from repro.topology.inet import INET_MIN_NODES
 from repro.util.ids import IdSpace
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 
 __all__ = ["SimConfig", "SweepSpec", "below_inet_floor", "is_full_scale", "DEFAULT_REQUESTS", "FULL_REQUESTS"]
 
@@ -63,9 +63,10 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         require(self.model in ("ts", "inet", "brite"), f"unknown model {self.model!r}")
-        require(self.n_peers >= 8, "n_peers must be >= 8")
-        require(self.n_landmarks >= 1, "n_landmarks must be >= 1")
-        require(2 <= self.depth <= 4, "depth must be in [2, 4]")
+        require_int(self.n_peers, 8, name="n_peers")
+        require_int(self.n_landmarks, 1, name="n_landmarks")
+        require_int(self.depth, 2, 4, name="depth")
+        require_int(self.seed, 0, name="seed")
         require(
             self.landmark_strategy in ("auto", "spread", "random"),
             f"unknown landmark_strategy {self.landmark_strategy!r}",
@@ -77,7 +78,7 @@ class SimConfig:
             self.n_peers <= space.size,
             f"cannot draw {self.n_peers} unique ids from a space of {space.size}",
         )
-        require(self.successor_list_r >= 0, "successor_list_r must be >= 0")
+        require_int(self.successor_list_r, 0, name="successor_list_r")
         require(
             self.successor_list_policy in SUCCESSOR_LIST_POLICIES,
             f"unknown successor_list_policy {self.successor_list_policy!r}",

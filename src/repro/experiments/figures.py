@@ -604,10 +604,10 @@ def _run_ablation_binning(full: bool, seed: int) -> _Output:
     """
 
     def random_rings(bundle: SimulationBundle):
-        shuffled = bundle.orders.names_per_layer[0].copy()
+        shuffled = bundle.orders.codes_per_layer[0].copy()
         RngFactory(seed).get("ablation-binning").shuffle(shuffled)
         orders = replace(
-            bundle.orders, names_per_layer=[shuffled], codes_per_layer=None, name_pools=None
+            bundle.orders, codes_per_layer=[shuffled], name_pools=bundle.orders.name_pools[:1]
         )
         yield "hieras_random_rings", _rebinned(bundle, orders)
 
@@ -966,7 +966,7 @@ def _run_ablation_landmark_failure(full: bool, seed: int) -> _Output:
 
     def layer2_names() -> np.ndarray:
         distances = logical.measure(model, bundle.attachment.router_of_peer)
-        return BinningScheme.default_for_depth(2).orders(distances).names_per_layer[0]
+        return BinningScheme.default_for_depth(2).orders(distances).names(0)
 
     before = layer2_names()
     logical.members[0] = logical.members[0][1:]  # primary of group 0 dies

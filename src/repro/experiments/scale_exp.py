@@ -64,44 +64,23 @@ def _lookups_for(n_peers: int, *, full: bool) -> int:
     return 10_000_000 if n_peers >= 1_000_000 else 1_000_000
 
 
-def _snapshot(bundle: SimulationBundle) -> dict[str, object]:
-    """References to every ring array of both stacks (rings are
-    immutable, so holding the arrays *is* the pre-rebuild snapshot)."""
+def _snapshot(bundle: SimulationBundle) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """Every ring array of both stacks, labelled (rings are immutable,
+    so holding the arrays *is* the pre-rebuild snapshot)."""
     hieras = bundle.hieras
-    return {
-        "chord": (bundle.chord.ring.ids, bundle.chord.ring.peers),
-        "global": (hieras.global_ring.ids, hieras.global_ring.peers),
-        "names": [list(names) for names in hieras._ring_names],
-        "rings": [
-            [(ring.ids, ring.peers) for ring in layer] for layer in hieras._rings
-        ],
-    }
+    rings = [("chord", bundle.chord.ring), ("global", hieras.global_ring)]
+    for layer in range(2, hieras.depth + 1):
+        rings += [(f"{layer}:{name}", ring) for name, ring in hieras.rings_at_layer(layer).items()]
+    return [(label, ring.ids, ring.peers) for label, ring in rings]
 
 
-def _matches(bundle: SimulationBundle, snap: dict[str, object]) -> bool:
+def _matches(bundle: SimulationBundle, snap: list[tuple[str, np.ndarray, np.ndarray]]) -> bool:
     """Whether the current (rebuilt) state equals the snapshot exactly."""
-    hieras = bundle.hieras
-    chord_ids, chord_peers = snap["chord"]  # type: ignore[misc]
-    if not (
-        np.array_equal(chord_ids, bundle.chord.ring.ids)
-        and np.array_equal(chord_peers, bundle.chord.ring.peers)
-    ):
-        return False
-    glob_ids, glob_peers = snap["global"]  # type: ignore[misc]
-    if not (
-        np.array_equal(glob_ids, hieras.global_ring.ids)
-        and np.array_equal(glob_peers, hieras.global_ring.peers)
-    ):
-        return False
-    if snap["names"] != [list(names) for names in hieras._ring_names]:
-        return False
-    for layer_snap, layer in zip(snap["rings"], hieras._rings):  # type: ignore[arg-type]
-        for (ids, peers), ring in zip(layer_snap, layer):
-            if not (
-                np.array_equal(ids, ring.ids) and np.array_equal(peers, ring.peers)
-            ):
-                return False
-    return True
+    now = _snapshot(bundle)
+    return len(now) == len(snap) and all(
+        a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+        for a, b in zip(snap, now)
+    )
 
 
 def run_bench(

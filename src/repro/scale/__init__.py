@@ -35,7 +35,10 @@ def hot_state_bytes(bundle: SimulationBundle) -> dict[str, int]:
     are safe for a bench document's byte-compared ``metrics`` — and
     they are the receipts for the "no per-peer Python objects on the
     hot path" claim: every entry is a numpy buffer, with ring-name
-    strings interned once per *ring*, not per peer.
+    strings interned once per *ring*, not per peer.  Per peer, HIERAS
+    holds its id and liveness, one global-ring slot, and per lower
+    layer one ``int32`` ring code, one ``int32`` position and one ring
+    slot (id and peer, 8 B each).
 
     Not counted: the batch engine's layer views
     (``RingLayer``, one per plan layer).  They are derived state, built
@@ -57,8 +60,8 @@ def hot_state_bytes(bundle: SimulationBundle) -> dict[str, int]:
     )
     hieras_rings = sum(
         ring.ids.nbytes + ring.peers.nbytes
-        for layer in hieras._rings
-        for ring in layer
+        for layer in range(2, hieras.depth + 1)
+        for ring in hieras.rings_at_layer(layer).values()
     )
     hieras_total = (
         hieras.global_ring.ids.nbytes
@@ -66,9 +69,8 @@ def hot_state_bytes(bundle: SimulationBundle) -> dict[str, int]:
         + hieras_rings
         + hieras._id_of_peer.nbytes
         + hieras._alive.nbytes
-        + hieras._ring_of_peer.nbytes
+        + hieras._ring_code.nbytes
         + hieras._pos_in_ring.nbytes
-        + sum(codes.nbytes for codes in hieras._name_codes)
     )
     return {
         "chord_bytes": int(chord_total),

@@ -306,8 +306,7 @@ def compile_landmark_outage_rolling(
         rows[:, dead] = saturate
         orders = scheme.orders(rows)
         ring_names = tuple(
-            tuple(str(orders.names_per_layer[k][j]) for k in range(depth - 1))
-            for j in range(len(joiners))
+            tuple(orders.order_of(j, k) for k in range(depth - 1)) for j in range(len(joiners))
         )
         waves.append(
             MembershipWave(

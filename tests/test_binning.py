@@ -137,6 +137,25 @@ class TestLandmarkOrders:
         for i in range(6):
             assert names[codes[i]] == orders3.order_of(i)
 
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_codes_are_numbered_in_name_order(self, depth):
+        """Each pool is its layer's distinct names, sorted, and the stored
+        codes are what factorising the per-node names gives."""
+        distances = np.random.default_rng(depth).uniform(0, 400, size=(300, 6))
+        orders = BinningScheme.default_for_depth(depth).orders(distances)
+        for k in range(depth - 1):
+            pool, inverse = np.unique(orders.names(k), return_inverse=True)
+            assert orders.name_pools[k] == pool.tolist()
+            assert np.array_equal(orders.codes_per_layer[k], inverse)
+
+    def test_dotted_names_are_numbered_in_name_order(self):
+        """Level rows sort as numbers, dotted names as strings: row
+        [1, 0] < [9, 0] < [10, 0] < [11, 0], but "10" < "10.0" < "11.0" < "90"."""
+        scheme = BinningScheme((tuple(float(b) for b in range(1, 16)),))
+        orders = scheme.orders(np.asarray([[9.5, 0.5], [10.5, 0.5], [1.5, 0.5], [11.5, 0.5]]))
+        assert orders.name_pools[0] == ["10", "10.0", "11.0", "90"]
+        assert orders.codes_per_layer[0].tolist() == [3, 1, 0, 2]
+
     def test_drop_landmark(self, orders3):
         dropped = orders3.drop_landmark(3)
         assert dropped.n_landmarks == 3

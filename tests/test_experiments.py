@@ -42,8 +42,13 @@ class TestConfig:
             ({"bits": 0}, "bits must be in [1, 160], got 0"),
             ({"bits": 161}, "bits must be in [1, 160], got 161"),
             ({"n_peers": 300, "bits": 8}, "cannot draw 300 unique ids from a space of 256"),
-            ({"successor_list_r": -1}, "successor_list_r must be >= 0"),
+            ({"successor_list_r": -1}, "successor_list_r must be an integer >= 0, got -1"),
             ({"successor_list_policy": "bogus"}, "unknown successor_list_policy 'bogus'"),
+            ({"n_landmarks": True}, "n_landmarks must be an integer >= 1, got True"),
+            ({"successor_list_r": 2.0}, "successor_list_r must be an integer >= 0, got 2.0"),
+            ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+            ({"depth": 2.0}, "depth must be an integer in [2, 4], got 2.0"),
+            ({"n_peers": 100.0}, "n_peers must be an integer >= 8, got 100.0"),
         ],
     )
     def test_rejects_before_any_topology_is_built(self, fields, message, monkeypatch):

@@ -92,9 +92,9 @@ class TestIsTheExperimentsPipeline:
         assert strategies == ["random"]
 
     def test_bad_sizes_fail_through_simconfig(self):
-        with pytest.raises(ValueError, match="n_peers must be >= 8"):
+        with pytest.raises(ValueError, match="n_peers must be an integer >= 8"):
             quick_network(n_peers=4)
-        with pytest.raises(ValueError, match=r"depth must be in \[2, 4\]"):
+        with pytest.raises(ValueError, match=r"depth must be an integer in \[2, 4\]"):
             quick_network(n_peers=64, depth=1)
 
 

@@ -158,14 +158,15 @@ class TestCrossStackEquivalence:
         from repro.core.hieras import HierasNetwork
 
         space, ids, names, sim, net, nodes = build_system(n=20, rings=3, seed=9)
+        pool, codes = np.unique([nm[0] for nm in names], return_inverse=True)
         static = HierasNetwork(
             space,
             ids,
             landmark_orders=LandmarkOrders(
                 scheme=BinningScheme.default_for_depth(2),
                 distances=np.zeros((20, 1)),
-                level_matrices=[np.zeros((20, 1), dtype=np.int64)],
-                names_per_layer=[np.asarray([nm[0] for nm in names], dtype=object)],
+                codes_per_layer=[codes],
+                name_pools=[pool.tolist()],
             ),
             depth=2,
         )

@@ -14,6 +14,8 @@ waves that touch only affected rings.  The contract pinned here:
 * rejected batches leave the counters and the overlay untouched.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,8 @@ from repro.core.binning import BinningScheme
 from repro.core.hieras import HierasNetwork
 from repro.dht.chord import ChordNetwork
 from repro.engine import batch_route
+from repro.experiments.config import SimConfig
+from repro.experiments.runner import build_bundle
 from repro.topology.latency import CoordinateLatencyModel
 from repro.util.ids import IdSpace
 
@@ -180,7 +184,8 @@ class TestRandomizedInterleavings:
 class TestWaveWorkIsBounded:
     def test_untouched_rings_are_same_objects(self):
         """The O(wave) pin: a wave leaves unaffected rings untouched —
-        not rebuilt-equal, but the *identical* SortedRing objects."""
+        not rebuilt-equal, but the *identical* SortedRing objects — also
+        when it retires a whole ring or founds one whose name sorts first."""
         _, net = build_pair(n=150, depth=2, seed=80)
         rings = net.rings_at_layer(2)
         victim_name = net.ring_name_of(0, 2)
@@ -191,6 +196,23 @@ class TestWaveWorkIsBounded:
         for name in before:
             if name != victim_name and name in after:
                 assert after[name] is before[name]
+
+        def wave(apply, touched):
+            before, spliced = dict(net.rings_at_layer(2)), net.rings_spliced
+            apply()
+            after = net.rings_at_layer(2)
+            for name, ring in before.items():
+                if name != touched:
+                    assert after[name] is ring, name
+            assert net.rings_spliced == spliced + 1
+
+        smallest = min(after, key=lambda name: len(after[name]))
+        doomed = after[smallest].peers.tolist()
+        wave(lambda: net.remove_peers(doomed), smallest)  # the whole ring retires
+        assert smallest not in net.rings_at_layer(2)
+        net.rebind_peers(doomed, [["!"]] * len(doomed))
+        wave(lambda: net.revive_peers(doomed), "!")  # founds a ring that sorts first
+        assert next(iter(net.rings_at_layer(2))) == "!"
 
     def test_wave_counters(self):
         _, net = build_pair(n=100, depth=2, seed=81)
@@ -324,3 +346,66 @@ class TestValidationParity:
         assert net.publish_skips - skips == sum(
             len(net.rings_at_layer(layer)) for layer in range(2, net.depth + 1)
         )
+
+
+def ring_set_wave_digest(depth, *, lookups=200):
+    """SHA-256 over scalar and batch routes across waves that change the ring set.
+
+    On ``build_bundle(SimConfig(n_peers=300, seed=7, depth=depth))``:
+    the smallest lowest-layer ring retires, five peers of the largest
+    found a ring whose names sort first (``"!"``), that ring retires, and
+    one wave revives both.  Each step digests ``route`` (owner, path,
+    ``hops_per_layer``, latency hex) for 50 seeded lookups and
+    ``batch_route`` for ``lookups``.
+    """
+    net = build_bundle(SimConfig(n_peers=300, seed=7, depth=depth), cache=False).hieras
+    rng = np.random.default_rng(13)
+    digest = hashlib.sha256()
+
+    def record():
+        sources = rng.choice(np.flatnonzero(net._alive), size=lookups)
+        keys = rng.integers(0, net.space.size, size=lookups, dtype=np.uint64)
+        for src, key in zip(sources[:50].tolist(), keys[:50].tolist()):
+            r = net.route(src, key)
+            digest.update(repr((r.owner, r.path, r.hops_per_layer, r.latency_ms.hex())).encode())
+        batch = batch_route(net, sources, keys, paths=True)
+        for lane in range(lookups):
+            digest.update(repr((
+                int(batch.owner[lane]), batch.path(lane),
+                batch.hops_per_layer[lane].tolist(), float(batch.latency_ms[lane]).hex(),
+            )).encode())
+
+    record()
+    lowest = dict(net.rings_at_layer(depth))
+    small = min(lowest, key=lambda name: (len(lowest[name]), name))
+    large = max(lowest, key=lambda name: (len(lowest[name]), name))
+    doomed = lowest[small].peers.tolist()
+    movers = sorted(lowest[large].peers[:5].tolist())
+    net.remove_peers(doomed)
+    record()
+    net.remove_peers(movers)
+    net.rebind_peers(movers, [["!", "!/!", "!/!/!"][: depth - 1]] * len(movers))
+    net.revive_peers(movers)
+    assert next(iter(net.rings_at_layer(depth))).startswith("!")
+    record()
+    net.remove_peers(movers)
+    record()
+    net.revive_peers(doomed + movers)
+    record()
+    return digest.hexdigest()[:16]
+
+
+#: Recorded at the parent commit, where each lower layer still kept a
+#: name-ordered ring index beside the interned code and renumbered it
+#: whenever a ring was born or retired.
+RING_SET_WAVE_DIGESTS = {2: "731159ab4e5bd349", 3: "ff7bb93acd445b7a"}
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_ring_set_waves_route_as_at_the_parent_commit(depth):
+    assert ring_set_wave_digest(depth) == RING_SET_WAVE_DIGESTS[depth]
+
+
+if __name__ == "__main__":
+    for depth in (2, 3):
+        print(f'    {depth}: "{ring_set_wave_digest(depth)}",')

@@ -61,7 +61,7 @@ class TestRunSweep:
         routed = []
         monkeypatch.setattr(sweep, "sample_pair", lambda *a: routed.append(a))
         spec = SweepSpec(sizes=(200,), depths=(2, 5), n_requests=100)
-        with pytest.raises(ValueError, match=r"depth must be in \[2, 4\]"):
+        with pytest.raises(ValueError, match=r"depth must be an integer in \[2, 4\]"):
             run_sweep(spec)
         assert routed == []
 
