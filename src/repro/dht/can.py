@@ -231,11 +231,12 @@ class CanNetwork(DHTNetwork):
         i = int(np.argmin(dists))
         return float(dists[i]), int(self.peers[int(nbrs[i])])
 
-    def route_to_point(self, source: int, point: np.ndarray) -> list[int]:
-        """Greedy geometric route (peer path) to ``point``'s owner."""
+    def route_to_point(self, source: int, point: np.ndarray, *, stop: int = -1) -> list[int]:
+        """Greedy geometric route (peer path) to ``point``'s owner, or to
+        peer ``stop`` if the walk reaches it first."""
         target = self.owner_of_point(point)
         return self._walk(
-            source, lambda peer: None if peer == target else self._greedy_hop(peer, point)[1]
+            source, lambda peer: None if peer in (target, stop) else self._greedy_hop(peer, point)[1]
         )
 
     def route(self, source: int, key: int) -> RouteResult:
