@@ -316,9 +316,10 @@ class TestLayerFrontier:
         )
 
     def test_first_call_after_the_ring_set_changes(self):
-        """Waves that retire a ring and found one under a new name
-        renumber the layer's rings; the first batch call after each must
-        not read a view of the rings before it."""
+        """Waves that retire a ring and found one under a new name change
+        the layer's ring set (a code's slot empties, a new code gets one);
+        the first batch call after each must not read a view of the rings
+        before it."""
         net = build_binned([40, 6, 30], spare=5, successor_list_r=4, successor_list_policy="always")
         rng = np.random.default_rng(43)
 
@@ -334,13 +335,13 @@ class TestLayerFrontier:
         names = list(net.rings_at_layer(2))
         doomed = net.rings_at_layer(2)[names[1]].peers.tolist()
         assert len(doomed) == 6
-        net.remove_peers(doomed)  # a whole ring dies: the one after it moves down
+        net.remove_peers(doomed)  # a whole ring retires: its slot empties
         assert list(net.rings_at_layer(2)) == [names[0], names[2]]
         check()
         fresh = [
             int(v) for v in net.space.sample_unique_ids(50, rng) if int(v) not in net.ring
         ][:5]
-        net.add_peers(fresh, [["!"]] * 5)  # a new name that sorts first: every ring moves up
+        net.add_peers(fresh, [["!"]] * 5)  # a new name that sorts first: a new code and slot
         assert list(net.rings_at_layer(2)) == ["!", names[0], names[2]]
         check()
         net.revive_peers(doomed)
