@@ -53,9 +53,10 @@ SMOKE_SIZES = (2048, 8192)
 
 #: How far a run may raise the process's peak RSS (MiB) — the rise, as
 #: what the process had peaked at before the bench began is not the
-#: bench's.  Sized for ``--full``: ≈1 500 with ``uint8`` stub blocks,
-#: ≈3 080 with ``float32`` ones.
-PEAK_RSS_BOUND_MB = 1900.0
+#: bench's.  Sized for ``--full``: ≈1 165 measured with packed ``uint8``
+#: stub blocks, plus a ≈235 MB margin — less than the 320 MB the packing
+#: saves at N=10⁶, so square blocks (≈1 470) fail the gate.
+PEAK_RSS_BOUND_MB = 1400.0
 
 
 def _lookups_for(n_peers: int, *, full: bool) -> int:

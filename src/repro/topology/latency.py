@@ -10,8 +10,9 @@ Three strategies, all implementing :class:`repro.topology.base.LatencyModel`:
   (tiny) transit-core APSP and per-stub all-pairs blocks for the
   same-domain lanes.  The §4.1 substrate gives every intra-stub link
   one delay, so a block is **hop counts** — ``uint8``, one byte per
-  pair, from one bit-parallel BFS over all of a stub's routers at once
-  (:func:`_bfs_hops`) — read through one running-sum table of that
+  router pair stored once (the packed upper triangle of a symmetric
+  distance), from one bit-parallel BFS over all of a stub's routers at
+  once (:func:`_bfs_hops`) — read through one running-sum table of that
   delay.  This is what makes paper-scale simulation (10 000 routers,
   100 000 requests × ~13 hops) cheap and a million routers fit.
 * :class:`APSPLatencyModel` — all-pairs matrix for general graphs
@@ -34,6 +35,7 @@ is "not very accurate" yet adequate for the binning scheme.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -75,12 +77,12 @@ class _BlockModel(LatencyModel):
     def _init_pool(
         self,
         n_blocks: int,
-        shape: tuple[int, int],
+        shape: tuple[int, ...],
         dtype: type,
         cache_bytes: int | None,
         eager_bytes: int | None,
     ) -> None:
-        size = self._block_bytes = shape[0] * shape[1] * np.dtype(dtype).itemsize
+        size = self._block_bytes = math.prod(shape) * np.dtype(dtype).itemsize
         footprint = n_blocks * size
         budget = footprint if cache_bytes is None else int(cache_bytes)
         require(budget >= size, f"a cache budget of {budget} bytes is below one latency block ({size} bytes)")
@@ -330,7 +332,11 @@ class TransitStubLatencyModel(_BlockModel):
     ``border distance + uplink`` (border distances from **one** Dijkstra
     over the intra-stub links started at all border routers together).
     Same-domain lanes read per-stub blocks, pooled as in
-    :class:`_BlockModel` (the defaults hold and fill every block).
+    :class:`_BlockModel` (the defaults hold and fill every block).  A
+    stub's distances are symmetric, so a block is the packed upper
+    triangle of the ``size × size`` square, diagonal included, row-major:
+    ``size * (size + 1) // 2`` entries, and the pair ``(lu, lv)`` reads
+    entry ``_row_start[min(lu, lv)] + max(lu, lv)``.
 
     Blocks are ``uint8`` hop counts read through :func:`_hop_ms` where
     the data allow it: every intra-stub link carries
@@ -401,18 +407,26 @@ class TransitStubLatencyModel(_BlockModel):
         self._ms = ms if uniform and near.max() <= ms[_MAX_HOPS // 2] else None
         size = params.stub_domain_size
         dtype = np.float32 if self._ms is None else np.uint8
-        self._init_pool(topology.n_stub_domains, (size, size), dtype, cache_bytes, eager_bytes)
+        # Row ``i`` of the triangle holds columns ``i …`` and starts at
+        # entry ``_row_start[i] + i``.
+        rows = np.arange(size, dtype=np.int64)
+        self._row_start = rows * size - rows * (rows + 1) // 2
+        packed = (size * (size + 1) // 2,)
+        self._init_pool(topology.n_stub_domains, packed, dtype, cache_bytes, eager_bytes)
 
     def _fill(self, block: int, out: np.ndarray) -> None:
         lo, hi = self._starts[block], self._starts[block + 1]
         sub = self._graph[lo:hi, lo:hi]
+        size = len(self._row_start)
+        square = np.zeros((size, size), dtype=out.dtype)
         if self._ms is None:
-            out[: hi - lo, : hi - lo] = dijkstra(sub, directed=False)
+            square[: hi - lo, : hi - lo] = dijkstra(sub, directed=False)
         else:
-            _bfs_hops(sub, out[: hi - lo, : hi - lo])
+            _bfs_hops(sub, square[: hi - lo, : hi - lo])
+        out[:] = square[~np.tri(size, k=-1, dtype=bool)]
 
     def _block_ms(self, slot: np.ndarray, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
-        entries = self._pool[slot, lu, lv]
+        entries = self._pool[slot, self._row_start[np.minimum(lu, lv)] + np.maximum(lu, lv)]
         return entries if self._ms is None else self._ms[entries]
 
     def pair(self, u: int, v: int) -> float:
@@ -509,7 +523,7 @@ def latency_model_for(
     answers either way — and ``streaming_cache_bytes`` is the hard
     ceiling on resident block bytes (below one block: an error; far
     below the working set: the same blocks re-filled on every chunk —
-    a million-router transit-stub instance is ~2.4 k blocks of 0.26 MB).
+    a million-router transit-stub instance is ~2 k blocks of 0.13 MB).
     """
     exact = isinstance(topology, TransitStubTopology) and not topology.params.has_shortcuts
     model = TransitStubLatencyModel if exact else APSPLatencyModel

@@ -113,7 +113,7 @@ class TransitStubParams:
         From 100 000 routers on, the transit tier grows with the network
         instead: 8 transit routers per domain by default, and as many
         domains (at least 4) as keep stub domains near 512 routers, so a
-        per-stub hop-count block stays ≈0.26 MB (``512²`` bytes) — the
+        per-stub hop-count block stays ≈0.13 MB (``512·513/2`` bytes) — the
         unit the latency model fills, evicts and budgets by.  At 1.25 M
         routers that is 38 domains × 8 routers and 2 432 stubs of 514.
         Only the defaults change with the regime; every override is

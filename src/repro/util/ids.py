@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
+from numbers import Integral
 
 import numpy as np
 import numpy.typing as npt
@@ -75,7 +76,10 @@ class IdSpace:
     size: int = field(init=False)
 
     def __post_init__(self) -> None:
-        require_in_range(self.bits, 1, 160, name="bits")
+        # A float or a bool fails here with the range's message, not later
+        # as a shift's TypeError or as a space of two points.
+        integral = isinstance(self.bits, Integral) and not isinstance(self.bits, bool)
+        require(integral and 1 <= self.bits <= 160, f"bits must be in [1, 160], got {self.bits!r}")
         object.__setattr__(self, "size", 1 << self.bits)
 
     # ------------------------------------------------------------------

@@ -49,6 +49,8 @@ class TestConfig:
             ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
             ({"depth": 2.0}, "depth must be an integer in [2, 4], got 2.0"),
             ({"n_peers": 100.0}, "n_peers must be an integer >= 8, got 100.0"),
+            ({"bits": 32.0}, "bits must be in [1, 160], got 32.0"),
+            ({"bits": True}, "bits must be in [1, 160], got True"),
         ],
     )
     def test_rejects_before_any_topology_is_built(self, fields, message, monkeypatch):

@@ -5,8 +5,8 @@ Eager, lazy and evicting are one code path run under different numbers
 the same topology at five budgets and must come back ``array_equal``
 across them and equal to Dijkstra — on the transit-stub decomposition
 and on the APSP row blocks alike.  The rest pins what the ``uint8`` hop
-store could get wrong (deep, mixed-delay, duplicate-link and
-off-table-delay stubs), the budget as a hard ceiling, the shape check,
+store and its packed triangle could get wrong (deep, mixed-delay,
+duplicate-link and off-table-delay stubs; both orders of a pair), the budget as a hard ceiling, the shape check,
 and — by call counts, never by a clock — what a fill and a warm
 ``pairs`` may cost.
 """
@@ -34,6 +34,12 @@ BUDGETS = ["one_block", "two_blocks", "half", "lazy", "filled"]
 EVICTING = BUDGETS[:3]
 
 
+def _stub_block_bytes(topo):
+    """One ``uint8`` stub block: the packed upper triangle, diagonal included."""
+    size = topo.params.stub_domain_size
+    return size * (size + 1) // 2
+
+
 def _at_budget(make, block_bytes, n_blocks, budget):
     """``(model, cache_bytes)`` of one decomposition at a named budget."""
     footprint = block_bytes * n_blocks
@@ -49,7 +55,7 @@ def decomposition(request, small_topology):
     """``(topology, make, {budget: (model, cache_bytes)})`` — fresh models per module."""
     if request.param == "transit_stub":
         topo = small_topology
-        block_bytes, n_blocks = topo.params.stub_domain_size**2, topo.n_stub_domains
+        block_bytes, n_blocks = _stub_block_bytes(topo), topo.n_stub_domains
 
         def make(**kw):
             return TransitStubLatencyModel(topo, **kw)
@@ -135,10 +141,9 @@ def _pair_kinds(topo):
 
 def test_transit_stub_pair_kinds_are_scalar_exact(small_topology):
     for budget in ("filled", "lazy", "one_block"):
-        size = small_topology.params.stub_domain_size
         model, _ = _at_budget(
             lambda **kw: TransitStubLatencyModel(small_topology, **kw),
-            size * size, small_topology.n_stub_domains, budget,
+            _stub_block_bytes(small_topology), small_topology.n_stub_domains, budget,
         )
         for u, v in _pair_kinds(small_topology):
             want = model.pairs(np.asarray([u]), np.asarray([v]))[0]
@@ -244,6 +249,28 @@ class TestHandBuiltStubs:
                 dijkstra(sub, directed=False).astype(np.float32),
             )
 
+    @pytest.mark.parametrize("name", ["generated", *HAND_BUILT])
+    def test_packed_blocks_answer_the_square_both_ways(self, name, small_topology):
+        """A block stores each router pair once: ``(u, v)`` and ``(v, u)``
+        read one entry, and every pair of every stub reads what the
+        square ``_bfs_hops`` / Dijkstra scratch held before packing."""
+        topo = small_topology if name == "generated" else HAND_BUILT[name][0]()
+        model = TransitStubLatencyModel(topo)
+        for d in range(topo.n_stub_domains):
+            members = topo.routers_of_domain(d)
+            m = len(members)
+            got = model.pairs(np.repeat(members, m), np.tile(members, m)).reshape(m, m)
+            np.testing.assert_array_equal(got.view(np.uint64), got.T.view(np.uint64))
+            lo, hi = model._starts[d], model._starts[d + 1]
+            sub = model._graph[lo:hi, lo:hi]
+            if model._ms is None:
+                square = dijkstra(sub, directed=False).astype(np.float32)
+            else:
+                hops = np.zeros((m, m), dtype=np.uint8)
+                latency_module._bfs_hops(sub, hops)
+                square = model._ms[hops]
+            np.testing.assert_array_equal(got.view(np.uint64), square.astype(np.float64).view(np.uint64))
+
     @pytest.mark.parametrize("eager_bytes", [None, 0], ids=["filled", "lazy"])
     def test_split_stub_is_named_in_both_fill_modes(self, eager_bytes):
         """Stub 1 falls into {border, 1} and {2, 3}."""
@@ -258,7 +285,7 @@ class TestHandBuiltStubs:
 
 class TestBudgetIsAHardCeiling:
     def test_a_budget_below_one_block_names_the_block_size(self, small_topology):
-        block = small_topology.params.stub_domain_size**2
+        block = _stub_block_bytes(small_topology)
         message = f"a cache budget of {block - 1} bytes is below one latency block \\({block} bytes\\)"
         with pytest.raises(ValueError, match=message):
             TransitStubLatencyModel(small_topology, cache_bytes=block - 1)
@@ -269,7 +296,7 @@ class TestBudgetIsAHardCeiling:
             latency_model_for(brite, streaming_threshold_bytes=0, streaming_cache_bytes=8191)
 
     def test_the_budget_sizes_the_pool(self, small_topology):
-        block = small_topology.params.stub_domain_size**2
+        block = _stub_block_bytes(small_topology)
         model = latency_model_for(small_topology, streaming_cache_bytes=5 * block + 7)
         assert model._pool.shape[0] == 5
         assert model.cache_misses == 0  # cannot hold every block, so nothing is pre-filled
@@ -354,7 +381,7 @@ class TestCallCounts:
     def test_warm_pairs_is_one_gather_no_fill_no_unique(
         self, small_topology, monkeypatch, cache_blocks
     ):
-        block = small_topology.params.stub_domain_size**2
+        block = _stub_block_bytes(small_topology)
         model = TransitStubLatencyModel(
             small_topology, eager_bytes=0, cache_bytes=cache_blocks and cache_blocks * block
         )
@@ -397,17 +424,17 @@ class TestObservability:
 
     def test_resident_bytes_is_one_byte_per_pair_of_each_filled_block(self, filled_by_routing):
         bundle, model = filled_by_routing
-        size = bundle.topology.params.stub_domain_size
+        packed = _stub_block_bytes(bundle.topology)
         filled = model.cache_misses
         assert 0 < filled <= bundle.topology.n_stub_domains and model.evictions == 0
-        assert model._pool.dtype == np.uint8 and model._pool.shape[1:] == (size, size)
+        assert model._pool.dtype == np.uint8 and model._pool.shape[1:] == (packed,)
         graph = model._graph
         tables = [
             model._core, model._edge, model._gw_u, model._gw_v, model._dom_u, model._dom_v,
             model._local, model._ms, model._starts, graph.data, graph.indices, graph.indptr,
-            model._slot_of, model._block_in, model._stamp,
+            model._slot_of, model._block_in, model._stamp, model._row_start,
         ]  # fmt: skip
-        assert model.resident_bytes == filled * size * size * 1 + sum(t.nbytes for t in tables)
+        assert model.resident_bytes == filled * packed * 1 + sum(t.nbytes for t in tables)
         # Slots no block was filled into were never written (np.zeros pages stay untouched).
         assert model._resident == filled and not model._pool[filled:].any()
 

@@ -65,10 +65,11 @@ class TestScaleTsParams:
 
     def test_large_sizes_bound_stub_blocks(self):
         params = TransitStubParams.for_size(1_250_000)
-        assert params.stub_domain_size <= 600  # ≈0.26 MB uint8 hop blocks
+        assert params.stub_domain_size <= 600  # ≤ 0.18 MB packed uint8 hop blocks
         assert 0.8 <= params.n_routers / 1_250_000 <= 1.2
-        block_bytes = params.stub_domain_size**2  # one byte per router pair
-        assert block_bytes < 512 * 1024
+        size = params.stub_domain_size
+        block_bytes = size * (size + 1) // 2  # one byte per router pair, stored once
+        assert block_bytes < 256 * 1024
 
     def test_rejects_tiny(self):
         with pytest.raises(ValueError, match="need >= 16 routers"):
@@ -219,10 +220,12 @@ class TestBenchScaleDocument:
             assert mem["full_rebuilds_during_waves_hieras"] == 0
             assert mem["incremental_matches_rebuild"] is True
             assert cell["memory"]["hieras_bytes"] > 0
-            # Small cells fill every stub block at construction: 1 B per pair.
+            # Small cells fill every stub block at construction: 1 B per
+            # router pair, each pair stored once.
             params = TransitStubParams.for_size(SimConfig(model="ts", n_peers=cell["n_peers"]).n_routers)
             assert cell["memory"]["latency_block_fills"] == params.n_stub_domains
-            blocks = params.n_stub_domains * params.stub_domain_size**2
+            size = params.stub_domain_size
+            blocks = params.n_stub_domains * size * (size + 1) // 2
             assert blocks < cell["memory"]["latency_bytes"] < blocks + 128 * params.n_routers
         assert cells["n192"]["engines_agree"] is True
         for n in (192, 320):
@@ -248,14 +251,16 @@ class TestBenchScaleDocument:
         assert "[DIVERGES]" in report(broken)
 
     def test_memory_gate_is_a_claim_on_the_rise_in_peak_rss(self, doc):
-        """3 150 MB (the N=10⁶ peak with float32 blocks) from a fresh
-        process diverges; the same peak reached before the bench began
-        is not the bench's."""
+        """3 150 MB (the N=10⁶ peak with float32 blocks) and 1 534 MB
+        (square uint8 blocks) from a fresh process diverge; the same peak
+        reached before the bench began is not the bench's."""
         heavy = copy.deepcopy(doc)
         heavy["phases"]["start"]["peak_rss_mb"] = 65.0
         heavy["phases"]["peak_rss"]["peak_rss_mb"] = 3150.0
         assert "[DIVERGES] the run raises the process's peak RSS by 3085 MB" in report(heavy)
-        heavy["phases"]["peak_rss"]["peak_rss_mb"] = 1570.0
-        assert "[ok] the run raises the process's peak RSS by 1505 MB" in report(heavy)
+        heavy["phases"]["peak_rss"]["peak_rss_mb"] = 1534.0
+        assert "[DIVERGES] the run raises the process's peak RSS by 1469 MB" in report(heavy)
+        heavy["phases"]["peak_rss"]["peak_rss_mb"] = 1290.0
+        assert "[ok] the run raises the process's peak RSS by 1225 MB" in report(heavy)
         heavy["phases"]["start"]["peak_rss_mb"] = heavy["phases"]["peak_rss"]["peak_rss_mb"] = 4500.0
         assert "[DIVERGES]" not in report(heavy)

@@ -147,8 +147,8 @@ class TestFaultFreeLossyEqualsRoute:
         """Failure mode never applies the §3.2 successor-list shortcut
         and ends the global loop greedily, so under the default policy a
         fault-free ``route_lossy`` is *not* the figures' ``route``: paths
-        differ and run longer.  Asserted as present — ROADMAP item 8
-        ("failure-mode HIERAS is not the figures' HIERAS") owns the fix,
+        differ and run longer.  Asserted as present — ROADMAP item 3
+        ("One HIERAS under faults") owns the fix,
         which flips this test into ``assert_lossy_equals_route``."""
         _, net = build_pair(
             1000, depth=depth, landmarks=landmarks, successor_list_policy=policy
