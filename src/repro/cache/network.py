@@ -332,7 +332,7 @@ class CachedNetwork(DHTNetwork):
                 continue
             evicted = self.cache_of(node).put(
                 key,
-                CacheEntry(  # lint: allow-loop-alloc -- cache entries ARE the cache's storage; built once per miss along the path, not per peer
+                CacheEntry(
                     owner=owner, has_value=self.policy.cache_values,
                     inserted_ms=self.now_ms,
                 ),

@@ -3,7 +3,7 @@
 Python dicts iterate in insertion order, so maintaining recency by
 re-inserting on every hit gives an exact LRU whose eviction order is a
 pure function of the access sequence — no hashing artefacts, no RNG,
-nothing for reprolint's determinism rules to object to.
+nothing for the determinism scans (DESIGN.md §8) to object to.
 """
 
 from __future__ import annotations

@@ -392,7 +392,7 @@ class HierasNetwork(ChordNetwork):
                 (e.node_id, e.peer, self.ring_name_of(e.peer, 2)) for e in entries
             )
             rows.append(
-                LayeredFingerRow(start=base.start, interval=base.interval, successors=succ)  # lint: allow-loop-alloc -- Table 2 inspection API; routing never calls this
+                LayeredFingerRow(start=base.start, interval=base.interval, successors=succ)
             )
         return rows
 

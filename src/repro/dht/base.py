@@ -247,13 +247,13 @@ class DHTNetwork(ABC):
             u, v = result.path[i], result.path[i + 1]
             delay = float(latency.pair(u, v)) if latency is not None else 0.0
             hops.append(
-                HopRecord(  # lint: allow-loop-alloc -- traced routes only; metrics-off lookups never reach record_route
+                HopRecord(
                     index=i, src=u, dst=v, layer=layers[i], ring=rings[i],
                     latency_ms=delay,
                     cache=cache[i] if cache is not None else "",
                 )
             )
-        self.metrics.record(  # lint: allow-metrics-guard -- documented contract: callers check `self.metrics is not None` before record_route
+        self.metrics.record(
             LookupSpan(
                 network=label,
                 source=result.source,

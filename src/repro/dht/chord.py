@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -26,6 +27,11 @@ from repro.util.validation import require, require_int
 __all__ = ["ChordNetwork"]
 
 _NO_PEERS = np.empty(0, dtype=np.int64)
+
+
+def _is_integer(value: object) -> bool:
+    """An integer (numpy's included, as the batch path takes them), not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -354,12 +360,23 @@ class ChordNetwork(DHTNetwork):
     def _require_source(self, source: int) -> None:
         """The one source check of ``route``, ``route_lossy`` and the batch walker."""
         n = len(self._alive)
+        require(_is_integer(source), f"source peer must be an integer, got {source!r}")
         require(0 <= source < n, f"source peer {source} out of range [0, {n})")
         require(bool(self._alive[source]), f"source peer {source} is not alive")
 
+    def _require_key(self, key: int) -> int:
+        """The one key check of ``route``, ``route_lossy`` and ``owner_of``.
+
+        An integer (numpy's included, as in the batch path) wrapped
+        modulo ``2**bits``; a float or bool is refused, not truncated to
+        a key the caller never named.
+        """
+        require(_is_integer(key), f"key must be an integer, got {key!r}")
+        return self.space.wrap(int(key))
+
     def owner_of(self, key: int) -> int:
         """Peer responsible for ``key`` — its successor on the global ring."""
-        return int(self.ring.peers[self.ring.successor_pos(key)])
+        return int(self.ring.peers[self.ring.successor_pos(self._require_key(key))])
 
     def route(self, source: int, key: int) -> RouteResult:
         """Route ``key`` from ``source`` to its owner, lowest ring first.
@@ -375,7 +392,7 @@ class ChordNetwork(DHTNetwork):
         the key's owner.
         """
         self._require_source(source)
-        return self._walk_plan(source, key, None)
+        return self._walk_plan(source, self._require_key(key), None)
 
     def route_lossy(self, source: int, key: int, *, injector: FaultInjector) -> RouteResult:
         """Failure-aware routing under an active fault injector.
@@ -397,6 +414,7 @@ class ChordNetwork(DHTNetwork):
         the lookup died.
         """
         self._require_source(source)
+        key = self._require_key(key)
         require(not injector.state.is_dead(source), f"source peer {source} has crashed")
         return self._walk_plan(source, key, LookupFaults(injector))
 
@@ -411,7 +429,6 @@ class ChordNetwork(DHTNetwork):
         ``successor_list_policy="off"`` (ROADMAP: "failure-mode HIERAS
         is not the figures' HIERAS").
         """
-        key = self.space.wrap(int(key))
         lossy = faults is not None
         path = [source]
         hops_per_layer: list[int] = []

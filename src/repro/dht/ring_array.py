@@ -342,7 +342,7 @@ class SortedRing:
             nxt = (node_id + (1 << i)) % self._size if i < bits else node_id
             spos = self.successor_pos(start)
             entries.append(
-                FingerEntry(  # lint: allow-loop-alloc -- inspection/Table 2 helper; routing queries fingers lazily from the SoA arrays
+                FingerEntry(
                     index=i,
                     start=start,
                     interval=(start, nxt),

@@ -62,11 +62,11 @@ def timed(record: dict[str, float], key: str = "wall_ms") -> Iterator[dict[str, 
     Yields ``record`` so the caller can add rate or RSS keys beside the
     wall time once the block has exited.
     """
-    t0 = time.perf_counter()  # lint: allow-wallclock -- the phase timer; readings land in the nondeterministic "phases" key or a printed wall_s
+    t0 = time.perf_counter()
     try:
         yield record
     finally:
-        record[key] = (time.perf_counter() - t0) * 1000.0  # lint: allow-wallclock -- the phase timer; readings land in the nondeterministic "phases" key or a printed wall_s
+        record[key] = (time.perf_counter() - t0) * 1000.0
 
 
 def rate_per_s(count: int, wall_ms: float) -> float:

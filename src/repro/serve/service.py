@@ -5,7 +5,7 @@ that serves": clients submit :class:`~repro.serve.request.Request`
 records (``get``/``put``/``join``/``leave``) which cross an explicit
 queue boundary and are dispatched by a pool of ``workers`` slots on a
 **deterministic simulated clock** — no wall time is consulted anywhere
-(reprolint DET002 covers this package), so a run is a pure function of
+(the DET002 source scan covers this package), so a run is a pure function of
 the request sequence and the network state.
 
 Queueing model

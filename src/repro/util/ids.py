@@ -153,7 +153,9 @@ class IdSpace:
             ids.update(int(v) for v in draw)
             while len(ids) > count:
                 ids.pop()
-        out = np.fromiter(ids, dtype=np.uint64, count=count)  # lint: allow-unsorted -- int-set order is hash-stable across runs, and rng.shuffle below re-permutes it; sorting first would silently reseed every artifact
+        # Set order: int hashing is stable across runs, and rng.shuffle below
+        # re-permutes it; sorting first would silently reseed every artifact.
+        out = np.fromiter(ids, dtype=np.uint64, count=count)
         rng.shuffle(out)
         return np.asarray(out, dtype=np.uint64)
 

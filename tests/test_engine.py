@@ -527,6 +527,32 @@ class TestResultShape:
                 with pytest.raises(ValueError, match=message):
                     net.route_lossy(bad, 7, injector=None)  # rejected before any contact
 
+    @pytest.mark.parametrize(
+        ("source", "key", "message"),
+        [
+            (7.0, 5, "source peer must be an integer, got 7.0"),
+            (True, 5, "source peer must be an integer, got True"),
+            (7, 3.7, "key must be an integer, got 3.7"),
+            (7, np.float64(3.0), r"key must be an integer, got (np\.float64\()?3\.0"),
+            (7, True, "key must be an integer, got True"),
+        ],
+    )
+    def test_non_integer_scalar_request_rejected(self, source, key, message):
+        """The scalar calls refuse what ``batch_route`` refuses: a float or
+        bool is not truncated to a source or key the caller never named —
+        on both stacks, ``route``, ``route_lossy`` (before any contact)
+        and ``owner_of``; numpy integers stay accepted."""
+        for net in build_pair(n=30, seed=1):
+            with pytest.raises(ValueError, match=message):
+                net.route(source, key)
+            with pytest.raises(ValueError, match=message):
+                net.route_lossy(source, key, injector=None)
+            if type(source) is int:  # a key case
+                with pytest.raises(ValueError, match=message):
+                    net.owner_of(key)
+            assert net.route(np.int64(7), np.uint64(5)).path == net.route(7, 5).path
+            assert net.owner_of(np.uint64(5)) == net.owner_of(5)
+
     @pytest.mark.parametrize("engine", ["batch", "scalar"])
     def test_non_integer_and_nested_requests_rejected(self, engine):
         """A float source must not be truncated to a peer it does not
