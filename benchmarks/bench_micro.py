@@ -112,18 +112,18 @@ def test_pastry_table_construction(benchmark, midsize_bundle):
 
 
 def test_storage_put_get(benchmark, midsize_bundle):
-    """1000 puts + 1000 replicated gets through the KV layer."""
-    from repro.dht.storage import DHTStore
+    """1000 routed puts + 1000 replicated gets through the KV layer."""
+    from repro.replication import ReplicatedStore, ReplicationPolicy
 
-    store = DHTStore(midsize_bundle.chord, replicas=2)
+    store = ReplicatedStore(midsize_bundle.chord, ReplicationPolicy(replicas=2))
+    n_peers = midsize_bundle.config.n_peers
 
     def run():
         for i in range(1000):
-            store.put(f"file-{i}", i)
+            store.put(i % n_peers, f"file-{i}", i)
         hits = 0
         for i in range(1000):
-            value, _ = store.get(i % midsize_bundle.config.n_peers, f"file-{i}")
-            hits += value is not None
+            hits += store.get((i + 1) % n_peers, f"file-{i}").value is not None
         return hits
 
     hits = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)

@@ -1,7 +1,7 @@
 """Analysis toolkit: statistics and paper-style table rendering.
 
-* :mod:`repro.analysis.stats` — summaries, hop-count PDFs (Figure 4),
-  latency CDFs (Figure 5), and comparison helpers.
+* :mod:`repro.analysis.stats` — summaries, hop-count PDFs (Figure 4)
+  and comparison helpers.
 * :mod:`repro.analysis.tables` — fixed-width / markdown table printers
   used by the experiment harness to emit the same rows and series the
   paper reports.
@@ -21,10 +21,8 @@ from repro.analysis.compare import (
 from repro.analysis.plots import bar_chart, line_plot, sparkline
 from repro.analysis.stats import (
     RouteSample,
-    cdf,
     collect_routes,
     hop_pdf,
-    layer_breakdown,
     ratio_percent,
     summarize,
 )
@@ -35,9 +33,7 @@ __all__ = [
     "collect_routes",
     "summarize",
     "hop_pdf",
-    "cdf",
     "ratio_percent",
-    "layer_breakdown",
     "format_table",
     "render_series",
     "bar_chart",

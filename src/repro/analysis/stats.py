@@ -1,8 +1,9 @@
-"""Routing-result statistics: summaries, PDFs, CDFs.
+"""Routing-result statistics: summaries and PDFs.
 
 These are the measurement tools behind every figure: Figure 4 is a
-hop-count PDF (:func:`hop_pdf`), Figure 5 a latency CDF (:func:`cdf`),
-and Figures 2/3/6–9 are means over :class:`RouteSample` batches.
+hop-count PDF (:func:`hop_pdf`), and Figures 2/3/6–9 are means over
+:class:`RouteSample` batches (Figure 5's latency CDF is computed inline
+by the figure).
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ __all__ = [
     "collect_routes",
     "summarize",
     "hop_pdf",
-    "cdf",
     "ratio_percent",
-    "layer_breakdown",
 ]
 
 
@@ -143,47 +142,6 @@ def hop_pdf(hops: np.ndarray, *, max_hops: int | None = None) -> tuple[np.ndarra
     return np.arange(top + 1), counts / max(len(hops), 1)
 
 
-def cdf(values: np.ndarray, *, points: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF sampled at ``points`` positions (Figure 5).
-
-    Returns ``(x, F)`` where ``F[i]`` is the fraction of values
-    ``<= x[i]``; ``x`` spans the observed range.
-    """
-    values = np.sort(np.asarray(values, dtype=np.float64))
-    require(len(values) >= 1, "cannot build a CDF from an empty vector")
-    xs = np.linspace(values[0], values[-1], points)
-    fs = np.searchsorted(values, xs, side="right") / len(values)
-    return xs, fs
-
-
 def ratio_percent(a: float, b: float) -> float:
     """``100 * a / b`` with a guard for zero denominators."""
     return 100.0 * a / b if b else float("nan")
-
-
-def layer_breakdown(sample: RouteSample) -> list[dict[str, float]]:
-    """Two-row lower-vs-global breakdown of hops and latency (§4.3).
-
-    The paper's headline distribution claim — "71.38% of hops … only
-    47.24% of latency" — as a ready-to-print table: one row for the
-    lower layers combined, one for the global ring.
-    """
-    total_hops = float(sample.hops.sum())
-    total_lat = float(sample.latency_ms.sum())
-    low_hops = float(sample.low_layer_hops.sum())
-    low_lat = float(sample.low_layer_latency_ms.sum())
-    rows = []
-    for name, hops, lat in (
-        ("lower_rings", low_hops, low_lat),
-        ("global_ring", total_hops - low_hops, total_lat - low_lat),
-    ):
-        rows.append(
-            {
-                "layer": name,
-                "hops_per_request": hops / max(len(sample), 1),
-                "hop_share_pct": 100.0 * hops / total_hops if total_hops else 0.0,
-                "latency_share_pct": 100.0 * lat / total_lat if total_lat else 0.0,
-                "mean_link_delay_ms": lat / hops if hops else 0.0,
-            }
-        )
-    return rows

@@ -1,18 +1,21 @@
 """A time-stepped file-sharing service over a ring DHT.
 
 Assembles the full stack — topology, binning, HIERAS (or Chord),
-replicated storage, Zipf workload, churn — into the application the
-paper's introduction motivates, and measures what a *user* of the
-service sees round by round: query success rate, lookup latency, and
-the repair work churn causes.
+replicated storage (:class:`~repro.replication.store.ReplicatedStore`),
+Zipf workload, churn — into the application the paper's introduction
+motivates, and measures what a *user* of the service sees round by
+round: query success rate, lookup latency, and the repair work churn
+causes.
 
 The simulation advances in rounds.  Each round:
 
 1. a fraction of online peers crash (their stored state is lost) and a
    fraction of offline peers rejoin;
-2. the storage layer repairs placement (Chord's background transfer);
+2. the store rebalances every key onto its current replica group
+   (Chord's background transfer);
 3. online peers issue Zipf-distributed file queries; each query routes
-   to the file key's owner and succeeds iff a replica survived.
+   to the file key's owner, reads the chain tail and succeeds iff a
+   replica survived.
 
 Because peers only fail *between* repair rounds, the measured failure
 rate isolates the replication factor's durability — reproducing the
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dht.storage import DHTStore
+from repro.replication.policy import ReplicationPolicy
+from repro.replication.store import ReplicatedStore
 from repro.util.rng import make_rng
 from repro.util.validation import require
 from repro.workloads.requests import zipf_weights
@@ -42,6 +46,7 @@ class RoundMetrics:
     online_peers: int
     failed_this_round: int
     rejoined_this_round: int
+    #: Replica writes the round's rebalance made.
     keys_moved_by_repair: int
     queries: int
     successes: int
@@ -82,13 +87,13 @@ class FileSharingSystem:
         require(catalog_size >= 1, "catalog_size must be >= 1")
         self.network = network
         self.rng = make_rng(seed)
-        # Realistic durability: values whose every replica crashes are
-        # gone until someone re-publishes them.
-        self.store = DHTStore(network, replicas=replicas, restore_lost=False)
+        # Values whose every replica crashes are gone until someone
+        # re-publishes them: rebalance copies only what a live peer holds.
+        self.store = ReplicatedStore(network, ReplicationPolicy(replicas=replicas))
         self.catalog = [f"file-{i}" for i in range(catalog_size)]
         self.popularity = zipf_weights(catalog_size, zipf_exponent)
         for name in self.catalog:
-            self.store.put(name, {"name": name})
+            self.store.seed_key(name, {"name": name})
         self._offline: set[int] = set()
         self.history: list[RoundMetrics] = []
 
@@ -136,10 +141,10 @@ class FileSharingSystem:
         fail: int = 0,
         rejoin: int = 0,
     ) -> RoundMetrics:
-        """Advance the service by one round (churn → repair → queries)."""
+        """Advance the service by one round (churn → rebalance → queries)."""
         failed = self._fail_peers(fail)
         rejoined = self._rejoin_peers(rejoin)
-        moved = self.store.repair() if (failed or rejoined) else 0
+        moved = self.store.rebalance() if (failed or rejoined) else 0
 
         online = self.online_peers
         picks = self.rng.choice(
@@ -150,10 +155,10 @@ class FileSharingSystem:
         hops = 0
         for pick in picks:
             source = int(self.rng.choice(online))
-            value, route = self.store.get(source, self.catalog[int(pick)])
-            successes += value is not None
-            latency += route.latency_ms
-            hops += route.hops
+            result = self.store.get(source, self.catalog[int(pick)])
+            successes += result.value is not None
+            latency += result.total_latency_ms
+            hops += result.hops
         metrics = RoundMetrics(
             round_index=len(self.history),
             online_peers=len(online),

@@ -161,10 +161,6 @@ class CachedNetwork(DHTNetwork):
     # ------------------------------------------------------------------
     # load accounting
     # ------------------------------------------------------------------
-    def served_counts(self) -> dict[int, int]:
-        """Requests terminally served per peer (sorted by peer index)."""
-        return {p: self._served[p] for p in sorted(self._served)}
-
     def load_summary(self) -> dict[str, float]:
         """Owner-load concentration: max/mean requests served per node.
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 
 __all__ = ["CachePolicy"]
 
@@ -53,7 +53,7 @@ class CachePolicy:
     populate_path: bool = True
 
     def __post_init__(self) -> None:
-        require(self.capacity >= 0, f"capacity must be >= 0, got {self.capacity}")
+        require_int(self.capacity, 0, name="capacity")
         require(
             self.eviction in EVICTION_MODES,
             f"unknown eviction mode {self.eviction!r}; expected one of {EVICTION_MODES}",

@@ -95,6 +95,3 @@ class NodeCache:
         return False
 
     # ------------------------------------------------------------------
-    def keys(self) -> list[int]:
-        """Cached keys, least recently used first (deterministic order)."""
-        return list(self._entries)

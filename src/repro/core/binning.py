@@ -112,11 +112,6 @@ class BinningScheme:
             )
             prev = set(bounds)
 
-    @property
-    def depth(self) -> int:
-        """Hierarchy depth this scheme supports (layers incl. global)."""
-        return len(self.level_boundaries) + 1
-
     @classmethod
     def default_for_depth(cls, depth: int) -> "BinningScheme":
         """Paper-faithful scheme for a given hierarchy depth (2–4)."""
@@ -203,15 +198,6 @@ class LandmarkOrders:
     def depth(self) -> int:
         """Hierarchy depth (layers including the global ring)."""
         return len(self.codes_per_layer) + 1
-
-    def ring_codes(self, layer_index: int) -> tuple[np.ndarray, list[str]]:
-        """Factorised ring assignment at one lower layer.
-
-        Returns ``(codes, names)`` where ``codes[i]`` indexes ``names``
-        — the distinct ring names at layer ``layer_index + 2``, in name
-        order.
-        """
-        return self.codes_per_layer[layer_index], self.name_pools[layer_index]
 
     def names(self, layer_index: int) -> np.ndarray:
         """Every node's ring name at one lower layer (an object array)."""

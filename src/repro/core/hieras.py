@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.binning import LandmarkOrders
-from repro.core.ring import RingTableDirectory, ring_id
+from repro.core.ring import RingTableDirectory
 from repro.dht.chord import ChordNetwork, _NO_PEERS, _PlanLayer
 from repro.dht.ring_array import SortedRing
 from repro.topology.base import LatencyModel
@@ -446,7 +446,3 @@ class HierasNetwork(ChordNetwork):
                 sum(hosts.values()) / max(self.n_peers, 1)
             ),
         }
-
-    def ring_id_of(self, name: str) -> int:
-        """Ring id (hash of ring name) in this network's id space."""
-        return ring_id(self.space, name)

@@ -94,13 +94,6 @@ class HierasCanNetwork(DHTNetwork):
         """Peer owning ``key`` in the global CAN."""
         return self.global_can.owner_of(key)
 
-    def neighbor_state_size(self, peer: int) -> int:
-        """Total neighbour-set entries across layers (§3.4 cost)."""
-        return sum(
-            self.can_of(peer, layer).neighbor_count(peer)
-            for layer in range(1, self.depth + 1)
-        )
-
     # ------------------------------------------------------------------
     def route(self, source: int, key: int) -> RouteResult:
         """Bottom-up routing through the layered CANs.

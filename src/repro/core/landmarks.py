@@ -59,16 +59,6 @@ class LandmarkSet:
             require(all(len(m) >= 1 for m in self.members), "empty logical landmark")
 
     # ------------------------------------------------------------------
-    @property
-    def n_landmarks(self) -> int:
-        """Number of configured landmarks (live or failed)."""
-        return len(self.routers)
-
-    @property
-    def n_alive(self) -> int:
-        """Number of currently live landmarks."""
-        return int(self.alive.sum())
-
     @classmethod
     def logical(cls, groups: list[np.ndarray]) -> "LandmarkSet":
         """Build a set of logical landmarks from router groups.
@@ -84,17 +74,6 @@ class LandmarkSet:
             routers=primaries,
             members=[np.asarray(g, dtype=np.int64) for g in groups],
         )
-
-    def fail(self, landmark: int) -> None:
-        """Mark a landmark as failed (it stops answering pings)."""
-        require(0 <= landmark < self.n_landmarks, "landmark index out of range")
-        require(self.n_alive > 1, "cannot fail the last landmark")
-        self.alive[landmark] = False
-
-    def recover(self, landmark: int) -> None:
-        """Bring a failed landmark back."""
-        require(0 <= landmark < self.n_landmarks, "landmark index out of range")
-        self.alive[landmark] = True
 
     # ------------------------------------------------------------------
     def measure(

@@ -13,8 +13,6 @@ that argument for the ``churn``/cost experiments:
   one round of pinging all maintained neighbours, the paper's point
   that lower-layer maintenance is affordable because those pings are
   short.
-* :func:`fail_peers` — crash a set of peers on the static stack and
-  verify/repair invariants, for failure-injection tests.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ __all__ = [
     "state_cost_model",
     "measured_state_cost",
     "maintenance_traffic_cost",
-    "fail_peers",
 ]
 
 #: Bytes per routing-table entry: nodeid (20 B for SHA-1 width) + IPv4
@@ -153,28 +150,3 @@ def maintenance_traffic_cost(
             )
         out[f"layer{layer}_mean_ping_ms"] = float(np.mean(delays)) if delays else 0.0
     return out
-
-
-def fail_peers(network: HierasNetwork, peers: list[int]) -> dict[str, float]:
-    """Crash ``peers`` on the static stack and report repair effects.
-
-    Removal re-derives every routing structure from the surviving
-    membership (the steady state a real deployment's stabilization
-    converges to); returns how many rings changed or vanished.
-    """
-    rings_before = {
-        layer: set(network.rings_at_layer(layer)) for layer in range(2, network.depth + 1)
-    }
-    network.remove_peers([int(peer) for peer in peers])
-    changed = 0
-    vanished = 0
-    for layer, before in rings_before.items():
-        after = set(network.rings_at_layer(layer))
-        vanished += len(before - after)
-        changed += len(before & after)
-    return {
-        "failed": float(len(peers)),
-        "rings_surviving": float(changed),
-        "rings_vanished": float(vanished),
-        "peers_remaining": float(network.n_peers),
-    }

@@ -78,44 +78,23 @@ class RingTable:
             second_smallest=entry(min(1, n - 1)),
         )
 
-    def entries(self) -> list[tuple[int, int]]:
-        """All four ``(node_id, peer)`` entries, largest first."""
-        return [self.largest, self.second_largest, self.smallest, self.second_smallest]
-
-    def bootstrap_peer(self) -> int:
-        """A member peer a joining node can contact (§3.3 node ``p``)."""
-        return self.smallest[1]
-
-    def would_update(self, node_id: int) -> bool:
-        """Whether a new member with ``node_id`` belongs in the table.
-
-        Paper §3.3: the joiner sends a ring-table modification message
-        iff its id is larger than the second largest or smaller than the
-        second smallest entry.
-        """
-        return node_id > self.second_largest[0] or node_id < self.second_smallest[0]
-
 
 class RingTableDirectory:
     """Placement and retrieval of ring tables on the global ring.
 
-    The directory answers two questions the §3.3 join protocol needs:
-
-    * :meth:`host_of` — which peer stores a ring's table?  The paper
-      places it on the node whose id is *numerically closest* to the
-      ring id (shortest distance around the circle in either direction),
-      with replicas on the host's ``r`` successors.
-    * :meth:`table_of` — the current :class:`RingTable` content.
+    :meth:`host_of` answers the question the §3.3 join protocol needs:
+    which peer stores a ring's table?  The paper places it on the node
+    whose id is *numerically closest* to the ring id (shortest distance
+    around the circle in either direction); the paper also replicates it
+    on the host's successors, which this static directory does not model.
 
     The directory is rebuilt from authoritative membership by the static
     stack; the protocol stack (``repro.core.hieras_protocol``) maintains
     it with messages instead and is tested against this one.
     """
 
-    def __init__(self, space: IdSpace, *, replicas: int = 2) -> None:
-        require(replicas >= 0, "replicas must be >= 0")
+    def __init__(self, space: IdSpace) -> None:
         self.space = space
-        self.replicas = replicas
         self._tables: dict[str, RingTable] = {}
 
     # ------------------------------------------------------------------
@@ -124,10 +103,6 @@ class RingTableDirectory:
         table = RingTable.from_members(self.space, name, ids, peers)
         self._tables[name] = table
         return table
-
-    def table_of(self, name: str) -> RingTable:
-        """Current ring table of ring ``name`` (KeyError if unknown)."""
-        return self._tables[ring_name(name)]
 
     def names(self) -> list[str]:
         """All ring names with a published table."""
@@ -156,38 +131,3 @@ class RingTableDirectory:
         d_pred = ring_distance(rid, int(global_ids[pred]), self.space.size)
         best = succ if d_succ <= d_pred else pred
         return int(global_peers[best])
-
-    def replica_hosts(
-        self, name: str, global_ids: np.ndarray, global_peers: np.ndarray
-    ) -> list[int]:
-        """The primary host plus its ``replicas`` successors (§3.1)."""
-        primary = self.host_of(name, global_ids, global_peers)
-        global_ids = np.asarray(global_ids, dtype=np.uint64)
-        global_peers = np.asarray(global_peers, dtype=np.int64)
-        pos = int(np.flatnonzero(global_peers == primary)[0])
-        n = len(global_ids)
-        count = min(self.replicas, n - 1)
-        return [primary, *(int(global_peers[(pos + k) % n]) for k in range(1, count + 1))]
-
-    def live_host_of(
-        self,
-        name: str,
-        global_ids: np.ndarray,
-        global_peers: np.ndarray,
-        is_dead,
-    ) -> int:
-        """First live replica host of ring ``name``'s table.
-
-        The replication in §3.1 exists precisely so a ring table
-        survives its primary host crashing; this walks the replica chain
-        (primary, then its successors) and returns the first host
-        ``is_dead`` clears.  Raises ``LookupError`` when the primary and
-        every replica are dead — the table is genuinely lost until the
-        overlay republishes it.
-        """
-        for host in self.replica_hosts(name, global_ids, global_peers):
-            if not is_dead(host):
-                return host
-        raise LookupError(
-            f"ring table {name!r}: primary and all {self.replicas} replicas are dead"
-        )

@@ -23,8 +23,9 @@ provides those substrates:
 * :mod:`repro.dht.chord_pfs` — Chord with proximity-chosen fingers.
 * :mod:`repro.dht.pns` — the sampled proximity pick and the prefix
   tables Pastry, Tapestry and Chord+PFS fill their state with.
-* :mod:`repro.dht.storage` — a replicated key→value layer over the ring
-  networks, the "location information" service the lookups exist for.
+
+The storage layer the lookups exist for (§3.2's "location information")
+is :class:`repro.replication.ReplicatedStore`, over Chord or HIERAS.
 
 The side stacks (CAN, multi-reality CAN, Pastry, Tapestry, Chord+PFS and
 :mod:`repro.core.hieras_can`) route through
@@ -39,7 +40,6 @@ from repro.dht.chord import ChordNetwork
 from repro.dht.chord_pfs import PfsChordNetwork
 from repro.dht.pastry import PastryNetwork, PastryParams
 from repro.dht.ring_array import SortedRing
-from repro.dht.storage import DHTStore
 from repro.dht.tapestry import TapestryNetwork, TapestryParams
 
 __all__ = [
@@ -55,5 +55,4 @@ __all__ = [
     "PastryParams",
     "TapestryNetwork",
     "TapestryParams",
-    "DHTStore",
 ]

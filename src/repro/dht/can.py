@@ -143,7 +143,6 @@ class CanNetwork(DHTNetwork):
 
         self._lo = lo
         self._hi = hi
-        self._next_split = next_split
         self._neighbors = self._build_neighbors()
         self._slot_of_peer = {int(p): i for i, p in enumerate(peers)}
 
@@ -190,10 +189,6 @@ class CanNetwork(DHTNetwork):
     def n_peers(self) -> int:
         """Number of CAN members."""
         return len(self.peers)
-
-    def zone_of_slot(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(lo, hi)`` bounds of the member at internal ``slot``."""
-        return self._lo[slot].copy(), self._hi[slot].copy()
 
     def slot_of_peer(self, peer: int) -> int:
         """Internal slot of a peer index (KeyError if absent)."""
@@ -243,115 +238,3 @@ class CanNetwork(DHTNetwork):
         """Greedy CAN routing of ``key`` from ``source``."""
         path = self.route_to_point(source, key_point(key, self.params.dimensions))
         return self._routed(source, int(key), path)
-
-    def neighbor_count(self, peer: int) -> int:
-        """Size of a member's neighbour set (CAN's per-node state)."""
-        return len(self._neighbors[self.slot_of_peer(peer)])
-
-    # ------------------------------------------------------------------
-    # membership (CAN node operations)
-    # ------------------------------------------------------------------
-    def add_peer(self, peer: int) -> None:
-        """A new peer joins at its canonical point (CAN's join).
-
-        The current owner of the point splits its zone along its next
-        split dimension and the joiner takes the half containing the
-        point — the same rule the constructor applies, so incremental
-        joins and batch construction produce the same kind of zone tree.
-        """
-        peer = int(peer)
-        require(peer not in self._slot_of_peer, f"peer {peer} already a member")
-        d = self.params.dimensions
-        point = peer_point(peer, d)
-        owner = self._owner_slot(point)
-        dim = int(self._next_split[owner])
-        mid = (self._lo[owner, dim] + self._hi[owner, dim]) // 2
-        require(
-            mid > self._lo[owner, dim],
-            "zone too small to split (coordinate resolution exhausted)",
-        )
-        new_lo = self._lo[owner].copy()
-        new_hi = self._hi[owner].copy()
-        if point[dim] >= mid:
-            new_lo[dim] = mid
-            self._hi[owner, dim] = mid
-        else:
-            new_hi[dim] = mid
-            self._lo[owner, dim] = mid
-        self._lo = np.vstack([self._lo, new_lo])
-        self._hi = np.vstack([self._hi, new_hi])
-        self._next_split[owner] = (dim + 1) % d
-        self._next_split = np.append(self._next_split, (dim + 1) % d)
-        self.peers = np.append(self.peers, peer)
-        self._slot_of_peer[peer] = len(self.peers) - 1
-        self._neighbors = self._build_neighbors()
-
-    def remove_peer(self, peer: int) -> bool:
-        """A peer departs; its zone is taken over (CAN's recovery).
-
-        If some neighbour's zone is the departing zone's *perfect
-        sibling* (identical bounds except along one axis where the two
-        abut and have equal extent), the sibling absorbs the zone — the
-        common case in CAN's binary split tree, and what CAN's takeover
-        converges to.  Otherwise membership is rebuilt from scratch:
-        the simulator's stand-in for CAN's background zone-reassignment
-        defragmentation.  Returns True when a sibling merge happened.
-        """
-        slot = self.slot_of_peer(peer)
-        require(len(self.peers) > 1, "cannot remove the last member")
-        merged = False
-        d = self.params.dimensions
-        for nbr in self._neighbors[slot]:
-            nbr = int(nbr)
-            diff_dims = [
-                k
-                for k in range(d)
-                if self._lo[slot, k] != self._lo[nbr, k]
-                or self._hi[slot, k] != self._hi[nbr, k]
-            ]
-            if len(diff_dims) != 1:
-                continue
-            k = diff_dims[0]
-            if self._hi[slot, k] == self._lo[nbr, k] or self._hi[nbr, k] == self._lo[slot, k]:
-                lo = min(self._lo[slot, k], self._lo[nbr, k])
-                hi = max(self._hi[slot, k], self._hi[nbr, k])
-                self._lo[nbr, k] = lo
-                self._hi[nbr, k] = hi
-                merged = True
-                self._drop_slot(slot)
-                break
-        if not merged:
-            survivors = self.peers[np.arange(len(self.peers)) != slot]
-            rebuilt = CanNetwork(
-                survivors, params=self.params, latency=self.latency, seed=0
-            )
-            self.peers = rebuilt.peers
-            self._lo = rebuilt._lo
-            self._hi = rebuilt._hi
-            self._next_split = rebuilt._next_split
-            self._slot_of_peer = rebuilt._slot_of_peer
-            self._neighbors = rebuilt._neighbors
-        return merged
-
-    def _drop_slot(self, slot: int) -> None:
-        keep = np.arange(len(self.peers)) != slot
-        self.peers = self.peers[keep]
-        self._lo = self._lo[keep]
-        self._hi = self._hi[keep]
-        self._next_split = self._next_split[keep]
-        self._slot_of_peer = {int(p): i for i, p in enumerate(self.peers)}
-        self._neighbors = self._build_neighbors()
-
-    def total_volume(self) -> int:
-        """Sum of zone volumes — must equal the full torus volume.
-
-        Computed with Python ints: volumes reach ``2**(30*d)`` and would
-        overflow int64 beyond two dimensions.
-        """
-        total = 0
-        for slot in range(len(self.peers)):
-            vol = 1
-            for dim in range(self.params.dimensions):
-                vol *= int(self._hi[slot, dim] - self._lo[slot, dim])
-            total += vol
-        return total

@@ -66,11 +66,6 @@ class MultiRealityCan(DHTNetwork):
         """Number of peers."""
         return len(self.peers)
 
-    @property
-    def n_realities(self) -> int:
-        """Number of coordinate-space realities."""
-        return len(self.realities)
-
     def owner_of(self, key: int) -> int:
         """The key's owner in reality 0 (the canonical replica)."""
         return self.realities[0].owner_of(key)
@@ -78,10 +73,6 @@ class MultiRealityCan(DHTNetwork):
     def owners_of(self, key: int) -> list[int]:
         """The key's owner in every reality (its replica set)."""
         return [can.owner_of(key) for can in self.realities]
-
-    def neighbor_state_size(self, peer: int) -> int:
-        """Total neighbour entries across realities (the cost side)."""
-        return sum(can.neighbor_count(peer) for can in self.realities)
 
     # ------------------------------------------------------------------
     def route(self, source: int, key: int) -> RouteResult:

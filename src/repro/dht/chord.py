@@ -186,19 +186,9 @@ class ChordNetwork(DHTNetwork):
         self._plan = None
 
     @property
-    def _pos_of_peer(self) -> np.ndarray:
-        """Peer → global-ring position (−1 for dead peers); part of the plan."""
-        return self._layer_plan()[-1].pos_of_peer
-
-    @property
     def n_peers(self) -> int:
         """Number of live peers."""
         return int(self._alive.sum())
-
-    @property
-    def ids(self) -> np.ndarray:
-        """Sorted ids of live peers."""
-        return self.ring.ids
 
     def id_of(self, peer: int) -> int:
         """Node id of peer ``peer``."""
@@ -501,16 +491,6 @@ class ChordNetwork(DHTNetwork):
         ring, pos = self._ring_at(peer, layer)
         return ring.finger_table(pos)
 
-    def successor(self, peer: int) -> int:
-        """Peer index of ``peer``'s immediate successor."""
-        pos = self.ring.successor_of_pos(int(self._pos_of_peer[peer]))
-        return int(self.ring.peers[pos])
-
-    def predecessor(self, peer: int) -> int:
-        """Peer index of ``peer``'s immediate predecessor."""
-        pos = self.ring.predecessor_of_pos(int(self._pos_of_peer[peer]))
-        return int(self.ring.peers[pos])
-
     def successor_lists(self, peers: np.ndarray, r: int, *, lowest: bool = False) -> np.ndarray:
         """Row ``i``: the ``r`` nearest successors of ``peers[i]`` on the
         global ring (``lowest``: on its lowest-layer ring), ``-1`` where
@@ -527,21 +507,6 @@ class ChordNetwork(DHTNetwork):
     def successor_list(self, peer: int, r: int) -> list[int]:
         """Peer indices of ``peer``'s ``r`` nearest successors."""
         row = self.successor_lists(np.asarray([peer], dtype=np.int64), r)[0]
-        return row[row >= 0].tolist()
-
-    def ring_successor_list(self, peer: int, r: int) -> list[int]:
-        """Successors of ``peer`` inside its **lowest-layer** ring.
-
-        The replication layer's ``ring_scoped`` placement asks exactly
-        this question: which nearby nodes — nearby by landmark order,
-        i.e. members of ``peer``'s lowest ring — come next on that
-        ring's id circle?  The list wraps, excludes ``peer`` itself,
-        and is capped at the ring's size minus one; callers pad from
-        the global ring when they need more copies than the ring can
-        hold.  Flat Chord's lowest ring is the global one, so there
-        this is :meth:`successor_list`.
-        """
-        row = self.successor_lists(np.asarray([peer], dtype=np.int64), r, lowest=True)[0]
         return row[row >= 0].tolist()
 
     def explain_route(self, source: int, key: int) -> str:

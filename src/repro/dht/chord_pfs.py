@@ -98,10 +98,6 @@ class PfsChordNetwork(DHTNetwork):
         """Chord ownership: the key's successor."""
         return int(self.ring.peers[self.ring.successor_pos(key)])
 
-    def finger(self, peer: int, i: int) -> int | None:
-        """The chosen ``i``-th finger of ``peer`` (None if interval empty)."""
-        return self._fingers[peer].get(i)
-
     # ------------------------------------------------------------------
     def _next_hop(self, cur: int, key: int) -> int:
         """The successor when it owns ``key``, else the highest chosen

@@ -30,7 +30,7 @@ from repro.sim.network import Message, SimNetwork
 from repro.sim.node import SimNode
 from repro.util.ids import IdSpace
 from repro.util.intervals import in_interval, in_interval_open
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 
 __all__ = ["ChordProtocolNode", "ProtocolConfig", "RingState", "LookupOutcome"]
 
@@ -50,7 +50,7 @@ class ProtocolConfig:
         require(self.stabilize_interval_ms > 0, "stabilize interval must be positive")
         require(self.fix_fingers_interval_ms > 0, "fix_fingers interval must be positive")
         require(self.request_timeout_ms > 0, "request timeout must be positive")
-        require(self.successor_list_len >= 1, "successor list must hold >= 1 entry")
+        require_int(self.successor_list_len, 1, name="successor_list_len")
 
 
 @dataclass
@@ -135,28 +135,6 @@ class ChordProtocolNode(SimNode):
                 on_done()
 
         self._remote_find_successor(ring, via_peer, self.node_id, _on_found)
-
-    def leave_ring(self, ring: str) -> None:
-        """Gracefully leave ``ring``: hand keys to successor conceptually
-        and notify neighbours so pointers repair fast."""
-        state = self.rings.pop(ring, None)
-        if state is None:
-            return
-        if state.successor and state.predecessor and state.successor[0] != self.peer:
-            self.send(
-                state.successor[0],
-                "leaving",
-                ring=ring,
-                pred_peer=state.predecessor[0],
-                pred_id=state.predecessor[1],
-            )
-            self.send(
-                state.predecessor[0],
-                "leaving_pred",
-                ring=ring,
-                succ_peer=state.successor[0],
-                succ_id=state.successor[1],
-            )
 
     def _start_timers(self, ring: str) -> None:
         self.after(self.config.stabilize_interval_ms, self._stabilize_tick, ring)
@@ -282,79 +260,6 @@ class ChordProtocolNode(SimNode):
     ) -> None:
         token = self._register(callback, timeout=True)
         self.send(via_peer, "find", token=token, ring=ring, key=key, origin=self.peer, hops=0)
-
-    # ------------------------------------------------------------------
-    # iterative lookups (Chord TR's alternative mode: the origin drives
-    # every step itself, asking each hop for its best next node; slower
-    # in wall-clock round trips but the origin observes every hop and a
-    # single dead node costs one timeout, not the whole lookup)
-    # ------------------------------------------------------------------
-    def lookup_iterative(
-        self, key: int, callback: Callable[[LookupOutcome], None], *, ring: str = GLOBAL_RING
-    ) -> None:
-        """Resolve ``key`` iteratively from this node."""
-        key = self.space.wrap(int(key))
-        self.lookup_count += 1
-        if self.network.metrics is not None:
-            self.network.metrics.inc("protocol.lookups")
-        self._iterative_step(ring, key, self.peer, 0, callback)
-
-    def _iterative_step(
-        self,
-        ring: str,
-        key: int,
-        at_peer: int,
-        hops: int,
-        callback: Callable[[LookupOutcome], None],
-    ) -> None:
-        def _on_answer(msg: Message | None) -> None:
-            if msg is None:
-                return  # queried node died: caller may retry
-            if msg.payload["done"]:
-                owner = msg.payload["next_peer"]
-                owner_id = msg.payload["next_id"]
-                final_hops = hops if owner == at_peer else hops + 1
-                m = self.network.metrics
-                if m is not None:
-                    m.inc("protocol.lookups_completed")
-                    m.observe("protocol.lookup_hops", final_hops)
-                callback(
-                    LookupOutcome(
-                        key=key, owner_peer=owner, owner_id=owner_id,
-                        hops=final_hops, ring=ring,
-                    )
-                )
-                return
-            self._iterative_step(
-                ring, key, msg.payload["next_peer"], hops + 1, callback
-            )
-
-        token = self._register(_on_answer, timeout=True)
-        self.send(at_peer, "next_hop_query", token=token, ring=ring, key=key)
-
-    def _answer_next_hop(self, message: Message) -> None:
-        p = message.payload
-        state = self.rings.get(p["ring"])
-        if state is None:
-            return
-        if self._owns(p["ring"], p["key"]):
-            succ = state.known_successor() or (self.peer, self.node_id)
-            owner = (
-                (self.peer, self.node_id)
-                if (p["key"] - self.node_id) % self.space.size == 0
-                else succ
-            )
-            self.reply(
-                message, "next_hop_answer", done=True,
-                next_peer=owner[0], next_id=owner[1],
-            )
-            return
-        nxt = self._closest_preceding(p["ring"], p["key"])
-        if nxt is None:
-            nxt = state.known_successor() or (self.peer, self.node_id)
-        self.reply(
-            message, "next_hop_answer", done=False, next_peer=nxt[0], next_id=nxt[1]
-        )
 
     # ------------------------------------------------------------------
     # stabilization (per ring)
@@ -513,21 +418,9 @@ class ChordProtocolNode(SimNode):
                 # A sole founder adopts its first contact as successor.
                 if state.successor is not None and state.successor[0] == self.peer:
                     state.successor = cand
-        elif kind == "leaving":
-            state = self.rings.get(p["ring"])
-            if state is not None:
-                state.predecessor = (p["pred_peer"], p["pred_id"])
-        elif kind == "leaving_pred":
-            state = self.rings.get(p["ring"])
-            if state is not None:
-                state.successor = (p["succ_peer"], p["succ_id"])
         elif kind == "ping":
             self.reply(message, "pong", ring=p["ring"])
         elif kind == "pong":
-            self._resolve(message)
-        elif kind == "next_hop_query":
-            self._answer_next_hop(message)
-        elif kind == "next_hop_answer":
             self._resolve(message)
         else:
             self.handle_extra(message)
@@ -554,6 +447,3 @@ class ChordProtocolNode(SimNode):
     # ------------------------------------------------------------------
     # introspection for tests
     # ------------------------------------------------------------------
-    def ring_state(self, ring: str = GLOBAL_RING) -> RingState:
-        """This node's state in ``ring`` (KeyError if not a member)."""
-        return self.rings[ring]

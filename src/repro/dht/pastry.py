@@ -132,10 +132,6 @@ class PastryNetwork(DHTNetwork):
         """Number of leading base-``2**b`` digits ids ``a`` and ``b`` share."""
         return (self.space.bits - (int(a) ^ int(b)).bit_length()) // self.params.b
 
-    def routing_table_entry(self, peer: int, level: int, digit: int) -> int | None:
-        """PNS routing-table entry of ``peer`` (None if empty)."""
-        return self._tables[peer].get((level, digit))
-
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------

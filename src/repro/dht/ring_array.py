@@ -170,14 +170,6 @@ class SortedRing:
         view = self.layer_view()
         return view.owner_of[view.successor_slots(np.asarray(keys, dtype=np.uint64))]
 
-    def successor_of_pos(self, pos: int) -> int:
-        """Position following ``pos`` clockwise."""
-        return (pos + 1) % self._n
-
-    def predecessor_of_pos(self, pos: int) -> int:
-        """Position preceding ``pos`` clockwise."""
-        return (pos - 1) % self._n
-
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------

@@ -110,11 +110,6 @@ class BatchRouteResult:
         return len(self.sources)
 
     @property
-    def n_layers(self) -> int:
-        """Number of routing layers (1 for flat stacks)."""
-        return int(self.hops_per_layer.shape[1])
-
-    @property
     def low_layer_hops(self) -> npt.NDArray[np.int64]:
         """Hops taken below the global ring (zeros for flat stacks)."""
         return self.hops_per_layer[:, :-1].sum(axis=1)

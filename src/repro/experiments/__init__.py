@@ -25,7 +25,7 @@ pytest benchmarks in ``benchmarks/``.
 
 from repro.experiments.config import SimConfig, is_full_scale
 from repro.experiments.figures import EXPERIMENTS, ExperimentResult, get_experiment
-from repro.experiments.runner import SimulationBundle, build_bundle, clear_cache, run_pair
+from repro.experiments.runner import SimulationBundle, build_bundle, run_pair
 
 __all__ = [
     "SimConfig",
@@ -33,7 +33,6 @@ __all__ = [
     "SimulationBundle",
     "build_bundle",
     "run_pair",
-    "clear_cache",
     "EXPERIMENTS",
     "ExperimentResult",
     "get_experiment",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.hieras import SUCCESSOR_LIST_POLICIES
 from repro.topology.inet import INET_MIN_NODES
@@ -96,10 +96,6 @@ class SimConfig:
         """Router count of the generated topology."""
         return max(64, int(self.n_peers * ROUTER_FACTOR))
 
-    def with_(self, **changes: object) -> "SimConfig":
-        """Functional update (frozen dataclass convenience)."""
-        return replace(self, **changes)  # type: ignore[arg-type]
-
     def topology_key(self) -> tuple:
         """Cache key for the expensive substrate (topology + latency +
         attachment + landmarks) — everything that does not depend on
@@ -136,7 +132,7 @@ class SweepSpec:
         require(len(self.landmarks) >= 1, "need at least one landmark count")
         require(len(self.depths) >= 1, "need at least one depth")
         require(len(self.seeds) >= 1, "need at least one seed")
-        require(self.n_requests >= 1, "n_requests must be >= 1")
+        require_int(self.n_requests, 1, name="n_requests")
 
     @property
     def n_cells(self) -> int:

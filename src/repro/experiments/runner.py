@@ -40,7 +40,7 @@ from repro.util.ids import IdSpace
 from repro.util.rng import RngFactory
 from repro.workloads.requests import RequestTrace, generate_requests
 
-__all__ = ["SimulationBundle", "build_bundle", "run_pair", "sample_pair", "clear_cache", "make_trace"]
+__all__ = ["SimulationBundle", "build_bundle", "run_pair", "sample_pair", "make_trace"]
 
 
 @dataclass
@@ -78,12 +78,6 @@ _SAMPLE_PAIRS: dict[tuple[SimConfig, int], tuple[RouteSample, RouteSample]] = {}
 #: sweep reads 28 sample pairs.
 _MAX_SUBSTRATES = 6
 _MAX_SAMPLE_PAIRS = 48
-
-
-def clear_cache() -> None:
-    """Drop both caches (tests; memory pressure in huge sweeps)."""
-    _SUBSTRATES.clear()
-    _SAMPLE_PAIRS.clear()
 
 
 def _generate_topology(config: SimConfig, seed) -> Topology:

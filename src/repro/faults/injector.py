@@ -95,10 +95,6 @@ class FaultState:
             return False
         return True
 
-    def live_peers(self) -> np.ndarray:
-        """Indices of currently-live peers."""
-        return np.flatnonzero(~self.dead)
-
 
 class ScaledLatency(LatencyModel):
     """Wraps a latency model with a mutable multiplicative factor.

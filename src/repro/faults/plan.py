@@ -150,29 +150,6 @@ class FaultPlan:
         members = sorted(int(p) for p in rings[name].peers)
         return self.crash_peers(at_ms=at_ms, peers=members)
 
-    def crash_region(
-        self, *, at_ms: float, attachment: Any, domain: int
-    ) -> "FaultPlan":
-        """Crash every peer attached inside one stub domain at ``at_ms``.
-
-        Topology-level correlated failure: all overlay peers whose
-        attachment router lies in stub ``domain`` of a transit-stub
-        topology die together (a regional outage).  Resolution is
-        deterministic — peers are read from the attachment's
-        ``router_of_peer`` map against the topology's
-        ``stub_domain_of`` labels and sorted.
-        """
-        topology = attachment.topology
-        stub_of = getattr(topology, "stub_domain_of", None)
-        require(
-            stub_of is not None,
-            "crash_region needs a transit-stub topology (stub_domain_of)",
-        )
-        routers = np.asarray(attachment.router_of_peer, dtype=np.int64)
-        members = sorted(int(p) for p in np.flatnonzero(stub_of[routers] == domain))
-        require(bool(members), f"stub domain {domain} hosts no overlay peers")
-        return self.crash_peers(at_ms=at_ms, peers=members)
-
     def landmark_outage(self, *, at_ms: float, landmark: int) -> "FaultPlan":
         """Take one landmark offline at ``at_ms``.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 
 __all__ = ["RetryPolicy"]
 
@@ -54,10 +54,10 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         require(self.timeout_ms > 0, "timeout_ms must be > 0")
-        require(self.max_retries >= 0, "max_retries must be >= 0")
+        require_int(self.max_retries, 0, name="max_retries")
         require(self.backoff >= 1.0, "backoff must be >= 1")
         require(0.0 <= self.jitter < 1.0, "jitter must be in [0, 1)")
-        require(self.successor_fallback >= 0, "successor_fallback must be >= 0")
+        require_int(self.successor_fallback, 0, name="successor_fallback")
 
     @property
     def max_attempts(self) -> int:
@@ -70,8 +70,3 @@ class RetryPolicy:
         if self.jitter > 0.0:
             penalty *= 1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0)
         return penalty
-
-    def worst_case_contact_ms(self) -> float:
-        """Upper bound on the penalty of exhausting one peer's attempts."""
-        total = sum(self.timeout_ms * self.backoff**k for k in range(self.max_attempts))
-        return total * (1.0 + self.jitter)

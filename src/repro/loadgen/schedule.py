@@ -126,11 +126,6 @@ class Schedule:
         lam = np.concatenate([[0.0], np.cumsum(mid_rates * dt / 1000.0)])
         return t, lam
 
-    @property
-    def expected_arrivals(self) -> float:
-        """Expected request count over the whole window."""
-        return float(self.cumulative()[1][-1])
-
     # ------------------------------------------------------------------
     def arrival_times(
         self,

@@ -122,25 +122,3 @@ class MessageTracer:
         if kind is None:
             return len(self.events)
         return sum(1 for e in self.events if e.kind == kind)
-
-    def by_kind(self) -> dict[str, int]:
-        """Message counts per kind."""
-        out: dict[str, int] = {}
-        for e in self.events:
-            out[e.kind] = out.get(e.kind, 0) + 1
-        return out
-
-    def by_peer(self) -> dict[int, int]:
-        """Messages *sent* per peer."""
-        out: dict[int, int] = {}
-        for e in self.events:
-            out[e.src] = out.get(e.src, 0) + 1
-        return out
-
-    def total_delay_ms(self, *, kind: str | None = None) -> float:
-        """Sum of link delays of recorded sends."""
-        return sum(e.delay_ms for e in self.events if kind is None or e.kind == kind)
-
-    def between(self, t0: float, t1: float) -> list[TracedMessage]:
-        """Events with ``t0 <= time < t1``."""
-        return [e for e in self.events if t0 <= e.time_ms < t1]

@@ -11,9 +11,7 @@ leaves exactly the state the same values recorded one by one would.
 
 Histograms are **deterministic log-bucketed streaming** estimators:
 values are counted in geometric buckets ``[base**i, base**(i+1))``, so
-state is O(log(max/min)) regardless of sample count, merging two
-histograms is exact bucket-count addition (associative and commutative
-— safe to combine per-shard registries in any order), and quantiles are
+state is O(log(max/min)) regardless of sample count, and quantiles are
 reproducible functions of the bucket counts alone.  Serialization is
 stable: :meth:`Histogram.to_dict` sorts bucket keys, so identical
 streams produce byte-identical JSON.
@@ -25,7 +23,6 @@ import math
 import time
 from contextlib import contextmanager
 from collections.abc import Iterable, Iterator
-from typing import Any, cast
 
 import numpy as np
 
@@ -194,28 +191,6 @@ class Histogram:
         }
 
     # ------------------------------------------------------------------
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Pure merge: a new histogram holding both streams.
-
-        Bucket-count addition is exact, so merging is associative and
-        commutative — shard-local histograms combine in any order.
-        """
-        require(
-            abs(self.base - other.base) < 1e-12,
-            f"cannot merge histograms with bases {self.base} and {other.base}",
-        )
-        out = Histogram(self.name or other.name, base=self.base)
-        out.count = self.count + other.count
-        out.total = self.total + other.total
-        out.zero_count = self.zero_count + other.zero_count
-        out.min = min(self.min, other.min)
-        out.max = max(self.max, other.max)
-        out.buckets = dict(self.buckets)
-        for idx, c in other.buckets.items():
-            out.buckets[idx] = out.buckets.get(idx, 0) + c
-        return out
-
-    # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:
         """Stable serialization (sorted bucket keys; JSON-safe)."""
         return {
@@ -227,19 +202,6 @@ class Histogram:
             "max": self.max if self.count else None,
             "buckets": {str(i): self.buckets[i] for i in sorted(self.buckets)},
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "Histogram":
-        """Inverse of :meth:`to_dict`."""
-        d = cast("dict[str, Any]", data)
-        h = cls(base=float(d["base"]))
-        h.count = int(d["count"])
-        h.total = float(d["total"])
-        h.zero_count = int(d["zero_count"])
-        h.min = math.inf if d["min"] is None else float(d["min"])
-        h.max = -math.inf if d["max"] is None else float(d["max"])
-        h.buckets = {int(i): int(c) for i, c in d["buckets"].items()}
-        return h
 
 
 class Timer:
@@ -328,25 +290,6 @@ class MetricsRegistry:
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).record(value)
 
-    # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry (counters add, gauges take
-        the other's value, histograms bucket-merge)."""
-        for name, c in other.counters.items():
-            self.counter(name).inc(c.value)
-        for name, g in other.gauges.items():
-            self.gauge(name).set(g.value)
-        for name, h in other.histograms.items():
-            mine = self.histograms.get(name)
-            self.histograms[name] = h.merge(mine) if mine is not None else h.merge(
-                Histogram(name, base=h.base)
-            )
-        for name, t in other.timers.items():
-            mine_t = self.timers.get(name)
-            if mine_t is None:
-                mine_t = self.timers[name] = Timer(name)
-            mine_t.histogram = mine_t.histogram.merge(t.histogram)
-
     def snapshot(self) -> dict[str, object]:
         """Full, stable, JSON-safe dump of every metric."""
         return {
@@ -354,19 +297,6 @@ class MetricsRegistry:
             "gauges": {n: self.gauges[n].value for n in sorted(self.gauges)},
             "histograms": {n: self.histograms[n].to_dict() for n in sorted(self.histograms)},
             "timers": {n: self.timers[n].histogram.to_dict() for n in sorted(self.timers)},
-        }
-
-    def summary(self) -> dict[str, object]:
-        """Human-scale dump: counters, gauges, histogram quantiles."""
-        return {
-            "counters": {n: self.counters[n].value for n in sorted(self.counters)},
-            "gauges": {n: self.gauges[n].value for n in sorted(self.gauges)},
-            "histograms": {n: self.histograms[n].summary() for n in sorted(self.histograms)},
-            "timers": {
-                n: {"total_ms": self.timers[n].total_ms,
-                    "count": self.timers[n].histogram.count}
-                for n in sorted(self.timers)
-            },
         }
 
 
@@ -441,13 +371,7 @@ class NullRegistry(MetricsRegistry):
     def observe(self, name: str, value: float) -> None:
         pass
 
-    def merge(self, other: MetricsRegistry) -> None:
-        pass
-
     def snapshot(self) -> dict[str, object]:
-        return {"counters": {}, "gauges": {}, "histograms": {}, "timers": {}}
-
-    def summary(self) -> dict[str, object]:
         return {"counters": {}, "gauges": {}, "histograms": {}, "timers": {}}
 
 

@@ -118,15 +118,6 @@ class LookupSpan:
         return total
 
     @property
-    def total_latency_ms(self) -> float:
-        return self.latency_ms + self.retry_latency_ms
-
-    @property
-    def layers(self) -> list[int]:
-        """Ring layer of every hop, in hop order."""
-        return [h.layer for h in self.hops]
-
-    @property
     def low_layer_hops(self) -> int:
         """Hops taken below the global ring (layer >= 2)."""
         return sum(1 for h in self.hops if h.layer >= 2)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 
 __all__ = ["ReplicationPolicy"]
 
@@ -82,7 +82,7 @@ class ReplicationPolicy:
     hinted_handoff: bool = True
 
     def __post_init__(self) -> None:
-        require(self.replicas >= 0, "replicas must be >= 0")
+        require_int(self.replicas, 0, name="replicas")
         require(
             self.consistency in CONSISTENCY_MODES,
             f"consistency must be one of {CONSISTENCY_MODES}, got {self.consistency!r}",
@@ -94,10 +94,7 @@ class ReplicationPolicy:
         for name, quorum in (("write_quorum", self.write_quorum),
                              ("read_quorum", self.read_quorum)):
             if quorum is not None:
-                require(
-                    1 <= quorum <= self.group_size,
-                    f"{name} must be in [1, {self.group_size}], got {quorum}",
-                )
+                require_int(quorum, 1, self.group_size, name=name)
 
     @property
     def group_size(self) -> int:
@@ -117,16 +114,3 @@ class ReplicationPolicy:
         if self.read_quorum is not None:
             return self.read_quorum
         return self.group_size // 2 + 1
-
-    def describe(self) -> str:
-        """One-line label used by experiment tables and benchmarks."""
-        quorums = (
-            f" W={self.effective_write_quorum}/R={self.effective_read_quorum}"
-            if self.consistency == "quorum"
-            else ""
-        )
-        handoff = "+handoff" if self.hinted_handoff else ""
-        return (
-            f"r={self.replicas} {self.consistency}{quorums} "
-            f"{self.placement}{handoff}"
-        )

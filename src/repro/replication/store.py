@@ -1,11 +1,12 @@
 """Fault-aware replicated storage over either trace-driven stack.
 
-:class:`ReplicatedStore` replaces :class:`~repro.dht.storage.DHTStore`'s
-fault-blind discipline: every operation *routes* — ``put``/``get`` reach
-the key's owner via the network's failure-aware ``route_lossy`` under a
-:class:`~repro.faults.injector.FaultInjector` (paying hops, timeouts and
-retry penalties), and then fan out to the replica group one modelled
-contact at a time, each charged through the same injector.  Without an
+:class:`ReplicatedStore` is the storage layer the lookups exist for
+(§3.2's "location information").  Every operation *routes*:
+``put``/``get`` reach the key's owner via the network's failure-aware
+``route_lossy`` under a :class:`~repro.faults.injector.FaultInjector`
+(paying hops, timeouts and retry penalties), and then fan out to the
+replica group one modelled contact at a time, each charged through the
+same injector.  Without an
 injector the store degrades gracefully to the plain ``route`` path with
 always-successful contacts (the deterministic fault-free baseline).
 
@@ -150,11 +151,6 @@ class _Cost:
         return routed + sum(c.retry_latency_ms for c in self.contacts)
 
     @property
-    def timeouts(self) -> int:
-        routed = self.route.timeouts if self.route is not None else 0
-        return routed + sum(c.timeouts for c in self.contacts)
-
-    @property
     def total_latency_ms(self) -> float:
         """Link delays plus timeout penalties — the user-visible wait."""
         return self.latency_ms + self.retry_latency_ms
@@ -196,7 +192,8 @@ class ReplicatedStore:
     network:
         A :class:`~repro.dht.chord.ChordNetwork` or
         :class:`~repro.core.hieras.HierasNetwork` (anything with
-        ``owner_of``/``route``/``route_lossy``/``ring_successor_list``
+        ``owner_of``/``route``/``route_lossy``, the ``successor_lists``
+        that :mod:`repro.replication.placement` places replicas with,
         and stable peer indices).
     policy:
         Frozen :class:`~repro.replication.policy.ReplicationPolicy`.
@@ -684,19 +681,6 @@ class ReplicatedStore:
         for peer in replica_group(self.network, key, self.policy):
             self._write_local(int(peer), key, value, version)
         return version
-
-    def holder_count(self, name: str) -> int:
-        """How many peers (live or not) currently hold ``name``."""
-        key = int(self.network.space.hash_key(name))
-        return sum(1 for disk in self._stored.values() if key in disk)
-
-    def stored_keys(self, peer: int) -> set[int]:
-        """Keys currently held by ``peer``."""
-        return set(self._stored.get(peer, {}))
-
-    def pending_hints(self, peer: int) -> int:
-        """Hinted writes queued for a currently-unreachable ``peer``."""
-        return len(self._hints.get(peer, []))
 
     def version_of(self, name: str) -> int:
         """Latest published version of ``name`` (-1 if never put)."""

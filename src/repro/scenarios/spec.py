@@ -24,7 +24,7 @@ from typing import Any
 
 from repro.faults.plan import FaultPlan
 from repro.loadgen.schedule import Schedule
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 
 __all__ = ["MembershipWave", "CompiledScenario", "ScenarioParams", "WAVE_KINDS"]
 
@@ -146,7 +146,8 @@ class ScenarioParams:
     def __post_init__(self) -> None:
         require(self.duration_ms > 0.0, "duration_ms must be > 0")
         require(self.probe_interval_ms > 0.0, "probe_interval_ms must be > 0")
-        require(self.n_probes >= 1, "n_probes must be >= 1")
+        require_int(self.seed, 0, name="seed")
+        require_int(self.n_probes, 1, name="n_probes")
         require(self.rate_per_s >= 0.0, "rate_per_s must be >= 0")
         require(
             0.0 <= self.fault_at_ms < self.duration_ms,
@@ -162,6 +163,6 @@ class ScenarioParams:
         require(self.weibull_shape > 0.0, "weibull_shape must be > 0")
         require(0.0 <= self.fail_fraction <= 1.0, "fail_fraction must be in [0, 1]")
         require(0.0 <= self.loss_rate < 1.0, "loss_rate must be in [0, 1)")
-        require(self.n_outages >= 1, "n_outages must be >= 1")
-        require(self.catalog_size >= 1, "catalog_size must be >= 1")
-        require(self.replicas >= 0, "replicas must be >= 0")
+        require_int(self.n_outages, 1, name="n_outages")
+        require_int(self.catalog_size, 1, name="catalog_size")
+        require_int(self.replicas, 0, name="replicas")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 
 __all__ = ["ServiceConfig"]
 
@@ -49,12 +49,10 @@ class ServiceConfig:
     per_membership_ms: float = 25.0
 
     def __post_init__(self) -> None:
-        require(self.workers >= 1, f"workers must be >= 1, got {self.workers}")
-        require(self.max_batch >= 1, f"max_batch must be >= 1, got {self.max_batch}")
-        require(
-            self.queue_limit is None or self.queue_limit >= 1,
-            f"queue_limit must be >= 1 or None, got {self.queue_limit}",
-        )
+        require_int(self.workers, 1, name="workers")
+        require_int(self.max_batch, 1, name="max_batch")
+        if self.queue_limit is not None:
+            require_int(self.queue_limit, 1, name="queue_limit")
         require(
             self.deadline_ms is None or self.deadline_ms > 0,
             f"deadline_ms must be > 0 or None, got {self.deadline_ms}",

@@ -147,8 +147,3 @@ class Simulator:
             if not self.step():
                 return
             processed += 1
-
-    @property
-    def pending(self) -> int:
-        """Number of queued (possibly cancelled) events."""
-        return len(self._heap)

@@ -99,10 +99,6 @@ class SimNetwork:
         """Look up a registered peer."""
         return self._nodes[peer]
 
-    def peers(self) -> list[int]:
-        """All registered peer indices."""
-        return sorted(self._nodes)
-
     def __contains__(self, peer: int) -> bool:
         return peer in self._nodes
 

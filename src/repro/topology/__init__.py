@@ -23,7 +23,6 @@ onto routers.
 from repro.topology.attach import OverlayAttachment, attach_overlay, place_landmarks
 from repro.topology.base import LatencyModel, Topology
 from repro.topology.brite import BriteParams, generate_brite
-from repro.topology.export import rings_to_dot, topology_to_dot
 from repro.topology.inet import InetParams, generate_inet
 from repro.topology.latency import (
     APSPLatencyModel,
@@ -56,6 +55,4 @@ __all__ = [
     "OverlayAttachment",
     "attach_overlay",
     "place_landmarks",
-    "topology_to_dot",
-    "rings_to_dot",
 ]

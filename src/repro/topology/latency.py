@@ -212,17 +212,6 @@ class APSPLatencyModel(_BlockModel):
         require(float(rows.max()) < 65535, "path delay overflows uint16 ms")
         out[: stop - start] = np.round(rows)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The full ``(n, n)`` delay matrix in ms (read-only view)."""
-        require(
-            bool((self._slot_of == np.arange(len(self._slot_of))).all()),
-            "matrix needs a model filled at construction (every row block resident)",
-        )
-        view = self._pool.reshape(-1, self.n_routers)[: self.n_routers]
-        view.flags.writeable = False
-        return view
-
     def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         us, vs = index_lanes(us, vs)
         block, row = np.divmod(us, self.chunk)

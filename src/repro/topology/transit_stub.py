@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.topology.base import ROUTER_STUB, ROUTER_TRANSIT, Topology
 from repro.util.rng import make_rng
-from repro.util.validation import require, require_positive
+from repro.util.validation import require, require_int, require_positive
 
 __all__ = ["TransitStubParams", "TransitStubTopology", "generate_transit_stub"]
 
@@ -65,10 +65,9 @@ class TransitStubParams:
     stub_stub_edge_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        require(self.n_transit_domains >= 1, "need at least one transit domain")
-        require(self.transit_nodes_per_domain >= 1, "need >= 1 transit node per domain")
-        require(self.stubs_per_transit_node >= 1, "need >= 1 stub per transit node")
-        require(self.stub_domain_size >= 1, "stub domains need >= 1 router")
+        for name in ("n_transit_domains", "transit_nodes_per_domain",
+                     "stubs_per_transit_node", "stub_domain_size"):
+            require_int(getattr(self, name), 1, name=name)
         for name in ("intra_transit_delay", "stub_transit_delay", "intra_stub_delay"):
             require_positive(getattr(self, name), name=name)
         require(0.0 <= self.transit_edge_prob <= 1.0, "transit_edge_prob in [0,1]")
@@ -190,10 +189,6 @@ class TransitStubTopology(Topology):
     def n_stub_domains(self) -> int:
         """Number of stub domains."""
         return len(self.border_router_of_domain)
-
-    def routers_of_domain(self, domain: int) -> np.ndarray:
-        """Router ids belonging to stub domain ``domain``."""
-        return np.flatnonzero(self.stub_domain_of == domain)
 
 
 def _connected_random_graph(

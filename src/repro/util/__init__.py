@@ -24,7 +24,6 @@ from repro.util.validation import (
     require,
     require_in_range,
     require_positive,
-    require_type,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "require",
     "require_in_range",
     "require_positive",
-    "require_type",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
 from numbers import Integral
 
 import numpy as np
@@ -89,15 +88,6 @@ class IdSpace:
         """Map an application key (e.g. a file name) onto the space."""
         return sha1_int(key, self.bits)
 
-    def hash_node(self, address: bytes | str) -> int:
-        """Map a node address (e.g. an IP:port string) onto the space.
-
-        Chord hashes the node's IP address; we keep a distinct entry
-        point so call sites document intent, but the mapping is the same
-        SHA-1 truncation as :meth:`hash_key`.
-        """
-        return sha1_int(address, self.bits)
-
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
@@ -113,12 +103,6 @@ class IdSpace:
         """
         require_in_range(index, 1, self.bits, name="index")
         return self.wrap(node_id + (1 << (index - 1)))
-
-    def finger_starts(self, node_id: int) -> npt.NDArray[np.uint64]:
-        """Vector of all ``bits`` finger starts for ``node_id``."""
-        powers = np.left_shift(np.uint64(1), np.arange(self.bits, dtype=np.uint64))
-        starts = (np.uint64(node_id) + powers) & np.uint64(self.size - 1)
-        return np.asarray(starts, dtype=np.uint64)
 
     # ------------------------------------------------------------------
     # sampling
@@ -159,10 +143,6 @@ class IdSpace:
         rng.shuffle(out)
         return np.asarray(out, dtype=np.uint64)
 
-    def ids_from_names(self, names: Iterable[str]) -> list[int]:
-        """Hash a sequence of textual names into the space (no dedup)."""
-        return [self.hash_key(name) for name in names]
-
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
@@ -170,18 +150,3 @@ class IdSpace:
         """Check that ``value`` lies inside the space and return it."""
         require_in_range(int(value), 0, self.size - 1, name=name)
         return int(value)
-
-    def format_id(self, value: int) -> str:
-        """Render an id as zero-padded hex, convenient in logs/tables."""
-        width = (self.bits + 3) // 4
-        return f"{value:0{width}x}"
-
-
-def unique_sorted(ids: Sequence[int]) -> npt.NDArray[np.uint64]:
-    """Return the sorted unique ``uint64`` array of ``ids``.
-
-    Helper shared by network constructors that accept arbitrary
-    user-provided id collections.
-    """
-    arr = np.asarray(sorted(set(int(i) for i in ids)), dtype=np.uint64)
-    return arr

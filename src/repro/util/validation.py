@@ -2,16 +2,15 @@
 
 These keep validation one-liners readable at call sites and guarantee
 uniform exception types: every violated precondition raises
-:class:`ValueError` (or :class:`TypeError` for type checks), never a
-bare assert that could be compiled away under ``python -O``.
+:class:`ValueError`, never a bare assert that could be compiled away
+under ``python -O``.
 """
 
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Any
 
-__all__ = ["require", "require_int", "require_positive", "require_in_range", "require_type"]
+__all__ = ["require", "require_int", "require_positive", "require_in_range"]
 
 
 def require(condition: bool, message: str) -> None:
@@ -42,10 +41,3 @@ def require_in_range(value: float, low: float, high: float, *, name: str = "valu
     """Raise unless ``low <= value <= high`` (inclusive on both ends)."""
     if not (low <= value <= high):
         raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
-
-
-def require_type(value: Any, types: type | tuple[type, ...], *, name: str = "value") -> None:
-    """Raise :class:`TypeError` unless ``value`` is an instance of ``types``."""
-    if not isinstance(value, types):
-        expected = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
-        raise TypeError(f"{name} must be {expected}, got {type(value).__name__}")

@@ -41,14 +41,6 @@ class ChurnSchedule:
     def __len__(self) -> int:
         return len(self.events)
 
-    def joins(self) -> list[ChurnEvent]:
-        """All join events, in time order."""
-        return [e for e in self.events if e.action == "join"]
-
-    def departures(self) -> list[ChurnEvent]:
-        """All leave/fail events, in time order."""
-        return [e for e in self.events if e.action != "join"]
-
 
 def generate_churn(
     *,

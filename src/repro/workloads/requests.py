@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.util.ids import IdSpace
 from repro.util.rng import make_rng
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 
 __all__ = ["RequestTrace", "generate_requests", "zipf_weights"]
 
@@ -49,7 +49,7 @@ class RequestTrace:
 
 def zipf_weights(catalog_size: int, exponent: float = 0.95) -> np.ndarray:
     """Normalised Zipf popularity weights for a key catalogue."""
-    require(catalog_size >= 1, "catalog_size must be >= 1")
+    require_int(catalog_size, 1, name="catalog_size")
     require(exponent > 0, "exponent must be positive")
     ranks = np.arange(1, catalog_size + 1, dtype=np.float64)
     w = ranks ** (-exponent)

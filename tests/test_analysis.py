@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.stats import (
     RouteSample,
-    cdf,
     collect_routes,
     hop_pdf,
     ratio_percent,
@@ -121,25 +120,6 @@ class TestDistributions:
         assert pdf.sum() == pytest.approx(1.0)
         assert (pdf >= 0).all()
 
-    def test_cdf_monotone_and_bounded(self):
-        xs, fs = cdf(np.asarray([5.0, 1.0, 3.0, 3.0]), points=20)
-        assert np.all(np.diff(fs) >= 0)
-        assert fs[-1] == pytest.approx(1.0)
-        assert xs[0] == 1.0 and xs[-1] == 5.0
-
-    @given(
-        st.lists(
-            st.floats(min_value=0, max_value=1e4, allow_nan=False),
-            min_size=1,
-            max_size=100,
-        )
-    )
-    @settings(max_examples=40)
-    def test_cdf_property(self, values):
-        _, fs = cdf(np.asarray(values), points=17)
-        assert np.all(np.diff(fs) >= -1e-12)
-        assert 0 <= fs[0] <= 1 and fs[-1] == pytest.approx(1.0)
-
 
 class TestTables:
     def test_format_alignment(self):
@@ -175,32 +155,3 @@ class TestTables:
         text = format_table([{"v": 3.14159}, {"v": 12345.6}, {"v": float("nan")}])
         assert "3.142" in text
         assert "nan" in text
-
-
-class TestLayerBreakdown:
-    def test_two_rows_sum_to_totals(self, small_networks):
-        from repro.analysis.stats import layer_breakdown
-
-        _, hieras = small_networks
-        trace = generate_requests(200, hieras.n_peers, hieras.space, seed=21)
-        sample = collect_routes(hieras, trace)
-        rows = layer_breakdown(sample)
-        assert [r["layer"] for r in rows] == ["lower_rings", "global_ring"]
-        assert sum(r["hop_share_pct"] for r in rows) == pytest.approx(100.0)
-        assert sum(r["latency_share_pct"] for r in rows) == pytest.approx(100.0)
-        assert (
-            rows[0]["hops_per_request"] + rows[1]["hops_per_request"]
-            == pytest.approx(sample.mean_hops)
-        )
-
-    def test_paper_shape(self, small_networks):
-        """§4.3's claim at test scale: lower rings carry a larger hop
-        share than latency share (their links are cheaper)."""
-        from repro.analysis.stats import layer_breakdown
-
-        _, hieras = small_networks
-        trace = generate_requests(500, hieras.n_peers, hieras.space, seed=22)
-        rows = layer_breakdown(collect_routes(hieras, trace))
-        low = rows[0]
-        assert low["hop_share_pct"] > low["latency_share_pct"]
-        assert low["mean_link_delay_ms"] < rows[1]["mean_link_delay_ms"]

@@ -98,3 +98,15 @@ class TestChurnedService:
         system.run(3, queries_per_round=20)
         assert len(system.history) == 3
         assert system.summary()["rounds"] == 3.0
+
+
+@pytest.mark.parametrize("make", [make_chord, make_hieras], ids=["chord", "hieras"])
+def test_rerun_is_identical(make):
+    """Same seed, same history: no iteration-order leak in the store path."""
+    histories = []
+    for _ in range(2):
+        system = FileSharingSystem(make(n=60, seed=14), catalog_size=120, seed=15)
+        system.run(4, queries_per_round=60, churn_per_round=3)
+        histories.append(system.history)
+    assert histories[0] == histories[1]
+    assert sum(m.keys_moved_by_repair for m in histories[0]) > 0

@@ -65,8 +65,8 @@ class TestBinningScheme:
             assert set(prev).issubset(set(nxt))
 
     def test_default_for_depth(self):
-        assert BinningScheme.default_for_depth(2).depth == 2
-        assert BinningScheme.default_for_depth(4).depth == 4
+        assert len(BinningScheme.default_for_depth(2).level_boundaries) == 1
+        assert len(BinningScheme.default_for_depth(4).level_boundaries) == 3
         with pytest.raises(ValueError):
             BinningScheme.default_for_depth(1)
         with pytest.raises(ValueError):
@@ -106,8 +106,8 @@ class TestLandmarkOrders:
 
     def test_nesting_invariant_rings(self, orders3):
         """Nodes sharing a layer-3 ring must share the layer-2 ring."""
-        codes2, _ = orders3.ring_codes(0)
-        codes3, _ = orders3.ring_codes(1)
+        codes2, _ = (orders3.codes_per_layer[0], orders3.name_pools[0])
+        codes3, _ = (orders3.codes_per_layer[1], orders3.name_pools[1])
         for a in range(6):
             for b in range(6):
                 if codes3[a] == codes3[b]:
@@ -124,15 +124,15 @@ class TestLandmarkOrders:
         distances = rng.uniform(0, 400, size=(n_nodes, n_landmarks))
         orders = BinningScheme.default_for_depth(4).orders(distances)
         for layer in (1, 2):
-            shallow, _ = orders.ring_codes(layer - 1)
-            deep, _ = orders.ring_codes(layer)
+            shallow, _ = (orders.codes_per_layer[layer - 1], orders.name_pools[layer - 1])
+            deep, _ = (orders.codes_per_layer[layer], orders.name_pools[layer])
             for a in range(n_nodes):
                 for b in range(n_nodes):
                     if deep[a] == deep[b]:
                         assert shallow[a] == shallow[b]
 
     def test_ring_codes_factorisation(self, orders3):
-        codes, names = orders3.ring_codes(0)
+        codes, names = (orders3.codes_per_layer[0], orders3.name_pools[0])
         assert sorted(set(names)) == sorted(names)
         for i in range(6):
             assert names[codes[i]] == orders3.order_of(i)
@@ -174,9 +174,9 @@ class TestLandmarkOrders:
     def test_landmark_failure_merges_rings_only(self, orders3):
         """Dropping a landmark can only merge rings, never split them —
         survivors of a shared ring still share all remaining digits."""
-        codes_before, _ = orders3.ring_codes(0)
+        codes_before, _ = (orders3.codes_per_layer[0], orders3.name_pools[0])
         dropped = orders3.drop_landmark(1)
-        codes_after, _ = dropped.ring_codes(0)
+        codes_after, _ = (dropped.codes_per_layer[0], dropped.name_pools[0])
         for a in range(6):
             for b in range(6):
                 if codes_before[a] == codes_before[b]:

@@ -67,7 +67,7 @@ class TestNodeCache:
         for key in (10, 20, 30):
             assert cache.put(key, self.entry(key)) == 0
         assert cache.put(40, self.entry(40)) == 1  # evicts 10
-        assert cache.keys() == [20, 30, 40]
+        assert list(cache._entries) == [20, 30, 40]
         assert 10 not in cache
 
     def test_hit_refreshes_recency(self):
@@ -77,7 +77,7 @@ class TestNodeCache:
         entry, expired = cache.get(1, now_ms=0.0)
         assert entry is not None and not expired
         cache.put(4, self.entry(4))  # 2 is now the LRU, not 1
-        assert cache.keys() == [3, 1, 4]
+        assert list(cache._entries) == [3, 1, 4]
 
     def test_reinsert_refreshes_without_evicting(self):
         cache = NodeCache(CachePolicy(capacity=2))
@@ -87,7 +87,7 @@ class TestNodeCache:
         assert len(cache) == 2
         entry, _ = cache.get(1, now_ms=0.0)
         assert entry.owner == 99
-        assert cache.keys()[-1] == 1  # most recently used
+        assert list(cache._entries)[-1] == 1  # most recently used
 
     def test_ttl_expiry(self):
         cache = NodeCache(CachePolicy(capacity=4, eviction="ttl-lru", ttl_ms=10.0))
@@ -121,7 +121,7 @@ class TestNodeCache:
                     cache.put(key, CacheEntry(key, True, float(i)))
                 else:
                     cache.get(key, float(i))
-            return cache.keys()
+            return list(cache._entries)
 
         assert replay() == replay()
 
@@ -208,7 +208,7 @@ class TestCachedRouting:
         assert net.stats.hits > 0
         load = net.load_summary()
         assert load["total_served"] == 200.0
-        assert sum(net.served_counts().values()) == 200
+        assert sum(net._served.values()) == 200
 
     def test_route_delegates_to_route_cached(self, cached):
         space, inner, net = cached
@@ -380,7 +380,7 @@ class TestCacheDeterminism:
                 {
                     "results": out,
                     "stats": net.stats.as_dict(),
-                    "served": net.served_counts(),
+                    "served": dict(sorted(net._served.items())),
                     "load": net.load_summary(),
                 },
                 sort_keys=True,

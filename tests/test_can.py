@@ -20,7 +20,9 @@ class TestConstruction:
     @pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (33, 2), (64, 3), (100, 1)])
     def test_zones_tile_torus(self, n, d):
         net = CanNetwork(np.arange(n), params=CanParams(dimensions=d), seed=1)
-        assert net.total_volume() == COORD_MAX**d
+        # Python ints: volumes reach 2**(30*d) and overflow int64 past d=2.
+        volumes = [np.prod([int(x) for x in hi - lo], dtype=object) for lo, hi in zip(net._lo, net._hi)]
+        assert sum(volumes) == COORD_MAX**d
 
     def test_zones_disjoint(self):
         net = CanNetwork(np.arange(40), seed=2)
@@ -63,12 +65,12 @@ class TestNeighbors:
 
     def test_mean_neighbors_2d(self):
         net = CanNetwork(np.arange(256), params=CanParams(dimensions=2), seed=5)
-        counts = [net.neighbor_count(int(p)) for p in net.peers]
+        counts = [len(nbrs) for nbrs in net._neighbors]
         assert 3.0 <= np.mean(counts) <= 8.0  # CAN: ~2d for equal zones
 
     def test_singleton_has_no_neighbors(self):
         net = CanNetwork(np.asarray([7]), seed=1)
-        assert net.neighbor_count(7) == 0
+        assert len(net._neighbors[net.slot_of_peer(7)]) == 0
 
 
 class TestPoints:
@@ -147,10 +149,6 @@ class TestHierasCan:
         assert len(r.hops_per_layer) == 2
         assert sum(r.hops_per_layer) == r.hops
 
-    def test_neighbor_state_grows_with_depth(self, layered):
-        _, net = layered
-        assert net.neighbor_state_size(0) >= net.global_can.neighbor_count(0)
-
     def test_depth3(self, rng):
         n = 150
         distances = np.random.default_rng(1).uniform(0, 300, size=(n, 4))
@@ -168,69 +166,3 @@ class TestHierasCan:
         )
         with pytest.raises(ValueError):
             HierasCanNetwork(11, landmark_orders=orders)
-
-
-class TestMembership:
-    def test_add_peer_preserves_tiling(self):
-        net = CanNetwork(np.arange(20), seed=10)
-        net.add_peer(100)
-        assert net.n_peers == 21
-        assert net.total_volume() == COORD_MAX**2
-
-    def test_add_duplicate_rejected(self):
-        net = CanNetwork(np.arange(5), seed=10)
-        with pytest.raises(ValueError):
-            net.add_peer(3)
-
-    def test_added_peer_owns_its_point(self):
-        from repro.dht.can import peer_point
-
-        net = CanNetwork(np.arange(20), seed=11)
-        net.add_peer(55)
-        point = peer_point(55, 2)
-        assert net.owner_of_point(point) == 55
-
-    def test_remove_peer_sibling_merge(self):
-        """A freshly split pair is a perfect sibling: removing one must
-        merge, not rebuild."""
-        net = CanNetwork(np.arange(8), seed=12)
-        net.add_peer(99)
-        merged = net.remove_peer(99)
-        assert merged is True
-        assert net.total_volume() == COORD_MAX**2
-        assert 99 not in net.peers
-
-    def test_remove_peer_always_preserves_tiling(self):
-        net = CanNetwork(np.arange(30), seed=13)
-        rng = np.random.default_rng(0)
-        for peer in (3, 17, 8, 25, 0):
-            net.remove_peer(peer)
-            assert net.total_volume() == COORD_MAX**2
-            # routing still works
-            survivors = net.peers
-            s = int(survivors[int(rng.integers(0, len(survivors)))])
-            k = int(rng.integers(0, 2**32))
-            r = net.route(s, k)
-            assert r.owner == net.owner_of(k)
-
-    def test_remove_last_rejected(self):
-        net = CanNetwork(np.asarray([1]), seed=1)
-        with pytest.raises(ValueError):
-            net.remove_peer(1)
-
-    def test_churn_sequence_consistency(self):
-        net = CanNetwork(np.arange(16), seed=14)
-        rng = np.random.default_rng(5)
-        next_id = 100
-        for _ in range(20):
-            if rng.random() < 0.5 and net.n_peers > 2:
-                victim = int(net.peers[int(rng.integers(0, net.n_peers))])
-                net.remove_peer(victim)
-            else:
-                net.add_peer(next_id)
-                next_id += 1
-            assert net.total_volume() == COORD_MAX**2
-            nbrs = net._neighbors
-            for i, ns in enumerate(nbrs):
-                for j in ns:
-                    assert i in nbrs[int(j)]

@@ -34,14 +34,7 @@ class TestConstruction:
         net = make_net([30, 10, 20])
         assert net.id_of(0) == 30
         assert net.id_of(1) == 10
-        assert net.ids.tolist() == [10, 20, 30]
-
-    def test_successor_predecessor(self):
-        net = make_net([10, 20, 30])
-        # peers: 0->10? ids given unsorted? here sorted mapping: peer0=10.
-        assert net.successor(0) == 1
-        assert net.predecessor(0) == 2
-        assert net.successor(2) == 0
+        assert net.ring.ids.tolist() == [10, 20, 30]
 
     def test_successor_list(self):
         net = make_net([10, 20, 30, 40])
@@ -50,7 +43,7 @@ class TestConstruction:
 
 class TestOwnership:
     def test_owner_is_key_successor(self, net200, rng):
-        ids_sorted = net200.ids
+        ids_sorted = net200.ring.ids
         for key in rng.integers(0, net200.space.size, 200):
             owner = net200.owner_of(int(key))
             owner_id = net200.id_of(owner)
@@ -59,7 +52,7 @@ class TestOwnership:
             assert owner_id == expected
 
     def test_exact_id_owns_itself(self, net200):
-        some_id = int(net200.ids[17])
+        some_id = int(net200.ring.ids[17])
         owner = net200.owner_of(some_id)
         assert net200.id_of(owner) == some_id
 
@@ -175,6 +168,24 @@ class TestMembership:
         p = net.add_peer(10)
         assert net.id_of(p) == 10
         assert net.n_peers == 2
+
+    def test_revive_restores_index_and_id(self):
+        space = IdSpace(16)
+        ids = space.sample_unique_ids(20, np.random.default_rng(6))
+        net = ChordNetwork(space, ids)
+        old_id = net.id_of(7)
+        net.remove_peers([7])
+        net.revive_peers([7])
+        assert net.is_alive(7)
+        assert net.id_of(7) == old_id
+        assert net.n_peers == 20
+
+    def test_revive_requires_dead_peer(self):
+        space = IdSpace(16)
+        ids = space.sample_unique_ids(10, np.random.default_rng(7))
+        net = ChordNetwork(space, ids)
+        with pytest.raises(ValueError):
+            net.revive_peers([3])
 
 
 class TestFingerTable:

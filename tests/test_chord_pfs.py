@@ -38,7 +38,7 @@ class TestFingers:
         for peer in range(0, 40, 5):
             node_id = pfs.id_of(peer)
             for i in range(1, pfs.space.bits + 1):
-                cand = pfs.finger(peer, i)
+                cand = pfs._fingers[peer].get(i)
                 if cand is None:
                     continue
                 lo = (node_id + (1 << (i - 1))) % size
@@ -58,7 +58,7 @@ class TestFingers:
         for peer in range(30):
             plain_fingers = {e.index: e.peer for e in chord.finger_table(peer)}
             for i, plain_peer in plain_fingers.items():
-                pfs_peer = pfs.finger(peer, i)
+                pfs_peer = pfs._fingers[peer].get(i)
                 if pfs_peer is None or plain_peer == peer:
                     continue
                 gains.append(

@@ -41,14 +41,14 @@ class TestConvergence:
         space, ids, sim, net, nodes = converged
         cycle = expected_cycle(ids)
         for p, expect in cycle.items():
-            assert nodes[p].ring_state().successor[0] == expect
+            assert nodes[p].rings[GLOBAL_RING].successor[0] == expect
 
     def test_predecessors_inverse_of_successors(self, converged):
         space, ids, sim, net, nodes = converged
         cycle = expected_cycle(ids)
         inverse = {v: k for k, v in cycle.items()}
         for p in range(len(ids)):
-            assert nodes[p].ring_state().predecessor[0] == inverse[p]
+            assert nodes[p].rings[GLOBAL_RING].predecessor[0] == inverse[p]
 
     def test_successor_lists_are_consecutive(self, converged):
         space, ids, sim, net, nodes = converged
@@ -59,7 +59,7 @@ class TestConvergence:
             for _ in range(nodes[p].config.successor_list_len):
                 cur = cycle[cur]
                 expected.append(cur)
-            got = [e[0] for e in nodes[p].ring_state().successor_list]
+            got = [e[0] for e in nodes[p].rings[GLOBAL_RING].successor_list]
             assert got == expected[: len(got)]
             assert len(got) >= 1
 
@@ -72,7 +72,7 @@ class TestConvergence:
             return int(sorted_ids[i % len(ids)])
 
         node = nodes[3]
-        fingers = node.ring_state().fingers
+        fingers = node.rings[GLOBAL_RING].fingers
         checked = 0
         for i, f in enumerate(fingers, start=1):
             if f is None:
@@ -124,7 +124,7 @@ class TestFailureRecovery:
         order = sorted(live, key=lambda p: live_ids[p])
         expect = {order[i]: order[(i + 1) % len(order)] for i in range(len(order))}
         for p in live:
-            assert nodes[p].ring_state().successor[0] == expect[p]
+            assert nodes[p].rings[GLOBAL_RING].successor[0] == expect[p]
 
     def test_multiple_failures(self):
         space, ids, sim, net, nodes = build_converged(n=20, seed=4)
@@ -137,21 +137,7 @@ class TestFailureRecovery:
         order = sorted(live, key=lambda p: int(ids[p]))
         expect = {order[i]: order[(i + 1) % len(order)] for i in range(len(order))}
         for p in live:
-            assert nodes[p].ring_state().successor[0] == expect[p]
-
-    def test_graceful_leave_repairs_fast(self):
-        space, ids, sim, net, nodes = build_converged(n=12, seed=5)
-        cycle = expected_cycle(ids)
-        leaver = cycle[1]
-        nodes[leaver].leave_ring(GLOBAL_RING)
-        nodes[leaver].fail()
-        net.unregister(leaver)
-        sim.run(until=sim.now + 20000, max_events=4_000_000)
-        live = [p for p in range(12) if p != leaver]
-        order = sorted(live, key=lambda p: int(ids[p]))
-        expect = {order[i]: order[(i + 1) % len(order)] for i in range(len(order))}
-        for p in live:
-            assert nodes[p].ring_state().successor[0] == expect[p]
+            assert nodes[p].rings[GLOBAL_RING].successor[0] == expect[p]
 
     def test_lookups_survive_churn(self):
         space, ids, sim, net, nodes = build_converged(n=20, seed=6)
@@ -184,56 +170,11 @@ class TestConfig:
             ProtocolConfig(request_timeout_ms=-1)
 
 
-class TestIterativeLookups:
-    def test_iterative_owner_correct(self, converged):
-        space, ids, sim, net, nodes = converged
-        rng = np.random.default_rng(8)
-        sorted_ids = np.sort(ids)
-        results = []
-        keys = rng.integers(0, space.size, 150)
-        for k in keys:
-            nodes[int(rng.integers(0, len(ids)))].lookup_iterative(int(k), results.append)
-        sim.run(until=sim.now + 90_000, max_events=6_000_000)
-        assert len(results) == 150
-        for out in results:
-            i = np.searchsorted(sorted_ids, out.key)
-            assert out.owner_id == int(sorted_ids[i % len(ids)])
-
-    def test_iterative_matches_recursive_hops(self, converged):
-        """Both modes walk the same finger tables: same hop counts."""
-        space, ids, sim, net, nodes = converged
-        rng = np.random.default_rng(9)
-        rec, it = [], []
-        for _ in range(60):
-            s = int(rng.integers(0, len(ids)))
-            k = int(rng.integers(0, space.size))
-            nodes[s].lookup(k, rec.append)
-            nodes[s].lookup_iterative(k, it.append)
-        sim.run(until=sim.now + 90_000, max_events=6_000_000)
-        assert len(rec) == len(it) == 60
-        by_key_rec = {(o.key): o.hops for o in rec}
-        for o in it:
-            assert o.hops == by_key_rec[o.key]
-
-    def test_iterative_origin_drives_traffic(self, converged):
-        """In iterative mode every query originates at the source."""
-        from repro.metrics.messages import MessageTracer
-
-        space, ids, sim, net, nodes = converged
-        with MessageTracer(net) as tracer:
-            done = []
-            nodes[2].lookup_iterative(12345, done.append)
-            sim.run(until=sim.now + 30_000, max_events=4_000_000)
-        queries = [e for e in tracer.events if e.kind == "next_hop_query"]
-        assert done and all(e.src == 2 for e in queries)
-        assert len(queries) >= done[0].hops
-
-
 class TestSuccessorListShortcut:
     def test_shortcut_finds_predecessor_in_list(self, converged):
         space, ids, sim, net, nodes = converged
         node = nodes[0]
-        slist = node.ring_state().successor_list
+        slist = node.rings[GLOBAL_RING].successor_list
         assert len(slist) >= 2
         # A key just past the first list entry: its predecessor is that
         # entry, which the shortcut must return.
@@ -246,7 +187,7 @@ class TestSuccessorListShortcut:
     def test_shortcut_none_beyond_list(self, converged):
         space, ids, sim, net, nodes = converged
         node = nodes[0]
-        last = node.ring_state().successor_list[-1]
+        last = node.rings[GLOBAL_RING].successor_list[-1]
         key = (last[1] + 5) % space.size
         # Beyond the arc the list covers (for a 24-node ring the list of
         # 4 covers well under the full circle).
@@ -281,7 +222,7 @@ class TestRealisticLatencies:
         sim.run(until=t + 90_000, max_events=8_000_000)
         cycle = expected_cycle(ids)
         for p, expect in cycle.items():
-            assert nodes[p].ring_state().successor[0] == expect
+            assert nodes[p].rings[GLOBAL_RING].successor[0] == expect
         # Lookups complete and take wall-clock time (delays are real).
         results = []
         t0 = sim.now

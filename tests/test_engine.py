@@ -896,7 +896,7 @@ class TestBatchMembership:
 
     def test_add_batch_rejects_duplicates(self):
         chord, _ = build_pair(n=10, seed=26)
-        existing = int(chord.ids[0])
+        existing = int(chord.ring.ids[0])
         with pytest.raises(ValueError, match="already present"):
             chord.add_peers([existing])
         free = next(

@@ -1,5 +1,6 @@
 """Tests for the experiment harness: config, runner, registry, CLI."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from repro.experiments import runner
 from repro.experiments.config import DEFAULT_REQUESTS, FULL_REQUESTS, SimConfig, is_full_scale
 from repro.experiments.figures import EXPERIMENTS, get_experiment
-from repro.experiments.runner import build_bundle, clear_cache, make_trace, run_pair
+from repro.experiments.runner import build_bundle, make_trace, run_pair
 
 
 class TestConfig:
@@ -18,7 +19,7 @@ class TestConfig:
         assert cfg.n_routers >= cfg.n_peers
 
     def test_with_(self):
-        cfg = SimConfig().with_(n_peers=500, depth=3)
+        cfg = dataclasses.replace(SimConfig(), n_peers=500, depth=3)
         assert cfg.n_peers == 500 and cfg.depth == 3
 
     def test_topology_key_ignores_routing_settings(self):
@@ -93,7 +94,8 @@ class TestConfig:
 class TestRunner:
     @pytest.fixture(scope="class")
     def bundle(self):
-        clear_cache()
+        runner._SUBSTRATES.clear()
+        runner._SAMPLE_PAIRS.clear()
         return build_bundle(SimConfig(n_peers=200, seed=1))
 
     def test_bundle_wiring(self, bundle):
@@ -127,18 +129,6 @@ class TestRunner:
     def test_inet_size_floor_enforced(self):
         with pytest.raises(ValueError, match="3000"):
             build_bundle(SimConfig(model="inet", n_peers=500))
-
-
-class TestCaches:
-    def test_clear_cache_drops_sample_pairs_too(self):
-        from repro.experiments import clear_cache as clear_all
-        from repro.experiments.runner import sample_pair
-
-        config = SimConfig(n_peers=200, seed=4)
-        before = sample_pair(config, 100)
-        assert sample_pair(config, 100) is before
-        clear_all()
-        assert sample_pair(config, 100) is not before
 
 
 class TestRegistry:

@@ -62,7 +62,8 @@ class TestIsTheExperimentsPipeline:
     def test_equals_build_bundle(self, n, seed, depth, landmarks):
         config = SimConfig(n_peers=n, seed=seed, depth=depth, n_landmarks=landmarks)
         quick = quick_network(n, seed=seed, depth=depth, n_landmarks=landmarks)
-        runner.clear_cache()  # build the other one from scratch
+        runner._SUBSTRATES.clear()  # build the other one from scratch
+        runner._SAMPLE_PAIRS.clear()
         built = runner.build_bundle(config)
         assert quick.topology is not built.topology
         assert np.array_equal(quick.attachment.landmark_routers, built.attachment.landmark_routers)

@@ -67,7 +67,7 @@ class TestMessageLoss:
         order = np.argsort(ids)
         for i, p in enumerate(order):
             expect = int(order[(i + 1) % n])
-            succ = nodes[int(p)].ring_state().successor
+            succ = nodes[int(p)].rings[GLOBAL_RING].successor
             assert succ is not None and succ[0] == expect
         assert net.messages_lost > 0
 

@@ -49,12 +49,6 @@ class TestRetryPolicy:
         assert all(90.0 <= p <= 110.0 for p in penalties)
         assert max(penalties) > min(penalties)  # jitter actually applied
 
-    def test_worst_case_bounds_any_contact(self):
-        policy = RetryPolicy(timeout_ms=50.0, max_retries=2, backoff=2.0, jitter=0.1)
-        rng = make_rng(2)
-        total = sum(policy.attempt_timeout_ms(k, rng) for k in range(policy.max_attempts))
-        assert total <= policy.worst_case_contact_ms()
-
 
 class TestFaultPlan:
     def test_same_seed_same_events(self):
@@ -137,11 +131,6 @@ class TestFaultState:
         state.partition = np.array([0, 0, 1, 1])
         assert state.reachable(2, 3)
         assert not state.reachable(0, 2)
-
-    def test_live_peers(self):
-        state = FaultState(5)
-        state.dead[[1, 3]] = True
-        np.testing.assert_array_equal(state.live_peers(), [0, 2, 4])
 
 
 class TestFaultInjector:
@@ -374,23 +363,6 @@ class TestLossyRoutingStatic:
             assert out.owner == 0
 
 
-class TestRingTableSurvival:
-    def test_live_host_of_walks_replicas(self, small_networks):
-        _, hieras = small_networks
-        directory = hieras.directory
-        name = directory.names()[0]
-        g = hieras.global_ring
-        chain = directory.replica_hosts(name, g.ids, g.peers)
-        assert directory.live_host_of(name, g.ids, g.peers, lambda p: False) == chain[0]
-        # primary dead -> first replica answers
-        assert (
-            directory.live_host_of(name, g.ids, g.peers, lambda p: p == chain[0])
-            == chain[1]
-        )
-        with pytest.raises(LookupError):
-            directory.live_host_of(name, g.ids, g.peers, lambda p: True)
-
-
 class TestProtocolResilience:
     def test_plan_drives_protocol_stack(self):
         """Acceptance: the same FaultPlan machinery drives the sim stack
@@ -424,26 +396,6 @@ class TestCrashRingAndRegion:
         _, hieras = small_networks
         with pytest.raises(ValueError):
             FaultPlan().crash_ring(at_ms=0.0, network=hieras, name="no-such-ring")
-
-    def test_crash_region_matches_stub_domain(self, small_deployment):
-        attachment, _, _, _ = small_deployment
-        topo = attachment.topology
-        routers = np.asarray(attachment.router_of_peer)
-        domain = int(topo.stub_domain_of[routers[0]])
-        plan = FaultPlan().crash_region(at_ms=1.0, attachment=attachment, domain=domain)
-        crash = plan.events(len(routers))[0]
-        expected = sorted(
-            int(p) for p in np.flatnonzero(topo.stub_domain_of[routers] == domain)
-        )
-        assert list(crash.peers) == expected
-        assert 0 in crash.peers
-
-    def test_crash_region_empty_domain_rejected(self, small_deployment):
-        attachment, _, _, _ = small_deployment
-        topo = attachment.topology
-        empty = int(topo.stub_domain_of.max()) + 99
-        with pytest.raises(ValueError):
-            FaultPlan().crash_region(at_ms=0.0, attachment=attachment, domain=empty)
 
 
 class TestEventOrderingAndPartitionDeterminism:

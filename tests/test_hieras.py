@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.binning import BinningScheme
 from repro.core.hieras import HierasNetwork
-from repro.core.ring import ring_id
 from repro.dht.chord import ChordNetwork
 from repro.util.ids import IdSpace
 
@@ -96,11 +95,6 @@ class TestRingStructure:
         for name in hieras.directory.names():
             host = hieras.ring_table_host(name)
             assert hieras.is_alive(host)
-
-    def test_ring_id_of(self):
-        _, hieras = build_pair(n=20)
-        name = hieras.ring_name_of(0, 2)
-        assert hieras.ring_id_of(name) == ring_id(hieras.space, name)
 
 
 class TestRouting:
@@ -231,6 +225,20 @@ class TestMembership:
                 continue
             k = int(rng.integers(0, hieras.space.size))
             assert hieras.route(s, k).owner == chord.owner_of(k)
+
+    def test_hieras_revive_restores_ring(self):
+        rng = np.random.default_rng(8)
+        space = IdSpace(16)
+        ids = space.sample_unique_ids(40, rng)
+        orders = BinningScheme.default_for_depth(2).orders(
+            rng.uniform(0, 300, size=(40, 4))
+        )
+        net = HierasNetwork(space, ids, landmark_orders=orders, depth=2)
+        name = net.ring_name_of(11, 2)
+        net.remove_peers([11])
+        net.revive_peers([11])
+        assert net.ring_name_of(11, 2) == name
+        assert 11 in set(int(p) for p in net.rings_at_layer(2)[name].peers)
 
 
 class TestInspection:

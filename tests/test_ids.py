@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.ids import DEFAULT_BITS, IdSpace, sha1_int, unique_sorted
+from repro.util.ids import DEFAULT_BITS, IdSpace, sha1_int
 
 
 class TestSha1Int:
@@ -70,19 +70,9 @@ class TestIdSpace:
         with pytest.raises(ValueError):
             space.finger_start(0, 9)
 
-    def test_finger_starts_vector_matches_scalar(self):
-        space = IdSpace(bits=16)
-        vec = space.finger_starts(12345)
-        for i in range(1, 17):
-            assert int(vec[i - 1]) == space.finger_start(12345, i)
-
     def test_hash_key_in_range(self):
         space = IdSpace(bits=12)
         assert 0 <= space.hash_key("file.txt") < space.size
-
-    def test_hash_node_matches_hash_key(self):
-        space = IdSpace(bits=32)
-        assert space.hash_node("10.0.0.1:80") == space.hash_key("10.0.0.1:80")
 
     def test_validate_id(self):
         space = IdSpace(bits=8)
@@ -91,15 +81,6 @@ class TestIdSpace:
             space.validate_id(256)
         with pytest.raises(ValueError):
             space.validate_id(-1)
-
-    def test_format_id_width(self):
-        assert IdSpace(bits=8).format_id(15) == "0f"
-        assert IdSpace(bits=32).format_id(1) == "00000001"
-
-    def test_ids_from_names(self):
-        space = IdSpace(bits=16)
-        ids = space.ids_from_names(["a", "b"])
-        assert ids == [space.hash_key("a"), space.hash_key("b")]
 
 
 class TestSampling:
@@ -140,9 +121,3 @@ class TestSampling:
         space = IdSpace(bits=16)
         ids = space.sample_unique_ids(count, np.random.default_rng(seed))
         assert len(set(ids.tolist())) == count
-
-
-def test_unique_sorted_dedups_and_sorts():
-    out = unique_sorted([5, 1, 5, 3])
-    assert out.tolist() == [1, 3, 5]
-    assert out.dtype == np.uint64

@@ -30,21 +30,9 @@ class TestBasics:
 class TestFailures:
     def test_failed_landmark_excluded(self, small_topology, small_latency):
         lms = LandmarkSet(routers=small_topology.stub_routers[:4])
-        lms.fail(2)
-        assert lms.n_alive == 3
+        lms.alive[2] = False
         d = lms.measure(small_latency, small_topology.stub_routers[10:15])
         assert d.shape == (5, 3)
-
-    def test_recover(self, small_topology, small_latency):
-        lms = LandmarkSet(routers=small_topology.stub_routers[:3])
-        lms.fail(0)
-        lms.recover(0)
-        assert lms.n_alive == 3
-
-    def test_cannot_fail_last(self):
-        lms = LandmarkSet(routers=np.asarray([5]))
-        with pytest.raises(ValueError):
-            lms.fail(0)
 
     def test_binning_after_failure_drops_column(self, small_topology, small_latency):
         """End-to-end §2.3: orders computed from the survivors equal
@@ -54,7 +42,7 @@ class TestFailures:
         scheme = BinningScheme.default_for_depth(2)
         before = scheme.orders(lms.measure(small_latency, nodes))
         dropped = before.drop_landmark(1)
-        lms.fail(1)
+        lms.alive[1] = False
         after = scheme.orders(lms.measure(small_latency, nodes))
         for i in range(len(nodes)):
             assert after.order_of(i) == dropped.order_of(i)

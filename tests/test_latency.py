@@ -69,16 +69,12 @@ class TestAPSP:
             model.to_targets(3, targets), model.pairs(np.full(3, 3), targets)
         )
 
-    def test_matrix_readonly(self, model_and_topo):
-        model, _ = model_and_topo
-        with pytest.raises(ValueError):
-            model.matrix[0, 0] = 1
-
     def test_chunking_equivalent(self):
         topo = generate_brite(BriteParams(n_nodes=64), seed=2)
         a = APSPLatencyModel(topo, chunk=7)
         b = APSPLatencyModel(topo, chunk=1024)
-        np.testing.assert_array_equal(a.matrix, b.matrix)
+        us, vs = np.divmod(np.arange(64 * 64), 64)
+        np.testing.assert_array_equal(a.pairs(us, vs), b.pairs(us, vs))
 
     def test_disconnected_raises(self):
         topo = Topology(
@@ -200,7 +196,7 @@ class TestUniformApsp:
         topo = HAND_BUILT["mixed_delays"][0]()
         model = TransitStubLatencyModel(topo)
         assert model._pool.dtype == np.float32
-        members = topo.routers_of_domain(1)
+        members = np.flatnonzero(topo.stub_domain_of == 1)
         got = model.pairs(np.repeat(members, 4), np.tile(members, 4)).reshape(4, 4)
         np.testing.assert_array_equal(got, _dijkstra32(topo.csr()[members][:, members]))
         assert got[0, 3] == 15.0  # three 5 ms hops beat the direct 20 ms link

@@ -24,7 +24,7 @@ from repro.serve import DHTService, ServiceConfig
 class TestSchedules:
     def test_constant_rate_mass(self):
         sched = constant_rate(100.0, 10_000.0)
-        assert sched.expected_arrivals == pytest.approx(1000.0)
+        assert sched.cumulative()[1][-1] == pytest.approx(1000.0)
 
     def test_flash_crowd_mass_is_exact(self):
         sched = flash_crowd(
@@ -32,16 +32,16 @@ class TestSchedules:
             spike_factor=8.0,
         )
         # 9 s at base + 1 s at 8x base.
-        assert sched.expected_arrivals == pytest.approx(900.0 + 800.0)
+        assert sched.cumulative()[1][-1] == pytest.approx(900.0 + 800.0)
 
     def test_ramp_mass_is_exact(self):
         sched = ramp(0.0, 200.0, 10_000.0)
-        assert sched.expected_arrivals == pytest.approx(1000.0)
+        assert sched.cumulative()[1][-1] == pytest.approx(1000.0)
 
     def test_diurnal_full_period_averages_out(self):
         sched = diurnal(100.0, 60_000.0, amplitude=0.8, period_ms=60_000.0)
         # The sinusoid integrates to zero over a full period.
-        assert sched.expected_arrivals == pytest.approx(6000.0, rel=1e-6)
+        assert sched.cumulative()[1][-1] == pytest.approx(6000.0, rel=1e-6)
 
     def test_arrivals_sorted_and_in_window(self):
         for sched in (

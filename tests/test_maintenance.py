@@ -6,7 +6,6 @@ import pytest
 from repro.core.binning import BinningScheme
 from repro.core.hieras import HierasNetwork
 from repro.core.maintenance import (
-    fail_peers,
     maintenance_traffic_cost,
     measured_state_cost,
     state_cost_model,
@@ -61,38 +60,3 @@ class TestMeasuredCost:
         _, hieras = small_networks
         costs = maintenance_traffic_cost(hieras, sample=48)
         assert costs["layer2_mean_ping_ms"] < costs["layer1_mean_ping_ms"]
-
-
-class TestFailPeers:
-    def test_reports_and_removes(self):
-        net = build_hieras(n=100)
-        report = fail_peers(net, [3, 17, 42])
-        assert report["failed"] == 3.0
-        assert report["peers_remaining"] == 97.0
-        assert net.n_peers == 97
-
-    def test_failure_wave_is_incremental(self):
-        # Scale regression: a membership wave used to re-derive every
-        # layer's rings from scratch (one full O(N log N) rebuild per
-        # wave).  Now the whole wave splices only the rings it touches:
-        # no full rebuild at all, one incremental wave applied.
-        net = build_hieras(n=100)
-        builds_before = net.rebuild_count
-        waves_before = net.incremental_waves
-        fail_peers(net, [3, 17, 42, 55, 68])
-        assert net.rebuild_count == builds_before
-        assert net.incremental_waves == waves_before + 1
-        assert net.n_peers == 95
-
-    def test_routing_still_correct_after_failures(self):
-        net = build_hieras(n=100)
-        fail_peers(net, [5, 6, 7, 8])
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            s = int(rng.integers(0, 100))
-            if not net.is_alive(s):
-                continue
-            k = int(rng.integers(0, net.space.size))
-            r = net.route(s, k)
-            assert net.is_alive(r.owner)
-            assert all(p not in (5, 6, 7, 8) for p in r.path)

@@ -66,38 +66,6 @@ class TestHistogram:
         b.record_many(reversed(values))
         assert a.to_dict() == b.to_dict()
 
-    def test_merge_associative_and_commutative(self):
-        rng = np.random.default_rng(9)
-        streams = [rng.exponential(s + 1, size=300) for s in range(3)]
-        hs = []
-        for stream in streams:
-            h = Histogram("m")
-            h.record_many(stream)
-            hs.append(h)
-        a, b, c = hs
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert left.to_dict() == right.to_dict()
-        assert a.merge(b).to_dict() == b.merge(a).to_dict()
-
-    def test_merge_equals_single_stream(self):
-        rng = np.random.default_rng(11)
-        values = rng.exponential(10.0, size=500)
-        whole = Histogram()
-        whole.record_many(values)
-        h1, h2 = Histogram(), Histogram()
-        h1.record_many(values[:200])
-        h2.record_many(values[200:])
-        merged, single = h1.merge(h2).to_dict(), whole.to_dict()
-        # Float totals differ in the last bits across summation orders;
-        # counts, buckets and extrema must be identical.
-        assert merged.pop("total") == pytest.approx(single.pop("total"))
-        assert merged == single
-
-    def test_merge_base_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(base=1.1).merge(Histogram(base=1.3))
-
     def test_quantiles_clamped_and_monotone(self):
         h = Histogram()
         h.record_many([2.0, 4.0, 8.0, 16.0, 100.0])
@@ -187,17 +155,6 @@ class TestHistogram:
         bulk.record_many(np.asarray(values))
         assert bulk.to_dict() == loop.to_dict()
 
-    def test_serialization_round_trip(self):
-        h = Histogram(base=1.2)
-        h.record_many([0.0, 1.5, 77.0, 3200.0])
-        assert Histogram.from_dict(h.to_dict()).to_dict() == h.to_dict()
-
-    def test_empty_round_trip(self):
-        h = Histogram()
-        d = h.to_dict()
-        assert d["min"] is None and d["max"] is None
-        assert Histogram.from_dict(d).to_dict() == d
-
 
 def _make_span(network="hieras"):
     return LookupSpan(
@@ -218,7 +175,7 @@ class TestSpans:
         span = _make_span()
         assert span.n_hops == 3
         assert span.latency_ms == pytest.approx(90.5)
-        assert span.layers == [2, 2, 1]
+        assert [h.layer for h in span.hops] == [2, 2, 1]
         assert span.low_layer_hops == 2
         assert span.low_layer_hop_share == pytest.approx(2 / 3)
 
@@ -403,20 +360,6 @@ class TestSimCounters:
 
 
 class TestRegistryMergeAndSnapshot:
-    def test_merge_folds_everything(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("c", 2)
-        b.inc("c", 3)
-        b.inc("only_b")
-        a.observe("h", 1.0)
-        b.observe("h", 10.0)
-        b.set_gauge("g", 7.0)
-        a.merge(b)
-        assert a.counter("c").value == 5
-        assert a.counter("only_b").value == 1
-        assert a.histogram("h").count == 2
-        assert a.gauge("g").value == 7.0
-
     def test_snapshot_stable_and_json_safe(self):
         reg = MetricsRegistry()
         reg.inc("z")
@@ -449,7 +392,7 @@ class TestHierasSpanLayers:
     def test_spans_annotate_every_hop(self, traced):
         bundle, rec, sink = traced
         span = max(sink.spans, key=lambda s: s.n_hops)
-        assert span.n_hops == len(span.layers)
+        assert span.n_hops == len([h.layer for h in span.hops])
         for hop in span.hops:
             assert 1 <= hop.layer <= bundle.hieras.depth
             if hop.layer == 1:
@@ -457,7 +400,7 @@ class TestHierasSpanLayers:
             else:
                 assert hop.ring == bundle.hieras.ring_name_of(hop.src, hop.layer)
         # Bottom-up routing: layer numbers never increase along the path.
-        assert span.layers == sorted(span.layers, reverse=True)
+        assert [h.layer for h in span.hops] == sorted([h.layer for h in span.hops], reverse=True)
 
     def test_span_matches_route_result(self, traced):
         bundle, rec, sink = traced

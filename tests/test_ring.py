@@ -51,43 +51,27 @@ class TestRingTable:
             space, "0", np.asarray([7], dtype=np.uint64), np.asarray([4])
         )
         assert table.largest == table.smallest == (7, 4)
-        assert len(table.entries()) == 4
-
-    def test_bootstrap_peer(self):
-        space = IdSpace(16)
-        table = RingTable.from_members(
-            space, "0", np.asarray([7, 9], dtype=np.uint64), np.asarray([4, 5])
-        )
-        assert table.bootstrap_peer() == 4
-
-    def test_would_update(self):
-        space = IdSpace(16)
-        ids = np.asarray([10, 20, 30, 40], dtype=np.uint64)
-        table = RingTable.from_members(space, "0", ids, np.arange(4))
-        assert table.would_update(50)  # new largest
-        assert table.would_update(35)  # new second largest
-        assert table.would_update(5)  # new smallest
-        assert table.would_update(15)  # new second smallest
-        assert not table.would_update(25)  # middle of the pack
+        assert table.second_largest == table.second_smallest == (7, 4)
 
 
 class TestDirectory:
     @pytest.fixture()
     def directory(self):
-        return RingTableDirectory(IdSpace(16), replicas=2)
+        return RingTableDirectory(IdSpace(16))
 
     def test_publish_and_fetch(self, directory):
         table = directory.publish(
             "01", np.asarray([3, 9], dtype=np.uint64), np.asarray([0, 1])
         )
-        assert directory.table_of("01") is table
+        assert table == RingTable.from_members(
+            IdSpace(16), "01", np.asarray([3, 9], dtype=np.uint64), np.asarray([0, 1])
+        )
         assert directory.names() == ["01"]
 
     def test_drop(self, directory):
         directory.publish("01", np.asarray([3], dtype=np.uint64), np.asarray([0]))
         directory.drop("01")
-        with pytest.raises(KeyError):
-            directory.table_of("01")
+        assert directory.names() == []
 
     def test_host_is_numerically_closest(self, directory):
         space = IdSpace(16)
@@ -98,19 +82,3 @@ class TestDirectory:
         rid = ring_id(space, "012")
         dists = [ring_distance(rid, int(i), space.size) for i in ids]
         assert dists[host] == min(dists)  # peer index == sorted position here
-
-    def test_replica_hosts_are_successors(self, directory):
-        space = IdSpace(16)
-        ids = np.sort(space.sample_unique_ids(10, np.random.default_rng(1)))
-        peers = np.arange(10)
-        hosts = directory.replica_hosts("012", ids, peers)
-        assert len(hosts) == 3
-        primary = hosts[0]
-        assert hosts[1] == (primary + 1) % 10
-        assert hosts[2] == (primary + 2) % 10
-
-    def test_replicas_capped_by_ring_size(self):
-        directory = RingTableDirectory(IdSpace(16), replicas=5)
-        ids = np.asarray([4, 90], dtype=np.uint64)
-        hosts = directory.replica_hosts("0", ids, np.arange(2))
-        assert len(hosts) == 2

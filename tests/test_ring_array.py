@@ -62,11 +62,6 @@ class TestBasics:
         assert ring.successor_pos(31) == 0  # wraps
         assert ring.successor_pos(5) == 0
 
-    def test_neighbour_positions(self):
-        ring = make_ring([10, 20, 30])
-        assert ring.successor_of_pos(2) == 0
-        assert ring.predecessor_of_pos(0) == 2
-
     def test_requires_sorted_unique(self):
         space = IdSpace(bits=8)
         with pytest.raises(ValueError):
@@ -158,7 +153,7 @@ class TestPredecessorRouting:
         elif end_id == key:
             pass  # landed exactly on the key's node
         else:
-            succ = int(ring.ids[ring.successor_of_pos(path[-1])])
+            succ = int(ring.ids[(path[-1] + 1) % len(ring)])
             assert in_interval(key, end_id, succ, size)
 
     @given(ids_strategy, key_strategy, st.integers(min_value=0, max_value=23))
@@ -184,7 +179,7 @@ class TestPredecessorRouting:
         # Completing the predecessor route with the final hop reaches
         # the same owner the greedy route found.
         if int(ring.ids[pred[-1]]) != key % 256:
-            nxt = ring.successor_of_pos(pred[-1])
+            nxt = (pred[-1] + 1) % len(ring)
             assert nxt == greedy[-1] or pred[-1] == greedy[-1]
 
 
@@ -252,8 +247,6 @@ class TestEdgeGeometry:
         ring = make_ring([42])
         assert ring.successor_pos(0) == 0
         assert ring.successor_pos(42) == 0
-        assert ring.successor_of_pos(0) == 0
-        assert ring.predecessor_of_pos(0) == 0
         assert ring.successor_list(0, 5) == []
         # Every key routes to the sole member in zero hops beyond start.
         for key in (0, 41, 42, 43, 255):

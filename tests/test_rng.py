@@ -77,7 +77,7 @@ def test_cross_platform_stability():
 
 
 def test_validation_helpers():
-    from repro.util.validation import require, require_in_range, require_positive, require_type
+    from repro.util.validation import require, require_in_range, require_positive
 
     require(True, "fine")
     with pytest.raises(ValueError, match="boom"):
@@ -88,8 +88,3 @@ def test_validation_helpers():
     require_in_range(5, 0, 10)
     with pytest.raises(ValueError):
         require_in_range(11, 0, 10, name="x")
-    require_type("s", str)
-    with pytest.raises(TypeError):
-        require_type("s", int, name="n")
-    with pytest.raises(TypeError):
-        require_type(3.5, (int, str))

@@ -24,11 +24,19 @@ from repro.dht.chord import ChordNetwork
 from repro.dht.chord_pfs import PfsChordNetwork
 from repro.dht.pastry import PastryNetwork, PastryParams
 from repro.dht.tapestry import TapestryNetwork, TapestryParams
+from repro.cache.policy import CachePolicy
+from repro.dht.chord_protocol import ProtocolConfig
 from repro.engine import batch_route
-from repro.experiments.config import SimConfig
+from repro.experiments.config import SimConfig, SweepSpec
 from repro.experiments.runner import build_bundle
 from repro.metrics import MemorySink, MetricsRegistry, SpanRecorder
+from repro.faults.retry import RetryPolicy
+from repro.replication.policy import ReplicationPolicy
+from repro.scenarios.spec import ScenarioParams
+from repro.serve.config import ServiceConfig
+from repro.topology.transit_stub import TransitStubParams
 from repro.util.ids import IdSpace
+from repro.workloads.requests import zipf_weights
 
 LABELS = ["can", "can_realities", "hieras_can", "pastry", "tapestry", "chord_pfs"]
 
@@ -226,6 +234,28 @@ EIGHT_HIERAS = partial(
         (EIGHT_HIERAS, "successor_list_r", True, ">= 0"),
         (EIGHT_HIERAS, "depth", 2.0, "in [2, 3]"),
         (EIGHT_HIERAS, "depth", 4, "in [2, 3]"),
+        (ReplicationPolicy, "replicas", 1.5, ">= 0"),
+        (ReplicationPolicy, "replicas", True, ">= 0"),
+        (partial(ReplicationPolicy, consistency="quorum"), "write_quorum", 1.5, "in [1, 3]"),
+        (partial(ReplicationPolicy, consistency="quorum"), "read_quorum", True, "in [1, 3]"),
+        (CachePolicy, "capacity", 2.7, ">= 0"),
+        (partial(zipf_weights, exponent=1.0), "catalog_size", 2.5, ">= 1"),
+        (RetryPolicy, "max_retries", 1.5, ">= 0"),
+        (RetryPolicy, "successor_fallback", True, ">= 0"),
+        (ServiceConfig, "workers", 2.5, ">= 1"),
+        (ServiceConfig, "max_batch", True, ">= 1"),
+        (ServiceConfig, "queue_limit", 8.5, ">= 1"),
+        (ProtocolConfig, "successor_list_len", 2.5, ">= 1"),
+        (TransitStubParams, "n_transit_domains", 2.5, ">= 1"),
+        (TransitStubParams, "transit_nodes_per_domain", True, ">= 1"),
+        (TransitStubParams, "stubs_per_transit_node", 2.5, ">= 1"),
+        (TransitStubParams, "stub_domain_size", 4.5, ">= 1"),
+        (ScenarioParams, "seed", 1.5, ">= 0"),
+        (ScenarioParams, "n_probes", 2.5, ">= 1"),
+        (ScenarioParams, "n_outages", True, ">= 1"),
+        (ScenarioParams, "catalog_size", 8.5, ">= 1"),
+        (ScenarioParams, "replicas", 1.5, ">= 0"),
+        (SweepSpec, "n_requests", 100.5, ">= 1"),
     ],
 )
 def test_structural_parameters_must_be_integers(build, field, value, bound):
@@ -235,7 +265,7 @@ def test_structural_parameters_must_be_integers(build, field, value, bound):
 
 def test_numpy_integers_are_integers():
     assert PastryParams(b=np.int64(2)).b == 2
-    assert MultiRealityCan(np.arange(8), realities=np.int32(2)).n_realities == 2
+    assert len(MultiRealityCan(np.arange(8), realities=np.int32(2)).realities) == 2
 
 
 if __name__ == "__main__":

@@ -256,4 +256,4 @@ class TestSimNetwork:
     def test_contains_and_peers(self, net):
         _, network, _ = net
         assert 0 in network and 5 not in network
-        assert network.peers() == [0, 1, 2]
+        assert sorted(network._nodes) == [0, 1, 2]

@@ -136,9 +136,9 @@ class TestMessageTracer:
             a.send(1, "x")
             b.send(0, "y")
             sim.run()
-            assert tracer.by_kind() == {"x": 2, "y": 1}
-            assert tracer.by_peer() == {0: 2, 1: 1}
             assert tracer.count(kind="x") == 2
+            assert tracer.count(kind="y") == 1
+            assert [e.src for e in tracer.events] == [0, 0, 1]
 
     def test_between_and_reset(self):
         sim, net, a, b = build_pair()
@@ -147,8 +147,7 @@ class TestMessageTracer:
         sim.schedule(10.0, a.send, 1, "late")
         a.send(1, "early")
         sim.run()
-        assert len(tracer.between(0.0, 5.0)) == 1
-        assert len(tracer.between(5.0, 20.0)) == 1
+        assert [e.time_ms for e in tracer.events] == [0.0, 10.0]
         tracer.reset()
         assert tracer.count() == 0
 

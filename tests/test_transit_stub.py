@@ -112,7 +112,7 @@ class TestStructure:
     def test_local_index_within_domain(self, small_topology):
         topo = small_topology
         for dom in range(min(topo.n_stub_domains, 5)):
-            members = topo.routers_of_domain(dom)
+            members = np.flatnonzero(topo.stub_domain_of == dom)
             assert sorted(topo.local_index[members].tolist()) == list(
                 range(len(members))
             )

@@ -247,7 +247,7 @@ class TestSpies:
         chord, _ = build_pair(300)
         injector = FaultInjector(FaultPlan(seed=1).crash_fraction(at_ms=0.0, fraction=0.3), 300)
         injector.advance_to(0.0)
-        src = int(injector.state.live_peers()[0])
+        src = int(np.flatnonzero(~injector.state.dead)[0])
         for key in rng.integers(chord.space.size, size=50).tolist():
             chord.route_lossy(src, key, injector=injector)
         assert entered
