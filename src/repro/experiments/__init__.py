@@ -18,18 +18,16 @@ fig8      Figure 8 — hops vs hierarchy depth
 fig9      Figure 9 — latency vs hierarchy depth
 ========  ===========================================================
 
-Run them with ``python -m repro.experiments run <id>`` (add ``--full``
-or set ``REPRO_FULL=1`` for paper-scale parameters) or through the
-pytest benchmarks in ``benchmarks/``.
+Run them, at the paper's scale, with ``python -m repro.experiments run
+<id>``.
 """
 
-from repro.experiments.config import SimConfig, is_full_scale
+from repro.experiments.config import SimConfig
 from repro.experiments.figures import EXPERIMENTS, ExperimentResult, get_experiment
 from repro.experiments.runner import SimulationBundle, build_bundle, run_pair
 
 __all__ = [
     "SimConfig",
-    "is_full_scale",
     "SimulationBundle",
     "build_bundle",
     "run_pair",

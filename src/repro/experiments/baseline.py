@@ -110,18 +110,12 @@ def _protocol_smoke(seed: int, *, universe: int = 16, n_rings: int = 2,
 
 def run_bench(
     *,
-    full: bool = False,
     seed: int = 42,
-    n_peers: int | None = None,
-    n_requests: int | None = None,
+    n_peers: int = 1000,
+    n_requests: int = 3_000,
 ) -> dict[str, object]:
     """Run every phase once; returns the BENCH_baseline document."""
-    if n_peers is None:
-        n_peers = 3000 if full else 1000
-    if n_requests is None:
-        n_requests = 12_000 if full else 3_000
-
-    bench = BenchRun(SCHEMA, full=full, seed=seed)
+    bench = BenchRun(SCHEMA, seed=seed)
     with bench.timed("build"):
         bundle = build_bundle(SimConfig(n_peers=n_peers, seed=seed))
     with bench.timed("trace"):

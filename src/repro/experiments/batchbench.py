@@ -60,10 +60,9 @@ def _samples_agree(a: RouteSample, b: RouteSample) -> bool:
 
 def run_bench(
     *,
-    full: bool = False,
     seed: int = 42,
-    sizes: tuple[int, ...] | None = None,
-    n_requests: int | None = None,
+    sizes: tuple[int, ...] = (1024, 4096),
+    n_requests: int = 10_000,
 ) -> dict[str, object]:
     """Benchmark both engines on both stacks; returns the document.
 
@@ -72,12 +71,7 @@ def run_bench(
     array-for-array — the deterministic ``engines_agree`` bit in
     ``metrics``.  Wall times and speedups land in ``phases``.
     """
-    if sizes is None:
-        sizes = (1024, 4096, 10_000) if full else (1024, 4096)
-    if n_requests is None:
-        n_requests = 50_000 if full else 10_000
-
-    bench = BenchRun(SCHEMA, full=full, seed=seed)
+    bench = BenchRun(SCHEMA, seed=seed)
     cells: dict[str, dict[str, object]] = {}
 
     for n_peers in sizes:

@@ -2,16 +2,16 @@
 
 A *bench* is a registered experiment whose structured ``data`` is also a
 committed repo-root document.  Its module exposes three names —
-``SCHEMA``, ``run_bench(*, full, seed, ...) -> document`` and the pure
+``SCHEMA``, ``run_bench(*, seed, ...) -> document`` and the pure
 ``report(document) -> text`` — and one ``_bench(...)`` line in
 ``figures.EXPERIMENTS`` names the module and the committed file; the
-``bench <id>`` command, the CI matrix job, ``benchmarks/`` and
-``tests/test_bench.py`` all follow from that line.
+``bench <id>`` command, the CI matrix job and ``tests/test_bench.py``
+all follow from that line.
 
 This module owns the rest:
 
 * the envelope ``{schema, config, phases, metrics}`` — ``config`` and
-  ``metrics`` are pure functions of ``(full, seed)`` and byte-compared
+  ``metrics`` are pure functions of ``seed`` and byte-compared
   against the committed file; ``phases`` holds wall-clock and RSS
   readings and is never compared;
 * :func:`timed`, the one wall-clock site of ``repro.experiments``;
@@ -49,8 +49,8 @@ __all__ = [
 def claim(ok: bool, text: str) -> str:
     """One report line: ``[ok]`` when the check holds, ``[DIVERGES]`` otherwise.
 
-    Every gate of every experiment is such a line, so ``run``, ``bench``,
-    ``report`` and ``benchmarks/`` all fail on the same condition.
+    Every gate of every experiment is such a line, so ``run``, ``bench``
+    and ``report`` all fail on the same condition.
     """
     return f"  [{'ok' if ok else 'DIVERGES'}] {text}"
 
@@ -77,9 +77,8 @@ def rate_per_s(count: int, wall_ms: float) -> float:
 class BenchRun:
     """Collects the phases of one producer run and closes the envelope."""
 
-    def __init__(self, schema: str, *, full: bool, seed: int) -> None:
+    def __init__(self, schema: str, *, seed: int) -> None:
         self.schema = schema
-        self.full = full
         self.seed = seed
         self.phases: dict[str, dict[str, float]] = {}
 
@@ -92,12 +91,12 @@ class BenchRun:
     def document(
         self, config: dict[str, object], metrics: dict[str, object]
     ) -> dict[str, object]:
-        """The finished document; ``config`` always carries ``full`` and ``seed``
+        """The finished document; ``config`` always carries ``seed``
         (``bench --check`` regenerates at the committed file's own)."""
         self.phases["peak_rss"] = {"peak_rss_mb": peak_rss_mb()}
         return {
             "schema": self.schema,
-            "config": {"full": self.full, "seed": self.seed, **config},
+            "config": {"seed": self.seed, **config},
             "phases": self.phases,
             "metrics": metrics,
         }

@@ -208,11 +208,10 @@ def _reduction(base: dict[str, float], cell: dict[str, float], key: str) -> floa
 
 def run_bench(
     *,
-    full: bool = False,
     seed: int = 42,
-    n_peers: int | None = None,
-    n_requests: int | None = None,
-    catalog_size: int | None = None,
+    n_peers: int = 1000,
+    n_requests: int = 6_000,
+    catalog_size: int = 2_000,
     capacities: tuple[int, ...] = (4, 16, 64),
     exponents: tuple[float, ...] = (0.7, 0.95, 1.2),
     churn_fraction: float = 0.15,
@@ -228,14 +227,7 @@ def run_bench(
     :func:`run_cache_cell`); the ``metrics`` section is bit-identical
     either way.
     """
-    if n_peers is None:
-        n_peers = 4000 if full else 1000
-    if n_requests is None:
-        n_requests = 20_000 if full else 6_000
-    if catalog_size is None:
-        catalog_size = 10_000 if full else 2_000
-
-    bench = BenchRun(SCHEMA, full=full, seed=seed)
+    bench = BenchRun(SCHEMA, seed=seed)
     with bench.timed("build"):
         bundle = build_bundle(
             SimConfig(model="ts", n_peers=n_peers, n_landmarks=4, depth=2, seed=seed)

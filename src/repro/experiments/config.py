@@ -6,17 +6,11 @@ id-space width, seeds — and is hashable so the runner can cache built
 simulations across experiments (fig2 and fig3 share their sweep, fig4
 and fig5 share their 10000-node network, …).  A :class:`SweepSpec` is
 a cartesian grid of them: every figure's deployments, and ``sweep``'s.
-
-Scale control: experiments run at a CI-friendly reduced scale by
-default; passing ``full=True`` (CLI ``--full``) or setting the
-``REPRO_FULL=1`` environment variable selects the paper's parameters
-(10000 nodes, 100000 requests).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 from repro.core.hieras import SUCCESSOR_LIST_POLICIES
@@ -24,22 +18,11 @@ from repro.topology.inet import INET_MIN_NODES
 from repro.util.ids import IdSpace
 from repro.util.validation import require, require_int
 
-__all__ = ["SimConfig", "SweepSpec", "below_inet_floor", "is_full_scale", "DEFAULT_REQUESTS", "FULL_REQUESTS"]
+__all__ = ["SimConfig", "SweepSpec", "below_inet_floor"]
 
 #: Router count relative to overlay size; >1 leaves unoccupied routers,
 #: as in the paper's emulated networks.
 ROUTER_FACTOR = 1.25
-
-#: Requests per experiment at reduced / paper scale (paper: §4.2).
-DEFAULT_REQUESTS = 20_000
-FULL_REQUESTS = 100_000
-
-
-def is_full_scale(full: bool | None = None) -> bool:
-    """Resolve the scale flag (explicit argument wins over env)."""
-    if full is not None:
-        return full
-    return os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "no")
 
 
 @dataclass(frozen=True)

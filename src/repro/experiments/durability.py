@@ -181,10 +181,9 @@ def run_durability_cell(
 
 def run_bench(
     *,
-    full: bool = False,
     seed: int = 42,
-    n_peers: int | None = None,
-    n_keys: int | None = None,
+    n_peers: int = 400,
+    n_keys: int = 80,
     replication_factors: tuple[int, ...] = (0, 2, 4),
     churn_fractions: tuple[float, ...] = (0.1, 0.3),
 ) -> dict[str, object]:
@@ -198,12 +197,7 @@ def run_bench(
     (HIERAS ``ring_scoped`` vs ``successor`` placement) plus the
     chain-vs-quorum divergence.
     """
-    if n_peers is None:
-        n_peers = 2000 if full else 400
-    if n_keys is None:
-        n_keys = 200 if full else 80
-
-    bench = BenchRun(SCHEMA, full=full, seed=seed)
+    bench = BenchRun(SCHEMA, seed=seed)
     with bench.timed("build"):
         bundle = build_bundle(
             SimConfig(model="ts", n_peers=n_peers, n_landmarks=4, depth=2, seed=seed)

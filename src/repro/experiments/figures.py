@@ -3,14 +3,14 @@
 Each experiment builds its deployments through the cached runner, runs
 the request trace through Chord and HIERAS, and renders the same rows
 or series the paper reports, followed by a shape check against the
-paper's qualitative claims.  Deployments are data: ``_GRIDS`` holds a
-reduced- and a full-scale :class:`SweepSpec` per experiment.
-``EXPERIMENTS`` maps ids to :class:`Experiment` records; the CLI and
-the pytest benchmarks both dispatch through it.  It is the only
-registry: a run function returns ``(text, data)``, its entry adds the
-id and title, and the seven *benches* (experiments whose data is also
-a committed ``BENCH_*.json``) are ``_bench(...)`` lines naming a
-producer module beside this one, imported on first use.
+paper's qualitative claims.  Deployments are data: ``_GRIDS`` holds
+one :class:`SweepSpec` per experiment, at the paper's scale.
+``EXPERIMENTS`` maps ids to :class:`Experiment` records; the CLI
+dispatches through it.  It is the only registry: a run function
+returns ``(text, data)``, its entry adds the id and title, and the
+seven *benches* (experiments whose data is also a committed
+``BENCH_*.json``) are ``_bench(...)`` lines naming a producer module
+beside this one, imported on first use.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.core.hieras_can import HierasCanNetwork
 from repro.dht.can import CanNetwork, CanParams
 from repro.dht.pastry import PastryNetwork, PastryParams
 from repro.experiments.bench import claim as _claim
-from repro.experiments.config import DEFAULT_REQUESTS, FULL_REQUESTS, SimConfig, SweepSpec
+from repro.experiments.config import SimConfig, SweepSpec
 from repro.experiments.runner import SimulationBundle, build_bundle, make_trace, sample_pair
 from repro.topology.latency import NoisyLatencyModel
 from repro.util.rng import RngFactory
@@ -62,7 +62,7 @@ class Experiment:
     id: str
     title: str
     paper_claim: str
-    run: Callable[[bool, int], ExperimentResult]
+    run: Callable[[int], ExperimentResult]
     module: str | None = None
     document: str | None = None
 
@@ -79,14 +79,14 @@ def _entry(
     experiment_id: str,
     title: str,
     paper_claim: str,
-    produce: Callable[[bool, int], _Output],
+    produce: Callable[[int], _Output],
     module: str | None = None,
     document: str | None = None,
 ) -> Experiment:
-    """Register ``produce(full, seed) -> (text, data)`` under this id and title."""
+    """Register ``produce(seed) -> (text, data)`` under this id and title."""
 
-    def run(full: bool, seed: int) -> ExperimentResult:
-        text, data = produce(full, seed)
+    def run(seed: int) -> ExperimentResult:
+        text, data = produce(seed)
         return ExperimentResult(experiment_id, title, text, data)
 
     return Experiment(experiment_id, title, paper_claim, run, module, document)
@@ -102,9 +102,9 @@ def _bench(
     whatever this package's ``__init__`` pulls in.
     """
 
-    def produce(full: bool, seed: int) -> _Output:
+    def produce(seed: int) -> _Output:
         producer = importlib.import_module(f"repro.experiments.{module}")
-        doc = producer.run_bench(full=full, seed=seed)
+        doc = producer.run_bench(seed=seed)
         return producer.report(doc), doc
 
     return _entry(experiment_id, title, paper_claim, produce, module, document)
@@ -115,62 +115,49 @@ def _bench(
 # ----------------------------------------------------------------------
 
 _MODELS = ("ts", "inet", "brite")
-_HALF = (DEFAULT_REQUESTS // 2, FULL_REQUESTS // 2)
 
+#: Requests per experiment (paper: §4.2).
+REQUESTS = 100_000
 
-def _scaled(
-    sizes: tuple[tuple[int, ...], tuple[int, ...]],
-    requests: tuple[int, int] = (DEFAULT_REQUESTS, FULL_REQUESTS),
-    **axes: tuple,
-) -> tuple[SweepSpec, SweepSpec]:
-    """A (reduced-scale, full-scale) grid pair: per-scale sizes and request
-    counts, shared other ``axes``."""
-    reduced, full = (SweepSpec(sizes=s, n_requests=r, **axes) for s, r in zip(sizes, requests))
-    return reduced, full
-
-
-#: Every deployment an experiment reads, as a (reduced-scale,
-#: full-scale) pair; :func:`_grid` sets the run's seed.  Inet cells
-#: below the generator's floor drop out through ``SweepSpec.cells``.
-_GRIDS: dict[str, tuple[SweepSpec, SweepSpec]] = {
+#: Every deployment an experiment reads, at the paper's scale;
+#: :func:`_grid` sets the run's seed.  Inet cells below the generator's
+#: floor drop out through ``SweepSpec.cells``.
+_GRIDS: dict[str, SweepSpec] = {
     # Figs 2/3 — §4.1: 1000–10000 nodes on all three topology models.
-    "size": _scaled(((1000, 2000, 3000, 4000), tuple(range(1000, 10_001, 1000))), models=_MODELS),
+    "size": SweepSpec(models=_MODELS, sizes=tuple(range(1000, 10_001, 1000)), n_requests=REQUESTS),
     # Figs 6/7 — §4.4: the landmark count.
-    "landmarks": (
-        SweepSpec(sizes=(3000,), landmarks=(2, 4, 6, 8, 10, 12), n_requests=DEFAULT_REQUESTS),
-        SweepSpec(sizes=(10_000,), landmarks=tuple(range(2, 13)), n_requests=FULL_REQUESTS),
-    ),
+    "landmarks": SweepSpec(sizes=(10_000,), landmarks=tuple(range(2, 13)), n_requests=REQUESTS),
     # Figs 8/9 — §4.5: hierarchy depth 2–4 with 6 landmarks.
-    "depth": _scaled(
-        ((2000, 3000, 4000), tuple(range(5000, 10_001, 1000))), landmarks=(6,), depths=(2, 3, 4)
+    "depth": SweepSpec(
+        sizes=tuple(range(5000, 10_001, 1000)), landmarks=(6,), depths=(2, 3, 4), n_requests=REQUESTS
     ),
     # Figs 4/5 — the distributions on one large transit-stub network.
-    "dist": _scaled(((4000,), (10_000,))),
+    "dist": SweepSpec(sizes=(10_000,), n_requests=REQUESTS),
     # ablation_binning / _succlist / _noise, and landmark_failure.
-    "ablation": _scaled(((2000,), (4000,)), _HALF),
-    "landmark_failure": _scaled(((2000,), (4000,)), _HALF, landmarks=(6,)),
-    "can": _scaled(((512,), (2048,)), (1500, 4000)),
-    "pastry": _scaled(((1500,), (4000,)), (3000, 8000)),
+    "ablation": SweepSpec(sizes=(4000,), n_requests=REQUESTS // 2),
+    "landmark_failure": SweepSpec(sizes=(4000,), landmarks=(6,), n_requests=REQUESTS // 2),
+    "can": SweepSpec(sizes=(2048,), n_requests=4000),
+    "pastry": SweepSpec(sizes=(4000,), n_requests=8000),
     # cost_analysis measures state, not routes: its requests go unused.
-    "cost": _scaled(((1500,), (4000,)), landmarks=(6,), depths=(2, 3, 4)),
-    "resilience": _scaled(((1000,), (3000,)), (6000, 12_000)),
+    "cost": SweepSpec(sizes=(4000,), landmarks=(6,), depths=(2, 3, 4), n_requests=REQUESTS),
+    "resilience": SweepSpec(sizes=(3000,), n_requests=12_000),
 }
 
 _Pair = tuple[RouteSample, RouteSample]
 _Column = Callable[[RouteSample, RouteSample], float]
 
 
-def _grid(name: str, full: bool, seed: int) -> SweepSpec:
-    """Grid ``name`` at this scale, for this run's seed."""
-    return replace(_GRIDS[name][int(full)], seeds=(seed,))
+def _grid(name: str, seed: int) -> SweepSpec:
+    """Grid ``name`` for this run's seed."""
+    return replace(_GRIDS[name], seeds=(seed,))
 
 
 def _sweep(
-    name: str, full: bool, seed: int, group: str, x: str
+    name: str, seed: int, group: str, x: str
 ) -> tuple[SweepSpec, dict[object, tuple[list[int], list[_Pair]]]]:
     """Grid ``name`` through the sample cache: per value of config field
     ``group``, the values of field ``x`` and each cell's (chord, hieras)."""
-    spec = _grid(name, full, seed)
+    spec = _grid(name, seed)
     groups: dict[object, tuple[list[int], list[_Pair]]] = {}
     for config in spec.cells():
         xs, pairs = groups.setdefault(getattr(config, group), ([], []))
@@ -179,16 +166,15 @@ def _sweep(
     return spec, groups
 
 
-def _cell(name: str, full: bool, seed: int) -> tuple[SimConfig, int]:
+def _cell(name: str, seed: int) -> tuple[SimConfig, int]:
     """The one deployment of grid ``name`` and its request count."""
-    spec = _grid(name, full, seed)
+    spec = _grid(name, seed)
     (config,) = spec.configs()
     return config, spec.n_requests
 
 
 def _variants(
     name: str,
-    full: bool,
     seed: int,
     networks: Callable[[SimulationBundle], Iterable[tuple[object, object]]],
 ) -> tuple[SimulationBundle, RouteSample, RouteSample, list[tuple[object, object, RouteSample]]]:
@@ -198,7 +184,7 @@ def _variants(
     ``(label, network)`` that ``networks(bundle)`` yields, that network
     and its sample over the bundle's own trace.
     """
-    config, n_requests = _cell(name, full, seed)
+    config, n_requests = _cell(name, seed)
     chord, hieras = sample_pair(config, n_requests)
     bundle = build_bundle(config)
     trace = make_trace(bundle, n_requests)
@@ -250,7 +236,7 @@ def _vs_rows(samples: dict[str, RouteSample], base: str) -> list[dict[str, objec
 # Tables 1/2 — the distributed binning example and layered finger tables
 # ----------------------------------------------------------------------
 
-def _run_table1(full: bool, seed: int) -> _Output:
+def _run_table1(seed: int) -> _Output:
     """Reproduce Table 1: landmark orders of the paper's 6 sample nodes."""
     distances = np.asarray(
         [
@@ -277,7 +263,7 @@ def _run_table1(full: bool, seed: int) -> _Output:
     return "\n".join(lines), {"orders": got, "expected": expected}
 
 
-def _run_table2(full: bool, seed: int) -> _Output:
+def _run_table2(seed: int) -> _Output:
     """Reproduce Table 2's layout: one node's finger table per layer.
 
     The paper's sample is a 2**8 id space with 3 landmarks; we build an
@@ -320,12 +306,12 @@ def _run_table2(full: bool, seed: int) -> _Output:
 # Figures 2/3 — hops and latency vs network size, three models
 # ----------------------------------------------------------------------
 
-def _run_fig2(full: bool, seed: int) -> _Output:
+def _run_fig2(seed: int) -> _Output:
     """Figure 2: average routing hops vs size, HIERAS ≈ Chord."""
     sections = []
     deltas: list[float] = []
     growth: dict[str, float] = {}
-    for model, (sizes, pairs) in _sweep("size", full, seed, "model", "n_peers")[1].items():
+    for model, (sizes, pairs) in _sweep("size", seed, "model", "n_peers")[1].items():
         series = _series(pairs, _HOPS)
         sections.append(f"model={model}\n" + render_series("nodes", sizes, series))
         deltas += [100 * (h.mean_hops - c.mean_hops) / c.mean_hops for c, h in pairs]
@@ -349,11 +335,11 @@ def _run_fig2(full: bool, seed: int) -> _Output:
     return "\n".join(lines), {"mean_delta_percent": mean_delta, "growth_percent": growth}
 
 
-def _run_fig3(full: bool, seed: int) -> _Output:
+def _run_fig3(seed: int) -> _Output:
     """Figure 3: average routing latency vs size, per topology model."""
     sections = []
     ratios: dict[str, float] = {}
-    for model, (sizes, pairs) in _sweep("size", full, seed, "model", "n_peers")[1].items():
+    for model, (sizes, pairs) in _sweep("size", seed, "model", "n_peers")[1].items():
         series = _series(pairs, _latency(1))
         sections.append(f"model={model}\n" + render_series("nodes", sizes, series))
         ratios[model] = float(np.mean(series["hieras/chord_%"]))
@@ -374,9 +360,9 @@ def _run_fig3(full: bool, seed: int) -> _Output:
 # Figures 4/5 — distributions on the big TS network
 # ----------------------------------------------------------------------
 
-def _run_fig4(full: bool, seed: int) -> _Output:
+def _run_fig4(seed: int) -> _Output:
     """Figure 4: PDF of routing hops (Chord vs HIERAS vs low layer)."""
-    config, n_req = _cell("dist", full, seed)
+    config, n_req = _cell("dist", seed)
     chord, hieras = sample_pair(config, n_req)
     top = int(max(chord.hops.max(), hieras.hops.max()))
     pdfs = {
@@ -425,9 +411,9 @@ def _run_fig4(full: bool, seed: int) -> _Output:
     }
 
 
-def _run_fig5(full: bool, seed: int) -> _Output:
+def _run_fig5(seed: int) -> _Output:
     """Figure 5: CDF of routing latency + the §4.3 link-delay split."""
-    config, n_req = _cell("dist", full, seed)
+    config, n_req = _cell("dist", seed)
     chord, hieras = sample_pair(config, n_req)
     xs = np.linspace(0, float(max(chord.latency_ms.max(), hieras.latency_ms.max())), 15)
     cdfs = {
@@ -486,9 +472,9 @@ def _run_fig5(full: bool, seed: int) -> _Output:
 # Figures 6/7 — landmark count sweep
 # ----------------------------------------------------------------------
 
-def _run_fig6(full: bool, seed: int) -> _Output:
+def _run_fig6(seed: int) -> _Output:
     """Figure 6: hops vs number of landmarks."""
-    spec, groups = _sweep("landmarks", full, seed, "n_peers", "n_landmarks")
+    spec, groups = _sweep("landmarks", seed, "n_peers", "n_landmarks")
     ((n_peers, (counts, pairs)),) = groups.items()
     series = _series(
         pairs,
@@ -514,9 +500,9 @@ def _run_fig6(full: bool, seed: int) -> _Output:
     return "\n".join(lines), {"counts": counts, "hieras_hops": hieras_hops, "low_hops": low_hops}
 
 
-def _run_fig7(full: bool, seed: int) -> _Output:
+def _run_fig7(seed: int) -> _Output:
     """Figure 7: latency vs number of landmarks."""
-    spec, groups = _sweep("landmarks", full, seed, "n_peers", "n_landmarks")
+    spec, groups = _sweep("landmarks", seed, "n_peers", "n_landmarks")
     ((n_peers, (counts, pairs)),) = groups.items()
     series = _series(pairs, _latency(2))
     ratios = series["hieras/chord_%"]
@@ -543,9 +529,9 @@ def _run_fig7(full: bool, seed: int) -> _Output:
 # Figures 8/9 — hierarchy depth sweep
 # ----------------------------------------------------------------------
 
-def _run_fig8(full: bool, seed: int) -> _Output:
+def _run_fig8(seed: int) -> _Output:
     """Figure 8: hops vs hierarchy depth (2–4), 6 landmarks."""
-    spec, groups = _sweep("depth", full, seed, "depth", "n_peers")
+    spec, groups = _sweep("depth", seed, "depth", "n_peers")
     (sizes, _), *_ = groups.values()
     hops = [[h.mean_hops for _, h in pairs] for _, pairs in groups.values()]
     series = {f"depth{d}_hops": [round(v, 3) for v in vs] for d, vs in zip(groups, hops)}
@@ -564,9 +550,9 @@ def _run_fig8(full: bool, seed: int) -> _Output:
     return "\n".join(lines), {"sizes": sizes, "series": series, "increments_percent": increments}
 
 
-def _run_fig9(full: bool, seed: int) -> _Output:
+def _run_fig9(seed: int) -> _Output:
     """Figure 9: latency vs hierarchy depth (2–4), 6 landmarks."""
-    spec, groups = _sweep("depth", full, seed, "depth", "n_peers")
+    spec, groups = _sweep("depth", seed, "depth", "n_peers")
     (sizes, _), *_ = groups.values()
     ms = [[h.mean_latency_ms for _, h in pairs] for _, pairs in groups.values()]
     series = {f"depth{d}_ms": [round(v, 1) for v in vs] for d, vs in zip(groups, ms)}
@@ -595,7 +581,7 @@ def _run_fig9(full: bool, seed: int) -> _Output:
 # Ablations (DESIGN.md §4)
 # ----------------------------------------------------------------------
 
-def _run_ablation_binning(full: bool, seed: int) -> _Output:
+def _run_ablation_binning(seed: int) -> _Output:
     """Random ring assignment vs distributed binning.
 
     Keeps ring count and sizes identical and only destroys the
@@ -611,7 +597,7 @@ def _run_ablation_binning(full: bool, seed: int) -> _Output:
         )
         yield "hieras_random_rings", _rebinned(bundle, orders)
 
-    _, chord, hieras, [(_, _, random_sample)] = _variants("ablation", full, seed, random_rings)
+    _, chord, hieras, [(_, _, random_sample)] = _variants("ablation", seed, random_rings)
     rows = _vs_rows(
         {"chord": chord, "hieras_binned": hieras, "hieras_random_rings": random_sample}, "chord"
     )
@@ -628,7 +614,7 @@ def _run_ablation_binning(full: bool, seed: int) -> _Output:
     return "\n".join(lines), {"rows": rows}
 
 
-def _run_ablation_succlist(full: bool, seed: int) -> _Output:
+def _run_ablation_succlist(seed: int) -> _Output:
     """Successor-list acceleration policies (§3.2/§3.3).
 
     The paper reports HIERAS taking slightly *more* hops than Chord yet
@@ -636,7 +622,7 @@ def _run_ablation_succlist(full: bool, seed: int) -> _Output:
     exactly that trade-off (DESIGN.md §5).
     """
     _, chord, _, variants = _variants(
-        "ablation", full, seed,
+        "ablation", seed,
         lambda bundle: (
             (policy, _rebinned(bundle, bundle.orders, successor_list_policy=policy))
             for policy in ("off", "transitions", "always")
@@ -670,7 +656,7 @@ def _run_ablation_succlist(full: bool, seed: int) -> _Output:
     return "\n".join(lines), {"rows": rows}
 
 
-def _run_ablation_can(full: bool, seed: int) -> _Output:
+def _run_ablation_can(seed: int) -> _Output:
     """HIERAS over CAN vs flat CAN vs multiple realities (§3.2).
 
     Multiple realities are CAN's own route-shortening mechanism
@@ -691,8 +677,8 @@ def _run_ablation_can(full: bool, seed: int) -> _Output:
             latency=bundle.peer_latency, depth=2, seed=seed,
         )
 
-    config, n_req = _cell("can", full, seed)
-    _, _, _, variants = _variants("can", full, seed, can_networks)
+    config, n_req = _cell("can", seed)
+    _, _, _, variants = _variants("can", seed, can_networks)
     samples = {name: sample for name, _, sample in variants}
     rows = _vs_rows(samples, "flat")
     ratio = ratio_percent(
@@ -718,7 +704,7 @@ def _run_ablation_can(full: bool, seed: int) -> _Output:
     return "\n".join(lines), {"rows": rows, "ratio_percent": ratio}
 
 
-def _run_ablation_pastry(full: bool, seed: int) -> _Output:
+def _run_ablation_pastry(seed: int) -> _Output:
     """The locality-technique panel: Chord, Chord+PFS, HIERAS, Pastry,
     Tapestry — the comparison the paper's §6 plans ("compare HIERAS
     performance with other low latency DHT algorithms such as Pastry
@@ -736,8 +722,8 @@ def _run_ablation_pastry(full: bool, seed: int) -> _Output:
             bundle.space, ids, params=TapestryParams(), latency=latency, seed=seed
         )
 
-    config, n_req = _cell("pastry", full, seed)
-    _, chord, hieras, variants = _variants("pastry", full, seed, locality_networks)
+    config, n_req = _cell("pastry", seed)
+    _, chord, hieras, variants = _variants("pastry", seed, locality_networks)
     pfs, pastry, tapestry = (sample for _, _, sample in variants)
     samples = {
         "chord": chord, "chord_pfs": pfs, "hieras": hieras,
@@ -759,7 +745,7 @@ def _run_ablation_pastry(full: bool, seed: int) -> _Output:
     return "\n".join(lines), {"rows": rows}
 
 
-def _run_ablation_noise(full: bool, seed: int) -> _Output:
+def _run_ablation_noise(seed: int) -> _Output:
     """Binning under noisy ping measurements (paper §2.2's robustness)."""
 
     def noisy_rings(bundle: SimulationBundle):
@@ -770,7 +756,7 @@ def _run_ablation_noise(full: bool, seed: int) -> _Output:
             distances = bundle.attachment.landmark_distances(noisy)
             yield sigma, _rebinned(bundle, BinningScheme.default_for_depth(2).orders(distances))
 
-    _, chord, _, variants = _variants("ablation", full, seed, noisy_rings)
+    _, chord, _, variants = _variants("ablation", seed, noisy_rings)
     ratios = [ratio_percent(s.mean_latency_ms, chord.mean_latency_ms) for _, _, s in variants]
     rows = [
         {
@@ -853,7 +839,7 @@ def _measure_join_costs(seed: int) -> list[dict[str, object]]:
     return rows
 
 
-def _run_cost_analysis(full: bool, seed: int) -> _Output:
+def _run_cost_analysis(seed: int) -> _Output:
     """Quantitative overhead analysis (§3.4 + the paper's future work).
 
     The paper argues HIERAS's extra state is "hundreds or thousands of
@@ -870,7 +856,7 @@ def _run_cost_analysis(full: bool, seed: int) -> _Output:
         state_cost_model,
     )
 
-    spec = _grid("cost", full, seed)
+    spec = _grid("cost", seed)
     n_peers = spec.sizes[0]
     rows = []
     ping_rows = []
@@ -923,7 +909,7 @@ def _run_cost_analysis(full: bool, seed: int) -> _Output:
     return "\n".join(lines), {"state_rows": rows, "ping_rows": ping_rows}
 
 
-def _run_ablation_landmark_failure(full: bool, seed: int) -> _Output:
+def _run_ablation_landmark_failure(seed: int) -> _Output:
     """Landmark failure (§2.3): drop landmarks, re-bin, re-measure.
 
     "In case of a landmark node failure ... previous binned nodes only
@@ -938,8 +924,8 @@ def _run_ablation_landmark_failure(full: bool, seed: int) -> _Output:
                 orders = orders.drop_landmark(0)
             yield failed, _rebinned(bundle, orders)
 
-    config, n_req = _cell("landmark_failure", full, seed)
-    bundle, chord, _, variants = _variants("landmark_failure", full, seed, failed_landmarks)
+    config, n_req = _cell("landmark_failure", seed)
+    bundle, chord, _, variants = _variants("landmark_failure", seed, failed_landmarks)
     ratios = [ratio_percent(s.mean_latency_ms, chord.mean_latency_ms) for _, _, s in variants]
     rows = [
         {
@@ -1000,7 +986,7 @@ def _run_ablation_landmark_failure(full: bool, seed: int) -> _Output:
     return "\n".join(lines), {"rows": rows, "logical_unchanged_fraction": unchanged}
 
 
-def _run_churn(full: bool, seed: int) -> _Output:
+def _run_churn(seed: int) -> _Output:
     """Protocol-stack churn: correctness and upkeep under membership flux.
 
     Two scenarios: a lossless network and one dropping 2% of messages —
@@ -1009,8 +995,7 @@ def _run_churn(full: bool, seed: int) -> _Output:
     """
     from repro.experiments.churn_exp import run_churn_simulation
 
-    universe = 60 if full else 40
-    initial = 36 if full else 24
+    universe, initial = 60, 36
     rows = []
     ok = True
     for loss in (0.0, 0.02):
@@ -1049,7 +1034,7 @@ def _run_churn(full: bool, seed: int) -> _Output:
     return "\n".join(lines), {"rows": rows}
 
 
-def _run_resilience(full: bool, seed: int) -> _Output:
+def _run_resilience(seed: int) -> _Output:
     """Resilience sweep: lookup survival under crashes and loss (§3.3).
 
     Static stack: a per-cell FaultPlan crashes a fraction of peers
@@ -1064,7 +1049,7 @@ def _run_resilience(full: bool, seed: int) -> _Output:
         run_static_resilience_cell,
     )
 
-    config, n_requests = _cell("resilience", full, seed)
+    config, n_requests = _cell("resilience", seed)
     bundle = build_bundle(config)
     rows = []
     for fail_fraction in (0.0, 0.1, 0.2, 0.3):

@@ -73,8 +73,8 @@ class SimulationBundle:
 _SUBSTRATES: dict[tuple, _Substrate] = {}
 _SAMPLE_PAIRS: dict[tuple[SimConfig, int], tuple[RouteSample, RouteSample]] = {}
 
-#: Cache ceilings, both evicting oldest-first: full-scale Inet/BRITE
-#: substrates hold a 200 MB APSP matrix each; a full-scale fig2/fig3
+#: Cache ceilings, both evicting oldest-first: 10 000-peer Inet/BRITE
+#: substrates hold a 200 MB APSP matrix each; the fig2/fig3
 #: sweep reads 28 sample pairs.
 _MAX_SUBSTRATES = 6
 _MAX_SAMPLE_PAIRS = 48

@@ -49,20 +49,19 @@ SCHEMA = "repro.bench_scale/1"
 CHUNK_SIZE = 65_536
 
 FULL_SIZES = (4096, 65_536, 1_000_000)
-SMOKE_SIZES = (2048, 8192)
 
 #: How far a run may raise the process's peak RSS (MiB) — the rise, as
 #: what the process had peaked at before the bench began is not the
-#: bench's.  Sized for ``--full``: ≈1 165 measured with packed ``uint8``
+#: bench's.  Sized for :data:`FULL_SIZES`: ≈1 165 measured with packed ``uint8``
 #: stub blocks, plus a ≈235 MB margin — less than the 320 MB the packing
 #: saves at N=10⁶, so square blocks (≈1 470) fail the gate.
 PEAK_RSS_BOUND_MB = 1400.0
 
 
-def _lookups_for(n_peers: int, *, full: bool) -> int:
-    if not full:
-        return 100_000
-    return 10_000_000 if n_peers >= 1_000_000 else 1_000_000
+def _lookups_for(n_peers: int) -> int:
+    if n_peers >= 1_000_000:
+        return 10_000_000
+    return 1_000_000 if n_peers >= 4096 else 100_000
 
 
 def _snapshot(bundle: SimulationBundle) -> list[tuple[str, np.ndarray, np.ndarray]]:
@@ -86,27 +85,23 @@ def _matches(bundle: SimulationBundle, snap: list[tuple[str, np.ndarray, np.ndar
 
 def run_bench(
     *,
-    full: bool = False,
     seed: int = 42,
-    sizes: tuple[int, ...] | None = None,
+    sizes: tuple[int, ...] = FULL_SIZES,
 ) -> dict[str, object]:
     """Run the scale benchmark; returns the ``BENCH_scale`` document.
 
-    ``full=True`` runs the ROADMAP deliverable — N up to 1 000 000
-    peers with 10⁷ streamed lookups per stack at the top size; the
-    default is a CI-sized smoke (N ≤ 8192, 10⁵ lookups) exercising the
-    identical code paths.
+    The default ``sizes`` are the ROADMAP deliverable — N up to
+    1 000 000 peers with 10⁷ streamed lookups per stack at the top
+    size; smaller ``sizes`` (10⁵ lookups below N=4096) exercise the
+    identical code paths in seconds.
     """
-    if sizes is None:
-        sizes = FULL_SIZES if full else SMOKE_SIZES
-
-    bench = BenchRun(SCHEMA, full=full, seed=seed)
+    bench = BenchRun(SCHEMA, seed=seed)
     bench.phases["start"] = {"peak_rss_mb": peak_rss_mb()}
     cells: dict[str, dict[str, object]] = {}
 
     for n_peers in sizes:
         wave_size = max(8, min(1024, n_peers // 16))
-        n_lookups = _lookups_for(n_peers, full=full)
+        n_lookups = _lookups_for(n_peers)
 
         with bench.timed(f"build_n{n_peers}") as phase:
             bundle = build_bundle(SimConfig(model="ts", n_peers=n_peers, seed=seed), cache=False)
@@ -281,7 +276,7 @@ def report(doc: dict[str, object]) -> str:
         claim(
             rss_rise <= PEAK_RSS_BOUND_MB,
             f"the run raises the process's peak RSS by {rss_rise:.0f} MB through "
-            f"the largest cell (bound {PEAK_RSS_BOUND_MB:.0f} MB, sized for N=10⁶ at --full)",
+            f"the largest cell (bound {PEAK_RSS_BOUND_MB:.0f} MB, sized for N=10⁶)",
         ),
     ]
     return "\n".join(lines)

@@ -9,7 +9,7 @@ durability — into one ``BENCH_scenarios.json`` document.
 The document follows the repo-wide ``BENCH_*`` convention: ``phases``
 holds wall-clock timings (nondeterministic), ``metrics`` is a pure
 function of ``(config, seed)`` and byte-reproducible — CI regenerates
-the reduced sweep and compares it with the committed document.
+the sweep and compares it with the committed document.
 
 :data:`GATES` pins regression thresholds for the adversarial headline
 (the correlated regional failure): if HIERAS availability collapses
@@ -32,16 +32,16 @@ __all__ = ["GATES", "SCHEMA", "check_gates", "report", "run_bench"]
 
 SCHEMA = "repro.bench_scenarios/1"
 
-#: Regression thresholds for the reduced (CI) sweep at the default
-#: seed, pinned from the run committed as ``BENCH_scenarios.json``.
-#: Keys are ``(scenario, stack)``; each gate names a metric, a bound
-#: direction, and the pinned limit (with headroom over the observed
-#: value so only a real regression trips it).
+#: Regression thresholds for the sweep at the default seed, pinned
+#: from the run committed as ``BENCH_scenarios.json``.  Keys are
+#: ``(scenario, stack)``; each gate names a metric, a bound direction,
+#: and the pinned limit (with headroom over the observed value so only
+#: a real regression trips it).
 #:
-#: Pinned observations (reduced sweep, seed 42): HIERAS rides out the
-#: whole-ring crash at availability_min 0.583 and recovers in 650 ms,
-#: but ring-scoped placement loses 20.3% of keys to the correlated
-#: failure; Chord bottoms at 0.708, recovers in 650 ms, loses nothing.
+#: Pinned observations (seed 42): HIERAS rides out the whole-ring crash
+#: at availability_min 0.583 and recovers in 650 ms, but ring-scoped
+#: placement loses 20.3% of keys to the correlated failure; Chord
+#: bottoms at 0.708, recovers in 650 ms, loses nothing.
 GATES: dict[tuple[str, str], dict[str, tuple[str, float]]] = {
     ("regional_failure", "hieras"): {
         "availability_min": ("min", 0.40),
@@ -59,7 +59,6 @@ GATES: dict[tuple[str, str], dict[str, tuple[str, float]]] = {
 
 def run_bench(
     *,
-    full: bool = False,
     seed: int = 42,
     scenarios: tuple[str, ...] | None = None,
 ) -> dict[str, object]:
@@ -68,30 +67,13 @@ def run_bench(
     Every named campaign replays against both stacks on the same
     deployment config — the campaigns themselves are compiled from the
     pristine HIERAS overlay, so e.g. the regional failure kills the
-    identical peer set under flat Chord.  ``full`` scales peers,
-    duration and probe density up; the reduced shape is the CI smoke
-    sweep.
+    identical peer set under flat Chord.
     """
     names = list(scenarios) if scenarios is not None else scenario_names()
-    config = SimConfig(
-        model="ts",
-        n_peers=1200 if full else 360,
-        n_landmarks=4,
-        depth=2,
-        seed=seed,
-    )
-    params = ScenarioParams(
-        seed=seed,
-        duration_ms=8000.0 if full else 3000.0,
-        probe_interval_ms=200.0 if full else 150.0,
-        n_probes=32 if full else 24,
-        rate_per_s=60.0 if full else 40.0,
-        fault_at_ms=2000.0 if full else 1000.0,
-        stabilize_delay_ms=600.0,
-        catalog_size=128 if full else 64,
-    )
+    config = SimConfig(model="ts", n_peers=360, n_landmarks=4, depth=2, seed=seed)
+    params = ScenarioParams(seed=seed)
 
-    bench = BenchRun(SCHEMA, full=full, seed=seed)
+    bench = BenchRun(SCHEMA, seed=seed)
     results: dict[str, dict[str, dict[str, object]]] = {}
     for name in names:
         with bench.timed(name):
@@ -200,9 +182,9 @@ def _headline(
 def check_gates(doc: dict[str, object]) -> list[str]:
     """Evaluate :data:`GATES` against a BENCH document; list violations.
 
-    Gates are pinned for the reduced default-seed sweep; a ``full`` or
-    reseeded document is checked against the same limits (they carry
-    headroom, and a wildly different shape should be looked at anyway).
+    Gates are pinned for the default-seed sweep; a reseeded document
+    is checked against the same limits (they carry headroom, and a
+    wildly different shape should be looked at anyway).
     Returns human-readable violation strings; empty means all gates
     hold.
     """

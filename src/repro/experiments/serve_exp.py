@@ -178,10 +178,9 @@ def run_serve_cell(
 
 def run_bench(
     *,
-    full: bool = False,
     seed: int = 42,
-    n_peers: int | None = None,
-    duration_ms: float | None = None,
+    n_peers: int = 400,
+    duration_ms: float = 5_000.0,
     rates: tuple[float, ...] = SWEEP_RATES,
 ) -> dict[str, object]:
     """Run the saturation study once; returns the BENCH document.
@@ -191,15 +190,11 @@ def run_bench(
     overload rate, and the churn cell.  Membership cells run last so
     the shared bundle's networks are never mid-churn for another cell.
     """
-    if n_peers is None:
-        n_peers = 2000 if full else 400
-    if duration_ms is None:
-        duration_ms = 10_000.0 if full else 5_000.0
-    mix = WorkloadMix(catalog_size=512 if full else 128)
+    mix = WorkloadMix(catalog_size=128)
     batched = ServiceConfig()
     scalar = ServiceConfig(max_batch=1)
 
-    bench = BenchRun(SCHEMA, full=full, seed=seed)
+    bench = BenchRun(SCHEMA, seed=seed)
     with bench.timed("build"):
         bundle = build_bundle(
             SimConfig(model="ts", n_peers=n_peers, n_landmarks=4, depth=2, seed=seed)

@@ -87,11 +87,14 @@ class TestRegistry:
         assert sorted(e.document for e in BENCHES.values()) == committed
 
     @pytest.mark.parametrize("bench_id", list(BENCHES))
-    def test_committed_schema_is_the_producers(self, bench_id):
+    def test_committed_schema_is_the_producers(self, bench_id, tiny_doc):
         exp = BENCHES[bench_id]
         doc = read_committed(ROOT / exp.document, exp.load().SCHEMA)
         assert set(doc) == {"schema", "config", "phases", "metrics"}
-        assert {"full", "seed"} <= set(doc["config"])
+        # The producer's own config keys, no more: a key the producers
+        # stopped writing fails here in tier-1, not only in CI's --check.
+        assert set(doc["config"]) == set(tiny_doc(bench_id)["config"])
+        assert "seed" in doc["config"]
 
     def test_other_experiments_name_no_document(self):
         others = [e for e in EXPERIMENTS.values() if e.id not in BENCHES]
@@ -104,7 +107,6 @@ class TestEveryBench:
         doc = tiny_doc(bench_id)
         assert set(doc) == {"schema", "config", "phases", "metrics"}
         assert doc["schema"] == BENCHES[bench_id].load().SCHEMA
-        assert doc["config"]["full"] is False
         assert doc["config"]["seed"] == TINY[bench_id].get("seed", 42)
         assert list(doc["phases"])[-1] == "peak_rss"
         assert set(doc["phases"]["peak_rss"]) == {"peak_rss_mb"}
@@ -248,13 +250,21 @@ class TestCli:
         assert "metrics.hieras.hops.mean" in out
         assert (tmp_path / "new.json").exists()
 
-    def test_check_regenerates_at_the_committed_full_and_seed(
+    def test_check_regenerates_at_the_committed_seed(
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["bench", "perf_baseline", "--seed", "5"]) == 0
         assert cli.main(["bench", "perf_baseline", "--check"]) == 0
         assert "seed 5]" in capsys.readouterr().out
+
+    def test_check_and_seed_are_mutually_exclusive(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for argv in (["--check", "--seed", "7"], ["--seed", "42", "--check"]):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(["bench", "perf_baseline", *argv])
+            assert exit_.value.code == 2
+            assert "not allowed with argument" in capsys.readouterr().err
 
     def test_check_without_a_committed_file_fails_loudly(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -271,7 +281,7 @@ class TestCli:
         doc = {"schema": "t/1", "config": {}, "phases": {}, "metrics": {}}
         bad = Experiment(
             "bad", "Bad", "claim",
-            lambda full, seed: ExperimentResult("bad", "Bad", "  [DIVERGES] nope", doc),
+            lambda seed: ExperimentResult("bad", "Bad", "  [DIVERGES] nope", doc),
             document="BENCH_bad.json",
         )
         monkeypatch.setattr(cli, "EXPERIMENTS", {"bad": bad})

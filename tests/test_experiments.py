@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.config import DEFAULT_REQUESTS, FULL_REQUESTS, SimConfig, is_full_scale
+from repro.experiments.config import SimConfig
 from repro.experiments.figures import EXPERIMENTS, get_experiment
 from repro.experiments.runner import build_bundle, make_trace, run_pair
 
@@ -80,15 +80,6 @@ class TestConfig:
         assert SimConfig(model="ts").resolved_landmark_strategy == "spread"
         assert SimConfig(model="inet", n_peers=3000).resolved_landmark_strategy == "random"
         assert SimConfig(model="ts", landmark_strategy="random").resolved_landmark_strategy == "random"
-
-    def test_scale_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL", raising=False)
-        assert not is_full_scale()
-        assert is_full_scale(True)
-        monkeypatch.setenv("REPRO_FULL", "1")
-        assert is_full_scale()
-        assert not is_full_scale(False)
-        assert DEFAULT_REQUESTS < FULL_REQUESTS
 
 
 class TestRunner:
@@ -168,12 +159,12 @@ class TestExperimentsSmoke:
     """Tiny-scale end-to-end runs of the cheap experiments."""
 
     def test_table1_matches_paper_exactly(self):
-        result = get_experiment("table1").run(False, 42)
+        result = get_experiment("table1").run(42)
         assert "[ok]" in result.text and "[DIVERGES]" not in result.text
         assert result.data["orders"] == result.data["expected"]
 
     def test_table2_structure(self):
-        result = get_experiment("table2").run(False, 42)
+        result = get_experiment("table2").run(42)
         assert "[DIVERGES]" not in result.text
         assert len(result.data["rows"]) == 8
 
@@ -199,6 +190,30 @@ class TestCli:
         with pytest.raises(ValueError):
             main(["run", "bogus"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "table1", "fig4", "--seed", "-1"],
+            ["report", "--seed", "-1"],
+            ["bench", "perf_baseline", "--seed", "-1"],
+            ["sweep", "--seeds", "1,-2"],
+            ["sweep", "--requests", "0"],
+        ],
+        ids=["run-seed", "report-seed", "bench-seed", "sweep-seeds", "sweep-requests"],
+    )
+    def test_bad_numbers_are_usage_errors_before_anything_runs(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        from repro.experiments.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "expected an integer >=" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCliReportAndSweep:
     def test_report_writes_markdown(self, tmp_path, monkeypatch, capsys):
@@ -207,7 +222,7 @@ class TestCliReportAndSweep:
 
         tiny = Experiment(
             "tiny", "Tiny", "claim",
-            lambda full, seed: ExperimentResult("tiny", "Tiny", "  [ok] fine"),
+            lambda seed: ExperimentResult("tiny", "Tiny", "  [ok] fine"),
         )
         monkeypatch.setattr(figures, "EXPERIMENTS", {"tiny": tiny})
         monkeypatch.setattr(cli, "EXPERIMENTS", {"tiny": tiny})
@@ -223,7 +238,7 @@ class TestCliReportAndSweep:
 
         bad = Experiment(
             "bad", "Bad", "claim",
-            lambda full, seed: ExperimentResult("bad", "Bad", "  [DIVERGES] nope"),
+            lambda seed: ExperimentResult("bad", "Bad", "  [DIVERGES] nope"),
         )
         monkeypatch.setattr(cli, "EXPERIMENTS", {"bad": bad})
         out = tmp_path / "report.md"

@@ -2,9 +2,9 @@
 
 ``figures._GRIDS`` is the only statement of which deployments each
 experiment reads; ``TestGrids`` pins every grid's cells and request
-count, at both scales, to literal lists.  The rest renders every grid-
-and variant-based experiment on tiny grids and checks the shape of its
-report and data, not its claims.
+count to literal lists.  The rest renders every grid- and variant-based
+experiment on tiny grids and checks the shape of its report and data,
+not its claims.
 """
 
 import pytest
@@ -12,48 +12,34 @@ import pytest
 from repro.experiments import figures
 from repro.experiments.config import SweepSpec
 
-TS_FULL = tuple(range(1000, 10_001, 1000))
+TS_SIZES = tuple(range(1000, 10_001, 1000))
 
-#: ``(model, n_peers, n_landmarks, depth)`` per cell, (reduced, full).
+#: ``(model, n_peers, n_landmarks, depth)`` per cell.
 CELLS = {
-    "size": (
-        [("ts", n, 4, 2) for n in (1000, 2000, 3000, 4000)]
-        + [("inet", n, 4, 2) for n in (3000, 4000)]
-        + [("brite", n, 4, 2) for n in (1000, 2000, 3000, 4000)],
-        [("ts", n, 4, 2) for n in TS_FULL]
-        + [("inet", n, 4, 2) for n in (3000, 4000, 5000, 6000, 7000, 8000, 9000, 10_000)]
-        + [("brite", n, 4, 2) for n in TS_FULL],
-    ),
-    "dist": ([("ts", 4000, 4, 2)], [("ts", 10_000, 4, 2)]),
-    "landmarks": (
-        [("ts", 3000, lm, 2) for lm in (2, 4, 6, 8, 10, 12)],
-        [("ts", 10_000, lm, 2) for lm in (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)],
-    ),
-    "depth": (
-        [("ts", n, 6, d) for n in (2000, 3000, 4000) for d in (2, 3, 4)],
-        [("ts", n, 6, d) for n in (5000, 6000, 7000, 8000, 9000, 10_000) for d in (2, 3, 4)],
-    ),
-    "ablation": ([("ts", 2000, 4, 2)], [("ts", 4000, 4, 2)]),
-    "landmark_failure": ([("ts", 2000, 6, 2)], [("ts", 4000, 6, 2)]),
-    "can": ([("ts", 512, 4, 2)], [("ts", 2048, 4, 2)]),
-    "pastry": ([("ts", 1500, 4, 2)], [("ts", 4000, 4, 2)]),
-    "cost": (
-        [("ts", 1500, 6, d) for d in (2, 3, 4)],
-        [("ts", 4000, 6, d) for d in (2, 3, 4)],
-    ),
-    "resilience": ([("ts", 1000, 4, 2)], [("ts", 3000, 4, 2)]),
+    "size": [("ts", n, 4, 2) for n in TS_SIZES]
+    + [("inet", n, 4, 2) for n in (3000, 4000, 5000, 6000, 7000, 8000, 9000, 10_000)]
+    + [("brite", n, 4, 2) for n in TS_SIZES],
+    "dist": [("ts", 10_000, 4, 2)],
+    "landmarks": [("ts", 10_000, lm, 2) for lm in (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)],
+    "depth": [("ts", n, 6, d) for n in (5000, 6000, 7000, 8000, 9000, 10_000) for d in (2, 3, 4)],
+    "ablation": [("ts", 4000, 4, 2)],
+    "landmark_failure": [("ts", 4000, 6, 2)],
+    "can": [("ts", 2048, 4, 2)],
+    "pastry": [("ts", 4000, 4, 2)],
+    "cost": [("ts", 4000, 6, d) for d in (2, 3, 4)],
+    "resilience": [("ts", 3000, 4, 2)],
 }
 
 REQUESTS = {
-    "size": (20_000, 100_000),
-    "dist": (20_000, 100_000),
-    "landmarks": (20_000, 100_000),
-    "depth": (20_000, 100_000),
-    "ablation": (10_000, 50_000),
-    "landmark_failure": (10_000, 50_000),
-    "can": (1500, 4000),
-    "pastry": (3000, 8000),
-    "resilience": (6000, 12_000),
+    "size": 100_000,
+    "dist": 100_000,
+    "landmarks": 100_000,
+    "depth": 100_000,
+    "ablation": 50_000,
+    "landmark_failure": 50_000,
+    "can": 4000,
+    "pastry": 8000,
+    "resilience": 12_000,
 }
 
 
@@ -61,20 +47,18 @@ class TestGrids:
     def test_every_grid_is_pinned(self):
         assert set(figures._GRIDS) == set(CELLS)
 
-    @pytest.mark.parametrize("full", [False, True], ids=["reduced", "full"])
     @pytest.mark.parametrize("name", sorted(CELLS))
-    def test_cells(self, name, full):
-        spec = figures._grid(name, full, 7)
+    def test_cells(self, name):
+        spec = figures._grid(name, 7)
         cells = [(c.model, c.n_peers, c.n_landmarks, c.depth) for c in spec.cells()]
-        assert cells == CELLS[name][full]
+        assert cells == CELLS[name]
         assert {c.seed for c in spec.cells()} == {7}
         if name in REQUESTS:
-            assert spec.n_requests == REQUESTS[name][full]
+            assert spec.n_requests == REQUESTS[name]
 
 
-def _tiny(**axes) -> tuple[SweepSpec, SweepSpec]:
-    spec = SweepSpec(**{"n_requests": 150, **axes})
-    return spec, spec
+def _tiny(**axes) -> SweepSpec:
+    return SweepSpec(**{"n_requests": 150, **axes})
 
 
 TINY_GRIDS = {
@@ -123,7 +107,7 @@ def rendered():
     """Every experiment in ``SHAPES``, run once on ``TINY_GRIDS``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(figures, "_GRIDS", TINY_GRIDS)
-        yield {exp_id: figures.EXPERIMENTS[exp_id].run(False, 3) for exp_id in SHAPES}
+        yield {exp_id: figures.EXPERIMENTS[exp_id].run(3) for exp_id in SHAPES}
 
 
 @pytest.mark.parametrize("exp_id", sorted(SHAPES))

@@ -6,9 +6,9 @@ from repro.experiments.config import SimConfig
 from repro.experiments.runner import sample_pair
 
 
-def _sizes(full: bool, model: str) -> list[int]:
+def _sizes(model: str) -> list[int]:
     """The sizes the Fig 2/3 grid runs for one topology model."""
-    return [c.n_peers for c in figures._grid("size", full, 1).cells() if c.model == model]
+    return [c.n_peers for c in figures._grid("size", 1).cells() if c.model == model]
 
 
 class TestHelpers:
@@ -16,17 +16,15 @@ class TestHelpers:
         assert figures._claim(True, "yes").strip() == "[ok] yes"
         assert figures._claim(False, "no").strip() == "[DIVERGES] no"
 
-    def test_requests_scales(self):
-        assert figures._grid("size", True, 1).n_requests > figures._grid("size", False, 1).n_requests
+    def test_requests_are_the_papers(self):
+        assert figures._grid("size", 1).n_requests == figures.REQUESTS == 100_000
 
-    def test_sizes_full_vs_reduced(self):
-        assert _sizes(True, "ts") == list(range(1000, 10_001, 1000))
-        assert _sizes(False, "ts") == [1000, 2000, 3000, 4000]
+    def test_sizes_are_the_papers(self):
+        assert _sizes("ts") == list(range(1000, 10_001, 1000))
 
     def test_sizes_inet_floor(self):
-        for full in (True, False):
-            for size in _sizes(full, "inet"):
-                assert size * 1.25 >= 3000
+        for size in _sizes("inet"):
+            assert size * 1.25 >= 3000
 
     def test_pair_caches(self):
         config = SimConfig(n_peers=200, seed=3)
@@ -38,17 +36,13 @@ class TestHelpers:
 
 
 class TestDistConfig:
-    def test_reduced_vs_full_scale(self):
-        assert figures._cell("dist", False, 1)[0].n_peers == 4000
-        assert figures._cell("dist", True, 1)[0].n_peers == 10_000
+    def test_dist_is_one_10000_peer_network(self):
+        assert figures._cell("dist", 1)[0].n_peers == 10_000
 
     def test_landmark_configs(self):
-        reduced, full = (figures._grid("landmarks", f, 1) for f in (False, True))
-        counts, (n,) = reduced.landmarks, reduced.sizes
-        assert 2 in counts and 12 in counts
-        full_counts, (full_n,) = full.landmarks, full.sizes
-        assert full_n > n
-        assert len(full_counts) >= len(counts)
+        spec = figures._grid("landmarks", 1)
+        assert spec.landmarks == tuple(range(2, 13))
+        assert spec.sizes == (10_000,)
 
 
 class TestPackageSurface:

@@ -98,7 +98,7 @@ def test_documented_invocations_name_registered_subcommands_and_ids():
                 assert all(i == "all" or i in EXPERIMENTS for i in ids), (doc.name, words)
             if words[0] == "bench":
                 assert all(i in benches for i in ids), (doc.name, words)
-        # Shorthand without the interpreter prefix: `bench scale --full`, `run fig3`.
+        # Shorthand without the interpreter prefix: `bench scale --check`, `run fig3`.
         for command, experiment_id in re.findall(r"`(run|bench) ([a-z][a-z0-9_]*)\b", text):
             valid = benches if command == "bench" else {"all", *EXPERIMENTS}
             assert experiment_id in valid, (doc.name, command, experiment_id)
@@ -126,4 +126,4 @@ def test_ci_figures_job_runs_every_experiment():
     (line,) = (ln for ln in job.splitlines() if "repro.experiments" in ln)
     (words,) = cli_invocations(line)
     args = build_parser().parse_args(words)
-    assert (args.command, args.ids, args.full) == ("run", ["all"], False)
+    assert (args.command, args.ids) == ("run", ["all"])

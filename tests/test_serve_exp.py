@@ -91,7 +91,6 @@ class TestBenchDocument:
     @pytest.fixture(scope="class")
     def doc(self):
         return run_bench(
-            full=False,
             seed=42,
             n_peers=N_PEERS,
             duration_ms=DURATION_MS,
