@@ -225,14 +225,11 @@ class DHTNetwork(ABC):
         *,
         layers: list[int] | None = None,
         rings: list[str] | None = None,
-        cache: list[str] | None = None,
     ) -> None:
         """Build and record the span of one finished lookup.
 
         ``layers``/``rings`` give each hop's ring layer and ring name;
         flat DHTs omit them (every hop runs in the single global ring).
-        ``cache`` optionally annotates hops produced by the caching
-        subsystem (``""`` entries mean an ordinary routed hop).
         Callers must have checked ``self.metrics is not None`` — this
         method assumes a live recorder.
         """
@@ -250,7 +247,6 @@ class DHTNetwork(ABC):
                 HopRecord(
                     index=i, src=u, dst=v, layer=layers[i], ring=rings[i],
                     latency_ms=delay,
-                    cache=cache[i] if cache is not None else "",
                 )
             )
         self.metrics.record(
@@ -271,8 +267,7 @@ class DHTNetwork(ABC):
 
         The default covers flat DHTs — every hop runs in the single
         global ring.  Hierarchical stacks override this to recover the
-        ring each path edge ran in; the caching subsystem uses it to
-        relabel truncated paths.
+        ring each path edge ran in (spans, ``explain_route``).
         """
         n = len(result.path) - 1
         return [1] * n, ["global"] * n

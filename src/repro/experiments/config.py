@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from numbers import Integral
 
 from repro.core.hieras import SUCCESSOR_LIST_POLICIES
 from repro.topology.inet import INET_MIN_NODES
@@ -50,6 +51,9 @@ class SimConfig:
         require_int(self.n_landmarks, 1, name="n_landmarks")
         require_int(self.depth, 2, 4, name="depth")
         require_int(self.seed, 0, name="seed")
+        # Peer ids are uint64, so a wider space could never be sampled.
+        integral = isinstance(self.bits, Integral) and not isinstance(self.bits, bool)
+        require(integral and 1 <= self.bits <= 64, f"bits must be in [1, 64], got {self.bits!r}")
         require(
             self.landmark_strategy in ("auto", "spread", "random"),
             f"unknown landmark_strategy {self.landmark_strategy!r}",

@@ -8,7 +8,7 @@ one :class:`SweepSpec` per experiment, at the paper's scale.
 ``EXPERIMENTS`` maps ids to :class:`Experiment` records; the CLI
 dispatches through it.  It is the only registry: a run function
 returns ``(text, data)``, its entry adds the id and title, and the
-seven *benches* (experiments whose data is also a committed
+six *benches* (experiments whose data is also a committed
 ``BENCH_*.json``) are ``_bench(...)`` lines naming a producer module
 beside this one, imported on first use.
 """
@@ -1249,14 +1249,6 @@ EXPERIMENTS: dict[str, Experiment] = {
             "streaming histograms (§4.3)",
             "baseline",
             "BENCH_baseline.json",
-        ),
-        _bench(
-            "cache_effect",
-            "Cache effect — Zipf workloads under path caching",
-            "path caching cuts mean latency >=20% on skewed workloads and "
-            "spreads hot-key owner load (CFS-style, DESIGN.md §9)",
-            "cache_exp",
-            "BENCH_cache.json",
         ),
         _bench(
             "batch_route",

@@ -20,7 +20,7 @@ import numpy.typing as npt
 
 from repro.serve.request import Request
 from repro.util.rng import make_rng
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 from repro.workloads.requests import zipf_weights
 
 __all__ = ["WorkloadMix", "catalog_names", "generate"]
@@ -32,8 +32,7 @@ class WorkloadMix:
 
     ``read_fraction`` of arrivals are ``get``s, the rest ``put``s; both
     pick keys by Zipf popularity rank over a ``catalog_size`` catalogue
-    (rank 1 is hottest), matching the cache-effect workload model from
-    :mod:`repro.workloads`.
+    (rank 1 is hottest), as :func:`repro.workloads.zipf_weights` weighs it.
     """
 
     read_fraction: float = 0.75
@@ -46,7 +45,7 @@ class WorkloadMix:
             0.0 <= self.read_fraction <= 1.0,
             f"read_fraction must be in [0, 1], got {self.read_fraction}",
         )
-        require(self.catalog_size >= 1, f"catalog_size must be >= 1, got {self.catalog_size}")
+        require_int(self.catalog_size, 1, name="catalog_size")
         require(self.zipf_exponent > 0, f"zipf_exponent must be > 0, got {self.zipf_exponent}")
 
 

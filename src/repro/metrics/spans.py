@@ -42,10 +42,7 @@ class HopRecord:
 
     ``layer`` is the ring layer the hop ran in (1 = the global ring,
     2..m the lower HIERAS rings; flat DHTs report 1 everywhere), and
-    ``ring`` the ring's name (``"global"`` for layer 1).  ``cache``
-    annotates hops the caching subsystem (DESIGN.md §9) produced:
-    ``"value-hit"`` / ``"shortcut"`` on the terminal hop of a cached
-    lookup, ``""`` for ordinary routed hops.
+    ``ring`` the ring's name (``"global"`` for layer 1).
     """
 
     index: int
@@ -55,7 +52,6 @@ class HopRecord:
     ring: str
     latency_ms: float
     timeout: bool = False
-    cache: str = ""
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -66,7 +62,6 @@ class HopRecord:
             "ring": self.ring,
             "latency_ms": self.latency_ms,
             "timeout": self.timeout,
-            "cache": self.cache,
         }
 
     @classmethod
@@ -80,7 +75,6 @@ class HopRecord:
             ring=str(d["ring"]),
             latency_ms=float(d["latency_ms"]),
             timeout=bool(d["timeout"]),
-            cache=str(d.get("cache", "")),
         )
 
 
@@ -216,8 +210,6 @@ class SpanRecorder:
                 reg.inc(f"{label}.hops.layer{hop.layer}")
                 if hop.layer >= 2:
                     reg.inc(f"{label}.low_layer_hops")
-                if hop.cache:
-                    reg.inc(f"{label}.cache.{hop.cache}")
         for sink in self.sinks:
             sink.emit(span)
 

@@ -125,6 +125,7 @@ class IdSpace:
             If ``count`` exceeds the size of the space.
         """
         require(count >= 0, f"count must be >= 0, got {count}")
+        require(self.bits <= 64, f"ids are uint64: cannot sample a {self.bits}-bit space")
         require(
             count <= self.size,
             f"cannot draw {count} unique ids from a space of {self.size}",
@@ -133,8 +134,13 @@ class IdSpace:
         # Oversample slightly; loop until we have enough distinct ids.
         while len(ids) < count:
             need = count - len(ids)
-            draw = rng.integers(0, self.size, size=max(need + 16, int(need * 1.1)))
-            ids.update(int(v) for v in draw)
+            n = max(need + 16, int(need * 1.1))
+            # The default int64 draw cannot reach 2**64; narrower spaces
+            # keep it, so their seeded id streams stay as they were.
+            if self.bits == 64:
+                ids.update(rng.integers(0, self.size, size=n, dtype=np.uint64).tolist())
+            else:
+                ids.update(rng.integers(0, self.size, size=n).tolist())
             while len(ids) > count:
                 ids.pop()
         # Set order: int hashing is stable across runs, and rng.shuffle below

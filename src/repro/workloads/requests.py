@@ -73,8 +73,9 @@ def generate_requests(
     ``catalog_size`` synthetic file names and draws keys with Zipf
     popularity (hot files dominate), as in file-sharing deployments.
     """
-    require(n_requests >= 1, "n_requests must be >= 1")
-    require(n_peers >= 1, "n_peers must be >= 1")
+    require_int(n_requests, 1, name="n_requests")
+    require_int(n_peers, 1, name="n_peers")
+    require_int(catalog_size, 1, name="catalog_size")
     require(key_dist in ("uniform", "zipf"), f"unknown key_dist {key_dist!r}")
     rng = make_rng(seed)
     sources = rng.integers(0, n_peers, size=n_requests, dtype=np.int64)

@@ -1,12 +1,12 @@
 """The bench harness, checked once for every registered bench.
 
 A bench is an experiment that names a committed ``BENCH_*.json``
-(``Experiment.document``).  Everything the seven documents share — the
+(``Experiment.document``).  Everything the six documents share — the
 envelope, reproducibility of ``config`` + ``metrics``, the byte-stable
 writer, a report that renders from the document alone, drift detection
 — is asserted here for each of them at a tiny configuration; what is
 *in* a document stays with its own module's tests
-(``test_perf_baseline.py``, ``test_cache_effect.py``, …).
+(``test_perf_baseline.py``, ``test_durability_exp.py``, …).
 """
 
 import copy
@@ -18,7 +18,6 @@ import pytest
 
 from repro.experiments import cli
 from repro.experiments.bench import drift, read_committed, write_doc
-from repro.experiments.cache_exp import HEADLINE_CAPACITY, HEADLINE_EXPONENT
 from repro.experiments.figures import EXPERIMENTS, Experiment, ExperimentResult
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,11 +27,6 @@ BENCHES = {e.id: e for e in EXPERIMENTS.values() if e.document}
 #: configurations the per-module tests use.
 TINY = {
     "perf_baseline": dict(n_peers=200, n_requests=400, seed=7),
-    "cache_effect": dict(
-        seed=7, n_peers=200, n_requests=800, catalog_size=300,
-        capacities=(HEADLINE_CAPACITY,), exponents=(HEADLINE_EXPONENT,),
-        churn_fraction=0.1,
-    ),
     "batch_route": dict(seed=2, sizes=(128,), n_requests=200),
     "scale": dict(sizes=(192, 320)),
     "durability": dict(

@@ -21,7 +21,7 @@ from repro.dht.chord import ChordNetwork
 from repro.dht.base import ZeroLatency
 from repro.dht.ring_array import RingLayer, SortedRing
 from repro.experiments.config import SimConfig
-from repro.experiments.runner import build_bundle
+from repro.experiments.runner import build_bundle, make_trace
 from repro.engine import (
     BatchRouteResult,
     batch_route,
@@ -118,6 +118,17 @@ class TestBatchScalarEquivalence:
             batch_route(net, sources, keys, paths=True),
             scalar_batch_route(net, sources, keys, paths=True),
         )
+
+    def test_sixty_four_bit_deployment(self):
+        bundle = build_bundle(SimConfig(n_peers=300, bits=64))
+        trace = make_trace(bundle, 400)
+        assert int(trace.keys.max()) >= 2**63
+        assert int(bundle.chord.ring.ids.max()) >= 2**63
+        for net in (bundle.chord, bundle.hieras):
+            assert_identical(
+                batch_route(net, trace.sources, trace.keys, paths=True),
+                batch_route(net, trace.sources, trace.keys, engine="scalar", paths=True),
+            )
 
     def test_zero_latency(self):
         chord, hieras = build_pair(n=60, seed=3, latency=False)
@@ -790,26 +801,6 @@ class TestExperimentWiring:
             finally:
                 net.disable_tracing()
             assert doc["metrics"][net.span_label] == sink.summary(net.span_label)
-
-    def test_cache_uncached_cell_identical_across_engines(self):
-        from repro.cache import CachePolicy
-        from repro.experiments.cache_exp import make_zipf_trace, run_cache_cell
-        from repro.experiments.config import SimConfig
-        from repro.experiments.runner import build_bundle
-
-        bundle = build_bundle(
-            SimConfig(model="ts", n_peers=260, n_landmarks=4, depth=2, seed=6)
-        )
-        trace = make_zipf_trace(bundle, 500, catalog_size=200, zipf_exponent=0.95)
-        off = CachePolicy(capacity=0)
-        for stack in ("chord", "hieras"):
-            a = run_cache_cell(
-                bundle, trace, stack=stack, policy=off, engine="scalar"
-            )
-            b = run_cache_cell(
-                bundle, trace, stack=stack, policy=off, engine="batch"
-            )
-            assert a == b
 
     def test_bench_batchroute_document(self):
         from repro.experiments.batchbench import run_bench

@@ -40,8 +40,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"bits": 0}, "bits must be in [1, 160], got 0"),
-            ({"bits": 161}, "bits must be in [1, 160], got 161"),
+            ({"bits": 0}, "bits must be in [1, 64], got 0"),
+            ({"bits": 161}, "bits must be in [1, 64], got 161"),
             ({"n_peers": 300, "bits": 8}, "cannot draw 300 unique ids from a space of 256"),
             ({"successor_list_r": -1}, "successor_list_r must be an integer >= 0, got -1"),
             ({"successor_list_policy": "bogus"}, "unknown successor_list_policy 'bogus'"),
@@ -50,8 +50,9 @@ class TestConfig:
             ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
             ({"depth": 2.0}, "depth must be an integer in [2, 4], got 2.0"),
             ({"n_peers": 100.0}, "n_peers must be an integer >= 8, got 100.0"),
-            ({"bits": 32.0}, "bits must be in [1, 160], got 32.0"),
-            ({"bits": True}, "bits must be in [1, 160], got True"),
+            ({"bits": 32.0}, "bits must be in [1, 64], got 32.0"),
+            ({"bits": True}, "bits must be in [1, 64], got True"),
+            ({"bits": 65}, "bits must be in [1, 64], got 65"),
         ],
     )
     def test_rejects_before_any_topology_is_built(self, fields, message, monkeypatch):

@@ -115,6 +115,10 @@ class TestSampling:
         with pytest.raises(ValueError):
             IdSpace(bits=4).sample_unique_ids(17, rng)
 
+    def test_wider_than_uint64_raises(self, rng):
+        with pytest.raises(ValueError, match="ids are uint64: cannot sample a 65-bit space"):
+            IdSpace(bits=65).sample_unique_ids(1, rng)
+
     @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=30)
     def test_sample_property(self, count, seed):

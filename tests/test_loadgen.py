@@ -99,6 +99,8 @@ class TestWorkload:
             WorkloadMix(read_fraction=1.5)
         with pytest.raises(ValueError):
             WorkloadMix(catalog_size=0)
+        with pytest.raises(ValueError, match="catalog_size must be an integer >= 1, got 2.5"):
+            WorkloadMix(catalog_size=2.5)
 
     def test_catalog_names_rank_ordered(self):
         names = catalog_names(WorkloadMix(catalog_size=3, name_prefix="f"))

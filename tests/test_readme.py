@@ -127,3 +127,33 @@ def test_ci_figures_job_runs_every_experiment():
     (words,) = cli_invocations(line)
     args = build_parser().parse_args(words)
     assert (args.command, args.ids) == ("run", ["all"])
+
+
+def test_ci_line_counts_name_existing_paths():
+    """Every path the line-count step counts exists: ``find`` on a missing
+    package prints to stderr only, and the tracked total changes meaning."""
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    (step,) = re.findall(r"- name: Line count per package.*?(?=\n\s+- name:|\n\n)", workflow, flags=re.DOTALL)
+    words = [w.strip("\"'") for cmd in re.findall(r"\$\(([^()]*)\)", step) for w in cmd.split()]
+    paths = [w for w in words if w.split("/")[0] in ("src", "tests", "benchmarks", ".github")]
+    assert len(paths) >= 8  # the regexes still find the commands
+    for path in paths:
+        head, brace, tail = re.match(r"([^{]*)(?:\{([^}]*)\})?(.*)", path).groups()
+        for name in brace.split(",") if brace else [""]:
+            pattern = head + name + tail
+            assert list(ROOT.glob(pattern)) if "*" in pattern else (ROOT / pattern).exists(), pattern
+
+
+def test_design_section_citations_resolve():
+    """Every ``DESIGN.md §N`` cited in the code and docs names a section."""
+    design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    sections = set(re.findall(r"^## (\d+)\.", design, flags=re.MULTILINE))
+    files = [ROOT / "README.md", ROOT / "EXPERIMENTS.md"]
+    for folder, suffix in (("src", "*.py"), ("tests", "*.py"), ("docs", "*.md")):
+        files += sorted((ROOT / folder).rglob(suffix))
+    cited = []
+    for path in files:
+        for first, more in re.findall(r"DESIGN\.md §(\d+)((?:/§\d+)*)", path.read_text(encoding="utf-8")):
+            cited += [(path.name, n) for n in [first, *re.findall(r"\d+", more)]]
+    assert len(cited) >= 30  # the regex still finds the citations
+    assert [c for c in cited if c[1] not in sections] == []

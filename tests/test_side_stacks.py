@@ -24,13 +24,13 @@ from repro.dht.chord import ChordNetwork
 from repro.dht.chord_pfs import PfsChordNetwork
 from repro.dht.pastry import PastryNetwork, PastryParams
 from repro.dht.tapestry import TapestryNetwork, TapestryParams
-from repro.cache.policy import CachePolicy
 from repro.dht.chord_protocol import ProtocolConfig
 from repro.engine import batch_route
 from repro.experiments.config import SimConfig, SweepSpec
 from repro.experiments.runner import build_bundle
 from repro.metrics import MemorySink, MetricsRegistry, SpanRecorder
 from repro.faults.retry import RetryPolicy
+from repro.loadgen.workload import WorkloadMix
 from repro.replication.policy import ReplicationPolicy
 from repro.scenarios.spec import ScenarioParams
 from repro.serve.config import ServiceConfig
@@ -238,7 +238,7 @@ EIGHT_HIERAS = partial(
         (ReplicationPolicy, "replicas", True, ">= 0"),
         (partial(ReplicationPolicy, consistency="quorum"), "write_quorum", 1.5, "in [1, 3]"),
         (partial(ReplicationPolicy, consistency="quorum"), "read_quorum", True, "in [1, 3]"),
-        (CachePolicy, "capacity", 2.7, ">= 0"),
+        (WorkloadMix, "catalog_size", 2.5, ">= 1"),
         (partial(zipf_weights, exponent=1.0), "catalog_size", 2.5, ">= 1"),
         (RetryPolicy, "max_retries", 1.5, ">= 0"),
         (RetryPolicy, "successor_fallback", True, ">= 0"),

@@ -324,15 +324,15 @@ def _repro(*packages: str) -> tuple[str, ...]:
 
 #: Where a host clock would reach a result.
 SIMULATED = _repro(
-    "sim", "core", "dht", "faults", "experiments", "cache", "engine", "replication", "serve", "loadgen"
+    "sim", "core", "dht", "faults", "experiments", "engine", "replication", "serve", "loadgen"
 )
 #: Where iteration order can reach a result.
 ORDERED = _repro(
-    "sim", "core", "dht", "faults", "topology", "metrics", "util", "cache", "engine",
+    "sim", "core", "dht", "faults", "topology", "metrics", "util", "engine",
     "replication", "serve", "loadgen",
 )
 #: The routing hot path: per-peer state is struct-of-arrays here.
-HOT = _repro("dht", "engine", "cache", "core", "scale")
+HOT = _repro("dht", "engine", "core", "scale")
 #: Protocol and simulation steps.
 PROTOCOL = _repro("sim", "core", "dht", "faults", "engine", "replication", "serve")
 
@@ -355,9 +355,6 @@ ALLOWED = {
         ),
     },
     "PERF001": {
-        ("repro.cache.network", "_populate"): (
-            "cache entries are the cache's storage: one per miss along the path, not one per peer"
-        ),
         ("repro.core.hieras", "table2_rows"): "the Table 2 inspection API; routing never calls it",
         ("repro.dht.base", "record_route"): "traced lookups only; an untraced lookup never reaches it",
         ("repro.dht.ring_array", "finger_table"): (

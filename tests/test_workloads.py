@@ -114,6 +114,12 @@ class TestRequestTrace:
         space = IdSpace(16)
         with pytest.raises(ValueError):
             generate_requests(0, 5, space)
+        with pytest.raises(ValueError, match="n_requests must be an integer >= 1, got 2.5"):
+            generate_requests(2.5, 5, space)
+        with pytest.raises(ValueError, match="n_peers must be an integer >= 1, got 2.5"):
+            generate_requests(5, 2.5, space)
+        with pytest.raises(ValueError, match="catalog_size must be an integer >= 1, got 2.5"):
+            generate_requests(5, 5, space, key_dist="zipf", catalog_size=2.5)
         with pytest.raises(ValueError):
             generate_requests(5, 5, space, key_dist="bogus")
         with pytest.raises(ValueError):
