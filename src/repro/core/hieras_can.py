@@ -102,7 +102,9 @@ class HierasCanNetwork(DHTNetwork):
         check): a lookup from the owner takes no hop, and one that meets
         the owner in a ring CAN ends there instead of walking on.
         """
-        point = key_point(int(key), self.params.dimensions)
+        self._require_source(source)
+        key = self._require_key(key)
+        point = key_point(key, self.params.dimensions)
         owner = self.global_can.owner_of_point(point)
         path = [int(source)]
         hops_per_layer: list[int] = []
@@ -110,7 +112,7 @@ class HierasCanNetwork(DHTNetwork):
             sub = self.can_of(path[-1], layer).route_to_point(path[-1], point, stop=owner)
             hops_per_layer.append(len(sub) - 1)
             path.extend(sub[1:])
-        return self._routed(source, int(key), path, hops_per_layer)
+        return self._routed(source, key, path, hops_per_layer)
 
     def hop_layer_info(self, result: RouteResult) -> tuple[list[int], list[str]]:
         """Each hop's CAN layer (``hops_per_layer`` runs lowest first, as

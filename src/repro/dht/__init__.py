@@ -13,34 +13,28 @@ provides those substrates:
 * :mod:`repro.dht.ring_array` — the sorted-id ring and its one scalar
   walk, shared by Chord and every HIERAS ring.
 * :mod:`repro.dht.can` — CAN, the second underlying algorithm the paper
-  sketches for HIERAS (§3.2); :mod:`repro.dht.can_realities` adds CAN's
-  own multiple realities.
+  sketches for HIERAS (§3.2).
 * :mod:`repro.dht.pastry` — a Pastry baseline with proximity neighbour
   selection, the "low latency DHT" the paper's future work compares
-  against (§6).
-* :mod:`repro.dht.tapestry` — a Tapestry baseline (surrogate routing +
-  PNS), the other comparison target §6 names.
+  against (§6 names Pastry and Tapestry; Pastry is the one run).
 * :mod:`repro.dht.chord_pfs` — Chord with proximity-chosen fingers.
-* :mod:`repro.dht.pns` — the sampled proximity pick and the prefix
-  tables Pastry, Tapestry and Chord+PFS fill their state with.
+* :mod:`repro.dht.pns` — the sampled proximity pick Pastry and
+  Chord+PFS fill their state with, and Pastry's prefix tables.
 
 The storage layer the lookups exist for (§3.2's "location information")
 is :class:`repro.replication.ReplicatedStore`, over Chord or HIERAS.
 
-The side stacks (CAN, multi-reality CAN, Pastry, Tapestry, Chord+PFS and
-:mod:`repro.core.hieras_can`) route through
-:meth:`~repro.dht.base.DHTNetwork._walk`; each supplies only its
-forwarding and ownership rules.
+The side stacks (CAN, Pastry, Chord+PFS and :mod:`repro.core.hieras_can`)
+route through :meth:`~repro.dht.base.DHTNetwork._walk`; each supplies
+only its forwarding and ownership rules.
 """
 
 from repro.dht.base import DHTNetwork, RouteResult
 from repro.dht.can import CanNetwork, CanParams
-from repro.dht.can_realities import MultiRealityCan
 from repro.dht.chord import ChordNetwork
 from repro.dht.chord_pfs import PfsChordNetwork
 from repro.dht.pastry import PastryNetwork, PastryParams
 from repro.dht.ring_array import SortedRing
-from repro.dht.tapestry import TapestryNetwork, TapestryParams
 
 __all__ = [
     "DHTNetwork",
@@ -50,9 +44,6 @@ __all__ = [
     "PfsChordNetwork",
     "CanNetwork",
     "CanParams",
-    "MultiRealityCan",
     "PastryNetwork",
     "PastryParams",
-    "TapestryNetwork",
-    "TapestryParams",
 ]

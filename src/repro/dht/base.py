@@ -4,13 +4,13 @@ Every routing stack in the repository produces :class:`RouteResult`
 records, so the analysis and experiment layers are substrate-agnostic:
 the ring arrays — flat Chord (:mod:`repro.dht.chord`) and HIERAS over
 Chord (:mod:`repro.core.hieras`) — and the side stacks, CAN
-(:mod:`repro.dht.can`), multi-reality CAN
-(:mod:`repro.dht.can_realities`), HIERAS over CAN
-(:mod:`repro.core.hieras_can`), Pastry (:mod:`repro.dht.pastry`),
-Tapestry (:mod:`repro.dht.tapestry`) and Chord with proximity fingers
+(:mod:`repro.dht.can`), HIERAS over CAN (:mod:`repro.core.hieras_can`),
+Pastry (:mod:`repro.dht.pastry`) and Chord with proximity fingers
 (:mod:`repro.dht.chord_pfs`).  A side stack states only its forwarding
 and ownership rules: its lookup is :meth:`DHTNetwork._walk` over a step
-function, finished by :meth:`DHTNetwork._routed`.
+function, finished by :meth:`DHTNetwork._routed`.  Every stack's
+``route`` and ``owner_of`` share one input check,
+:meth:`DHTNetwork._require_source` and :meth:`DHTNetwork._require_key`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -27,6 +28,11 @@ from repro.topology.base import LatencyModel
 from repro.util.validation import require
 
 __all__ = ["RouteResult", "DHTNetwork", "StorageListener", "ZeroLatency"]
+
+
+def _is_integer(value: object) -> bool:
+    """An integer (numpy's included, as the batch path takes them), not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @runtime_checkable
@@ -284,6 +290,35 @@ class DHTNetwork(ABC):
     @abstractmethod
     def route(self, source: int, key: int) -> RouteResult:
         """Route ``key`` starting from peer ``source``."""
+
+    # ------------------------------------------------------------------
+    # input checks
+    # ------------------------------------------------------------------
+    def _require_source(self, source: int) -> None:
+        """The one source check of every stack's ``route``.
+
+        An integer (numpy's included) naming a peer that may start a
+        lookup; a float or bool is refused, not truncated to a peer the
+        caller never named, and a negative index never reaches numpy's
+        from-the-end indexing.
+        """
+        require(_is_integer(source), f"source peer must be an integer, got {source!r}")
+        self._require_member(int(source))
+
+    def _require_member(self, peer: int) -> None:
+        """Raise unless integer ``peer`` may start a lookup: here, ``[0, n_peers)``."""
+        n = self.n_peers
+        require(0 <= peer < n, f"source peer {peer} out of range [0, {n})")
+
+    def _require_key(self, key: int) -> int:
+        """The one key check of every stack's ``route`` and ``owner_of``.
+
+        An integer (numpy's included), returned as a Python ``int``; a
+        float or bool is refused, not truncated to a key the caller never
+        named.  Stacks over an id space wrap it modulo ``2**bits``.
+        """
+        require(_is_integer(key), f"key must be an integer, got {key!r}")
+        return int(key)
 
     # ------------------------------------------------------------------
     def route_latency(self, latency: LatencyModel, path: list[int]) -> float:

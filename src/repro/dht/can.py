@@ -190,6 +190,10 @@ class CanNetwork(DHTNetwork):
         """Number of CAN members."""
         return len(self.peers)
 
+    def _require_member(self, peer: int) -> None:
+        """A CAN spans any subset of the peer universe: ``peer`` must be one of its members."""
+        require(peer in self._slot_of_peer, f"source peer {peer} is not a member of this CAN")
+
     def slot_of_peer(self, peer: int) -> int:
         """Internal slot of a peer index (KeyError if absent)."""
         return self._slot_of_peer[int(peer)]
@@ -202,7 +206,7 @@ class CanNetwork(DHTNetwork):
 
     def owner_of(self, key: int) -> int:
         """Peer owning ``key``'s point."""
-        return int(self.peers[self._owner_slot(key_point(key, self.params.dimensions))])
+        return self.owner_of_point(key_point(self._require_key(key), self.params.dimensions))
 
     def owner_of_point(self, point: np.ndarray) -> int:
         """Peer owning an explicit coordinate point."""
@@ -226,7 +230,7 @@ class CanNetwork(DHTNetwork):
         i = int(np.argmin(dists))
         return float(dists[i]), int(self.peers[int(nbrs[i])])
 
-    def route_to_point(self, source: int, point: np.ndarray, *, stop: int = -1) -> list[int]:
+    def route_to_point(self, source: int, point: np.ndarray, *, stop: int | None = None) -> list[int]:
         """Greedy geometric route (peer path) to ``point``'s owner, or to
         peer ``stop`` if the walk reaches it first."""
         target = self.owner_of_point(point)
@@ -236,5 +240,7 @@ class CanNetwork(DHTNetwork):
 
     def route(self, source: int, key: int) -> RouteResult:
         """Greedy CAN routing of ``key`` from ``source``."""
+        self._require_source(source)
+        key = self._require_key(key)
         path = self.route_to_point(source, key_point(key, self.params.dimensions))
-        return self._routed(source, int(key), path)
+        return self._routed(source, key, path)

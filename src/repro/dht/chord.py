@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -27,11 +26,6 @@ from repro.util.validation import require, require_int
 __all__ = ["ChordNetwork"]
 
 _NO_PEERS = np.empty(0, dtype=np.int64)
-
-
-def _is_integer(value: object) -> bool:
-    """An integer (numpy's included, as the batch path takes them), not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -347,22 +341,15 @@ class ChordNetwork(DHTNetwork):
         require(bool(self._alive[peer]), f"peer {peer} is not alive")
         return plan[-layer].at(peer)
 
-    def _require_source(self, source: int) -> None:
-        """The one source check of ``route``, ``route_lossy`` and the batch walker."""
+    def _require_member(self, peer: int) -> None:
+        """Any peer ever placed (``[0, len(_alive))``) that is still alive."""
         n = len(self._alive)
-        require(_is_integer(source), f"source peer must be an integer, got {source!r}")
-        require(0 <= source < n, f"source peer {source} out of range [0, {n})")
-        require(bool(self._alive[source]), f"source peer {source} is not alive")
+        require(0 <= peer < n, f"source peer {peer} out of range [0, {n})")
+        require(bool(self._alive[peer]), f"source peer {peer} is not alive")
 
     def _require_key(self, key: int) -> int:
-        """The one key check of ``route``, ``route_lossy`` and ``owner_of``.
-
-        An integer (numpy's included, as in the batch path) wrapped
-        modulo ``2**bits``; a float or bool is refused, not truncated to
-        a key the caller never named.
-        """
-        require(_is_integer(key), f"key must be an integer, got {key!r}")
-        return self.space.wrap(int(key))
+        """:meth:`DHTNetwork._require_key` wrapped modulo ``2**bits``."""
+        return self.space.wrap(super()._require_key(key))
 
     def owner_of(self, key: int) -> int:
         """Peer responsible for ``key`` — its successor on the global ring."""

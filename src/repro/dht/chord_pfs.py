@@ -13,7 +13,7 @@ instead of the interval's first successor.
 This gives HIERAS a third comparison point between vanilla Chord and
 Pastry: same ring geometry and hop count as Chord, latency improved
 purely through neighbour choice.  The ``ablation_pastry`` experiment
-runs Chord / Chord+PFS / HIERAS / Pastry / Tapestry side by side.
+runs Chord / Chord+PFS / HIERAS / Pastry side by side.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class PfsChordNetwork(DHTNetwork):
 
     def owner_of(self, key: int) -> int:
         """Chord ownership: the key's successor."""
-        return int(self.ring.peers[self.ring.successor_pos(key)])
+        return int(self.ring.peers[self.ring.successor_pos(self._require_key(key))])
 
     # ------------------------------------------------------------------
     def _next_hop(self, cur: int, key: int) -> int:
@@ -119,7 +119,8 @@ class PfsChordNetwork(DHTNetwork):
 
     def route(self, source: int, key: int) -> RouteResult:
         """Greedy Chord routing over the proximity-chosen fingers."""
-        key = self.space.wrap(int(key))
+        self._require_source(source)
+        key = self.space.wrap(self._require_key(key))
         owner = self.owner_of(key)
         path = self._walk(source, lambda cur: None if cur == owner else self._next_hop(cur, key))
         return self._routed(source, key, path)

@@ -90,7 +90,7 @@ class PastryNetwork(DHTNetwork):
         self._pos_of_peer[self._sorted_peers] = np.arange(len(ids))
         self._tables = pns.prefix_tables(
             ids, b=self.params.b, bits=space.bits, latency=self.latency,
-            rng=make_rng(seed), samples=self.params.pns_samples, own_digit=False,
+            rng=make_rng(seed), samples=self.params.pns_samples,
         )
 
     # ------------------------------------------------------------------
@@ -105,17 +105,17 @@ class PastryNetwork(DHTNetwork):
         """Node id of ``peer``."""
         return int(self._id_of_peer[peer])
 
+    def _closeness(self, key: int, peer: int) -> tuple[int, int]:
+        """Ring distance to ``key``, then node id: ownership's and leaf-set delivery's one order."""
+        peer_id = int(self._id_of_peer[peer])
+        return ring_distance(key, peer_id, self.space.size), peer_id
+
     def owner_of(self, key: int) -> int:
         """Peer whose id is numerically closest to ``key`` (Pastry rule)."""
-        key = self.space.wrap(int(key))
-        n = len(self._sorted_ids)
-        idx = int(np.searchsorted(self._sorted_ids, key))
-        succ = idx % n
-        pred = (idx - 1) % n
-        d_succ = ring_distance(key, int(self._sorted_ids[succ]), self.space.size)
-        d_pred = ring_distance(key, int(self._sorted_ids[pred]), self.space.size)
-        pos = succ if d_succ < d_pred or (d_succ == d_pred and succ < pred) else pred
-        return int(self._sorted_peers[pos])
+        key = self.space.wrap(self._require_key(key))
+        succ = int(np.searchsorted(self._sorted_ids, key)) % len(self._sorted_ids)
+        neighbours = self._sorted_peers[[succ, succ - 1]].tolist()  # -1: the last, by wrap
+        return min(neighbours, key=lambda peer: self._closeness(key, peer))
 
     def leaf_set(self, peer: int) -> np.ndarray:
         """Peer indices of ``peer``'s leaf set (L/2 each side)."""
@@ -148,7 +148,8 @@ class PastryNetwork(DHTNetwork):
 
     def route(self, source: int, key: int) -> RouteResult:
         """Pastry prefix routing from ``source`` to ``key``'s owner."""
-        key = self.space.wrap(int(key))
+        self._require_source(source)
+        key = self.space.wrap(self._require_key(key))
         owner = self.owner_of(key)
         path = self._walk(source, lambda cur: None if cur == owner else self._next_hop(cur, key))
         return self._routed(source, key, path)
@@ -158,12 +159,7 @@ class PastryNetwork(DHTNetwork):
         cur_id = int(self._id_of_peer[cur])
         if self._within_leaf_range(cur, key):
             # Deliver to the numerically closest node among self + leaves.
-            best, best_d = cur, ring_distance(key, cur_id, size)
-            for leaf in self.leaf_set(cur):
-                d = ring_distance(key, int(self._id_of_peer[leaf]), size)
-                if d < best_d or (d == best_d and leaf < best):
-                    best, best_d = int(leaf), d
-            return best
+            return min([cur, *self.leaf_set(cur).tolist()], key=lambda peer: self._closeness(key, peer))
         level = self.shared_prefix_level(cur_id, key)
         want = pns.digit(key, level, b=self.params.b, bits=self.space.bits)
         entry = self._tables[cur].get((level, want))

@@ -1,12 +1,12 @@
 """Proximity neighbour selection: the side stacks' one way to fill a table slot.
 
-Pastry's and Tapestry's routing-table entries and Chord+PFS's fingers
-may each be *any* node from a candidate set — the nodes sharing a
-prefix, or the nodes in a finger interval — so all three probe a random
-sample of the set and keep the lowest-latency member (:func:`closest`),
-as deployed systems do rather than measuring every candidate.
-:func:`prefix_tables` builds Pastry's and Tapestry's tables, which
-differ in one column only; :func:`digit` is their one digit rule.
+Pastry's routing-table entries and Chord+PFS's fingers may each be
+*any* node from a candidate set — the nodes sharing a prefix, or the
+nodes in a finger interval — so both probe a random sample of the set
+and keep the lowest-latency member (:func:`closest`), as deployed
+systems do rather than measuring every candidate.
+:func:`prefix_tables` builds Pastry's tables; :func:`digit` is its one
+digit rule.
 """
 
 from __future__ import annotations
@@ -51,15 +51,13 @@ def prefix_tables(
     latency: LatencyModel,
     rng: np.random.Generator,
     samples: int,
-    own_digit: bool,
 ) -> list[dict[tuple[int, int], int]]:
     """Per-peer ``(level, digit) -> peer`` tables, every entry a :func:`closest` pick.
 
     Nodes are grouped by id prefix level by level; within a group, the
     bucket of nodes whose next digit is ``d`` supplies the candidates
-    for every other member's ``(level, d)`` entry.  Pastry leaves the
-    column of a peer's own digit empty; Tapestry (``own_digit``) fills
-    it with the nearest node sharing that digit too.
+    for every other member's ``(level, d)`` entry.  The column of a
+    peer's own digit stays empty.
     """
     n = len(ids)
     tables: list[dict[tuple[int, int], int]] = [dict() for _ in range(n)]
@@ -76,11 +74,8 @@ def prefix_tables(
                 next_groups[(prefix << b) | d] = bucket
             for peer in members.tolist():
                 for d, bucket in buckets.items():
-                    if d == digits[peer] and not own_digit:
-                        continue
-                    cand = bucket[bucket != peer]
-                    if len(cand):
-                        tables[peer][(level, d)] = closest(latency, rng, peer, cand, samples)
+                    if d != digits[peer]:  # a bucket of another digit never holds ``peer``
+                        tables[peer][(level, d)] = closest(latency, rng, peer, bucket, samples)
         groups = next_groups
         if not groups:
             break

@@ -657,21 +657,11 @@ def _run_ablation_succlist(seed: int) -> _Output:
 
 
 def _run_ablation_can(seed: int) -> _Output:
-    """HIERAS over CAN vs flat CAN vs multiple realities (§3.2).
-
-    Multiple realities are CAN's own route-shortening mechanism
-    (redundant coordinate spaces); contrasting them with the HIERAS
-    layering separates what redundancy buys (fewer hops, same links)
-    from what topology-awareness buys (cheaper links).
-    """
-    from repro.dht.can_realities import MultiRealityCan
+    """HIERAS over CAN vs flat CAN (§3.2)."""
 
     def can_networks(bundle: SimulationBundle):
         peers, params = np.arange(bundle.config.n_peers), CanParams(dimensions=2)
         yield "can_flat", CanNetwork(peers, params=params, latency=bundle.peer_latency, seed=seed)
-        yield "can_3_realities", MultiRealityCan(
-            peers, realities=3, params=params, latency=bundle.peer_latency, seed=seed,
-        )
         yield "hieras_over_can", HierasCanNetwork(
             len(peers), landmark_orders=bundle.orders, params=params,
             latency=bundle.peer_latency, depth=2, seed=seed,
@@ -694,23 +684,16 @@ def _run_ablation_can(seed: int) -> _Output:
             f"{ratio:.1f}% of flat CAN (paper §3.2: 'easy to extend ... to "
             "other DHT algorithms such as CAN')",
         ),
-        _claim(
-            samples["hieras_over_can"].mean_latency_ms
-            < samples["can_3_realities"].mean_latency_ms,
-            "topology-aware layering beats redundancy: realities cut hops "
-            "but pay full-cost links; HIERAS's hops run over cheap ones",
-        ),
     ]
     return "\n".join(lines), {"rows": rows, "ratio_percent": ratio}
 
 
 def _run_ablation_pastry(seed: int) -> _Output:
-    """The locality-technique panel: Chord, Chord+PFS, HIERAS, Pastry,
-    Tapestry — the comparison the paper's §6 plans ("compare HIERAS
-    performance with other low latency DHT algorithms such as Pastry
-    and Tapestry")."""
+    """The locality-technique panel: Chord, Chord+PFS, HIERAS, Pastry —
+    the comparison the paper's §6 plans ("compare HIERAS performance
+    with other low latency DHT algorithms such as Pastry and
+    Tapestry"); Pastry stands for both prefix DHTs."""
     from repro.dht.chord_pfs import PfsChordNetwork
-    from repro.dht.tapestry import TapestryNetwork, TapestryParams
 
     def locality_networks(bundle: SimulationBundle):
         ids, latency = bundle.node_ids, bundle.peer_latency
@@ -718,19 +701,13 @@ def _run_ablation_pastry(seed: int) -> _Output:
         yield "pastry_pns", PastryNetwork(
             bundle.space, ids, params=PastryParams(), latency=latency, seed=seed
         )
-        yield "tapestry_pns", TapestryNetwork(
-            bundle.space, ids, params=TapestryParams(), latency=latency, seed=seed
-        )
 
     config, n_req = _cell("pastry", seed)
     _, chord, hieras, variants = _variants("pastry", seed, locality_networks)
-    pfs, pastry, tapestry = (sample for _, _, sample in variants)
-    samples = {
-        "chord": chord, "chord_pfs": pfs, "hieras": hieras,
-        "pastry_pns": pastry, "tapestry_pns": tapestry,
-    }
+    pfs, pastry = (sample for _, _, sample in variants)
+    samples = {"chord": chord, "chord_pfs": pfs, "hieras": hieras, "pastry_pns": pastry}
     rows = _vs_rows(samples, "chord")
-    ok = all(s.mean_latency_ms < chord.mean_latency_ms for s in (pfs, hieras, pastry, tapestry))
+    ok = all(s.mean_latency_ms < chord.mean_latency_ms for s in (pfs, hieras, pastry))
     lines = [
         f"{config.n_peers} peers, TS model, {n_req} requests",
         format_table(rows),
@@ -739,7 +716,7 @@ def _run_ablation_pastry(seed: int) -> _Output:
             ok,
             "every locality-aware design beats flat Chord on latency; "
             "HIERAS achieves it with Chord-simple per-ring state (the "
-            "paper's core argument vs Pastry/Tapestry complexity)",
+            "paper's core argument vs Pastry's complexity)",
         ),
     ]
     return "\n".join(lines), {"rows": rows}

@@ -92,7 +92,7 @@ SHAPES = {
     "ablation_binning": ({"rows"}, ["hieras_random_rings", "vs_chord_%"]),
     "ablation_succlist": ({"rows"}, ["transitions", "top_layer_hops"]),
     "ablation_can": ({"rows", "ratio_percent"}, ["64 peers, 2-d CAN, 150 requests", "vs_flat_%"]),
-    "ablation_pastry": ({"rows"}, ["100 peers, TS model, 150 requests", "tapestry_pns"]),
+    "ablation_pastry": ({"rows"}, ["100 peers, TS model, 150 requests", "pastry_pns"]),
     "ablation_noise": ({"rows"}, ["ping_noise_sigma"]),
     "ablation_landmark_failure": (
         {"rows", "logical_unchanged_fraction"},
@@ -137,10 +137,8 @@ def test_variant_rows(rendered):
     ]
     assert column("ablation_binning", "vs_chord_%")[0] == 100.0
     assert column("ablation_succlist", "policy") == ["off", "transitions", "always"]
-    assert column("ablation_can", "variant") == ["can_flat", "can_3_realities", "hieras_over_can"]
-    assert column("ablation_pastry", "variant") == [
-        "chord", "chord_pfs", "hieras", "pastry_pns", "tapestry_pns",
-    ]
+    assert column("ablation_can", "variant") == ["can_flat", "hieras_over_can"]
+    assert column("ablation_pastry", "variant") == ["chord", "chord_pfs", "hieras", "pastry_pns"]
     assert column("ablation_noise", "ping_noise_sigma") == [0.0, 0.1, 0.2, 0.4]
     assert column("ablation_landmark_failure", "landmarks_left") == [6, 5, 4, 3]
     assert [row["depth"] for row in rendered["cost_analysis"].data["state_rows"]] == [2, 3, 4]

@@ -95,6 +95,14 @@ class TestRouting:
         k = net.id_of(5)
         assert net.route(5, k).hops == 0
 
+    def test_a_key_equidistant_from_two_peers_routes_to_its_owner(self):
+        """Key 11 lies 1 from ids 10 and 12: ownership and the leaf-set
+        delivery share one tie rule (the smaller id), so no source stalls."""
+        net = PastryNetwork(IdSpace(8), np.asarray([12, 10, 200], dtype=np.uint64))
+        assert net.id_of(net.owner_of(11)) == 10
+        for source in range(net.n_peers):
+            assert net.route(source, 11).owner == net.owner_of(11)
+
 
 class TestPNS:
     def test_entries_prefer_low_latency(self):

@@ -1,29 +1,34 @@
-"""The six side stacks: pinned routes, one routing contract, tracing, parameters.
+"""The four side stacks: pinned routes, one routing contract, tracing, parameters.
 
-CAN, multi-reality CAN, HIERAS-over-CAN, Pastry, Tapestry and Chord+PFS
-each keep only their forwarding and ownership rules; the lookup itself
-is :meth:`DHTNetwork._walk` plus :meth:`DHTNetwork._routed`.  This
-module pins their exact routes, holds all six to one contract, and
-checks that each is traceable.  ``PYTHONPATH=src:. python
-tests/test_side_stacks.py`` prints the digests.
+CAN, HIERAS-over-CAN, Pastry and Chord+PFS each keep only their
+forwarding and ownership rules; the lookup itself is
+:meth:`DHTNetwork._walk` plus :meth:`DHTNetwork._routed`.  This module
+pins their exact routes, holds all four to one contract, and checks that
+each is traceable.  Every stack, Chord and HIERAS included, shares one
+input check, and no stack exists outside this module's list.
+``PYTHONPATH=src:. python tests/test_side_stacks.py`` prints the
+digests.
 """
 
 import hashlib
+import importlib
+import inspect
+import pkgutil
 import re
 from functools import partial
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.binning import BinningScheme
 from repro.core.hieras import HierasNetwork
 from repro.core.hieras_can import HierasCanNetwork
+from repro.dht.base import DHTNetwork
 from repro.dht.can import CanNetwork, CanParams
-from repro.dht.can_realities import MultiRealityCan
 from repro.dht.chord import ChordNetwork
 from repro.dht.chord_pfs import PfsChordNetwork
 from repro.dht.pastry import PastryNetwork, PastryParams
-from repro.dht.tapestry import TapestryNetwork, TapestryParams
 from repro.dht.chord_protocol import ProtocolConfig
 from repro.engine import batch_route
 from repro.experiments.config import SimConfig, SweepSpec
@@ -38,24 +43,18 @@ from repro.topology.transit_stub import TransitStubParams
 from repro.util.ids import IdSpace
 from repro.workloads.requests import zipf_weights
 
-LABELS = ["can", "can_realities", "hieras_can", "pastry", "tapestry", "chord_pfs"]
+LABELS = ["can", "hieras_can", "pastry", "chord_pfs"]
 
 
 def side_stacks(n, space, ids, orders, latency=None, seed=3):
-    """The six stacks over ``n`` peers, built as ``ablation_can`` / ``ablation_pastry`` do."""
+    """The four stacks over ``n`` peers, built as ``ablation_can`` / ``ablation_pastry`` do."""
     peers, params = np.arange(n), CanParams(dimensions=2)
     return {
         "can": CanNetwork(peers, params=params, latency=latency, seed=seed),
-        "can_realities": MultiRealityCan(
-            peers, realities=3, params=params, latency=latency, seed=seed
-        ),
         "hieras_can": HierasCanNetwork(
             n, landmark_orders=orders, params=params, latency=latency, depth=2, seed=seed
         ),
         "pastry": PastryNetwork(space, ids, params=PastryParams(), latency=latency, seed=seed),
-        "tapestry": TapestryNetwork(
-            space, ids, params=TapestryParams(), latency=latency, seed=seed
-        ),
         "chord_pfs": PfsChordNetwork(space, ids, latency=latency, seed=seed),
     }
 
@@ -69,7 +68,7 @@ def deployment_stacks():
 
 
 def tiny_stacks(n):
-    """The six stacks over ``n`` peers of a 16-bit space, zero latency."""
+    """The four stacks over ``n`` peers of a 16-bit space, zero latency."""
     rng = np.random.default_rng(n)
     space = IdSpace(16)
     orders = BinningScheme.default_for_depth(2).orders(rng.uniform(0, 300, size=(n, 4)))
@@ -96,10 +95,8 @@ def route_digest(net, space_size, *, seed=3, lookups=1500):
 #: its loops gained the §3.2 destination check.
 PARENT_DIGESTS = {
     "can": "8cd525f6f838b553",
-    "can_realities": "2e29409218711494",
     "hieras_can": "8395b88f94eafcbb",
     "pastry": "492b2a5988055e8c",
-    "tapestry": "dd4e369acd43f65c",
     "chord_pfs": "f0d95ebc748040a4",
 }
 
@@ -114,25 +111,20 @@ def test_routes_equal_the_parent_commit(deployment):
     assert {label: route_digest(net, space.size) for label, net in stacks.items()} == PARENT_DIGESTS
 
 
-def owners(net, key):
-    return net.owners_of(key) if isinstance(net, MultiRealityCan) else [net.owner_of(key)]
-
-
 def assert_contract(net, requests):
-    """Reaches an owner, starts at the source, takes no hop from an owner,
-    and never leaves an owner once it reaches one."""
+    """Reaches the owner, starts at the source, takes no hop from the owner,
+    and never leaves the owner once it reaches it."""
     for source, key in requests:
-        r = net.route(source, key)
-        assert r.owner in owners(net, key), (source, key)
+        r, owner = net.route(source, key), net.owner_of(key)
+        assert r.owner == owner, (source, key)
         assert r.path[0] == source and r.path[-1] == r.owner
         assert r.hops == len(r.path) - 1 == sum(r.hops_per_layer)
-        assert not set(r.path[:-1]) & set(owners(net, key)), (source, key)
-        for owner in owners(net, key):
-            assert net.route(owner, key).hops == 0
+        assert owner not in r.path[:-1], (source, key)
+        assert net.route(owner, key).hops == 0
 
 
 class TestRoutingContract:
-    """One contract for all six stacks, from one peer to a deployment."""
+    """One contract for all four stacks, from one peer to a deployment."""
 
     @pytest.mark.parametrize("label", LABELS)
     def test_deployment(self, deployment, label):
@@ -201,16 +193,53 @@ class TestTracing:
                     assert hop.ring == net.orders.order_of(hop.src) == net.orders.order_of(hop.dst)
 
 
-#: Chord and HIERAS over eight peers of a 16-bit space, binned three layers deep.
+#: Chord, HIERAS and HIERAS-over-CAN over eight peers (of a 16-bit space),
+#: binned three layers deep.
+EIGHT_ORDERS = BinningScheme.default_for_depth(3).orders(
+    np.random.default_rng(8).uniform(0, 300, size=(8, 4))
+)
 EIGHT_CHORD = partial(ChordNetwork, IdSpace(16), np.arange(1, 9, dtype=np.uint64))
 EIGHT_HIERAS = partial(
-    HierasNetwork,
-    IdSpace(16),
-    np.arange(1, 9, dtype=np.uint64),
-    landmark_orders=BinningScheme.default_for_depth(3).orders(
-        np.random.default_rng(8).uniform(0, 300, size=(8, 4))
-    ),
+    HierasNetwork, IdSpace(16), np.arange(1, 9, dtype=np.uint64), landmark_orders=EIGHT_ORDERS
 )
+EIGHT_HIERAS_CAN = partial(HierasCanNetwork, 8, landmark_orders=EIGHT_ORDERS)
+
+
+def _no_hop(*args, **kwargs):
+    raise AssertionError("a hop was taken")
+
+
+@pytest.mark.parametrize("label", [*LABELS, "chord", "hieras"])
+def test_bad_sources_and_keys_raise_before_any_hop(label, monkeypatch):
+    """One input check on every stack: no negative index priced from the
+    end, no ``True`` routed as peer 1, no float key truncated."""
+    net = {**tiny_stacks(8)[1], "chord": EIGHT_CHORD(), "hieras": EIGHT_HIERAS()}[label]
+    monkeypatch.setattr(DHTNetwork, "_walk", _no_hop)
+    monkeypatch.setattr(ChordNetwork, "_walk_plan", _no_hop)
+    for source, key in [(-1, 5), (8, 5), (True, 5), (0, 2.5)]:
+        with pytest.raises(ValueError, match=r"^(source peer|key must be an integer)"):
+            net.route(source, key)
+    with pytest.raises(ValueError, match="^key must be an integer, got 2.5"):
+        net.owner_of(2.5)
+
+
+def test_every_stack_is_listed_here():
+    """Each concrete :class:`DHTNetwork` under ``repro`` is one of the
+    labels this module pins, holds to the contract, traces and checks."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    stacks = [
+        cls for cls in subclasses(DHTNetwork)
+        if cls.__module__.startswith("repro.") and not inspect.isabstract(cls)
+    ]
+    assert sorted(cls.span_label for cls in stacks) == sorted([*LABELS, "chord", "hieras"])
 
 
 @pytest.mark.parametrize(
@@ -220,15 +249,15 @@ EIGHT_HIERAS = partial(
         (PastryParams, "b", True, "in [1, 8]"),
         (PastryParams, "leaf_set", 16.0, ">= 2"),
         (PastryParams, "pns_samples", 2.5, ">= 1"),
-        (TapestryParams, "b", 2.0, "in [1, 8]"),
-        (TapestryParams, "pns_samples", 2.5, ">= 1"),
+        (PastryParams, "b", 9, "in [1, 8]"),
+        (CanParams, "dimensions", 9, "in [1, 8]"),
         (partial(PfsChordNetwork, IdSpace(16), np.arange(1, 9, dtype=np.uint64)), "pns_samples", 2.5, ">= 1"),
         (partial(PfsChordNetwork, IdSpace(16), np.arange(1, 9, dtype=np.uint64)), "pns_samples", 0, ">= 1"),
         (CanParams, "dimensions", 2.0, "in [1, 8]"),
         (CanParams, "dimensions", False, "in [1, 8]"),
-        (partial(MultiRealityCan, np.arange(8)), "realities", 2.0, ">= 1"),
-        (partial(MultiRealityCan, np.arange(8)), "realities", True, ">= 1"),
-        (partial(MultiRealityCan, np.arange(8)), "realities", 0, ">= 1"),
+        (EIGHT_HIERAS_CAN, "depth", 2.0, "in [2, 3]"),
+        (EIGHT_HIERAS_CAN, "depth", 4, "in [2, 3]"),
+        (EIGHT_HIERAS_CAN, "depth", True, "in [2, 3]"),
         (EIGHT_CHORD, "successor_list_r", True, ">= 0"),
         (EIGHT_CHORD, "successor_list_r", 2.0, ">= 0"),
         (EIGHT_HIERAS, "successor_list_r", True, ">= 0"),
@@ -265,7 +294,7 @@ def test_structural_parameters_must_be_integers(build, field, value, bound):
 
 def test_numpy_integers_are_integers():
     assert PastryParams(b=np.int64(2)).b == 2
-    assert len(MultiRealityCan(np.arange(8), realities=np.int32(2)).realities) == 2
+    assert CanParams(dimensions=np.int32(2)).dimensions == 2
 
 
 if __name__ == "__main__":
