@@ -59,8 +59,12 @@ def quantise_levels(distances: np.ndarray, boundaries: tuple[float, ...]) -> np.
     [1, 0, 1, 2]
     >>> quantise_levels(np.array([20.0, 140, 50, 40]), (20.0, 100.0)).tolist()
     [0, 2, 1, 1]
+
+    A negative or NaN distance raises :class:`ValueError` rather than
+    landing in a plausible level; ``+inf`` is the top level.
     """
     distances = np.asarray(distances, dtype=np.float64)
+    require(bool(np.all(distances >= 0.0)), "distances must be >= 0 (no NaN)")
     bounds = np.asarray(boundaries, dtype=np.float64)
     levels = np.digitize(distances, bounds, right=True)
     levels[distances >= bounds[-1]] = len(bounds)

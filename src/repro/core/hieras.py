@@ -427,10 +427,13 @@ class HierasNetwork(ChordNetwork):
         for name in self.directory.names():
             h = self.ring_table_host(name)
             hosts[h] = hosts.get(h, 0) + 1
-        succ_entries = sum(
-            min(successor_list_len, len(self.ring_of(int(peers[0]), layer)) - 1)
-            for layer in range(1, self.depth + 1)
-        )
+        succ_entries = np.mean([
+            sum(
+                min(successor_list_len, len(self.ring_of(int(p), layer)) - 1)
+                for layer in range(1, self.depth + 1)
+            )
+            for p in peers
+        ])
         return {
             "depth": float(self.depth),
             "n_rings": float(

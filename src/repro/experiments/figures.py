@@ -8,7 +8,7 @@ one :class:`SweepSpec` per experiment, at the paper's scale.
 ``EXPERIMENTS`` maps ids to :class:`Experiment` records; the CLI
 dispatches through it.  It is the only registry: a run function
 returns ``(text, data)``, its entry adds the id and title, and the
-six *benches* (experiments whose data is also a committed
+four *benches* (experiments whose data is also a committed
 ``BENCH_*.json``) are ``_bench(...)`` lines naming a producer module
 beside this one, imported on first use.
 """
@@ -1218,22 +1218,6 @@ EXPERIMENTS: dict[str, Experiment] = {
             "Resilience — failure-aware lookups under crashes and loss",
             "successor lists keep lookups succeeding through failures (§3.3)",
             _run_resilience,
-        ),
-        _bench(
-            "perf_baseline",
-            "Perf baseline — phase timings and lookup metrics",
-            "majority of HIERAS hops in lower rings; latency advantage in "
-            "streaming histograms (§4.3)",
-            "baseline",
-            "BENCH_baseline.json",
-        ),
-        _bench(
-            "batch_route",
-            "Batch routing engine — vectorized vs scalar equivalence",
-            "frontier-stepped numpy routing is bit-identical to the scalar "
-            "loop and an order of magnitude faster",
-            "batchbench",
-            "BENCH_batchroute.json",
         ),
         _bench(
             "scale",

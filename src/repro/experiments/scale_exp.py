@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.engine.batch import batch_route
+from repro.engine.result import BatchRouteResult
 from repro.engine.stream import stream_batch_route
 from repro.experiments.bench import BenchRun, claim, rate_per_s
 from repro.experiments.config import SimConfig
@@ -80,6 +81,22 @@ def _matches(bundle: SimulationBundle, snap: list[tuple[str, np.ndarray, np.ndar
     return len(now) == len(snap) and all(
         a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
         for a, b in zip(snap, now)
+    )
+
+
+def _results_agree(a: BatchRouteResult, b: BatchRouteResult) -> bool:
+    """Exact equality of two engines' owners, hops, per-layer hops and
+    latencies — floats with ``==``, as the engines promise bit-identical
+    sums, not merely close ones."""
+    return all(
+        np.array_equal(x, y)
+        for x, y in (
+            (a.owner, b.owner),
+            (a.hops, b.hops),
+            (a.latency_ms, b.latency_ms),
+            (a.hops_per_layer, b.hops_per_layer),
+            (a.low_layer_latency_ms(), b.low_layer_latency_ms()),
+        )
     )
 
 
@@ -145,31 +162,13 @@ def run_bench(
         engines_agree = None
         if n_peers == min(sizes):
             probe = min(2000, n_lookups)
-            batch = batch_route(
-                bundle.chord, trace.sources[:probe], trace.keys[:probe]
-            )
-            scalar = batch_route(
-                bundle.chord,
-                trace.sources[:probe],
-                trace.keys[:probe],
-                engine="scalar",
-            )
-            batch_h = batch_route(
-                bundle.hieras, trace.sources[:probe], trace.keys[:probe]
-            )
-            scalar_h = batch_route(
-                bundle.hieras,
-                trace.sources[:probe],
-                trace.keys[:probe],
-                engine="scalar",
-            )
-            engines_agree = bool(
-                np.array_equal(batch.owner, scalar.owner)
-                and np.array_equal(batch.hops, scalar.hops)
-                and np.array_equal(batch.latency_ms, scalar.latency_ms)
-                and np.array_equal(batch_h.owner, scalar_h.owner)
-                and np.array_equal(batch_h.hops, scalar_h.hops)
-                and np.array_equal(batch_h.latency_ms, scalar_h.latency_ms)
+            sources, keys = trace.sources[:probe], trace.keys[:probe]
+            engines_agree = all(
+                _results_agree(
+                    batch_route(network, sources, keys),
+                    batch_route(network, sources, keys, engine="scalar"),
+                )
+                for network in (bundle.chord, bundle.hieras)
             )
 
         latency = bundle.peer_latency.model.stats()

@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from repro.util.rng import RngFactory
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 
 __all__ = ["FaultEvent", "FaultPlan"]
 
@@ -57,6 +57,14 @@ class FaultEvent:
     landmark: int = -1
 
 
+def _peer_ids(peers: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+    """``peers`` as plain ints, each a non-bool integer >= 0 (numpy ints too)."""
+    ids = tuple(peers)
+    for p in ids:
+        require_int(p, 0, name="peer")
+    return tuple(int(p) for p in ids)
+
+
 @dataclass
 class FaultPlan:
     """Seeded builder of fault schedules (fluent interface).
@@ -79,7 +87,7 @@ class FaultPlan:
     def crash_peers(self, *, at_ms: float, peers: list[int] | tuple[int, ...]) -> "FaultPlan":
         """Crash an explicit set of peers at ``at_ms``."""
         require(at_ms >= 0.0, "at_ms must be >= 0")
-        self._specs.append(("crash_peers", {"at_ms": float(at_ms), "peers": tuple(int(p) for p in peers)}))
+        self._specs.append(("crash_peers", {"at_ms": float(at_ms), "peers": _peer_ids(peers)}))
         return self
 
     def crash_fraction(self, *, at_ms: float, fraction: float) -> "FaultPlan":
@@ -92,7 +100,7 @@ class FaultPlan:
     def revive_peers(self, *, at_ms: float, peers: list[int] | tuple[int, ...]) -> "FaultPlan":
         """Bring previously-crashed peers back at ``at_ms``."""
         require(at_ms >= 0.0, "at_ms must be >= 0")
-        self._specs.append(("revive_peers", {"at_ms": float(at_ms), "peers": tuple(int(p) for p in peers)}))
+        self._specs.append(("revive_peers", {"at_ms": float(at_ms), "peers": _peer_ids(peers)}))
         return self
 
     def loss_burst(self, *, at_ms: float, rate: float, duration_ms: float) -> "FaultPlan":
@@ -172,12 +180,16 @@ class FaultPlan:
 
         Deterministic in ``(seed, spec order, n_peers)``: each spec that
         needs randomness gets its own named stream, so reordering or
-        adding unrelated specs never perturbs another spec's draws.
+        adding unrelated specs never perturbs another spec's draws.  A
+        crashed or revived peer outside ``[0, n_peers)`` raises
+        :class:`ValueError`.
         """
         require(n_peers >= 1, "n_peers must be >= 1")
         factory = RngFactory(self.seed)
         out: list[FaultEvent] = []
         for i, (kind, params) in enumerate(self._specs):
+            top = max(params.get("peers", ()), default=-1)
+            require(top < n_peers, f"peer {top} out of range [0, {n_peers})")
             if kind == "crash_peers":
                 out.append(FaultEvent(params["at_ms"], "crash", peers=params["peers"]))
             elif kind == "crash_fraction":

@@ -1,12 +1,14 @@
 """The bench harness, checked once for every registered bench.
 
 A bench is an experiment that names a committed ``BENCH_*.json``
-(``Experiment.document``).  Everything the six documents share — the
+(``Experiment.document``).  Everything the four documents share — the
 envelope, reproducibility of ``config`` + ``metrics``, the byte-stable
 writer, a report that renders from the document alone, drift detection
 — is asserted here for each of them at a tiny configuration; what is
 *in* a document stays with its own module's tests
-(``test_perf_baseline.py``, ``test_durability_exp.py``, …).
+(``test_durability_exp.py``, ``test_scenarios.py``, …).  ``TestCli``
+drives the ``bench`` command through ``scenarios``, the quickest bench
+at its one scale.
 """
 
 import copy
@@ -26,8 +28,6 @@ BENCHES = {e.id: e for e in EXPERIMENTS.values() if e.document}
 #: ``run_bench`` overrides small enough for tier-1, one per bench — the
 #: configurations the per-module tests use.
 TINY = {
-    "perf_baseline": dict(n_peers=200, n_requests=400, seed=7),
-    "batch_route": dict(seed=2, sizes=(128,), n_requests=200),
     "scale": dict(sizes=(192, 320)),
     "durability": dict(
         seed=42, n_peers=120, n_keys=24,
@@ -211,59 +211,57 @@ def stub_resilience(monkeypatch):
 class TestCli:
     def test_bench_writes_the_document(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert cli.main(["bench", "perf_baseline", "--out", "out.json"]) == 0
+        assert cli.main(["bench", "scenarios", "--out", "out.json"]) == 0
         out = capsys.readouterr().out
         assert "wrote out.json" in out and "[ok]" in out
         doc = json.loads((tmp_path / "out.json").read_text())
-        assert doc["schema"] == BENCHES["perf_baseline"].load().SCHEMA
-        assert doc["metrics"]["hieras"]["low_layer_hop_share"] > 0.5
-        for net in ("chord", "hieras"):
-            assert doc["metrics"][net]["lookups"] == doc["config"]["n_requests"]
+        assert doc["schema"] == BENCHES["scenarios"].load().SCHEMA
+        assert set(doc["metrics"]["scenarios"]) == set(doc["config"]["scenarios"])
 
     def test_out_defaults_to_the_document_name(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert cli.main(["bench", "perf_baseline", "--seed", "5"]) == 0
-        doc = json.loads((tmp_path / "BENCH_baseline.json").read_text())
+        assert cli.main(["bench", "scenarios", "--seed", "5"]) == 0
+        doc = json.loads((tmp_path / "BENCH_scenarios.json").read_text())
         assert doc["config"]["seed"] == 5
 
     def test_check_passes_on_the_committed_file_and_names_an_edited_metric(
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
-        shutil.copy(ROOT / "BENCH_baseline.json", tmp_path)
-        assert cli.main(["bench", "perf_baseline", "--check"]) == 0
-        assert "equal the committed BENCH_baseline.json" in capsys.readouterr().out
-        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_baseline.json"]
+        shutil.copy(ROOT / "BENCH_scenarios.json", tmp_path)
+        assert cli.main(["bench", "scenarios", "--check"]) == 0
+        assert "equal the committed BENCH_scenarios.json" in capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["BENCH_scenarios.json"]
 
-        doc = json.loads((tmp_path / "BENCH_baseline.json").read_text())
-        doc["metrics"]["hieras"]["hops"]["mean"] += 0.5
-        write_doc(doc, tmp_path / "BENCH_baseline.json")
-        assert cli.main(["bench", "perf_baseline", "--check", "--out", "new.json"]) == 1
+        doc = json.loads((tmp_path / "BENCH_scenarios.json").read_text())
+        doc["metrics"]["headline"]["flash_join"]["hieras"]["rebalanced"] += 1.0
+        write_doc(doc, tmp_path / "BENCH_scenarios.json")
+        assert cli.main(["bench", "scenarios", "--check", "--out", "new.json"]) == 1
         out = capsys.readouterr().out
-        assert "DRIFT from the committed BENCH_baseline.json" in out
-        assert "metrics.hieras.hops.mean" in out
+        assert "DRIFT from the committed BENCH_scenarios.json" in out
+        assert "metrics.headline.flash_join.hieras.rebalanced" in out
         assert (tmp_path / "new.json").exists()
 
     def test_check_regenerates_at_the_committed_seed(
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
-        assert cli.main(["bench", "perf_baseline", "--seed", "5"]) == 0
-        assert cli.main(["bench", "perf_baseline", "--check"]) == 0
+        assert cli.main(["bench", "scenarios", "--seed", "5"]) == 0
+        assert cli.main(["bench", "scenarios", "--check"]) == 0
         assert "seed 5]" in capsys.readouterr().out
 
     def test_check_and_seed_are_mutually_exclusive(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         for argv in (["--check", "--seed", "7"], ["--seed", "42", "--check"]):
             with pytest.raises(SystemExit) as exit_:
-                cli.main(["bench", "perf_baseline", *argv])
+                cli.main(["bench", "scenarios", *argv])
             assert exit_.value.code == 2
             assert "not allowed with argument" in capsys.readouterr().err
 
     def test_check_without_a_committed_file_fails_loudly(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValueError, match=r"BENCH_baseline\.json.*repro\.perf_baseline/1"):
-            cli.main(["bench", "perf_baseline", "--check"])
+        with pytest.raises(ValueError, match=r"BENCH_scenarios\.json.*repro\.bench_scenarios/1"):
+            cli.main(["bench", "scenarios", "--check"])
 
     @pytest.mark.parametrize("bad_id", ["fig2", "nope"])
     def test_non_bench_id_lists_the_bench_ids(self, bad_id):
@@ -305,4 +303,4 @@ class TestCli:
         with pytest.raises(OSError):
             cli.main(["run", "table1"])
         with pytest.raises(OSError):
-            cli.main(["bench", "perf_baseline", "--out", str(tmp_path / "no" / "x.json")])
+            cli.main(["bench", "scenarios", "--out", str(tmp_path / "no" / "x.json")])

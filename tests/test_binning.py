@@ -58,6 +58,18 @@ class TestQuantiseLevels:
         levels = quantise_levels(np.asarray([lo, hi]), (20.0, 100.0))
         assert levels[0] <= levels[1]
 
+    @pytest.mark.parametrize("bad", [np.nan, -5.0, -np.inf])
+    def test_negative_and_nan_distances_are_rejected(self, bad):
+        """Neither lands in a plausible level (NaN used to reach the top,
+        a negative ping level 0); ``orders`` inherits the check."""
+        with pytest.raises(ValueError, match="distances must be >= 0"):
+            quantise_levels(np.asarray([3.0, bad]), (20.0, 100.0))
+        with pytest.raises(ValueError, match="distances must be >= 0"):
+            BinningScheme().orders(np.array([[bad, 5.0], [3.0, 4.0]]))
+
+    def test_infinity_is_the_top_level(self):
+        assert quantise_levels(np.asarray([np.inf, 0.0]), (20.0, 100.0)).tolist() == [2, 0]
+
 
 class TestBinningScheme:
     def test_default_levels_refine(self):

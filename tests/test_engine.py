@@ -783,36 +783,6 @@ class TestExperimentWiring:
             assert np.array_equal(a.top_layer_hops, b.top_layer_hops)
             assert np.array_equal(a.low_layer_latency_ms, b.low_layer_latency_ms)
 
-    def test_perf_baseline_metrics_identical_across_engines(self):
-        """The baseline doc's route blocks equal what the scalar
-        reference engine records for the same deployment and trace."""
-        from repro.experiments.baseline import run_bench
-        from repro.experiments.config import SimConfig
-        from repro.experiments.runner import build_bundle, make_trace
-
-        doc = run_bench(seed=3, n_peers=220, n_requests=300)
-        bundle = build_bundle(SimConfig(n_peers=220, seed=3))
-        trace = make_trace(bundle, 300)
-        for net in (bundle.chord, bundle.hieras):
-            sink = SummarySink()
-            net.enable_tracing(SpanRecorder(registry=MetricsRegistry(), sinks=[sink]))
-            try:
-                batch_route(net, trace.sources, trace.keys, engine="scalar")
-            finally:
-                net.disable_tracing()
-            assert doc["metrics"][net.span_label] == sink.summary(net.span_label)
-
-    def test_bench_batchroute_document(self):
-        from repro.experiments.batchbench import run_bench
-
-        doc = run_bench(seed=2, sizes=(128,), n_requests=200)
-        cells = doc["metrics"]["cells"]
-        assert set(cells) == {"chord_n128", "hieras_n128"}
-        assert all(c["engines_agree"] for c in cells.values())
-        assert all(doc["phases"][name]["speedup"] > 0 for name in cells)
-        assert all(doc["phases"][name]["traced_overhead"] > 0 for name in cells)
-        assert all(doc["phases"][name]["traced_lookups_per_s"] > 0 for name in cells)
-
 
 class TestBatchMembership:
     """add_peers/remove_peers/revive_peers ≡ their sequential singles."""

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: config, runner, registry, CLI."""
 
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -191,12 +192,24 @@ class TestCli:
         with pytest.raises(ValueError):
             main(["run", "bogus"])
 
+    def test_run_emits_metrics_artifact(self, tmp_path, monkeypatch):
+        from repro.experiments.cli import main
+
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path))
+        assert main(["run", "table1"]) == 0
+        artifact = tmp_path / "metrics_table1.json"
+        assert artifact.exists()
+        doc = json.loads(artifact.read_text())
+        assert doc["experiment"] == "table1"
+        assert doc["diverged"] is False
+        assert "data" in doc
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["run", "table1", "fig4", "--seed", "-1"],
             ["report", "--seed", "-1"],
-            ["bench", "perf_baseline", "--seed", "-1"],
+            ["bench", "scenarios", "--seed", "-1"],
             ["sweep", "--seeds", "1,-2"],
             ["sweep", "--requests", "0"],
         ],

@@ -120,6 +120,23 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan().events(0)
 
+    @pytest.mark.parametrize("builder", ["crash_peers", "revive_peers"])
+    @pytest.mark.parametrize("peer", [-1, 2.7, True, np.float64(3.0)])
+    def test_peers_must_be_non_negative_integers(self, builder, peer):
+        """A negative index would crash a peer from the end of the
+        population, a float or bool would be truncated to some peer."""
+        with pytest.raises(ValueError, match="peer must be an integer >= 0"):
+            getattr(FaultPlan(seed=1), builder)(at_ms=0.0, peers=[peer])
+
+    @pytest.mark.parametrize("builder", ["crash_peers", "revive_peers"])
+    def test_peer_beyond_the_population_fails_at_compilation(self, builder):
+        plan = getattr(FaultPlan(seed=1), builder)(at_ms=0.0, peers=np.array([3, 50]))
+        assert plan.events(51)[0].peers == (3, 50)
+        with pytest.raises(ValueError, match=r"peer 50 out of range \[0, 10\)"):
+            plan.events(10)
+        with pytest.raises(ValueError, match=r"peer 50 out of range"):
+            FaultInjector(plan, 10)
+
 
 class TestFaultState:
     def test_reachability(self):

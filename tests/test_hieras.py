@@ -280,6 +280,20 @@ class TestInspection:
         assert summary["avg_distinct_fingers_layer1"] > 0
         assert "avg_distinct_fingers_layer3" in summary
 
+    def test_successor_list_entries_average_every_sampled_peer(self):
+        """Rings of 2 and 4 peers, both below the list length: the lowest
+        id sits in the small ring, so one peer's count would read 6."""
+        ids = np.asarray([100, 200, 300, 400, 500, 600], dtype=np.uint64)
+        distances = np.asarray([[150.0] * 4] * 2 + [[5.0] * 4] * 4)
+        orders = BinningScheme.default_for_depth(2).orders(distances)
+        hieras = HierasNetwork(IdSpace(16), ids, landmark_orders=orders, depth=2)
+        assert sorted(hieras.ring_sizes(2).tolist()) == [2, 4]
+        # Global ring: 5 successors each; lower ring: 1 or 3.
+        want = (2 * (5 + 1) + 4 * (5 + 3)) / 6
+        for sample in (None, 64):
+            summary = hieras.maintenance_summary(successor_list_len=8, sample=sample)
+            assert summary["successor_list_entries"] == pytest.approx(want)
+
 
 class TestExplainRoute:
     def test_narration_structure(self):
