@@ -12,8 +12,6 @@ Run:  python examples/landmark_tuning.py
 
 from repro.analysis.stats import collect_routes, ratio_percent
 from repro.analysis.tables import format_table
-from repro.core.binning import BinningScheme
-from repro.core.hieras import HierasNetwork
 from repro.core.maintenance import measured_state_cost
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle, make_trace
@@ -45,23 +43,14 @@ def main() -> None:
     print("paper: too few landmarks ≈ useless; sweet spot ≈ 6-8; flat after\n")
 
     print("sweep 2: hierarchy depth (6 landmarks)")
-    config = SimConfig(model="ts", n_peers=n_peers, n_landmarks=6, seed=33)
-    bundle = build_bundle(config)
-    trace = make_trace(bundle, n_requests)
-    chord = collect_routes(bundle.chord, trace)
     rows = []
     for depth in (2, 3, 4):
-        scheme = BinningScheme.default_for_depth(depth)
-        orders = scheme.orders(bundle.orders.distances)
-        net = HierasNetwork(
-            bundle.space,
-            bundle.node_ids,
-            latency=bundle.peer_latency,
-            landmark_orders=orders,
-            depth=depth,
-        )
-        sample = collect_routes(net, trace)
-        cost = measured_state_cost(net, sample=32)
+        # One substrate (cached), re-binned at each depth by the deployment's own rule.
+        bundle = build_bundle(SimConfig(model="ts", n_peers=n_peers, n_landmarks=6, depth=depth, seed=33))
+        trace = make_trace(bundle, n_requests)
+        chord = collect_routes(bundle.chord, trace)
+        sample = collect_routes(bundle.hieras, trace)
+        cost = measured_state_cost(bundle.hieras, sample=32)
         rows.append(
             {
                 "depth": depth,

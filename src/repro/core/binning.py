@@ -25,17 +25,30 @@ layer re-quantises with a strictly finer boundary set, and a ring's name
 is the full refinement path (``"1012" → "1012/301524" → …``), so a
 layer-(ℓ+1) ring is always a subset of its layer-ℓ parent — mirroring
 "the lower the layer, the more topologically adjacent" (§2.1).
+
+Scale
+-----
+Peer → landmark delays grow with the network, so absolute boundaries
+put nearly every peer of a large network in one "far from everything"
+ring.  A deployment bins with :data:`DEFAULT_LEVELS` × the median of
+the landmarks' median pings (:func:`landmark_scale_ms`) ÷
+:data:`REFERENCE_SCALE_MS`, never finer than the paper's own levels
+(DESIGN.md §5); Table 1 keeps the paper's boundaries, as its inputs are
+the paper's distances.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.util.validation import require
 
-__all__ = ["quantise_levels", "BinningScheme", "LandmarkOrders", "DEFAULT_LEVELS"]
+__all__ = [
+    "quantise_levels", "landmark_scale_ms", "BinningScheme", "LandmarkOrders", "DEFAULT_LEVELS",
+    "REFERENCE_SCALE_MS",
+]
 
 #: Default level boundaries per lower layer: entry 0 configures layer-2
 #: rings (paper values), each subsequent entry refines the previous one
@@ -45,6 +58,24 @@ DEFAULT_LEVELS: tuple[tuple[float, ...], ...] = (
     (10.0, 20.0, 50.0, 100.0, 200.0),
     (5.0, 10.0, 15.0, 20.0, 35.0, 50.0, 75.0, 100.0, 150.0, 200.0, 300.0),
 )
+
+#: The landmark scale (ms) up to which :data:`DEFAULT_LEVELS` apply as
+#: they stand: the paper's (20, 100) ms are 0.16 and 0.8 × this median.
+REFERENCE_SCALE_MS = 125.0
+
+
+def landmark_scale_ms(distances: np.ndarray) -> float:
+    """A deployment's delay scale: the median, over landmarks, of the
+    median delay each landmark measures to the ``(n_nodes, n_landmarks)``
+    ``distances``.  A landmark median that is 0 or not finite raises."""
+    distances = np.asarray(distances, dtype=np.float64)
+    require(distances.ndim == 2 and distances.size >= 1, "distances must be (n_nodes, n_landmarks)")
+    medians = np.median(distances, axis=0)
+    require(
+        bool(np.all(np.isfinite(medians) & (medians > 0))),
+        f"every landmark's median delay must be finite and > 0, got {medians.tolist()}",
+    )
+    return float(np.median(medians))
 
 
 def quantise_levels(distances: np.ndarray, boundaries: tuple[float, ...]) -> np.ndarray:
@@ -72,15 +103,11 @@ def quantise_levels(distances: np.ndarray, boundaries: tuple[float, ...]) -> np.
 
 
 def _digits(levels_row: np.ndarray) -> str:
-    """Render one node's level vector as a ring-name digit string.
-
-    Single characters while all levels fit a digit (the paper's
-    ``"1012"`` style); dot-separated otherwise (deep hierarchies can
-    exceed 9 levels).
-    """
-    if levels_row.max(initial=0) <= 9:
-        return "".join(str(int(v)) for v in levels_row)
-    return ".".join(str(int(v)) for v in levels_row)
+    """Render one node's level vector as a ring-name digit string: the
+    paper's ``"1012"`` while every level fits a digit, dot-separated
+    otherwise (deep hierarchies can exceed 9 levels)."""
+    separator = "" if levels_row.max(initial=0) <= 9 else "."
+    return separator.join(str(int(v)) for v in levels_row)
 
 
 @dataclass(frozen=True)
@@ -90,25 +117,28 @@ class BinningScheme:
     ``level_boundaries[k]`` configures layer ``k + 2`` (layer 1 is the
     global ring and is never binned).  Each boundary set must be an
     ascending, strict refinement (superset) of the previous one so that
-    deeper rings nest.
+    deeper rings nest.  With ``reference_ms`` unset the boundaries are
+    absolute milliseconds (:meth:`paper_for_depth`); with it set,
+    :meth:`orders` first multiplies them by the distances'
+    :func:`landmark_scale_ms` ÷ ``reference_ms`` when that exceeds 1
+    (:meth:`default_for_depth`).
     """
 
-    level_boundaries: tuple[tuple[float, ...], ...] = field(
-        default=(DEFAULT_LEVELS[0],)
-    )
+    level_boundaries: tuple[tuple[float, ...], ...] = field(default=(DEFAULT_LEVELS[0],))
+    reference_ms: float | None = None
 
     def __post_init__(self) -> None:
         require(len(self.level_boundaries) >= 1, "need boundaries for at least layer 2")
+        require(
+            self.reference_ms is None or 0.0 < self.reference_ms < np.inf,
+            f"reference_ms must be finite and > 0, got {self.reference_ms!r}",
+        )
         prev: set[float] = set()
         for k, bounds in enumerate(self.level_boundaries):
             require(len(bounds) >= 1, f"layer {k + 2} needs at least one boundary")
-            require(
-                all(b > 0 for b in bounds), f"layer {k + 2} boundaries must be positive"
-            )
-            require(
-                list(bounds) == sorted(set(bounds)),
-                f"layer {k + 2} boundaries must be strictly ascending",
-            )
+            require(all(b > 0 for b in bounds), f"layer {k + 2} boundaries must be positive")
+            ascending = list(bounds) == sorted(set(bounds))
+            require(ascending, f"layer {k + 2} boundaries must be strictly ascending")
             require(
                 prev.issubset(set(bounds)),
                 f"layer {k + 2} boundaries must refine layer {k + 1}'s "
@@ -117,43 +147,44 @@ class BinningScheme:
             prev = set(bounds)
 
     @classmethod
-    def default_for_depth(cls, depth: int) -> "BinningScheme":
-        """Paper-faithful scheme for a given hierarchy depth (2–4)."""
-        require(
-            2 <= depth <= 1 + len(DEFAULT_LEVELS),
-            f"depth must be in [2, {1 + len(DEFAULT_LEVELS)}], got {depth}",
-        )
+    def paper_for_depth(cls, depth: int) -> "BinningScheme":
+        """The paper's absolute boundaries for a hierarchy depth (2–4)."""
+        top = 1 + len(DEFAULT_LEVELS)
+        require(2 <= depth <= top, f"depth must be in [2, {top}], got {depth}")
         return cls(DEFAULT_LEVELS[: depth - 1])
 
-    # ------------------------------------------------------------------
-    def level_matrix(self, distances: np.ndarray, layer_index: int) -> np.ndarray:
-        """Quantised ``(n_nodes, n_landmarks)`` levels for one lower layer.
+    @classmethod
+    def default_for_depth(cls, depth: int) -> "BinningScheme":
+        """The deployment rule for a depth (2–4): the paper's levels, widened to the landmarks' scale."""
+        return replace(cls.paper_for_depth(depth), reference_ms=REFERENCE_SCALE_MS)
 
-        ``layer_index`` is 0-based into :attr:`level_boundaries`
-        (0 → layer 2).
-        """
-        return quantise_levels(distances, self.level_boundaries[layer_index])
+    def scaled(self, factor: float) -> "BinningScheme":
+        """The absolute scheme with every boundary multiplied by ``factor`` (finite, > 0)."""
+        require(0.0 < factor < np.inf, f"factor must be finite and > 0, got {factor!r}")
+        return BinningScheme(tuple(tuple(b * factor for b in layer) for layer in self.level_boundaries))
 
     def orders(self, distances: np.ndarray) -> "LandmarkOrders":
         """Compute every node's landmark order at every lower layer.
 
-        Parameters
-        ----------
-        distances:
-            ``(n_nodes, n_landmarks)`` measured node→landmark delays
-            (ms), e.g. from
-            :meth:`repro.topology.attach.OverlayAttachment.landmark_distances`.
+        ``distances`` are ``(n_nodes, n_landmarks)`` measured
+        node→landmark delays (ms), e.g. from
+        :meth:`repro.topology.attach.OverlayAttachment.landmark_distances`.
+        The result's ``scheme`` is the absolute one the orders were binned
+        with, so re-binning through it keeps this deployment's scale.
         """
         distances = np.asarray(distances, dtype=np.float64)
         require(distances.ndim == 2, "distances must be (n_nodes, n_landmarks)")
         require(distances.shape[1] >= 1, "need at least one landmark")
+        if self.reference_ms is not None:
+            factor = max(landmark_scale_ms(distances) / self.reference_ms, 1.0)
+            return self.scaled(factor).orders(distances)
         # Render each *distinct* level row once (O(#rings) Python string
         # work, not O(n_nodes)) and keep the per-node assignment as int
         # codes into the layer's name pool, numbered in name order.
         pools: list[list[str]] = []
         codes_per_layer: list[np.ndarray] = []
-        for k in range(len(self.level_boundaries)):
-            rows, codes = np.unique(self.level_matrix(distances, k), axis=0, return_inverse=True)
+        for k, boundaries in enumerate(self.level_boundaries):
+            rows, codes = np.unique(quantise_levels(distances, boundaries), axis=0, return_inverse=True)
             names = [_digits(row) for row in rows]
             if k:
                 pairs, codes = np.unique(
@@ -219,10 +250,8 @@ class LandmarkOrders:
         information": the failed column disappears from the distance
         matrix and all orders are recomputed from the survivors.
         """
-        require(
-            0 <= landmark < self.n_landmarks,
-            f"landmark {landmark} out of range 0..{self.n_landmarks - 1}",
-        )
+        last = self.n_landmarks - 1
+        require(0 <= landmark <= last, f"landmark {landmark} out of range 0..{last}")
         require(self.n_landmarks > 1, "cannot drop the last landmark")
         kept = np.delete(self.distances, landmark, axis=1)
         return self.scheme.orders(kept)

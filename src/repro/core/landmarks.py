@@ -69,38 +69,20 @@ class LandmarkSet:
         """
         require(len(groups) >= 1, "need at least one landmark group")
         require(all(len(g) >= 1 for g in groups), "empty logical landmark")
-        primaries = np.asarray([int(g[0]) for g in groups], dtype=np.int64)
-        return cls(
-            routers=primaries,
-            members=[np.asarray(g, dtype=np.int64) for g in groups],
-        )
+        return cls(routers=np.asarray([int(g[0]) for g in groups], dtype=np.int64), members=list(groups))
 
     # ------------------------------------------------------------------
-    def measure(
-        self, model: LatencyModel, node_routers: np.ndarray
-    ) -> np.ndarray:
+    def measure(self, model: LatencyModel, node_routers: np.ndarray) -> np.ndarray:
         """Measure node→landmark distances over live landmarks only.
 
         Returns ``(n_nodes, n_alive)`` delays in ms.  For logical
         landmarks the distance is the minimum over live group members.
         """
         node_routers = np.asarray(node_routers, dtype=np.int64)
+        groups = self.members if self.members is not None else self.routers[:, None]
         live = np.flatnonzero(self.alive)
         out = np.empty((len(node_routers), len(live)), dtype=np.float64)
         for col, k in enumerate(live):
-            if self.members is not None:
-                per_member = np.stack(
-                    [
-                        model.pairs(
-                            node_routers, np.full(len(node_routers), m, dtype=np.int64)
-                        )
-                        for m in self.members[k]
-                    ]
-                )
-                out[:, col] = per_member.min(axis=0)
-            else:
-                out[:, col] = model.pairs(
-                    node_routers,
-                    np.full(len(node_routers), self.routers[k], dtype=np.int64),
-                )
+            targets = [np.full(len(node_routers), m, dtype=np.int64) for m in groups[k]]
+            out[:, col] = np.min([model.pairs(node_routers, t) for t in targets], axis=0)
         return out

@@ -25,12 +25,7 @@ from repro.core.hieras import HierasNetwork
 from repro.util.rng import make_rng
 from repro.util.validation import require
 
-__all__ = [
-    "StateCost",
-    "state_cost_model",
-    "measured_state_cost",
-    "maintenance_traffic_cost",
-]
+__all__ = ["StateCost", "state_cost_model", "measured_state_cost", "maintenance_traffic_cost"]
 
 #: Bytes per routing-table entry: nodeid (20 B for SHA-1 width) + IPv4
 #: address/port (6 B) + bookkeeping, rounded as the paper's
@@ -93,20 +88,14 @@ def state_cost_model(
     successors = float(successor_list_len * depth)
     # Ring tables: one per ring, four entries each, spread over peers.
     ring_entries = 4.0 * sum(ring_counts) / n_peers
-    return StateCost(
-        finger_entries=fingers,
-        successor_entries=successors,
-        ring_table_entries=ring_entries,
-    )
+    return StateCost(finger_entries=fingers, successor_entries=successors, ring_table_entries=ring_entries)
 
 
 def measured_state_cost(
     network: HierasNetwork, *, successor_list_len: int = 16, sample: int = 64, seed: int = 0
 ) -> StateCost:
     """Measure the §3.4 quantities on a built network."""
-    summary = network.maintenance_summary(
-        successor_list_len=successor_list_len, sample=sample, seed=seed
-    )
+    summary = network.maintenance_summary(successor_list_len=successor_list_len, sample=sample, seed=seed)
     return StateCost(
         finger_entries=summary["avg_distinct_fingers_total"],
         successor_entries=summary["successor_list_entries"],
@@ -115,11 +104,7 @@ def measured_state_cost(
 
 
 def maintenance_traffic_cost(
-    network: HierasNetwork,
-    *,
-    successor_list_len: int = 16,
-    sample: int = 128,
-    seed: int = 0,
+    network: HierasNetwork, *, successor_list_len: int = 16, sample: int = 128, seed: int = 0
 ) -> dict[str, float]:
     """Latency-weighted cost of one maintenance round, per layer.
 

@@ -271,19 +271,11 @@ class ChordNetwork(DHTNetwork):
             self._notify_departing(peers)
         self._notify_removed(peers)
 
-    def revive_peer(self, peer: int) -> None:
-        """Bring a previously-removed peer back under its old index.
-
-        A rejoining host keeps its identity (node id, attachment router
-        — and therefore its latency-model index — and, on HIERAS, the
-        rings its landmark orders named), so churn simulations revive
-        rather than append; :meth:`add_peer` is for genuinely new
-        peers.
-        """
-        self.revive_peers([peer])
-
     def revive_peers(self, peers: list[int]) -> None:
-        """Revive several previously-removed peers in one spliced wave."""
+        """Bring previously-removed peers back under their old indices, in
+        one spliced wave.  A rejoining host keeps its identity (node id,
+        attachment router, and on HIERAS its rings), so churn revives
+        rather than appends; :meth:`add_peers` is for new peers."""
         if not peers:
             return
         self._apply_wave(self._flip(peers, alive=True), _NO_PEERS)

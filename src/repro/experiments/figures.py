@@ -250,7 +250,7 @@ def _run_table1(seed: int) -> _Output:
         dtype=np.float64,
     )
     expected = ["1012", "1002", "2200", "2200", "1020", "0211"]
-    orders = BinningScheme.default_for_depth(2).orders(distances)
+    orders = BinningScheme.paper_for_depth(2).orders(distances)
     rows = orders.table1_rows(labels=list("ABCDEF"))
     got = [row["order"] for row in rows]
     same_ring = orders.order_of(2) == orders.order_of(3)
@@ -582,28 +582,43 @@ def _run_fig9(seed: int) -> _Output:
 # ----------------------------------------------------------------------
 
 def _run_ablation_binning(seed: int) -> _Output:
-    """Random ring assignment vs distributed binning.
+    """Random ring assignment vs distributed binning, and two yardsticks.
 
-    Keeps ring count and sizes identical and only destroys the
-    *topological* grouping — isolating the binning scheme's entire
-    contribution (paper §2.2 argues it is essential).
+    ``hieras_random_rings`` keeps ring count and sizes identical and only
+    destroys the *topological* grouping — isolating the binning scheme's
+    entire contribution (paper §2.2 argues it is essential).
+    ``hieras_paper_boundaries`` bins with the paper's absolute (20, 100) ms
+    instead of the deployment's scaled levels.  ``hieras_oracle_rings``
+    rings peers by their stub domain: a transit-stub-only bound, not
+    deployable, on what any binning could reach.
     """
 
-    def random_rings(bundle: SimulationBundle):
+    def binning_variants(bundle: SimulationBundle):
         shuffled = bundle.orders.codes_per_layer[0].copy()
         RngFactory(seed).get("ablation-binning").shuffle(shuffled)
         orders = replace(
             bundle.orders, codes_per_layer=[shuffled], name_pools=bundle.orders.name_pools[:1]
         )
         yield "hieras_random_rings", _rebinned(bundle, orders)
+        paper = BinningScheme.paper_for_depth(2).orders(bundle.orders.distances)
+        yield "hieras_paper_boundaries", _rebinned(bundle, paper)
+        domain = bundle.topology.stub_domain_of[bundle.attachment.router_of_peer]
+        domains, codes = np.unique(domain, return_inverse=True)
+        oracle = replace(
+            bundle.orders, codes_per_layer=[codes], name_pools=[[f"{d:06d}" for d in domains]]
+        )
+        yield "hieras_oracle_rings", _rebinned(bundle, oracle)
 
-    _, chord, hieras, [(_, _, random_sample)] = _variants("ablation", seed, random_rings)
-    rows = _vs_rows(
-        {"chord": chord, "hieras_binned": hieras, "hieras_random_rings": random_sample}, "chord"
-    )
-    ok = hieras.mean_latency_ms < 0.8 * random_sample.mean_latency_ms
+    _, chord, hieras, rebuilt = _variants("ablation", seed, binning_variants)
+    samples = {"chord": chord, "hieras_binned": hieras}
+    samples.update((label, sample) for label, _, sample in rebuilt)
+    rows = _vs_rows(samples, "chord")
+    ok = hieras.mean_latency_ms < 0.8 * samples["hieras_random_rings"].mean_latency_ms
     lines = [
         format_table(rows),
+        "",
+        "hieras_oracle_rings is a transit-stub-only yardstick (rings = stub domains), "
+        "not a deployable scheme",
         "",
         _claim(
             ok,
@@ -731,7 +746,7 @@ def _run_ablation_noise(seed: int) -> _Output:
                 bundle.peer_latency.model, sigma=sigma, seed=seed + int(sigma * 100)
             )
             distances = bundle.attachment.landmark_distances(noisy)
-            yield sigma, _rebinned(bundle, BinningScheme.default_for_depth(2).orders(distances))
+            yield sigma, _rebinned(bundle, bundle.orders.scheme.orders(distances))
 
     _, chord, _, variants = _variants("ablation", seed, noisy_rings)
     ratios = [ratio_percent(s.mean_latency_ms, chord.mean_latency_ms) for _, _, s in variants]
@@ -929,7 +944,7 @@ def _run_ablation_landmark_failure(seed: int) -> _Output:
 
     def layer2_names() -> np.ndarray:
         distances = logical.measure(model, bundle.attachment.router_of_peer)
-        return BinningScheme.default_for_depth(2).orders(distances).names(0)
+        return bundle.orders.scheme.orders(distances).names(0)
 
     before = layer2_names()
     logical.members[0] = logical.members[0][1:]  # primary of group 0 dies

@@ -3,7 +3,8 @@
 The runner is the bridge between configuration and measurement:
 
 * :func:`build_bundle` — topology → latency model → overlay attachment
-  → landmark placement → binning → Chord + HIERAS networks, all seeded
+  → landmark placement → binning (the paper's levels scaled to the
+  landmarks' median delay) → Chord + HIERAS networks, all seeded
   from the config for exact reproducibility.  It is the one deployment
   pipeline, from paper scale to N=10⁶: transit-stub sizing is
   :meth:`~repro.topology.transit_stub.TransitStubParams.for_size` at

@@ -41,7 +41,6 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.core.binning import BinningScheme
 from repro.experiments.runner import SimulationBundle
 from repro.faults.plan import FaultPlan
 from repro.loadgen.schedule import constant_rate, flash_crowd
@@ -291,7 +290,7 @@ def compile_landmark_outage_rolling(
     window = (params.duration_ms - params.fault_at_ms) / n_outages
     distances = bundle.attachment.landmark_distances(bundle.peer_latency.model)
     saturate = float(distances.max()) * 4.0 + 100.0
-    scheme = BinningScheme.default_for_depth(depth)
+    scheme = bundle.orders.scheme
     plan = FaultPlan(seed=params.seed)
     waves: list[MembershipWave] = []
     dead: list[int] = []

@@ -44,7 +44,7 @@ def small_networks(small_deployment, small_latency):
     attachment, peer_latency, space, ids = small_deployment
     chord = ChordNetwork(space, ids, latency=peer_latency)
     distances = attachment.landmark_distances(small_latency)
-    orders = BinningScheme.default_for_depth(3).orders(distances)
+    orders = BinningScheme.paper_for_depth(3).orders(distances)
     hieras = HierasNetwork(
         space, ids, latency=peer_latency, landmark_orders=orders, depth=2
     )

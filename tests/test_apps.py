@@ -14,7 +14,7 @@ def make_hieras(n=80, seed=1):
     rng = np.random.default_rng(seed)
     space = IdSpace(16)
     ids = space.sample_unique_ids(n, rng)
-    orders = BinningScheme.default_for_depth(2).orders(
+    orders = BinningScheme.paper_for_depth(2).orders(
         rng.uniform(0, 300, size=(n, 4))
     )
     return HierasNetwork(space, ids, landmark_orders=orders, depth=2)

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from repro.core.binning import (
     DEFAULT_LEVELS,
+    REFERENCE_SCALE_MS,
     BinningScheme,
+    landmark_scale_ms,
     quantise_levels,
 )
 
@@ -100,7 +102,7 @@ class TestBinningScheme:
 class TestLandmarkOrders:
     @pytest.fixture()
     def orders3(self):
-        return BinningScheme.default_for_depth(3).orders(PAPER_DISTANCES)
+        return BinningScheme.paper_for_depth(3).orders(PAPER_DISTANCES)
 
     def test_paper_orders(self, orders3):
         assert [orders3.order_of(i) for i in range(6)] == PAPER_ORDERS
@@ -209,3 +211,111 @@ class TestLandmarkOrders:
     def test_rejects_bad_distance_shape(self):
         with pytest.raises(ValueError):
             BinningScheme.default_for_depth(2).orders(np.asarray([1.0, 2.0]))
+
+
+def _scaled(distances: np.ndarray, depth: int):
+    """Orders under the paper's levels scaled to the landmarks' median, floor or not."""
+    factor = landmark_scale_ms(distances) / REFERENCE_SCALE_MS
+    return BinningScheme.paper_for_depth(depth).scaled(factor).orders(distances)
+
+
+def _assert_same_orders(a, b):
+    assert a.name_pools == b.name_pools
+    for codes_a, codes_b in zip(a.codes_per_layer, b.codes_per_layer, strict=True):
+        np.testing.assert_array_equal(codes_a, codes_b)
+
+
+class TestLandmarkScale:
+    def test_median_of_landmark_medians(self):
+        # Landmark medians: 42.5, 79.0, 21.0, 30.0 → their median 36.25.
+        assert landmark_scale_ms(PAPER_DISTANCES) == 36.25
+
+    def test_scaled_multiplies_every_layer(self):
+        scheme = BinningScheme.default_for_depth(3).scaled(2.0)
+        assert scheme.level_boundaries == tuple(
+            tuple(2.0 * b for b in bounds) for bounds in DEFAULT_LEVELS[:2]
+        )
+
+    def test_reference_scale_keeps_the_paper_levels(self):
+        assert BinningScheme.default_for_depth(4).scaled(1.0) == BinningScheme.paper_for_depth(4)
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_default_bins_with_the_paper_levels_scaled_to_the_landmarks(self, depth):
+        distances = np.random.default_rng(depth).uniform(0, 900, size=(500, 4))
+        factor = landmark_scale_ms(distances) / REFERENCE_SCALE_MS
+        deployed = BinningScheme.default_for_depth(depth).orders(distances)
+        absolute = BinningScheme.paper_for_depth(depth).scaled(factor)
+        assert deployed.scheme == absolute and deployed.scheme.reference_ms is None
+        assert deployed.name_pools == absolute.orders(distances).name_pools
+        # Re-binning through the orders' scheme keeps the deployment's scale.
+        rebinned = deployed.scheme.orders(distances[:20])
+        assert rebinned.names(0).tolist() == deployed.names(0)[:20].tolist()
+
+    @pytest.mark.parametrize("reference", [0.0, -5.0, np.nan, np.inf])
+    def test_rejects_a_bad_reference(self, reference):
+        with pytest.raises(ValueError, match="reference_ms must be finite and > 0"):
+            BinningScheme(DEFAULT_LEVELS[:1], reference_ms=reference)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_rejects_a_degenerate_landmark_median(self, bad):
+        distances = np.asarray([[10.0, 20.0], [30.0, 40.0], [50.0, 60.0]])
+        distances[:, 1] = bad
+        with pytest.raises(ValueError, match="median delay must be finite and > 0"):
+            landmark_scale_ms(distances)
+
+    def test_rejects_an_inf_median_from_a_majority_of_inf_pings(self):
+        distances = np.asarray([[10.0, np.inf], [30.0, np.inf], [50.0, 5.0]])
+        with pytest.raises(ValueError, match="median delay"):
+            landmark_scale_ms(distances)
+
+    @pytest.mark.parametrize("bad", [np.empty((0, 3)), np.ones(4)])
+    def test_rejects_a_bad_shape(self, bad):
+        with pytest.raises(ValueError, match="n_nodes, n_landmarks"):
+            landmark_scale_ms(bad)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, np.nan, np.inf])
+    def test_scaled_rejects_a_bad_factor(self, factor):
+        with pytest.raises(ValueError, match="factor must be finite and > 0"):
+            BinningScheme.default_for_depth(2).scaled(factor)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pings=st.lists(
+            st.lists(st.integers(1, 2000), min_size=3, max_size=3), min_size=1, max_size=40
+        ),
+        depth=st.integers(2, 4),
+        k=st.one_of(st.integers(1, 1000), st.integers(-20, 20).map(lambda e: 2.0**e)),
+    )
+    def test_scaling_every_distance_leaves_the_scaled_orders_unchanged(self, pings, depth, k):
+        """The scaled rule is unit-free: multiplying every delay by k > 0
+        moves the scale by k too.  ``k`` is an integer (integer pings keep
+        the products exact) or a power of two (exact on any float), so a
+        tie between a delay and a boundary survives the product."""
+        distances = np.asarray(pings, dtype=np.float64)
+        _assert_same_orders(_scaled(distances * k, depth), _scaled(distances, depth))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pings=st.lists(
+            st.lists(st.integers(125, 4000), min_size=3, max_size=3), min_size=1, max_size=40
+        ),
+        depth=st.integers(2, 4),
+        k=st.one_of(st.integers(1, 1000), st.integers(0, 20).map(lambda e: 2.0**e)),
+    )
+    def test_the_deployment_rule_is_unit_free_above_the_reference(self, pings, depth, k):
+        """Every landmark median ≥ the reference scale: the default scheme
+        is the scaled rule, so the same invariance holds for it."""
+        distances = np.asarray(pings, dtype=np.float64)
+        deployed = BinningScheme.default_for_depth(depth)
+        _assert_same_orders(deployed.orders(distances * k), deployed.orders(distances))
+        _assert_same_orders(deployed.orders(distances), _scaled(distances, depth))
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_the_paper_levels_are_the_floor(self, depth):
+        """Below the reference scale the deployment bins with the paper's
+        own boundaries: the rule only ever widens them."""
+        distances = np.random.default_rng(depth).uniform(0, 150, size=(200, 4))
+        assert landmark_scale_ms(distances) < REFERENCE_SCALE_MS
+        deployed = BinningScheme.default_for_depth(depth).orders(distances)
+        assert deployed.scheme == BinningScheme.paper_for_depth(depth)
+        _assert_same_orders(deployed, BinningScheme.paper_for_depth(depth).orders(distances))

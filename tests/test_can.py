@@ -129,7 +129,7 @@ class TestHierasCan:
         rng = np.random.default_rng(0)
         n = 200
         distances = rng.uniform(0, 300, size=(n, 4))
-        orders = BinningScheme.default_for_depth(3).orders(distances)
+        orders = BinningScheme.paper_for_depth(3).orders(distances)
         flat = CanNetwork(np.arange(n), seed=9)
         layered = HierasCanNetwork(n, landmark_orders=orders, depth=2, seed=9)
         return flat, layered
@@ -152,7 +152,7 @@ class TestHierasCan:
     def test_depth3(self, rng):
         n = 150
         distances = np.random.default_rng(1).uniform(0, 300, size=(n, 4))
-        orders = BinningScheme.default_for_depth(3).orders(distances)
+        orders = BinningScheme.paper_for_depth(3).orders(distances)
         net = HierasCanNetwork(n, landmark_orders=orders, depth=3, seed=2)
         for _ in range(80):
             k = int(rng.integers(0, 2**32))
@@ -161,7 +161,7 @@ class TestHierasCan:
             assert len(r.hops_per_layer) == 3
 
     def test_rejects_mismatched_orders(self):
-        orders = BinningScheme.default_for_depth(2).orders(
+        orders = BinningScheme.paper_for_depth(2).orders(
             np.random.default_rng(0).uniform(0, 300, size=(10, 2))
         )
         with pytest.raises(ValueError):

@@ -47,7 +47,7 @@ def build_pair(
     space = IdSpace(bits)
     ids = space.sample_unique_ids(n, rng)
     distances = rng.uniform(0, 300, size=(n, landmarks))
-    orders = BinningScheme.default_for_depth(max(depth, 2)).orders(distances)
+    orders = BinningScheme.paper_for_depth(max(depth, 2)).orders(distances)
     model = (
         CoordinateLatencyModel(rng.uniform(0, 500, size=(n, 2)))
         if latency
@@ -266,7 +266,7 @@ def build_binned(ring_sizes, *, depth=2, spare=0, seed=3, bits=32, **hieras_kw):
     leaves room in the latency model for peers added later."""
     rng = np.random.default_rng(seed)
     n = sum(ring_sizes)
-    scheme = BinningScheme.default_for_depth(max(depth, 2))
+    scheme = BinningScheme.paper_for_depth(max(depth, 2))
     cells = sorted({0.0, *(b for bounds in scheme.level_boundaries for b in bounds)})
     delay = np.repeat([cells[i] + 1.0 for i in range(len(ring_sizes))], ring_sizes)
     space = IdSpace(bits)
@@ -413,7 +413,7 @@ def build_chained(depth, *, n=600, seed=37):
     chord = ChordNetwork(space, ids, latency=model)
     hieras = HierasNetwork(
         space, ids, latency=model, depth=depth, successor_list_r=0,
-        landmark_orders=BinningScheme.default_for_depth(depth).orders(distances),
+        landmark_orders=BinningScheme.paper_for_depth(depth).orders(distances),
     )
     return chord, hieras
 
@@ -811,7 +811,7 @@ class TestBatchMembership:
         b.remove_peers(victims)
         assert self._state(a) == self._state(b)
         for v in victims:
-            a.revive_peer(v)
+            a.revive_peers([v])
         b.revive_peers(victims)
         assert self._state(a) == self._state(b)
         for layer in range(2, a.depth + 1):

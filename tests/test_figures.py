@@ -11,6 +11,7 @@ import pytest
 
 from repro.experiments import figures
 from repro.experiments.config import SweepSpec
+from repro.experiments.runner import sample_pair
 
 TS_SIZES = tuple(range(1000, 10_001, 1000))
 
@@ -66,7 +67,7 @@ TINY_GRIDS = {
     "dist": _tiny(sizes=(160,), n_requests=300),
     "landmarks": _tiny(sizes=(160,), landmarks=(2, 4)),
     "depth": _tiny(sizes=(120, 160), landmarks=(6,), depths=(2, 3, 4)),
-    "ablation": _tiny(sizes=(140,)),
+    "ablation": _tiny(sizes=(400,)),  # large enough that the scaled and paper rings differ
     "landmark_failure": _tiny(sizes=(140,), landmarks=(6,)),
     "can": _tiny(sizes=(64,)),
     "pastry": _tiny(sizes=(100,)),
@@ -128,12 +129,25 @@ def test_sweep_figures_follow_their_grid(rendered):
     assert set(rendered["fig3"].data["mean_ratio_percent"]) == {"ts", "brite"}
 
 
+def test_noise_free_rebin_is_the_deployment(rendered):
+    """σ=0 re-bins with the deployment's own scheme, so its row is the bundle's HIERAS."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(figures, "_GRIDS", TINY_GRIDS)
+        config, n_requests = figures._cell("ablation", 3)
+        _, hieras = sample_pair(config, n_requests)
+    row = rendered["ablation_noise"].data["rows"][0]
+    assert row["ping_noise_sigma"] == 0.0
+    assert row["hieras_ms"] == round(hieras.mean_latency_ms, 1)
+    binned = rendered["ablation_binning"].data["rows"][1]
+    assert (binned["variant"], binned["latency_ms"]) == ("hieras_binned", row["hieras_ms"])
+
+
 def test_variant_rows(rendered):
     def column(exp_id, key):
         return [row[key] for row in rendered[exp_id].data["rows"]]
 
     assert column("ablation_binning", "variant") == [
-        "chord", "hieras_binned", "hieras_random_rings",
+        "chord", "hieras_binned", "hieras_random_rings", "hieras_paper_boundaries", "hieras_oracle_rings",
     ]
     assert column("ablation_binning", "vs_chord_%")[0] == 100.0
     assert column("ablation_succlist", "policy") == ["off", "transitions", "always"]

@@ -15,7 +15,7 @@ def build_pair(n=120, depth=2, seed=5, bits=16, landmarks=4, **hieras_kw):
     space = IdSpace(bits)
     ids = space.sample_unique_ids(n, rng)
     distances = rng.uniform(0, 300, size=(n, landmarks))
-    orders = BinningScheme.default_for_depth(max(depth, 2)).orders(distances)
+    orders = BinningScheme.paper_for_depth(max(depth, 2)).orders(distances)
     chord = ChordNetwork(space, ids)
     hieras = HierasNetwork(
         space, ids, landmark_orders=orders, depth=depth, **hieras_kw
@@ -30,7 +30,7 @@ class TestConstruction:
         rng = np.random.default_rng(0)
         space = IdSpace(16)
         ids = space.sample_unique_ids(10, rng)
-        orders = BinningScheme.default_for_depth(2).orders(
+        orders = BinningScheme.paper_for_depth(2).orders(
             rng.uniform(0, 300, size=(10, 3))
         )
         with pytest.raises(ValueError):
@@ -40,7 +40,7 @@ class TestConstruction:
         rng = np.random.default_rng(0)
         space = IdSpace(16)
         ids = space.sample_unique_ids(10, rng)
-        orders = BinningScheme.default_for_depth(2).orders(
+        orders = BinningScheme.paper_for_depth(2).orders(
             rng.uniform(0, 300, size=(9, 3))
         )
         with pytest.raises(ValueError):
@@ -158,7 +158,7 @@ class TestRouting:
         space = IdSpace(16)
         ids = space.sample_unique_ids(80, rng)
         distances = np.full((80, 4), 500.0)  # all level 2 everywhere
-        orders = BinningScheme.default_for_depth(2).orders(distances)
+        orders = BinningScheme.paper_for_depth(2).orders(distances)
         hieras = HierasNetwork(
             space, ids, landmark_orders=orders, depth=2, successor_list_policy="off"
         )
@@ -230,7 +230,7 @@ class TestMembership:
         rng = np.random.default_rng(8)
         space = IdSpace(16)
         ids = space.sample_unique_ids(40, rng)
-        orders = BinningScheme.default_for_depth(2).orders(
+        orders = BinningScheme.paper_for_depth(2).orders(
             rng.uniform(0, 300, size=(40, 4))
         )
         net = HierasNetwork(space, ids, landmark_orders=orders, depth=2)
@@ -285,7 +285,7 @@ class TestInspection:
         id sits in the small ring, so one peer's count would read 6."""
         ids = np.asarray([100, 200, 300, 400, 500, 600], dtype=np.uint64)
         distances = np.asarray([[150.0] * 4] * 2 + [[5.0] * 4] * 4)
-        orders = BinningScheme.default_for_depth(2).orders(distances)
+        orders = BinningScheme.paper_for_depth(2).orders(distances)
         hieras = HierasNetwork(IdSpace(16), ids, landmark_orders=orders, depth=2)
         assert sorted(hieras.ring_sizes(2).tolist()) == [2, 4]
         # Global ring: 5 successors each; lower ring: 1 or 3.

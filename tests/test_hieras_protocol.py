@@ -165,7 +165,7 @@ class TestCrossStackEquivalence:
             space,
             ids,
             landmark_orders=LandmarkOrders(
-                scheme=BinningScheme.default_for_depth(2),
+                scheme=BinningScheme.paper_for_depth(2),
                 distances=np.zeros((20, 1)),
                 codes_per_layer=[codes],
                 name_pools=[pool.tolist()],

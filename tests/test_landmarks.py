@@ -39,7 +39,7 @@ class TestFailures:
         the original orders with the failed column dropped."""
         lms = LandmarkSet(routers=small_topology.stub_routers[:4])
         nodes = small_topology.stub_routers[20:60]
-        scheme = BinningScheme.default_for_depth(2)
+        scheme = BinningScheme.paper_for_depth(2)
         before = scheme.orders(lms.measure(small_latency, nodes))
         dropped = before.drop_landmark(1)
         lms.alive[1] = False

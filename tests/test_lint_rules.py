@@ -1,4 +1,4 @@
-"""Fixtures for the PERF001, FLT001, FRZ001 and EXC001 source scans.
+"""Fixtures for the PERF001, FLT001, FRZ001, EXC001 and BIN001 source scans.
 
 The scans live in ``tests/test_source_contracts.py``; these are their
 positive fixtures, the known false positives that must stay silent, and
@@ -267,6 +267,36 @@ class TestBroadExcept:
                 return None
         """
         assert rules(src, ANALYSIS) == []
+
+
+# ----------------------------------------------------------------------
+# BIN001 — every re-bin reads the deployment's own scheme
+# ----------------------------------------------------------------------
+class TestPaperScheme:
+    def test_flags_a_new_scheme_in_library_and_examples(self):
+        src = """
+        def rebin(bundle, distances):
+            return BinningScheme.default_for_depth(2).orders(distances)
+
+        def paper(distances):
+            return BinningScheme.paper_for_depth(2).orders(distances)
+
+        def absolute(distances):
+            return BinningScheme(((20.0, 100.0),)).orders(distances)
+        """
+        assert rules(src, "repro.experiments._fixture") == ["BIN001"] * 3
+        assert rules(src, EXAMPLES) == ["BIN001"] * 3
+
+    def test_deployment_scheme_stays_silent(self):
+        src = """
+        def rebin(bundle, distances):
+            return bundle.orders.scheme.orders(distances)
+        """
+        assert rules(src, "repro.experiments._fixture") == []
+
+    def test_tests_may_bin_with_the_paper_levels(self):
+        src = "orders = BinningScheme.paper_for_depth(2).orders(distances)\n"
+        assert rules(src, TESTS) == []
 
 
 # ----------------------------------------------------------------------

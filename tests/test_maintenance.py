@@ -45,7 +45,7 @@ def build_hieras(n=150, depth=2, seed=1, latency=None):
     space = IdSpace(16)
     ids = space.sample_unique_ids(n, rng)
     distances = rng.uniform(0, 300, size=(n, 4))
-    orders = BinningScheme.default_for_depth(max(depth, 2)).orders(distances)
+    orders = BinningScheme.paper_for_depth(max(depth, 2)).orders(distances)
     return HierasNetwork(space, ids, landmark_orders=orders, depth=depth, latency=latency)
 
 

@@ -155,7 +155,7 @@ def tiny_pair(n, seed, depth):
     rng = np.random.default_rng(seed)
     space = IdSpace(16)
     ids = space.sample_unique_ids(n, rng)
-    orders = BinningScheme.default_for_depth(depth).orders(rng.uniform(0, 300, size=(n, 3)))
+    orders = BinningScheme.paper_for_depth(depth).orders(rng.uniform(0, 300, size=(n, 3)))
     model = CoordinateLatencyModel(rng.uniform(0, 500, size=(n, 2)))
     return ChordNetwork(space, ids, latency=model), HierasNetwork(
         space, ids, latency=model, landmark_orders=orders, depth=depth

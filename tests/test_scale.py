@@ -220,6 +220,10 @@ class TestBenchScaleDocument:
             assert mem["full_rebuilds_during_waves_hieras"] == 0
             assert mem["incremental_matches_rebuild"] is True
             assert cell["memory"]["hieras_bytes"] > 0
+            rings = cell["rings"]
+            assert rings["lowest_rings"] >= 2
+            assert 1 <= rings["median_ring_size"] < cell["n_peers"]
+            assert rings["median_ring_size"] / cell["n_peers"] <= rings["largest_ring_share"] < 1.0
             # Small cells fill every stub block at construction: 1 B per
             # router pair, each pair stored once.
             params = TransitStubParams.for_size(SimConfig(model="ts", n_peers=cell["n_peers"]).n_routers)
@@ -249,6 +253,16 @@ class TestBenchScaleDocument:
         broken = copy.deepcopy(doc)
         broken["metrics"]["cells"]["n320"]["membership"]["full_rebuilds_during_waves_hieras"] = 1
         assert "[DIVERGES]" in report(broken)
+
+    def test_latency_gate_is_a_claim_on_every_cell(self, doc):
+        """HIERAS ÷ Chord above the bound in any one cell diverges; the
+        paper boundaries' 0.989 at N=10⁶ would."""
+        assert "[ok] HIERAS's mean lookup latency is at most 0.75 × Chord's" in report(doc)
+        for ratio, verdict in ((0.989, "[DIVERGES]"), (0.751, "[DIVERGES]"), (0.75, "[ok]")):
+            edited = copy.deepcopy(doc)
+            cell = edited["metrics"]["cells"]["n320"]
+            cell["hieras"]["mean_latency_ms"] = ratio * cell["chord"]["mean_latency_ms"]
+            assert f"{verdict} HIERAS's mean lookup latency" in report(edited), ratio
 
     def test_memory_gate_is_a_claim_on_the_rise_in_peak_rss(self, doc):
         """3 150 MB (the N=10⁶ peak with float32 blocks) and 1 534 MB

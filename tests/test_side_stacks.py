@@ -71,7 +71,7 @@ def tiny_stacks(n):
     """The four stacks over ``n`` peers of a 16-bit space, zero latency."""
     rng = np.random.default_rng(n)
     space = IdSpace(16)
-    orders = BinningScheme.default_for_depth(2).orders(rng.uniform(0, 300, size=(n, 4)))
+    orders = BinningScheme.paper_for_depth(2).orders(rng.uniform(0, 300, size=(n, 4)))
     return space, side_stacks(n, space, space.sample_unique_ids(n, rng), orders)
 
 
@@ -92,10 +92,11 @@ def route_digest(net, space_size, *, seed=3, lookups=1500):
 #: Recorded at the commit where each stack still ran its own route
 #: loop, guard and ``RouteResult(``: ``SimConfig(n_peers=300, seed=7)``,
 #: stacks and lookups seeded 3.  ``hieras_can`` was re-recorded when
-#: its loops gained the §3.2 destination check.
+#: its loops gained the §3.2 destination check, and again when the
+#: deployment's binning boundaries became landmark-scaled (its rings moved).
 PARENT_DIGESTS = {
     "can": "8cd525f6f838b553",
-    "hieras_can": "8395b88f94eafcbb",
+    "hieras_can": "617fe4e544e7f10f",
     "pastry": "492b2a5988055e8c",
     "chord_pfs": "f0d95ebc748040a4",
 }
@@ -195,7 +196,7 @@ class TestTracing:
 
 #: Chord, HIERAS and HIERAS-over-CAN over eight peers (of a 16-bit space),
 #: binned three layers deep.
-EIGHT_ORDERS = BinningScheme.default_for_depth(3).orders(
+EIGHT_ORDERS = BinningScheme.paper_for_depth(3).orders(
     np.random.default_rng(8).uniform(0, 300, size=(8, 4))
 )
 EIGHT_CHORD = partial(ChordNetwork, IdSpace(16), np.arange(1, 9, dtype=np.uint64))

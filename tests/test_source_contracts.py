@@ -318,6 +318,21 @@ def _exc001(tree, module):
             yield node, function
 
 
+# -- BIN001: one binning scheme per deployment ---------------------------
+
+_SCHEMES = {"BinningScheme", "BinningScheme.default_for_depth", "BinningScheme.paper_for_depth"}
+
+
+def _bin001(tree, module):
+    """A binning scheme is made only where a deployment's is made or the
+    paper's own boundaries are wanted; every re-bin goes through
+    ``bundle.orders.scheme``, which keeps the deployment's scale
+    (DESIGN.md §5)."""
+    for node, function in _nodes(tree):
+        if isinstance(node, ast.Call) and _dotted(node.func) in _SCHEMES:
+            yield node, function
+
+
 def _repro(*packages: str) -> tuple[str, ...]:
     return tuple(f"repro.{p}" for p in packages)
 
@@ -344,6 +359,7 @@ RULES = {
     "FLT001": (lambda m: _under(m, *ORDERED), _flt001),
     "FRZ001": (lambda m: _under(m, "repro"), _frz001),
     "EXC001": (lambda m: _under(m, *PROTOCOL), _exc001),
+    "BIN001": (lambda m: not _under(m, "tests", "repro.core.binning"), _bin001),
 }
 
 #: rule → {(module, enclosing function): why the site keeps the contract}
@@ -364,6 +380,12 @@ ALLOWED = {
     "FLT001": {},
     "FRZ001": {},
     "EXC001": {},
+    "BIN001": {
+        ("repro.experiments.runner", "build_bundle"): "makes every deployment's scheme",
+        ("repro.experiments.figures", "_run_table1"): "Table 1 bins the paper's own distances",
+        ("repro.experiments.figures", "binning_variants"): "`ablation_binning`'s `paper_boundaries` row",
+        ("benchmarks.bench_micro", "test_binning_pass"): "times the depth-4 binning pass",
+    },
 }
 
 
@@ -406,5 +428,5 @@ def test_the_tree_keeps_the_contract(rule):
 )
 def test_every_allowed_site_is_found(rule, module, function):
     """The scans are not vacuous: each finds the sites it allows."""
-    path = ROOT / "src" / (module.replace(".", "/") + ".py")
+    path = next(path for name, path in _sources() if name == module)
     assert function in {f for _, f in _findings(rule, module, path.read_text())}

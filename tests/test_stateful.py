@@ -76,7 +76,7 @@ class HierasChurnMachine(RuleBasedStateMachine):
         rng = np.random.default_rng(7)
         initial = SPACE.sample_unique_ids(9, rng)
         distances = rng.uniform(0, 300, size=(9, 3))
-        orders = BinningScheme.default_for_depth(2).orders(distances)
+        orders = BinningScheme.paper_for_depth(2).orders(distances)
         self.net = HierasNetwork(SPACE, initial, landmark_orders=orders, depth=2)
         self.live = {p: int(initial[p]) for p in range(9)}
         self.used_ids = set(int(i) for i in initial)
