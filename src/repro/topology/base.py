@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from repro.util.validation import require
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["Topology", "LatencyModel", "index_lanes", "ROUTER_STUB", "ROUTER_TRANSIT"]
 
@@ -93,7 +94,10 @@ class Topology:
         return np.flatnonzero(self.kind == ROUTER_TRANSIT)
 
     def csr(self) -> sp.csr_matrix:
-        """Symmetric CSR adjacency with delay weights (cached)."""
+        """Symmetric CSR adjacency with delay weights (cached; scipy is
+        imported here and below at the call, the transit-stub path needs none)."""
+        import scipy.sparse as sp
+
         if self._csr is None:
             u, v = self.edges[:, 0], self.edges[:, 1]
             data = np.concatenate([self.delays, self.delays])
@@ -106,6 +110,8 @@ class Topology:
 
     def is_connected(self) -> bool:
         """True iff the router graph is a single connected component."""
+        from scipy.sparse.csgraph import connected_components
+
         n_comp, _ = connected_components(self.csr(), directed=False)
         return n_comp == 1
 
@@ -116,6 +122,8 @@ class Topology:
         latency models and by tests cross-checking the exact
         transit-stub decomposition against Dijkstra ground truth.
         """
+        from scipy.sparse.csgraph import dijkstra
+
         indices = np.asarray(sources, dtype=np.int64)
         return dijkstra(self.csr(), directed=False, indices=indices)
 

@@ -13,8 +13,12 @@ Three strategies, all implementing :class:`repro.topology.base.LatencyModel`:
   router pair stored once (the packed upper triangle of a symmetric
   distance), from one bit-parallel BFS over all of a stub's routers at
   once (:func:`_bfs_hops`) — read through one running-sum table of that
-  delay.  This is what makes paper-scale simulation (10 000 routers,
-  100 000 requests × ~13 hops) cheap and a million routers fit.
+  delay.  The core APSP and the border distances are hop counts read
+  the same way (every core link carries one delay too), so the model
+  builds and fills from numpy alone; scipy's Dijkstra, imported at the
+  call, is left for links of mixed delay.  This is what makes
+  paper-scale simulation (10 000 routers, 100 000 requests × ~13 hops)
+  cheap and a million routers fit.
 * :class:`APSPLatencyModel` — all-pairs matrix for general graphs
   (Inet, BRITE), in row blocks of chunked Dijkstra sweeps stored as
   ``uint16`` milliseconds (link delays are integral, so the rounding is
@@ -39,8 +43,6 @@ import math
 from collections.abc import Iterator
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from repro.metrics.registry import MetricsRegistry
 from repro.topology.base import LatencyModel, Topology, index_lanes
@@ -68,11 +70,10 @@ class _BlockModel(LatencyModel):
     block): the budget is a hard ceiling on resident block bytes, and
     once every slot is taken a cold block replaces the least recently
     used one.  A footprint within both the budget and ``eager_bytes``
-    (default: any) is filled whole at construction.
+    (default: any) is filled whole at construction.  The graph the
+    blocks are filled from is held beside the pool as the arrays of a
+    scipy CSR (``_indptr``, ``_indices``, ``_data``).
     """
-
-    #: The graph blocks are filled from, held (and counted) beside the pool.
-    _graph: csr_matrix
 
     def _init_pool(
         self,
@@ -153,11 +154,10 @@ class _BlockModel(LatencyModel):
 
     @property
     def resident_bytes(self) -> int:
-        """Bytes held, by arithmetic: every array attribute and the
-        graph's, the pool counted by its *filled* slots only."""
-        held = [a for a in vars(self).values() if isinstance(a, np.ndarray)]
-        held += [self._graph.data, self._graph.indices, self._graph.indptr]
-        return sum(a.nbytes for a in held) - self._pool.nbytes + self._resident * self._block_bytes
+        """Bytes held, by arithmetic: every array attribute, the graph's
+        included, the pool counted by its *filled* slots only."""
+        held = sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
+        return held - self._pool.nbytes + self._resident * self._block_bytes
 
     def stats(self) -> dict[str, int]:
         """What the model holds and what its pool did — seed-deterministic."""
@@ -200,13 +200,14 @@ class APSPLatencyModel(_BlockModel):
         require(chunk >= 1, "chunk must be >= 1")
         n = self.n_routers = topology.n_routers
         self.chunk = min(int(chunk), n)
-        self._graph = topology.csr()
+        graph = topology.csr()
+        self._indptr, self._indices, self._data = graph.indptr, graph.indices, graph.data
         self._init_pool(-(-n // self.chunk), (self.chunk, n), np.uint16, cache_bytes, eager_bytes)
 
     def _fill(self, block: int, out: np.ndarray) -> None:
         start = block * self.chunk
         stop = min(start + self.chunk, self.n_routers)
-        rows = dijkstra(self._graph, directed=False, indices=np.arange(start, stop))
+        rows = _dijkstra(self._indptr, self._indices, self._data, indices=np.arange(start, stop))
         if np.isinf(rows).any():
             raise ValueError("topology is disconnected; latency undefined")
         require(float(rows.max()) < 65535, "path delay overflows uint16 ms")
@@ -229,20 +230,48 @@ class APSPLatencyModel(_BlockModel):
 _MAX_HOPS = 254
 
 
-def _bfs_hops(sub: csr_matrix, hops: np.ndarray) -> int:
-    """All-pairs hop counts of one stub's sub-graph into ``hops`` (n × n ``uint8``).
+def _dijkstra(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, /, **kwargs: object) -> np.ndarray:
+    """scipy's undirected Dijkstra over CSR arrays, for a graph whose
+    links do not all carry one delay — scipy is imported here, at the call."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    n = len(indptr) - 1
+    return dijkstra(csr_matrix((data, indices, indptr), shape=(n, n)), directed=False, **kwargs)
+
+
+def _csr(
+    u: np.ndarray, v: np.ndarray, delays: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, data)`` of the undirected links ``u``–``v`` on
+    ``n`` vertices as ``scipy.sparse.csr_matrix`` holds them: both
+    directions, columns ascending within a row, a link listed twice
+    summed into one entry, ``int32`` indices and ``float64`` data."""
+    key = np.concatenate([u, v]) * n + np.concatenate([v, u])
+    order = np.argsort(key, kind="stable")
+    key, data = key[order], np.concatenate([delays, delays])[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    key, data = key[first], np.add.reduceat(data, first) if first.size else data
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)  # row r starts at its first key >= r * n
+    return indptr.astype(np.int32), (key % n).astype(np.int32), data
+
+
+def _bfs_hops(indptr: np.ndarray, indices: np.ndarray, hops: np.ndarray) -> int:
+    """All-pairs hop counts of a CSR graph into ``hops`` (n × n, unsigned).
 
     One breadth-first search from all ``n`` routers at once: bit ``s``
     of row ``v`` of ``visited`` says source ``s`` has reached ``v`` (64
     sources per word), a level ORs each router's neighbours' frontier
     rows, and every level adds 1 to each pair still unvisited — so a
     pair's count ends as its hop distance, accumulated straight into the
-    caller's bytes.  Link weights are not read.  Returns the number of
-    levels run, which is also what a pair *never* reached ends on (one
-    more than the largest finite count).
+    caller's bytes.  Link weights are not read, and a level the dtype
+    could not count is refused (``_MAX_HOPS`` for ``uint8``).  Returns
+    the number of levels run, which is also what a pair *never* reached
+    ends on (one more than the largest finite count).
     """
-    n = sub.shape[0]
-    if sub.nnz == 0:
+    n, nnz = len(indptr) - 1, len(indices)
+    limit = np.iinfo(hops.dtype).max - 1
+    if nnz == 0:
         hops[...] = ~np.eye(n, dtype=bool)
         return 1
     width = -(-n // 64) * 64
@@ -250,40 +279,86 @@ def _bfs_hops(sub: csr_matrix, hops: np.ndarray) -> int:
     frontier = visited.copy()
     # ``reduceat`` gives a router without links the slot at its start
     # (and rejects a start past the end): clamp, then zero those rows.
-    starts = np.minimum(sub.indptr[:-1], sub.nnz - 1)
-    isolated = sub.indptr[:-1] == sub.indptr[1:]
+    starts = np.minimum(indptr[:-1], nnz - 1)
+    isolated = indptr[:-1] == indptr[1:]
     hops[...] = 0
     levels = 0
     while frontier.any():
-        require(levels <= _MAX_HOPS, f"sub-graph is more than {_MAX_HOPS} hops deep")
+        require(levels <= limit, f"sub-graph is more than {limit} hops deep")
         unvisited = ~visited
         hops += np.unpackbits(unvisited.view(np.uint8), axis=1, count=n, bitorder="little")
         levels += 1
-        frontier = np.bitwise_or.reduceat(frontier[sub.indices], starts, axis=0)
+        frontier = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
         frontier[isolated] = 0
         frontier &= unvisited
         visited |= frontier
     return levels
 
 
-def _hop_ms(delay: float) -> np.ndarray:
-    """``float32`` delay of 0 … ``_MAX_HOPS`` hops over links of one ``delay``.
+def _nearest_hops(indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Hops from the nearest of ``sources`` to every vertex of a CSR
+    graph, ``-1`` where none reaches: one breadth-first search from all
+    sources at once, each level gathering the frontier's neighbour lists
+    in one piece and keeping the vertices not reached before."""
+    depth = np.full(len(indptr) - 1, -1, dtype=np.int64)
+    frontier, level = np.unique(sources), 0
+    while frontier.size:
+        depth[frontier] = level
+        level += 1
+        lo, count = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
+        # Entry ``j`` of the gather is ``indices[lo[g] + j - (entries before g)]``.
+        reached = indices[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
+        frontier = np.unique(reached[depth[reached] < 0])
+    return depth
+
+
+def _running_sums(delay: float, count: int) -> np.ndarray:
+    """``float64`` delay of 0 … ``count - 1`` hops over links of one
+    ``delay``, then ``inf``: what a pair never reached reads (a count of
+    ``count``, or ``-1``).
 
     A running sum — the repeated addition Dijkstra performs along a
     path — **not** ``hops * delay``: the two differ in the last bit for
-    a delay like 0.1, and a block promises Dijkstra's answer.
+    a delay like 0.1, and a table promises Dijkstra's answer.
     """
-    return np.concatenate(([0.0], np.cumsum(np.full(_MAX_HOPS, delay)))).astype(np.float32)
+    return np.concatenate(([0.0], np.cumsum(np.full(count - 1, delay)), [np.inf]))
 
 
-def _stub_adjacency(topology: TransitStubTopology) -> tuple[np.ndarray, np.ndarray, csr_matrix]:
-    """Intra-stub links regrouped by domain: ``(members, starts, adj)``.
+def _hop_ms(delay: float) -> np.ndarray:
+    """``float32`` delay of 0 … ``_MAX_HOPS`` hops over links of one ``delay``."""
+    return _running_sums(delay, _MAX_HOPS + 1)[:-1].astype(np.float32)
+
+
+def _one_delay(links: np.ndarray, delay: float) -> bool:
+    """Whether every link (if any) carries ``delay``."""
+    return links.size == 0 or links.min() == links.max() == delay
+
+
+def _shortest(graph: tuple[np.ndarray, ...], delay: float, sources: np.ndarray | None = None) -> np.ndarray:
+    """Dijkstra's ``float64`` answer over CSR ``(indptr, indices, data)``:
+    all pairs, or from the nearest of ``sources``.  Hop counts
+    (:func:`_bfs_hops`, :func:`_nearest_hops`) through the running sum
+    when every link carries ``delay``, scipy's Dijkstra otherwise."""
+    if not _one_delay(graph[2], delay):
+        return _dijkstra(*graph) if sources is None else _dijkstra(*graph, indices=sources, min_only=True)
+    if sources is None:
+        hops = np.empty((len(graph[0]) - 1,) * 2, dtype=np.uint16)
+        return _running_sums(delay, _bfs_hops(graph[0], graph[1], hops))[hops]
+    depth = _nearest_hops(graph[0], graph[1], sources)
+    return _running_sums(delay, int(depth.max()) + 1)[depth]
+
+
+def _stub_adjacency(
+    topology: TransitStubTopology,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Intra-stub links regrouped by domain: ``(members, starts, indptr, indices, data)``.
 
     ``members`` lists the stub routers domain by domain, ascending
     router id within a domain (the ``local_index`` order); domain ``d``
-    is ``members[starts[d]:starts[d + 1]]``, and ``adj`` is the CSR
-    over those positions holding same-domain links only, so a stub's
-    sub-graph is the contiguous ``adj[lo:hi, lo:hi]``.
+    is ``members[starts[d]:starts[d + 1]]``, and the :func:`_csr` over
+    those positions holds same-domain links only, built from
+    ``topology.edges`` (no whole-graph CSR), so a stub's rows link only
+    among themselves.
     """
     dom_of = topology.stub_domain_of
     stub_ids = np.flatnonzero(dom_of >= 0)
@@ -292,14 +367,10 @@ def _stub_adjacency(topology: TransitStubTopology) -> tuple[np.ndarray, np.ndarr
     starts = np.searchsorted(dom_of[members], np.arange(topology.n_stub_domains + 1))
     position = np.zeros(topology.n_routers, dtype=np.int64)
     position[members] = np.arange(len(members))
-    coo = topology.csr().tocoo()
-    row_dom = dom_of[coo.row]
-    keep = (row_dom >= 0) & (row_dom == dom_of[coo.col])
-    adj = csr_matrix(
-        (coo.data[keep], (position[coo.row[keep]], position[coo.col[keep]])),
-        shape=(len(members), len(members)),
-    )
-    return members, starts, adj
+    u, v = topology.edges.T
+    keep = (dom_of[u] >= 0) & (dom_of[u] == dom_of[v])
+    links = _csr(position[u[keep]], position[v[keep]], topology.delays[keep], len(members))
+    return members, starts, *links
 
 
 class TransitStubLatencyModel(_BlockModel):
@@ -318,7 +389,7 @@ class TransitStubLatencyModel(_BlockModel):
 
     Cross-stub lanes never touch a block: the model keeps the tiny
     transit-core APSP and, per router, its gateway and the fused
-    ``border distance + uplink`` (border distances from **one** Dijkstra
+    ``border distance + uplink`` (border distances from **one** search
     over the intra-stub links started at all border routers together).
     Same-domain lanes read per-stub blocks, pooled as in
     :class:`_BlockModel` (the defaults hold and fill every block).  A
@@ -327,15 +398,18 @@ class TransitStubLatencyModel(_BlockModel):
     ``size * (size + 1) // 2`` entries, and the pair ``(lu, lv)`` reads
     entry ``_row_start[min(lu, lv)] + max(lu, lv)``.
 
-    Blocks are ``uint8`` hop counts read through :func:`_hop_ms` where
-    the data allow it: every intra-stub link carries
-    ``params.intra_stub_delay`` and no router is more than 127 hops from
-    its border, so no stub is more than ``_MAX_HOPS`` across — true of
-    every generated topology.  Anything else (a hand-built stub with
-    mixed delays, duplicate links the CSR summed, a delay off the table,
-    a 300-router path) makes the blocks ``float32`` milliseconds from
-    per-stub Dijkstra: four times the bytes behind the same queries,
-    decided from the data, no flag.
+    On links of one delay Dijkstra's answer is a running sum read at
+    hop counts (:func:`_shortest`), true of the core (all
+    ``params.intra_transit_delay``) and the stubs (all
+    ``params.intra_stub_delay``) of every generated topology.  Blocks
+    are ``uint8`` hop counts read through :func:`_hop_ms` where the data
+    allow it: the stub links carry that one delay and no router is more
+    than 127 hops from its border, so no stub is more than ``_MAX_HOPS``
+    across.  Anything else (a hand-built stub with mixed delays,
+    duplicate links summed, a delay off the table, a 300-router path)
+    takes scipy's Dijkstra there, with ``float32`` millisecond blocks:
+    four times the bytes behind the same queries — decided from the
+    data, no flag.
 
     ``tests/test_latency.py`` cross-checks this model against plain
     Dijkstra on every generated instance, ``test_latency_budgets.py`` too.
@@ -359,16 +433,20 @@ class TransitStubLatencyModel(_BlockModel):
         dom_of = topology.stub_domain_of
 
         # Core APSP on the transit-only subgraph (transit routers are
-        # laid out first, so the submatrix slice is contiguous).
-        core = dijkstra(topology.csr()[:n_transit, :n_transit], directed=False)
+        # laid out first, so their ids are their positions).
+        u, v = topology.edges.T
+        transit = (u < n_transit) & (v < n_transit)
+        core = _csr(u[transit], v[transit], topology.delays[transit], n_transit)
+        core = _shortest(core, params.intra_transit_delay)
         if np.isinf(core).any():
             raise ValueError("transit core is disconnected")
 
-        # ``_graph`` holds intra-stub links only, so distinct stubs stay
+        # The CSR holds intra-stub links only, so distinct stubs stay
         # disconnected and the nearest border router is the router's own.
-        stub_ids, self._starts, self._graph = _stub_adjacency(topology)
+        stub_ids, self._starts, *graph = _stub_adjacency(topology)
+        self._indptr, self._indices, self._data = graph
         borders = self._starts[:-1] + topology.local_index[topology.border_router_of_domain]
-        to_border = dijkstra(self._graph, directed=False, indices=borders, min_only=True)
+        to_border = _shortest(graph, params.intra_stub_delay, borders)
         if np.isinf(to_border).any():
             bad = stub_ids[np.isinf(to_border)][0]
             raise ValueError(f"stub domain {dom_of[bad]} is internally disconnected")
@@ -390,8 +468,8 @@ class TransitStubLatencyModel(_BlockModel):
         self._dom_u, self._dom_v = np.where(dom_of < 0, [[-1], [-2]], dom_of)
         self._core, self._edge, self._local = core.ravel(), edge, topology.local_index
 
-        links, ms = self._graph.data, _hop_ms(params.intra_stub_delay)
-        uniform = links.size == 0 or links.min() == links.max() == params.intra_stub_delay
+        ms = _hop_ms(params.intra_stub_delay)
+        uniform = _one_delay(self._data, params.intra_stub_delay)
         #: Hop → ms table; ``None`` when the blocks hold float32 ms themselves.
         self._ms = ms if uniform and near.max() <= ms[_MAX_HOPS // 2] else None
         size = params.stub_domain_size
@@ -403,15 +481,21 @@ class TransitStubLatencyModel(_BlockModel):
         packed = (size * (size + 1) // 2,)
         self._init_pool(topology.n_stub_domains, packed, dtype, cache_bytes, eager_bytes)
 
-    def _fill(self, block: int, out: np.ndarray) -> None:
+    def _stub_graph(self, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stub ``block``'s sub-graph as CSR arrays over its local indices:
+        its rows of the regrouped CSR, renumbered from 0."""
         lo, hi = self._starts[block], self._starts[block + 1]
-        sub = self._graph[lo:hi, lo:hi]
-        size = len(self._row_start)
+        first, last = self._indptr[lo], self._indptr[hi]
+        return self._indptr[lo : hi + 1] - first, self._indices[first:last] - lo, self._data[first:last]
+
+    def _fill(self, block: int, out: np.ndarray) -> None:
+        indptr, indices, data = self._stub_graph(block)
+        m, size = len(indptr) - 1, len(self._row_start)
         square = np.zeros((size, size), dtype=out.dtype)
         if self._ms is None:
-            square[: hi - lo, : hi - lo] = dijkstra(sub, directed=False)
+            square[:m, :m] = _dijkstra(indptr, indices, data)
         else:
-            _bfs_hops(sub, square[: hi - lo, : hi - lo])
+            _bfs_hops(indptr, indices, square[:m, :m])
         out[:] = square[~np.tri(size, k=-1, dtype=bool)]
 
     def _block_ms(self, slot: np.ndarray, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:

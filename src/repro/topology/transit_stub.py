@@ -204,7 +204,8 @@ def _connected_random_graph(
     if n == 1:
         return np.empty((0, 2), dtype=np.int64)
     order = rng.permutation(n)
-    parents = [int(rng.integers(0, i)) for i in range(1, n)]
+    # ``integers(0, i)`` for i = 1 … n - 1 in one call: the scalar loop's draws.
+    parents = rng.integers(0, np.arange(1, n))
     edges = np.column_stack([order[1:], order[parents]]).astype(np.int64)
     if extra_edge_prob > 0.0 and n > 2:
         iu, ju = upper
@@ -290,11 +291,11 @@ def generate_transit_stub(
             domain_id += 1
 
     # Optional GT-ITM redundancy edges (invalidate the exact model).
+    # Domain ``d`` is routers ``n_transit + d * stub_size …`` (laid out above).
     if params.extra_uplink_prob > 0.0:
         for dom in range(n_stubs):
             if rng.random() < params.extra_uplink_prob:
-                members = np.flatnonzero(stub_domain_of == dom)
-                src = int(members[int(rng.integers(0, len(members)))])
+                src = n_transit + dom * stub_size + int(rng.integers(0, stub_size))
                 dst = int(rng.integers(0, n_transit))
                 link((src, dst), params.stub_transit_delay)
     if params.stub_stub_edge_prob > 0.0 and n_stubs > 1:
@@ -302,10 +303,8 @@ def generate_transit_stub(
             if rng.random() < params.stub_stub_edge_prob:
                 other = int(rng.integers(0, n_stubs - 1))
                 other = other + 1 if other >= dom else other
-                a = np.flatnonzero(stub_domain_of == dom)
-                b = np.flatnonzero(stub_domain_of == other)
-                src = int(a[int(rng.integers(0, len(a)))])
-                dst = int(b[int(rng.integers(0, len(b)))])
+                src = n_transit + dom * stub_size + int(rng.integers(0, stub_size))
+                dst = n_transit + other * stub_size + int(rng.integers(0, stub_size))
                 link((src, dst), params.stub_transit_delay)
 
     kind = np.full(n_routers, ROUTER_STUB, dtype=np.uint8)

@@ -9,6 +9,7 @@ from repro.core.binning import (
     DEFAULT_LEVELS,
     REFERENCE_SCALE_MS,
     BinningScheme,
+    _digits,
     landmark_scale_ms,
     quantise_levels,
 )
@@ -211,6 +212,73 @@ class TestLandmarkOrders:
     def test_rejects_bad_distance_shape(self):
         with pytest.raises(ValueError):
             BinningScheme.default_for_depth(2).orders(np.asarray([1.0, 2.0]))
+
+
+def _row_unique_orders(scheme: BinningScheme, distances: np.ndarray):
+    """``(name_pools, codes_per_layer)`` binned with row-wise ``np.unique``
+    (the rule before packed keys): the reference for :meth:`BinningScheme.orders`."""
+    pools, codes_per_layer = [], []
+    for k, boundaries in enumerate(scheme.level_boundaries):
+        rows, codes = np.unique(quantise_levels(distances, boundaries), axis=0, return_inverse=True)
+        names = [_digits(row) for row in rows]
+        if k:
+            pairs, codes = np.unique(
+                np.stack([codes_per_layer[-1], codes.reshape(-1)], axis=1), axis=0, return_inverse=True
+            )
+            names = [f"{pools[-1][p]}/{names[d]}" for p, d in pairs.tolist()]
+        order = sorted(range(len(names)), key=names.__getitem__)
+        rank = np.empty(len(names), dtype=np.int64)
+        rank[order] = np.arange(len(names))
+        pools.append([names[i] for i in order])
+        codes_per_layer.append(rank[codes.reshape(-1)])
+    return pools, codes_per_layer
+
+
+class TestPackedKeys:
+    """Binning on packed integer keys ≡ binning on row-wise ``np.unique``."""
+
+    @given(
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_codes_and_pools_match_row_unique(self, depth, n_landmarks, n_nodes, seed):
+        """Depth 4's 12 levels name rings with dots; dropping a landmark re-bins."""
+        rng = np.random.default_rng(seed)
+        distances = rng.choice([0.0, 5.0, 20.0, 100.0, 300.0, 1000.0], (n_nodes, n_landmarks))
+        distances += rng.uniform(0.0, 40.0, distances.shape).round()
+        scheme = BinningScheme.paper_for_depth(depth)
+        got = scheme.orders(distances)
+        pools, codes = _row_unique_orders(scheme, distances)
+        assert got.name_pools == pools
+        for a, b in zip(got.codes_per_layer, codes, strict=True):
+            np.testing.assert_array_equal(a, b)
+        if n_landmarks > 1 and n_nodes:
+            dropped = got.drop_landmark(int(rng.integers(0, n_landmarks)))
+            pools, codes = _row_unique_orders(scheme, dropped.distances)
+            assert dropped.name_pools == pools
+            for a, b in zip(dropped.codes_per_layer, codes, strict=True):
+                np.testing.assert_array_equal(a, b)
+
+    def test_a_key_wider_than_int64_is_reranked(self):
+        """65 two-level landmarks need 65 bits: unchecked, ``[1, 0, …, 0]``
+        would pack to 2⁶⁴ ≡ 0 and share all-zeros' ring.  Re-ranked, it does not."""
+        scheme = BinningScheme(((50.0,),))
+        distances = np.zeros((4, 65))
+        distances[1, 0] = distances[2, -1] = distances[3] = 100.0
+        got = scheme.orders(distances)
+        pools, codes = _row_unique_orders(scheme, distances)
+        assert got.name_pools == pools and len(pools[0]) == 4
+        np.testing.assert_array_equal(got.codes_per_layer[0], codes[0])
+        deep = BinningScheme.paper_for_depth(4)  # up to 12 levels: 108 bits for 30 landmarks
+        many = np.random.default_rng(5).choice([3.0, 60.0, 400.0], (500, 30))
+        got = deep.orders(many)
+        pools, codes = _row_unique_orders(deep, many)
+        assert got.name_pools == pools
+        for a, b in zip(got.codes_per_layer, codes, strict=True):
+            np.testing.assert_array_equal(a, b)
 
 
 def _scaled(distances: np.ndarray, depth: int):

@@ -4,6 +4,8 @@ What a model answers at different cache budgets, the hand-built stubs
 and the pool's counters live in ``tests/test_latency_budgets.py``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,9 @@ from repro.topology.latency import (
     NoisyLatencyModel,
     TransitStubLatencyModel,
     _bfs_hops,
+    _csr,
     _hop_ms,
+    _nearest_hops,
     latency_model_for,
 )
 from repro.topology.transit_stub import (
@@ -117,6 +121,34 @@ class TestTransitStubExact:
             got = small_latency.pairs(np.full(150, s), targets)
             np.testing.assert_allclose(got, ground[i][targets])
 
+    @pytest.mark.parametrize("delay", [100.0, 30.0], ids=["generated", "one_link_off"])
+    def test_core_is_dijkstra_bit_for_bit(self, small_topology, delay):
+        """Hop counts through the running sum on a one-delay core, scipy's
+        Dijkstra once a core link carries another delay."""
+        n_transit = len(small_topology.transit_routers)
+        delays = small_topology.delays.copy()
+        delays[np.flatnonzero((small_topology.edges < n_transit).all(axis=1))[0]] = delay
+        topo = dataclasses.replace(small_topology, delays=delays)
+        model = TransitStubLatencyModel(topo)
+        core = dijkstra(topo.csr()[:n_transit, :n_transit], directed=False)
+        np.testing.assert_array_equal(model._core.view(np.uint64), core.ravel().view(np.uint64))
+        n = topo.n_routers
+        got = model.pairs(np.repeat(np.arange(n), n), np.tile(np.arange(n), n)).reshape(n, n)
+        np.testing.assert_allclose(got, topo.shortest_delays(np.arange(n)))
+
+    @pytest.mark.parametrize("delay", [100.0, 30.0], ids=["hop_counts", "dijkstra"])
+    def test_a_split_core_is_named(self, small_topology, delay):
+        """Without its inter-domain links the core falls apart, whichever way it is searched."""
+        per_domain = small_topology.params.transit_nodes_per_domain
+        edges = small_topology.edges
+        core = (edges < len(small_topology.transit_routers)).all(axis=1)
+        keep = ~(core & (edges[:, 0] // per_domain != edges[:, 1] // per_domain))
+        delays = small_topology.delays.copy()
+        delays[np.flatnonzero(core & keep)[0]] = delay
+        topo = dataclasses.replace(small_topology, edges=edges[keep], delays=delays[keep])
+        with pytest.raises(ValueError, match="transit core is disconnected"):
+            TransitStubLatencyModel(topo)
+
     def test_pair_scalar(self, small_latency):
         assert small_latency.pair(3, 3) == 0.0
         assert small_latency.pair(0, 1) == small_latency.pair(1, 0)
@@ -144,7 +176,7 @@ def _bfs_block(sub, delay):
     the search never reached."""
     n = sub.shape[0]
     hops = np.full((n, n), 201, dtype=np.uint8)  # an evicted block's stale bytes
-    levels = _bfs_hops(sub, hops)
+    levels = _bfs_hops(sub.indptr, sub.indices, hops)
     assert hops.dtype == np.uint8 and hops.max() <= levels
     return np.where(hops == levels, np.float32(np.inf), _hop_ms(delay)[hops])
 
@@ -205,9 +237,58 @@ class TestUniformApsp:
         """``hops +=`` would wrap silently at level 256."""
         sub = _sub_graph(300, [(i, i + 1) for i in range(299)], 5.0)
         with pytest.raises(ValueError, match="more than 254 hops deep"):
-            _bfs_hops(sub, np.zeros((300, 300), dtype=np.uint8))
+            _bfs_hops(sub.indptr, sub.indices, np.zeros((300, 300), dtype=np.uint8))
         deepest = _sub_graph(255, [(i, i + 1) for i in range(254)], 5.0)  # diameter 254
         np.testing.assert_array_equal(_bfs_block(deepest, 5.0), _dijkstra32(deepest))
+
+    def test_a_wider_dtype_counts_deeper(self):
+        """The limit is the dtype's: ``uint16`` counts (the core's) pass 254 hops."""
+        sub = _sub_graph(300, [(i, i + 1) for i in range(299)], 1.0)
+        hops = np.zeros((300, 300), dtype=np.uint16)
+        assert _bfs_hops(sub.indptr, sub.indices, hops) == 300
+        np.testing.assert_array_equal(hops, dijkstra(sub, directed=False))
+
+
+class TestNumpyGraphs:
+    """The scipy-free pieces of the transit-stub build, against scipy."""
+
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_csr_arrays_are_scipys(self, n, seed):
+        """Both directions, sorted columns, a repeated link summed, scipy's dtypes."""
+        rng = np.random.default_rng(seed)
+        edges = np.unique(np.sort(rng.integers(0, n, (int(rng.integers(0, 3 * n)), 2))), axis=0)
+        edges = edges[edges[:, 0] < edges[:, 1]]
+        # Some links listed twice, one of them reversed.  (Three or more
+        # listings with mixed delays are summed in an order scipy leaves
+        # unspecified, so the last bit may differ there.)
+        twice = len(edges) // 4
+        edges = np.concatenate([edges, edges[: twice // 2], edges[twice // 2 : twice, ::-1]])
+        delays = rng.choice([5.0, 0.1, 7.0], len(edges))
+        want = Topology(n, edges, delays, kind=np.zeros(n, dtype=np.uint8)).csr()
+        got = _csr(edges[:, 0], edges[:, 1], delays, n)
+        for a, b in zip(got, (want.indptr, want.indices, want.data)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @given(
+        st.sampled_from(WORD_BOUNDARY_SIZES),
+        st.floats(min_value=0.0, max_value=0.2),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_nearest_hops_is_multi_source_dijkstra_on_unit_links(self, n, extra, seed):
+        """Two disjoint random graphs, sources in one or both: unreached is -1."""
+        rng = np.random.default_rng(seed)
+        upper = np.triu_indices(n, k=1)
+        edges = np.concatenate(
+            [_connected_random_graph(n, extra, rng, upper), n + _connected_random_graph(n, extra, rng, upper)]
+        )
+        sub = _sub_graph(2 * n, edges, 1.0)
+        sources = rng.choice(2 * n, int(rng.integers(1, 4)))
+        want = dijkstra(sub, directed=False, indices=sources, min_only=True)
+        got = _nearest_hops(sub.indptr, sub.indices, sources)
+        np.testing.assert_array_equal(np.where(got < 0, np.inf, got), want)
 
 
 class TestModelSelection:

@@ -11,10 +11,17 @@ and — by call counts, never by a clock — what a fill and a warm
 ``pairs`` may cost.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+import repro
 import repro.topology.latency as latency_module
 from repro.engine import stream_batch_route
 from repro.experiments.config import SimConfig
@@ -261,13 +268,13 @@ class TestHandBuiltStubs:
             m = len(members)
             got = model.pairs(np.repeat(members, m), np.tile(members, m)).reshape(m, m)
             np.testing.assert_array_equal(got.view(np.uint64), got.T.view(np.uint64))
-            lo, hi = model._starts[d], model._starts[d + 1]
-            sub = model._graph[lo:hi, lo:hi]
+            indptr, indices, data = model._stub_graph(d)
             if model._ms is None:
+                sub = csr_matrix((data, indices, indptr), shape=(m, m))
                 square = dijkstra(sub, directed=False).astype(np.float32)
             else:
                 hops = np.zeros((m, m), dtype=np.uint8)
-                latency_module._bfs_hops(sub, hops)
+                latency_module._bfs_hops(indptr, indices, hops)
                 square = model._ms[hops]
             np.testing.assert_array_equal(got.view(np.uint64), square.astype(np.float64).view(np.uint64))
 
@@ -352,28 +359,47 @@ class TestPairsFailsLoudly:
 @pytest.fixture()
 def dijkstra_calls(monkeypatch):
     made = []
+    run = latency_module._dijkstra
 
     def counting(*args, **kwargs):
         made.append(1)
-        return dijkstra(*args, **kwargs)
+        return run(*args, **kwargs)
 
-    monkeypatch.setattr(latency_module, "dijkstra", counting)
+    monkeypatch.setattr(latency_module, "_dijkstra", counting)
     return made
+
+
+#: Hand-built stubs whose links do not all carry ``intra_stub_delay``.
+OFF_ONE_DELAY = {"mixed_delays", "duplicate_link", "off_table_delay"}
 
 
 class TestCallCounts:
     @pytest.mark.parametrize("eager_bytes", [None, 0], ids=["filled", "lazy"])
-    def test_two_dijkstra_passes_build_and_fills_run_none(
+    def test_a_generated_topology_runs_no_dijkstra(
         self, small_topology, dijkstra_calls, eager_bytes
     ):
+        """One link delay per tier: the core, the borders and every block are hop counts."""
         model = TransitStubLatencyModel(small_topology, eager_bytes=eager_bytes)
-        assert len(dijkstra_calls) == 2  # transit core + the multi-source border pass
+        assert dijkstra_calls == []
         us, vs = np.asarray(
             [np.flatnonzero(small_topology.stub_domain_of == d)[:2] for d in range(3)]
         ).T  # one same-domain pair in each of three stubs
         model.pairs(us, vs)
         assert model.cache_misses == (3 if eager_bytes == 0 else small_topology.n_stub_domains)
-        assert len(dijkstra_calls) == 2
+        assert dijkstra_calls == []
+
+    @pytest.mark.parametrize("name", HAND_BUILT)
+    def test_hand_built_stubs_run_dijkstra_off_one_delay_only(self, name, dijkstra_calls):
+        """The border pass is Dijkstra only when the stub links carry more
+        than one delay; a fill is Dijkstra once per ``float32`` block."""
+        build, dtype = HAND_BUILT[name]
+        topo = build()
+        model = TransitStubLatencyModel(topo, eager_bytes=0)
+        assert len(dijkstra_calls) == (name in OFF_ONE_DELAY)
+        firsts = [np.flatnonzero(topo.stub_domain_of == d)[:2] for d in range(topo.n_stub_domains)]
+        model.pairs(*np.asarray(firsts).T)
+        fills = topo.n_stub_domains if dtype == np.float32 else 0
+        assert len(dijkstra_calls) == (name in OFF_ONE_DELAY) + fills
 
     @pytest.mark.parametrize("cache_blocks", [None, 4], ids=["roomy", "evicting"])
     def test_warm_pairs_is_one_gather_no_fill_no_unique(
@@ -426,12 +452,15 @@ class TestObservability:
         filled = model.cache_misses
         assert 0 < filled <= bundle.topology.n_stub_domains and model.evictions == 0
         assert model._pool.dtype == np.uint8 and model._pool.shape[1:] == (packed,)
-        graph = model._graph
         tables = [
             model._core, model._edge, model._gw_u, model._gw_v, model._dom_u, model._dom_v,
-            model._local, model._ms, model._starts, graph.data, graph.indices, graph.indptr,
+            model._local, model._ms, model._starts, model._data, model._indices, model._indptr,
             model._slot_of, model._block_in, model._stamp, model._row_start,
         ]  # fmt: skip
+        # scipy's CSR dtypes, which ``memory.latency_bytes`` was recorded with.
+        assert (model._indptr.dtype, model._indices.dtype, model._data.dtype) == (
+            np.int32, np.int32, np.float64,
+        )  # fmt: skip
         assert model.resident_bytes == filled * packed * 1 + sum(t.nbytes for t in tables)
         # Slots no block was filled into were never written (np.zeros pages stay untouched).
         assert model._resident == filled and not model._pool[filled:].any()
@@ -460,3 +489,38 @@ class TestObservability:
         finally:
             bundle.chord.disable_tracing()
         assert not [g for g in registry.snapshot()["gauges"] if g.startswith("topology.latency")]
+
+
+# ----------------------------------------------------------------------
+# What the transit-stub path loads.
+
+_SCIPY_FREE = """
+import sys
+from repro.engine import batch_route
+from repro.experiments.config import SimConfig
+from repro.experiments.runner import build_bundle, make_trace
+
+def route(model, n_peers, **budget):
+    bundle = build_bundle(SimConfig(model=model, n_peers=n_peers, seed=3), cache=False, **budget)
+    trace = make_trace(bundle, 200)
+    for net in (bundle.chord, bundle.hieras):
+        batch_route(net, trace.sources, trace.keys)
+
+route("ts", 300)
+route("ts", 300, streaming_threshold_bytes=1)
+print(sorted(name for name in sys.modules if name.startswith("scipy.sparse")))
+route("inet", 2400)  # Inet's minimum: 3 000 routers
+print("scipy.sparse" in sys.modules)
+"""
+
+
+def test_the_transit_stub_path_never_loads_scipy_sparse():
+    """Eager and streaming transit-stub bundles build and route without
+    ``scipy.sparse`` (≈33 MB a process); an Inet bundle, whose APSP
+    blocks are Dijkstra, still builds and loads it at the call."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split("\n")[:2] == ["[]", "True"]

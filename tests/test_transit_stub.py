@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.topology.base import ROUTER_STUB, ROUTER_TRANSIT
-from repro.topology.transit_stub import TransitStubParams, generate_transit_stub
+from repro.topology.transit_stub import (
+    TransitStubParams,
+    _connected_random_graph,
+    generate_transit_stub,
+)
 
 
 class TestParams:
@@ -162,6 +166,37 @@ class TestStructure:
         assert topo.edges.shape == (n_edges, 2)
         got = hashlib.sha256(topo.edges.tobytes() + topo.delays.tobytes()).hexdigest()
         assert got == digest
+
+    @given(
+        st.one_of(st.sampled_from([2, 3, 17, 107, 512, 640]), st.integers(1, 80)),
+        st.sampled_from([0.0, 0.3]),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tree_parents_are_the_scalar_draws(self, n, extra, seed):
+        """One vector draw of the tree parents ≡ the scalar loop it
+        replaced: the same edges, and the generator left in the same state."""
+
+        def scalar_loop(rng):
+            if n == 1:
+                return np.empty((0, 2), dtype=np.int64)
+            order = rng.permutation(n)
+            parents = [int(rng.integers(0, i)) for i in range(1, n)]
+            edges = np.column_stack([order[1:], order[parents]]).astype(np.int64)
+            if extra > 0.0 and n > 2:
+                iu, ju = upper
+                mask = rng.random(len(iu)) < extra
+                iu, ju = iu[mask], ju[mask]
+                new = ~np.isin(iu * n + ju, edges.min(axis=1) * n + edges.max(axis=1))
+                edges = np.concatenate([edges, np.column_stack([iu[new], ju[new]])])
+            return edges
+
+        upper = np.triu_indices(n, k=1)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _connected_random_graph(n, extra, ours, upper)
+        np.testing.assert_array_equal(got, scalar_loop(theirs))
+        assert got.dtype == np.int64
+        assert ours.integers(0, 2**62) == theirs.integers(0, 2**62)
 
     def test_seed_changes_graph(self):
         a = generate_transit_stub(TransitStubParams.for_size(320), seed=3)
