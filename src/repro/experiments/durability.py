@@ -1,9 +1,11 @@
 """The durability experiment: data survival under churn (DESIGN.md §11).
 
 PR 1's resilience experiment showed *lookups* survive faults; this one
-asks whether *data* does.  Each cell builds a fresh
-:class:`~repro.replication.store.ReplicatedStore` over one trace-driven
-stack and replays a deterministic churn scenario against it:
+asks whether *data* does.  Each cell is one replay of the
+``two_wave_crash`` campaign (:mod:`repro.scenarios.library`) through
+:func:`~repro.scenarios.runner.run_scenario_cell`, with a fresh
+:class:`~repro.replication.store.ReplicatedStore` under the cell's
+policy:
 
 1. **publish** — a catalogue of base keys is written fault-free;
 2. **wave 1** — a churn fraction of peers crashes silently;
@@ -34,15 +36,17 @@ byte-for-byte.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import product
+
 from repro.analysis.tables import format_table
 from repro.experiments.bench import BenchRun, claim
 from repro.experiments.config import SimConfig
-from repro.experiments.runner import SimulationBundle, build_bundle
-from repro.faults import FaultInjector, FaultPlan
-from repro.replication import ReplicatedStore, ReplicationPolicy
-from repro.util.rng import RngFactory
+from repro.replication import ReplicationPolicy
+from repro.scenarios.runner import run_scenario_cell
+from repro.scenarios.spec import ScenarioParams
 
-__all__ = ["SCHEMA", "report", "run_bench", "run_durability_cell"]
+__all__ = ["SCHEMA", "durability_metrics", "report", "run_bench"]
 
 SCHEMA = "repro.bench_durability/1"
 
@@ -51,131 +55,27 @@ HEADLINE_REPLICAS = 2
 HEADLINE_CHURN = 0.3
 
 
-def run_durability_cell(
-    bundle: SimulationBundle,
-    *,
-    stack: str,
-    policy: ReplicationPolicy,
-    churn_fraction: float,
-    n_keys: int,
-    seed: int,
-) -> dict[str, float]:
-    """One churn scenario through one replicated stack; returns metrics.
-
-    ``stack`` selects the inner network (``"chord"`` / ``"hieras"``).
-    The scenario's randomness (crash waves, write/read sources) comes
-    from :class:`~repro.util.rng.RngFactory` streams keyed by ``seed``,
-    so a cell is a pure function of (bundle, stack, policy, churn,
-    n_keys, seed).  Each operation advances the fault clock by 1 ms.
-    """
-    net = bundle.chord if stack == "chord" else bundle.hieras
-    n_peers = net.n_peers
-    rngs = RngFactory(seed)
-    wave_rng = rngs.get("durability-waves")
-    n_crash = int(round(churn_fraction * n_peers))
-    wave1 = sorted(int(p) for p in wave_rng.choice(n_peers, size=n_crash, replace=False))
-    wave2 = sorted(int(p) for p in wave_rng.choice(n_peers, size=n_crash, replace=False))
-    rejoin = [p for p in wave1 if p not in set(wave2)]
-
-    n_updates = n_keys // 2
-    n_new = n_keys // 2
-    t_wave1 = float(n_keys)
-    t_wave2 = t_wave1 + n_updates + n_new + 1.0
-    t_rejoin = t_wave2 + 1.0
-    plan = FaultPlan(seed=seed)
-    if wave1:
-        plan.crash_peers(at_ms=t_wave1, peers=wave1)
-    if wave2:
-        plan.crash_peers(at_ms=t_wave2, peers=wave2)
-    if rejoin:
-        plan.revive_peers(at_ms=t_rejoin, peers=rejoin)
-    injector = FaultInjector(plan, len(net._alive))
-    store = ReplicatedStore(net, policy, injector=injector)
-
-    source_rng = rngs.get("durability-sources")
-    sources = source_rng.integers(0, n_peers, size=n_keys + n_updates + n_new + 2 * (n_keys + n_new))
-    op = 0
-
-    def next_source() -> int:
-        nonlocal op
-        s = int(sources[op])
-        op += 1
-        while injector.state.is_dead(s):
-            s = (s + 1) % n_peers
-        return s
-
-    t = 0.0
-
-    def tick() -> float:
-        nonlocal t
-        t += 1.0
-        store.advance_to(t)
-        return t
-
-    put_latency = 0.0
-    put_hops = 0
-    # Phase 1: publish the base catalogue fault-free.
-    for i in range(n_keys):
-        result = store.put(next_source(), f"base-{i}", f"v1-{i}")
-        put_latency += result.total_latency_ms
-        put_hops += result.hops
-        tick()
-    # Phase 3 (wave 1 lands on the first tick past t_wave1): updates
-    # and fresh publishes while the damage is live.
-    for i in range(n_updates):
-        result = store.put(next_source(), f"base-{i}", f"v2-{i}")
-        put_latency += result.total_latency_ms
-        put_hops += result.hops
-        tick()
-    for i in range(n_new):
-        result = store.put(next_source(), f"new-{i}", f"v1-{i}")
-        put_latency += result.total_latency_ms
-        put_hops += result.hops
-        tick()
-    # Phase 4: wave 2, then wave 1's survivors rejoin (hints replay).
-    tick()
-    tick()
-    # Phase 5: read every key twice through the consistency discipline.
-    names = [f"base-{i}" for i in range(n_keys)] + [f"new-{i}" for i in range(n_new)]
-    reads = stale_values = read_latency = 0.0
-    for _ in range(2):
-        for name in names:
-            result = store.get(next_source(), name)
-            reads += 1.0
-            read_latency += result.total_latency_ms
-            if (
-                result.success
-                and result.value is not None
-                and result.version < store.version_of(name)
-            ):
-                stale_values += 1.0
-            tick()
-    audit = store.loss_audit()
-    stats = store.stats
-    get_ok = stats.get_successes
+def durability_metrics(cell: dict[str, object]) -> dict[str, float]:
+    """A ``two_wave_crash`` scenario cell's durability keys: the store's
+    counters and sums as per-put / per-read rates, plus the audit."""
+    c = {k: v for k, v in cell.items() if isinstance(v, float)}
+    puts, reads, get_ok = c["puts"], c["gets"], c["get_successes"]
+    kept = (
+        "n_peers", "crashed_final", "puts", "chain_aborts", "read_repairs",
+        "hints_queued", "hints_replayed", "replica_contacts", "contact_failures",
+        "loss_probability", "stale_probability", "keys", "lost",
+    )
     return {
-        "n_peers": float(n_peers),
-        "crashed_final": float(int(injector.state.dead.sum())),
-        "puts": float(stats.puts),
-        "put_success_rate": stats.put_successes / stats.puts if stats.puts else 0.0,
-        "chain_aborts": float(stats.chain_aborts),
-        "put_mean_hops": put_hops / stats.puts if stats.puts else 0.0,
-        "put_mean_latency_ms": put_latency / stats.puts if stats.puts else 0.0,
+        **{k: c[k] for k in kept},
+        "put_success_rate": c["put_successes"] / puts if puts else 0.0,
+        "put_mean_hops": c["put_hops"] / puts if puts else 0.0,
+        "put_mean_latency_ms": c["put_latency_ms"] / puts if puts else 0.0,
         "reads": reads,
         "read_success_rate": get_ok / reads if reads else 0.0,
-        "read_mean_latency_ms": read_latency / reads if reads else 0.0,
-        "stale_read_rate": stats.stale_reads / get_ok if get_ok else 0.0,
-        "stale_value_rate": stale_values / get_ok if get_ok else 0.0,
-        "read_repairs": float(stats.read_repairs),
-        "lost_read_rate": stats.lost_reads / get_ok if get_ok else 0.0,
-        "hints_queued": float(stats.hints_queued),
-        "hints_replayed": float(stats.hints_replayed),
-        "replica_contacts": float(stats.replica_contacts),
-        "contact_failures": float(stats.contact_failures),
-        "loss_probability": audit["loss_probability"],
-        "stale_probability": audit["stale_probability"],
-        "keys": audit["keys"],
-        "lost": audit["lost"],
+        "read_mean_latency_ms": c["read_latency_ms"] / reads if reads else 0.0,
+        "stale_read_rate": c["stale_reads"] / get_ok if get_ok else 0.0,
+        "stale_value_rate": c["stale_values"] / get_ok if get_ok else 0.0,
+        "lost_read_rate": c["lost_reads"] / get_ok if get_ok else 0.0,
     }
 
 
@@ -197,49 +97,40 @@ def run_bench(
     (HIERAS ``ring_scoped`` vs ``successor`` placement) plus the
     chain-vs-quorum divergence.
     """
+    config = SimConfig(model="ts", n_peers=n_peers, n_landmarks=4, depth=2, seed=seed)
+    # Every cell is the two-wave crash, one op per 1 ms tick and no
+    # probe cohort, at the cell's policy and churn fraction.
+    base = ScenarioParams(seed=seed, probe_interval_ms=1.0, n_probes=0, catalog_size=n_keys)
     bench = BenchRun(SCHEMA, seed=seed)
-    with bench.timed("build"):
-        bundle = build_bundle(
-            SimConfig(model="ts", n_peers=n_peers, n_landmarks=4, depth=2, seed=seed)
-        )
-
     cells: list[dict[str, object]] = []
     for stack in ("chord", "hieras"):
         with bench.timed(f"{stack}_sweep"):
-            for replicas in replication_factors:
-                for churn in churn_fractions:
-                    for consistency in ("chain", "quorum"):
-                        for placement in ("successor", "ring_scoped"):
-                            policy = ReplicationPolicy(
-                                replicas=replicas,
-                                consistency=consistency,
-                                placement=placement,
-                            )
-                            metrics = run_durability_cell(
-                                bundle,
-                                stack=stack,
-                                policy=policy,
-                                churn_fraction=churn,
-                                n_keys=n_keys,
-                                seed=seed,
-                            )
-                            cells.append(
-                                {
-                                    "stack": stack,
-                                    "replicas": replicas,
-                                    "churn_fraction": churn,
-                                    "consistency": consistency,
-                                    "placement": placement,
-                                    "hinted_handoff": True,
-                                    **metrics,
-                                }
-                            )
+            for replicas, churn, consistency, placement in product(
+                replication_factors, churn_fractions, ("chain", "quorum"), ("successor", "ring_scoped")
+            ):
+                policy = ReplicationPolicy(
+                    replicas=replicas, consistency=consistency, placement=placement
+                )
+                params = replace(base, fail_fraction=churn, policy=policy)
+                cells.append(
+                    {
+                        "stack": stack,
+                        "replicas": replicas,
+                        "churn_fraction": churn,
+                        "consistency": consistency,
+                        "placement": placement,
+                        "hinted_handoff": True,
+                        **durability_metrics(
+                            run_scenario_cell(config, "two_wave_crash", stack, params)
+                        ),
+                    }
+                )
 
     # Paired hinted-handoff cells: identical scenario, handoff toggled.
     handoff: dict[str, dict[str, dict[str, float]]] = {}
     with bench.timed("handoff_pairs"):
         for stack in ("chord", "hieras"):
-            pair: dict[str, dict[str, float]] = {}
+            handoff[stack] = {}
             for label, enabled in (("on", True), ("off", False)):
                 policy = ReplicationPolicy(
                     replicas=HEADLINE_REPLICAS,
@@ -247,15 +138,10 @@ def run_bench(
                     placement="successor",
                     hinted_handoff=enabled,
                 )
-                pair[label] = run_durability_cell(
-                    bundle,
-                    stack=stack,
-                    policy=policy,
-                    churn_fraction=HEADLINE_CHURN,
-                    n_keys=n_keys,
-                    seed=seed,
+                params = replace(base, fail_fraction=HEADLINE_CHURN, policy=policy)
+                handoff[stack][label] = durability_metrics(
+                    run_scenario_cell(config, "two_wave_crash", stack, params)
                 )
-            handoff[stack] = pair
 
     def _cell(stack: str, consistency: str, placement: str) -> dict[str, object]:
         for c in cells:

@@ -42,7 +42,7 @@ result objects (plain dataclass appends, no registry involved).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -105,26 +105,9 @@ class ReplicationStats:
     rebalanced: int = 0
 
     def as_dict(self) -> dict[str, float]:
-        """Stable JSON-safe dump (used by BENCH_durability)."""
-        return {
-            "puts": float(self.puts),
-            "put_successes": float(self.put_successes),
-            "routed_put_failures": float(self.routed_put_failures),
-            "chain_aborts": float(self.chain_aborts),
-            "gets": float(self.gets),
-            "get_successes": float(self.get_successes),
-            "routed_get_failures": float(self.routed_get_failures),
-            "stale_reads": float(self.stale_reads),
-            "read_repairs": float(self.read_repairs),
-            "lost_reads": float(self.lost_reads),
-            "replicas_written": float(self.replicas_written),
-            "replica_contacts": float(self.replica_contacts),
-            "contact_failures": float(self.contact_failures),
-            "hints_queued": float(self.hints_queued),
-            "hints_replayed": float(self.hints_replayed),
-            "graceful_handoffs": float(self.graceful_handoffs),
-            "rebalanced": float(self.rebalanced),
-        }
+        """Stable JSON-safe dump in field order; every scenario cell
+        carries it (:func:`repro.scenarios.run_scenario_cell`)."""
+        return {f.name: float(getattr(self, f.name)) for f in fields(self)}
 
 
 class _Cost:

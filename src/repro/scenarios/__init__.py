@@ -4,8 +4,9 @@ The fault layer (:mod:`repro.faults`) gives primitive events; this
 package composes them into *named campaigns* — graceful mass departure,
 abrupt crash waves, a whole lowest-layer HIERAS ring dying at once,
 flash joins, long-running heavy-tailed session churn, rolling landmark
-outages — each compiled to a concrete :class:`CompiledScenario`
-(fault plan + membership waves + client-load schedule) and replayed
+outages, and the durability bench's two crash waves with a rejoin —
+each compiled to a concrete :class:`CompiledScenario` (fault plan +
+membership waves + client requests) and replayed
 identically against both execution stacks.  Per scenario the runner
 measures availability over time, route stretch versus a fault-free
 twin, sustained recovery time, and data durability.  Compilation and

@@ -1,4 +1,4 @@
-"""The named scenario library: six adversarial / realistic campaigns.
+"""The named scenario library: seven adversarial / realistic campaigns.
 
 Each entry is a compiler ``(bundle, params) -> CompiledScenario``; the
 :data:`SCENARIOS` registry maps names to compilers.  All member
@@ -33,22 +33,74 @@ The suite (motivations in DESIGN.md's Scenarios section):
     joiners measure blinded coordinates and land in the wrong
     low-layer rings (degraded binning, §2.3).  Flat Chord ignores
     landmarks entirely — the damage is HIERAS-specific route stretch.
+``two_wave_crash``
+    Two crash waves and a rejoin against a publish / update / read op
+    stream: the durability bench's campaign, swept over replication
+    policies rather than run in the suite.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import Any
 
 import numpy as np
 
 from repro.experiments.runner import SimulationBundle
 from repro.faults.plan import FaultPlan
-from repro.loadgen.schedule import constant_rate, flash_crowd
+from repro.loadgen.schedule import Schedule, constant_rate, flash_crowd
+from repro.loadgen.workload import WorkloadMix, catalog_names, generate
 from repro.scenarios.spec import CompiledScenario, MembershipWave, ScenarioParams
+from repro.serve.request import Request
 from repro.util.rng import RngFactory
+from repro.util.validation import require
 from repro.workloads.churn import generate_churn
 
 __all__ = ["SCENARIOS", "scenario_names"]
+
+
+def _suite_campaign(
+    bundle: SimulationBundle,
+    params: ScenarioParams,
+    name: str,
+    plan: FaultPlan,
+    waves: tuple[MembershipWave, ...],
+    notes: dict[str, Any],
+    *,
+    schedule: Schedule | None = None,
+    initial_offline: tuple[int, ...] = (),
+    fault_start_ms: float | None = None,
+) -> CompiledScenario:
+    """A suite campaign under the shared client load.
+
+    The load is ``params``' Zipf read/write mix over a seeded ``sk-*``
+    catalogue, arriving on ``schedule`` (default: constant
+    ``rate_per_s``) from the initial membership, drawn from the
+    ``scenario-<name>-arrivals`` / ``-ops`` streams.
+    """
+    mix = WorkloadMix(
+        read_fraction=params.read_fraction,
+        catalog_size=params.catalog_size,
+        name_prefix="sk",
+    )
+    rngs = RngFactory(params.seed)
+    if schedule is None:
+        schedule = constant_rate(params.rate_per_s, params.duration_ms)
+    arrivals = schedule.arrival_times(rngs.get(f"scenario-{name}-arrivals"))
+    pool = np.asarray(
+        sorted(set(range(bundle.config.n_peers)) - set(initial_offline)), dtype=np.int64
+    )
+    return CompiledScenario(
+        name=name,
+        duration_ms=params.duration_ms,
+        plan=plan,
+        waves=waves,
+        requests=tuple(generate(mix, arrivals, pool, rngs.get(f"scenario-{name}-ops"))),
+        seeded=tuple(catalog_names(mix)),
+        initial_offline=initial_offline,
+        fault_start_ms=params.fault_at_ms if fault_start_ms is None else fault_start_ms,
+        notes=notes,
+    )
 
 
 def _departure_peers(bundle: SimulationBundle, params: ScenarioParams) -> list[int]:
@@ -73,14 +125,9 @@ def compile_graceful_leave(
     waves = (
         MembershipWave(params.fault_at_ms, "leave_graceful", peers=tuple(peers)),
     )
-    return CompiledScenario(
-        name="graceful_leave",
-        duration_ms=params.duration_ms,
-        plan=FaultPlan(seed=params.seed),
-        waves=waves,
-        schedule=constant_rate(params.rate_per_s, params.duration_ms),
-        fault_start_ms=params.fault_at_ms,
-        notes={"departed": len(peers), "mode": "graceful"},
+    return _suite_campaign(
+        bundle, params, "graceful_leave", FaultPlan(seed=params.seed), waves,
+        {"departed": len(peers), "mode": "graceful"},
     )
 
 
@@ -99,14 +146,9 @@ def compile_abrupt_crash(
             peers=tuple(peers),
         ),
     )
-    return CompiledScenario(
-        name="abrupt_crash",
-        duration_ms=params.duration_ms,
-        plan=plan,
-        waves=waves,
-        schedule=constant_rate(params.rate_per_s, params.duration_ms),
-        fault_start_ms=params.fault_at_ms,
-        notes={"departed": len(peers), "mode": "abrupt"},
+    return _suite_campaign(
+        bundle, params, "abrupt_crash", plan, waves,
+        {"departed": len(peers), "mode": "abrupt"},
     )
 
 
@@ -142,14 +184,9 @@ def compile_regional_failure(
             peers=tuple(members),
         ),
     )
-    return CompiledScenario(
-        name="regional_failure",
-        duration_ms=params.duration_ms,
-        plan=plan,
-        waves=waves,
-        schedule=constant_rate(params.rate_per_s, params.duration_ms),
-        fault_start_ms=params.fault_at_ms,
-        notes={
+    return _suite_campaign(
+        bundle, params, "regional_failure", plan, waves,
+        {
             "ring_name": name,
             "ring_size": len(members),
             "ring_fraction": len(members) / bundle.config.n_peers,
@@ -182,15 +219,11 @@ def compile_flash_join(
         spike_duration_ms=4.0 * params.probe_interval_ms,
         spike_factor=4.0,
     )
-    return CompiledScenario(
-        name="flash_join",
-        duration_ms=params.duration_ms,
-        plan=FaultPlan(seed=params.seed),
-        waves=waves,
+    return _suite_campaign(
+        bundle, params, "flash_join", FaultPlan(seed=params.seed), waves,
+        {"joined": len(held_out), "rebalance_at_ms": rebalance_at},
         schedule=schedule,
         initial_offline=held_out,
-        fault_start_ms=params.fault_at_ms,
-        notes={"joined": len(held_out), "rebalance_at_ms": rebalance_at},
     )
 
 
@@ -249,21 +282,18 @@ def compile_weibull_churn(
             state[p] = "crashed"
             fails += 1
     waves.sort(key=lambda w: w.time_ms)
-    return CompiledScenario(
-        name="weibull_churn",
-        duration_ms=params.duration_ms,
-        plan=plan,
-        waves=tuple(w for w in waves if w.time_ms < params.duration_ms),
-        schedule=constant_rate(params.rate_per_s, params.duration_ms),
-        initial_offline=tuple(range(initial, n)),
-        fault_start_ms=0.0,
-        notes={
+    return _suite_campaign(
+        bundle, params, "weibull_churn", plan,
+        tuple(w for w in waves if w.time_ms < params.duration_ms),
+        {
             "session_model": "weibull",
             "weibull_shape": params.weibull_shape,
             "joins": joins,
             "graceful_leaves": leaves,
             "failures": fails,
         },
+        initial_offline=tuple(range(initial, n)),
+        fault_start_ms=0.0,
     )
 
 
@@ -316,18 +346,74 @@ def compile_landmark_outage_rolling(
             )
         )
     waves.sort(key=lambda w: w.time_ms)
-    return CompiledScenario(
-        name="landmark_outage_rolling",
-        duration_ms=params.duration_ms,
-        plan=plan,
-        waves=tuple(waves),
-        schedule=constant_rate(params.rate_per_s, params.duration_ms),
+    return _suite_campaign(
+        bundle, params, "landmark_outage_rolling", plan, tuple(waves),
+        {"outages": n_outages, "rejoined_degraded": len(held_out)},
         initial_offline=tuple(held_out),
-        fault_start_ms=params.fault_at_ms,
-        notes={
-            "outages": n_outages,
-            "rejoined_degraded": len(held_out),
-        },
+    )
+
+
+def compile_two_wave_crash(
+    bundle: SimulationBundle, params: ScenarioParams
+) -> CompiledScenario:
+    """Two silent crash waves and a rejoin around a write/read op stream.
+
+    ``bench durability``'s campaign (DESIGN.md §11), one op per tick
+    of ``probe_interval_ms``: publish ``catalog_size`` base keys; wave 1
+    crashes ``fail_fraction`` of the universe; update half the base keys
+    and publish half as many new ones; wave 2 crashes a second draw on
+    a tick of its own; wave 1's peers outside wave 2 rejoin on the
+    first read's tick; every key is read twice.  Waves and op sources
+    come from the ``durability-waves`` / ``durability-sources`` streams;
+    the op count, not ``duration_ms``, sets the run's length.
+    """
+    n = bundle.config.n_peers
+    n_crash = int(round(params.fail_fraction * n))
+    require(
+        params.fail_fraction < 1.0 and n_crash < n,
+        f"fail_fraction must leave a survivor in each crash wave, got "
+        f"{params.fail_fraction} ({n_crash} of {n} peers)",
+    )
+    rngs = RngFactory(params.seed)
+    wave_rng = rngs.get("durability-waves")
+    wave1 = sorted(int(p) for p in wave_rng.choice(n, size=n_crash, replace=False))
+    wave2 = sorted(int(p) for p in wave_rng.choice(n, size=n_crash, replace=False))
+    rejoin = [p for p in wave1 if p not in set(wave2)]
+
+    n_keys, half = params.catalog_size, params.catalog_size // 2
+    base = [f"base-{i}" for i in range(n_keys)]
+    new = [f"new-{i}" for i in range(half)]
+    writes = [(name, f"v1-{i}") for i, name in enumerate(base)]
+    writes += [(base[i], f"v2-{i}") for i in range(half)]
+    writes += [(name, f"v1-{i}") for i, name in enumerate(new)]
+    reads = 2 * (base + new)
+    sources = rngs.get("durability-sources").integers(0, n, size=len(writes) + len(reads))
+    # Op i fires on tick i + 1; wave 2 takes the tick between the
+    # writes and the reads.
+    step = params.probe_interval_ms
+    first_read = len(writes) + 2
+    requests = [
+        Request("put", (i + 1) * step, source=int(sources[i]), name=name, value=value)
+        for i, (name, value) in enumerate(writes)
+    ] + [
+        Request("get", (first_read + j) * step, source=int(sources[len(writes) + j]), name=name)
+        for j, name in enumerate(reads)
+    ]
+    plan = FaultPlan(seed=params.seed)
+    if wave1:
+        plan.crash_peers(at_ms=(n_keys + 1) * step, peers=wave1)
+    if wave2:
+        plan.crash_peers(at_ms=(first_read - 1) * step, peers=wave2)
+    if rejoin:
+        plan.revive_peers(at_ms=first_read * step, peers=rejoin)
+    return CompiledScenario(
+        name="two_wave_crash",
+        duration_ms=(first_read + len(reads)) * step,
+        plan=plan,
+        waves=(),
+        requests=tuple(requests),
+        fault_start_ms=(n_keys + 1) * step,
+        notes={"crashed_per_wave": n_crash, "rejoined": len(rejoin)},
     )
 
 
@@ -340,9 +426,11 @@ SCENARIOS: dict[
     "flash_join": compile_flash_join,
     "weibull_churn": compile_weibull_churn,
     "landmark_outage_rolling": compile_landmark_outage_rolling,
+    "two_wave_crash": compile_two_wave_crash,
 }
 
 
 def scenario_names() -> list[str]:
-    """Registry keys in their canonical (suite) order."""
-    return list(SCENARIOS)
+    """The suite ``bench scenarios`` sweeps, in canonical order: every
+    campaign but the two-wave crash, which ``bench durability`` sweeps."""
+    return [name for name in SCENARIOS if name != "two_wave_crash"]

@@ -8,19 +8,21 @@ ticks; each tick, in order:
 2. due membership waves apply (graceful leaves, stabilize purges,
    join/revive waves, rebalance passes), filtered against ground truth
    so a peer that rejoined early is not purged by a stale wave;
-3. the client ops that arrived since the last tick execute against the
-   replicated store (loadgen-generated
-   :class:`~repro.serve.request.Request` records — the same stream the
-   serving layer consumes);
+3. the compiled client requests that arrived since the last tick
+   execute against the replicated store, each from the first live
+   peer at or after its source;
 4. a probe cohort routes ``n_probes`` seeded lookups through
    ``route_lossy`` — the availability sample — and each success is
    priced against the same lookup on a pristine fault-free twin of the
    network (built from the identical config), giving route stretch.
+   With ``n_probes=0`` there is no cohort and no twin.
 
 Everything is a pure function of ``(config, scenario, stack,
 params)``: networks are built fresh per cell, all randomness flows
 through named :class:`~repro.util.rng.RngFactory` streams, and the
-returned metrics are byte-reproducible across runs.
+returned metrics are byte-reproducible across runs.  One campaign
+feeds two benches: ``bench scenarios`` sweeps the suite, ``bench
+durability`` the two-wave crash over replication policies.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ import numpy as np
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle
 from repro.faults.injector import FaultInjector
-from repro.loadgen.workload import WorkloadMix, catalog_names, generate
-from repro.replication.policy import ReplicationPolicy
 from repro.replication.store import ReplicatedStore
 from repro.scenarios.library import SCENARIOS
 from repro.scenarios.spec import CompiledScenario, ScenarioParams
@@ -91,47 +91,36 @@ def run_scenario_cell(
     ``stack`` selects ``"chord"`` or ``"hieras"``.  The campaign is
     compiled against a pristine bundle of ``config`` (so both stacks
     replay identical peer sets), then replayed tick by tick as the
-    module docstring describes.
+    module docstring describes.  Besides the derived rates, the cell
+    carries the store's own counters (:meth:`ReplicationStats.as_dict`)
+    and the sums they lack: ``put_hops``, ``put_latency_ms``,
+    ``read_latency_ms`` and ``stale_values`` (reads that returned an
+    older version than the latest published).
     """
     require(scenario in SCENARIOS, f"unknown scenario {scenario!r}")
     require(stack in ("chord", "hieras"), f"unknown stack {stack!r}")
-    # Two independent builds of the same config: the live network (and
-    # the compile-time view) mutates; the twin stays pristine and
-    # prices the fault-free baseline paths for route stretch.
     bundle = build_bundle(config)
-    baseline = build_bundle(config)
     compiled: CompiledScenario = SCENARIOS[scenario](bundle, params)
     net = bundle.chord if stack == "chord" else bundle.hieras
-    base_net = baseline.chord if stack == "chord" else baseline.hieras
+    # A second build of the same config stays pristine and prices the
+    # probes' fault-free paths (route stretch); a probe-free cell
+    # builds none.
+    twin = build_bundle(config) if params.n_probes else None
+    base_net = None if twin is None else twin.chord if stack == "chord" else twin.hieras
     universe = config.n_peers
 
     injector = FaultInjector(compiled.plan, universe)
-    policy = ReplicationPolicy(
-        replicas=params.replicas, consistency="quorum", placement="ring_scoped"
-    )
-    store = ReplicatedStore(net, policy, injector=injector)
+    store = ReplicatedStore(net, params.policy, injector=injector)
     net.attach_store(store)
     if compiled.initial_offline:
         net.remove_peers(list(compiled.initial_offline))
-
     # Seed the catalogue on the initial membership so reads have data
     # from t=0; versions stamped here are the durability ground truth.
-    mix = WorkloadMix(
-        read_fraction=params.read_fraction,
-        catalog_size=params.catalog_size,
-        name_prefix="sk",
-    )
-    for name in catalog_names(mix):
+    for name in compiled.seeded:
         store.seed_key(name, f"seed-{name}")
 
-    rngs = RngFactory(params.seed)
-    arrivals = compiled.schedule.arrival_times(rngs.get(f"scenario-{scenario}-arrivals"))
-    pool = np.asarray(
-        sorted(set(range(universe)) - set(compiled.initial_offline)), dtype=np.int64
-    )
-    requests = generate(mix, arrivals, pool, rngs.get(f"scenario-{scenario}-ops"))
-
     n_ticks = int(compiled.duration_ms // params.probe_interval_ms)
+    rngs = RngFactory(params.seed)
     probe_src = rngs.get(f"scenario-{scenario}-probe-src").integers(
         0, universe, size=(n_ticks, params.n_probes)
     )
@@ -139,12 +128,14 @@ def run_scenario_cell(
         0, bundle.space.size, size=(n_ticks, params.n_probes), dtype=np.uint64
     )
 
-    def resolve_live(peer: int) -> int:
-        """Deterministic walk to the next live, non-crashed peer."""
+    def resolve_live(peer: int, op: object) -> int:
+        """The first live, non-crashed peer at or after ``peer``; one lap at most."""
         p = int(peer) % universe
-        while not (net.is_alive(p) and not injector.state.is_dead(p)):
+        for _ in range(universe):
+            if net.is_alive(p) and not injector.state.is_dead(p):
+                return p
             p = (p + 1) % universe
-        return p
+        raise ValueError(f"no live peer to send {op} from: every peer is down")
 
     times: list[float] = []
     availability: list[float] = []
@@ -154,9 +145,11 @@ def run_scenario_cell(
     stretch_sum = 0.0
     stretch_max = 0.0
     stretch_n = 0
-    puts_ok = puts_total = gets_ok = gets_total = lost_gets = 0
+    put_hops = stale_values = 0
+    put_latency = read_latency = 0.0
     wave_i = 0
     req_i = 0
+    requests = compiled.requests
     for tick in range(1, n_ticks + 1):
         t = tick * params.probe_interval_ms
         store.advance_to(t)
@@ -167,26 +160,28 @@ def run_scenario_cell(
         while req_i < len(requests) and requests[req_i].at_ms <= t:
             req = requests[req_i]
             req_i += 1
-            src = resolve_live(req.source)
+            src = resolve_live(req.source, req)
             if req.op == "get":
                 got = store.get(src, req.name)
-                gets_total += 1
                 tick_gets += 1
-                if got.lost:
-                    lost_gets += 1
+                read_latency += got.total_latency_ms
                 if got.success and not got.lost:
-                    gets_ok += 1
                     tick_gets_ok += 1
+                    if got.value is not None and got.version < store.version_of(req.name):
+                        stale_values += 1
             else:
                 put = store.put(src, req.name, req.value)
-                puts_total += 1
-                if put.success:
-                    puts_ok += 1
+                put_hops += put.hops
+                put_latency += put.total_latency_ms
+        gets_total_tl.append(float(tick_gets))
+        gets_ok_tl.append(float(tick_gets_ok))
+        if base_net is None:
+            continue
         ok = 0
         tick_stretch_sum = 0.0
         tick_stretch_n = 0
         for j in range(params.n_probes):
-            src = resolve_live(int(probe_src[tick - 1, j]))
+            src = resolve_live(int(probe_src[tick - 1, j]), f"probe {j} of tick {tick}")
             key = int(probe_key[tick - 1, j])
             result = net.route_lossy(src, key, injector=injector)
             if not result.success:
@@ -206,8 +201,6 @@ def run_scenario_cell(
         stretch_timeline.append(
             tick_stretch_sum / tick_stretch_n if tick_stretch_n else -1.0
         )
-        gets_total_tl.append(float(tick_gets))
-        gets_ok_tl.append(float(tick_gets_ok))
 
     audit = store.loss_audit()
     stats = store.stats
@@ -218,7 +211,9 @@ def run_scenario_cell(
         fault_start_ms=compiled.fault_start_ms,
         threshold=params.recovery_threshold,
     )
+    gets_ok = stats.get_successes - stats.lost_reads
     return {
+        **stats.as_dict(),
         "scenario": scenario,
         "stack": stack,
         "n_peers": float(universe),
@@ -237,15 +232,13 @@ def run_scenario_cell(
         "stretch_samples": float(stretch_n),
         "gets_total_timeline": gets_total_tl,
         "gets_ok_timeline": gets_ok_tl,
-        "puts": float(puts_total),
-        "put_success_rate": puts_ok / puts_total if puts_total else 1.0,
-        "gets": float(gets_total),
-        "get_success_rate": gets_ok / gets_total if gets_total else 1.0,
-        "lost_get_rate": lost_gets / gets_total if gets_total else 0.0,
-        "graceful_handoffs": float(stats.graceful_handoffs),
-        "hints_queued": float(stats.hints_queued),
-        "hints_replayed": float(stats.hints_replayed),
-        "rebalanced": float(stats.rebalanced),
+        "put_success_rate": stats.put_successes / stats.puts if stats.puts else 1.0,
+        "get_success_rate": gets_ok / stats.gets if stats.gets else 1.0,
+        "lost_get_rate": stats.lost_reads / stats.gets if stats.gets else 0.0,
+        "put_hops": float(put_hops),
+        "put_latency_ms": put_latency,
+        "read_latency_ms": read_latency,
+        "stale_values": float(stale_values),
         "crashed_final": float(int(injector.state.dead.sum())),
         "live_final": float(net.n_peers),
         "loss_probability": audit["loss_probability"],

@@ -6,12 +6,12 @@ runner replays: a :class:`~repro.faults.plan.FaultPlan` (crashes,
 revives, landmark outages applied through the injector), a time-sorted
 tuple of :class:`MembershipWave` records (announced leaves, stabilize
 purges, join/revive waves, rebalance passes — the overlay-level changes
-the injector deliberately does not perform), one
-:class:`~repro.loadgen.schedule.Schedule` driving the client op
-stream, and the peers held out of the initial membership.
+the injector deliberately does not perform), the time-sorted client
+:class:`~repro.serve.request.Request` records, the key names seeded
+before the run, and the peers held out of the initial membership.
 
 Compilation is deterministic: every random choice (who leaves, which
-ring dies, who joins when) is drawn from
+ring dies, who joins when, which peer sends each op) is drawn from
 :class:`~repro.util.rng.RngFactory` streams keyed by the scenario seed
 and a per-decision name, so the same ``(bundle, params)`` always
 compiles to the same campaign — the repo-wide determinism contract.
@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.faults.plan import FaultPlan
-from repro.loadgen.schedule import Schedule
+from repro.replication.policy import ReplicationPolicy
+from repro.serve.request import Request
 from repro.util.validation import require, require_int
 
 __all__ = ["MembershipWave", "CompiledScenario", "ScenarioParams", "WAVE_KINDS"]
@@ -78,7 +79,9 @@ class CompiledScenario:
     """A concrete, replayable failure campaign.
 
     ``fault_start_ms`` marks the beginning of the campaign's main
-    damage window — recovery time is measured from here.  ``notes``
+    damage window — recovery time is measured from here.  ``seeded``
+    names the keys written onto their replica groups before the first
+    tick (value ``"seed-<name>"``).  ``notes``
     carries compile-time evidence about what the campaign actually
     does (which ring died and how big it was, how many churn events
     were compiled, …); values must be JSON-safe.
@@ -88,7 +91,8 @@ class CompiledScenario:
     duration_ms: float
     plan: FaultPlan
     waves: tuple[MembershipWave, ...]
-    schedule: Schedule
+    requests: tuple[Request, ...]
+    seeded: tuple[str, ...] = ()
     initial_offline: tuple[int, ...] = ()
     fault_start_ms: float = 0.0
     notes: dict[str, Any] = field(default_factory=dict)
@@ -97,6 +101,8 @@ class CompiledScenario:
         require(self.duration_ms > 0.0, "duration_ms must be > 0")
         times = [w.time_ms for w in self.waves]
         require(times == sorted(times), "waves must be time-sorted")
+        arrivals = [r.at_ms for r in self.requests]
+        require(arrivals == sorted(arrivals), "requests must be time-sorted")
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,8 @@ class ScenarioParams:
     #: Probe cohorts fire every ``probe_interval_ms`` (the availability
     #: time-series resolution — and the wave-application granularity).
     probe_interval_ms: float = 150.0
+    #: Lookups per probe cohort; ``0`` runs no probes (no availability
+    #: series, no route stretch, no fault-free twin).
     n_probes: int = 24
     #: Client op stream base rate (requests/second).
     rate_per_s: float = 40.0
@@ -132,22 +140,28 @@ class ScenarioParams:
     mean_session_ms: float = 1500.0
     mean_offline_ms: float = 1200.0
     weibull_shape: float = 0.6
+    #: Fraction that fails: of the Weibull churn's departures, and of
+    #: the universe in each wave of the two-wave crash.
     fail_fraction: float = 0.5
     #: Message-loss rate of the burst that accompanies the regional
     #: crash (correlated network damage) until stabilization completes.
     loss_rate: float = 0.35
     #: Rolling landmark-outage count.
     n_outages: int = 2
-    #: Client workload mix.
+    #: Client workload mix (``catalog_size`` is the two-wave crash's
+    #: base-key count).
     catalog_size: int = 64
     read_fraction: float = 0.75
-    replicas: int = 2
+    #: How the store under test replicates.
+    policy: ReplicationPolicy = ReplicationPolicy(
+        replicas=2, consistency="quorum", placement="ring_scoped"
+    )
 
     def __post_init__(self) -> None:
         require(self.duration_ms > 0.0, "duration_ms must be > 0")
         require(self.probe_interval_ms > 0.0, "probe_interval_ms must be > 0")
         require_int(self.seed, 0, name="seed")
-        require_int(self.n_probes, 1, name="n_probes")
+        require_int(self.n_probes, 0, name="n_probes")
         require(self.rate_per_s >= 0.0, "rate_per_s must be >= 0")
         require(
             0.0 <= self.fault_at_ms < self.duration_ms,
@@ -165,4 +179,3 @@ class ScenarioParams:
         require(0.0 <= self.loss_rate < 1.0, "loss_rate must be in [0, 1)")
         require_int(self.n_outages, 1, name="n_outages")
         require_int(self.catalog_size, 1, name="catalog_size")
-        require_int(self.replicas, 0, name="replicas")

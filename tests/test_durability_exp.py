@@ -4,71 +4,69 @@ The envelope, reproducibility and writer checks every bench shares live
 in ``tests/test_bench.py``.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.config import SimConfig
-from repro.experiments.durability import run_bench, run_durability_cell
-from repro.experiments.runner import build_bundle
+from repro.experiments.durability import durability_metrics, run_bench
 from repro.replication import ReplicationPolicy
+from repro.scenarios import ScenarioParams, run_scenario_cell
 
-# Tiny parameters: every test below shares one cached bundle.
+ROOT = Path(__file__).resolve().parent.parent
+
+# Tiny parameters: every cell below replays on one cached substrate.
 N_PEERS = 120
 N_KEYS = 24
 
 
-@pytest.fixture(scope="module")
-def bundle():
-    return build_bundle(
-        SimConfig(model="ts", n_peers=N_PEERS, n_landmarks=4, depth=2, seed=42)
-    )
-
-
-def run_cell(bundle, **overrides):
+def run_cell(config=None, **overrides):
+    """One ``two_wave_crash`` cell as ``bench durability`` runs it."""
     kwargs = dict(
-        stack="chord",
-        policy=ReplicationPolicy(replicas=2, consistency="quorum"),
-        churn_fraction=0.3,
-        n_keys=N_KEYS,
         seed=42,
+        probe_interval_ms=1.0,
+        n_probes=0,
+        fail_fraction=0.3,
+        catalog_size=N_KEYS,
+        policy=ReplicationPolicy(replicas=2, consistency="quorum"),
     )
     kwargs.update(overrides)
-    return run_durability_cell(bundle, **kwargs)
+    if config is None:
+        config = SimConfig(model="ts", n_peers=N_PEERS, n_landmarks=4, depth=2, seed=42)
+    stack = kwargs.pop("stack", "chord")
+    return run_scenario_cell(config, "two_wave_crash", stack, ScenarioParams(**kwargs))
 
 
 class TestCell:
-    def test_cell_is_deterministic(self, bundle):
-        assert run_cell(bundle) == run_cell(bundle)
+    def test_cell_is_deterministic(self):
+        assert run_cell() == run_cell()
 
-    def test_cell_counts_are_consistent(self, bundle):
-        cell = run_cell(bundle)
+    def test_cell_counts_are_consistent(self):
+        cell = run_cell()
         # publish + half updated + half new keys
         assert cell["puts"] == N_KEYS + 2 * (N_KEYS // 2)
-        assert cell["reads"] == 2 * (N_KEYS + N_KEYS // 2)
+        assert cell["gets"] == 2 * (N_KEYS + N_KEYS // 2)
         assert cell["keys"] == N_KEYS + N_KEYS // 2
         assert 0.0 <= cell["loss_probability"] <= 1.0
         assert cell["crashed_final"] > 0
 
-    def test_replication_beats_bare_storage(self, bundle):
-        bare = run_cell(bundle, policy=ReplicationPolicy(replicas=0))
-        replicated = run_cell(bundle)
+    def test_replication_beats_bare_storage(self):
+        bare = run_cell(policy=ReplicationPolicy(replicas=0))
+        replicated = run_cell()
         assert bare["loss_probability"] > replicated["loss_probability"]
 
-    def test_chain_aborts_only_in_chain_mode(self, bundle):
-        chain = run_cell(
-            bundle, policy=ReplicationPolicy(replicas=2, consistency="chain")
-        )
-        quorum = run_cell(bundle)
+    def test_chain_aborts_only_in_chain_mode(self):
+        chain = run_cell(policy=ReplicationPolicy(replicas=2, consistency="chain"))
+        quorum = run_cell()
         assert chain["chain_aborts"] > 0
         assert quorum["chain_aborts"] == 0
         assert quorum["put_success_rate"] > chain["put_success_rate"]
 
-    def test_handoff_reduces_loss_or_staleness(self, bundle):
-        on = run_cell(bundle)
+    def test_handoff_reduces_loss_or_staleness(self):
+        on = run_cell()
         off = run_cell(
-            bundle,
-            policy=ReplicationPolicy(
-                replicas=2, consistency="quorum", hinted_handoff=False
-            ),
+            policy=ReplicationPolicy(replicas=2, consistency="quorum", hinted_handoff=False)
         )
         assert on["hints_replayed"] > 0 and off["hints_replayed"] == 0
         assert (on["loss_probability"], on["stale_probability"]) <= (
@@ -76,12 +74,48 @@ class TestCell:
             off["stale_probability"],
         )
 
-    def test_fault_free_cell_is_lossless(self, bundle):
-        cell = run_cell(bundle, churn_fraction=0.0)
+    def test_fault_free_cell_is_lossless(self):
+        cell = run_cell(fail_fraction=0.0)
         assert cell["loss_probability"] == 0.0
         assert cell["put_success_rate"] == 1.0
-        assert cell["read_success_rate"] == 1.0
+        assert cell["get_successes"] == cell["gets"]
         assert cell["hints_queued"] == 0
+
+
+class TestCommittedCells:
+    """Two cells of the committed document, replayed through the
+    scenario runner at its config, equal it key by key."""
+
+    @pytest.mark.parametrize(
+        "stack, consistency, placement, churn",
+        [("chord", "chain", "successor", 0.1), ("hieras", "quorum", "ring_scoped", 0.3)],
+    )
+    def test_scenario_cell_reproduces_committed_cell(self, stack, consistency, placement, churn):
+        doc = json.loads((ROOT / "BENCH_durability.json").read_text(encoding="utf-8"))
+        config = doc["config"]
+        replicas = 2
+        committed = next(
+            c
+            for c in doc["metrics"]["cells"]
+            if (c["stack"], c["replicas"], c["churn_fraction"], c["consistency"], c["placement"])
+            == (stack, replicas, churn, consistency, placement)
+        )
+        cell = run_cell(
+            SimConfig(
+                model="ts", n_peers=config["n_peers"], n_landmarks=4, depth=2, seed=config["seed"]
+            ),
+            stack=stack,
+            seed=config["seed"],
+            fail_fraction=churn,
+            catalog_size=config["n_keys"],
+            policy=ReplicationPolicy(
+                replicas=replicas, consistency=consistency, placement=placement
+            ),
+        )
+        metrics = durability_metrics(cell)
+        expected = {k: v for k, v in committed.items() if k in metrics}
+        assert len(expected) == len(metrics) == 22
+        assert metrics == expected
 
 
 class TestBenchDocument:

@@ -1,5 +1,6 @@
 """Tests for the scenario suite (``repro.scenarios``)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,20 +8,25 @@ import pytest
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle
 from repro.experiments.scenarios_exp import check_gates, report, run_bench
+from repro.faults import FaultPlan
 from repro.replication import ReplicatedStore, ReplicationPolicy
 from repro.scenarios import (
     SCENARIOS,
+    CompiledScenario,
     ScenarioParams,
     recovery_time_ms,
     run_scenario_cell,
     scenario_names,
     series_summary,
 )
+from repro.scenarios import runner as scenario_runner
 from repro.scenarios.library import (
     compile_abrupt_crash,
     compile_graceful_leave,
     compile_regional_failure,
+    compile_two_wave_crash,
 )
+from repro.serve.request import Request
 
 N_PEERS = 120
 
@@ -112,6 +118,31 @@ class TestCompile:
         assert compiled.notes["ring_size"] == len(members)
         assert len(members) == max(len(r) for r in rings.values())
 
+    def test_two_wave_crash_runs_one_op_per_tick(self, bundle):
+        params = dataclasses.replace(PARAMS, probe_interval_ms=1.0, fail_fraction=0.25)
+        compiled = compile_two_wave_crash(bundle, params)
+        n_keys, half = PARAMS.catalog_size, PARAMS.catalog_size // 2
+        writes, reads = n_keys + 2 * half, 2 * (n_keys + half)
+        ops = [r.op for r in compiled.requests]
+        assert ops == ["put"] * writes + ["get"] * reads
+        ticks = [r.at_ms for r in compiled.requests]
+        # One op per tick, with one empty tick (wave 2) before the reads.
+        assert ticks == [float(t) for t in range(1, writes + 1)] + [
+            float(t) for t in range(writes + 2, writes + 2 + reads)
+        ]
+        assert compiled.duration_ms == writes + 2 + reads
+        assert compiled.seeded == () and compiled.waves == ()
+        kinds = [(e.time_ms, e.kind) for e in compiled.plan.events(N_PEERS)]
+        assert kinds == [
+            (n_keys + 1.0, "crash"), (writes + 1.0, "crash"), (writes + 2.0, "revive")
+        ]
+        assert compiled.notes["crashed_per_wave"] == round(0.25 * N_PEERS)
+
+    def test_two_wave_crash_refuses_to_crash_everyone(self, bundle):
+        for fraction in (1.0, 1.0 - 0.1 / N_PEERS):
+            with pytest.raises(ValueError, match="fail_fraction must leave a survivor"):
+                compile_two_wave_crash(bundle, dataclasses.replace(PARAMS, fail_fraction=fraction))
+
     def test_landmark_waves_carry_ring_names(self, bundle):
         compiled = SCENARIOS["landmark_outage_rolling"](bundle, PARAMS)
         rebinds = [w for w in compiled.waves if w.kind == "rebind_revive"]
@@ -149,6 +180,44 @@ class TestRunner:
         assert cell["rebalanced"] > 0
         assert cell["initial_live"] < N_PEERS
         assert cell["live_final"] == N_PEERS
+
+    def test_zero_probe_cell_has_no_series_and_builds_no_twin(self, monkeypatch):
+        builds = []
+
+        def counting_build(config):
+            builds.append(config)
+            return build_bundle(config)
+
+        monkeypatch.setattr(scenario_runner, "build_bundle", counting_build)
+        cell = run_scenario_cell(
+            CONFIG, "abrupt_crash", "hieras", dataclasses.replace(PARAMS, n_probes=0)
+        )
+        assert len(builds) == 1
+        assert cell["availability"] == [] and cell["stretch_timeline"] == []
+        assert cell["probes_per_tick"] == 0.0 and cell["stretch_samples"] == 0.0
+        assert (cell["availability_mean"], cell["stretch_mean"]) == (0.0, -1.0)
+        assert (cell["recovery_ms"], cell["recovered"]) == (-1.0, 0.0)
+        # The client load still replays, tick by tick.
+        n_ticks = int(PARAMS.duration_ms // PARAMS.probe_interval_ms)
+        assert len(cell["gets_total_timeline"]) == n_ticks
+        assert cell["gets"] == sum(cell["gets_total_timeline"]) > 0
+        run_scenario_cell(CONFIG, "abrupt_crash", "hieras", PARAMS)
+        assert len(builds) == 3
+
+    def test_a_plan_that_crashes_every_peer_raises_naming_the_op(self, monkeypatch):
+        def everyone_down(bundle, params):
+            return CompiledScenario(
+                name="everyone_down",
+                duration_ms=3.0,
+                plan=FaultPlan(seed=1).crash_peers(at_ms=1.0, peers=range(N_PEERS)),
+                waves=(),
+                requests=(Request("get", 2.0, source=5, name="k"),),
+            )
+
+        monkeypatch.setitem(SCENARIOS, "everyone_down", everyone_down)
+        params = dataclasses.replace(PARAMS, probe_interval_ms=1.0, n_probes=0)
+        with pytest.raises(ValueError, match=r"no live peer to send Request\(op='get'"):
+            run_scenario_cell(CONFIG, "everyone_down", "chord", params)
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError):

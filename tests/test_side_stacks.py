@@ -281,10 +281,10 @@ def test_every_stack_is_listed_here():
         (TransitStubParams, "stubs_per_transit_node", 2.5, ">= 1"),
         (TransitStubParams, "stub_domain_size", 4.5, ">= 1"),
         (ScenarioParams, "seed", 1.5, ">= 0"),
-        (ScenarioParams, "n_probes", 2.5, ">= 1"),
+        (ScenarioParams, "n_probes", 2.5, ">= 0"),
+        (ScenarioParams, "n_probes", -1, ">= 0"),
         (ScenarioParams, "n_outages", True, ">= 1"),
         (ScenarioParams, "catalog_size", 8.5, ">= 1"),
-        (ScenarioParams, "replicas", 1.5, ">= 0"),
         (SweepSpec, "n_requests", 100.5, ">= 1"),
     ],
 )
