@@ -100,9 +100,9 @@ def collect_routes(
     Routing goes through :func:`repro.engine.batch_route`, which alone
     decides between the vectorized kernels and the per-request scalar
     loop; ``engine`` is passed straight to it (``"scalar"`` is the
-    reference the batch benchmark compares against).  The sample is
-    bit-identical either way, and the low-layer latency split is exact:
-    a prefix sum of each lookup's per-hop delays.
+    per-request reference the engine tests compare against).  The
+    sample is bit-identical either way, and the low-layer latency split
+    is exact: a prefix sum of each lookup's per-hop delays.
     """
     from repro.engine import batch_route
 
@@ -134,11 +134,15 @@ def hop_pdf(hops: np.ndarray, *, max_hops: int | None = None) -> tuple[np.ndarra
     """Probability density of integer hop counts (Figure 4).
 
     Returns ``(hop_values, probability)`` with one entry per hop count
-    from 0 to ``max_hops`` (default: observed maximum).
+    from 0 to ``max_hops`` (default: observed maximum).  A ``max_hops``
+    below the observed maximum raises ``ValueError``: the PDF would
+    silently lose the mass of the longer lookups.
     """
     hops = np.asarray(hops, dtype=np.int64)
-    top = int(hops.max()) if max_hops is None else int(max_hops)
-    counts = np.bincount(hops, minlength=top + 1)[: top + 1]
+    observed = int(hops.max(initial=0))
+    top = observed if max_hops is None else int(max_hops)
+    require(top >= observed, f"max_hops={top} is below the longest lookup's {observed} hops")
+    counts = np.bincount(hops, minlength=top + 1)
     return np.arange(top + 1), counts / max(len(hops), 1)
 
 

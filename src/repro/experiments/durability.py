@@ -57,7 +57,11 @@ HEADLINE_CHURN = 0.3
 
 def durability_metrics(cell: dict[str, object]) -> dict[str, float]:
     """A ``two_wave_crash`` scenario cell's durability keys: the store's
-    counters and sums as per-put / per-read rates, plus the audit."""
+    counters and sums as per-put / per-read rates, plus the audit.
+
+    ``read_success_rate`` is the runner's ``get_success_rate``: a read
+    that comes back empty for a published key (a lost read) is a
+    failure, as in every scenario's report."""
     c = {k: v for k, v in cell.items() if isinstance(v, float)}
     puts, reads, get_ok = c["puts"], c["gets"], c["get_successes"]
     kept = (
@@ -71,7 +75,7 @@ def durability_metrics(cell: dict[str, object]) -> dict[str, float]:
         "put_mean_hops": c["put_hops"] / puts if puts else 0.0,
         "put_mean_latency_ms": c["put_latency_ms"] / puts if puts else 0.0,
         "reads": reads,
-        "read_success_rate": get_ok / reads if reads else 0.0,
+        "read_success_rate": c["get_success_rate"],
         "read_mean_latency_ms": c["read_latency_ms"] / reads if reads else 0.0,
         "stale_read_rate": c["stale_reads"] / get_ok if get_ok else 0.0,
         "stale_value_rate": c["stale_values"] / get_ok if get_ok else 0.0,

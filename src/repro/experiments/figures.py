@@ -774,17 +774,17 @@ def _run_ablation_noise(seed: int) -> _Output:
 def _measure_join_costs(seed: int) -> list[dict[str, object]]:
     """Mean messages per join: flat Chord vs 2-ring HIERAS (§3.3–§3.4).
 
-    Runs the event-driven protocol for a 20-node bootstrap, tracing the
-    messages caused by the last five joins of each variant.  HIERAS
-    joins additionally fetch ring tables and join a lower ring, so they
-    cost more — the overhead §3.4 argues is affordable.
+    Runs the event-driven protocol for a 20-node bootstrap and counts
+    the messages sent (``SimNetwork.messages_sent`` deltas) while the
+    last five nodes of each variant join.  HIERAS joins additionally
+    fetch ring tables and join a lower ring, so they cost more — the
+    overhead §3.4 argues is affordable.
     """
     from repro.core.hieras_protocol import HierasProtocolNode
     from repro.dht.base import ZeroLatency
     from repro.dht.chord_protocol import GLOBAL_RING, ChordProtocolNode
     from repro.sim.engine import Simulator
     from repro.sim.network import SimNetwork
-    from repro.metrics.messages import MessageTracer
     from repro.util.ids import IdSpace
 
     space = IdSpace(16)
@@ -807,19 +807,17 @@ def _measure_join_costs(seed: int) -> list[dict[str, object]]:
         sim.run(until=400.0 * (n - 6) + 20_000, max_events=8_000_000)
         window_ms = 4_000.0
         # Baseline: steady-state maintenance traffic over one idle window.
-        tracer = MessageTracer(net)
-        tracer.start()
+        idle_start = net.messages_sent
         sim.run(until=sim.now + window_ms, max_events=8_000_000)
-        baseline = tracer.count()
-        tracer.reset()
+        joins_start = net.messages_sent
+        baseline = joins_start - idle_start
         # Five probed joins, one window each; the membership grows by
         # one node per window, so baseline drift is ~5%, well below the
         # join cost itself.
         for p in range(n - 5, n):
             sim.schedule_at(sim.now + 50.0, start, p)
             sim.run(until=sim.now + window_ms, max_events=8_000_000)
-        tracer.stop()
-        join_msgs = max((tracer.count() - 5 * baseline) / 5.0, 0.0)
+        join_msgs = max((net.messages_sent - joins_start - 5 * baseline) / 5.0, 0.0)
         rows.append(
             {
                 "variant": variant,

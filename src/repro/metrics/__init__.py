@@ -2,50 +2,37 @@
 
 Everything the repo measures flows through this package:
 
-* :mod:`repro.metrics.registry` — named counters, gauges, timers and
-  deterministic log-bucketed streaming histograms, plus the
-  :data:`NULL_REGISTRY` off switch;
+* :mod:`repro.metrics.registry` — named counters, gauges and
+  deterministic log-bucketed streaming histograms;
 * :mod:`repro.metrics.spans` — per-lookup tracing with per-hop ring
   layers, recorded by the routing stacks when a
   :class:`~repro.metrics.spans.SpanRecorder` is attached;
-* :mod:`repro.metrics.sinks` — in-memory, JSONL and summary sinks;
-* :mod:`repro.metrics.messages` — protocol-message tracing on the same
-  registry.
+* :mod:`repro.metrics.sinks` — in-memory and JSONL span sinks.
+
+Protocol traffic is counted by :class:`~repro.sim.network.SimNetwork`
+itself (``messages_sent``, ``sent_by_kind``), mirrored into a registry
+by ``attach_metrics``.
 
 Collection is off by default everywhere: networks and simulators carry
 a ``metrics`` attribute that is ``None`` until explicitly attached, so
-the uninstrumented hot path pays a single attribute check.
+the uninstrumented hot path pays a single attribute check.  There is no
+other off switch.
 """
 
-from repro.metrics.messages import MessageTracer, TracedMessage
-from repro.metrics.registry import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    Timer,
-)
-from repro.metrics.sinks import JsonlSink, MemorySink, SpanSink, SummarySink, read_jsonl
+from repro.metrics.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.metrics.sinks import JsonlSink, MemorySink, SpanSink, read_jsonl
 from repro.metrics.spans import HopRecord, LookupSpan, SpanRecorder
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "HopRecord",
     "LookupSpan",
     "SpanRecorder",
     "SpanSink",
     "MemorySink",
     "JsonlSink",
-    "SummarySink",
     "read_jsonl",
-    "MessageTracer",
-    "TracedMessage",
 ]

@@ -1,11 +1,11 @@
-"""Streaming metric primitives: counters, gauges, timers, histograms.
+"""Streaming metric primitives: counters, gauges, histograms.
 
 The registry is the single accumulation point of the observability
-subsystem (DESIGN.md §7): routing spans, protocol counters, simulator
-event accounting and benchmark phase timers all land here.  The scalar
-record path is pure Python — no numpy — so the hot paths that carry a
-registry (``SimNetwork.send``, ``route`` instrumentation) pay only dict
-lookups and integer adds, and an *unattached* path pays a single
+subsystem (DESIGN.md §7): routing spans, protocol counters and
+simulator event accounting all land here.  The scalar record path is
+pure Python — no numpy — so the hot paths that carry a registry
+(``SimNetwork.send``, ``route`` instrumentation) pay only dict lookups
+and integer adds, and an *unattached* path pays a single
 ``is None`` check.  The bulk :meth:`Histogram.record_many` is numpy and
 leaves exactly the state the same values recorded one by one would.
 
@@ -20,23 +20,13 @@ streams produce byte-identical JSON.
 from __future__ import annotations
 
 import math
-import time
-from contextlib import contextmanager
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
 from repro.util.validation import require
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Timer",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 #: Default geometric bucket growth factor: ~5% relative quantile error,
 #: ~160 buckets covering 1e-3 .. 1e7 — plenty for hop counts (units)
@@ -204,39 +194,6 @@ class Histogram:
         }
 
 
-class Timer:
-    """Wall-clock phase timer backed by a histogram of durations (ms).
-
-    Wall times are *not* deterministic; keep them out of any artifact
-    section that reproducibility tests compare (the perf-baseline
-    pipeline reports them under a separate ``phases`` key).
-    """
-
-    __slots__ = ("name", "histogram")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.histogram = Histogram(name, base=1.3)
-
-    def observe_ms(self, ms: float) -> None:
-        """Record one measured duration."""
-        self.histogram.record(ms)
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        """Time a ``with`` block via ``time.perf_counter``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe_ms((time.perf_counter() - start) * 1000.0)
-
-    @property
-    def total_ms(self) -> float:
-        """Sum of all recorded durations."""
-        return self.histogram.total
-
-
 class MetricsRegistry:
     """Named metrics, created on first use.
 
@@ -245,15 +202,10 @@ class MetricsRegistry:
     instrumentation sites never need set-up calls.
     """
 
-    #: Fast-path flag: hot code may skip building inputs for a disabled
-    #: registry (`NullRegistry` flips it off).
-    enabled: bool = True
-
     def __init__(self) -> None:
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
-        self.timers: dict[str, Timer] = {}
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -274,12 +226,6 @@ class MetricsRegistry:
             h = self.histograms[name] = Histogram(name, base=base)
         return h
 
-    def timer(self, name: str) -> Timer:
-        t = self.timers.get(name)
-        if t is None:
-            t = self.timers[name] = Timer(name)
-        return t
-
     # convenience forms used by instrumentation sites ------------------
     def inc(self, name: str, n: int = 1) -> None:
         self.counter(name).inc(n)
@@ -296,85 +242,4 @@ class MetricsRegistry:
             "counters": {n: self.counters[n].value for n in sorted(self.counters)},
             "gauges": {n: self.gauges[n].value for n in sorted(self.gauges)},
             "histograms": {n: self.histograms[n].to_dict() for n in sorted(self.histograms)},
-            "timers": {n: self.timers[n].histogram.to_dict() for n in sorted(self.timers)},
         }
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def record(self, value: float) -> None:
-        pass
-
-    def record_many(self, values: Iterable[float]) -> None:
-        pass
-
-
-class _NullTimer(Timer):
-    __slots__ = ()
-
-    def __init__(self, name: str = "null") -> None:
-        super().__init__(name)
-        self.histogram = _NullHistogram(name)
-
-
-class NullRegistry(MetricsRegistry):
-    """The off switch: every operation is a no-op.
-
-    Instrumented code may hold :data:`NULL_REGISTRY` instead of ``None``
-    and call it unconditionally; the accessors hand back shared inert
-    instruments and record nothing.  ``enabled`` is False so hot paths
-    can skip even *building* metric inputs.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._counter = _NullCounter("null")
-        self._gauge = _NullGauge("null")
-        self._histogram = _NullHistogram("null")
-        self._timer = _NullTimer()
-
-    def counter(self, name: str) -> Counter:
-        return self._counter
-
-    def gauge(self, name: str) -> Gauge:
-        return self._gauge
-
-    def histogram(self, name: str, *, base: float = DEFAULT_BASE) -> Histogram:
-        return self._histogram
-
-    def timer(self, name: str) -> Timer:
-        return self._timer
-
-    def inc(self, name: str, n: int = 1) -> None:
-        pass
-
-    def set_gauge(self, name: str, value: float) -> None:
-        pass
-
-    def observe(self, name: str, value: float) -> None:
-        pass
-
-    def snapshot(self) -> dict[str, object]:
-        return {"counters": {}, "gauges": {}, "histograms": {}, "timers": {}}
-
-
-#: Shared inert registry — attach this to disable collection without
-#: branching at every call site.
-NULL_REGISTRY = NullRegistry()

@@ -11,7 +11,7 @@ The :class:`SpanRecorder` is the glue the routing stacks talk to: it
 folds each span into a :class:`~repro.metrics.registry.MetricsRegistry`
 (hop/latency histograms, per-layer counters) and fans it out to sinks.
 A batch is folded from its arrays by :meth:`SpanRecorder.record_batch`
-(same registry state); spans are built only for sinks that keep them.
+(same registry state); spans are built only when a sink is attached.
 Collection is **off by default** — networks carry ``metrics = None``
 and ``route()`` only builds span inputs after a not-None check, so the
 uninstrumented hot path pays one attribute load.
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, cast
 
 import numpy as np
 
-from repro.metrics.registry import NULL_REGISTRY, MetricsRegistry
+from repro.metrics.registry import MetricsRegistry
 from repro.util.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a runtime cycle)
@@ -185,38 +185,32 @@ class SpanRecorder:
         hieras.lookups, hieras.hops, hieras.hops.layer2, ...
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        sinks: "Sequence[SpanSink]" = (),
-    ) -> None:
-        self.registry = registry if registry is not None else NULL_REGISTRY
+    def __init__(self, registry: MetricsRegistry, sinks: "Sequence[SpanSink]" = ()) -> None:
+        self.registry = registry
         self.sinks: "list[SpanSink]" = list(sinks)
 
     def record(self, span: LookupSpan) -> None:
         """Account one finished lookup."""
-        reg = self.registry
-        if reg.enabled:
-            label = span.network
-            reg.inc(f"{label}.lookups")
-            if not span.success:
-                reg.inc(f"{label}.lookups_failed")
-            if span.timeouts:
-                reg.inc(f"{label}.timeouts", span.timeouts)
-            reg.observe(f"{label}.hops", span.n_hops)
-            reg.observe(f"{label}.latency_ms", span.latency_ms)
-            reg.inc(f"{label}.total_hops", span.n_hops)
-            for hop in span.hops:
-                reg.inc(f"{label}.hops.layer{hop.layer}")
-                if hop.layer >= 2:
-                    reg.inc(f"{label}.low_layer_hops")
+        reg, label = self.registry, span.network
+        reg.inc(f"{label}.lookups")
+        if not span.success:
+            reg.inc(f"{label}.lookups_failed")
+        if span.timeouts:
+            reg.inc(f"{label}.timeouts", span.timeouts)
+        reg.observe(f"{label}.hops", span.n_hops)
+        reg.observe(f"{label}.latency_ms", span.latency_ms)
+        reg.inc(f"{label}.total_hops", span.n_hops)
+        for hop in span.hops:
+            reg.inc(f"{label}.hops.layer{hop.layer}")
+            if hop.layer >= 2:
+                reg.inc(f"{label}.low_layer_hops")
         for sink in self.sinks:
             sink.emit(span)
 
     @property
     def keeps_spans(self) -> bool:
-        """Whether any attached sink needs the spans themselves."""
-        return any(sink.keeps_spans for sink in self.sinks)
+        """Whether any sink is attached (every sink keeps the spans)."""
+        return bool(self.sinks)
 
     def record_batch(
         self, label: str, result: "BatchRouteResult", plan: "Sequence[_PlanLayer]"
@@ -225,30 +219,29 @@ class SpanRecorder:
 
         Leaves the registry exactly as :meth:`record` on each lane's
         span would — no counter the spans would not have created, same
-        histogram bytes.  ``result`` needs paths only if a sink keeps spans.
+        histogram bytes.  ``result`` needs paths only if a sink is attached.
         """
         lanes = len(result)
         if lanes == 0:
             return
         reg = self.registry
-        if reg.enabled:
-            reg.inc(f"{label}.lookups", lanes)
-            reg.histogram(f"{label}.hops").record_many(result.hops)
-            # Hop by hop is LookupSpan.latency_ms's left-to-right add for
-            # every lane at once, each hop one contiguous row of the
-            # engines' hop-major buffer; the padding adds exact zeros.
-            latency = np.zeros(lanes, dtype=np.float64)
-            for delays in result.hop_latency_ms.T[: int(result.hops.max())]:
-                latency += delays
-            reg.histogram(f"{label}.latency_ms").record_many(latency)
-            reg.inc(f"{label}.total_hops", int(result.hops.sum()))
-            low = 0
-            for row, hops in zip(plan, result.hops_per_layer.sum(axis=0).tolist()):
-                if hops:
-                    reg.inc(f"{label}.hops.layer{row.layer}", hops)
-                    low += hops if row.layer >= 2 else 0
-            if low:
-                reg.inc(f"{label}.low_layer_hops", low)
+        reg.inc(f"{label}.lookups", lanes)
+        reg.histogram(f"{label}.hops").record_many(result.hops)
+        # Hop by hop is LookupSpan.latency_ms's left-to-right add for
+        # every lane at once, each hop one contiguous row of the
+        # engines' hop-major buffer; the padding adds exact zeros.
+        latency = np.zeros(lanes, dtype=np.float64)
+        for delays in result.hop_latency_ms.T[: int(result.hops.max())]:
+            latency += delays
+        reg.histogram(f"{label}.latency_ms").record_many(latency)
+        reg.inc(f"{label}.total_hops", int(result.hops.sum()))
+        low = 0
+        for row, hops in zip(plan, result.hops_per_layer.sum(axis=0).tolist()):
+            if hops:
+                reg.inc(f"{label}.hops.layer{row.layer}", hops)
+                low += hops if row.layer >= 2 else 0
+        if low:
+            reg.inc(f"{label}.low_layer_hops", low)
         for sink in self.sinks:
             sink.emit_batch(label, result, plan)
 
@@ -262,5 +255,4 @@ class SpanRecorder:
         """Aggregate lower-ring hop share for one network label."""
         total = self.registry.counter(f"{label}.total_hops").value
         low = self.registry.counter(f"{label}.low_layer_hops").value
-        require(self.registry.enabled, "recorder has no live registry")
         return low / total if total else 0.0

@@ -8,17 +8,8 @@ whose delays come from a latency model (:mod:`repro.sim.network`), and
 a small node/process base class (:mod:`repro.sim.node`).
 """
 
-from repro.metrics.messages import MessageTracer, TracedMessage
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.network import Message, SimNetwork
 from repro.sim.node import SimNode
 
-__all__ = [
-    "Simulator",
-    "EventHandle",
-    "SimNetwork",
-    "Message",
-    "SimNode",
-    "MessageTracer",
-    "TracedMessage",
-]
+__all__ = ["Simulator", "EventHandle", "SimNetwork", "Message", "SimNode"]

@@ -113,6 +113,14 @@ class TestDistributions:
         assert len(xs) == 5
         assert pdf[4] == 0.0
 
+    def test_hop_pdf_max_hops_below_the_longest_lookup_raises(self):
+        """A bincount cut at ``max_hops`` would drop the longer lookups'
+        mass and leave a PDF summing to 0.5 here."""
+        with pytest.raises(ValueError, match="max_hops=2 .* 5 hops"):
+            hop_pdf(np.asarray([1, 5]), max_hops=2)
+        _, pdf = hop_pdf(np.asarray([1, 5]), max_hops=5)
+        assert pdf.sum() == pytest.approx(1.0)
+
     @given(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=100))
     @settings(max_examples=40)
     def test_hop_pdf_property(self, hops):

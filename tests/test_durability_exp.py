@@ -74,6 +74,18 @@ class TestCell:
             off["stale_probability"],
         )
 
+    def test_a_lost_read_is_a_failed_read(self):
+        """One definition of a successful read across the benches: a read
+        that comes back empty for a published key counts against
+        ``read_success_rate`` exactly as against the scenario runner's
+        ``get_success_rate``."""
+        cell = run_cell(policy=ReplicationPolicy(replicas=2, consistency="chain"))
+        assert (cell["gets"], cell["get_successes"], cell["lost_reads"]) == (72.0, 44.0, 6.0)
+        metrics = durability_metrics(cell)
+        assert metrics["read_success_rate"] == cell["get_success_rate"] == 38.0 / 72.0
+        # The other read rates keep the successful-get denominator.
+        assert metrics["lost_read_rate"] == 6.0 / 44.0
+
     def test_fault_free_cell_is_lossless(self):
         cell = run_cell(fail_fraction=0.0)
         assert cell["loss_probability"] == 0.0

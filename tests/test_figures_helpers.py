@@ -84,7 +84,19 @@ class TestPackageSurface:
             assert hasattr(sim, name), name
 
 
+#: ``_measure_join_costs(42)``'s rows, recorded while the probe still
+#: counted sends through a wrapper around ``SimNetwork.send``.
+JOIN_COSTS_SEED42 = [
+    {"variant": "chord", "msgs_per_join": 185.4, "steady_state_msgs_per_window": 920, "window_ms": 4000},
+    {"variant": "hieras", "msgs_per_join": 407.6, "steady_state_msgs_per_window": 1968, "window_ms": 4000},
+]
+
+
 class TestJoinCostMeasurement:
+    def test_seed42_rows_are_pinned(self):
+        """§3.4's join overhead as ``cost_analysis`` reports it."""
+        assert figures._measure_join_costs(seed=42) == JOIN_COSTS_SEED42
+
     def test_join_rows_shape(self):
         rows = figures._measure_join_costs(seed=1)
         assert [r["variant"] for r in rows] == ["chord", "hieras"]

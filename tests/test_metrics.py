@@ -11,16 +11,13 @@ from hypothesis import strategies as st
 from repro.dht.base import ZeroLatency
 from repro.dht.chord_protocol import ChordProtocolNode
 from repro.metrics import (
-    NULL_REGISTRY,
     Histogram,
     HopRecord,
     JsonlSink,
     LookupSpan,
     MemorySink,
     MetricsRegistry,
-    NullRegistry,
     SpanRecorder,
-    SummarySink,
     read_jsonl,
 )
 from repro.sim.engine import Simulator
@@ -100,10 +97,6 @@ class TestHistogram:
         with pytest.raises(ValueError, match=message):
             h.record_many([1.0, 3.0, bad, 4.0])  # all or nothing
         assert h.to_dict() == before
-
-    def test_null_histogram_ignores_bulk_records(self):
-        NULL_REGISTRY.histogram("h").record_many([1.0, 2.0])
-        assert NULL_REGISTRY.histogram("h").count == 0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -221,43 +214,21 @@ class TestSpans:
         assert reg.histogram("hieras.latency_ms").count == 1
         assert rec.low_layer_hop_share("hieras") == pytest.approx(2 / 3)
 
-    def test_summary_sink(self):
-        sink = SummarySink()
-        rec = SpanRecorder(registry=MetricsRegistry(), sinks=[sink])
-        rec.record(_make_span())
-        rec.record(_make_span())
-        summary = sink.summary("hieras")
-        assert summary["lookups"] == 2
-        assert summary["hops_by_layer"] == {"1": 2, "2": 4}
-        assert summary["low_layer_hop_share"] == pytest.approx(2 / 3)
-        assert summary["hops"]["count"] == 2.0
-
     def test_memory_sink(self):
         sink = MemorySink()
-        SpanRecorder(sinks=[sink]).record(_make_span())
+        SpanRecorder(MetricsRegistry(), sinks=[sink]).record(_make_span())
         assert len(sink) == 1
         sink.clear()
         assert len(sink) == 0
 
-
-class TestNullRegistry:
-    def test_disabled_and_inert(self):
-        null = NullRegistry()
-        assert null.enabled is False
-        null.inc("a", 5)
-        null.observe("h", 1.0)
-        null.set_gauge("g", 2.0)
-        assert null.counter("a").value == 0
-        assert null.histogram("h").count == 0
-        assert null.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}, "timers": {},
-        }
-
-    def test_recorder_defaults_to_null(self):
-        rec = SpanRecorder()
-        assert rec.registry is NULL_REGISTRY
-        rec.record(_make_span())  # must not raise, must not accumulate
-        assert NULL_REGISTRY.counter("hieras.lookups").value == 0
+    def test_recorder_requires_a_registry(self):
+        """Collection is off only by attaching no recorder (``metrics is
+        None``); a recorder always folds into a live registry."""
+        with pytest.raises(TypeError):
+            SpanRecorder(sinks=[MemorySink()])
+        rec = SpanRecorder(MetricsRegistry())
+        assert not rec.keeps_spans
+        assert SpanRecorder(MetricsRegistry(), sinks=[MemorySink()]).keeps_spans
 
 
 class TestNetworkInstrumentationOffByDefault:
@@ -278,7 +249,7 @@ class TestNetworkInstrumentationOffByDefault:
         chord, hieras = small_networks
         sink = MemorySink()
         # A recorder exists but is never attached — routing must not see it.
-        SpanRecorder(sinks=[sink])
+        SpanRecorder(MetricsRegistry(), sinks=[sink])
         chord.route(0, 12345)
         hieras.route(0, 12345)
         assert len(sink) == 0
@@ -366,6 +337,7 @@ class TestRegistryMergeAndSnapshot:
         reg.inc("a")
         reg.observe("h", 3.0)
         snap = reg.snapshot()
+        assert list(snap) == ["counters", "gauges", "histograms"]
         assert list(snap["counters"]) == ["a", "z"]
         json.dumps(snap)  # must not raise
 

@@ -121,25 +121,28 @@ SCENES = ("steady", "churn", "inside")
 #: Recorded at the parent commit (PR 23): stack → policy → one digest per scene.
 #: The HIERAS rows (and every HIERAS pin below) were re-recorded when the
 #: deployment's binning boundaries became landmark-scaled (DESIGN.md §5),
-#: which moves the default rings; the Chord pins are unchanged.
+#: which moves the default rings.  Every pin in this module was re-recorded
+#: once more when ``MetricsRegistry.snapshot()`` lost its always-empty
+#: ``timers`` key: each equals the previous commit's digest recomputed
+#: with that key popped from every snapshot.
 PARENT_DIGESTS = {
     "chord": {
-        "quorum": ["9653422b1eac04d4", "e485aeb6ecb5817e", "c30d0bc7e648ab14"],
-        "chain": ["01e96e26853eb6b6", "a472a23cfc8265fa", "d3d39684a072a24d"],
-        "storeless": ["0f6057990ef44806", "28cb5875e6544e44", "b8f66d4eaead4d16"],
+        "quorum": ["3af1ef55662fcc24", "cfbea82fa08cc08d", "3c34ef9a5e469d3d"],
+        "chain": ["a553405b5210abff", "cca68dcae118e424", "238a3870446088a2"],
+        "storeless": ["7319003e0e8beead", "1c112c3b8925bcd9", "3939a3fd87662322"],
     },
     "hieras": {
-        "quorum": ["3672cc381d49cc73", "167193499e160e27", "0d3dfd78b599eb24"],
-        "chain": ["c572e781bc9d0f29", "beb8b912c679fbfd", "64cab1504dfa4e8d"],
-        "storeless": ["5f2b5ef214f76ee5", "c82ce72988c344e8", "dce8c206ac1f1693"],
+        "quorum": ["d36c70742e01cce0", "074bdf852f933168", "03953c81a5cefa1b"],
+        "chain": ["aaa19597eb7d9788", "b9654e05a3f45327", "62a3bd1b5bdf45ed"],
+        "storeless": ["bc507cd28a8e94d8", "a3d476240b34a0e7", "f7bde9204d1b32a4"],
     },
 }
 #: Same commit, the churn scene under :func:`lossy` (31 aborted chain
 #: writes / 37 failed quorum contacts, hints queued and replayed by the
 #: rejoin): (stack, policy) → digest, the injector's next draw included.
 PARENT_LOSSY_DIGESTS = {
-    ("chord", "chain"): "d5c025c89a19c0b4",
-    ("hieras", "quorum"): "6a740afe18233860",
+    ("chord", "chain"): "0fbcafe8dd8863ae",
+    ("hieras", "quorum"): "8e3fbfe730cca1fe",
 }
 #: Configurations beside the defaults: label → (policy, scene, config,
 #: whether a span recorder traces the store's ``replication.*`` counters).
@@ -152,9 +155,9 @@ CONFIGS = {
 }
 #: Recorded before the serving epoch went columnar: label → stack → digest.
 PARENT_CONFIG_DIGESTS = {
-    "shedding": {"chord": "c5e3ed09364ff9dc", "hieras": "317649083d481c7b"},
-    "store_recorder": {"chord": "73fc9b24fe2d3735", "hieras": "c29fc3f39822593f"},
-    "max_batch_1": {"chord": "5f9aa13b96246a26", "hieras": "04ab857aa226f900"},
+    "shedding": {"chord": "3abe6382cd4de75f", "hieras": "fdc8b29d51563c81"},
+    "store_recorder": {"chord": "6b1cd2ba7074b5fe", "hieras": "580aac6d0209b76d"},
+    "max_batch_1": {"chord": "ce5fc083b667eef3", "hieras": "e2653fadbd639165"},
 }
 
 
@@ -371,7 +374,7 @@ def recorder_state(net, reqs):
 
 #: Recorded at the parent commit (PR 23): stack → (sha256 of the network
 #: recorder's snapshot without the ``latency_ms`` total, that total).
-PARENT_RECORDER = {"chord": ("f7bf24b4aa2d8128", 215510.0), "hieras": ("7a1f75d3f4cfd751", 126820.0)}
+PARENT_RECORDER = {"chord": ("8d397d29cbe60a01", 215510.0), "hieras": ("6d9c106bc045b076", 126820.0)}
 
 
 class TestNetworkRecorder:

@@ -1,4 +1,4 @@
-"""Tests for the sweep tool and the DES message tracer."""
+"""Tests for the sweep tool and the DES network's message counts."""
 
 import csv
 
@@ -11,7 +11,6 @@ from repro.experiments import sweep
 from repro.experiments.sweep import SweepSpec, run_sweep, write_csv
 from repro.sim.engine import Simulator
 from repro.sim.network import SimNetwork
-from repro.metrics.messages import MessageTracer
 from repro.util.ids import IdSpace
 
 
@@ -88,71 +87,10 @@ class TestRunSweep:
             write_csv([], tmp_path / "x.csv")
 
 
-def build_pair():
-    space = IdSpace(12)
-    sim = Simulator()
-    net = SimNetwork(sim, ZeroLatency())
-    a = ChordProtocolNode(0, 100, space, sim, net)
-    b = ChordProtocolNode(1, 2000, space, sim, net)
-    return sim, net, a, b
-
-
-class TestMessageTracer:
-    def test_records_sends(self):
-        sim, net, a, b = build_pair()
-        tracer = MessageTracer(net)
-        tracer.start()
-        a.send(1, "hello", x=1)
-        sim.run()
-        assert tracer.count() == 1
-        assert tracer.events[0].kind == "hello"
-        assert tracer.events[0].src == 0 and tracer.events[0].dst == 1
-
-    def test_stop_restores(self):
-        sim, net, a, b = build_pair()
-        tracer = MessageTracer(net)
-        tracer.start()
-        tracer.stop()
-        a.send(1, "quiet")
-        sim.run()
-        assert tracer.count() == 0
-        assert net.messages_sent == 1  # network still delivered
-
-    def test_context_manager(self):
-        sim, net, a, b = build_pair()
-        with MessageTracer(net) as tracer:
-            a.send(1, "ping1")
-            a.send(1, "ping2")
-            sim.run()
-            assert tracer.count() == 2
-        a.send(1, "after")
-        sim.run()
-        assert tracer.count() == 2
-
-    def test_aggregations(self):
-        sim, net, a, b = build_pair()
-        with MessageTracer(net) as tracer:
-            a.send(1, "x")
-            a.send(1, "x")
-            b.send(0, "y")
-            sim.run()
-            assert tracer.count(kind="x") == 2
-            assert tracer.count(kind="y") == 1
-            assert [e.src for e in tracer.events] == [0, 0, 1]
-
-    def test_between_and_reset(self):
-        sim, net, a, b = build_pair()
-        tracer = MessageTracer(net)
-        tracer.start()
-        sim.schedule(10.0, a.send, 1, "late")
-        a.send(1, "early")
-        sim.run()
-        assert [e.time_ms for e in tracer.events] == [0.0, 10.0]
-        tracer.reset()
-        assert tracer.count() == 0
-
+class TestMessageCounts:
     def test_join_cost_measurement(self):
-        """A realistic use: count messages one protocol join costs."""
+        """A realistic use: count messages one protocol join costs, as a
+        ``messages_sent`` delta around the join."""
         space = IdSpace(12)
         rng = np.random.default_rng(0)
         ids = space.sample_unique_ids(9, rng)
@@ -163,40 +101,11 @@ class TestMessageTracer:
         for p in range(1, 8):
             sim.schedule_at(p * 200.0, nodes[p].join_ring, GLOBAL_RING, 0)
         sim.run(until=20_000, max_events=2_000_000)
-        with MessageTracer(net) as tracer:
-            nodes[8].join_ring(GLOBAL_RING, 0)
-            sim.run(until=sim.now + 3_000, max_events=2_000_000)
-            join_msgs = tracer.count()
+        before, kinds_before = net.messages_sent, dict(net.sent_by_kind)
+        nodes[8].join_ring(GLOBAL_RING, 0)
+        sim.run(until=sim.now + 3_000, max_events=2_000_000)
+        join_msgs = net.messages_sent - before
         assert join_msgs > 0
+        assert join_msgs == sum(n - kinds_before.get(k, 0) for k, n in net.sent_by_kind.items())
         # One join costs far less than the whole network's history.
         assert join_msgs < net.messages_sent / 4
-
-    def test_tracer_feeds_registry(self):
-        """Optional registry kwarg mirrors traffic into named metrics."""
-        from repro.metrics import MetricsRegistry
-
-        sim, net, a, b = build_pair()
-        reg = MetricsRegistry()
-        with MessageTracer(net, registry=reg) as tracer:
-            a.send(1, "x")
-            a.send(1, "x")
-            b.send(0, "y")
-            sim.run()
-        assert tracer.count() == 3
-        assert reg.counter("trace.messages").value == 3
-        assert reg.counter("trace.sent.x").value == 2
-        assert reg.counter("trace.sent.y").value == 1
-        assert reg.histogram("trace.delay_ms").count == 3
-
-    def test_retired_shim_is_gone(self):
-        """repro.sim.trace's grace period is over: the module is deleted.
-
-        The tracer lives in repro.metrics.messages; importing the old
-        path must fail outright rather than resolve to a stale stub.
-        """
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.sim.trace", None)
-        with pytest.raises(ModuleNotFoundError):
-            importlib.import_module("repro.sim.trace")
