@@ -58,7 +58,7 @@ class NetworkBundle:
 def quick_network(
     n_peers: int = 256,
     *,
-    n_landmarks: int = 4,
+    n_landmarks: int | None = None,
     depth: int = 2,
     seed: int = 0,
     bits: int = 32,
@@ -66,10 +66,11 @@ def quick_network(
 ) -> NetworkBundle:
     """Build a small HIERAS network ready for routing.
 
-    Parameters mirror the paper's defaults: 4 landmark nodes, a
-    two-layer hierarchy, and the transit-stub topology (§4.1); ``model``
-    selects ``"ts"``, ``"inet"`` or ``"brite"`` (Inet requires
-    ``n_peers * 1.25 >= 3000``, the generator's floor).  The arguments
+    Parameters default to :class:`~repro.experiments.config.SimConfig`'s:
+    the landmark count of its deployment rule (the paper's 4 below
+    4 096 peers), a two-layer hierarchy, and the transit-stub topology
+    (§4.1); ``model`` selects ``"ts"``, ``"inet"`` or ``"brite"`` (Inet
+    requires ``n_peers * 1.25 >= 3000``, the generator's floor).  The arguments
     are validated as :class:`~repro.experiments.config.SimConfig`
     fields (``n_peers >= 8``, ``depth`` in ``[2, 4]``, …).
 

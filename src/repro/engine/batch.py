@@ -14,7 +14,7 @@ supports them, per-request scalar ``route()`` calls otherwise, the
 identical :class:`~repro.engine.result.BatchRouteResult` either way.
 With tracing attached the kernels still run and the result's arrays go
 to the recorder in one ``record_batch`` call; paths are materialized
-only for the caller or for a sink that keeps spans.
+only for the caller or for an attached sink.
 """
 
 from __future__ import annotations
@@ -298,7 +298,7 @@ def batch_route(
     kernels still run and the recorder takes the whole batch at once —
     the same registry state, and the same spans in the same order, as
     the scalar loop records; paths are materialized only if the caller
-    asked or a sink keeps spans, and returned only if the caller asked.
+    asked or a sink is attached, and returned only if the caller asked.
     ``engine="scalar"`` is the door to the scalar reference the
     equivalence tests and benchmarks compare against.  Results are
     bit-identical either way.
@@ -321,7 +321,7 @@ def replay_spans(network: ChordNetwork, result: BatchRouteResult, *, label: str)
 
     One ``record_batch`` call: the registry is folded from the arrays,
     and spans — identical to what per-request scalar routing would have
-    produced — are built only for sinks that keep them (which requires
+    produced — are built only when a sink is attached (which requires
     materialized paths).
     """
     recorder = network.metrics

@@ -8,7 +8,7 @@ chunk's :class:`~repro.engine.result.BatchRouteResult` into a compact
 :class:`StreamStats` accumulator, so peak memory is O(chunk) regardless
 of trace length.  That holds with a span recorder attached too: each
 chunk is folded into the registry from its arrays, and paths are
-materialized only if a sink that keeps spans is attached.
+materialized only if a sink is attached.
 
 Determinism contract: all *integer* statistics (hop counts, histogram,
 per-layer sums, the owner checksum) are chunk-size invariant — the
@@ -127,7 +127,7 @@ def stream_batch_route(
 
     Each chunk goes through :func:`~repro.engine.batch.batch_route`
     with ``paths=False`` (streaming exists to avoid per-lane state; only
-    an attached sink that keeps spans makes the engine materialize
+    an attached sink makes the engine materialize
     paths), so owners, hop counts, and latencies per lane are exactly
     what one monolithic batch call would produce; only the float latency
     *sum* depends on the chunking (see module docstring).

@@ -19,11 +19,26 @@ from repro.topology.inet import INET_MIN_NODES
 from repro.util.ids import IdSpace
 from repro.util.validation import require, require_int
 
-__all__ = ["SimConfig", "SweepSpec", "below_inet_floor"]
+__all__ = ["SimConfig", "SweepSpec", "below_inet_floor", "landmarks_for"]
 
 #: Router count relative to overlay size; >1 leaves unoccupied routers,
 #: as in the paper's emulated networks.
 ROUTER_FACTOR = 1.25
+
+#: The landmark-count rule's steps, ``(from n_peers, landmarks)``
+#: (DESIGN.md §5): fitted on transit-stub seeds 0–4 at 4 096, 65 536 and
+#: 10⁶ peers; capped at 12 by memory (8 MB of distances per landmark at
+#: 10⁶).  Below the first step the paper's 4.
+LANDMARK_STEPS = ((4096, 8), (262_144, 12))
+
+
+def landmarks_for(n_peers: int) -> int:
+    """Landmark count of an ``n_peers`` deployment: the last step reached."""
+    count = 4
+    for start, landmarks in LANDMARK_STEPS:
+        if n_peers >= start:
+            count = landmarks
+    return count
 
 
 @dataclass(frozen=True)
@@ -32,7 +47,10 @@ class SimConfig:
 
     model: str = "ts"  # "ts" | "inet" | "brite"
     n_peers: int = 1000
-    n_landmarks: int = 4
+    #: ``None`` resolves to :func:`landmarks_for` of ``n_peers``, so a
+    #: built config always holds an ``int`` (and ``dataclasses.replace``
+    #: keeps it; pass ``n_landmarks=None`` to re-resolve).
+    n_landmarks: int | None = None
     depth: int = 2
     seed: int = 42
     bits: int = 32
@@ -48,6 +66,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         require(self.model in ("ts", "inet", "brite"), f"unknown model {self.model!r}")
         require_int(self.n_peers, 8, name="n_peers")
+        if self.n_landmarks is None:
+            object.__setattr__(self, "n_landmarks", landmarks_for(self.n_peers))
         require_int(self.n_landmarks, 1, name="n_landmarks")
         require_int(self.depth, 2, 4, name="depth")
         require_int(self.seed, 0, name="seed")

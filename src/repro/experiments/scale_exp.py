@@ -34,7 +34,7 @@ from repro.engine.batch import batch_route
 from repro.engine.result import BatchRouteResult
 from repro.engine.stream import stream_batch_route
 from repro.experiments.bench import BenchRun, claim, rate_per_s
-from repro.experiments.config import SimConfig
+from repro.experiments.config import LANDMARK_STEPS, SimConfig
 from repro.experiments.runner import SimulationBundle, build_bundle, make_trace
 from repro.scale import hot_state_bytes
 from repro.util.proc import peak_rss_mb
@@ -58,10 +58,13 @@ FULL_SIZES = (4096, 65_536, 1_000_000)
 #: saves at N=10⁶, so square blocks (≈1 470) fail the gate.
 PEAK_RSS_BOUND_MB = 1400.0
 
-#: The fidelity gate: HIERAS ÷ Chord mean latency at every benchmarked N
-#: (ROADMAP item 1(e)).  The paper's absolute boundaries read 0.989 at
-#: N=10⁶; landmark-scaled boundaries keep every cell well below.
-LATENCY_RATIO_BOUND = 0.75
+#: The fidelity gate: HIERAS ÷ Chord mean latency in every cell the
+#: landmark rule grows (N ≥ 4 096, every cell of :data:`FULL_SIZES`):
+#: the worst held-out cell of the rule's fit (0.515, DESIGN.md §5) + 0.05.
+LATENCY_RATIO_BOUND = 0.565
+
+#: The gate below 4 096 peers, where the paper's 4 landmarks stay.
+PAPER_LANDMARKS_RATIO_BOUND = 0.75
 
 
 def _lookups_for(n_peers: int) -> int:
@@ -102,6 +105,12 @@ def _ring_shares(bundle: SimulationBundle) -> dict[str, object]:
 
 def _latency_ratio(cell: dict[str, object]) -> float:
     return cell["hieras"]["mean_latency_ms"] / cell["chord"]["mean_latency_ms"]
+
+
+def _ratio_bound(cell: dict[str, object]) -> float:
+    if cell["n_peers"] >= LANDMARK_STEPS[0][0]:
+        return LATENCY_RATIO_BOUND
+    return PAPER_LANDMARKS_RATIO_BOUND
 
 
 def _results_agree(a: BatchRouteResult, b: BatchRouteResult) -> bool:
@@ -203,6 +212,7 @@ def run_bench(
                 stacks["chord"]["owner_checksum"] == stacks["hieras"]["owner_checksum"]
             ),
             "engines_agree": engines_agree,
+            "n_landmarks": bundle.config.n_landmarks,
             "rings": _ring_shares(bundle),
             "memory": {
                 **hot_state_bytes(bundle),
@@ -236,7 +246,8 @@ def report(doc: dict[str, object]) -> str:
     stacks' streamed lookups resolve every key to the same global owner
     (equal order-weighted checksums), and the batch engine agrees with
     the scalar loop on the spot-checked cell, and HIERAS keeps its
-    latency win (:data:`LATENCY_RATIO_BOUND`) in every cell.  Build times and
+    latency win (:data:`LATENCY_RATIO_BOUND`; :data:`PAPER_LANDMARKS_RATIO_BOUND`
+    below the landmark rule's first step) in every cell.  Build times and
     lookups/sec are printed from ``phases`` for the record but never
     gate the run; peak RSS, the quiet host metric, does.  The committed
     BENCH_scale.json holds the N=10⁶ acceptance evidence.
@@ -254,6 +265,7 @@ def report(doc: dict[str, object]) -> str:
                 "lookups": cell["lookups"],
                 "stacks_agree": "yes" if cell["stacks_agree_owners"] else "NO",
                 "inc==rebuild": "yes" if mem["incremental_matches_rebuild"] else "NO",
+                "landmarks": cell["n_landmarks"],
                 "mean_hops_hieras": round(cell["hieras"]["mean_hops"], 3),
                 "hieras/chord": round(_latency_ratio(cell), 3),
                 "largest_ring_%": round(100 * cell["rings"]["largest_ring_share"], 1),
@@ -297,10 +309,11 @@ def report(doc: dict[str, object]) -> str:
             "both stacks at the spot-checked (smallest) size",
         ),
         claim(
-            all(_latency_ratio(c) <= LATENCY_RATIO_BOUND for c in cells.values()),
+            all(_latency_ratio(c) <= _ratio_bound(c) for c in cells.values()),
             "HIERAS's mean lookup latency is at most "
-            f"{LATENCY_RATIO_BOUND:.2f} × Chord's in every cell (the paper's headline, "
-            "held at every N)",
+            f"{LATENCY_RATIO_BOUND} × Chord's in every cell from "
+            f"{LANDMARK_STEPS[0][0]} peers and {PAPER_LANDMARKS_RATIO_BOUND} × below "
+            "(the paper's headline, held at every N)",
         ),
         claim(
             rss_rise <= PEAK_RSS_BOUND_MB,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.config import SimConfig
+from repro.experiments.config import SimConfig, SweepSpec, landmarks_for
 from repro.experiments.figures import EXPERIMENTS, get_experiment
 from repro.experiments.runner import build_bundle, make_trace, run_pair
 
@@ -78,6 +78,29 @@ class TestConfig:
         for policy in ("transitions", "always", "off"):
             SimConfig(successor_list_policy=policy)
 
+    def test_explicit_landmark_count_wins_over_the_rule(self):
+        assert SimConfig(n_peers=1_000_000, n_landmarks=4).n_landmarks == 4
+        assert SimConfig(n_peers=100, n_landmarks=9).n_landmarks == 9
+
+    @pytest.mark.parametrize("n", [8, 1000, 4095, 4096, 65_536, 131_072, 1_000_000])
+    def test_default_landmark_count_is_the_rule(self, n):
+        config = SimConfig(n_peers=n)
+        assert config.n_landmarks == landmarks_for(n)
+        assert type(config.n_landmarks) is int
+        assert config.topology_key()[2] == landmarks_for(n)
+        assert config == SimConfig(n_peers=n, n_landmarks=landmarks_for(n))
+
+    def test_landmark_rule_keeps_the_paper_count_below_4096_and_never_falls(self):
+        assert {landmarks_for(n) for n in range(8, 4096)} == {4}
+        sizes = [2**k for k in range(3, 24)] + [3 * 2**k for k in range(2, 22)]
+        counts = [landmarks_for(n) for n in sorted(sizes)]
+        assert counts == sorted(counts)
+        assert landmarks_for(131_072) <= 8  # perfbench route_large's RSS budget
+
+    def test_sweeps_keep_the_paper_landmark_count(self):
+        configs = SweepSpec(sizes=(1000, 4096, 65_536, 1_000_000)).configs()
+        assert {config.n_landmarks for config in configs} == {4}
+
     def test_auto_strategy_resolution(self):
         assert SimConfig(model="ts").resolved_landmark_strategy == "spread"
         assert SimConfig(model="inet", n_peers=3000).resolved_landmark_strategy == "random"
@@ -96,6 +119,11 @@ class TestRunner:
         assert bundle.hieras.n_peers == 200
         assert bundle.attachment.n_landmarks == 4
         assert bundle.orders.n_nodes == 200
+
+    def test_smallest_deployment_has_room_for_its_landmarks(self):
+        """The rule never asks for more landmarks than there are stub routers."""
+        bundle = build_bundle(SimConfig(n_peers=8, seed=3), cache=False)
+        assert bundle.attachment.n_landmarks == landmarks_for(8)
 
     def test_substrate_cached_across_depths(self, bundle):
         other = build_bundle(SimConfig(n_peers=200, seed=1, depth=3))
