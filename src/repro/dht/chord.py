@@ -111,7 +111,7 @@ class ChordNetwork(DHTNetwork):
     #: Network label of the spans this stack records.
     span_label = "chord"
 
-    #: How the perfect global loop ends: greedy to the key's owner, as
+    #: How the global loop ends: greedy to the key's owner, as
     #: here, or — HIERAS §3.2 — at the key's predecessor, followed by an
     #: explicit hop to the owner.  The two take different hops when the
     #: successor list reaches the owner, so they cannot be one rule.
@@ -366,13 +366,14 @@ class ChordNetwork(DHTNetwork):
     def route_lossy(self, source: int, key: int, *, injector: FaultInjector) -> RouteResult:
         """Failure-aware routing under an active fault injector.
 
-        Same layer-by-layer procedure as :meth:`route`, but every ring
-        snapshot is treated as *stale* knowledge: peers the injector
-        has crashed still appear in finger tables, each contact may
-        time out (dead target, partition, or message loss), and each
-        loop falls back through next-best fingers and the per-layer
-        §3.3 successor list (``injector.policy.successor_fallback``
-        entries), paying retry penalties from the injector's
+        The same walk as :meth:`route` — with no fault fired it takes
+        the same hops — but every ring snapshot is treated as *stale*
+        knowledge: peers the injector has crashed still appear in
+        finger tables, each contact may time out (dead target,
+        partition, or message loss), and each loop falls back through
+        next-best fingers and the per-layer §3.3 successor list
+        (``injector.policy.successor_fallback`` entries), paying retry
+        penalties from the injector's
         :class:`~repro.faults.retry.RetryPolicy`.  Lower loops stop at
         the key's closest *live* ring predecessor; the global loop ends
         at the first *live* successor of the key — the peer that
@@ -390,13 +391,11 @@ class ChordNetwork(DHTNetwork):
     def _walk_plan(self, source: int, key: int, faults: LookupFaults | None) -> RouteResult:
         """The one plan walk: :meth:`SortedRing.walk` per layer, either contact policy.
 
-        All that failure mode changes about the plan is on the four
-        lines marked below.  It never applies the §3.2 successor-list
-        acceleration and ends the global loop greedily on every stack,
-        so a fault-free :meth:`route_lossy` equals :meth:`route` only
-        where neither matters — flat Chord, HIERAS with
-        ``successor_list_policy="off"`` (ROADMAP: "failure-mode HIERAS
-        is not the figures' HIERAS").
+        Both policies walk every layer with the plan row's values — the
+        §3.2 successor-list shortcut included — so a fault-free
+        :meth:`route_lossy` is :meth:`route` hop for hop on every stack.
+        All that failure mode adds is the handle's contacts, its delay
+        factor and its timeout and retry tallies.
         """
         lossy = faults is not None
         path = [source]
@@ -405,22 +404,17 @@ class ChordNetwork(DHTNetwork):
         for row in self._layer_plan():
             ring, pos = row.at(path[-1])
             taken = len(path)
-            # -- what the contact policy decides, and nothing else does --
-            to_owner = row.layer == 1 and (lossy or self._greedy_global)
-            succ_list_r = 0 if lossy else row.succ_list_r
-            owner_hop = row.layer == 1 and not to_owner
-            delay_factor = faults.delay_factor if lossy else 1.0
-            sub, ok = ring.walk(pos, key, to_owner=to_owner, succ_list_r=succ_list_r, faults=faults)
+            to_owner = row.layer == 1 and self._greedy_global
+            sub, ok = ring.walk(pos, key, to_owner=to_owner, succ_list_r=row.succ_list_r, faults=faults)
+            if ok and row.layer == 1 and not to_owner:
+                # Terminating step (§3.2): the global predecessor hands
+                # the request to its successor — the key's (live) owner —
+                # just like flat Chord's final hop.
+                last, ok = ring.walk(sub[-1], key, to_owner=True, faults=faults)
+                sub += last[1:]
             peers = ring.peers
             for p in sub[1:]:
                 path.append(int(peers[p]))
-            if owner_hop:
-                # Terminating step (§3.2): the global predecessor hands
-                # the request to its successor — the key's owner — just
-                # like flat Chord's final hop.
-                owner = self.owner_of(key)
-                if path[-1] != owner:
-                    path.append(owner)
             hops_per_layer.append(len(path) - taken)
             if not ok:
                 break
@@ -429,7 +423,7 @@ class ChordNetwork(DHTNetwork):
             key=key,
             owner=path[-1] if ok else -1,
             path=path,
-            latency_ms=self.route_latency(self.latency, path) * delay_factor,
+            latency_ms=self.route_latency(self.latency, path) * (faults.delay_factor if lossy else 1.0),
             hops_per_layer=hops_per_layer,
             success=ok,
             timeouts=faults.timeouts if lossy else 0,

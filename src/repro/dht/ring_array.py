@@ -189,7 +189,7 @@ class SortedRing:
         policy.  The start is included: hops = ``len(positions) - 1``.
 
         ``to_owner=True`` ends at the member owning ``key`` (flat
-        Chord's loop; every global loop under faults).
+        Chord's loop; HIERAS's §3.2 hop from the global predecessor).
         ``to_owner=False`` stops at the key's ring *predecessor*
         without the final hop — each HIERAS loop: stopping before the
         key, not at the ring successor that generally overshoots it,

@@ -641,9 +641,10 @@ class ReplicatedStore:
         """The copy of ``key`` held locally by ``peer`` (None if absent).
 
         A zero-cost local read — no routing, no charged contact — for
-        callers that already reached ``peer`` by other means (the
-        serving layer's coalesced lookups resolve owners through the
-        batch engine and then read the owner's disk in place).
+        callers that already reached ``peer`` by other means (a
+        fault-free :meth:`serve_epoch` reads each get's owner in place,
+        where the batch engine routed it).  Under an injector a served
+        read is :meth:`get`: no replica answers without a contact.
         """
         held = self._read_local(int(peer), key)
         return held[0] if held is not None else None

@@ -32,7 +32,8 @@ The suite (motivations in DESIGN.md's Scenarios section):
     Landmarks die one by one while held-out peers trickle back in;
     joiners measure blinded coordinates and land in the wrong
     low-layer rings (degraded binning, §2.3).  Flat Chord ignores
-    landmarks entirely — the damage is HIERAS-specific route stretch.
+    landmarks entirely; the suite's claim bounds what the misbinning
+    costs HIERAS at 0.05 route stretch over Chord.
 ``two_wave_crash``
     Two crash waves and a rejoin against a publish / update / read op
     stream: the durability bench's campaign, swept over replication

@@ -50,13 +50,14 @@ each, then the disks replayed in dispatch order), and the completions
 and fold rows built from those columns.  Nothing is routed, hashed or
 located twice.  It is exact: the engine returns the scalar walk's
 owner and latency bit for bit, and read-your-writes and hint /
-disk-drop ordering fall where per-dispatch routing put them.  Only a
-store under a fault injector keeps its puts off the engine call: a
-lossy route is scalar and draws from the injector's stream, so its
-epoch is replayed lane by lane (``store.put``, ``read_at``) and the
-draws stay in dispatch order.  The log is flushed before a wave
-touches the network, at the end of the run, and at ``_MAX_LANES``
-routed lanes (bounded memory on any stream).  With a span recorder on
+disk-drop ordering fall where per-dispatch routing put them.  A store
+under a fault injector takes no engine call: a lossy route is scalar
+and draws from the injector's stream, so its epoch is replayed lane by
+lane — every get a ``store.get`` (the replica protocol: chain tail,
+quorum with read repair), every put a ``store.put`` — and the draws
+stay in dispatch order.  The log is flushed before a wave touches the
+network, at the end of the run, and at ``_MAX_LANES`` logged lanes
+(bounded memory on any stream).  With a span recorder on
 the *network*, the epoch's one ``record_batch`` folds gets and puts
 alike, in dispatch order.
 
@@ -81,14 +82,14 @@ import numpy as np
 
 from repro.engine import batch_route
 from repro.metrics.registry import MetricsRegistry
-from repro.replication.store import ReplicatedStore
+from repro.replication.store import GetResult, PutResult, ReplicatedStore
 from repro.serve.config import ServiceConfig
 from repro.serve.request import OPS, Completion, Request
 from repro.util.validation import require
 
 __all__ = ["DHTService", "ServeResult"]
 
-#: Routed lanes the completion log holds before it is resolved: the
+#: Get and put lanes the completion log holds before it is resolved: the
 #: engine's design width (``stream_batch_route``'s default chunk).
 _MAX_LANES = 65_536
 
@@ -146,22 +147,19 @@ class _Run:
     """State of one :meth:`DHTService.run`: the scheduler's (free-at,
     worker) ``heap`` and FIFO queues, whether each peer may source a
     request this epoch (``servable``), and the completion log since the
-    last flush — dispatched ``lanes`` (those in ``routed`` awaiting the
-    engine) and ``finals``, each with the number of lanes logged before
-    it — until :meth:`DHTService._resolve` places every completion in
-    ``done`` by sequence number and its fold row in ``rows``.
+    last flush — dispatched ``lanes`` and ``finals``, each with the
+    number of lanes logged before it — until
+    :meth:`DHTService._resolve` places every completion in ``done`` by
+    sequence number and its fold row in ``rows``.
     """
 
     heap: list[tuple[float, int]]
     done: list[Completion]
     servable: list[bool]
-    #: Whether the store routes its own puts (it has a fault injector).
-    lossy: bool
     gets: deque[_Entry] = field(default_factory=deque)
     others: deque[_Entry] = field(default_factory=deque)
     lanes: list[_Dispatched] = field(default_factory=list)
     finals: list[tuple[int, Completion]] = field(default_factory=list)
-    routed: list[Request] = field(default_factory=list)
     rows: list[_Row] = field(default_factory=list)
     #: Width of every get batch dispatched, in dispatch order.
     get_batches: list[int] = field(default_factory=list)
@@ -185,7 +183,8 @@ class DHTService:
     store:
         Optional :class:`~repro.replication.store.ReplicatedStore` over
         this same ``network`` (checked); when present, ``put`` fans out
-        through it and ``get`` returns the owner's local copy.  Without
+        through it and ``get`` returns the owner's local copy (under the
+        store's fault injector, the store's own replicated read).  Without
         one, both ops are pure owner lookups (the service still charges
         write-shaped dispatch cost for puts).  Attach the store to the network
         (``network.attach_store``) if membership waves should drop
@@ -317,7 +316,6 @@ class DHTService:
             # Every request gets exactly one completion, placed by seq.
             done=cast("list[Completion]", [None] * len(requests)),
             servable=self._servable(),
-            lossy=self.store is not None and self.store.injector is not None,
         )
         heap, gets, others = run.heap, run.gets, run.others
         max_depth = 0
@@ -407,54 +405,52 @@ class DHTService:
                     if op == "get":
                         run.get_batches.append(len(live))
                     run.lanes.extend([(seq, req, now, occupancy, len(live)) for seq, req in live])
-                    # A put under an injector is the store's to route: scalar, seeded draws.
-                    if op == "get" or not run.lossy:
-                        run.routed.extend([req for _, req in live])
                     busy_until = now + occupancy
             heapq.heapreplace(heap, (busy_until, worker))
-            if len(run.routed) >= _MAX_LANES:
+            if len(run.lanes) >= _MAX_LANES:
                 self._resolve(run)
 
     # -- resolve: one engine call and one store epoch, in columns -------
     def _resolve(self, run: _Run) -> None:
-        """Turn the log into completions under the current membership: one
-        engine call for every logged get and put (but a lossy store's puts)
-        and one store epoch over the same lanes, then the completions and
-        fold rows from those columns, in dispatch order."""
-        store, lossy, routed = self.store, run.lossy, run.routed
+        """Turn the log into completions under the current membership — one
+        engine call for every logged get and put and one store epoch over
+        the same lanes, or a store under an injector's own ``get`` /
+        ``put`` lane by lane — then the completions and fold rows from
+        those columns, in dispatch order."""
+        store = self.store
         seqs, reqs, nows, occupancy, sizes = zip(*run.lanes) if run.lanes else ((),) * 5
-        keys = [self._key_of(req.name) for req in routed]
         owner: list[Any] = []
         value: list[Any] = [None] * len(reqs)
         ok = [True] * len(reqs)
         route = fanout = np.zeros(len(reqs))
-        if routed:
-            result = batch_route(self.network, [req.source for req in routed], keys)
+        if store is not None and store.injector is not None and reqs:
+            # Lane by lane, so the injector's draws stay in dispatch order:
+            # each get and put is the store's own, routed failure-aware.
+            cells: list[tuple[Any, ...]] = []
+            for req in reqs:
+                lane: GetResult | PutResult = (
+                    store.get(req.source, req.name)
+                    if req.op == "get"
+                    else store.put(req.source, req.name, req.value)
+                )
+                hop = lane.route
+                ms = hop.latency_ms + hop.retry_latency_ms if hop is not None else 0.0
+                at = int(hop.owner) if hop is not None else -1
+                read = lane.value if isinstance(lane, GetResult) else None
+                cells.append((at, ms, lane.total_latency_ms - ms, read, lane.success))
+            owner, route_ms, fanout_ms, value, ok = (list(column) for column in zip(*cells))
+            route, fanout = np.asarray(route_ms, dtype=np.float64), np.asarray(fanout_ms, dtype=np.float64)
+        elif reqs:
+            keys = [self._key_of(req.name) for req in reqs]
+            result = batch_route(self.network, [req.source for req in reqs], keys)
             self.registry.inc("serve.engine_calls")
-            self.registry.inc("serve.engine_lanes", len(routed))
+            self.registry.inc("serve.engine_lanes", len(reqs))
             owner, route = result.owner.tolist(), result.latency_ms
-            if store is not None and not lossy:
+            if store is not None:
                 puts = [req.op == "put" for req in reqs]
                 value, total, ok = store.serve_epoch(puts, result.owner, keys, [r.value for r in reqs])
                 # Total minus route in the float order ``store.put``'s result sums them.
                 fanout = (route + total) - route
-        if store is not None and lossy and reqs:
-            # Lane by lane, so the injector's draws stay in dispatch order: a
-            # put is the store's own lossy ``put``, a get reads where it was routed.
-            engine = zip(keys, owner, route.tolist())
-            cells: list[tuple[Any, ...]] = []
-            for req in reqs:
-                if req.op == "get":
-                    key, at, ms = next(engine)
-                    cells.append((at, ms, 0.0, store.read_at(at, key), True))
-                    continue
-                put = store.put(req.source, req.name, req.value)
-                hop = put.route
-                ms = hop.latency_ms + hop.retry_latency_ms if hop is not None else 0.0
-                at = int(hop.owner) if hop is not None else -1
-                cells.append((at, ms, put.total_latency_ms - ms, None, put.success))
-            owner, route_ms, fanout_ms, value, ok = (list(column) for column in zip(*cells))
-            route, fanout = np.asarray(route_ms, dtype=np.float64), np.asarray(fanout_ms, dtype=np.float64)
         ops, arrivals = [req.op for req in reqs], [req.at_ms for req in reqs]
         outcome = ["ok" if success else "failed" for success in ok]
         now = np.asarray(nows, dtype=np.float64)
@@ -478,7 +474,6 @@ class DHTService:
         rows.extend(lane_rows)
         run.lanes.clear()
         run.finals.clear()
-        routed.clear()
 
     # -- join/leave: batch membership waves ----------------------------
     def _dispatch_membership(self, run: _Run, now: float, entry: _Entry) -> float:

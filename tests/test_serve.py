@@ -369,12 +369,13 @@ class TestMembershipEpochs:
         assert not away & set(wave) and set(wave) <= present
 
     @staticmethod
-    def _whole_and_capped(net, monkeypatch, *, faulty):
+    def _whole_and_capped(net, monkeypatch, *, faulty, cap):
         """Serve one 300-request churned stream twice on fresh attached
         stores (each under a fresh injector if ``faulty``), the second
-        time with the log flushed every 7 lanes; asserts nothing but the
-        engine counters moved and returns the requests and both
-        registries' counters."""
+        time with the log flushed every ``cap`` lanes; asserts nothing
+        but the engine counters moved and returns the requests, both
+        registries' counters and the sequence numbers of the lanes each
+        capped flush resolved."""
 
         def run():
             injector = lossy(net) if faulty else None
@@ -382,16 +383,26 @@ class TestMembershipEpochs:
             return reqs, serve(net, QUORUM, reqs, injector=injector)[0]
 
         reqs, whole = run()
-        monkeypatch.setattr("repro.serve.service._MAX_LANES", 7)
+        flushes = []
+        resolve = DHTService._resolve
+
+        def resolve_spy(service, run):
+            flushes.append([seq for seq, *_ in run.lanes])
+            return resolve(service, run)
+
+        monkeypatch.setattr("repro.serve.service._MAX_LANES", cap)
+        monkeypatch.setattr(DHTService, "_resolve", resolve_spy)
         _, capped = run()
         assert capped.completions == whole.completions
         assert _without_engine_counters(capped.registry) == _without_engine_counters(whole.registry)
-        assert whole.registry.counters["serve.engine_calls"].value == 3
-        assert capped.registry.counters["serve.engine_calls"].value > 30
-        return reqs, whole.registry.counters, capped.registry.counters
+        return reqs, whole.registry.counters, capped.registry.counters, flushes
 
     def test_lane_cap_changes_nothing_but_the_engine_calls(self, bundle, monkeypatch):
-        reqs, whole, capped = self._whole_and_capped(bundle.hieras, monkeypatch, faulty=False)
+        reqs, whole, capped, _ = self._whole_and_capped(
+            bundle.hieras, monkeypatch, faulty=False, cap=7
+        )
+        assert whole["serve.engine_calls"].value == 3
+        assert capped["serve.engine_calls"].value > 30
         # An injector-free store's puts ride the epoch's call: every get
         # and put is a lane.
         assert (
@@ -400,14 +411,21 @@ class TestMembershipEpochs:
             == sum(r.op in ("get", "put") for r in reqs)
         )
 
-    def test_lane_cap_under_an_injector_counts_gets_only(self, bundle, monkeypatch):
-        """A lossy store routes its own puts, so they are no lanes."""
-        reqs, whole, capped = self._whole_and_capped(bundle.hieras, monkeypatch, faulty=True)
-        assert (
-            capped["serve.engine_lanes"].value
-            == whole["serve.engine_lanes"].value
-            == sum(r.op == "get" for r in reqs)
+    def test_lane_cap_under_an_injector_counts_gets_and_puts(self, bundle, monkeypatch):
+        """A lossy store serves every get and put itself: no engine call,
+        and each one is a lane the cap counts — at a cap of one lane,
+        every dispatch flushes alone, a put as well as a get batch."""
+        reqs, whole, capped, flushes = self._whole_and_capped(
+            bundle.hieras, monkeypatch, faulty=True, cap=1
         )
+        for counters in (whole, capped):
+            assert "serve.engine_calls" not in counters and "serve.engine_lanes" not in counters
+        lanes = [f for f in flushes if f]
+        assert sum(map(len, lanes)) == sum(r.op in ("get", "put") for r in reqs)
+        assert sum(len(f) == 1 and reqs[f[0]].op == "put" for f in lanes) == sum(
+            r.op == "put" for r in reqs
+        )
+        assert all(len({reqs[seq].op for seq in f}) == 1 for f in lanes)
         assert whole["serve.failed"].value > 0
 
 

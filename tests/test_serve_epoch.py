@@ -1,4 +1,4 @@
-"""Every routed request of an epoch rides one engine call (DESIGN.md §12).
+"""Every routed request of a fault-free epoch rides one engine call (DESIGN.md §12).
 
 ``tests/test_serve.py`` holds the serving contracts (queueing, epochs,
 store integration); this module pins what the replay hands the store —
@@ -24,7 +24,7 @@ from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle
 from repro.faults import FaultInjector, FaultPlan
 from repro.metrics import MemorySink, MetricsRegistry, SpanRecorder
-from repro.replication import ReplicatedStore, ReplicationPolicy
+from repro.replication import ReplicatedStore, ReplicationPolicy, replica_group
 from repro.serve import DHTService, Request, ServiceConfig
 
 NAMES = [f"k{j}" for j in range(11)]
@@ -100,7 +100,7 @@ def serve_digest(net, policy, reqs, *, injector=None, config=None, traced=False)
         net, policy, reqs, injector=injector, config=config, store_recorder=recorder
     )
     snapshot = result.registry.snapshot()
-    snapshot["counters"].pop("serve.engine_lanes")
+    snapshot["counters"].pop("serve.engine_lanes", None)  # none under an injector
     state = [result.completions, sorted(result.counts.items()), result.makespan_ms, snapshot]
     if store is not None:
         state += [
@@ -137,12 +137,15 @@ PARENT_DIGESTS = {
         "storeless": ["bc507cd28a8e94d8", "a3d476240b34a0e7", "f7bde9204d1b32a4"],
     },
 }
-#: Same commit, the churn scene under :func:`lossy` (31 aborted chain
-#: writes / 37 failed quorum contacts, hints queued and replayed by the
-#: rejoin): (stack, policy) → digest, the injector's next draw included.
+#: Same commit, the churn scene under :func:`lossy`: (stack, policy) →
+#: digest, the injector's next draw included.  Re-recorded when served
+#: gets under an injector became ``store.get`` (chain: 31 aborted writes
+#: and 29 unreachable tails; quorum: 134 failed contacts, 2 read repairs;
+#: hints queued and replayed by the rejoin) instead of a batch route and a
+#: local read at the owner.
 PARENT_LOSSY_DIGESTS = {
-    ("chord", "chain"): "0fbcafe8dd8863ae",
-    ("hieras", "quorum"): "8e3fbfe730cca1fe",
+    ("chord", "chain"): "b5ac3e1ca16662a0",
+    ("hieras", "quorum"): "21c45feba594f1c9",
 }
 #: Configurations beside the defaults: label → (policy, scene, config,
 #: whether a span recorder traces the store's ``replication.*`` counters).
@@ -287,20 +290,86 @@ class TestCallCounts:
     def test_an_injector_keeps_every_put_a_lossy_route_in_dispatch_order(
         self, bundle, policy, monkeypatch
     ):
+        """Every get as well as every put: the store routes each one itself."""
         net = bundle.hieras
         injector = lossy(net)
         reqs, _ = mixed_stream(net, 240, injector=injector)
         spies = Spies(monkeypatch)
         result, store = serve(net, policy, reqs, injector=injector, config=ServiceConfig(workers=1))
-        gets = sum(c.op == "get" for c in result.completions)
-        assert len(spies.engine_lanes) == 3 and sum(spies.engine_lanes) == gets
-        # One worker: dispatch instants are distinct, so they order the puts.
-        puts = sorted((c for c in result.completions if c.op == "put"), key=lambda c: c.dispatch_ms)
+        assert spies.engine_lanes == [] and "serve.engine_lanes" not in result.registry.counters
+        # One worker: a get batch shares its dispatch instant, in queue
+        # (sequence) order, and distinct instants order the rest.
+        lanes = dispatch_order(c for c in result.completions if c.op in ("get", "put"))
         assert spies.lossy_routes == [
-            (reqs[c.seq].source, int(net.space.hash_key(reqs[c.seq].name))) for c in puts
+            (reqs[c.seq].source, int(net.space.hash_key(reqs[c.seq].name))) for c in lanes
         ]
-        assert len(spies.walks) == len(puts) == store.stats.puts == 60
+        assert len(spies.walks) == len(lanes) == 240
+        assert store.stats.puts == 60 and store.stats.gets == 180
         assert spies.placed == [] and spies.alive_checks == []
+
+
+def dispatch_order(completions):
+    """``completions`` as one worker dispatched them."""
+    return sorted(completions, key=lambda c: (c.dispatch_ms, c.seq))
+
+
+class TestServedReadsUnderAnInjector:
+    """Under an injector a served get is ``store.get`` — the replica
+    protocol — exactly as a served put is ``store.put``."""
+
+    @pytest.mark.parametrize("policy", [QUORUM, CHAIN])
+    @pytest.mark.parametrize("stack", ["chord", "hieras"])
+    def test_service_equals_the_store_ops_in_dispatch_order(self, bundle, stack, policy):
+        net = getattr(bundle, stack)
+        injector = lossy(net)
+        reqs, _ = mixed_stream(net, 240, injector=injector)
+        result, store = serve(net, policy, reqs, injector=injector, config=ServiceConfig(workers=1))
+        # The twin: a fresh store and injector, the same ops and waves
+        # sent straight to them in the order the service dispatched them.
+        twin_injector = lossy(net)
+        twin = ReplicatedStore(net, policy, injector=twin_injector)
+        for name in NAMES[::2]:
+            twin.seed_key(name, "v0")
+        net.attach_store(twin)
+        try:
+            for c in dispatch_order(result.completions):
+                req = reqs[c.seq]
+                if req.op == "leave":
+                    net.remove_peers([p for p in req.peers if net.is_alive(p)])
+                elif req.op == "join":
+                    net.revive_peers([p for p in req.peers if not net.is_alive(p)])
+                elif req.op == "get":
+                    got = twin.get(req.source, req.name)
+                    assert (c.value, c.outcome == "ok") == (got.value, got.success), c.seq
+                else:
+                    put = twin.put(req.source, req.name, req.value)
+                    assert (c.value, c.outcome == "ok") == (None, put.success), c.seq
+        finally:
+            net.detach_store(twin)
+        read = ("gets", "stale_reads", "lost_reads", "read_repairs")
+        assert [getattr(store.stats, f) for f in read] == [getattr(twin.stats, f) for f in read]
+        assert store.stats.gets == 180
+        assert injector.rng.random() == twin_injector.rng.random()
+
+    def test_a_served_chain_get_reads_the_tail_not_an_aborted_head(self, bundle):
+        """A write that reached the head and aborted down the chain is not
+        committed: the served get answers with the tail's version."""
+        net = bundle.hieras
+        key = int(net.space.hash_key("k0"))
+        head, middle, tail = replica_group(net, key, CHAIN)
+        injector = FaultInjector(FaultPlan().crash_peers(at_ms=0.0, peers=[middle]), net.n_peers)
+        injector.advance_to(0.0)
+        store = ReplicatedStore(net, CHAIN, injector=injector)
+        store.seed_key("k0", "v0")
+        source = next(p for p in range(net.n_peers) if p not in (head, middle, tail))
+        reqs = [
+            Request(op="put", at_ms=0.0, source=source, name="k0", value="v1"),
+            Request(op="get", at_ms=1.0, source=source, name="k0"),
+        ]
+        put, get = DHTService(net, config=ServiceConfig(workers=1), store=store).run(reqs).completions
+        assert (put.outcome, put.owner, store.stats.chain_aborts) == ("failed", head, 1)
+        assert store.read_at(head, key) == "v1" and store.read_at(tail, key) == "v0"
+        assert (get.outcome, get.owner, get.value) == ("ok", head, "v0")
 
 
 class TestWriteAt:
