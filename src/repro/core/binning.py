@@ -174,10 +174,15 @@ class BinningScheme:
         """The deployment rule for a depth (2–4): the paper's levels, widened to the landmarks' scale."""
         return replace(cls.paper_for_depth(depth), reference_ms=REFERENCE_SCALE_MS)
 
-    def scaled(self, factor: float) -> "BinningScheme":
-        """The absolute scheme with every boundary multiplied by ``factor`` (finite, > 0)."""
+    def scaled(self, scale: float, reference: float = 1.0) -> "BinningScheme":
+        """The absolute scheme with every boundary ``b`` at ``b * scale / reference`` (a factor
+        finite and > 0): divided last, so it rounds once on integral delays, and a delay on a
+        boundary stays there when every delay is multiplied by k (dividing first rounds twice)."""
+        factor = scale / reference
         require(0.0 < factor < np.inf, f"factor must be finite and > 0, got {factor!r}")
-        return BinningScheme(tuple(tuple(b * factor for b in layer) for layer in self.level_boundaries))
+        return BinningScheme(
+            tuple(tuple(b * scale / reference for b in layer) for layer in self.level_boundaries)
+        )
 
     def orders(self, distances: np.ndarray) -> "LandmarkOrders":
         """Compute every node's landmark order at every lower layer.
@@ -192,8 +197,9 @@ class BinningScheme:
         require(distances.ndim == 2, "distances must be (n_nodes, n_landmarks)")
         require(distances.shape[1] >= 1, "need at least one landmark")
         if self.reference_ms is not None:
-            factor = max(landmark_scale_ms(distances) / self.reference_ms, 1.0)
-            return self.scaled(factor).orders(distances)
+            scale, reference = landmark_scale_ms(distances), self.reference_ms
+            absolute = self.scaled(scale, reference) if scale > reference else self.scaled(1.0)
+            return absolute.orders(distances)
         # Render each *distinct* level row once (O(#rings) Python string
         # work, not O(n_nodes)) and keep the per-node assignment as int
         # codes into the layer's name pool, numbered in name order.

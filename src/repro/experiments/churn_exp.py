@@ -19,7 +19,44 @@ from repro.util.ids import IdSpace
 from repro.util.rng import make_rng
 from repro.workloads.churn import generate_churn
 
-__all__ = ["run_churn_simulation"]
+__all__ = ["bootstrap_protocol", "correct_lookups", "run_churn_simulation"]
+
+
+def bootstrap_protocol(
+    *, universe: int, initial: int, n_rings: int, seed: int, loss_rate: float = 0.0
+) -> tuple[
+    IdSpace, np.random.Generator, np.ndarray, list[list[str]], Simulator, SimNetwork, list[HierasProtocolNode]
+]:
+    """A HIERAS system on the event-driven stack, settled.
+
+    ``universe`` protocol nodes over a zero-latency network, peer ``p`` in
+    ring ``p % n_rings``: node 0 founds the system, nodes 1 …
+    ``initial - 1`` join 300 ms apart, then 30 s of stabilization.
+    Returns ``(space, rng, ids, names, sim, net, nodes)``; ``rng`` has
+    drawn the ids and is the caller's from here on.
+    """
+    space = IdSpace(16)
+    rng = make_rng(seed)
+    ids = space.sample_unique_ids(universe, rng)
+    names = [[str(p % n_rings)] for p in range(universe)]
+    sim = Simulator()
+    net = SimNetwork(sim, ZeroLatency(), loss_rate=loss_rate, loss_seed=seed)
+    nodes = [HierasProtocolNode(p, int(ids[p]), space, sim, net) for p in range(universe)]
+    nodes[0].found_system(names[0], landmark_table=[1, 2])
+    t = 0.0
+    for p in range(1, initial):
+        t += 300.0
+        sim.schedule_at(t, nodes[p].join_system, 0, names[p])
+    sim.run(until=t + 30_000, max_events=10_000_000)
+    return space, rng, ids, names, sim, net, nodes
+
+
+def correct_lookups(results: list, ids: np.ndarray, live: list[int]) -> int:
+    """How many lookup results name their key's owner among the ``live`` peers."""
+    live_ids = np.sort([int(ids[p]) for p in live])
+    return sum(
+        1 for out in results if out.owner_id == int(live_ids[np.searchsorted(live_ids, out.key) % len(live)])
+    )
 
 
 def run_churn_simulation(
@@ -42,23 +79,9 @@ def run_churn_simulation(
     ``live`` nodes at measurement time, ``messages_lost`` when
     ``loss_rate`` injects loss.
     """
-    space = IdSpace(16)
-    rng = make_rng(seed)
-    ids = space.sample_unique_ids(universe, rng)
-    names = [[str(p % n_rings)] for p in range(universe)]
-    sim = Simulator()
-    net = SimNetwork(sim, ZeroLatency(), loss_rate=loss_rate, loss_seed=seed)
-    nodes = [
-        HierasProtocolNode(p, int(ids[p]), space, sim, net) for p in range(universe)
-    ]
-
-    nodes[0].found_system(names[0], landmark_table=[1, 2])
-    t = 0.0
-    for p in range(1, initial):
-        t += 300.0
-        sim.schedule_at(t, nodes[p].join_system, 0, names[p])
-    sim.run(until=t + 30_000, max_events=10_000_000)
-
+    space, rng, ids, names, sim, net, nodes = bootstrap_protocol(
+        universe=universe, initial=initial, n_rings=n_rings, seed=seed, loss_rate=loss_rate
+    )
     schedule = generate_churn(
         universe=universe,
         initial=initial,
@@ -96,21 +119,15 @@ def run_churn_simulation(
     live = sorted(
         p for p in online if nodes[p].alive and "global" in nodes[p].rings
     )
-    live_ids = np.sort([int(ids[p]) for p in live])
     results = []
     for _ in range(n_lookups):
         nodes[int(rng.choice(live))].hieras_lookup(
             int(rng.integers(0, space.size)), results.append
         )
     sim.run(until=sim.now + 60_000, max_events=50_000_000)
-    correct = sum(
-        1
-        for out in results
-        if out.owner_id == int(live_ids[np.searchsorted(live_ids, out.key) % len(live)])
-    )
     return {
         "completed": float(len(results)),
-        "correct": float(correct),
+        "correct": float(correct_lookups(results, ids, live)),
         "messages": float(net.messages_sent),
         "messages_lost": float(net.messages_lost),
         "maintenance_msgs": float(

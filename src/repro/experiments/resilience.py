@@ -22,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.runner import SimulationBundle, make_trace
-from repro.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.util.rng import make_rng
+from repro.faults import FaultInjector, FaultPlan
 
 __all__ = ["run_static_resilience_cell", "run_protocol_resilience"]
 
@@ -35,7 +34,6 @@ def run_static_resilience_cell(
     loss_rate: float,
     n_requests: int,
     seed: int,
-    policy: RetryPolicy | None = None,
 ) -> dict[str, dict[str, float]]:
     """One sweep cell: HIERAS vs Chord under one fault plan.
 
@@ -55,11 +53,10 @@ def run_static_resilience_cell(
         plan.crash_fraction(at_ms=n_requests / 2.0, fraction=fail_fraction)
     if loss_rate > 0.0:
         plan.loss_burst(at_ms=0.0, rate=loss_rate, duration_ms=float(n_requests + 1))
-    policy = policy if policy is not None else RetryPolicy()
 
     out: dict[str, dict[str, float]] = {}
     for name, net in (("chord", bundle.chord), ("hieras", bundle.hieras)):
-        injector = FaultInjector(plan, n_peers, policy=policy)
+        injector = FaultInjector(plan, n_peers)
         attempted = succeeded = timeouts = 0
         skipped_dead_source = 0
         total_ms = 0.0
@@ -111,28 +108,11 @@ def run_protocol_resilience(
     ``retries_used``, ``crashed``, ``live``, plus the network's message
     stats.
     """
-    from repro.core.hieras_protocol import HierasProtocolNode
-    from repro.dht.base import ZeroLatency
-    from repro.sim.engine import Simulator
-    from repro.sim.network import SimNetwork
-    from repro.util.ids import IdSpace
+    from repro.experiments.churn_exp import bootstrap_protocol, correct_lookups
 
-    space = IdSpace(16)
-    rng = make_rng(seed)
-    ids = space.sample_unique_ids(universe, rng)
-    names = [[str(p % n_rings)] for p in range(universe)]
-    sim = Simulator()
-    net = SimNetwork(sim, ZeroLatency(), loss_seed=seed)
-    nodes = [
-        HierasProtocolNode(p, int(ids[p]), space, sim, net) for p in range(universe)
-    ]
-
-    nodes[0].found_system(names[0], landmark_table=[1, 2])
-    t = 0.0
-    for p in range(1, universe):
-        t += 300.0
-        sim.schedule_at(t, nodes[p].join_system, 0, names[p])
-    sim.run(until=t + 30_000, max_events=10_000_000)
+    space, rng, ids, _, sim, net, nodes = bootstrap_protocol(
+        universe=universe, initial=universe, n_rings=n_rings, seed=seed
+    )
 
     plan = (
         FaultPlan(seed=seed + 1)
@@ -149,7 +129,6 @@ def run_protocol_resilience(
         for p in range(universe)
         if nodes[p].alive and not injector.state.is_dead(p) and "global" in nodes[p].rings
     )
-    live_ids = np.sort([int(ids[p]) for p in live])
     results = []
     failures: list[int] = []
     for _ in range(n_lookups):
@@ -160,15 +139,9 @@ def run_protocol_resilience(
             on_fail=failures.append,
         )
     sim.run(until=sim.now + 120_000, max_events=50_000_000)
-
-    correct = sum(
-        1
-        for out in results
-        if out.owner_id == int(live_ids[np.searchsorted(live_ids, out.key) % len(live)])
-    )
     return {
         "completed": float(len(results)),
-        "correct": float(correct),
+        "correct": float(correct_lookups(results, ids, live)),
         "failed": float(len(failures)),
         "retries_used": float(sum(n.lookup_retry_count for n in nodes)),
         "crashed": float(int(injector.state.dead.sum())),

@@ -120,7 +120,7 @@ def build_bundle(config: SimConfig, *, cache: bool = True, **latency_budget: int
 
     ``latency_budget`` goes to :func:`~repro.topology.latency.latency_model_for`:
     blocks totalling more than ``streaming_threshold_bytes`` are filled on
-    first use, and no more than ``streaming_cache_bytes`` of them are held.
+    first use, each once, rather than at construction.
     The substrate cache is keyed by the config's
     :meth:`~repro.experiments.config.SimConfig.topology_key` and the budget;
     ``cache=False`` neither reads nor fills it, so nothing outlives the

@@ -150,6 +150,11 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # timeline (static stack)
     # ------------------------------------------------------------------
+    @property
+    def next_event_ms(self) -> float:
+        """When the first event not yet applied is due; ``inf`` once all have fired."""
+        return self.events[self._next].time_ms if self._next < len(self.events) else np.inf
+
     def advance_to(self, t_ms: float) -> list[FaultEvent]:
         """Apply every event with ``time_ms <= t_ms``; returns them."""
         require(t_ms >= self.now_ms, "the fault clock cannot run backwards")

@@ -2,7 +2,8 @@
 
 Million-peer deployments need no package of their own: they are built
 by :func:`repro.experiments.runner.build_bundle` with ``cache=False``
-(and a latency budget, if one is wanted), sized by
+(and ``streaming_threshold_bytes``, to fill latency blocks on first
+use), sized by
 :meth:`~repro.topology.transit_stub.TransitStubParams.for_size`, and
 routed by the ordinary :mod:`repro.dht` / :mod:`repro.core` classes —
 incremental membership (``SortedRing.splice`` waves) and interned

@@ -41,7 +41,9 @@ A source is servable if one mask says so, read once per membership
 epoch and re-read after each wave: the network's members, less the
 peers a store's injector has crashed.  A route is a function of
 (source, key, membership) and membership changes only at a
-``join``/``leave``, so the log is *resolved* once per epoch, in
+``join``/``leave`` — or at a store's fault event, which the fault clock
+applies before the first dispatch at or after its time, ending the
+epoch the same way — so the log is *resolved* once per epoch, in
 columns: one :func:`repro.engine.batch_route` call over every logged
 get **and put**, one
 :meth:`~repro.replication.store.ReplicatedStore.serve_epoch` over the
@@ -369,10 +371,14 @@ class DHTService:
         other op dispatches alone, and a request whose queue wait already
         exceeds ``deadline_ms`` is shed as it is taken.  A get or put
         whose source is not servable fails there; the rest of its batch
-        is logged for its epoch's engine call.
+        is logged for its epoch's engine call.  A store's fault event
+        due by a batch's dispatch ends the epoch there, the way a
+        membership wave does: the log is resolved, the fault clock
+        advanced, and the servable mask re-read.
         """
         cfg, heap, gets, others = self.config, run.heap, run.gets, run.others
         deadline = cfg.deadline_ms
+        store = self.store
         while (gets or others) and heap[0][0] <= until:
             free_at, worker = heap[0]
             batch: list[_Entry] = []
@@ -391,6 +397,10 @@ class DHTService:
             if not batch:
                 continue
             now = max(free_at, batch[0][1].at_ms)
+            if store is not None and store.injector is not None and store.injector.next_event_ms <= now:
+                self._resolve(run)
+                store.advance_to(now)
+                run.servable = self._servable()
             op = batch[0][1].op
             busy_until = now
             if op in ("join", "leave"):

@@ -26,11 +26,11 @@ Three strategies, all implementing :class:`repro.topology.base.LatencyModel`:
 * :class:`CoordinateLatencyModel` — Euclidean delays from plane
   coordinates; used by synthetic tests and micro-examples.
 
-Both block models are a :class:`_BlockModel`: blocks in a pool of slots
-under a byte budget, filled on first use, evicted least recently used.
-"Eager" is the same object with every block filled at construction
-(:func:`latency_model_for` decides): a budget changes time and memory,
-never an answer.
+Both block models are a :class:`_BlockModel`: a pool of one row per
+block, each filled once, on the first call that names it.  "Eager" is
+the same object with every block filled at construction
+(:func:`latency_model_for` decides): the choice changes time and
+memory, never an answer.
 
 :class:`NoisyLatencyModel` wraps any model with multiplicative
 measurement noise, emulating the paper's observation (§2.2) that *ping*
@@ -38,9 +38,6 @@ is "not very accurate" yet adequate for the binning scheme.
 """
 
 from __future__ import annotations
-
-import math
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -60,108 +57,53 @@ __all__ = [
 
 
 class _BlockModel(LatencyModel):
-    """A model answering from equal-shaped blocks held in a pool of slots.
+    """A model answering from equal-shaped blocks, each filled once.
 
-    ``_pool[_slot_of[b]]`` is block ``b`` while ``_slot_of[b] >= 0``.
-    The pool comes from ``np.zeros``, so a slot costs no resident memory
-    until :meth:`_fill` writes a block into it, and residency lives in
-    ``_slot_of`` alone — never in a sentinel written through the pool.
-    There are ``cache_bytes // block bytes`` slots (default: one per
-    block): the budget is a hard ceiling on resident block bytes, and
-    once every slot is taken a cold block replaces the least recently
-    used one.  A footprint within both the budget and ``eager_bytes``
-    (default: any) is filled whole at construction.  The graph the
-    blocks are filled from is held beside the pool as the arrays of a
-    scipy CSR (``_indptr``, ``_indices``, ``_data``).
+    ``_pool[b]`` is block ``b`` once ``_filled[b]``.  The pool comes from
+    ``np.zeros``, so a block costs no resident memory until :meth:`_fill`
+    writes it, and residency lives in ``_filled`` alone — never in a
+    sentinel written through the pool.  Nothing is evicted: a footprint
+    within ``eager_bytes`` (default: any) is filled whole at
+    construction, any other block by the first call that names it
+    (:meth:`_warm`).  The graph the blocks are filled from is held
+    beside the pool as the arrays of a scipy CSR (``_indptr``,
+    ``_indices``, ``_data``).
     """
 
-    def _init_pool(
-        self,
-        n_blocks: int,
-        shape: tuple[int, ...],
-        dtype: type,
-        cache_bytes: int | None,
-        eager_bytes: int | None,
-    ) -> None:
-        size = self._block_bytes = math.prod(shape) * np.dtype(dtype).itemsize
-        footprint = n_blocks * size
-        budget = footprint if cache_bytes is None else int(cache_bytes)
-        require(budget >= size, f"a cache budget of {budget} bytes is below one latency block ({size} bytes)")
-        n_slots = min(n_blocks, budget // size)
-        self._pool = np.zeros((n_slots, *shape), dtype=dtype)
-        self._slot_of = np.full(n_blocks, -1, dtype=np.int64)
-        self._block_in = np.zeros(n_slots, dtype=np.int64)
-        self._stamp = np.zeros(n_slots, dtype=np.int64)  # recency, for eviction
-        self._tick = 0
-        self._evicting = n_slots < n_blocks
-        self._resident = 0  # slots holding a block
+    def _init_pool(self, n_blocks: int, shape: tuple[int, ...], dtype: type, eager_bytes: int | None) -> None:
+        self._pool = np.zeros((n_blocks, *shape), dtype=dtype)
+        self._filled = np.zeros(n_blocks, dtype=bool)
         #: Blocks filled (construction included) / lanes answered from a
-        #: block that was already resident / resident blocks replaced.
-        self.cache_misses = self.cache_hits = self.evictions = 0
-        if not self._evicting and (eager_bytes is None or footprint <= eager_bytes):
-            for block in range(n_blocks):
-                self._load(block)
+        #: block that was already filled.
+        self.cache_misses = self.cache_hits = 0
+        if eager_bytes is None or self._pool.nbytes <= eager_bytes:
+            self._warm(np.arange(n_blocks))
 
     def _fill(self, block: int, out: np.ndarray) -> None:
-        """Compute block ``block`` into the slot ``out``."""
+        """Compute block ``block`` into its pool row ``out``."""
         raise NotImplementedError
 
-    def _load(self, block: int) -> None:
-        slot = self._resident
-        if slot == len(self._pool):
-            slot = int(self._stamp.argmin())
-            self._slot_of[self._block_in[slot]] = -1
-            self.evictions += 1
-        self._fill(block, self._pool[slot])
-        self._resident = max(self._resident, slot + 1)
-        self.cache_misses += 1
-        self._slot_of[block] = slot
-        self._block_in[slot] = block
-        self._stamp[slot] = self._tick
-
-    def _slots(self, blocks: np.ndarray) -> np.ndarray | None:
-        """Each lane's slot if every lane's block is resident (the lanes
-        then count as hits), else ``None``: go through :meth:`_groups`."""
-        slot = self._slot_of[blocks]
-        if self._resident < len(self._slot_of):
-            if (slot < 0).any():
-                return None
-            if self._evicting:
-                self._tick += 1
-                self._stamp[slot] = self._tick
-        self.cache_hits += blocks.size
-        return slot
-
-    def _groups(self, blocks: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(lanes, slots)`` over all lanes, filling what is cold.
-
-        One group, unless the call needs more distinct blocks than there
-        are slots: then ascending runs of that many blocks, each made
-        resident (and read by the caller) before the next may evict it.
-        """
-        needed = np.unique(blocks)
-        for start in range(0, needed.size, len(self._pool)):
-            group = needed[start : start + len(self._pool)]
-            lanes = np.flatnonzero((blocks >= group[0]) & (blocks <= group[-1]))
-            mine, slot = blocks[lanes], self._slot_of[group]
-            self.cache_hits += int((self._slot_of[mine] >= 0).sum())
-            # Stamp the group's resident blocks first, so no fill evicts one.
-            self._tick += 1
-            self._stamp[slot[slot >= 0]] = self._tick
-            for block in group[slot < 0].tolist():
-                self._load(block)
-            yield lanes, self._slot_of[mine]
+    def _warm(self, blocks: np.ndarray) -> None:
+        """Fill the cold blocks among the lanes' ``blocks``; the lanes whose
+        block was filled before the call count as hits."""
+        cold = blocks[~self._filled[blocks]] if self.cache_misses < len(self._filled) else blocks[:0]
+        if cold.size:
+            for block in np.unique(cold).tolist():
+                self._fill(block, self._pool[block])
+                self._filled[block] = True
+                self.cache_misses += 1
+        self.cache_hits += blocks.size - cold.size
 
     @property
     def resident_bytes(self) -> int:
         """Bytes held, by arithmetic: every array attribute, the graph's
-        included, the pool counted by its *filled* slots only."""
+        included, the pool counted by its *filled* blocks only."""
         held = sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
-        return held - self._pool.nbytes + self._resident * self._block_bytes
+        return held - self._pool.nbytes + self.cache_misses * self._pool[0].nbytes
 
     def stats(self) -> dict[str, int]:
         """What the model holds and what its pool did — seed-deterministic."""
-        keys = ("resident_bytes", "cache_misses", "cache_hits", "evictions")
+        keys = ("resident_bytes", "cache_misses", "cache_hits")
         return {key: getattr(self, key) for key in keys}
 
     def publish(self, registry: MetricsRegistry) -> None:
@@ -183,10 +125,10 @@ class APSPLatencyModel(_BlockModel):
     chunk:
         Source rows per block — one Dijkstra sweep, so peak ``float64``
         scratch is ``chunk * n_routers * 8`` bytes.
-    cache_bytes, eager_bytes:
-        See :class:`_BlockModel`; the defaults hold and fill the whole
-        matrix.  A lazy model stays queryable past the dense matrix's
-        O(n²) wall, and meets a disconnected graph at its first fill.
+    eager_bytes:
+        See :class:`_BlockModel`; the default fills the whole matrix.  A
+        lazy model fills only the row blocks its queries name, and meets
+        a disconnected graph at its first fill.
     """
 
     def __init__(
@@ -194,7 +136,6 @@ class APSPLatencyModel(_BlockModel):
         topology: Topology,
         *,
         chunk: int = 1024,
-        cache_bytes: int | None = None,
         eager_bytes: int | None = None,
     ) -> None:
         require(chunk >= 1, "chunk must be >= 1")
@@ -202,7 +143,7 @@ class APSPLatencyModel(_BlockModel):
         self.chunk = min(int(chunk), n)
         graph = topology.csr()
         self._indptr, self._indices, self._data = graph.indptr, graph.indices, graph.data
-        self._init_pool(-(-n // self.chunk), (self.chunk, n), np.uint16, cache_bytes, eager_bytes)
+        self._init_pool(-(-n // self.chunk), (self.chunk, n), np.uint16, eager_bytes)
 
     def _fill(self, block: int, out: np.ndarray) -> None:
         start = block * self.chunk
@@ -216,13 +157,8 @@ class APSPLatencyModel(_BlockModel):
     def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         us, vs = index_lanes(us, vs)
         block, row = np.divmod(us, self.chunk)
-        slot = self._slots(block)
-        if slot is not None:
-            return self._pool[slot, row, vs].astype(np.float64)
-        out = np.empty(us.size, dtype=np.float64)
-        for lanes, slot in self._groups(block):
-            out[lanes] = self._pool[slot, row[lanes], vs[lanes]]
-        return out
+        self._warm(block)
+        return self._pool[block, row, vs].astype(np.float64)
 
 
 #: Most hops a ``uint8`` block entry can count: the search below runs one
@@ -392,7 +328,7 @@ class TransitStubLatencyModel(_BlockModel):
     ``border distance + uplink`` (border distances from **one** search
     over the intra-stub links started at all border routers together).
     Same-domain lanes read per-stub blocks, pooled as in
-    :class:`_BlockModel` (the defaults hold and fill every block).  A
+    :class:`_BlockModel` (by default all filled at construction).  A
     stub's distances are symmetric, so a block is the packed upper
     triangle of the ``size × size`` square, diagonal included, row-major:
     ``size * (size + 1) // 2`` entries, and the pair ``(lu, lv)`` reads
@@ -419,7 +355,6 @@ class TransitStubLatencyModel(_BlockModel):
         self,
         topology: TransitStubTopology,
         *,
-        cache_bytes: int | None = None,
         eager_bytes: int | None = None,
     ) -> None:
         require(
@@ -479,7 +414,7 @@ class TransitStubLatencyModel(_BlockModel):
         rows = np.arange(size, dtype=np.int64)
         self._row_start = rows * size - rows * (rows + 1) // 2
         packed = (size * (size + 1) // 2,)
-        self._init_pool(topology.n_stub_domains, packed, dtype, cache_bytes, eager_bytes)
+        self._init_pool(topology.n_stub_domains, packed, dtype, eager_bytes)
 
     def _stub_graph(self, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stub ``block``'s sub-graph as CSR arrays over its local indices:
@@ -498,8 +433,8 @@ class TransitStubLatencyModel(_BlockModel):
             _bfs_hops(indptr, indices, square[:m, :m])
         out[:] = square[~np.tri(size, k=-1, dtype=bool)]
 
-    def _block_ms(self, slot: np.ndarray, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
-        entries = self._pool[slot, self._row_start[np.minimum(lu, lv)] + np.maximum(lu, lv)]
+    def _block_ms(self, block: np.ndarray, lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
+        entries = self._pool[block, self._row_start[np.minimum(lu, lv)] + np.maximum(lu, lv)]
         return entries if self._ms is None else self._ms[entries]
 
     def pair(self, u: int, v: int) -> float:
@@ -516,13 +451,9 @@ class TransitStubLatencyModel(_BlockModel):
         out += self._core[hop]
         same = (dom == self._dom_v[vs]).nonzero()[0]
         if same.size:
-            dom, lu, lv = dom[same], self._local[us[same]], self._local[vs[same]]
-            slot = self._slots(dom)
-            if slot is not None:
-                out[same] = self._block_ms(slot, lu, lv)
-            else:
-                for lanes, slot in self._groups(dom):
-                    out[same[lanes]] = self._block_ms(slot, lu[lanes], lv[lanes])
+            dom = dom[same]
+            self._warm(dom)
+            out[same] = self._block_ms(dom, self._local[us[same]], self._local[vs[same]])
         return out
 
 
@@ -581,26 +512,17 @@ def latency_model_for(
     topology: Topology,
     *,
     streaming_threshold_bytes: int = 1 << 30,
-    streaming_cache_bytes: int = 4 << 30,
     **kwargs: object,
 ) -> LatencyModel:
     """Pick the best latency model for a topology.
 
-    Transit-stub instances get the exact hierarchical model — unless the
-    generator added redundancy edges (extra uplinks / stub-stub links),
-    which break its single-uplink precondition; those, and every general
-    graph, get the APSP row blocks.  The two numbers are the models'
-    ``eager_bytes`` and ``cache_bytes``: blocks are filled at
-    construction while they total at most ``streaming_threshold_bytes``
-    (every standard sweep, by far), otherwise on first use — same
-    answers either way — and ``streaming_cache_bytes`` is the hard
-    ceiling on resident block bytes (below one block: an error; far
-    below the working set: the same blocks re-filled on every chunk —
-    a million-router transit-stub instance is ~2 k blocks of 0.13 MB).
+    Transit-stub instances get the exact hierarchical model, every
+    general graph the APSP row blocks.  ``streaming_threshold_bytes`` is
+    the model's ``eager_bytes``: blocks are filled at construction while
+    they total at most that (every standard sweep, by far), otherwise
+    each on first use — same answers either way.  A million-router
+    transit-stub instance is ~2 k blocks of 0.13 MB.
     """
-    exact = isinstance(topology, TransitStubTopology) and not topology.params.has_shortcuts
-    model = TransitStubLatencyModel if exact else APSPLatencyModel
+    model = TransitStubLatencyModel if isinstance(topology, TransitStubTopology) else APSPLatencyModel
     # A keyword the chosen model does not take is its TypeError.
-    return model(
-        topology, cache_bytes=streaming_cache_bytes, eager_bytes=streaming_threshold_bytes, **kwargs
-    )
+    return model(topology, eager_bytes=streaming_threshold_bytes, **kwargs)

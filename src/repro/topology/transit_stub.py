@@ -55,15 +55,6 @@ class TransitStubParams:
     #: diameter.
     transit_edge_prob: float = 0.5
     stub_edge_prob: float = 0.42
-    #: GT-ITM's optional redundancy edges: probability that a stub
-    #: domain gets a second uplink to a random transit router, and that
-    #: it gets a direct edge to another stub domain.  Either breaks the
-    #: single-uplink property the exact latency model needs, so
-    #: :func:`repro.topology.latency.latency_model_for` falls back to
-    #: the APSP model for such instances.
-    extra_uplink_prob: float = 0.0
-    stub_stub_edge_prob: float = 0.0
-
     def __post_init__(self) -> None:
         for name in ("n_transit_domains", "transit_nodes_per_domain",
                      "stubs_per_transit_node", "stub_domain_size"):
@@ -72,13 +63,6 @@ class TransitStubParams:
             require_positive(getattr(self, name), name=name)
         require(0.0 <= self.transit_edge_prob <= 1.0, "transit_edge_prob in [0,1]")
         require(0.0 <= self.stub_edge_prob <= 1.0, "stub_edge_prob in [0,1]")
-        require(0.0 <= self.extra_uplink_prob <= 1.0, "extra_uplink_prob in [0,1]")
-        require(0.0 <= self.stub_stub_edge_prob <= 1.0, "stub_stub_edge_prob in [0,1]")
-
-    @property
-    def has_shortcuts(self) -> bool:
-        """Whether redundancy edges may exist (exact model invalid)."""
-        return self.extra_uplink_prob > 0.0 or self.stub_stub_edge_prob > 0.0
 
     @property
     def n_transit_routers(self) -> int:
@@ -113,7 +97,7 @@ class TransitStubParams:
         instead: 8 transit routers per domain by default, and as many
         domains (at least 4) as keep stub domains near 512 routers, so a
         per-stub hop-count block stays ≈0.13 MB (``512·513/2`` bytes) — the
-        unit the latency model fills, evicts and budgets by.  At 1.25 M
+        unit the latency model fills on first use.  At 1.25 M
         routers that is 38 domains × 8 routers and 2 432 stubs of 514.
         Only the defaults change with the regime; every override is
         honoured in both.
@@ -289,23 +273,6 @@ def generate_transit_stub(
             border_router_of_domain[domain_id] = border
             gateway_of_domain[domain_id] = transit_router
             domain_id += 1
-
-    # Optional GT-ITM redundancy edges (invalidate the exact model).
-    # Domain ``d`` is routers ``n_transit + d * stub_size …`` (laid out above).
-    if params.extra_uplink_prob > 0.0:
-        for dom in range(n_stubs):
-            if rng.random() < params.extra_uplink_prob:
-                src = n_transit + dom * stub_size + int(rng.integers(0, stub_size))
-                dst = int(rng.integers(0, n_transit))
-                link((src, dst), params.stub_transit_delay)
-    if params.stub_stub_edge_prob > 0.0 and n_stubs > 1:
-        for dom in range(n_stubs):
-            if rng.random() < params.stub_stub_edge_prob:
-                other = int(rng.integers(0, n_stubs - 1))
-                other = other + 1 if other >= dom else other
-                src = n_transit + dom * stub_size + int(rng.integers(0, stub_size))
-                dst = n_transit + other * stub_size + int(rng.integers(0, stub_size))
-                link((src, dst), params.stub_transit_delay)
 
     kind = np.full(n_routers, ROUTER_STUB, dtype=np.uint8)
     kind[:n_transit] = ROUTER_TRANSIT

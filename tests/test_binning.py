@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.binning import (
@@ -283,8 +283,8 @@ class TestPackedKeys:
 
 def _scaled(distances: np.ndarray, depth: int):
     """Orders under the paper's levels scaled to the landmarks' median, floor or not."""
-    factor = landmark_scale_ms(distances) / REFERENCE_SCALE_MS
-    return BinningScheme.paper_for_depth(depth).scaled(factor).orders(distances)
+    scheme = BinningScheme.paper_for_depth(depth).scaled(landmark_scale_ms(distances), REFERENCE_SCALE_MS)
+    return scheme.orders(distances)
 
 
 def _assert_same_orders(a, b):
@@ -310,9 +310,9 @@ class TestLandmarkScale:
     @pytest.mark.parametrize("depth", [2, 3, 4])
     def test_default_bins_with_the_paper_levels_scaled_to_the_landmarks(self, depth):
         distances = np.random.default_rng(depth).uniform(0, 900, size=(500, 4))
-        factor = landmark_scale_ms(distances) / REFERENCE_SCALE_MS
         deployed = BinningScheme.default_for_depth(depth).orders(distances)
-        absolute = BinningScheme.paper_for_depth(depth).scaled(factor)
+        scale = landmark_scale_ms(distances)
+        absolute = BinningScheme.paper_for_depth(depth).scaled(scale, REFERENCE_SCALE_MS)
         assert deployed.scheme == absolute and deployed.scheme.reference_ms is None
         assert deployed.name_pools == absolute.orders(distances).name_pools
         # Re-binning through the orders' scheme keeps the deployment's scale.
@@ -353,6 +353,17 @@ class TestLandmarkScale:
         ),
         depth=st.integers(2, 4),
         k=st.one_of(st.integers(1, 1000), st.integers(-20, 20).map(lambda e: 2.0**e)),
+    )
+    # Two delays exactly on a boundary that a divided-first factor rounded off it.
+    @example(
+        pings=[[1, 1, 185], [1, 1, 185], [1, 185, 1], [1, 1, 185], [1, 185, 627], [14, 296, 2], [1, 374, 14]],
+        depth=3,
+        k=3,
+    )
+    @example(
+        pings=[[1, 1, 185], [1, 96, 185], [1, 274, 1], [1, 274, 185], [1, 274, 185], [1, 296, 1]],
+        depth=3,
+        k=3,
     )
     def test_scaling_every_distance_leaves_the_scaled_orders_unchanged(self, pings, depth, k):
         """The scaled rule is unit-free: multiplying every delay by k > 0

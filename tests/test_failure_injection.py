@@ -1,4 +1,4 @@
-"""Failure-injection tests: message loss and topology redundancy edges."""
+"""Failure-injection tests: message loss on the discrete-event network."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from repro.dht.base import ZeroLatency
 from repro.dht.chord_protocol import GLOBAL_RING, ChordProtocolNode
 from repro.sim.engine import Simulator
 from repro.sim.network import SimNetwork
-from repro.topology.latency import APSPLatencyModel, TransitStubLatencyModel, latency_model_for
-from repro.topology.transit_stub import TransitStubParams, generate_transit_stub
 from repro.util.ids import IdSpace
 
 
@@ -70,56 +68,3 @@ class TestMessageLoss:
             succ = nodes[int(p)].rings[GLOBAL_RING].successor
             assert succ is not None and succ[0] == expect
         assert net.messages_lost > 0
-
-
-class TestTopologyRedundancy:
-    def test_extra_edges_marked(self):
-        params = TransitStubParams.for_size(320, extra_uplink_prob=0.5)
-        assert params.has_shortcuts
-        assert not TransitStubParams.for_size(320).has_shortcuts
-
-    def test_extra_uplinks_added(self):
-        params = TransitStubParams.for_size(320, extra_uplink_prob=1.0)
-        plain = TransitStubParams.for_size(320)
-        topo = generate_transit_stub(params, seed=5)
-        base = generate_transit_stub(plain, seed=5)
-        assert topo.n_edges == base.n_edges + topo.n_stub_domains
-        assert topo.is_connected()
-
-    def test_stub_stub_edges_added(self):
-        params = TransitStubParams.for_size(320, stub_stub_edge_prob=1.0)
-        plain = TransitStubParams.for_size(320)
-        topo = generate_transit_stub(params, seed=5)
-        base = generate_transit_stub(plain, seed=5)
-        assert topo.n_edges == base.n_edges + topo.n_stub_domains
-        assert topo.is_connected()
-
-    def test_model_selection_falls_back_to_apsp(self):
-        params = TransitStubParams.for_size(320, extra_uplink_prob=0.5)
-        topo = generate_transit_stub(params, seed=6)
-        assert isinstance(latency_model_for(topo), APSPLatencyModel)
-        plain = generate_transit_stub(TransitStubParams.for_size(320), seed=6)
-        assert isinstance(latency_model_for(plain), TransitStubLatencyModel)
-
-    def test_apsp_on_redundant_topology_matches_dijkstra(self, rng):
-        params = TransitStubParams.for_size(320, extra_uplink_prob=0.6, stub_stub_edge_prob=0.3)
-        topo = generate_transit_stub(params, seed=7)
-        model = latency_model_for(topo)
-        sources = rng.integers(0, topo.n_routers, 3)
-        ground = topo.shortest_delays(sources)
-        for i, s in enumerate(sources):
-            targets = rng.integers(0, topo.n_routers, 100)
-            np.testing.assert_allclose(
-                model.pairs(np.full(100, s), targets), np.round(ground[i][targets])
-            )
-
-    def test_shortcuts_reduce_distances(self, rng):
-        plain = generate_transit_stub(TransitStubParams.for_size(640), seed=8)
-        redundant = generate_transit_stub(
-            TransitStubParams.for_size(640, stub_stub_edge_prob=0.8), seed=8
-        )
-        pm = latency_model_for(plain)
-        rm = latency_model_for(redundant)
-        us = rng.integers(0, plain.n_routers, 3000)
-        vs = rng.integers(0, plain.n_routers, 3000)
-        assert rm.pairs(us, vs).mean() < pm.pairs(us, vs).mean()

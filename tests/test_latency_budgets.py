@@ -1,14 +1,14 @@
-"""One latency model per decomposition, asked the same questions at several budgets.
+"""One latency model per decomposition, asked the same questions filled and lazy.
 
-Eager, lazy and evicting are one code path run under different numbers
-(``cache_bytes`` / ``eager_bytes``), so every kind of query is put to
-the same topology at five budgets and must come back ``array_equal``
-across them and equal to Dijkstra — on the transit-stub decomposition
-and on the APSP row blocks alike.  The rest pins what the ``uint8`` hop
-store and its packed triangle could get wrong (deep, mixed-delay,
-duplicate-link and off-table-delay stubs; both orders of a pair), the budget as a hard ceiling, the shape check,
-and — by call counts, never by a clock — what a fill and a warm
-``pairs`` may cost.
+Filled at construction and filled on first use are one code path run
+under different ``eager_bytes``, so every kind of query is put to the
+same topology both ways and must come back ``array_equal`` across them
+and equal to Dijkstra — on the transit-stub decomposition and on the
+APSP row blocks alike.  The rest pins what the ``uint8`` hop store and
+its packed triangle could get wrong (deep, mixed-delay, duplicate-link
+and off-table-delay stubs; both orders of a pair), the eager threshold,
+the shape check, and — by call counts, never by a clock — what a fill
+and a warm ``pairs`` may cost.
 """
 
 import os
@@ -37,8 +37,7 @@ from repro.topology.latency import (
 )
 from repro.topology.transit_stub import TransitStubParams, TransitStubTopology
 
-BUDGETS = ["one_block", "two_blocks", "half", "lazy", "filled"]
-EVICTING = BUDGETS[:3]
+BUDGETS = ["lazy", "filled"]
 
 
 def _stub_block_bytes(topo):
@@ -47,57 +46,41 @@ def _stub_block_bytes(topo):
     return size * (size + 1) // 2
 
 
-def _at_budget(make, block_bytes, n_blocks, budget):
-    """``(model, cache_bytes)`` of one decomposition at a named budget."""
-    footprint = block_bytes * n_blocks
-    if budget == "filled":
-        return make(), footprint
-    cache = {"one_block": block_bytes, "two_blocks": 2 * block_bytes, "half": footprint // 2}
-    cache_bytes = cache.get(budget, footprint)
-    return make(cache_bytes=cache_bytes, eager_bytes=0), cache_bytes
+def _at_budget(make, budget):
+    """One decomposition's model, filled at construction or on first use."""
+    return make() if budget == "filled" else make(eager_bytes=0)
 
 
 @pytest.fixture(scope="module", params=["transit_stub", "apsp"])
 def decomposition(request, small_topology):
-    """``(topology, make, {budget: (model, cache_bytes)})`` — fresh models per module."""
+    """``(topology, make, {budget: model})`` — fresh models per module."""
     if request.param == "transit_stub":
         topo = small_topology
-        block_bytes, n_blocks = _stub_block_bytes(topo), topo.n_stub_domains
 
         def make(**kw):
             return TransitStubLatencyModel(topo, **kw)
     else:
         topo = generate_brite(BriteParams(n_nodes=150), seed=4)
-        block_bytes, n_blocks = 16 * 150 * 2, 10
 
         def make(**kw):
             return APSPLatencyModel(topo, chunk=16, **kw)
 
-    return topo, make, {b: _at_budget(make, block_bytes, n_blocks, b) for b in BUDGETS}
-
-
-def _resident_block_bytes(model):
-    return model._resident * model._block_bytes
+    return topo, make, {b: _at_budget(make, b) for b in BUDGETS}
 
 
 class TestSameAnswersAtEveryBudget:
     def _check(self, decomposition, us, vs):
         topo, _, models = decomposition
-        answers = {b: model.pairs(us, vs) for b, (model, _) in models.items()}
-        for budget in BUDGETS[:-1]:
-            np.testing.assert_array_equal(answers[budget], answers["filled"], err_msg=budget)
+        answers = {b: model.pairs(us, vs) for b, model in models.items()}
+        np.testing.assert_array_equal(answers["lazy"], answers["filled"])
         truth = topo.shortest_delays(np.unique(us))
         np.testing.assert_allclose(
             answers["filled"], truth[np.searchsorted(np.unique(us), us), vs]
         )
-        for budget in EVICTING:
-            model, cache_bytes = models[budget]
-            assert model.evictions > 0, budget
-            assert _resident_block_bytes(model) <= cache_bytes, budget
 
     def test_all_routers_by_all_routers(self, decomposition):
-        """One call needing every block: more than an evicting pool has
-        slots for, so it is answered in groups."""
+        """One call needing every block: a lazy pool fills each cold one
+        once, then answers every lane in one gather."""
         n = decomposition[0].n_routers
         self._check(decomposition, np.repeat(np.arange(n), n), np.tile(np.arange(n), n))
 
@@ -108,7 +91,7 @@ class TestSameAnswersAtEveryBudget:
     def test_pair_is_pairs_bit_for_bit(self, decomposition, rng):
         topo, _, models = decomposition
         us, vs = rng.integers(0, topo.n_routers, (2, 60))
-        for budget, (model, _) in models.items():
+        for budget, model in models.items():
             batch = model.pairs(us, vs)
             for u, v, want in zip(us.tolist(), vs.tolist(), batch.tolist()):
                 got = model.pair(u, v)
@@ -117,25 +100,23 @@ class TestSameAnswersAtEveryBudget:
     def test_to_targets(self, decomposition):
         topo, _, models = decomposition
         targets = np.arange(0, topo.n_routers, 5)
-        rows = {b: model.to_targets(2, targets) for b, (model, _) in models.items()}
-        for budget in BUDGETS:
-            np.testing.assert_array_equal(rows[budget], rows["filled"], err_msg=budget)
+        rows = {b: model.to_targets(2, targets) for b, model in models.items()}
+        np.testing.assert_array_equal(rows["lazy"], rows["filled"])
         np.testing.assert_allclose(rows["filled"], topo.shortest_delays([2])[0][targets])
 
     def test_counters(self, decomposition):
         """``cache_misses`` counts blocks filled, ``cache_hits`` lanes
-        answered from a block already resident, ``evictions`` what the
-        budget pushed out."""
+        answered from a block already filled."""
         topo, make, models = decomposition
-        filled, _ = models["filled"]
-        assert filled.evictions == 0 and filled.cache_misses == len(filled._slot_of)
+        filled = models["filled"]
+        assert filled.cache_misses == len(filled._filled) and filled._filled.all()
         lazy = make(eager_bytes=0)
         assert lazy.stats()["cache_misses"] == 0
         u = int(topo.stub_routers[0])
         lazy.pairs(np.asarray([u, u]), np.asarray([u, u]))
         assert (lazy.cache_misses, lazy.cache_hits) == (1, 0)
         lazy.pairs(np.asarray([u, u, u]), np.asarray([u, u, u]))
-        assert (lazy.cache_misses, lazy.cache_hits, lazy.evictions) == (1, 3, 0)
+        assert (lazy.cache_misses, lazy.cache_hits) == (1, 3)
         assert lazy.pair(u, u) == 0.0 and lazy.cache_hits == 4
 
 
@@ -147,11 +128,8 @@ def _pair_kinds(topo):
 
 
 def test_transit_stub_pair_kinds_are_scalar_exact(small_topology):
-    for budget in ("filled", "lazy", "one_block"):
-        model, _ = _at_budget(
-            lambda **kw: TransitStubLatencyModel(small_topology, **kw),
-            _stub_block_bytes(small_topology), small_topology.n_stub_domains, budget,
-        )
+    for budget in BUDGETS:
+        model = _at_budget(lambda **kw: TransitStubLatencyModel(small_topology, **kw), budget)
         for u, v in _pair_kinds(small_topology):
             want = model.pairs(np.asarray([u]), np.asarray([v]))[0]
             assert model.pair(int(u), int(v)) == want == model.pair(int(v), int(u))
@@ -287,34 +265,20 @@ class TestHandBuiltStubs:
 
 
 # ----------------------------------------------------------------------
-# The budget, the dispatch, the shape check.
+# The eager threshold, the dispatch, the shape check.
 
 
 class TestBudgetIsAHardCeiling:
-    def test_a_budget_below_one_block_names_the_block_size(self, small_topology):
-        block = _stub_block_bytes(small_topology)
-        message = f"a cache budget of {block - 1} bytes is below one latency block \\({block} bytes\\)"
-        with pytest.raises(ValueError, match=message):
-            TransitStubLatencyModel(small_topology, cache_bytes=block - 1)
-        with pytest.raises(ValueError, match="a cache budget of 0 bytes is below one latency block"):
-            latency_model_for(small_topology, streaming_cache_bytes=0)
-        brite = generate_brite(BriteParams(n_nodes=64), seed=2)
-        with pytest.raises(ValueError, match=r"below one latency block \(8192 bytes\)"):
-            latency_model_for(brite, streaming_threshold_bytes=0, streaming_cache_bytes=8191)
-
-    def test_the_budget_sizes_the_pool(self, small_topology):
-        block = _stub_block_bytes(small_topology)
-        model = latency_model_for(small_topology, streaming_cache_bytes=5 * block + 7)
-        assert model._pool.shape[0] == 5
-        assert model.cache_misses == 0  # cannot hold every block, so nothing is pre-filled
-        roomy = latency_model_for(small_topology, streaming_cache_bytes=10**9)
-        assert roomy._pool.shape[0] == small_topology.n_stub_domains == roomy.cache_misses
+    """``streaming_threshold_bytes`` caps what construction fills: a
+    footprint above it fills no block until a query names one."""
 
     def test_threshold_picks_fill_at_construction_or_on_first_use(self, small_topology):
         n_stubs = small_topology.n_stub_domains
-        assert latency_model_for(small_topology).cache_misses == n_stubs
-        lazy = latency_model_for(small_topology, streaming_threshold_bytes=0)
+        footprint = n_stubs * _stub_block_bytes(small_topology)
+        assert latency_model_for(small_topology, streaming_threshold_bytes=footprint).cache_misses == n_stubs
+        lazy = latency_model_for(small_topology, streaming_threshold_bytes=footprint - 1)
         assert type(lazy) is TransitStubLatencyModel and lazy.cache_misses == 0
+        assert lazy._pool.shape[0] == n_stubs and not lazy._filled.any()  # one row per block
         brite = generate_brite(BriteParams(n_nodes=50), seed=1)
         assert latency_model_for(brite).cache_misses == 1
         lazy = latency_model_for(brite, streaming_threshold_bytes=0)
@@ -401,14 +365,10 @@ class TestCallCounts:
         fills = topo.n_stub_domains if dtype == np.float32 else 0
         assert len(dijkstra_calls) == (name in OFF_ONE_DELAY) + fills
 
-    @pytest.mark.parametrize("cache_blocks", [None, 4], ids=["roomy", "evicting"])
-    def test_warm_pairs_is_one_gather_no_fill_no_unique(
-        self, small_topology, monkeypatch, cache_blocks
-    ):
-        block = _stub_block_bytes(small_topology)
-        model = TransitStubLatencyModel(
-            small_topology, eager_bytes=0, cache_bytes=cache_blocks and cache_blocks * block
-        )
+    # A pool with room for every block: the only kind there is.
+    @pytest.mark.parametrize("eager_bytes", [0], ids=["roomy"])
+    def test_warm_pairs_is_one_gather_no_fill_no_unique(self, small_topology, monkeypatch, eager_bytes):
+        model = TransitStubLatencyModel(small_topology, eager_bytes=eager_bytes)
         members = [np.flatnonzero(small_topology.stub_domain_of == d) for d in range(3)]
         us = np.concatenate([m[:3] for m in members] + [members[0][:2]])
         vs = np.concatenate([m[1:4] for m in members] + [members[2][:2]])  # 9 same-domain, 2 cross
@@ -450,25 +410,25 @@ class TestObservability:
         bundle, model = filled_by_routing
         packed = _stub_block_bytes(bundle.topology)
         filled = model.cache_misses
-        assert 0 < filled <= bundle.topology.n_stub_domains and model.evictions == 0
+        assert 0 < filled <= bundle.topology.n_stub_domains
         assert model._pool.dtype == np.uint8 and model._pool.shape[1:] == (packed,)
         tables = [
             model._core, model._edge, model._gw_u, model._gw_v, model._dom_u, model._dom_v,
             model._local, model._ms, model._starts, model._data, model._indices, model._indptr,
-            model._slot_of, model._block_in, model._stamp, model._row_start,
+            model._filled, model._row_start,
         ]  # fmt: skip
         # scipy's CSR dtypes, which ``memory.latency_bytes`` was recorded with.
         assert (model._indptr.dtype, model._indices.dtype, model._data.dtype) == (
             np.int32, np.int32, np.float64,
         )  # fmt: skip
         assert model.resident_bytes == filled * packed * 1 + sum(t.nbytes for t in tables)
-        # Slots no block was filled into were never written (np.zeros pages stay untouched).
-        assert model._resident == filled and not model._pool[filled:].any()
+        # Rows no block was filled into were never written (np.zeros pages stay untouched).
+        assert model._filled.sum() == filled and not model._pool[~model._filled].any()
 
     def test_stats_and_publish(self, filled_by_routing):
         _, model = filled_by_routing
         stats = model.stats()
-        assert list(stats) == ["resident_bytes", "cache_misses", "cache_hits", "evictions"]
+        assert list(stats) == ["resident_bytes", "cache_misses", "cache_hits"]
         assert stats["cache_hits"] > 0 and all(type(v) is int for v in stats.values())
         registry = MetricsRegistry()
         model.publish(registry)

@@ -371,6 +371,19 @@ class TestServedReadsUnderAnInjector:
         assert store.read_at(head, key) == "v1" and store.read_at(tail, key) == "v0"
         assert (get.outcome, get.owner, get.value) == ("ok", head, "v0")
 
+    def test_a_fault_event_inside_the_run_fires_at_its_dispatch(self, bundle):
+        """The service runs the store's fault clock: a client crashed at
+        50 ms serves its gets before then and fails them at dispatch after."""
+        net, client = bundle.hieras, 7
+        injector = FaultInjector(FaultPlan().crash_peers(at_ms=50.0, peers=[client]), net.n_peers)
+        store = ReplicatedStore(net, QUORUM, injector=injector)
+        store.seed_key("k0", "v0")
+        reqs = [Request(op="get", at_ms=10.0 * i, source=client, name="k0") for i in range(10)]
+        done = DHTService(net, store=store).run(reqs).completions
+        assert [c.outcome for c in done] == ["ok"] * 5 + ["failed"] * 5
+        assert [c.route_ms for c in done[5:]] == [0.0] * 5  # failed at dispatch, never routed
+        assert injector.now_ms == 50.0 and injector.next_event_ms == math.inf
+
 
 class TestWriteAt:
     """``put`` is hash → route → ``write_at``."""

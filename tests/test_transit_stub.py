@@ -142,25 +142,25 @@ class TestStructure:
                 8489,
                 "e65430712ee0a0b7ec20f7d0249f958df68ce6dfdf02df3b6a6aadfa892f2e13",
             ),
-            (  # one-router transit domains, two-router stubs, redundancy edges
+            (  # one-router transit domains, two-router stubs
                 TransitStubParams(
                     n_transit_domains=3,
                     transit_nodes_per_domain=1,
                     stubs_per_transit_node=2,
                     stub_domain_size=2,
-                    extra_uplink_prob=0.5,
-                    stub_stub_edge_prob=0.5,
                 ),
                 11,
-                18,
-                "0c7aed6a0860dc1ef0e7ce10274d70c2dc0edbd79fb60fdc95702be888219cb2",
+                14,
+                "06e14bba95ffd4ed288dace706d347cb23c490bbe0587ffc77080015985a98de",
             ),
         ],
     )
     def test_output_pinned_across_generator_rewrites(self, params, seed, n_edges, digest):
         """sha256 of ``edges`` + ``delays`` recorded from the per-pair
-        Python-loop generator (commit f43c38b): a faster generator must
-        draw the same RNG stream and emit the same links in the same order."""
+        Python-loop generator (commit f43c38b; the third re-recorded when
+        the redundancy-edge options went, which drew nothing at their
+        default of 0): a faster generator must draw the same RNG stream
+        and emit the same links in the same order."""
         topo = generate_transit_stub(params, seed=seed)
         assert topo.edges.dtype == np.int64 and topo.delays.dtype == np.float64
         assert topo.edges.shape == (n_edges, 2)
