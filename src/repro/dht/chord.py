@@ -369,8 +369,8 @@ class ChordNetwork(DHTNetwork):
         The same walk as :meth:`route` — with no fault fired it takes
         the same hops — but every ring snapshot is treated as *stale*
         knowledge: peers the injector has crashed still appear in
-        finger tables, each contact may time out (dead target,
-        partition, or message loss), and each loop falls back through
+        finger tables, each contact may time out (dead target or
+        message loss), and each loop falls back through
         next-best fingers and the per-layer §3.3 successor list
         (``injector.policy.successor_fallback`` entries), paying retry
         penalties from the injector's
@@ -394,8 +394,8 @@ class ChordNetwork(DHTNetwork):
         Both policies walk every layer with the plan row's values — the
         §3.2 successor-list shortcut included — so a fault-free
         :meth:`route_lossy` is :meth:`route` hop for hop on every stack.
-        All that failure mode adds is the handle's contacts, its delay
-        factor and its timeout and retry tallies.
+        All that failure mode adds is the handle's contacts and its
+        timeout and retry tallies.
         """
         lossy = faults is not None
         path = [source]
@@ -423,7 +423,7 @@ class ChordNetwork(DHTNetwork):
             key=key,
             owner=path[-1] if ok else -1,
             path=path,
-            latency_ms=self.route_latency(self.latency, path) * (faults.delay_factor if lossy else 1.0),
+            latency_ms=self.route_latency(self.latency, path),
             hops_per_layer=hops_per_layer,
             success=ok,
             timeouts=faults.timeouts if lossy else 0,

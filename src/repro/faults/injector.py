@@ -1,8 +1,8 @@
 """Apply a :class:`FaultPlan` to either execution stack.
 
 One :class:`FaultInjector` owns the evolving :class:`FaultState` (who is
-dead, the ambient loss rate, the latency-spike factor, the partition
-map) and knows how to advance it along the plan's timeline:
+dead, the ambient loss rate) and knows how to advance it along the
+plan's timeline:
 
 * **Static stack** — experiments drive a virtual clock by calling
   :meth:`FaultInjector.advance_to` between lookups; the networks'
@@ -14,9 +14,8 @@ map) and knows how to advance it along the plan's timeline:
   between stabilisation rounds.
 * **Discrete-event stack** — :meth:`FaultInjector.install_sim`
   schedules the same events on the simulator: crashes call
-  ``SimNode.fail``, loss bursts mutate ``SimNetwork.loss_rate``,
-  latency spikes scale the network's latency model, and partitions
-  install a ``drop_filter``.
+  ``SimNode.fail``, revivals ``SimNode.recover``, and loss bursts
+  mutate ``SimNetwork.loss_rate``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import numpy as np
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.retry import RetryPolicy
-from repro.topology.base import LatencyModel
 from repro.util.rng import RngFactory
 from repro.util.validation import require
 
@@ -36,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulator
     from repro.sim.network import SimNetwork
 
-__all__ = ["FaultState", "FaultInjector", "LossyContext", "LookupFaults", "ScaledLatency"]
+__all__ = ["FaultState", "FaultInjector", "LossyContext", "LookupFaults"]
 
 
 @dataclass
@@ -54,9 +52,8 @@ class LookupFaults(LossyContext):
     <repro.dht.ring_array.SortedRing.walk>` routes under: how a contact
     goes (:meth:`contact`, charging this lookup's accumulators), who is
     really alive (``is_dead`` — ground truth, used only to fix the
-    destination, never to pick hops), how many successor-list entries a
-    node falls back on (``fallback_r``, §3.3) and the latency-spike
-    factor the lookup's link delays are scaled by.
+    destination, never to pick hops) and how many successor-list
+    entries a node falls back on (``fallback_r``, §3.3).
     """
 
     def __init__(self, injector: FaultInjector) -> None:
@@ -64,7 +61,6 @@ class LookupFaults(LossyContext):
         self._injector = injector
         self.is_dead = injector.state.is_dead
         self.fallback_r = injector.policy.successor_fallback
-        self.delay_factor = injector.state.delay_factor
 
     def contact(self, src: int, dst: int) -> bool:
         """Whether ``src`` reaches ``dst``; timeouts are charged here."""
@@ -79,39 +75,14 @@ class FaultState:
         self.n_peers = n_peers
         self.dead = np.zeros(n_peers, dtype=bool)
         self.loss_rate = 0.0
-        self.delay_factor = 1.0
-        self.partition: np.ndarray | None = None  # side label per peer
-        self.dead_landmarks: set[int] = set()
 
     def is_dead(self, peer: int) -> bool:
         """Ground-truth liveness of ``peer``."""
         return bool(self.dead[peer])
 
     def reachable(self, src: int, dst: int) -> bool:
-        """Whether a message from ``src`` could ever reach ``dst``."""
-        if self.dead[dst] or self.dead[src]:
-            return False
-        if self.partition is not None and self.partition[src] != self.partition[dst]:
-            return False
-        return True
-
-
-class ScaledLatency(LatencyModel):
-    """Wraps a latency model with a mutable multiplicative factor.
-
-    ``install_sim`` swaps this in for the network's model once; spike
-    events then only flip :attr:`factor`.
-    """
-
-    def __init__(self, inner: LatencyModel) -> None:
-        self.inner = inner
-        self.factor = 1.0
-
-    def pair(self, u: int, v: int) -> float:
-        return float(self.inner.pair(u, v)) * self.factor
-
-    def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        return self.inner.pairs(us, vs) * self.factor
+        """Whether a message from ``src`` could ever reach ``dst``: both are alive."""
+        return not (self.dead[dst] or self.dead[src])
 
 
 class FaultInjector:
@@ -179,16 +150,6 @@ class FaultInjector:
             state.loss_rate = ev.rate
         elif ev.kind == "loss_end":
             state.loss_rate = 0.0
-        elif ev.kind == "spike_start":
-            state.delay_factor = ev.factor
-        elif ev.kind == "spike_end":
-            state.delay_factor = 1.0
-        elif ev.kind == "partition_start":
-            state.partition = np.asarray(ev.groups, dtype=np.int64)
-        elif ev.kind == "partition_end":
-            state.partition = None
-        elif ev.kind == "landmark_outage":
-            state.dead_landmarks.add(ev.landmark)
         else:  # pragma: no cover - plan compilation guarantees known kinds
             raise ValueError(f"unknown fault event kind {ev.kind!r}")
 
@@ -198,7 +159,7 @@ class FaultInjector:
     def contact(self, src: int, dst: int, ctx: LossyContext) -> bool:
         """Model ``src`` trying to reach ``dst`` under current faults.
 
-        Each failed attempt (dead/partitioned target, or a live target
+        Each failed attempt (dead target, or a live target
         whose request or reply was lost) charges one backed-off timeout
         to ``ctx``.  Returns whether any attempt got through.  With no
         active faults this returns True without consuming randomness, so
@@ -222,16 +183,11 @@ class FaultInjector:
     def install_sim(self, sim: "Simulator", net: "SimNetwork") -> None:
         """Schedule the plan's events on a simulator, relative to now.
 
-        Crashes call :meth:`SimNode.fail` on registered nodes, loss
-        bursts set :attr:`SimNetwork.loss_rate` (restoring the baseline
-        afterwards), latency spikes scale the network's latency model in
-        place, and partitions install a :attr:`SimNetwork.drop_filter`.
-        Landmark outages have no transport-level effect; protocol code
-        consults :attr:`FaultState.dead_landmarks`.
+        Crashes call :meth:`SimNode.fail` on registered nodes, revivals
+        :meth:`SimNode.recover`, and loss bursts set
+        :attr:`SimNetwork.loss_rate` (restoring the baseline afterwards).
         """
         baseline_loss = net.loss_rate
-        scaled = ScaledLatency(net.latency)
-        net.latency = scaled
 
         def _fire(ev: FaultEvent) -> None:
             self._apply(ev)
@@ -247,17 +203,6 @@ class FaultInjector:
                 net.loss_rate = ev.rate
             elif ev.kind == "loss_end":
                 net.loss_rate = baseline_loss
-            elif ev.kind in ("spike_start", "spike_end"):
-                scaled.factor = self.state.delay_factor
-            elif ev.kind == "partition_start":
-                sides = self.state.partition
-
-                def _blocked(src: int, dst: int) -> bool:
-                    return bool(sides[src] != sides[dst])
-
-                net.drop_filter = _blocked
-            elif ev.kind == "partition_end":
-                net.drop_filter = None
 
         for ev in self.events:
             sim.schedule(ev.time_ms, _fire, ev)

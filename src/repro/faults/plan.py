@@ -1,15 +1,15 @@
 """Deterministic, composable fault schedules.
 
 A :class:`FaultPlan` is a seeded recipe of failure scenarios — node
-crashes, message-loss bursts, latency spikes, network partitions and
-landmark outages — declared with fluent builder calls and compiled into
-a time-ordered tuple of concrete :class:`FaultEvent` records by
-:meth:`FaultPlan.events`.  Compilation is deterministic: any randomness
-(which peers crash for a given fraction, which partition side each peer
-lands on) is drawn from :class:`repro.util.rng.RngFactory` streams keyed
-by the plan seed and the spec's position, so the same plan applied to
-the same population always produces the same schedule — on the static
-stack and the discrete-event stack alike.
+crashes and revivals, whole-ring crashes and message-loss bursts —
+declared with fluent builder calls and compiled into a time-ordered
+tuple of concrete :class:`FaultEvent` records by
+:meth:`FaultPlan.events`.  Compilation is deterministic: the one random
+draw (which peers crash for a given fraction) comes from a
+:class:`repro.util.rng.RngFactory` stream keyed by the plan seed and
+the spec's position, so the same plan applied to the same population
+always produces the same schedule — on the static stack and the
+discrete-event stack alike.
 """
 
 from __future__ import annotations
@@ -26,35 +26,21 @@ __all__ = ["FaultEvent", "FaultPlan"]
 
 # Event kinds produced by compilation. Durations expand into start/end
 # pairs so appliers only ever handle point events.
-KINDS = (
-    "crash",
-    "revive",
-    "loss_start",
-    "loss_end",
-    "spike_start",
-    "spike_end",
-    "partition_start",
-    "partition_end",
-    "landmark_outage",
-)
+KINDS = ("crash", "revive", "loss_start", "loss_end")
 
 
 @dataclass(frozen=True)
 class FaultEvent:
     """One concrete scheduled fault.
 
-    ``peers`` is filled for crash/revive events, ``rate`` for loss
-    bursts, ``factor`` for latency spikes, ``groups`` (one side label
-    per peer) for partitions, and ``landmark`` for landmark outages.
+    ``peers`` is filled for crash/revive events and ``rate`` for the
+    start of a loss burst.
     """
 
     time_ms: float
     kind: str
     peers: tuple[int, ...] = ()
     rate: float = 0.0
-    factor: float = 1.0
-    groups: tuple[int, ...] = ()
-    landmark: int = -1
 
 
 def _peer_ids(peers: list[int] | tuple[int, ...]) -> tuple[int, ...]:
@@ -113,31 +99,6 @@ class FaultPlan:
         )
         return self
 
-    def latency_spike(self, *, at_ms: float, factor: float, duration_ms: float) -> "FaultPlan":
-        """Scale all link delays by ``factor`` for ``duration_ms``."""
-        require(at_ms >= 0.0, "at_ms must be >= 0")
-        require(factor >= 1.0, "factor must be >= 1")
-        require(duration_ms > 0.0, "duration_ms must be > 0")
-        self._specs.append(
-            ("latency_spike", {"at_ms": float(at_ms), "factor": float(factor), "duration_ms": float(duration_ms)})
-        )
-        return self
-
-    def partition(self, *, at_ms: float, duration_ms: float, n_groups: int = 2) -> "FaultPlan":
-        """Split the population into ``n_groups`` isolated sides.
-
-        Peers are assigned to sides uniformly at random (seeded); while
-        the partition holds, messages between different sides are
-        undeliverable.
-        """
-        require(at_ms >= 0.0, "at_ms must be >= 0")
-        require(duration_ms > 0.0, "duration_ms must be > 0")
-        require(n_groups >= 2, "a partition needs at least 2 sides")
-        self._specs.append(
-            ("partition", {"at_ms": float(at_ms), "duration_ms": float(duration_ms), "n_groups": int(n_groups)})
-        )
-        return self
-
     def crash_ring(
         self, *, at_ms: float, network: Any, name: str, layer: int | None = None
     ) -> "FaultPlan":
@@ -158,28 +119,14 @@ class FaultPlan:
         members = sorted(int(p) for p in rings[name].peers)
         return self.crash_peers(at_ms=at_ms, peers=members)
 
-    def landmark_outage(self, *, at_ms: float, landmark: int) -> "FaultPlan":
-        """Take one landmark offline at ``at_ms``.
-
-        Landmarks are measurement infrastructure, not overlay members:
-        an outage blinds one coordinate of the binning scheme for nodes
-        that join afterwards (§2), without touching existing rings.
-        Appliers record the outage in :class:`FaultState.dead_landmarks`
-        for join/rebinning logic to consult.
-        """
-        require(at_ms >= 0.0, "at_ms must be >= 0")
-        require(landmark >= 0, "landmark must be >= 0")
-        self._specs.append(("landmark_outage", {"at_ms": float(at_ms), "landmark": int(landmark)}))
-        return self
-
     # ------------------------------------------------------------------
     # compilation
     # ------------------------------------------------------------------
     def events(self, n_peers: int) -> tuple[FaultEvent, ...]:
         """Compile the plan into time-sorted concrete events.
 
-        Deterministic in ``(seed, spec order, n_peers)``: each spec that
-        needs randomness gets its own named stream, so reordering or
+        Deterministic in ``(seed, spec order, n_peers)``: each
+        ``crash_fraction`` spec draws from its own named stream, so
         adding unrelated specs never perturbs another spec's draws.  A
         crashed or revived peer outside ``[0, n_peers)`` raises
         :class:`ValueError`.
@@ -205,22 +152,6 @@ class FaultPlan:
             elif kind == "loss_burst":
                 out.append(FaultEvent(params["at_ms"], "loss_start", rate=params["rate"]))
                 out.append(FaultEvent(params["at_ms"] + params["duration_ms"], "loss_end"))
-            elif kind == "latency_spike":
-                out.append(FaultEvent(params["at_ms"], "spike_start", factor=params["factor"]))
-                out.append(FaultEvent(params["at_ms"] + params["duration_ms"], "spike_end"))
-            elif kind == "partition":
-                rng = factory.get(f"spec-{i}-partition")
-                sides = rng.integers(0, params["n_groups"], size=n_peers)
-                out.append(
-                    FaultEvent(
-                        params["at_ms"], "partition_start", groups=tuple(int(s) for s in sides)
-                    )
-                )
-                out.append(FaultEvent(params["at_ms"] + params["duration_ms"], "partition_end"))
-            elif kind == "landmark_outage":
-                out.append(
-                    FaultEvent(params["at_ms"], "landmark_outage", landmark=params["landmark"])
-                )
             else:  # pragma: no cover - builders guarantee known kinds
                 raise ValueError(f"unknown fault spec {kind!r}")
         order = np.argsort([e.time_ms for e in out], kind="stable")

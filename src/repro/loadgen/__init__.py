@@ -3,8 +3,8 @@
 Three pieces (DESIGN.md §12):
 
 * :mod:`repro.loadgen.schedule` — arrival schedules (constant-rate,
-  diurnal sinusoid, flash crowd, linear ramp) turned into arrival
-  instants via time-rescaling of a seeded unit-rate process;
+  flash crowd) turned into arrival instants via time-rescaling of a
+  seeded unit-rate Poisson process;
 * :mod:`repro.loadgen.workload` — a locust-style user mix (3:1
   read:write over a Zipf key catalogue) stamping each arrival into a
   :class:`~repro.serve.request.Request`;
@@ -14,7 +14,7 @@ Three pieces (DESIGN.md §12):
 Everything is a pure function of its seed — same inputs, same bytes.
 """
 
-from repro.loadgen.schedule import Schedule, constant_rate, diurnal, flash_crowd, ramp
+from repro.loadgen.schedule import Schedule, constant_rate, flash_crowd
 from repro.loadgen.slo import PHASES, SLOReport, phase_stats
 from repro.loadgen.workload import WorkloadMix, catalog_names, generate
 
@@ -25,9 +25,7 @@ __all__ = [
     "WorkloadMix",
     "catalog_names",
     "constant_rate",
-    "diurnal",
     "flash_crowd",
     "generate",
     "phase_stats",
-    "ramp",
 ]

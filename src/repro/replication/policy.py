@@ -14,7 +14,7 @@ Consistency modes
 ``"chain"``
     Writes propagate head→tail along the replica chain (owner first,
     successors in placement order) and **abort on the first broken
-    link** — a crashed or partitioned chain member stops propagation
+    link** — a crashed or unreachable chain member stops propagation
     and fails the write.  Reads contact the chain *tail* (the only node
     guaranteed to hold every committed write); an unreachable tail
     fails the read.

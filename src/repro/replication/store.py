@@ -209,7 +209,7 @@ class ReplicatedStore:
         self.injector = injector
         #: Per-peer disk: peer -> {key -> (value, version)}.
         self._stored: dict[int, dict[int, tuple[Any, int]]] = {}
-        #: Latest published value / version per key (audit ground truth).
+        #: Latest acknowledged value / version per key (audit ground truth).
         self._catalog: dict[int, Any] = {}
         self._latest: dict[int, int] = {}
         #: Hinted handoff: crashed target -> missed (key, value, version).
@@ -346,12 +346,6 @@ class ReplicatedStore:
         )
         return lossy
 
-    def _link_ms(self, u: int, v: int) -> float:
-        delay = float(self.network.latency.pair(u, v))
-        if self.injector is not None:
-            delay *= self.injector.state.delay_factor
-        return delay
-
     def _reach(self, src: int, dst: int, role: str) -> ReplicaContact:
         """One modelled replica contact: free at ``src`` itself, otherwise
         charged through the injector (always answered fault-free)."""
@@ -364,7 +358,7 @@ class ReplicatedStore:
             self.stats.contact_failures += 1
         return ReplicaContact(
             src, dst, role, ok, ctx.timeouts, ctx.retry_latency_ms,
-            self._link_ms(src, dst) if ok else 0.0,
+            float(self.network.latency.pair(src, dst)) if ok else 0.0,
         )
 
     def _write_local(self, peer: int, key: int, value: Any, version: int) -> None:
@@ -398,7 +392,7 @@ class ReplicatedStore:
         if route.success:
             result = self.write_at(int(route.owner), key, value)
         else:
-            result = PutResult(key=key, version=self._stamp_put(key, value), success=False)
+            result = PutResult(key=key, version=self._stamp_put(), success=False)
             self.stats.routed_put_failures += 1
             self._count("replication.routed_put_failures")
         result.route = route
@@ -410,13 +404,14 @@ class ReplicatedStore:
         and fans out as the policy's consistency mode prescribes; the
         result has no ``route``.  Without an injector a route ends at
         the key's owner, so the coordinator heads the replica group."""
-        version = self._stamp_put(key, value)
+        version = self._stamp_put()
         owner = coordinator if self.injector is None else int(self.network.owner_of(key))
         group = group_at(self.network, owner, self.policy)
         write = self._chain_write if self.policy.consistency == "chain" else self._quorum_write
         result = write(coordinator, group, key, value, version)
         if result.success:
             self.stats.put_successes += 1
+            self._publish(key, value, version)
         return result
 
     def serve_epoch(
@@ -453,20 +448,26 @@ class ReplicatedStore:
             if not put:
                 read[lane] = self.read_at(owner, key)
                 continue
-            version = self._stamp_put(key, value)
+            version = self._stamp_put()
             for peer in next(rows):
                 if peer >= 0:
                     self._write_local(peer, key, value, version)
+            if ok[lane]:
+                self._publish(key, value, version)
         return read, fanout, ok.tolist()
 
-    def _stamp_put(self, key: int, value: Any) -> int:
-        """Count a put and publish ``value`` as ``key``'s latest version."""
+    def _stamp_put(self) -> int:
+        """Count a put and return its version; :meth:`_publish` makes it
+        the key's latest only once the write is acknowledged."""
         self.stats.puts += 1
         self._count("replication.puts")
         self._version_clock += 1
-        self._catalog[key] = value
-        self._latest[key] = self._version_clock
         return self._version_clock
+
+    def _publish(self, key: int, value: Any, version: int) -> None:
+        """Record an acknowledged write as ``key``'s latest value and version."""
+        self._catalog[key] = value
+        self._latest[key] = version
 
     def _chain_write(
         self, coordinator: int, group: list[int], key: int, value: Any, version: int
@@ -516,8 +517,8 @@ class ReplicatedStore:
         hold every committed write); quorum mode gathers ``R``
         responses, returns the freshest, and **repairs** stale or
         missing copies among the responders.  ``lost`` is set when the
-        read completed but no contacted replica held a key the store
-        has published — observable data loss.
+        read completed but no contacted replica held a key with an
+        acknowledged put — observable data loss.
         """
         key = int(self.network.space.hash_key(name))
         self.stats.gets += 1
@@ -604,7 +605,8 @@ class ReplicatedStore:
 
         A key is **lost** when no live peer holds any version of it,
         **stale-only** when live copies exist but none carries the
-        latest published version, and **intact** otherwise.  The walk
+        latest acknowledged version, and **intact** otherwise.  Only
+        keys with an acknowledged put are counted.  The walk
         is sorted (keys, then peers) so the audit is deterministic.
         """
         lost = stale_only = intact = 0
@@ -660,14 +662,13 @@ class ReplicatedStore:
         key = int(self.network.space.hash_key(name))
         self._version_clock += 1
         version = self._version_clock
-        self._catalog[key] = value
-        self._latest[key] = version
+        self._publish(key, value, version)
         for peer in replica_group(self.network, key, self.policy):
             self._write_local(int(peer), key, value, version)
         return version
 
     def version_of(self, name: str) -> int:
-        """Latest published version of ``name`` (-1 if never put)."""
+        """Latest acknowledged version of ``name`` (-1 if no put was acknowledged)."""
         key = int(self.network.space.hash_key(name))
         return self._latest.get(key, -1)
 

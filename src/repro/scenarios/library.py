@@ -322,12 +322,10 @@ def compile_landmark_outage_rolling(
     distances = bundle.attachment.landmark_distances(bundle.peer_latency.model)
     saturate = float(distances.max()) * 4.0 + 100.0
     scheme = bundle.orders.scheme
-    plan = FaultPlan(seed=params.seed)
     waves: list[MembershipWave] = []
     dead: list[int] = []
     for i in range(n_outages):
         outage_at = params.fault_at_ms + i * window
-        plan.landmark_outage(at_ms=outage_at, landmark=i)
         dead.append(i)
         joiners = [int(p) for p in slices[i]]
         if not joiners:
@@ -348,7 +346,7 @@ def compile_landmark_outage_rolling(
         )
     waves.sort(key=lambda w: w.time_ms)
     return _suite_campaign(
-        bundle, params, "landmark_outage_rolling", plan, tuple(waves),
+        bundle, params, "landmark_outage_rolling", FaultPlan(seed=params.seed), tuple(waves),
         {"outages": n_outages, "rejoined_degraded": len(held_out)},
         initial_offline=tuple(held_out),
     )

@@ -4,7 +4,7 @@ The runner owns the scenario clock.  Time advances in probe-interval
 ticks; each tick, in order:
 
 1. the fault clock advances (:meth:`ReplicatedStore.advance_to` —
-   injector crashes/revives/outages fire, hint queues replay);
+   injector crashes/revives fire, hint queues replay);
 2. due membership waves apply (graceful leaves, stabilize purges,
    join/revive waves, rebalance passes), filtered against ground truth
    so a peer that rejoined early is not purged by a stale wave;

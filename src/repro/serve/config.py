@@ -64,19 +64,3 @@ class ServiceConfig:
             and self.per_membership_ms >= 0,
             "cost-model parameters must be >= 0",
         )
-
-    @property
-    def lookup_capacity_per_s(self) -> float:
-        """Ideal lookups/sec at full coalescing (the knee's upper bound)."""
-        per_lookup = self.dispatch_overhead_ms / self.max_batch + self.per_lookup_ms
-        if per_lookup == 0.0:
-            return float("inf")
-        return 1000.0 * self.workers / per_lookup
-
-    @property
-    def scalar_lookup_capacity_per_s(self) -> float:
-        """Ideal lookups/sec at per-request dispatch (no coalescing)."""
-        per_lookup = self.dispatch_overhead_ms + self.per_lookup_ms
-        if per_lookup == 0.0:
-            return float("inf")
-        return 1000.0 * self.workers / per_lookup

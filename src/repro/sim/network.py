@@ -11,7 +11,6 @@ experiments can report protocol overheads (§3.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
 from repro.topology.base import LatencyModel
@@ -64,9 +63,6 @@ class SimNetwork:
         # up front — via the repo-wide determinism contract.
         self.loss_rate = loss_rate
         self._loss_rng = make_rng(loss_seed)
-        # Optional reachability hook (network partitions): messages with
-        # drop_filter(src, dst) == True are undeliverable and counted lost.
-        self.drop_filter: Callable[[int, int], bool] | None = None
         self._nodes: dict[int, "SimNode"] = {}
         # Accounting (per message kind) for the §3.4 overhead analysis.
         self.messages_sent = 0
@@ -118,11 +114,6 @@ class SimNetwork:
             m.inc("sim.messages_sent")
             m.inc(f"sim.sent.{message.kind}")
         if src != dst:
-            if self.drop_filter is not None and self.drop_filter(src, dst):
-                self.messages_lost += 1
-                if m is not None:
-                    m.inc("sim.messages_lost")
-                return
             if self.loss_rate > 0.0 and self._loss_rng.random() < self.loss_rate:
                 self.messages_lost += 1
                 if m is not None:

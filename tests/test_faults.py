@@ -10,7 +10,6 @@ from repro.faults import (
     FaultState,
     LossyContext,
     RetryPolicy,
-    ScaledLatency,
 )
 from repro.sim.engine import Simulator
 from repro.sim.network import Message, SimNetwork
@@ -57,8 +56,7 @@ class TestFaultPlan:
                 FaultPlan(seed=11)
                 .crash_fraction(at_ms=100.0, fraction=0.25)
                 .loss_burst(at_ms=50.0, rate=0.2, duration_ms=500.0)
-                .partition(at_ms=200.0, duration_ms=300.0)
-                .latency_spike(at_ms=10.0, factor=3.0, duration_ms=20.0)
+                .revive_peers(at_ms=200.0, peers=[3, 5])
             )
 
         assert build().events(64) == build().events(64)
@@ -87,13 +85,6 @@ class TestFaultPlan:
         # loss burst ends exactly when the crash lands; builder order wins ties.
         assert [e.kind for e in events] == ["loss_start", "crash", "loss_end"]
 
-    def test_partition_labels_every_peer(self):
-        events = FaultPlan(seed=4).partition(at_ms=0.0, duration_ms=10.0, n_groups=3).events(50)
-        start = events[0]
-        assert start.kind == "partition_start"
-        assert len(start.groups) == 50
-        assert set(start.groups) <= {0, 1, 2}
-
     def test_spec_streams_independent(self):
         """Adding an unrelated spec must not perturb another spec's draws."""
         base = FaultPlan(seed=5).crash_fraction(at_ms=10.0, fraction=0.2)
@@ -114,9 +105,7 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan().loss_burst(at_ms=0.0, rate=1.0, duration_ms=10.0)
         with pytest.raises(ValueError):
-            FaultPlan().latency_spike(at_ms=0.0, factor=0.5, duration_ms=10.0)
-        with pytest.raises(ValueError):
-            FaultPlan().partition(at_ms=0.0, duration_ms=10.0, n_groups=1)
+            FaultPlan().loss_burst(at_ms=0.0, rate=0.1, duration_ms=0.0)
         with pytest.raises(ValueError):
             FaultPlan().events(0)
 
@@ -145,9 +134,9 @@ class TestFaultState:
         state.dead[1] = True
         assert not state.reachable(0, 1)
         assert not state.reachable(1, 0)
-        state.partition = np.array([0, 0, 1, 1])
         assert state.reachable(2, 3)
-        assert not state.reachable(0, 2)
+        state.dead[1] = False
+        assert state.reachable(0, 1)
 
 
 class TestFaultInjector:
@@ -217,23 +206,13 @@ class _Echo(SimNode):
         self.inbox.append(message.kind)
 
 
-class _Fixed(ZeroLatency):
-    """Constant 10 ms per link (ZeroLatency with pair/pairs overridden)."""
-
-    def pair(self, u, v):
-        return 10.0
-
-    def pairs(self, us, vs):
-        return np.full(len(us), 10.0)
-
-
 class TestInstallSim:
     """The same FaultPlan drives the discrete-event stack."""
 
-    def _net(self, latency=None, n=4):
+    def _net(self):
         sim = Simulator()
-        net = SimNetwork(sim, latency or ZeroLatency(), loss_seed=5)
-        nodes = [_Echo(p, sim, net) for p in range(n)]
+        net = SimNetwork(sim, ZeroLatency(), loss_seed=5)
+        nodes = [_Echo(p, sim, net) for p in range(4)]
         return sim, net, nodes
 
     def test_crash_and_revive_flip_node_liveness(self):
@@ -261,42 +240,6 @@ class TestInstallSim:
         assert net.loss_rate == 0.0  # baseline restored after the burst
         # second wave (after loss_end) arrived intact
         assert len(nodes[1].inbox) == 400 - net.messages_lost
-
-    def test_partition_blocks_cross_side_traffic(self):
-        sim, net, nodes = self._net(n=8)
-        plan = FaultPlan(seed=12).partition(at_ms=0.0, duration_ms=50.0)
-        injector = FaultInjector(plan, 8)
-        injector.install_sim(sim, net)
-        sim.run(until=1.0)
-        sides = injector.state.partition
-        assert net.drop_filter is not None
-        src = 0
-        same = next(p for p in range(1, 8) if sides[p] == sides[src])
-        other = next(p for p in range(1, 8) if sides[p] != sides[src])
-        nodes[src].send(same, "intra")
-        nodes[src].send(other, "inter")
-        sim.run(until=40.0)
-        assert nodes[same].inbox == ["intra"]
-        assert nodes[other].inbox == []
-        sim.run()  # partition_end at t=50
-        assert net.drop_filter is None
-        nodes[src].send(other, "inter-again")
-        sim.run()
-        assert nodes[other].inbox == ["inter-again"]
-
-    def test_latency_spike_scales_delivery_delay(self):
-        sim, net, nodes = self._net(latency=_Fixed())
-        plan = FaultPlan().latency_spike(at_ms=0.0, factor=5.0, duration_ms=100.0)
-        FaultInjector(plan, 4).install_sim(sim, net)
-        assert isinstance(net.latency, ScaledLatency)
-        sim.run(until=1.0)
-        nodes[0].send(1, "slow")
-        sim.run(until=200.0)
-        # 10 ms link under a 5x spike: delivered at ~51 ms, not ~11 ms.
-        assert net.total_delay_ms == 50.0
-        sim.run()
-        assert net.latency.factor == 1.0  # spike_end restored the factor
-
 
 class TestLossyRoutingStatic:
     def test_no_faults_matches_plain_route(self, small_networks):
@@ -423,78 +366,11 @@ class TestEventOrderingAndPartitionDeterminism:
             FaultPlan(seed=8)
             .crash_ring(at_ms=300.0, network=hieras, name=name)
             .loss_burst(at_ms=100.0, rate=0.2, duration_ms=200.0)
-            .partition(at_ms=300.0, duration_ms=50.0)
+            .revive_peers(at_ms=300.0, peers=[0])
             .events(hieras.n_peers)
         )
         times = [e.time_ms for e in events]
         assert times == sorted(times)
-        # Both the loss_end, the crash and the partition_start land at
-        # t=300; stable argsort preserves builder declaration order.
-        assert [e.kind for e in events] == [
-            "loss_start",
-            "crash",
-            "loss_end",
-            "partition_start",
-            "partition_end",
-        ]
-
-    def test_partition_groups_deterministic_per_seed(self):
-        def groups(seed):
-            events = (
-                FaultPlan(seed=seed)
-                .partition(at_ms=0.0, duration_ms=10.0, n_groups=3)
-                .events(60)
-            )
-            return events[0].groups
-
-        assert groups(21) == groups(21)
-        assert groups(21) != groups(22)
-
-    def test_partition_groups_independent_of_later_specs(self):
-        """Streams are keyed by spec index: appending specs after the
-        partition must not perturb its group assignment."""
-        bare = FaultPlan(seed=13).partition(at_ms=5.0, duration_ms=10.0)
-        padded = (
-            FaultPlan(seed=13)
-            .partition(at_ms=5.0, duration_ms=10.0)
-            .crash_fraction(at_ms=0.0, fraction=0.1)
-        )
-        bare_groups = [e for e in bare.events(40) if e.kind == "partition_start"][0].groups
-        padded_groups = [e for e in padded.events(40) if e.kind == "partition_start"][0].groups
-        assert bare_groups == padded_groups
-
-
-class TestReviveAfterPartition:
-    def test_revive_during_partition_respects_sides(self):
-        plan = (
-            FaultPlan(seed=17)
-            .partition(at_ms=0.0, duration_ms=100.0, n_groups=2)
-            .crash_peers(at_ms=10.0, peers=[1])
-            .revive_peers(at_ms=20.0, peers=[1])
-        )
-        injector = FaultInjector(plan, 20)
-        groups = [e for e in plan.events(20) if e.kind == "partition_start"][0].groups
-        same = next(p for p in range(2, 20) if groups[p] == groups[1])
-        other = next(p for p in range(2, 20) if groups[p] != groups[1])
-        injector.advance_to(15.0)
-        assert injector.state.is_dead(1)
-        injector.advance_to(30.0)
-        # Revived mid-partition: reachable from its own side only.
-        assert not injector.state.is_dead(1)
-        assert injector.state.reachable(same, 1)
-        assert not injector.state.reachable(other, 1)
-        injector.advance_to(150.0)
-        # Partition healed: both sides reach the revived peer.
-        assert injector.state.reachable(other, 1)
-
-    def test_revive_exactly_at_partition_end_is_fully_reachable(self):
-        plan = (
-            FaultPlan(seed=19)
-            .partition(at_ms=0.0, duration_ms=50.0)
-            .crash_peers(at_ms=5.0, peers=[3])
-            .revive_peers(at_ms=50.0, peers=[3])
-        )
-        injector = FaultInjector(plan, 10)
-        injector.advance_to(50.0)
-        assert not injector.state.is_dead(3)
-        assert all(injector.state.reachable(p, 3) for p in range(10) if p != 3)
+        # The crash, the loss_end and the revive all land at t=300;
+        # stable argsort preserves builder declaration order.
+        assert [e.kind for e in events] == ["loss_start", "crash", "loss_end", "revive"]

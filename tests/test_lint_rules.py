@@ -2,7 +2,7 @@
 
 The scans live in ``tests/test_source_contracts.py``; these are their
 positive fixtures, the known false positives that must stay silent, and
-the looser scope of test-grade code (``benchmarks``/``examples``).
+the looser scope of test-grade code (``tests``/``examples``).
 """
 
 from tests.test_source_contracts import rules
@@ -13,7 +13,6 @@ SIM = "repro.sim._fixture"
 ANALYSIS = "repro.analysis._fixture"
 TESTS = "tests.test_fixture"
 EXAMPLES = "examples.demo_fixture"
-BENCHMARKS = "benchmarks.bench_fixture"
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +299,7 @@ class TestPaperScheme:
 
 
 # ----------------------------------------------------------------------
-# test-grade relaxations for benchmarks/ and examples/
+# test-grade relaxations for examples/
 # ----------------------------------------------------------------------
 class TestRelaxedScopes:
     def test_examples_may_seed_rng_explicitly(self):
@@ -310,10 +309,3 @@ class TestRelaxedScopes:
     def test_examples_may_not_draw_os_entropy(self):
         src = "import numpy as np\nrng = np.random.default_rng()\n"
         assert rules(src, EXAMPLES) == ["DET001"]
-
-    def test_benchmarks_skip_hot_path_rules(self):
-        src = """
-        def build(peers):
-            return [PeerInfo(p) for p in peers]
-        """
-        assert rules(src, BENCHMARKS) == []

@@ -8,14 +8,13 @@ import pytest
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle
 from repro.loadgen import (
+    Schedule,
     SLOReport,
     WorkloadMix,
     catalog_names,
     constant_rate,
-    diurnal,
     flash_crowd,
     generate,
-    ramp,
 )
 from repro.metrics.registry import Histogram
 from repro.serve import DHTService, ServiceConfig
@@ -34,33 +33,14 @@ class TestSchedules:
         # 9 s at base + 1 s at 8x base.
         assert sched.cumulative()[1][-1] == pytest.approx(900.0 + 800.0)
 
-    def test_ramp_mass_is_exact(self):
-        sched = ramp(0.0, 200.0, 10_000.0)
-        assert sched.cumulative()[1][-1] == pytest.approx(1000.0)
-
-    def test_diurnal_full_period_averages_out(self):
-        sched = diurnal(100.0, 60_000.0, amplitude=0.8, period_ms=60_000.0)
-        # The sinusoid integrates to zero over a full period.
-        assert sched.cumulative()[1][-1] == pytest.approx(6000.0, rel=1e-6)
-
     def test_arrivals_sorted_and_in_window(self):
         for sched in (
             constant_rate(200.0, 5000.0),
-            diurnal(200.0, 5000.0, amplitude=0.5, period_ms=5000.0),
             flash_crowd(100.0, 5000.0, spike_at_ms=1000.0, spike_duration_ms=500.0),
-            ramp(50.0, 400.0, 5000.0),
         ):
             times = sched.arrival_times(7)
             assert np.all(np.diff(times) >= 0.0)
             assert times.size == 0 or (times[0] >= 0.0 and times[-1] <= 5000.0)
-
-    def test_fluid_jitter_matches_mass_exactly(self):
-        sched = constant_rate(100.0, 10_000.0)
-        times = sched.arrival_times(jitter="none")
-        assert times.size == 1000
-        # Fluid arrivals at a constant rate are evenly spaced.
-        gaps = np.diff(times)
-        assert np.allclose(gaps, gaps[0])
 
     def test_poisson_count_near_mass(self):
         sched = constant_rate(500.0, 10_000.0)
@@ -86,11 +66,11 @@ class TestSchedules:
         with pytest.raises(ValueError):
             constant_rate(1.0, 0.0)
         with pytest.raises(ValueError):
-            diurnal(1.0, 1000.0, amplitude=2.0)
-        with pytest.raises(ValueError):
             flash_crowd(1.0, 1000.0, spike_at_ms=0.0, spike_duration_ms=0.0)
         with pytest.raises(ValueError):
-            constant_rate(1.0, 1000.0).arrival_times(0, jitter="gamma")
+            flash_crowd(1.0, 1000.0, spike_at_ms=0.0, spike_duration_ms=10.0, spike_factor=0.5)
+        with pytest.raises(ValueError):
+            Schedule(kind="ramp", duration_ms=1000.0, rate_per_s=1.0)
 
 
 class TestWorkload:

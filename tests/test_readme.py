@@ -43,7 +43,6 @@ ROOT = README.parent
 CLI_DOCS = [
     ROOT / "README.md",
     *sorted((ROOT / "docs").glob("*.md")),
-    ROOT / "benchmarks" / "README.md",
     ROOT / "EXPERIMENTS.md",
     ROOT / "DESIGN.md",
     ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
@@ -135,7 +134,7 @@ def test_ci_line_counts_name_existing_paths():
     workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
     (step,) = re.findall(r"- name: Line count per package.*?(?=\n\s+- name:|\n\n)", workflow, flags=re.DOTALL)
     words = [w.strip("\"'") for cmd in re.findall(r"\$\(([^()]*)\)", step) for w in cmd.split()]
-    paths = [w for w in words if w.split("/")[0] in ("src", "tests", "benchmarks", ".github")]
+    paths = [w for w in words if w.split("/")[0] in ("src", "tests", ".github")]
     assert len(paths) >= 8  # the regexes still find the commands
     for path in paths:
         head, brace, tail = re.match(r"([^{]*)(?:\{([^}]*)\})?(.*)", path).groups()

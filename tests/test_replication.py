@@ -376,7 +376,7 @@ class TestReadRepair:
         again = store.get(source, "file")
         assert not again.stale  # one repair was enough
 
-    def test_chain_read_returns_stale_silently(self):
+    def test_chain_read_returns_the_committed_version(self):
         net = make_chord()
         policy = ReplicationPolicy(replicas=2, consistency="chain",
                                    hinted_handoff=False)
@@ -392,11 +392,11 @@ class TestReadRepair:
         store.put(source, "file", "v2")  # aborts at the dead tail
         store.advance_to(40.0)
         got = store.get(source, "file")
-        # The tail answers with the version it has — staleness is real
-        # but invisible to chain reads (no second opinion to compare).
+        # The aborted v2 was never acknowledged, so the tail's v1 is the
+        # key's committed version: the chain read is current, not stale.
         assert got.success and got.value == "v1"
         assert not got.stale
-        assert got.version < store.version_of("file")
+        assert got.version == store.version_of("file")
 
 
 class TestLossAccounting:
@@ -415,6 +415,34 @@ class TestLossAccounting:
         if got.success:  # routing may still reach a (non-holding) owner
             assert got.lost and got.value is None
             assert store.stats.lost_reads == 1
+
+    @pytest.mark.parametrize("failure", ["routing", "chain_abort"])
+    def test_a_failed_put_publishes_nothing(self, failure):
+        """A put that is never acknowledged counts and takes a version,
+        but the name stays unpublished: no latest version, no catalogue
+        or audit entry, and a later empty read of it is no loss."""
+        net = make_chord()
+        policy = ReplicationPolicy(replicas=2, consistency="chain", hinted_handoff=False)
+        group = group_of(net, "file", policy)
+        plan = FaultPlan(seed=3)
+        if failure == "routing":
+            plan.loss_burst(at_ms=0.0, rate=0.99, duration_ms=20.0)
+        else:
+            plan.crash_peers(at_ms=0.0, peers=[group[-1]]).revive_peers(at_ms=20.0, peers=[group[-1]])
+        store = ReplicatedStore(net, policy, injector=FaultInjector(plan, len(net._alive)))
+        store.advance_to(10.0)
+        source = next(p for p in range(net.n_peers) if p not in group)
+        put = store.put(source, "file", "v")
+        assert not put.success and put.version == 1 and store.stats.puts == 1
+        assert put.route.success == (failure == "chain_abort")
+        assert put.aborted == (failure == "chain_abort")
+        assert store.version_of("file") == -1
+        assert len(store) == 0
+        assert store.loss_audit()["keys"] == 0
+        store.advance_to(30.0)
+        got = store.get(source, "file")
+        assert got.success and got.value is None
+        assert not got.lost and store.stats.lost_reads == 0
 
     def test_audit_counts_stale_only_keys(self):
         _, store, _, _ = TestReadRepair().make_stale_replica()

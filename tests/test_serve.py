@@ -5,6 +5,7 @@ import pytest
 
 from repro.experiments.config import SimConfig
 from repro.experiments.runner import build_bundle
+from repro.experiments.serve_exp import mixed_capacity_per_s
 from repro.replication import ReplicatedStore, ReplicationPolicy
 from repro.serve import Completion, DHTService, Request, ServiceConfig
 from tests.test_serve_epoch import QUORUM, lossy, mixed_stream, serve
@@ -65,8 +66,9 @@ class TestServiceConfig:
     def test_capacity_model(self):
         cfg = ServiceConfig(workers=4, max_batch=32, dispatch_overhead_ms=5.0,
                             per_lookup_ms=0.5)
-        assert cfg.lookup_capacity_per_s > cfg.scalar_lookup_capacity_per_s
-        assert cfg.scalar_lookup_capacity_per_s == pytest.approx(4000.0 / 5.5)
+        scalar = mixed_capacity_per_s(cfg, 1.0, coalesced=False)
+        assert mixed_capacity_per_s(cfg, 1.0) > scalar
+        assert scalar == pytest.approx(4000.0 / 5.5)
 
 
 class TestEventLoop:

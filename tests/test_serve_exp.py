@@ -46,11 +46,11 @@ class TestCapacityModel:
         assert batched > 2 * scalar
 
     def test_pure_read_matches_config_property(self):
+        """Pure reads at the default costs: 4 workers, each lookup paying
+        0.5 ms plus the 5 ms dispatch overhead, whole or split 32 ways."""
         cfg = ServiceConfig()
-        assert mixed_capacity_per_s(cfg, 1.0) == pytest.approx(cfg.lookup_capacity_per_s)
-        assert mixed_capacity_per_s(cfg, 1.0, coalesced=False) == pytest.approx(
-            cfg.scalar_lookup_capacity_per_s
-        )
+        assert mixed_capacity_per_s(cfg, 1.0) == pytest.approx(4000.0 / (5.0 / 32 + 0.5))
+        assert mixed_capacity_per_s(cfg, 1.0, coalesced=False) == pytest.approx(4000.0 / 5.5)
 
 
 class TestServeCell:

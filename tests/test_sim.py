@@ -219,20 +219,6 @@ class TestSimNetwork:
         assert network.stats()["mean_delay_ms"] == 50.0
         assert len(nodes[1].received) == delivered
 
-    def test_drop_filter_blocks_and_counts(self, net):
-        sim, network, nodes = net
-        network.drop_filter = lambda src, dst: dst == 2
-        nodes[0].send(1, "ok")
-        nodes[0].send(2, "blocked")
-        sim.run()
-        assert network.messages_lost == 1
-        assert [m.kind for m in nodes[1].received] == ["ok"]
-        assert nodes[2].received == []
-        # local delivery bypasses the filter entirely
-        nodes[2].send(2, "self")
-        sim.run()
-        assert [m.kind for m in nodes[2].received] == ["self"]
-
     def test_duplicate_registration_rejected(self, net):
         sim, network, nodes = net
         with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ tier-1 digests and the seven ``bench <id> --check`` runs fail once a
 violation changes an artifact; each scan here fails on a violation that
 changes none *yet* — planting it in a covered module left every other
 check passing (the mutation table in DESIGN.md §8).  A scan is a plain
-``ast`` walk over ``src``, ``tests``, ``benchmarks`` and ``examples``;
-the last three are test-grade code with a looser scope.  A site a scan
+``ast`` walk over ``src``, ``tests`` and ``examples``; the last two
+are test-grade code with a looser scope.  A site a scan
 must tolerate is listed in ``ALLOWED`` with its reason, and
 ``test_every_allowed_site_is_found`` drops entries that go stale.  Each
 scan's positive and negative fixtures sit in ``tests/test_lint.py``
@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-TREES = ("src", "tests", "benchmarks", "examples")
+TREES = ("src", "tests", "examples")
 
 
 def _module(path: Path) -> str:
@@ -37,7 +37,7 @@ def _under(module: str, *packages: str) -> bool:
 
 
 def _test_grade(module: str) -> bool:
-    return _under(module, "tests", "benchmarks", "examples")
+    return _under(module, "tests", "examples")
 
 
 def _dotted(node: ast.AST) -> str | None:
@@ -384,7 +384,6 @@ ALLOWED = {
         ("repro.experiments.runner", "build_bundle"): "makes every deployment's scheme",
         ("repro.experiments.figures", "_run_table1"): "Table 1 bins the paper's own distances",
         ("repro.experiments.figures", "binning_variants"): "`ablation_binning`'s `paper_boundaries` row",
-        ("benchmarks.bench_micro", "test_binning_pass"): "times the depth-4 binning pass",
     },
 }
 
