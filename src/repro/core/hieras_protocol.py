@@ -34,17 +34,20 @@ from collections.abc import Callable
 from repro.core.ring import ring_id
 from repro.dht.chord_protocol import (
     GLOBAL_RING,
+    REQUEST_TIMEOUT_MS,
+    STABILIZE_INTERVAL_MS,
     ChordProtocolNode,
     LookupOutcome,
-    ProtocolConfig,
 )
 from repro.sim.engine import Simulator
 from repro.sim.network import Message, SimNetwork
 from repro.util.ids import IdSpace
 from repro.util.intervals import in_interval, in_interval_open
-from repro.util.validation import require
 
 __all__ = ["HierasProtocolNode", "HierasLookupOutcome"]
+
+#: Period at which every member re-publishes its rings' tables.
+REPUBLISH_INTERVAL_MS = 2000.0
 
 
 @dataclass
@@ -68,13 +71,8 @@ class HierasProtocolNode(ChordProtocolNode):
         space: IdSpace,
         sim: Simulator,
         network: SimNetwork,
-        *,
-        config: ProtocolConfig | None = None,
-        republish_interval_ms: float = 2000.0,
     ) -> None:
-        super().__init__(peer, node_id, space, sim, network, config=config)
-        require(republish_interval_ms > 0, "republish interval must be positive")
-        self.republish_interval_ms = republish_interval_ms
+        super().__init__(peer, node_id, space, sim, network)
         #: Ring names this node belongs to, lowest layer LAST
         #: (``lower_rings[0]`` is layer 2).
         self.lower_rings: list[str] = []
@@ -85,7 +83,6 @@ class HierasProtocolNode(ChordProtocolNode):
         #: (id, peer) pairs, largest/2nd-largest/smallest/2nd-smallest).
         self.stored_ring_tables: dict[str, list[tuple[int, int]]] = {}
         self.joined = False
-        self._join_done_cb: Callable[[], None] | None = None
         self._join_index: int | None = None
         self._join_progress = 0
 
@@ -101,15 +98,9 @@ class HierasProtocolNode(ChordProtocolNode):
             self.create_ring(name)
             self._store_ring_table_locally(name)
         self.joined = True
-        self.after(self.republish_interval_ms, self._republish_tick)
+        self.after(REPUBLISH_INTERVAL_MS, self._republish_tick)
 
-    def join_system(
-        self,
-        bootstrap_peer: int,
-        ring_names: list[str],
-        *,
-        on_done: Callable[[], None] | None = None,
-    ) -> None:
+    def join_system(self, bootstrap_peer: int, ring_names: list[str]) -> None:
         """Join an existing system through nearby member ``bootstrap_peer``.
 
         ``ring_names`` are this node's landmark orders (layer 2 first),
@@ -119,7 +110,6 @@ class HierasProtocolNode(ChordProtocolNode):
         """
         self.joined = False  # re-joins reset the flag until convergence
         self.lower_rings = list(ring_names)
-        self._join_done_cb = on_done
         self._join_index = None
         # Ask the bootstrap for the landmark table, then join layer 1.
         token = self._register(self._on_landmark_table, timeout=True)
@@ -131,7 +121,7 @@ class HierasProtocolNode(ChordProtocolNode):
         # be lost to churn (dead hosts, stale routes); if a step makes
         # no progress for a few timeouts, re-run it from scratch.
         self.after(
-            3 * self.config.request_timeout_ms,
+            3 * REQUEST_TIMEOUT_MS,
             self._join_watchdog,
             self._join_progress,
         )
@@ -142,7 +132,7 @@ class HierasProtocolNode(ChordProtocolNode):
         if self._join_progress == last_progress and self._join_index is not None:
             self._join_lower(self._join_index)
         self.after(
-            3 * self.config.request_timeout_ms,
+            3 * REQUEST_TIMEOUT_MS,
             self._join_watchdog,
             self._join_progress,
         )
@@ -157,9 +147,7 @@ class HierasProtocolNode(ChordProtocolNode):
         self._join_progress += 1
         if index >= len(self.lower_rings):
             self.joined = True
-            self.after(self.republish_interval_ms, self._republish_tick)
-            if self._join_done_cb is not None:
-                self._join_done_cb()
+            self.after(REPUBLISH_INTERVAL_MS, self._republish_tick)
             return
         name = self.lower_rings[index]
         rid = ring_id(self.space, name)
@@ -186,7 +174,7 @@ class HierasProtocolNode(ChordProtocolNode):
         self, index: int, name: str, host_peer: int, msg: Message | None, attempt: int = 0
     ) -> None:
         if msg is None:  # host failed mid-join: retry the whole step
-            self.after(self.config.request_timeout_ms, self._join_lower, index)
+            self.after(REQUEST_TIMEOUT_MS, self._join_lower, index)
             return
         entries = msg.payload.get("entries")
         if not entries:
@@ -198,7 +186,7 @@ class HierasProtocolNode(ChordProtocolNode):
                 # answer makes the joiner found a duplicate ring — a
                 # partition stabilize can never heal.)
                 self.after(
-                    2 * self.config.stabilize_interval_ms,
+                    2 * STABILIZE_INTERVAL_MS,
                     self._retry_ring_table,
                     index,
                     name,
@@ -331,7 +319,7 @@ class HierasProtocolNode(ChordProtocolNode):
                 )
 
             self.lookup(rid, _send_update, ring=GLOBAL_RING)
-        self.after(self.republish_interval_ms, self._republish_tick)
+        self.after(REPUBLISH_INTERVAL_MS, self._republish_tick)
 
     def _audit_ring_table(self, name: str, msg: Message | None) -> None:
         """Adopt a closer ring successor learned from the ring table."""
@@ -426,7 +414,7 @@ class HierasProtocolNode(ChordProtocolNode):
                 self.network.metrics.inc("protocol.lookups")
             if retries > 0:
                 token = self._register(
-                    _finish, timeout=True, timeout_ms=3.0 * self.config.request_timeout_ms
+                    _finish, timeout=True, timeout_ms=3.0 * REQUEST_TIMEOUT_MS
                 )
             else:
                 token = self._register(_finish)

@@ -30,27 +30,19 @@ from repro.sim.network import Message, SimNetwork
 from repro.sim.node import SimNode
 from repro.util.ids import IdSpace
 from repro.util.intervals import in_interval, in_interval_open
-from repro.util.validation import require, require_int
 
-__all__ = ["ChordProtocolNode", "ProtocolConfig", "RingState", "LookupOutcome"]
+__all__ = ["ChordProtocolNode", "RingState", "LookupOutcome"]
 
 GLOBAL_RING = "global"
 
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Timer and list-length settings for the protocol stack."""
-
-    stabilize_interval_ms: float = 500.0
-    fix_fingers_interval_ms: float = 250.0
-    request_timeout_ms: float = 2000.0
-    successor_list_len: int = 4
-
-    def __post_init__(self) -> None:
-        require(self.stabilize_interval_ms > 0, "stabilize interval must be positive")
-        require(self.fix_fingers_interval_ms > 0, "fix_fingers interval must be positive")
-        require(self.request_timeout_ms > 0, "request timeout must be positive")
-        require_int(self.successor_list_len, 1, name="successor_list_len")
+#: Period of each ring's stabilize/notify round.
+STABILIZE_INTERVAL_MS = 500.0
+#: Period of each ring's one-finger refresh.
+FIX_FINGERS_INTERVAL_MS = 250.0
+#: How long a request waits for its reply before it times out.
+REQUEST_TIMEOUT_MS = 2000.0
+#: Successor-list entries kept per ring.
+SUCCESSOR_LIST_LEN = 4
 
 
 @dataclass
@@ -92,13 +84,10 @@ class ChordProtocolNode(SimNode):
         space: IdSpace,
         sim: Simulator,
         network: SimNetwork,
-        *,
-        config: ProtocolConfig | None = None,
     ) -> None:
         super().__init__(peer, sim, network)
         self.node_id = space.validate_id(node_id, name="node_id")
         self.space = space
-        self.config = config or ProtocolConfig()
         self.rings: dict[str, RingState] = {}
         self._next_token = 0
         self._pending: dict[int, Callable[[Message | None], None]] = {}
@@ -127,7 +116,7 @@ class ChordProtocolNode(SimNode):
 
         def _on_found(msg: Message | None) -> None:
             if msg is None:  # timeout: retry through the same contact
-                self.after(self.config.request_timeout_ms, self.join_ring, ring, via_peer)
+                self.after(REQUEST_TIMEOUT_MS, self.join_ring, ring, via_peer)
                 return
             state.successor = (msg.payload["owner_peer"], msg.payload["owner_id"])
             self._start_timers(ring)
@@ -137,8 +126,8 @@ class ChordProtocolNode(SimNode):
         self._remote_find_successor(ring, via_peer, self.node_id, _on_found)
 
     def _start_timers(self, ring: str) -> None:
-        self.after(self.config.stabilize_interval_ms, self._stabilize_tick, ring)
-        self.after(self.config.fix_fingers_interval_ms, self._fix_fingers_tick, ring)
+        self.after(STABILIZE_INTERVAL_MS, self._stabilize_tick, ring)
+        self.after(FIX_FINGERS_INTERVAL_MS, self._fix_fingers_tick, ring)
 
     # ------------------------------------------------------------------
     # local routing helpers
@@ -283,7 +272,7 @@ class ChordProtocolNode(SimNode):
                 timeout=True,
             )
             self.send(pred[0], "ping", token=token, ring=ring)
-        self.after(self.config.stabilize_interval_ms, self._stabilize_tick, ring)
+        self.after(STABILIZE_INTERVAL_MS, self._stabilize_tick, ring)
 
     def _on_predecessor_probe(
         self, ring: str, probed: tuple[int, int], msg: Message | None
@@ -318,7 +307,7 @@ class ChordProtocolNode(SimNode):
         # Adopt successor's list, shifted by the successor itself.
         remote_list = [tuple(e) for e in msg.payload.get("succ_list", [])]
         merged = [succ, *(e for e in remote_list if e[0] != self.peer)]
-        state.successor_list = list(dict.fromkeys(merged))[: self.config.successor_list_len]
+        state.successor_list = list(dict.fromkeys(merged))[:SUCCESSOR_LIST_LEN]
         self.send(succ[0], "notify", ring=ring, cand_peer=self.peer, cand_id=self.node_id)
 
     def _fix_fingers_tick(self, ring: str) -> None:
@@ -346,7 +335,7 @@ class ChordProtocolNode(SimNode):
 
         token = self._register(_set, timeout=True)
         self._route_find(ring, start, origin=self.peer, hops=0, token=token)
-        self.after(self.config.fix_fingers_interval_ms, self._fix_fingers_tick, ring)
+        self.after(FIX_FINGERS_INTERVAL_MS, self._fix_fingers_tick, ring)
 
     # ------------------------------------------------------------------
     # request/response plumbing
@@ -363,7 +352,7 @@ class ChordProtocolNode(SimNode):
         self._pending[token] = callback
         if timeout:
             self.after(
-                timeout_ms if timeout_ms is not None else self.config.request_timeout_ms,
+                timeout_ms if timeout_ms is not None else REQUEST_TIMEOUT_MS,
                 self._timeout,
                 token,
             )

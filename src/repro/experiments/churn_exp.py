@@ -21,6 +21,9 @@ from repro.workloads.churn import generate_churn
 
 __all__ = ["bootstrap_protocol", "correct_lookups", "run_churn_simulation"]
 
+#: How long the Poisson churn runs before the lookups.
+CHURN_MS = 40_000
+
 
 def bootstrap_protocol(
     *, universe: int, initial: int, n_rings: int, seed: int, loss_rate: float = 0.0
@@ -63,12 +66,6 @@ def run_churn_simulation(
     *,
     universe: int = 40,
     initial: int = 24,
-    n_rings: int = 3,
-    churn_duration_ms: float = 40_000,
-    mean_session_ms: float = 60_000,
-    mean_offline_ms: float = 30_000,
-    fail_fraction: float = 0.5,
-    n_lookups: int = 120,
     seed: int = 5,
     loss_rate: float = 0.0,
 ) -> dict[str, float]:
@@ -80,15 +77,15 @@ def run_churn_simulation(
     ``loss_rate`` injects loss.
     """
     space, rng, ids, names, sim, net, nodes = bootstrap_protocol(
-        universe=universe, initial=initial, n_rings=n_rings, seed=seed, loss_rate=loss_rate
+        universe=universe, initial=initial, n_rings=3, seed=seed, loss_rate=loss_rate
     )
     schedule = generate_churn(
         universe=universe,
         initial=initial,
-        duration_ms=churn_duration_ms,
-        mean_session_ms=mean_session_ms,
-        mean_offline_ms=mean_offline_ms,
-        fail_fraction=fail_fraction,
+        duration_ms=CHURN_MS,
+        mean_session_ms=60_000,
+        mean_offline_ms=30_000,
+        fail_fraction=0.5,
         seed=seed + 1,
     )
     online = set(range(initial))
@@ -114,13 +111,13 @@ def run_churn_simulation(
         elif event.action in ("leave", "fail") and peer in online and len(online) > 4:
             online.discard(peer)
             sim.schedule_at(when, depart, peer)
-    sim.run(until=base_t + churn_duration_ms + 60_000, max_events=40_000_000)
+    sim.run(until=base_t + CHURN_MS + 60_000, max_events=40_000_000)
 
     live = sorted(
         p for p in online if nodes[p].alive and "global" in nodes[p].rings
     )
     results = []
-    for _ in range(n_lookups):
+    for _ in range(120):
         nodes[int(rng.choice(live))].hieras_lookup(
             int(rng.integers(0, space.size)), results.append
         )

@@ -54,12 +54,6 @@ class SimConfig:
     depth: int = 2
     seed: int = 42
     bits: int = 32
-    #: ``"auto"`` picks per model: max–min *spread* placement on
-    #: transit-stub (one landmark per backbone region) and *random*
-    #: placement on Inet (random machines land in population hotspots —
-    #: where well-known Internet landmarks actually live; max–min would
-    #: select pathological fringe routers there).
-    landmark_strategy: str = "auto"
     successor_list_r: int = 16
     successor_list_policy: str = "transitions"
 
@@ -74,10 +68,6 @@ class SimConfig:
         # Peer ids are uint64, so a wider space could never be sampled.
         integral = isinstance(self.bits, Integral) and not isinstance(self.bits, bool)
         require(integral and 1 <= self.bits <= 64, f"bits must be in [1, 64], got {self.bits!r}")
-        require(
-            self.landmark_strategy in ("auto", "spread", "random"),
-            f"unknown landmark_strategy {self.landmark_strategy!r}",
-        )
         # What the id sampler and HierasNetwork would reject, rejected
         # here, before any topology is built.
         space = IdSpace(self.bits)
@@ -93,9 +83,11 @@ class SimConfig:
 
     @property
     def resolved_landmark_strategy(self) -> str:
-        """Per-model resolution of the ``"auto"`` landmark strategy."""
-        if self.landmark_strategy != "auto":
-            return self.landmark_strategy
+        """Landmark placement of the model: max–min *spread* on
+        transit-stub and BRITE (one landmark per backbone region) and
+        *random* on Inet (random machines land in population hotspots —
+        where well-known Internet landmarks actually live; max–min would
+        select pathological fringe routers there)."""
         return "random" if self.model == "inet" else "spread"
 
     @property
@@ -113,7 +105,6 @@ class SimConfig:
             self.n_landmarks,
             self.seed,
             self.bits,
-            self.landmark_strategy,
         )
 
 

@@ -1034,17 +1034,14 @@ def _run_resilience(seed: int) -> _Output:
     plan drives the discrete-event simulation (SimNode crashes, loss
     bursts) against retrying lookups.
     """
-    from repro.experiments.resilience import (
-        run_protocol_resilience,
-        run_static_resilience_cell,
-    )
+    from repro.experiments import resilience
 
     config, n_requests = _cell("resilience", seed)
     bundle = build_bundle(config)
     rows = []
     for fail_fraction in (0.0, 0.1, 0.2, 0.3):
         for loss_rate in (0.0, 0.05):
-            cell = run_static_resilience_cell(
+            cell = resilience.run_static_resilience_cell(
                 bundle,
                 fail_fraction=fail_fraction,
                 loss_rate=loss_rate,
@@ -1059,7 +1056,8 @@ def _run_resilience(seed: int) -> _Output:
                 row[f"{net}_latency_ms"] = round(metrics["mean_total_latency_ms"], 0)
             rows.append(row)
 
-    proto = run_protocol_resilience(seed=seed)
+    proto = resilience.run_protocol_resilience(seed=seed)
+    plan = f"{resilience.PROTOCOL_FAIL_FRACTION:.0%} crash + {resilience.PROTOCOL_LOSS_RATE:.0%} loss burst"
     proto_completion = proto["completed"] / (proto["completed"] + proto["failed"])
     proto_accuracy = proto["correct"] / max(proto["completed"], 1.0)
 
@@ -1086,9 +1084,8 @@ def _run_resilience(seed: int) -> _Output:
         ),
         _claim(
             proto_completion >= 0.90 and proto_accuracy >= 0.95,
-            "protocol stack under the same plan shape (20% crash + 5% loss "
-            "burst): >=90% of retrying lookups complete, >=95% of completions "
-            "name the correct live owner",
+            f"protocol stack under the same plan shape ({plan}): >=90% of retrying "
+            "lookups complete, >=95% of completions name the correct live owner",
         ),
     ]
     lines = [
@@ -1096,7 +1093,7 @@ def _run_resilience(seed: int) -> _Output:
         "ambient loss for the whole run; latency includes timeout penalties",
         format_table(rows),
         "",
-        "protocol stack (24 nodes, 20% crash + 5% loss burst, retries=2): "
+        f"protocol stack (24 nodes, {plan}, retries={resilience.PROTOCOL_RETRIES}): "
         f"completed {proto_completion:.0%}, correct {proto_accuracy:.0%}, "
         f"retries used {int(proto['retries_used'])}",
         "",

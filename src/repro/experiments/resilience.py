@@ -26,6 +26,12 @@ from repro.faults import FaultInjector, FaultPlan
 
 __all__ = ["run_static_resilience_cell", "run_protocol_resilience"]
 
+#: The protocol scenario: the share crashed 5 s in, the loss rate over
+#: the first 10 s, and each lookup's re-issues.
+PROTOCOL_FAIL_FRACTION = 0.2
+PROTOCOL_LOSS_RATE = 0.05
+PROTOCOL_RETRIES = 2
+
 
 def run_static_resilience_cell(
     bundle: SimulationBundle,
@@ -89,20 +95,17 @@ def run_protocol_resilience(
     *,
     universe: int = 24,
     n_rings: int = 3,
-    fail_fraction: float = 0.2,
-    loss_rate: float = 0.05,
-    loss_duration_ms: float = 10_000.0,
     n_lookups: int = 80,
-    retries: int = 2,
     seed: int = 7,
 ) -> dict[str, float]:
     """Drive the protocol stack through a :class:`FaultPlan`.
 
     Bootstraps a full HIERAS system, installs a plan that crashes
-    ``fail_fraction`` of the population 5 s in (plus a loss burst from
-    t=0), lets stabilization react, then issues failure-aware lookups
-    (``retries`` re-issues under an originator watchdog) and checks
-    them against the surviving membership.
+    ``PROTOCOL_FAIL_FRACTION`` of the population 5 s in (plus a loss
+    burst from t=0), lets stabilization react, then issues
+    failure-aware lookups (``PROTOCOL_RETRIES`` re-issues under an
+    originator watchdog) and checks them against the surviving
+    membership.
 
     Returns counters: ``completed``/``correct``/``failed`` lookups,
     ``retries_used``, ``crashed``, ``live``, plus the network's message
@@ -116,8 +119,8 @@ def run_protocol_resilience(
 
     plan = (
         FaultPlan(seed=seed + 1)
-        .loss_burst(at_ms=0.0, rate=loss_rate, duration_ms=loss_duration_ms)
-        .crash_fraction(at_ms=5_000.0, fraction=fail_fraction)
+        .loss_burst(at_ms=0.0, rate=PROTOCOL_LOSS_RATE, duration_ms=10_000.0)
+        .crash_fraction(at_ms=5_000.0, fraction=PROTOCOL_FAIL_FRACTION)
     )
     injector = FaultInjector(plan, universe)
     injector.install_sim(sim, net)
@@ -135,7 +138,7 @@ def run_protocol_resilience(
         nodes[int(rng.choice(live))].hieras_lookup(
             int(rng.integers(0, space.size)),
             results.append,
-            retries=retries,
+            retries=PROTOCOL_RETRIES,
             on_fail=failures.append,
         )
     sim.run(until=sim.now + 120_000, max_events=50_000_000)

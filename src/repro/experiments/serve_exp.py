@@ -50,6 +50,7 @@ from repro.loadgen import (
 )
 from repro.replication import ReplicatedStore, ReplicationPolicy
 from repro.serve import DHTService, Request, ServiceConfig
+from repro.serve.config import DISPATCH_OVERHEAD_MS, PER_LOOKUP_MS, PER_MEMBERSHIP_MS, PER_WRITE_MS
 
 __all__ = ["SCHEMA", "mixed_capacity_per_s", "report", "run_bench", "run_serve_cell"]
 
@@ -79,12 +80,10 @@ def mixed_capacity_per_s(
     batch, scalar reads pay it whole.  This is the predicted knee the
     sweep should plateau at.
     """
-    overhead = cfg.dispatch_overhead_ms / cfg.max_batch if coalesced else cfg.dispatch_overhead_ms
-    per_read = overhead + cfg.per_lookup_ms
-    per_write = cfg.dispatch_overhead_ms + cfg.per_write_ms
+    overhead = DISPATCH_OVERHEAD_MS / cfg.max_batch if coalesced else DISPATCH_OVERHEAD_MS
+    per_read = overhead + PER_LOOKUP_MS
+    per_write = DISPATCH_OVERHEAD_MS + PER_WRITE_MS
     mean_cost = read_fraction * per_read + (1.0 - read_fraction) * per_write
-    if mean_cost <= 0.0:
-        return float("inf")
     return 1000.0 * cfg.workers / mean_cost
 
 
@@ -323,10 +322,10 @@ def run_bench(
             "service": {
                 "workers": batched.workers,
                 "max_batch": batched.max_batch,
-                "dispatch_overhead_ms": batched.dispatch_overhead_ms,
-                "per_lookup_ms": batched.per_lookup_ms,
-                "per_write_ms": batched.per_write_ms,
-                "per_membership_ms": batched.per_membership_ms,
+                "dispatch_overhead_ms": DISPATCH_OVERHEAD_MS,
+                "per_lookup_ms": PER_LOOKUP_MS,
+                "per_write_ms": PER_WRITE_MS,
+                "per_membership_ms": PER_MEMBERSHIP_MS,
             },
         },
         metrics={

@@ -99,23 +99,20 @@ class FaultPlan:
         )
         return self
 
-    def crash_ring(
-        self, *, at_ms: float, network: Any, name: str, layer: int | None = None
-    ) -> "FaultPlan":
-        """Crash every member of one HIERAS low-layer ring at ``at_ms``.
+    def crash_ring(self, *, at_ms: float, network: Any, name: str) -> "FaultPlan":
+        """Crash every member of one HIERAS lowest-layer ring at ``at_ms``.
 
         The correlated-failure primitive: a whole topology-aware ring
-        (all peers sharing landmark order ``name`` at ``layer``,
-        default the lowest layer) dies in one wave — the worst case for
-        HIERAS's locality-derived rings.  Members are resolved *now*,
-        from the network's current live membership, and sorted, so the
-        resulting spec is a plain ``crash_peers`` — deterministic and
-        applicable to any same-population network (e.g. the flat Chord
-        baseline, for a head-to-head comparison).
+        (all peers sharing landmark order ``name`` at the lowest layer)
+        dies in one wave — the worst case for HIERAS's locality-derived
+        rings.  Members are resolved *now*, from the network's current
+        live membership, and sorted, so the resulting spec is a plain
+        ``crash_peers`` — deterministic and applicable to any
+        same-population network (e.g. the flat Chord baseline, for a
+        head-to-head comparison).
         """
-        layer = int(layer) if layer is not None else int(network.depth)
-        rings = network.rings_at_layer(layer)
-        require(name in rings, f"no ring named {name!r} at layer {layer}")
+        rings = network.rings_at_layer(network.depth)
+        require(name in rings, f"no ring named {name!r} at layer {network.depth}")
         members = sorted(int(p) for p in rings[name].peers)
         return self.crash_peers(at_ms=at_ms, peers=members)
 

@@ -54,7 +54,6 @@ class SLOReport:
     arrivals: int
     served: int
     rejected: int
-    shed: int
     failed: int
     achieved_per_s: float
     makespan_ms: float
@@ -88,7 +87,6 @@ class SLOReport:
             arrivals=len(result.completions),
             served=result.served,
             rejected=result.rejected,
-            shed=result.counts.get("deadline", 0),
             failed=result.counts.get("failed", 0),
             achieved_per_s=result.throughput_per_s,
             makespan_ms=result.makespan_ms,
@@ -110,7 +108,6 @@ class SLOReport:
             "arrivals": self.arrivals,
             "served": self.served,
             "rejected": self.rejected,
-            "shed": self.shed,
             "failed": self.failed,
             "achieved_per_s": self.achieved_per_s,
             "goodput_fraction": self.goodput_fraction,

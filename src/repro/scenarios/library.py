@@ -59,6 +59,11 @@ from repro.workloads.churn import generate_churn
 
 __all__ = ["SCENARIOS", "scenario_names"]
 
+#: Share of the universe departing in the graceful/abrupt departure pair.
+LEAVE_FRACTION = 0.25
+#: Share of the universe held out and flash-joined later.
+JOIN_FRACTION = 0.4
+
 
 def _suite_campaign(
     bundle: SimulationBundle,
@@ -112,7 +117,7 @@ def _departure_peers(bundle: SimulationBundle, params: ScenarioParams) -> list[i
     is announcement vs silence, nothing else.
     """
     n = bundle.config.n_peers
-    count = int(round(params.leave_fraction * n))
+    count = int(round(LEAVE_FRACTION * n))
     rng = RngFactory(params.seed).get("scenario-departure-peers")
     chosen = rng.choice(n, size=min(count, n - 1), replace=False)
     return sorted(int(p) for p in chosen)
@@ -207,7 +212,7 @@ def compile_flash_join(
     scenario's signature.
     """
     n = bundle.config.n_peers
-    held_out = tuple(range(n - int(round(params.join_fraction * n)), n))
+    held_out = tuple(range(n - int(round(JOIN_FRACTION * n)), n))
     rebalance_at = params.fault_at_ms + (params.duration_ms - params.fault_at_ms) / 2.0
     waves = (
         MembershipWave(params.fault_at_ms, "revive", peers=held_out),

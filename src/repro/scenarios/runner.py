@@ -41,6 +41,10 @@ from repro.util.validation import require
 
 __all__ = ["run_scenario_cell"]
 
+#: A cell has "recovered" once probe availability stays at or above
+#: this rate for the rest of the run.
+RECOVERY_THRESHOLD = 0.9
+
 
 def _apply_wave(net, store: ReplicatedStore, injector: FaultInjector, wave) -> None:
     """Apply one membership wave, filtered against current ground truth."""
@@ -209,7 +213,7 @@ def run_scenario_cell(
         times,
         availability,
         fault_start_ms=compiled.fault_start_ms,
-        threshold=params.recovery_threshold,
+        threshold=RECOVERY_THRESHOLD,
     )
     gets_ok = stats.get_successes - stats.lost_reads
     return {

@@ -129,13 +129,6 @@ class ScenarioParams:
     #: Delay from a crash wave to the stabilize purge that repairs
     #: routing state (the recovery mechanism on the static stack).
     stabilize_delay_ms: float = 600.0
-    #: A scenario has "recovered" once probe availability stays at or
-    #: above this rate for the rest of the run.
-    recovery_threshold: float = 0.9
-    #: Fraction departing in the graceful/abrupt departure scenarios.
-    leave_fraction: float = 0.25
-    #: Fraction of the universe held out and flash-joined later.
-    join_fraction: float = 0.4
     #: Weibull-churn session shape/means (heavy-tailed below shape 1).
     mean_session_ms: float = 1500.0
     mean_offline_ms: float = 1200.0
@@ -168,12 +161,6 @@ class ScenarioParams:
             "fault_at_ms must fall inside the run",
         )
         require(self.stabilize_delay_ms > 0.0, "stabilize_delay_ms must be > 0")
-        require(
-            0.0 < self.recovery_threshold <= 1.0,
-            "recovery_threshold must be in (0, 1]",
-        )
-        require(0.0 < self.leave_fraction < 1.0, "leave_fraction must be in (0, 1)")
-        require(0.0 < self.join_fraction < 1.0, "join_fraction must be in (0, 1)")
         require(self.weibull_shape > 0.0, "weibull_shape must be > 0")
         require(0.0 <= self.fail_fraction <= 1.0, "fail_fraction must be in [0, 1]")
         require(0.0 <= self.loss_rate < 1.0, "loss_rate must be in [0, 1)")

@@ -53,13 +53,11 @@ class Completion:
     """The service's record of one request's fate.
 
     ``outcome`` is one of ``"ok"`` (served), ``"rejected"`` (admission
-    control turned it away at arrival), ``"deadline"`` (shed at
-    dispatch after its queue wait exceeded the budget), or ``"failed"``
-    (dispatched but unservable — e.g. a departed source peer or a
-    failed replicated write).  Latency phases are 0 for requests that
-    never reached the corresponding stage; ``total_ms`` is always the
-    user-visible wait from arrival to the service's last action on the
-    request.
+    control turned it away at arrival), or ``"failed"`` (dispatched but
+    unservable — e.g. a departed source peer or a failed replicated
+    write).  Latency phases are 0 for requests that never reached the
+    corresponding stage; ``total_ms`` is always the user-visible wait
+    from arrival to the service's last action on the request.
     """
 
     seq: int

@@ -24,7 +24,7 @@ through :class:`~repro.replication.store.ReplicatedStore`; membership
 waves apply the network's batch mutation primitives.
 
 A worker slot is occupied for the *dispatch cost* only
-(``dispatch_overhead_ms`` + marginal per-request cost): the front-end
+(``DISPATCH_OVERHEAD_MS`` + marginal per-request cost): the front-end
 is modelled async, so network time — routing hops, replica fan-out —
 runs off-worker and lands in the request's latency, not the service's
 capacity.  Saturation therefore arrives when offered load exceeds
@@ -35,8 +35,8 @@ Schedule, then resolve per membership epoch
 -------------------------------------------
 Occupancy depends on the batch size alone, so the event loop reads no
 route result: it only *schedules*, logging every dispatched get or put
-— and every completion that is final already (``rejected``,
-``deadline``, an unservable source's ``failed``) — in dispatch order.
+— and every completion that is final already (``rejected``, an
+unservable source's ``failed``) — in dispatch order.
 A source is servable if one mask says so, read once per membership
 epoch and re-read after each wave: the network's members, less the
 peers a store's injector has crashed.  A route is a function of
@@ -85,7 +85,9 @@ import numpy as np
 from repro.engine import batch_route
 from repro.metrics.registry import MetricsRegistry
 from repro.replication.store import GetResult, PutResult, ReplicatedStore
-from repro.serve.config import ServiceConfig
+from repro.serve.config import (
+    DISPATCH_OVERHEAD_MS, PER_LOOKUP_MS, PER_MEMBERSHIP_MS, PER_WRITE_MS, ServiceConfig
+)
 from repro.serve.request import OPS, Completion, Request
 from repro.util.validation import require
 
@@ -230,14 +232,13 @@ class DHTService:
 
     def _occupancy_ms(self, op: str, n_routed: int) -> float:
         """Worker time one dispatch call consumes (the cost model)."""
-        cfg = self.config
         if n_routed == 0:
             return 0.0
         if op == "get":
-            return cfg.dispatch_overhead_ms + n_routed * cfg.per_lookup_ms
+            return DISPATCH_OVERHEAD_MS + n_routed * PER_LOOKUP_MS
         if op == "put":
-            return cfg.dispatch_overhead_ms + cfg.per_write_ms
-        return cfg.dispatch_overhead_ms + cfg.per_membership_ms
+            return DISPATCH_OVERHEAD_MS + PER_WRITE_MS
+        return DISPATCH_OVERHEAD_MS + PER_MEMBERSHIP_MS
 
     def _servable(self) -> list[bool]:
         """Per peer, whether a get or put from it can be served now: a
@@ -279,11 +280,10 @@ class DHTService:
             reg.inc(f"serve.{name}", n)
         op, outcome = np.asarray(ops), np.asarray(outcomes)
         wait, service, route, fanout = (np.asarray(col, dtype=np.float64) for col in phases)
-        # A rejected or shed request never reached the later phases.
+        # A rejected request never reached the later phases.
         reached = (outcome == "ok") | (outcome == "failed")
         totals = wait + service + route + fanout
         columns = {
-            "serve.shed_wait_ms": wait[outcome == "deadline"],
             "serve.total_ms": totals[reached],
             "serve.queue_wait_ms": wait[reached],
             "serve.service_ms": service[reached],
@@ -355,10 +355,10 @@ class DHTService:
         )
 
     @staticmethod
-    def _unserved(seq: int, req: Request, outcome: str, now: float) -> Completion:
-        """A request dropped at dispatch: shed, or its source is not servable."""
+    def _unserved(seq: int, req: Request, now: float) -> Completion:
+        """A request failed at dispatch: its source is not servable."""
         return Completion(
-            seq=seq, op=req.op, outcome=outcome,
+            seq=seq, op=req.op, outcome="failed",
             arrival_ms=req.at_ms, dispatch_ms=now, finish_ms=now,
             queue_wait_ms=now - req.at_ms,
         )
@@ -368,34 +368,20 @@ class DHTService:
 
         The freest worker takes the next batch: a get at the head
         coalesces up to ``max_batch`` pending gets (oldest first), any
-        other op dispatches alone, and a request whose queue wait already
-        exceeds ``deadline_ms`` is shed as it is taken.  A get or put
-        whose source is not servable fails there; the rest of its batch
-        is logged for its epoch's engine call.  A store's fault event
+        other op dispatches alone.  A get or put whose source is not
+        servable fails there; the rest of its batch is logged for its
+        epoch's engine call.  A store's fault event
         due by a batch's dispatch ends the epoch there, the way a
         membership wave does: the log is resolved, the fault clock
         advanced, and the servable mask re-read.
         """
         cfg, heap, gets, others = self.config, run.heap, run.gets, run.others
-        deadline = cfg.deadline_ms
         store = self.store
         while (gets or others) and heap[0][0] <= until:
             free_at, worker = heap[0]
-            batch: list[_Entry] = []
-            while not batch and (gets or others):
-                coalesce = bool(gets) and (not others or gets[0][0] < others[0][0])
-                queue, room = (gets, cfg.max_batch) if coalesce else (others, 1)
-                while queue and len(batch) < room:
-                    seq, req = queue.popleft()
-                    now = max(free_at, req.at_ms)
-                    if deadline is None or now - req.at_ms <= deadline:
-                        batch.append((seq, req))
-                    else:
-                        run.final(self._unserved(seq, req, "deadline", now))
-                        if not coalesce:
-                            break
-            if not batch:
-                continue
+            coalesce = bool(gets) and (not others or gets[0][0] < others[0][0])
+            queue, room = (gets, cfg.max_batch) if coalesce else (others, 1)
+            batch = [queue.popleft() for _ in range(min(room, len(queue)))]
             now = max(free_at, batch[0][1].at_ms)
             if store is not None and store.injector is not None and store.injector.next_event_ms <= now:
                 self._resolve(run)
@@ -409,7 +395,7 @@ class DHTService:
                 live = [(seq, req) for seq, req in batch if run.servable[req.source]]
                 for seq, req in batch:
                     if not run.servable[req.source]:
-                        run.final(self._unserved(seq, req, "failed", now))
+                        run.final(self._unserved(seq, req, now))
                 if live:
                     occupancy = self._occupancy_ms(op, len(live))
                     if op == "get":

@@ -93,15 +93,14 @@ def attach_overlay(
     n_peers: int,
     *,
     seed: int | np.random.Generator = 0,
-    distinct: bool = True,
 ) -> np.ndarray:
     """Choose an attachment router for each of ``n_peers`` peers.
 
-    Peers attach uniformly at random to **stub** routers.  With
-    ``distinct=True`` (default) peers occupy distinct routers, matching
-    the paper's one-overlay-node-per-emulated-host setup; if there are
-    fewer stub routers than peers, attachment falls back to sampling
-    with replacement (co-located peers then see zero mutual latency).
+    Peers attach uniformly at random to **stub** routers, each on its
+    own router, matching the paper's one-overlay-node-per-emulated-host
+    setup; if there are fewer stub routers than peers, attachment falls
+    back to sampling with replacement (co-located peers then see zero
+    mutual latency).
 
     The result is in random order (not sorted): router ids encode stub
     domains, so a sorted result would correlate peer index with
@@ -113,7 +112,7 @@ def attach_overlay(
     candidates = topology.stub_routers
     if len(candidates) == 0:
         candidates = np.arange(topology.n_routers)
-    if distinct and n_peers <= len(candidates):
+    if n_peers <= len(candidates):
         return rng.choice(candidates, size=n_peers, replace=False)
     return rng.choice(candidates, size=n_peers, replace=True)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dht.base import ZeroLatency
-from repro.dht.chord_protocol import GLOBAL_RING, ChordProtocolNode, ProtocolConfig
+from repro.dht.chord_protocol import GLOBAL_RING, SUCCESSOR_LIST_LEN, ChordProtocolNode
 from repro.sim.engine import Simulator
 from repro.sim.network import SimNetwork
 from repro.util.ids import IdSpace
@@ -56,7 +56,7 @@ class TestConvergence:
         for p in range(len(ids)):
             expected = []
             cur = p
-            for _ in range(nodes[p].config.successor_list_len):
+            for _ in range(SUCCESSOR_LIST_LEN):
                 cur = cycle[cur]
                 expected.append(cur)
             got = [e[0] for e in nodes[p].rings[GLOBAL_RING].successor_list]
@@ -158,16 +158,6 @@ class TestFailureRecovery:
         for out in results:
             i = np.searchsorted(live_sorted_ids, out.key)
             assert out.owner_id == int(live_sorted_ids[i % len(live)])
-
-
-class TestConfig:
-    def test_rejects_bad_settings(self):
-        with pytest.raises(ValueError):
-            ProtocolConfig(stabilize_interval_ms=0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(successor_list_len=0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(request_timeout_ms=-1)
 
 
 class TestSuccessorListShortcut:

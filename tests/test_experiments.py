@@ -36,7 +36,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(depth=1)
         with pytest.raises(ValueError):
-            SimConfig(landmark_strategy="bogus")
+            SimConfig(n_peers=4)
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -104,7 +104,7 @@ class TestConfig:
     def test_auto_strategy_resolution(self):
         assert SimConfig(model="ts").resolved_landmark_strategy == "spread"
         assert SimConfig(model="inet", n_peers=3000).resolved_landmark_strategy == "random"
-        assert SimConfig(model="ts", landmark_strategy="random").resolved_landmark_strategy == "random"
+        assert SimConfig(model="brite").resolved_landmark_strategy == "spread"
 
 
 class TestRunner:

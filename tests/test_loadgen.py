@@ -167,7 +167,7 @@ class TestSLOReport:
         return SLOReport.from_result(result, offered_per_s=300.0, duration_ms=3000.0)
 
     def test_counts_are_consistent(self, report):
-        assert report.arrivals == report.served + report.rejected + report.shed + report.failed
+        assert report.arrivals == report.served + report.rejected + report.failed
         assert report.goodput_fraction == pytest.approx(report.served / report.arrivals)
 
     def test_phases_present_with_quantiles(self, report):

@@ -152,15 +152,17 @@ PARENT_LOSSY_DIGESTS = {
 #: Configurations beside the defaults: label → (policy, scene, config,
 #: whether a span recorder traces the store's ``replication.*`` counters).
 CONFIGS = {
-    # Rejected, deadline-shed and failed completions all reach the fold.
-    "shedding": ("quorum", "inside", ServiceConfig(workers=1, queue_limit=12, deadline_ms=30.0), False),
+    # Rejected and failed completions both reach the fold.
+    "rejecting": ("quorum", "inside", ServiceConfig(workers=1, queue_limit=12), False),
     "store_recorder": ("chain", "churn", None, True),
     # One worker, so the queue builds and max_batch=1 splits what would coalesce.
     "max_batch_1": ("quorum", "churn", ServiceConfig(workers=1, max_batch=1), False),
 }
 #: Recorded before the serving epoch went columnar: label → stack → digest.
+#: ``rejecting`` was re-recorded when the queue-wait deadline was deleted:
+#: the same config without it, run at the commit before the deletion.
 PARENT_CONFIG_DIGESTS = {
-    "shedding": {"chord": "3abe6382cd4de75f", "hieras": "fdc8b29d51563c81"},
+    "rejecting": {"chord": "c4b83e52404dd956", "hieras": "bf9ec71e5d6c4c4f"},
     "store_recorder": {"chord": "6b1cd2ba7074b5fe", "hieras": "580aac6d0209b76d"},
     "max_batch_1": {"chord": "ce5fc083b667eef3", "hieras": "e2653fadbd639165"},
 }
@@ -168,8 +170,11 @@ PARENT_CONFIG_DIGESTS = {
 
 def config_digest(net, label):
     policy, scene, config, traced = CONFIGS[label]
-    reqs, _ = mixed_stream(net, 240, scene=scene)
-    return serve_digest(net, POLICIES[policy], reqs, config=config, traced=traced)
+    reqs, wave = mixed_stream(net, 240, scene=scene)
+    digest = serve_digest(net, POLICIES[policy], reqs, config=config, traced=traced)
+    # A queue limit may reject the rejoin: put the wave back for the next run.
+    net.revive_peers([p for p in wave if not net._alive[p]])
+    return digest
 
 
 class TestPinnedServing:

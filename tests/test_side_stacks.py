@@ -29,7 +29,6 @@ from repro.dht.can import CanNetwork, CanParams
 from repro.dht.chord import ChordNetwork
 from repro.dht.chord_pfs import PfsChordNetwork
 from repro.dht.pastry import PastryNetwork, PastryParams
-from repro.dht.chord_protocol import ProtocolConfig
 from repro.engine import batch_route
 from repro.experiments.config import SimConfig, SweepSpec
 from repro.experiments.runner import build_bundle
@@ -275,7 +274,6 @@ def test_every_stack_is_listed_here():
         (ServiceConfig, "workers", 2.5, ">= 1"),
         (ServiceConfig, "max_batch", True, ">= 1"),
         (ServiceConfig, "queue_limit", 8.5, ">= 1"),
-        (ProtocolConfig, "successor_list_len", 2.5, ">= 1"),
         (TransitStubParams, "n_transit_domains", 2.5, ">= 1"),
         (TransitStubParams, "transit_nodes_per_domain", True, ">= 1"),
         (TransitStubParams, "stubs_per_transit_node", 2.5, ">= 1"),
