@@ -30,7 +30,6 @@ def bar_chart(
     *,
     width: int = 50,
     title: str | None = None,
-    value_format: str = "{:.4f}",
 ) -> str:
     """Horizontal bar chart; bars scale to the maximum value."""
     require(len(labels) == len(values), "labels and values must align")
@@ -41,9 +40,7 @@ def bar_chart(
     lines = [title] if title else []
     for lab, val in zip(labels, values):
         bar = "█" * max(int(round(width * val / vmax)), 1 if val > 0 else 0)
-        lines.append(
-            f"{str(lab).rjust(label_w)} |{bar.ljust(width)} {value_format.format(val)}"
-        )
+        lines.append(f"{str(lab).rjust(label_w)} |{bar.ljust(width)} {val:.4f}")
     return "\n".join(lines)
 
 

@@ -384,20 +384,14 @@ class HierasProtocolNode(ChordProtocolNode):
 
         def _finish(msg: Message | None) -> None:
             nonlocal attempts_left
-            m = self.network.metrics
             if msg is None:
                 if attempts_left > 0 and self.alive:
                     attempts_left -= 1
                     self.lookup_retry_count += 1
-                    if m is not None:
-                        m.inc("protocol.lookup_retries")
                     _start()
                 elif on_fail is not None:
                     on_fail(key)
                 return
-            if m is not None:
-                m.inc("protocol.lookups_completed")
-                m.observe("protocol.lookup_hops", msg.payload["hops"])
             callback(
                 HierasLookupOutcome(
                     key=msg.payload["key"],
@@ -410,8 +404,6 @@ class HierasProtocolNode(ChordProtocolNode):
 
         def _start() -> None:
             self.lookup_count += 1
-            if self.network.metrics is not None:
-                self.network.metrics.inc("protocol.lookups")
             if retries > 0:
                 token = self._register(
                     _finish, timeout=True, timeout_ms=3.0 * REQUEST_TIMEOUT_MS

@@ -193,19 +193,12 @@ class ChordProtocolNode(SimNode):
         """Resolve ``key``'s owner inside ``ring``; async result via callback."""
         key = self.space.wrap(int(key))
         self.lookup_count += 1
-        m = self.network.metrics
-        if m is not None:
-            m.inc("protocol.lookups")
         token = self._register(lambda msg: self._finish_lookup(msg, callback))
         self._route_find(ring, key, origin=self.peer, hops=0, token=token)
 
     def _finish_lookup(self, msg: Message | None, callback: Callable[[LookupOutcome], None]) -> None:
         if msg is None:
             return  # lookup lost to a failure; caller may retry
-        m = self.network.metrics
-        if m is not None:
-            m.inc("protocol.lookups_completed")
-            m.observe("protocol.lookup_hops", msg.payload["hops"])
         callback(
             LookupOutcome(
                 key=msg.payload["key"],

@@ -1,6 +1,6 @@
 """Unified observability: registries, lookup spans, sinks (DESIGN.md §7).
 
-Everything the repo measures flows through this package:
+Three modules:
 
 * :mod:`repro.metrics.registry` — named counters, gauges and
   deterministic log-bucketed streaming histograms;
@@ -9,14 +9,15 @@ Everything the repo measures flows through this package:
   :class:`~repro.metrics.spans.SpanRecorder` is attached;
 * :mod:`repro.metrics.sinks` — in-memory and JSONL span sinks.
 
-Protocol traffic is counted by :class:`~repro.sim.network.SimNetwork`
-itself (``messages_sent``, ``sent_by_kind``), mirrored into a registry
-by ``attach_metrics``.
+The event-driven components count their own events in plain
+attributes and import nothing from here: protocol traffic is
+:class:`~repro.sim.network.SimNetwork`'s ``messages_sent`` /
+``sent_by_kind``, store events are ``ReplicatedStore.stats``.
 
-Collection is off by default everywhere: networks and simulators carry
-a ``metrics`` attribute that is ``None`` until explicitly attached, so
-the uninstrumented hot path pays a single attribute check.  There is no
-other off switch.
+Span collection is off by default: trace-driven networks carry a
+``metrics`` attribute that is ``None`` until a recorder is attached, so
+the untraced hot path pays a single attribute check.  There is no other
+off switch.
 """
 
 from repro.metrics.registry import Counter, Gauge, Histogram, MetricsRegistry

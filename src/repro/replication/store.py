@@ -32,12 +32,10 @@ attached via :meth:`~repro.dht.base.DHTNetwork.attach_store`).
 
 Everything is seed-deterministic: contact randomness lives in the
 injector's seeded stream, iteration over store state is sorted, and no
-wall clock is consulted.  Observability follows the DESIGN.md §7
-contract — with no recorder attached every operation pays ``is None``
-checks only; with one attached the routing layer emits spans as usual
-and the store counts guarded ``replication.*`` registry events, while
-the per-op :class:`ReplicaContact` records are always returned on the
-result objects (plain dataclass appends, no registry involved).
+wall clock is consulted.  The store counts its own events in
+:class:`ReplicationStats` (plain integer fields, always on), and the
+per-op :class:`ReplicaContact` records are returned on the result
+objects; routing spans come from the network's recorder, if any.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ import numpy.typing as npt
 
 from repro.dht.base import RouteResult
 from repro.faults.injector import FaultInjector, LossyContext
-from repro.metrics.spans import SpanRecorder
 from repro.replication.placement import group_at, groups_at, replica_group
 from repro.replication.policy import ReplicationPolicy
 from repro.util.validation import require
@@ -216,24 +213,6 @@ class ReplicatedStore:
         self._hints: dict[int, list[tuple[int, Any, int]]] = {}
         self._version_clock = 0
         self.stats = ReplicationStats()
-        self.metrics: SpanRecorder | None = None
-
-    # ------------------------------------------------------------------
-    # observability
-    # ------------------------------------------------------------------
-    def enable_tracing(self, recorder: SpanRecorder) -> SpanRecorder:
-        """Attach a recorder: ``replication.*`` registry counters fire."""
-        self.metrics = recorder
-        return recorder
-
-    def disable_tracing(self) -> None:
-        """Detach the recorder — back to the zero-cost path."""
-        self.metrics = None
-
-    def _count(self, name: str, n: int = 1) -> None:
-        """Registry-side counter (no-op without a recorder)."""
-        if self.metrics is not None:
-            self.metrics.registry.inc(name, n)
 
     # ------------------------------------------------------------------
     # clock / membership
@@ -258,7 +237,6 @@ class ReplicatedStore:
             for key, value, version in self._hints.pop(int(peer), []):
                 self._write_local(int(peer), key, value, version)
                 self.stats.hints_replayed += 1
-                self._count("replication.hints_replayed")
 
     def on_graceful_leave(self, peers: list[int]) -> None:
         """Hand departing peers' keys off to their current owners.
@@ -282,7 +260,6 @@ class ReplicatedStore:
                     if int(target) != peer:
                         self._write_local(int(target), key, value, version)
                 self.stats.graceful_handoffs += 1
-                self._count("replication.graceful_handoffs")
 
     def rebalance(self) -> int:
         """Re-home every key onto its *current* replica group.
@@ -315,8 +292,6 @@ class ReplicatedStore:
                     self._write_local(int(target), key, value, version)
                     moved += 1
         self.stats.rebalanced += moved
-        if moved:
-            self._count("replication.rebalanced", moved)
         return moved
 
     def drop_peer_state(self, peer: int) -> None:
@@ -377,7 +352,6 @@ class ReplicatedStore:
             return
         self._hints.setdefault(peer, []).append((key, value, version))
         self.stats.hints_queued += 1
-        self._count("replication.hints_queued")
 
     # ------------------------------------------------------------------
     # writes
@@ -394,7 +368,6 @@ class ReplicatedStore:
         else:
             result = PutResult(key=key, version=self._stamp_put(), success=False)
             self.stats.routed_put_failures += 1
-            self._count("replication.routed_put_failures")
         result.route = route
         return result
 
@@ -460,7 +433,6 @@ class ReplicatedStore:
         """Count a put and return its version; :meth:`_publish` makes it
         the key's latest only once the write is acknowledged."""
         self.stats.puts += 1
-        self._count("replication.puts")
         self._version_clock += 1
         return self._version_clock
 
@@ -479,7 +451,6 @@ class ReplicatedStore:
             contacts.append(self._reach(prev, peer, "chain"))
             if not contacts[-1].ok:
                 self.stats.chain_aborts += 1
-                self._count("replication.chain_aborts")
                 self._queue_hint(peer, key, value, version)
                 break
             self._write_local(peer, key, value, version)
@@ -522,11 +493,9 @@ class ReplicatedStore:
         """
         key = int(self.network.space.hash_key(name))
         self.stats.gets += 1
-        self._count("replication.gets")
         route = self._route(source, key)
         if not route.success:
             self.stats.routed_get_failures += 1
-            self._count("replication.routed_get_failures")
             return GetResult(key=key, value=None, success=False, route=route)
         group = replica_group(self.network, key, self.policy)
         coordinator = int(route.owner)
@@ -539,7 +508,6 @@ class ReplicatedStore:
             if result.value is None and key in self._catalog:
                 result.lost = True
                 self.stats.lost_reads += 1
-                self._count("replication.lost_reads")
         return result
 
     def _chain_read(
@@ -586,10 +554,8 @@ class ReplicatedStore:
                     self._write_local(peer, key, value, version)
                     repaired += 1
                     self.stats.read_repairs += 1
-                    self._count("replication.read_repairs")
             if stale:
                 self.stats.stale_reads += 1
-                self._count("replication.stale_reads")
         else:
             value, version = None, -1
         return GetResult(

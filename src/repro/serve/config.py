@@ -4,9 +4,9 @@ The settings split into two groups:
 
 * **capacity** — ``workers`` concurrent dispatch slots and the
   ``max_batch`` coalescing window (1 = per-request scalar dispatch);
-* **admission** — ``queue_limit`` bounds the pending queue (arrivals
-  beyond the bound are rejected immediately — load shedding at the
-  door).
+* **admission** — ``queue_limit`` bounds the pending queue (client
+  arrivals beyond the bound are rejected immediately — load shedding
+  at the door; ``join``/``leave`` waves always queue).
 
 The cost model is fixed: how long one dispatch occupies a worker, in
 *simulated* milliseconds.  ``DISPATCH_OVERHEAD_MS`` is paid once per

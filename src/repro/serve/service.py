@@ -12,13 +12,15 @@ Queueing model
 --------------
 Arrivals are open-loop (the load generator decides times; completions
 never gate them).  Admission control happens at the door: when
-``queue_limit`` is set and the pending queue is full, the arrival is
-rejected immediately (load shedding).  Dispatch is work-conserving
-FIFO with **read coalescing**: when the oldest pending request is a
-``get``, the dispatcher collects up to ``max_batch`` pending gets into
-one dispatch, whose overhead amortizes across the batch.  Coalescing
-belongs to the *simulated* dispatcher: it sets worker occupancy and
-``serve.batch_size``, not the width the host routes at (below).
+``queue_limit`` is set and the pending queue is full, a client arrival
+(``get`` or ``put``) is rejected immediately (load shedding); a
+membership wave is never shed, so a leave cannot outlive its rejoin.
+Dispatch is work-conserving FIFO with **read coalescing**: when the
+oldest pending request is a ``get``, the dispatcher collects up to
+``max_batch`` pending gets into one dispatch, whose overhead amortizes
+across the batch.  Coalescing belongs to the *simulated* dispatcher: it
+sets worker occupancy and ``serve.batch_size``, not the width the host
+routes at (below).
 Writes dispatch one at a time when they reach the head and fan out
 through :class:`~repro.replication.store.ReplicatedStore`; membership
 waves apply the network's batch mutation primitives.
@@ -325,7 +327,7 @@ class DHTService:
             if (gets or others) and heap[0][0] <= req.at_ms:
                 self._drain(run, req.at_ms)
             depth = len(gets) + len(others)
-            if cfg.queue_limit is not None and depth >= cfg.queue_limit:
+            if cfg.queue_limit is not None and req.op in ("get", "put") and depth >= cfg.queue_limit:
                 run.final(
                     Completion(
                         seq=seq, op=req.op, outcome="rejected",

@@ -16,12 +16,9 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.util.validation import require
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.metrics.registry import MetricsRegistry
 
 __all__ = ["Simulator", "EventHandle"]
 
@@ -65,15 +62,6 @@ class Simulator:
         self._heap: list[tuple[float, int, EventHandle, Callable[..., None], tuple[Any, ...]]] = []
         self._seq = 0
         self.events_processed = 0
-        # Optional unified-observability registry (repro.metrics): when
-        # attached, each processed event increments a counter and the
-        # queue depth / clock land in gauges.  None by default.
-        self.metrics: "MetricsRegistry | None" = None
-
-    def attach_metrics(self, registry: "MetricsRegistry") -> "MetricsRegistry":
-        """Mirror event accounting into ``registry`` (returns it)."""
-        self.metrics = registry
-        return registry
 
     # ------------------------------------------------------------------
     def schedule(
@@ -107,10 +95,6 @@ class Simulator:
             self.now = time
             callback(*args)
             self.events_processed += 1
-            if self.metrics is not None:
-                self.metrics.inc("sim.events_processed")
-                self.metrics.set_gauge("sim.queue_depth", len(self._heap))
-                self.metrics.set_gauge("sim.clock_ms", self.now)
             return True
         return False
 

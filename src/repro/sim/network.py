@@ -18,7 +18,6 @@ from repro.util.rng import make_rng
 from repro.util.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.metrics.registry import MetricsRegistry
     from repro.sim.engine import Simulator
     from repro.sim.node import SimNode
 
@@ -70,16 +69,6 @@ class SimNetwork:
         self.messages_lost = 0
         self.total_delay_ms = 0.0
         self.sent_by_kind: dict[str, int] = {}
-        # Optional unified-observability registry (repro.metrics): when
-        # attached, every count above is mirrored into named counters so
-        # protocol traffic lands next to routing spans.  None by default
-        # — the unattached hot path pays one attribute check.
-        self.metrics: "MetricsRegistry | None" = None
-
-    def attach_metrics(self, registry: "MetricsRegistry") -> "MetricsRegistry":
-        """Mirror message accounting into ``registry`` (returns it)."""
-        self.metrics = registry
-        return registry
 
     # ------------------------------------------------------------------
     def register(self, node: "SimNode") -> None:
@@ -109,29 +98,19 @@ class SimNetwork:
         """
         self.messages_sent += 1
         self.sent_by_kind[message.kind] = self.sent_by_kind.get(message.kind, 0) + 1
-        m = self.metrics
-        if m is not None:
-            m.inc("sim.messages_sent")
-            m.inc(f"sim.sent.{message.kind}")
         if src != dst:
             if self.loss_rate > 0.0 and self._loss_rng.random() < self.loss_rate:
                 self.messages_lost += 1
-                if m is not None:
-                    m.inc("sim.messages_lost")
                 return
         # Lost messages never cross a link, so they contribute no delay.
         delay = 0.0 if src == dst else float(self.latency.pair(src, dst))
         self.total_delay_ms += delay
-        if m is not None:
-            m.observe("sim.link_delay_ms", delay)
         self.sim.schedule(delay, self._deliver, dst, message)
 
     def _deliver(self, dst: int, message: Message) -> None:
         node = self._nodes.get(dst)
         if node is None or not node.alive:
             self.messages_dropped += 1
-            if self.metrics is not None:
-                self.metrics.inc("sim.messages_dropped")
             return
         node.handle_message(message)
 

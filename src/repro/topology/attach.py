@@ -24,6 +24,9 @@ from repro.util.validation import require
 
 __all__ = ["OverlayAttachment", "PeerLatencyView", "attach_overlay", "place_landmarks"]
 
+#: Stub routers the ``"spread"`` landmark placement draws its candidates from.
+CANDIDATE_POOL = 256
+
 
 class PeerLatencyView(LatencyModel):
     """Latency model re-indexed from router ids to peer ids."""
@@ -124,13 +127,13 @@ def place_landmarks(
     *,
     seed: int | np.random.Generator = 0,
     strategy: str = "spread",
-    candidate_pool: int = 256,
 ) -> np.ndarray:
     """Choose ``n_landmarks`` landmark routers.
 
     ``strategy="spread"`` (default) runs greedy max–min dispersion: the
     first landmark is random; each subsequent one maximises its minimum
-    delay to the landmarks chosen so far, over a random candidate pool.
+    delay to the landmarks chosen so far, over a random pool of
+    ``CANDIDATE_POOL`` stub routers.
     This mimics the paper's "well-known set of machines spread across
     the Internet" (§2.3).  ``strategy="random"`` picks uniformly and is
     used by ablations to show placement sensitivity.
@@ -149,7 +152,7 @@ def place_landmarks(
     if strategy == "random":
         return np.sort(rng.choice(candidates, size=n_landmarks, replace=False))
 
-    pool_size = min(candidate_pool, len(candidates))
+    pool_size = min(CANDIDATE_POOL, len(candidates))
     pool = rng.choice(candidates, size=pool_size, replace=False)
     chosen = [int(pool[int(rng.integers(0, pool_size))])]
     min_delay = model.pairs(pool, np.full(pool_size, chosen[0], dtype=np.int64))

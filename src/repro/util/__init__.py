@@ -15,11 +15,10 @@ from repro.util.ids import IdSpace, sha1_int
 from repro.util.intervals import (
     clockwise_distance,
     in_interval,
-    in_interval_closed,
     in_interval_open,
     ring_distance,
 )
-from repro.util.rng import RngFactory, make_rng, spawn_rngs
+from repro.util.rng import RngFactory, make_rng
 from repro.util.validation import (
     require,
     require_in_range,
@@ -31,12 +30,10 @@ __all__ = [
     "sha1_int",
     "clockwise_distance",
     "in_interval",
-    "in_interval_closed",
     "in_interval_open",
     "ring_distance",
     "RngFactory",
     "make_rng",
-    "spawn_rngs",
     "require",
     "require_in_range",
     "require_positive",

@@ -20,7 +20,6 @@ __all__ = [
     "ring_distance",
     "in_interval",
     "in_interval_open",
-    "in_interval_closed",
 ]
 
 
@@ -62,12 +61,3 @@ def in_interval(x: int, a: int, b: int, size: int) -> bool:
         return True
     return 0 < clockwise_distance(a, x, size) <= clockwise_distance(a, b, size)
 
-
-def in_interval_closed(x: int, a: int, b: int, size: int) -> bool:
-    """True iff ``x`` lies in the closed clockwise arc ``[a, b]``.
-
-    When ``a == b`` the arc degenerates to the single point ``a``.
-    """
-    if a == b:
-        return x == a
-    return clockwise_distance(a, x, size) <= clockwise_distance(a, b, size)

@@ -2,7 +2,7 @@
 
 Reproducibility rule for the whole repository: **every** source of
 randomness flows from a single integer seed through
-:class:`numpy.random.SeedSequence` spawning.  Components never call
+:class:`numpy.random.SeedSequence`.  Components never call
 ``np.random.default_rng()`` without a seed, and sibling components get
 *independent* streams (so adding a new consumer of randomness does not
 perturb existing experiments).
@@ -21,11 +21,10 @@ runs and across machines.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs", "RngFactory"]
+__all__ = ["make_rng", "RngFactory"]
 
 
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -40,12 +39,6 @@ def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     if seed is None:
         seed = 0
     return np.random.default_rng(int(seed))
-
-
-def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """Spawn ``count`` independent generators from one integer seed."""
-    seq = np.random.SeedSequence(int(seed))
-    return [np.random.default_rng(child) for child in seq.spawn(count)]
 
 
 def _label_to_int(label: str) -> int:
@@ -71,16 +64,6 @@ class RngFactory:
         """Return the generator for ``label`` (stable across runs)."""
         seq = np.random.SeedSequence([self.seed, _label_to_int(label)])
         return np.random.default_rng(seq)
-
-    def child(self, label: str) -> "RngFactory":
-        """Return a sub-factory whose streams are namespaced by ``label``."""
-        return RngFactory(seed=(self.seed * 0x9E3779B1 + _label_to_int(label)) % (1 << 63))
-
-    def many(self, label: str, count: int) -> Iterator[np.random.Generator]:
-        """Yield ``count`` independent generators under one label."""
-        seq = np.random.SeedSequence([self.seed, _label_to_int(label)])
-        for child in seq.spawn(count):
-            yield np.random.default_rng(child)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngFactory(seed={self.seed})"

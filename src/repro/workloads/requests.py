@@ -36,16 +36,6 @@ class RequestTrace:
     def __iter__(self):
         return zip(self.sources.tolist(), self.keys.tolist())
 
-    def split(self, parts: int) -> list["RequestTrace"]:
-        """Split into ``parts`` roughly equal consecutive traces."""
-        require(parts >= 1, "parts must be >= 1")
-        bounds = np.linspace(0, len(self), parts + 1).astype(int)
-        return [
-            RequestTrace(self.sources[a:b], self.keys[a:b])
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        ]
-
 
 def zipf_weights(catalog_size: int, exponent: float = 0.95) -> np.ndarray:
     """Normalised Zipf popularity weights for a key catalogue."""

@@ -7,7 +7,6 @@ from repro.core.hieras_protocol import HierasProtocolNode
 from repro.core.ring import ring_id
 from repro.dht.base import ZeroLatency
 from repro.dht.chord_protocol import GLOBAL_RING
-from repro.metrics.registry import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.network import SimNetwork
 from repro.util.ids import IdSpace
@@ -218,52 +217,39 @@ class TestRingTableHostFailure:
         assert ring in nodes[rejoiner].rings
 
 
-#: The 16-node smoke's registry at seed 42, recorded once: every message
-#: kind, the event count and the hop quantiles.
+#: The 16-node smoke's own counters at seed 42, recorded once: every
+#: message kind, the event and lookup counts and the user lookups' hops.
 SMOKE_SEED42 = {
+    "lookups": 533,
+    "events_processed": 61451,
+    "messages_sent": 33134,
+    "messages_lost": 0,
+    "messages_dropped": 0,
+    "sent_by_kind": {
+        "find": 3265, "find_done": 8482, "get_state": 3962, "h_deliver": 23,
+        "h_done": 24, "h_find": 37, "landmark_table_req": 15,
+        "landmark_table_resp": 15, "notify": 3962, "ping": 3930, "pong": 3930,
+        "ring_table_put": 8, "ring_table_req": 508, "ring_table_resp": 508,
+        "ring_table_update": 503, "state": 3962,
+    },
+    "clock_ms": 64500.0,
     "lookups_issued": 24,
     "lookups_completed": 24,
-    "counters": {
-        "protocol.lookups": 533, "protocol.lookups_completed": 533,
-        "sim.events_processed": 61451, "sim.messages_sent": 33134,
-        "sim.sent.find": 3265, "sim.sent.find_done": 8482,
-        "sim.sent.get_state": 3962, "sim.sent.h_deliver": 23,
-        "sim.sent.h_done": 24, "sim.sent.h_find": 37,
-        "sim.sent.landmark_table_req": 15, "sim.sent.landmark_table_resp": 15,
-        "sim.sent.notify": 3962, "sim.sent.ping": 3930, "sim.sent.pong": 3930,
-        "sim.sent.ring_table_put": 8, "sim.sent.ring_table_req": 508,
-        "sim.sent.ring_table_resp": 508, "sim.sent.ring_table_update": 503,
-        "sim.sent.state": 3962,
-    },
-    "gauges": {"sim.clock_ms": 64500.0},
-    "histograms": {
-        "protocol.lookup_hops": {
-            "count": 533.0, "max": 4.0, "mean": 2.649155722326454, "min": 0.0,
-            "p50": 2.992374046230249, "p90": 3.982849855532462,
-            "p99": 3.982849855532462,
-        },
-        "sim.link_delay_ms": {
-            "count": 33134.0, "max": 0.0, "mean": 0.0, "min": 0.0,
-            "p50": 0.0, "p90": 0.0, "p99": 0.0,
-        },
-    },
+    "user_lookup_hops": [0] + [1] * 3 + [2] * 8 + [3] * 7 + [4] * 5,
 }
 
 
 class TestProtocolSmoke:
     def test_protocol_smoke_counters(self):
-        """Bootstrap 16 nodes in 2 rings and run 24 lookups with one
-        registry attached to the simulator and the network: every
-        message kind, event and hop count is pinned, so a protocol
-        change shows here even when every lookup still completes."""
+        """Bootstrap 16 nodes in 2 rings and run 24 lookups: every
+        message kind, event, lookup and user-lookup hop count is pinned
+        from the components' own counters, so a protocol change shows
+        here even when every lookup still completes."""
         seed, universe, space = 42, 16, IdSpace(16)
         rng = make_rng(seed)
         ids = space.sample_unique_ids(universe, rng)
-        registry = MetricsRegistry()
         sim = Simulator()
-        sim.attach_metrics(registry)
         net = SimNetwork(sim, ZeroLatency(), loss_seed=seed)
-        net.attach_metrics(registry)
         nodes = [HierasProtocolNode(p, int(ids[p]), space, sim, net) for p in range(universe)]
         nodes[0].found_system(["0"], landmark_table=[1, 2])
         for p in range(1, universe):
@@ -276,13 +262,15 @@ class TestProtocolSmoke:
             sim.schedule(float(i), origin.hieras_lookup, key, completed.append)
         sim.run(until=sim.now + 30_000, max_events=10_000_000)
 
-        snapshot = registry.snapshot()
         assert {
+            "lookups": sum(n.lookup_count for n in nodes),
+            "events_processed": sim.events_processed,
+            "messages_sent": net.messages_sent,
+            "messages_lost": net.messages_lost,
+            "messages_dropped": net.messages_dropped,
+            "sent_by_kind": net.sent_by_kind,
+            "clock_ms": sim.now,
             "lookups_issued": 24,
             "lookups_completed": len(completed),
-            "counters": snapshot["counters"],
-            "gauges": {k: v for k, v in snapshot["gauges"].items() if k != "sim.queue_depth"},
-            "histograms": {
-                name: registry.histogram(name).summary() for name in snapshot["histograms"]
-            },
+            "user_lookup_hops": sorted(outcome.hops for outcome in completed),
         } == SMOKE_SEED42

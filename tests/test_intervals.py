@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from repro.util.intervals import (
     clockwise_distance,
     in_interval,
-    in_interval_closed,
     in_interval_open,
     ring_distance,
 )
@@ -76,15 +75,6 @@ class TestInInterval:
         assert in_interval_open(8, 7, 7, SIZE)
         assert not in_interval_open(7, 7, 7, SIZE)
 
-    def test_closed_includes_both_ends(self):
-        assert in_interval_closed(1, 1, 10, SIZE)
-        assert in_interval_closed(10, 1, 10, SIZE)
-        assert not in_interval_closed(0, 1, 10, SIZE)
-
-    def test_closed_degenerate_single_point(self):
-        assert in_interval_closed(7, 7, 7, SIZE)
-        assert not in_interval_closed(8, 7, 7, SIZE)
-
     @given(ids, ids, ids)
     def test_half_open_equals_definition(self, x, a, b):
         # x in (a, b] iff walking clockwise from a reaches x before
@@ -99,11 +89,6 @@ class TestInInterval:
     def test_open_implies_half_open(self, x, a, b):
         if in_interval_open(x, a, b, SIZE):
             assert in_interval(x, a, b, SIZE)
-
-    @given(ids, ids, ids)
-    def test_half_open_implies_closed(self, x, a, b):
-        if a != b and in_interval(x, a, b, SIZE):
-            assert in_interval_closed(x, a, b, SIZE)
 
     @given(ids, ids, ids)
     def test_partition(self, x, a, b):

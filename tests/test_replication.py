@@ -9,8 +9,6 @@ from repro.core.binning import BinningScheme
 from repro.core.hieras import HierasNetwork
 from repro.dht.chord import ChordNetwork
 from repro.faults import FaultInjector, FaultPlan
-from repro.metrics.registry import MetricsRegistry
-from repro.metrics.spans import SpanRecorder
 from repro.replication import (
     ReplicatedStore,
     ReplicationPolicy,
@@ -236,19 +234,6 @@ class TestFaultFree:
         store = ReplicatedStore(net, ReplicationPolicy(consistency="quorum"))
         got = store.get(0, "never-stored")
         assert got.success and got.value is None and not got.lost
-
-    def test_tracing_guarded(self):
-        net = make_chord()
-        store = ReplicatedStore(net, ReplicationPolicy())
-        store.put(0, "f", "v")  # no recorder: nothing raises, nothing recorded
-        recorder = store.enable_tracing(SpanRecorder(registry=MetricsRegistry()))
-        store.put(0, "f", "v2")
-        store.get(1, "f")
-        assert recorder.registry.counter("replication.puts").value == 1
-        assert recorder.registry.counter("replication.gets").value == 1
-        store.disable_tracing()
-        store.put(0, "f", "v3")
-        assert recorder.registry.counter("replication.puts").value == 1
 
 
 class TestChainVsQuorum:

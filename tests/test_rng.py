@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import RngFactory, make_rng, spawn_rngs
+from repro.util.rng import RngFactory, make_rng
 
 
 class TestMakeRng:
@@ -16,20 +16,6 @@ class TestMakeRng:
     def test_passthrough_generator(self):
         g = np.random.default_rng(1)
         assert make_rng(g) is g
-
-
-class TestSpawn:
-    def test_count(self):
-        assert len(spawn_rngs(3, 5)) == 5
-
-    def test_streams_independent(self):
-        a, b = spawn_rngs(3, 2)
-        assert a.integers(0, 10**9) != b.integers(0, 10**9)
-
-    def test_reproducible(self):
-        x = [g.integers(0, 10**9) for g in spawn_rngs(3, 3)]
-        y = [g.integers(0, 10**9) for g in spawn_rngs(3, 3)]
-        assert x == y
 
 
 class TestRngFactory:
@@ -45,28 +31,6 @@ class TestRngFactory:
         a = RngFactory(1).get("x").integers(0, 10**9)
         b = RngFactory(2).get("x").integers(0, 10**9)
         assert a != b
-
-    def test_child_namespacing(self):
-        f = RngFactory(42)
-        c1 = f.child("exp1").get("x").integers(0, 10**9)
-        c2 = f.child("exp2").get("x").integers(0, 10**9)
-        assert c1 != c2
-
-    def test_child_deterministic(self):
-        a = RngFactory(42).child("e").get("x").integers(0, 10**9)
-        b = RngFactory(42).child("e").get("x").integers(0, 10**9)
-        assert a == b
-
-    def test_many_streams(self):
-        f = RngFactory(9)
-        values = [g.integers(0, 10**9) for g in f.many("pool", 4)]
-        assert len(set(values)) == 4
-
-    def test_many_reproducible(self):
-        f = RngFactory(9)
-        a = [g.integers(0, 10**9) for g in f.many("pool", 3)]
-        b = [g.integers(0, 10**9) for g in f.many("pool", 3)]
-        assert a == b
 
 
 def test_cross_platform_stability():

@@ -152,6 +152,25 @@ class TestAdmissionControl:
         rejected = [c for c in result.completions if c.outcome == "rejected"]
         assert all(c.total_ms == 0.0 for c in rejected)
 
+    def test_full_queue_still_applies_membership_waves(self, bundle):
+        net = bundle.chord
+        start = net.n_peers
+        cfg = ServiceConfig(workers=1, queue_limit=2, max_batch=1)
+        # The leave finds room; the gets fill the queue before the rejoin.
+        reqs = [
+            Request(op="leave", at_ms=0.0, peers=(40, 41)),
+            *gets([0.0] * 10),
+            Request(op="join", at_ms=0.0, peers=(40, 41)),
+        ]
+        result = DHTService(net, config=cfg).run(reqs)
+        assert result.rejected > 0
+        leave, join = sorted(
+            (c for c in result.completions if c.op in ("leave", "join")), key=lambda c: c.seq
+        )
+        assert (leave.op, leave.outcome, leave.batch_size) == ("leave", "ok", 2)
+        assert (join.op, join.outcome, join.batch_size) == ("join", "ok", 2)
+        assert net.n_peers == start
+
     def test_unbounded_queue_never_rejects(self, bundle):
         result = DHTService(bundle.chord, config=ServiceConfig(workers=1)).run(
             gets([0.0] * 50)

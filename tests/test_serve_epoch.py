@@ -74,17 +74,14 @@ def lossy(net):
     return injector
 
 
-def serve(net, policy, reqs, *, injector=None, config=None, store_recorder=None):
+def serve(net, policy, reqs, *, injector=None, config=None):
     """Serve ``reqs`` over ``net`` on a fresh, attached, half-seeded store
-    (none when ``policy`` is None), traced by ``store_recorder`` when
-    given; returns the result and the store."""
+    (none when ``policy`` is None); returns the result and the store."""
     if policy is None:
         return DHTService(net, config=config).run(list(reqs)), None
     store = ReplicatedStore(net, policy, injector=injector)
     for name in NAMES[::2]:
         store.seed_key(name, "v0")
-    if store_recorder is not None:
-        store.enable_tracing(store_recorder)
     net.attach_store(store)
     try:
         return DHTService(net, config=config, store=store).run(list(reqs)), store
@@ -92,13 +89,9 @@ def serve(net, policy, reqs, *, injector=None, config=None, store_recorder=None)
         net.detach_store(store)
 
 
-def serve_digest(net, policy, reqs, *, injector=None, config=None, traced=False):
-    """SHA-256 over everything a run leaves behind but ``serve.engine_lanes``
-    (and, ``traced``, the store recorder's registry)."""
-    recorder = SpanRecorder(MetricsRegistry()) if traced else None
-    result, store = serve(
-        net, policy, reqs, injector=injector, config=config, store_recorder=recorder
-    )
+def serve_digest(net, policy, reqs, *, injector=None, config=None):
+    """SHA-256 over everything a run leaves behind but ``serve.engine_lanes``."""
+    result, store = serve(net, policy, reqs, injector=injector, config=config)
     snapshot = result.registry.snapshot()
     snapshot["counters"].pop("serve.engine_lanes", None)  # none under an injector
     state = [result.completions, sorted(result.counts.items()), result.makespan_ms, snapshot]
@@ -109,8 +102,6 @@ def serve_digest(net, policy, reqs, *, injector=None, config=None, traced=False)
             store.stats.as_dict(),
             store.loss_audit(),
         ]
-    if recorder is not None:
-        state.append(recorder.registry.snapshot())
     if injector is not None:
         state.append(float(injector.rng.random()))
     return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
@@ -149,32 +140,28 @@ PARENT_LOSSY_DIGESTS = {
     ("chord", "chain"): "ac98ad1d874158dc",
     ("hieras", "quorum"): "5b5d9da8e50507fa",
 }
-#: Configurations beside the defaults: label → (policy, scene, config,
-#: whether a span recorder traces the store's ``replication.*`` counters).
+#: Configurations beside the defaults: label → (policy, scene, config).
 CONFIGS = {
     # Rejected and failed completions both reach the fold.
-    "rejecting": ("quorum", "inside", ServiceConfig(workers=1, queue_limit=12), False),
-    "store_recorder": ("chain", "churn", None, True),
+    "rejecting": ("quorum", "inside", ServiceConfig(workers=1, queue_limit=12)),
     # One worker, so the queue builds and max_batch=1 splits what would coalesce.
-    "max_batch_1": ("quorum", "churn", ServiceConfig(workers=1, max_batch=1), False),
+    "max_batch_1": ("quorum", "churn", ServiceConfig(workers=1, max_batch=1)),
 }
 #: Recorded before the serving epoch went columnar: label → stack → digest.
-#: ``rejecting`` was re-recorded when the queue-wait deadline was deleted:
-#: the same config without it, run at the commit before the deletion.
+#: ``rejecting`` was re-recorded when the queue-wait deadline was deleted
+#: (the same config without it, run at the commit before the deletion),
+#: and again when membership waves became exempt from the queue limit:
+#: the rejoin that was rejected now applies, and 62 gets are shed, not 52.
 PARENT_CONFIG_DIGESTS = {
-    "rejecting": {"chord": "c4b83e52404dd956", "hieras": "bf9ec71e5d6c4c4f"},
-    "store_recorder": {"chord": "6b1cd2ba7074b5fe", "hieras": "580aac6d0209b76d"},
+    "rejecting": {"chord": "e3346dea24480c7c", "hieras": "1fc00868e718f7cb"},
     "max_batch_1": {"chord": "ce5fc083b667eef3", "hieras": "e2653fadbd639165"},
 }
 
 
 def config_digest(net, label):
-    policy, scene, config, traced = CONFIGS[label]
-    reqs, wave = mixed_stream(net, 240, scene=scene)
-    digest = serve_digest(net, POLICIES[policy], reqs, config=config, traced=traced)
-    # A queue limit may reject the rejoin: put the wave back for the next run.
-    net.revive_peers([p for p in wave if not net._alive[p]])
-    return digest
+    policy, scene, config = CONFIGS[label]
+    reqs, _ = mixed_stream(net, 240, scene=scene)
+    return serve_digest(net, POLICIES[policy], reqs, config=config)
 
 
 class TestPinnedServing:

@@ -69,7 +69,7 @@ def _nodes(tree: ast.AST):
 def _det001(tree, module):
     """No stdlib ``random`` and no global ``np.random`` state anywhere; in
     library code no direct ``np.random`` call at all (``make_rng`` /
-    ``spawn_rngs``).  Test-grade code may build *seeded* generators."""
+    ``RngFactory``).  Test-grade code may build *seeded* generators."""
     library = not _test_grade(module)
     for node, function in _nodes(tree):
         if isinstance(node, ast.Import):

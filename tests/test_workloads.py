@@ -69,47 +69,6 @@ class TestRequestTrace:
         assert len(pairs) == 10
         assert all(isinstance(s, int) and isinstance(k, int) for s, k in pairs)
 
-    def test_split(self):
-        space = IdSpace(16)
-        trace = generate_requests(100, 5, space, seed=6)
-        parts = trace.split(3)
-        assert sum(len(p) for p in parts) == 100
-        np.testing.assert_array_equal(
-            np.concatenate([p.keys for p in parts]), trace.keys
-        )
-
-    def test_split_more_parts_than_requests(self):
-        """parts > len(trace): empty chunks are dropped, nothing is lost."""
-        space = IdSpace(16)
-        trace = generate_requests(4, 5, space, seed=6)
-        parts = trace.split(9)
-        assert len(parts) == 4
-        assert all(len(p) == 1 for p in parts)
-        np.testing.assert_array_equal(
-            np.concatenate([p.keys for p in parts]), trace.keys
-        )
-
-    def test_split_single_part_is_whole_trace(self):
-        space = IdSpace(16)
-        trace = generate_requests(37, 5, space, seed=6)
-        parts = trace.split(1)
-        assert len(parts) == 1
-        np.testing.assert_array_equal(parts[0].sources, trace.sources)
-        np.testing.assert_array_equal(parts[0].keys, trace.keys)
-
-    def test_split_recombination_preserves_order(self):
-        """Concatenating the chunks reproduces the trace element-for-element."""
-        space = IdSpace(16)
-        trace = generate_requests(101, 7, space, seed=8)
-        for parts_n in (2, 3, 7):
-            parts = trace.split(parts_n)
-            np.testing.assert_array_equal(
-                np.concatenate([p.sources for p in parts]), trace.sources
-            )
-            np.testing.assert_array_equal(
-                np.concatenate([p.keys for p in parts]), trace.keys
-            )
-
     def test_validation(self):
         space = IdSpace(16)
         with pytest.raises(ValueError):
@@ -124,8 +83,6 @@ class TestRequestTrace:
             generate_requests(5, 5, space, key_dist="bogus")
         with pytest.raises(ValueError):
             RequestTrace(np.zeros(3), np.zeros(4))
-        with pytest.raises(ValueError):
-            generate_requests(5, 5, space).split(0)
 
 
 class TestChurn:
