@@ -113,14 +113,3 @@ class HierasCanNetwork(DHTNetwork):
             hops_per_layer.append(len(sub) - 1)
             path.extend(sub[1:])
         return self._routed(source, key, path, hops_per_layer)
-
-    def hop_layer_info(self, result: RouteResult) -> tuple[list[int], list[str]]:
-        """Each hop's CAN layer (``hops_per_layer`` runs lowest first, as
-        :meth:`route` walks) and the ring of its source peer at that layer."""
-        per_layer = zip(range(self.depth, 0, -1), result.hops_per_layer)
-        layers = [layer for layer, hops in per_layer for _ in range(hops)]
-        rings = [
-            "global" if layer == 1 else self.orders.order_of(src, layer - 2)
-            for layer, src in zip(layers, result.path)
-        ]
-        return layers, rings

@@ -23,7 +23,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.metrics.spans import HopRecord, LookupSpan, SpanRecorder
+from repro.metrics.spans import SpanRecorder
 from repro.topology.base import LatencyModel
 from repro.util.validation import require
 
@@ -146,20 +146,18 @@ class DHTNetwork(ABC):
     Observability (DESIGN.md §7): every stack carries a ``metrics``
     slot, ``None`` by default.  When a
     :class:`~repro.metrics.spans.SpanRecorder` is attached via
-    :meth:`enable_tracing`, instrumented ``route``/``route_lossy``
-    implementations emit one :class:`~repro.metrics.spans.LookupSpan`
-    per lookup, with per-hop ring layers and link delays.  The
-    uninstrumented path pays a single ``is None`` check — span inputs
-    (per-hop latencies, layer labels) are only built after the guard.
+    :meth:`enable_tracing`, ``route``/``route_lossy`` fold each finished
+    :class:`RouteResult` into it: hops per ring layer, latency, failures
+    and timeouts.  The untraced path pays a single ``is None`` check.
     """
 
-    #: Per-lookup span recorder; ``None`` disables collection entirely.
+    #: Lookup recorder; ``None`` disables collection entirely.
     metrics: SpanRecorder | None = None
 
-    #: Registry scope and span ``network`` name of this stack's lookups.
+    #: Registry scope of this stack's lookups.
     span_label: str
 
-    #: Per-hop delay source of :meth:`_routed`.
+    #: Link delay source of :meth:`_routed`.
     latency: LatencyModel
 
     #: Storage layers notified on membership waves (see attach_store).
@@ -224,59 +222,17 @@ class DHTNetwork(ABC):
         """Detach the recorder — routing reverts to the zero-cost path."""
         self.metrics = None
 
-    def record_route(
-        self,
-        label: str,
-        result: "RouteResult",
-        *,
-        layers: list[int] | None = None,
-        rings: list[str] | None = None,
-    ) -> None:
-        """Build and record the span of one finished lookup.
+    def _trace(self, result: RouteResult, layers: Iterable[int]) -> None:
+        """Fold one finished lookup into the attached recorder, as a one-lane batch.
 
-        ``layers``/``rings`` give each hop's ring layer and ring name;
-        flat DHTs omit them (every hop runs in the single global ring).
-        Callers must have checked ``self.metrics is not None`` — this
-        method assumes a live recorder.
+        ``layers`` names the ring layer of each ``hops_per_layer`` entry.
+        Callers have checked ``self.metrics is not None``.
         """
-        n = len(result.path) - 1
-        if layers is None:
-            layers = [1] * n
-        if rings is None:
-            rings = ["global"] * n
-        latency: LatencyModel | None = getattr(self, "latency", None)
-        hops: list[HopRecord] = []
-        for i in range(n):
-            u, v = result.path[i], result.path[i + 1]
-            delay = float(latency.pair(u, v)) if latency is not None else 0.0
-            hops.append(
-                HopRecord(
-                    index=i, src=u, dst=v, layer=layers[i], ring=rings[i],
-                    latency_ms=delay,
-                )
-            )
-        self.metrics.record(
-            LookupSpan(
-                network=label,
-                source=result.source,
-                key=result.key,
-                owner=result.owner,
-                success=result.success,
-                hops=hops,
-                timeouts=result.timeouts,
-                retry_latency_ms=result.retry_latency_ms,
-            )
+        assert self.metrics is not None
+        self.metrics.fold(
+            self.span_label, [result.hops], [result.latency_ms], [result.hops_per_layer], layers,
+            failed=int(not result.success), timeouts=result.timeouts,
         )
-
-    def hop_layer_info(self, result: "RouteResult") -> tuple[list[int], list[str]]:
-        """Per-hop ``(layers, rings)`` labels for one finished lookup.
-
-        The default covers flat DHTs — every hop runs in the single
-        global ring.  Hierarchical stacks override this to recover the
-        ring each path edge ran in (spans, ``explain_route``).
-        """
-        n = len(result.path) - 1
-        return [1] * n, ["global"] * n
 
     @property
     @abstractmethod
@@ -346,7 +302,11 @@ class DHTNetwork(ABC):
     def _routed(
         self, source: int, key: int, path: list[int], hops_per_layer: list[int] | None = None
     ) -> RouteResult:
-        """The :class:`RouteResult` of a finished :meth:`_walk`, recorded when traced."""
+        """The :class:`RouteResult` of a finished :meth:`_walk`, recorded when traced.
+
+        ``hops_per_layer`` runs lowest layer first down to the global
+        ring, one entry per layer (flat stacks: ``None``, one layer).
+        """
         result = RouteResult(
             source=source,
             key=key,
@@ -356,6 +316,5 @@ class DHTNetwork(ABC):
             hops_per_layer=[len(path) - 1] if hops_per_layer is None else hops_per_layer,
         )
         if self.metrics is not None:
-            layers, rings = self.hop_layer_info(result)
-            self.record_route(self.span_label, result, layers=layers, rings=rings)
+            self._trace(result, range(len(result.hops_per_layer), 0, -1))
         return result

@@ -45,7 +45,7 @@ class _PlanLayer:
     ring_of_peer: np.ndarray | None
     pos_of_peer: np.ndarray
     succ_list_r: int
-    #: Span label of each code.
+    #: Name of each code's ring (``explain_route``'s labels).
     ring_names: Sequence[str] = ("global",)
     _view: RingLayer | None = field(default=None, init=False, repr=False)
 
@@ -71,7 +71,7 @@ class _PlanLayer:
         return ring, int(self.pos_of_peer[peer])
 
     def ring_name_at(self, peer: int) -> str:
-        """Span label of ``peer``'s ring at this layer."""
+        """Name of ``peer``'s ring at this layer."""
         return self.ring_names[0 if self.ring_of_peer is None else self.ring_of_peer[peer]]
 
 
@@ -108,7 +108,7 @@ class ChordNetwork(DHTNetwork):
     :meth:`_rebuild` and :meth:`_apply_wave`.
     """
 
-    #: Network label of the spans this stack records.
+    #: Registry scope of this stack's traced lookups.
     span_label = "chord"
 
     #: How the global loop ends: greedy to the key's owner, as
@@ -310,7 +310,7 @@ class ChordNetwork(DHTNetwork):
 
         Every walker — :meth:`route`, :meth:`route_lossy`, the batch
         engine — and every inspector (:meth:`finger_table`,
-        :meth:`hop_layer_info`) reads this one description.  Membership
+        :meth:`explain_route`) reads this one description.  Membership
         waves invalidate rather than recompute it, so a burst of waves
         with no routing in between pays one :meth:`_build_plan` total
         instead of one per wave.
@@ -398,10 +398,11 @@ class ChordNetwork(DHTNetwork):
         timeout and retry tallies.
         """
         lossy = faults is not None
+        plan = self._layer_plan()
         path = [source]
         hops_per_layer: list[int] = []
         ok = True
-        for row in self._layer_plan():
+        for row in plan:
             ring, pos = row.at(path[-1])
             taken = len(path)
             to_owner = row.layer == 1 and self._greedy_global
@@ -430,28 +431,10 @@ class ChordNetwork(DHTNetwork):
             retry_latency_ms=faults.retry_latency_ms if lossy else 0.0,
         )
         if self.metrics is not None:
-            layers, rings = self.hop_layer_info(result)
-            self.record_route(self.span_label, result, layers=layers, rings=rings)
+            # One entry per layer walked, lowest first: a lookup that died
+            # in a lower ring books its hops on that ring's layer.
+            self._trace(result, [row.layer for row in plan])
         return result
-
-    def hop_layer_info(self, result: RouteResult) -> tuple[list[int], list[str]]:
-        """Per-hop ``(layers, rings)`` labels for one finished lookup.
-
-        ``hops_per_layer`` is ordered like :meth:`_layer_plan`, lowest
-        layer first, so zipping the two recovers which ring each
-        ``path`` edge ran in.  A hop's ring is named after its *source*
-        peer — the peer whose ring-restricted finger table chose the
-        next hop.
-        """
-        layers: list[int] = []
-        rings: list[str] = []
-        hop = 0
-        for row, layer_hops in zip(self._layer_plan(), result.hops_per_layer):
-            for src in result.path[hop : hop + layer_hops]:
-                layers.append(row.layer)
-                rings.append(row.ring_name_at(src))
-            hop += layer_hops
-        return layers, rings
 
     # ------------------------------------------------------------------
     # inspection
@@ -490,26 +473,26 @@ class ChordNetwork(DHTNetwork):
         §3.2's multi-loop procedure (one loop on flat Chord).
         """
         result = self.route(source, key)
-        layers, rings = self.hop_layer_info(result)
         lines = [
             f"route key={result.key} from peer {source} "
             f"(id {self.id_of(source)}): {result.hops} hops, "
             f"{result.latency_ms:.0f}ms"
         ]
 
-        def where(layer: int, ring: str) -> str:
-            label = "global ring" if layer == 1 else f'ring "{ring}"'
-            return f"layer {layer} ({label})"
+        def where(row: _PlanLayer, peer: int) -> str:
+            # A hop runs in its source peer's ring: that peer's
+            # ring-restricted finger table chose the next one.
+            label = "global ring" if row.layer == 1 else f'ring "{row.ring_name_at(peer)}"'
+            return f"layer {row.layer} ({label})"
 
         hop = 0
         for row, layer_hops in zip(self._layer_plan(), result.hops_per_layer):
             if layer_hops == 0:
-                idle = row.ring_name_at(result.path[hop])
-                lines.append(f"  {where(row.layer, idle)}: no hops needed")
+                lines.append(f"  {where(row, result.path[hop])}: no hops needed")
             for i in range(hop, hop + layer_hops):
                 a, b = result.path[i], result.path[i + 1]
                 lines.append(
-                    f"  {where(layers[i], rings[i])}: peer {a} (id {self.id_of(a)})"
+                    f"  {where(row, a)}: peer {a} (id {self.id_of(a)})"
                     f" -> peer {b} (id {self.id_of(b)})  {self.latency.pair(a, b):.0f}ms"
                 )
             hop += layer_hops

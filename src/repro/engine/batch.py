@@ -14,7 +14,7 @@ supports them, per-request scalar ``route()`` calls otherwise, the
 identical :class:`~repro.engine.result.BatchRouteResult` either way.
 With tracing attached the kernels still run and the result's arrays go
 to the recorder in one ``record_batch`` call; paths are materialized
-only for the caller or for an attached sink.
+only when the caller asks for them.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def batch_route_chord(
     owner hop on HIERAS.  Hop sequences and per-layer counts are
     bit-identical to the scalar route.
 
-    Bypasses span recording; :func:`batch_route` hands the result to an
+    Bypasses tracing; :func:`batch_route` hands the result to an
     attached recorder.
     """
     src, keys_w = _request_arrays(net, sources, keys)
@@ -231,8 +231,8 @@ def scalar_batch_route(
 ) -> BatchRouteResult:
     """Per-request ``route()`` calls packed into a ``BatchRouteResult``.
 
-    The fallback engine: works for every stack (and records spans
-    normally when tracing is attached).  Per-hop latency rows are
+    The fallback engine: works for every stack (and each ``route()``
+    folds itself into an attached recorder).  Per-hop latency rows are
     recomputed from each path with one bulk ``pairs`` call, which
     yields the same elementwise values the scalar route summed.
     """
@@ -295,34 +295,26 @@ def batch_route(
     the per-request scalar loop.  ``engine="batch"`` (default) uses the
     kernels whenever :func:`supports_batch` allows and per-request
     ``route()`` calls otherwise.  With a span recorder attached the
-    kernels still run and the recorder takes the whole batch at once —
-    the same registry state, and the same spans in the same order, as
-    the scalar loop records; paths are materialized only if the caller
-    asked or a sink is attached, and returned only if the caller asked.
+    kernels still run and the recorder folds the whole batch at once —
+    the same registry state as the scalar loop leaves.
     ``engine="scalar"`` is the door to the scalar reference the
     equivalence tests and benchmarks compare against.  Results are
     bit-identical either way.
     """
     require(engine in ("batch", "scalar"), f"unknown engine {engine!r}")
     if engine == "batch" and supports_batch(network):
-        recorder = network.metrics
-        keep = recorder is not None and recorder.keeps_spans
-        result = batch_route_chord(network, sources, keys, paths=paths or keep)
-        if recorder is not None:
-            recorder.record_batch(network.span_label, result, network._layer_plan())
-            if not paths:
-                result.paths = None
+        result = batch_route_chord(network, sources, keys, paths=paths)
+        if network.metrics is not None:
+            network.metrics.record_batch(network.span_label, result, network._layer_plan())
         return result
     return scalar_batch_route(network, sources, keys, paths=paths)
 
 
 def replay_spans(network: ChordNetwork, result: BatchRouteResult, *, label: str) -> None:
-    """Record every lane of ``result`` through the network's attached recorder.
+    """Fold every lane of ``result`` into the network's attached recorder.
 
-    One ``record_batch`` call: the registry is folded from the arrays,
-    and spans — identical to what per-request scalar routing would have
-    produced — are built only when a sink is attached (which requires
-    materialized paths).
+    One ``record_batch`` call under ``label``: the registry state
+    per-request scalar routing would have left.
     """
     recorder = network.metrics
     if recorder is None:

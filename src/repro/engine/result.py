@@ -2,9 +2,8 @@
 
 A :class:`BatchRouteResult` stores one lane per lookup: owners, hop
 counts, per-layer hop counts, total latencies, the per-hop latency
-values (needed for the exact low-layer latency split, and what the
-metrics layer folds a traced batch from) and — optionally —
-materialized paths, for callers and for sinks that keep spans.
+values (needed for the exact low-layer latency split) and — optionally
+— materialized paths.
 
 Float contract: ``latency_ms[i]`` equals ``np.sum`` over lane ``i``'s
 hop delays — the scalar ``route_latency``'s ``pairs(...).sum()`` over

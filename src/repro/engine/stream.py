@@ -7,8 +7,8 @@ streaming front-end routes the trace in bounded chunks and folds each
 chunk's :class:`~repro.engine.result.BatchRouteResult` into a compact
 :class:`StreamStats` accumulator, so peak memory is O(chunk) regardless
 of trace length.  That holds with a span recorder attached too: each
-chunk is folded into the registry from its arrays, and paths are
-materialized only if a sink is attached.
+chunk is folded into the registry from its arrays, and no paths are
+materialized.
 
 Determinism contract: all *integer* statistics (hop counts, histogram,
 per-layer sums, the owner checksum) are chunk-size invariant — the
@@ -29,7 +29,7 @@ import numpy.typing as npt
 from repro.dht.base import DHTNetwork
 from repro.engine.batch import _lanes, batch_route
 from repro.engine.result import BatchRouteResult
-from repro.util.validation import require
+from repro.util.validation import require, require_int
 
 __all__ = ["StreamStats", "stream_batch_route"]
 
@@ -126,16 +126,12 @@ def stream_batch_route(
     """Route ``(sources, keys)`` in bounded chunks, returning aggregates.
 
     Each chunk goes through :func:`~repro.engine.batch.batch_route`
-    with ``paths=False`` (streaming exists to avoid per-lane state; only
-    an attached sink makes the engine materialize
-    paths), so owners, hop counts, and latencies per lane are exactly
-    what one monolithic batch call would produce; only the float latency
-    *sum* depends on the chunking (see module docstring).
+    with ``paths=False`` (streaming exists to avoid per-lane state), so
+    owners, hop counts, and latencies per lane are exactly what one
+    monolithic batch call would produce; only the float latency *sum*
+    depends on the chunking (see module docstring).
     """
-    require(
-        isinstance(chunk_size, (int, np.integer)) and chunk_size >= 1,
-        f"chunk_size must be an integer >= 1, got {chunk_size!r}",
-    )
+    require_int(chunk_size, 1, name="chunk_size")
     # Checked once, before chunking: the engine's own conversion, so a
     # float source fails here as it does in ``batch_route``.
     src = _lanes(sources, "sources", np.int64)

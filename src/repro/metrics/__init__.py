@@ -1,39 +1,31 @@
-"""Unified observability: registries, lookup spans, sinks (DESIGN.md §7).
+"""Unified observability: registries and lookup tracing (DESIGN.md §7).
 
-Three modules:
+Two modules:
 
 * :mod:`repro.metrics.registry` — named counters, gauges and
   deterministic log-bucketed streaming histograms;
-* :mod:`repro.metrics.spans` — per-lookup tracing with per-hop ring
-  layers, recorded by the routing stacks when a
-  :class:`~repro.metrics.spans.SpanRecorder` is attached;
-* :mod:`repro.metrics.sinks` — in-memory and JSONL span sinks.
+* :mod:`repro.metrics.spans` — lookup tracing: the routing stacks fold
+  every finished lookup (hops per ring layer, latency, failures) into a
+  registry when a :class:`~repro.metrics.spans.SpanRecorder` is attached.
 
 The event-driven components count their own events in plain
 attributes and import nothing from here: protocol traffic is
 :class:`~repro.sim.network.SimNetwork`'s ``messages_sent`` /
 ``sent_by_kind``, store events are ``ReplicatedStore.stats``.
 
-Span collection is off by default: trace-driven networks carry a
-``metrics`` attribute that is ``None`` until a recorder is attached, so
-the untraced hot path pays a single attribute check.  There is no other
+Tracing is off by default: trace-driven networks carry a ``metrics``
+attribute that is ``None`` until a recorder is attached, so the
+untraced hot path pays a single attribute check.  There is no other
 off switch.
 """
 
 from repro.metrics.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.metrics.sinks import JsonlSink, MemorySink, SpanSink, read_jsonl
-from repro.metrics.spans import HopRecord, LookupSpan, SpanRecorder
+from repro.metrics.spans import SpanRecorder
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "HopRecord",
-    "LookupSpan",
     "SpanRecorder",
-    "SpanSink",
-    "MemorySink",
-    "JsonlSink",
-    "read_jsonl",
 ]

@@ -1,13 +1,10 @@
 """Streaming metric primitives: counters, gauges, histograms.
 
 The registry is the single accumulation point of the observability
-subsystem (DESIGN.md §7): routing spans, protocol counters and
-simulator event accounting all land here.  The scalar record path is
-pure Python — no numpy — so the hot paths that carry a registry
-(``SimNetwork.send``, ``route`` instrumentation) pay only dict lookups
-and integer adds, and an *unattached* path pays a single
-``is None`` check.  The bulk :meth:`Histogram.record_many` is numpy and
-leaves exactly the state the same values recorded one by one would.
+subsystem (DESIGN.md §7): traced lookups and served requests land here.
+The scalar record path is pure Python — no numpy — and the bulk
+:meth:`Histogram.record_many` is numpy and leaves exactly the state the
+same values recorded one by one would.
 
 Histograms are **deterministic log-bucketed streaming** estimators:
 values are counted in geometric buckets ``[base**i, base**(i+1))``, so

@@ -33,7 +33,6 @@ from repro.engine import (
 )
 from repro.engine.result import hop_sums
 from repro.metrics.registry import MetricsRegistry
-from repro.metrics.sinks import JsonlSink, MemorySink
 from repro.metrics.spans import SpanRecorder
 from repro.topology.latency import CoordinateLatencyModel
 from repro.util.ids import IdSpace
@@ -593,7 +592,7 @@ class TestResultShape:
             ):
                 with pytest.raises(ValueError, match=message):
                     stream_batch_route(net, sources, keys)
-            for size in (1.5, 0):
+            for size in (1.5, 0, True):
                 with pytest.raises(ValueError, match=f"chunk_size must be an integer >= 1, got {size}"):
                     stream_batch_route(net, [0, 1], [5, 6], chunk_size=size)
             assert stream_batch_route(net, [0, 1], [5, 6], chunk_size=1).lookups == 2
@@ -652,70 +651,47 @@ class TestFallback:
         assert not supports_batch(net)
 
 
-def _traced(net, sources, keys, sinks=(), *, engine="batch", paths=False, calls=1):
+def _traced(net, sources, keys, *, engine="batch", paths=False, calls=1):
     """Route with a recorder attached, in ``calls`` equal slices; the
     registry snapshot as JSON bytes, the registry, and the last result."""
     registry = MetricsRegistry()
-    net.enable_tracing(SpanRecorder(registry, sinks))
+    net.enable_tracing(SpanRecorder(registry))
     try:
         for part in np.array_split(np.arange(len(sources)), calls):
             result = batch_route(net, sources[part], keys[part], paths=paths, engine=engine)
     finally:
         net.disable_tracing()
-        for sink in sinks:
-            sink.close()
     return json.dumps(registry.snapshot(), sort_keys=True), registry, result
 
 
 class TestTracedBatch:
     """With a recorder attached ``batch_route`` still runs the kernels and
-    hands the recorder the arrays: the registry and the span stream come
-    out byte for byte as the scalar loop leaves them."""
+    hands the recorder the arrays: the registry comes out byte for byte
+    as the scalar loop leaves it, and the result as untraced routing's."""
 
     @pytest.mark.parametrize("policy", ["transitions", "always", "off"])
     @pytest.mark.parametrize("depth", [2, 3])
-    def test_span_stream_equals_scalar_loop(self, depth, policy, tmp_path):
-        nets = build_pair(
-            n=90, depth=depth, seed=17, successor_list_r=6, successor_list_policy=policy
-        )
-        for net in nets:
-            sources, keys = make_requests(net, 200, 17)
-            out = tmp_path / f"{net.span_label}.jsonl"
-            want_reg, _, _ = _traced(net, sources, keys, [JsonlSink(out)], engine="scalar")
-            want = out.read_bytes()
-            got_reg, _, traced = _traced(net, sources, keys, [JsonlSink(out)])
-            assert out.read_bytes() == want
-            assert want.count(b"\n") == 200
-            assert got_reg == want_reg
-            assert traced.paths is None  # the caller did not ask for paths
-            assert_identical(traced, batch_route(net, sources, keys))
-            _, _, with_paths = _traced(net, sources, keys, [JsonlSink(out)], paths=True)
-            assert_identical(with_paths, batch_route(net, sources, keys, paths=True))
-
-    @pytest.mark.parametrize("policy", ["transitions", "always", "off"])
-    @pytest.mark.parametrize("depth", [2, 3])
-    @pytest.mark.parametrize("sink", [False, True])
-    def test_registry_equals_scalar_loop(self, depth, policy, sink):
-        """The bulk fold against the scalar ``record(span)`` reference:
-        same snapshot bytes, and no counter the spans would not create,
-        with or without a sink that materializes the paths."""
+    @pytest.mark.parametrize("paths", [False, True])
+    def test_registry_equals_scalar_loop(self, depth, policy, paths):
+        """The batch fold against each scalar route's own: same snapshot
+        bytes, and no counter the scalar loop would not create, whether
+        or not the caller asks for paths."""
         nets = build_pair(
             n=90, depth=depth, seed=19, successor_list_r=6, successor_list_policy=policy
         )
         for net in nets:
             sources, keys = make_requests(net, 300, 19)
             sources[:5] = [net.owner_of(int(k)) for k in keys[:5]]  # zero-hop lanes
-            want_sinks = [MemorySink()] if sink else []
-            got_sinks = [MemorySink()] if sink else []
-            want, want_reg, _ = _traced(net, sources, keys, want_sinks, engine="scalar")
-            got, got_reg, _ = _traced(net, sources, keys, got_sinks, calls=3)
+            want, want_reg, _ = _traced(net, sources, keys, engine="scalar")
+            got, got_reg, _ = _traced(net, sources, keys, paths=paths, calls=3)
             assert got == want
             assert set(got_reg.counters) == set(want_reg.counters)
             assert (f"{net.span_label}.low_layer_hops" in got_reg.counters) == (
                 net is not nets[0]
             )
-            for a, b in zip(got_sinks, want_sinks):
-                assert [s.to_dict() for s in a.spans] == [s.to_dict() for s in b.spans]
+            _, _, traced = _traced(net, sources, keys, paths=paths)
+            assert (traced.paths is not None) == paths
+            assert_identical(traced, batch_route(net, sources, keys, paths=paths))
 
     def test_empty_batch_creates_no_metric(self):
         chord, _ = build_pair(n=30, seed=1)
@@ -741,7 +717,7 @@ class TestTracedBatch:
             parts, _, _ = _traced(net, sources, keys, calls=16)
             assert whole == parts
 
-    def test_paths_only_for_sinks_that_keep_spans(self, monkeypatch):
+    def test_traced_calls_never_ask_for_paths(self, monkeypatch):
         asked = []
         walk = batch_module.batch_route_chord
 
@@ -752,17 +728,14 @@ class TestTracedBatch:
         monkeypatch.setattr(batch_module, "batch_route_chord", spy)
         _, net = build_pair(n=60, depth=3, seed=29)
         sources, keys = make_requests(net, 50, 29)
-        _traced(net, sources, keys)
-        net.enable_tracing(SpanRecorder(MetricsRegistry()))
+        _, registry, result = _traced(net, sources, keys)
+        net.enable_tracing(SpanRecorder(registry))
         try:
             stream_batch_route(net, sources, keys, chunk_size=20)
         finally:
             net.disable_tracing()
-        assert asked == [False] * 4
-        memory = MemorySink()
-        _, _, result = _traced(net, sources, keys, [memory])
-        assert asked[-1] is True and result.paths is None
-        assert len(memory) == 50
+        assert asked == [False] * 4 and result.paths is None
+        assert registry.counter(f"{net.span_label}.lookups").value == 100
 
 
 class TestExperimentWiring:

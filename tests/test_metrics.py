@@ -10,19 +10,12 @@ from hypothesis import strategies as st
 
 from repro.dht.base import ZeroLatency
 from repro.dht.chord_protocol import GLOBAL_RING, ChordProtocolNode
-from repro.metrics import (
-    Histogram,
-    HopRecord,
-    JsonlSink,
-    LookupSpan,
-    MemorySink,
-    MetricsRegistry,
-    SpanRecorder,
-    read_jsonl,
-)
+from repro.faults import FaultInjector, FaultPlan, RetryPolicy
+from repro.metrics import Histogram, MetricsRegistry, SpanRecorder
 from repro.sim.engine import Simulator
 from repro.sim.network import SimNetwork
 from repro.util.ids import IdSpace
+from tests.test_engine import build_pair
 
 
 class TestCountersGauges:
@@ -149,86 +142,29 @@ class TestHistogram:
         assert bulk.to_dict() == loop.to_dict()
 
 
-def _make_span(network="hieras"):
-    return LookupSpan(
-        network=network,
-        source=3,
-        key=1234,
-        owner=9,
-        hops=[
-            HopRecord(index=0, src=3, dst=5, layer=2, ring="0121", latency_ms=4.0),
-            HopRecord(index=1, src=5, dst=7, layer=2, ring="0121", latency_ms=6.5),
-            HopRecord(index=2, src=7, dst=9, layer=1, ring="global", latency_ms=80.0),
-        ],
-    )
-
-
 class TestSpans:
-    def test_derived_properties(self):
-        span = _make_span()
-        assert span.n_hops == 3
-        assert span.latency_ms == pytest.approx(90.5)
-        assert [h.layer for h in span.hops] == [2, 2, 1]
-        assert span.low_layer_hops == 2
-        assert span.low_layer_hop_share == pytest.approx(2 / 3)
-
-    def test_latency_is_a_left_to_right_add(self):
-        """Builtin ``sum()`` is compensated from Python 3.12 on and would
-        give 1.0000000000000002e16 here; the span (and the bulk fold that
-        must equal it) adds left to right on every interpreter."""
-        hops = [
-            HopRecord(index=i, src=i, dst=i + 1, layer=1, ring="global", latency_ms=ms)
-            for i, ms in enumerate([1e16, 1.0, 1.0])
-        ]
-        assert LookupSpan("chord", 0, 1, 3, hops=hops).latency_ms == 1e16
-
-    def test_dict_round_trip(self):
-        span = _make_span()
-        assert LookupSpan.from_dict(span.to_dict()).to_dict() == span.to_dict()
-
-    def test_jsonl_round_trip(self, tmp_path):
-        path = tmp_path / "lookups.spans.jsonl"
-        sink = JsonlSink(path)
-        recorder = SpanRecorder(registry=MetricsRegistry(), sinks=[sink])
-        spans = [_make_span(), _make_span("chord")]
-        for s in spans:
-            recorder.record(s)
-        recorder.close()
-        loaded = read_jsonl(path)
-        assert [s.to_dict() for s in loaded] == [s.to_dict() for s in spans]
-
-    def test_jsonl_lazy_open(self, tmp_path):
-        path = tmp_path / "never.jsonl"
-        JsonlSink(path).close()
-        assert not path.exists()
-
     def test_recorder_registry_names(self):
+        """Two HIERAS lookups, one of which died in its lower ring: each
+        column is booked on the layer ``layers`` names for it."""
         reg = MetricsRegistry()
         rec = SpanRecorder(registry=reg)
-        rec.record(_make_span())
-        assert reg.counter("hieras.lookups").value == 1
-        assert reg.counter("hieras.total_hops").value == 3
-        assert reg.counter("hieras.hops.layer2").value == 2
+        rec.fold("hieras", [3, 1], [90.0, 4.0], [[2, 1], [1, 0]], [2, 1], failed=1, timeouts=2)
+        assert reg.counter("hieras.lookups").value == 2
+        assert reg.counter("hieras.lookups_failed").value == 1
+        assert reg.counter("hieras.timeouts").value == 2
+        assert reg.counter("hieras.total_hops").value == 4
+        assert reg.counter("hieras.hops.layer2").value == 3
         assert reg.counter("hieras.hops.layer1").value == 1
-        assert reg.counter("hieras.low_layer_hops").value == 2
-        assert reg.histogram("hieras.latency_ms").count == 1
-        assert rec.low_layer_hop_share("hieras") == pytest.approx(2 / 3)
-
-    def test_memory_sink(self):
-        sink = MemorySink()
-        SpanRecorder(MetricsRegistry(), sinks=[sink]).record(_make_span())
-        assert len(sink) == 1
-        sink.clear()
-        assert len(sink) == 0
+        assert reg.counter("hieras.low_layer_hops").value == 3
+        assert reg.histogram("hieras.latency_ms").total == 94.0
+        assert reg.histogram("hieras.hops").count == 2
+        assert rec.low_layer_hop_share("hieras") == pytest.approx(3 / 4)
 
     def test_recorder_requires_a_registry(self):
         """Collection is off only by attaching no recorder (``metrics is
         None``); a recorder always folds into a live registry."""
         with pytest.raises(TypeError):
-            SpanRecorder(sinks=[MemorySink()])
-        rec = SpanRecorder(MetricsRegistry())
-        assert not rec.keeps_spans
-        assert SpanRecorder(MetricsRegistry(), sinks=[MemorySink()]).keeps_spans
+            SpanRecorder()
 
 
 class TestNetworkInstrumentationOffByDefault:
@@ -241,23 +177,66 @@ class TestNetworkInstrumentationOffByDefault:
 
     def test_route_emits_nothing_when_off(self, small_networks):
         chord, hieras = small_networks
-        sink = MemorySink()
+        registry = MetricsRegistry()
         # A recorder exists but is never attached — routing must not see it.
-        SpanRecorder(MetricsRegistry(), sinks=[sink])
+        SpanRecorder(registry)
         chord.route(0, 12345)
         hieras.route(0, 12345)
-        assert len(sink) == 0
+        assert registry.snapshot() == MetricsRegistry().snapshot()
 
     def test_enable_disable_round_trip(self, small_networks):
         chord, _ = small_networks
-        sink = MemorySink()
-        rec = SpanRecorder(registry=MetricsRegistry(), sinks=[sink])
+        registry = MetricsRegistry()
+        rec = SpanRecorder(registry=registry)
         assert chord.enable_tracing(rec) is rec
-        chord.route(1, 999)
+        hops = chord.route(1, 999).hops
         chord.disable_tracing()
         chord.route(2, 999)
         assert chord.metrics is None
-        assert len(sink) == 1 and sink.spans[0].network == "chord"
+        assert set(registry.counters) == {"chord.lookups", "chord.total_hops", "chord.hops.layer1"}
+        assert registry.counter("chord.lookups").value == 1
+        assert registry.counter("chord.total_hops").value == hops
+
+
+class TestFailureCounters:
+    """A traced ``route_lossy`` run: the registry's failure, timeout and
+    per-layer counters are the sums over the returned results."""
+
+    def test_counters_equal_the_route_results(self):
+        _, hieras = build_pair(n=400, depth=2, seed=7)
+        plan = (
+            FaultPlan(seed=3)
+            .crash_fraction(at_ms=0.0, fraction=0.5)
+            .loss_burst(at_ms=0.0, rate=0.1, duration_ms=1e9)
+        )
+        injector = FaultInjector(plan, hieras.n_peers, policy=RetryPolicy(successor_fallback=2))
+        injector.advance_to(0.0)
+        rng = np.random.default_rng(3)
+        registry = MetricsRegistry()
+        hieras.enable_tracing(SpanRecorder(registry))
+        results = []
+        try:
+            for _ in range(300):
+                src = int(rng.integers(hieras.n_peers))
+                if not injector.state.is_dead(src):
+                    key = int(rng.integers(hieras.space.size))
+                    results.append(hieras.route_lossy(src, key, injector=injector))
+        finally:
+            hieras.disable_tracing()
+        # A lookup that died in its lower ring after walking in it: its
+        # one hops_per_layer entry is layer 2's, not the global ring's.
+        assert any(len(r.hops_per_layer) == 1 and r.hops for r in results)
+        assert any(r.success for r in results)
+        counters = {name: c.value for name, c in registry.counters.items()}
+        assert counters["hieras.lookups"] == len(results)
+        assert counters["hieras.lookups_failed"] == sum(not r.success for r in results)
+        assert counters["hieras.timeouts"] == sum(r.timeouts for r in results) > 0
+        for col, layer in enumerate((2, 1)):
+            assert counters[f"hieras.hops.layer{layer}"] == sum(
+                r.hops_per_layer[col] for r in results if len(r.hops_per_layer) > col
+            )
+        assert counters["hieras.low_layer_hops"] == sum(r.hops_per_layer[0] for r in results)
+        assert counters["hieras.total_hops"] == sum(r.hops for r in results)
 
 
 class TestSimCounters:
@@ -299,7 +278,7 @@ class TestRegistryMergeAndSnapshot:
 
 
 class TestHierasSpanLayers:
-    """Acceptance: per-hop ring layers with a majority in lower rings."""
+    """Acceptance: hops booked per ring layer, a majority in lower rings."""
 
     @pytest.fixture(scope="class")
     def traced(self):
@@ -307,41 +286,50 @@ class TestHierasSpanLayers:
         from repro.experiments.runner import build_bundle, make_trace
 
         bundle = build_bundle(SimConfig(n_peers=1000, seed=42))
-        sink = MemorySink()
-        rec = SpanRecorder(registry=MetricsRegistry(), sinks=[sink])
+        rec = SpanRecorder(registry=MetricsRegistry())
         bundle.hieras.enable_tracing(rec)
         try:
-            for source, key in make_trace(bundle, 3000):
-                bundle.hieras.route(int(source), int(key))
+            results = [bundle.hieras.route(int(s), int(k)) for s, k in make_trace(bundle, 3000)]
         finally:
             bundle.hieras.disable_tracing()
-        return bundle, rec, sink
+        return bundle, rec, results
 
     def test_spans_annotate_every_hop(self, traced):
-        bundle, rec, sink = traced
-        span = max(sink.spans, key=lambda s: s.n_hops)
-        assert span.n_hops == len([h.layer for h in span.hops])
-        for hop in span.hops:
-            assert 1 <= hop.layer <= bundle.hieras.depth
-            if hop.layer == 1:
-                assert hop.ring == "global"
-            else:
-                assert hop.ring == bundle.hieras.ring_name_of(hop.src, hop.layer)
-        # Bottom-up routing: layer numbers never increase along the path.
-        assert [h.layer for h in span.hops] == sorted([h.layer for h in span.hops], reverse=True)
+        """Each hop runs in the layer ``hops_per_layer`` books it on
+        (lowest first): a lower-ring hop stays inside its source's ring,
+        and layer numbers never increase along the path."""
+        bundle, _, results = traced
+        hieras = bundle.hieras
+        for r in results:
+            assert len(r.hops_per_layer) == hieras.depth
+            layers = [
+                layer
+                for layer, hops in zip(range(hieras.depth, 0, -1), r.hops_per_layer)
+                for _ in range(hops)
+            ]
+            assert len(layers) == r.hops
+            assert layers == sorted(layers, reverse=True)
+            for layer, a, b in zip(layers, r.path, r.path[1:]):
+                if layer >= 2:
+                    assert hieras.ring_name_of(a, layer) == hieras.ring_name_of(b, layer)
 
     def test_span_matches_route_result(self, traced):
-        bundle, rec, sink = traced
-        span = sink.spans[0]
-        result = bundle.hieras.route(span.source, span.key)
-        assert [h.dst for h in span.hops] == result.path[1:]
-        assert span.latency_ms == pytest.approx(result.latency_ms)
-        assert span.low_layer_hops == result.low_layer_hops
+        bundle, rec, results = traced
+        reg = rec.registry
+        assert reg.counter("hieras.lookups").value == len(results)
+        assert reg.counter("hieras.total_hops").value == sum(r.hops for r in results)
+        for layer in range(1, bundle.hieras.depth + 1):
+            col = bundle.hieras.depth - layer
+            assert reg.counter(f"hieras.hops.layer{layer}").value == sum(
+                r.hops_per_layer[col] for r in results
+            )
+        latency = Histogram()
+        latency.record_many([r.latency_ms for r in results])
+        assert reg.histogram("hieras.latency_ms").to_dict() == latency.to_dict()
 
     def test_majority_of_hops_in_lower_rings(self, traced):
-        _, rec, sink = traced
+        _, rec, results = traced
         share = rec.low_layer_hop_share("hieras")
         assert share > 0.5
-        per_span = [s.low_layer_hops for s in sink.spans]
-        total = sum(s.n_hops for s in sink.spans)
-        assert sum(per_span) / total == pytest.approx(share)
+        total = sum(r.hops for r in results)
+        assert sum(r.low_layer_hops for r in results) / total == pytest.approx(share)

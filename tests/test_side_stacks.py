@@ -32,7 +32,7 @@ from repro.dht.pastry import PastryNetwork, PastryParams
 from repro.engine import batch_route
 from repro.experiments.config import SimConfig, SweepSpec
 from repro.experiments.runner import build_bundle
-from repro.metrics import MemorySink, MetricsRegistry, SpanRecorder
+from repro.metrics import MetricsRegistry, SpanRecorder
 from repro.faults.retry import RetryPolicy
 from repro.loadgen.workload import WorkloadMix
 from repro.replication.policy import ReplicationPolicy
@@ -150,7 +150,7 @@ class TestRoutingContract:
 
 
 class TestTracing:
-    """Every side stack records one span per lookup, batch or not."""
+    """Every side stack folds each lookup into the recorder, batch or not."""
 
     @pytest.mark.parametrize("label", LABELS)
     def test_recorder_sums_a_batch(self, deployment, label):
@@ -159,8 +159,8 @@ class TestTracing:
         rng = np.random.default_rng(5)
         sources = rng.integers(net.n_peers, size=16)
         keys = rng.integers(space.size, size=16, dtype=np.uint64)
-        registry, sink = MetricsRegistry(), MemorySink()
-        net.enable_tracing(SpanRecorder(registry, sinks=[sink]))
+        registry = MetricsRegistry()
+        net.enable_tracing(SpanRecorder(registry))
         try:
             result = batch_route(net, sources, keys)
         finally:
@@ -170,27 +170,30 @@ class TestTracing:
         assert registry.counter(f"{label}.low_layer_hops").value == int(
             result.hops_per_layer[:, :-1].sum()
         )
-        assert [span.n_hops for span in sink.spans] == result.hops.tolist()
-        assert {span.network for span in sink.spans} == {label}
+        top = int(result.hops_per_layer[:, -1].sum())
+        assert registry.counter(f"{label}.hops.layer1").value == top
+        assert registry.histogram(f"{label}.hops").count == 16
+        assert {name.split(".")[0] for name in registry.counters} == {label}
 
     def test_hieras_can_spans_name_both_layers(self, deployment):
         _, stacks = deployment
         net = stacks["hieras_can"]
-        sink = MemorySink()
-        net.enable_tracing(SpanRecorder(MetricsRegistry(), sinks=[sink]))
+        registry = MetricsRegistry()
+        net.enable_tracing(SpanRecorder(registry))
         try:
             results = [net.route(s, 7_919 * s) for s in range(40)]
         finally:
             net.disable_tracing()
-        hops = [hop for span in sink.spans for hop in span.hops]
-        assert {hop.layer for hop in hops} == {1, 2}
-        for span, r in zip(sink.spans, results):
-            assert span.low_layer_hops == r.hops_per_layer[0]
-            for hop in span.hops:
-                if hop.layer == 1:
-                    assert hop.ring == "global"
-                else:  # a ring-CAN hop stays inside its ring
-                    assert hop.ring == net.orders.order_of(hop.src) == net.orders.order_of(hop.dst)
+        low = sum(r.hops_per_layer[0] for r in results)
+        assert registry.counter("hieras_can.hops.layer2").value == low > 0
+        assert registry.counter("hieras_can.hops.layer1").value == sum(
+            r.hops_per_layer[1] for r in results
+        ) > 0
+        for r in results:
+            # hops_per_layer runs lowest first: the ring CAN's hops open
+            # the path, and a ring-CAN hop stays inside its ring.
+            for a, b in zip(r.path, r.path[1 : r.hops_per_layer[0] + 1]):
+                assert net.orders.order_of(a) == net.orders.order_of(b)
 
 
 #: Chord, HIERAS and HIERAS-over-CAN over eight peers (of a 16-bit space),

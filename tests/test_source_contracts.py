@@ -372,7 +372,6 @@ ALLOWED = {
     },
     "PERF001": {
         ("repro.core.hieras", "table2_rows"): "the Table 2 inspection API; routing never calls it",
-        ("repro.dht.base", "record_route"): "traced lookups only; an untraced lookup never reaches it",
         ("repro.dht.ring_array", "finger_table"): (
             "the Table 2 inspection helper; routing reads fingers from the arrays"
         ),
