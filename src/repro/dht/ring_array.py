@@ -486,14 +486,20 @@ class RingLayer:
         if int(keys.max()) >= self.space.size:
             outside = keys[keys > np.uint64(self.space.size - 1)]
             require(False, f"key {int(outside[0])} is outside the {self.space.bits}-bit id space")
+        several = code is None and len(self.sizes) > 1
+        require(not several, "a layer of several rings needs each key's ring code")
+        return self._search(keys, code)
+
+    def _search(self, keys: np.ndarray, code: np.ndarray | None) -> np.ndarray:
+        """:meth:`successor_slots` without its checks, for non-empty keys
+        already masked into the id space (the kernel's finger searches)."""
         if code is None:
-            require(len(self.sizes) == 1, "a layer of several rings needs each key's ring code")
             bucket = (keys >> self._shift[0]).view(np.int64)
         else:
             bucket = (keys >> self._shift[code]).view(np.int64) + self._offset[code]
         ids = self.ids
         slot = self._first[bucket].astype(np.int64)
-        behind = np.flatnonzero(ids[slot] < keys)
+        behind = (ids[slot] < keys).nonzero()[0]
         for _ in range(_ADVANCE_ROUNDS):
             if behind.size == 0:
                 break

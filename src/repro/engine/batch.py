@@ -19,6 +19,7 @@ only when the caller asks for them.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Any, TypeGuard
 
 import numpy as np
@@ -40,6 +41,12 @@ __all__ = [
     "supports_batch",
 ]
 
+#: Hop pairs one ``LatencyModel.pairs`` call prices at most, unless a
+#: single row holds more.  Per pair, a longer call costs more once its
+#: temporaries outgrow the cache: at N=4 096, 2 048- and 4 096-lane
+#: batches priced 6-10 % faster under 4 096 than under 8 192.
+_GROUP_PAIRS = 4096
+
 
 class _HopLog:
     """The walk's hops, hop-major: peers while it runs, delays after.
@@ -48,9 +55,9 @@ class _HopLog:
     reached on its hop ``h`` (zero past the lane's hop count); ``record``
     writes one row entry per lane that moved and touches no latency
     model.  Once the walk ends, ``priced`` overwrites each peer with the
-    delay of the hop that reached it, one bulk ``LatencyModel.pairs``
-    call per row, so the ring arrays and the latency tables are not in
-    cache at once.  The buffer starts at ``cap`` rows and doubles beyond.
+    delay of the hop that reached it, in bulk ``LatencyModel.pairs``
+    calls, so the ring arrays and the latency tables are not in cache at
+    once.  The buffer starts at ``cap`` rows and doubles beyond.
     """
 
     def __init__(self, sources: npt.NDArray[np.int64], *, cap: int) -> None:
@@ -80,18 +87,34 @@ class _HopLog:
         return out
 
     def priced(self, latency: LatencyModel) -> npt.NDArray[np.float64]:
-        """The buffer, in place, as hop delays (``0.0`` past each lane's hops)."""
+        """The buffer, in place, as hop delays (``0.0`` past each lane's hops).
+
+        One ``pairs`` call per group of consecutive rows: a group takes
+        rows while their hops total at most ``_GROUP_PAIRS``, and always
+        at least one row.  A call's fixed cost (~10 numpy dispatches) is
+        paid per group, not per row, and a narrow batch is priced in one.
+        """
         delays = self.peers.view(np.float64)
         # Longest walks first: the lanes taking a hop h are a prefix of
         # the order, each at the same place as in the row before.
         order = np.argsort(self.hop_count)[::-1]
-        walking = np.bincount(self.hop_count)[::-1].cumsum()[::-1]
+        walking = np.bincount(self.hop_count)[::-1].cumsum()[::-1].tolist()
         prev = self.sources[order]
-        for h in range(1, len(walking)):
-            lanes = order[: walking[h]]
-            reached = self.peers[h - 1, lanes]
-            delays[h - 1, lanes] = latency.pairs(prev[: len(lanes)], reached)
-            prev = reached
+        lo, top = 0, len(walking) - 1  # row h - 1 holds hop h; rows lo.. are unpriced
+        while lo < top:
+            hi, size = lo + 1, walking[lo + 1]
+            while hi < top and size + walking[hi + 1] <= _GROUP_PAIRS:
+                hi += 1
+                size += walking[hi]
+            widths = walking[lo + 1 : hi + 1]
+            reached = [self.peers[h, order[:w]] for h, w in zip(range(lo, hi), widths)]
+            came = [prev[: widths[0]], *(r[:w] for r, w in zip(reached, widths[1:]))]
+            us, vs = (np.concatenate(p) if len(p) > 1 else p[0] for p in (came, reached))
+            hop_delays = latency.pairs(us, vs)
+            for h, w, end in zip(range(lo, hi), widths, accumulate(widths)):
+                delays[h, order[:w]] = hop_delays[end - w : end]
+            prev = reached[-1]
+            lo = hi
         return delays
 
 

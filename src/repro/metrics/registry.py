@@ -129,13 +129,15 @@ class Histogram:
         positive = arr[arr > 0.0]
         self.zero_count += arr.size - positive.size
         quotient = np.log(positive) / self._log_base
-        index = np.floor(quotient)
+        index = np.floor(quotient).astype(np.int64)
         edge = np.abs(quotient - np.rint(quotient)) <= 1e-9 * np.maximum(1.0, np.abs(quotient))
         if edge.any():
             near, inverse = np.unique(positive[edge], return_inverse=True)
-            index[edge] = np.array([self._index(v) for v in near.tolist()], dtype=np.float64)[inverse]
-        found, counts = np.unique(index.astype(np.int64), return_counts=True)
-        for idx, n in zip(found.tolist(), counts.tolist()):
+            index[edge] = np.array([self._index(v) for v in near.tolist()], dtype=np.int64)[inverse]
+        low = int(index.min(initial=0))  # bincount counts from 0; a bucket index may be negative
+        counts = np.bincount(index - low)
+        found = counts.nonzero()[0]
+        for idx, n in zip((found + low).tolist(), counts[found].tolist()):
             self.buckets[idx] = self.buckets.get(idx, 0) + n
 
     # ------------------------------------------------------------------

@@ -31,6 +31,7 @@ from repro.engine import (
     stream_batch_route,
     supports_batch,
 )
+from repro.engine.kernel import _floor_pow2
 from repro.engine.result import hop_sums
 from repro.metrics.registry import MetricsRegistry
 from repro.metrics.spans import SpanRecorder
@@ -256,6 +257,16 @@ class TestFingerLevelRule:
             assert [lo + cur] + hops[lane] == path, (c, cur, key)
             assert end[lane] == path[-1]
 
+    def test_finger_level_at_every_power_of_two_edge(self):
+        """The finger level ``_floor_pow2`` is exact at 2**k - 1, 2**k and
+        2**k + 1 for every k < 64, and at 2**64 - 1: above 2**53 a float64
+        rounds these to the next power of two, which the small spaces
+        above never reach."""
+        edges = {2**64 - 1} | {2**k + d for k in range(64) for d in (-1, 0, 1)} - {0}
+        x = np.asarray(sorted(edges), dtype=np.uint64)
+        want = [1 << (v.bit_length() - 1) for v in x.tolist()]
+        assert _floor_pow2(x).tolist() == want
+
 
 def build_binned(ring_sizes, *, depth=2, spare=0, seed=3, bits=32, **hieras_kw):
     """A HIERAS network whose lowest-layer rings have exactly
@@ -460,9 +471,10 @@ class TestHopLog:
             assert batch.low_layer_hops.max() >= 16
 
     @pytest.mark.parametrize("depth", [2, 3])
-    def test_pairs_only_after_the_walk_once_per_hop_row(self, depth, monkeypatch):
-        """The call-count gate: one ``pairs`` call per hop row, none while
-        a kernel runs."""
+    def test_pairs_only_after_the_walk_once_per_group(self, depth, monkeypatch):
+        """The call-count gate: one ``pairs`` call per pricing group, each
+        of the size the grouping rule predicts from the batch's hop
+        counts, and none while a kernel runs."""
         kernel = batch_module.route_layer
         walking = [False]
 
@@ -479,17 +491,48 @@ class TestHopLog:
         calls = []
 
         def spy_pairs(us, vs):
-            calls.append(walking[0])
+            calls.append((walking[0], len(us)))
             return pairs(us, vs)
 
         monkeypatch.setattr(batch_module, "route_layer", spy_kernel)
         monkeypatch.setattr(chord.latency, "pairs", spy_pairs)
+        group_rows = set()
         for net in (chord, hieras):
-            calls.clear()
-            sources, keys = make_requests(net, 2000, depth)
-            result = batch_module.batch_route_chord(net, sources, keys)
-            assert len(calls) == int(result.hops.max()) > 0
-            assert not any(calls)
+            for lanes in (300, 2000, 9000):
+                calls.clear()
+                sources, keys = make_requests(net, lanes, depth)
+                result = batch_module.batch_route_chord(net, sources, keys)
+                groups = pricing_groups(result.hops)
+                assert calls == [(False, size) for _, size in groups]
+                group_rows.update(rows for rows, _ in groups)
+        assert 1 in group_rows and max(group_rows) > 1  # both kinds of group ran
+
+    @pytest.mark.parametrize("stack", ["chord", "hieras"])
+    def test_one_and_many_row_groups_match_scalar(self, stack):
+        """A call wide enough that its first rows are groups of their own
+        and its tail rows share groups prices every hop as the scalar
+        route does."""
+        nets = build_pair(n=300, depth=3, seed=9)
+        net = nets[0] if stack == "chord" else nets[1]
+        sources, keys = make_requests(net, 9000, 9)
+        batch = batch_route(net, sources, keys, paths=True)
+        rows = [rows for rows, _ in pricing_groups(batch.hops)]
+        assert rows[0] == 1 and max(rows) > 1
+        assert_identical(batch, scalar_batch_route(net, sources, keys, paths=True))
+
+
+def pricing_groups(hops):
+    """``(rows, pairs)`` of each ``pairs`` call ``_HopLog.priced`` makes
+    for these hop counts: consecutive hop rows, as many as fit in
+    ``_GROUP_PAIRS`` pairs, and at least one."""
+    groups = []
+    for h in range(1, int(hops.max(initial=0)) + 1):
+        walking = int((hops >= h).sum())
+        if groups and groups[-1][1] + walking <= batch_module._GROUP_PAIRS:
+            groups[-1] = (groups[-1][0] + 1, groups[-1][1] + walking)
+        else:
+            groups.append((1, walking))
+    return groups
 
 
 class TestResultShape:
