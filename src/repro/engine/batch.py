@@ -64,17 +64,23 @@ class _HopLog:
         self.sources = sources
         self.hop_count = np.zeros(len(sources), dtype=np.int64)
         self.peers = np.zeros((cap, len(sources)), dtype=np.int64)
+        # ``record`` calls so far: a hop count grows by at most one per
+        # call, so none exceeds it and no row past the buffer is written
+        # before it reaches ``cap``.
+        self._records = 0
 
     def record(self, lanes: npt.NDArray[np.int64], reached: npt.NDArray[np.int64]) -> None:
         """Append one hop for ``lanes``, each arriving at ``reached``."""
         rows = self.hop_count[lanes]
-        top, cap = int(rows.max()), len(self.peers)
-        if top >= cap:
-            while cap <= top:
-                cap *= 2
-            grown = np.zeros((cap, len(self.sources)), dtype=np.int64)
-            grown[: len(self.peers)] = self.peers
-            self.peers = grown
+        if self._records >= len(self.peers):
+            top, cap = int(rows.max()), len(self.peers)
+            if top >= cap:
+                while cap <= top:
+                    cap *= 2
+                grown = np.zeros((cap, len(self.sources)), dtype=np.int64)
+                grown[: len(self.peers)] = self.peers
+                self.peers = grown
+        self._records += 1
         self.peers[rows, lanes] = reached
         self.hop_count[lanes] = rows + 1
 

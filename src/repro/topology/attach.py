@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.topology.base import LatencyModel, Topology, index_lanes
+from repro.topology.latency import TransitStubLatencyModel
 from repro.util.rng import make_rng
 from repro.util.validation import require
 
@@ -29,17 +30,29 @@ CANDIDATE_POOL = 256
 
 
 class PeerLatencyView(LatencyModel):
-    """Latency model re-indexed from router ids to peer ids."""
+    """Latency model re-indexed from router ids to peer ids.
+
+    Over a :class:`TransitStubLatencyModel` the view holds the model's
+    per-router tables gathered once per peer (``model.peer_tables``) and
+    prices a peer pair with the model's own arithmetic and block pool,
+    without the two ``router_of_peer`` reads; over any other model it
+    maps the ids and asks ``model.pairs``.
+    """
 
     def __init__(self, model: LatencyModel, router_of_peer: np.ndarray) -> None:
         self.model = model
         self.router_of_peer = np.asarray(router_of_peer, dtype=np.int64)
+        self._tables = (
+            model.peer_tables(self.router_of_peer) if isinstance(model, TransitStubLatencyModel) else None
+        )
 
     def pair(self, u: int, v: int) -> float:
         return self.model.pair(int(self.router_of_peer[u]), int(self.router_of_peer[v]))
 
     def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         us, vs = index_lanes(us, vs)
+        if self._tables is not None:
+            return self.model._priced(self._tables, us, vs)
         return self.model.pairs(self.router_of_peer[us], self.router_of_peer[vs])
 
 

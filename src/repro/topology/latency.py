@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.registry import MetricsRegistry
 from repro.topology.base import LatencyModel, Topology, index_lanes
 from repro.topology.transit_stub import TransitStubTopology
 from repro.util.rng import make_rng
@@ -105,12 +104,6 @@ class _BlockModel(LatencyModel):
         """What the model holds and what its pool did — seed-deterministic."""
         keys = ("resident_bytes", "cache_misses", "cache_hits")
         return {key: getattr(self, key) for key in keys}
-
-    def publish(self, registry: MetricsRegistry) -> None:
-        """Set :meth:`stats` as ``topology.latency.*`` gauges — for a bench
-        to call at a phase end; ``pairs`` never does."""
-        for key, value in self.stats().items():
-            registry.set_gauge(f"topology.latency.{key}", value)
 
 
 class APSPLatencyModel(_BlockModel):
@@ -402,6 +395,8 @@ class TransitStubLatencyModel(_BlockModel):
         self._gw_u, self._gw_v = gateway * n_transit, gateway
         self._dom_u, self._dom_v = np.where(dom_of < 0, [[-1], [-2]], dom_of)
         self._core, self._edge, self._local = core.ravel(), edge, topology.local_index
+        #: What :meth:`_priced` reads per lane, indexed by router.
+        self._by_router = (self._edge, self._gw_u, self._gw_v, self._dom_u, self._dom_v, self._local)
 
         ms = _hop_ms(params.intra_stub_delay)
         uniform = _one_delay(self._data, params.intra_stub_delay)
@@ -443,17 +438,33 @@ class TransitStubLatencyModel(_BlockModel):
         return float(self._edge[u] + self._edge[v] + self._core[self._gw_u[u] + self._gw_v[v]])
 
     def pairs(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        us, vs = index_lanes(us, vs)
-        dom = self._dom_u[us]
-        out = self._edge[us] + self._edge[vs]
-        hop = self._gw_u[us]
-        hop += self._gw_v[vs]
+        return self._priced(self._by_router, *index_lanes(us, vs))
+
+    def peer_tables(self, router_of_peer: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``_by_router`` gathered at each peer's router, integers as
+        ``int32`` (28 bytes a peer): :meth:`_priced` over these takes peer
+        ids and reads no ``router_of_peer``."""
+        require(len(self._core) <= np.iinfo(np.int32).max, "core APSP too large for int32 offsets")
+        return tuple(
+            t[router_of_peer].astype(np.int32 if t.dtype.kind == "i" else t.dtype, copy=False)
+            for t in self._by_router
+        )
+
+    def _priced(self, tables: tuple[np.ndarray, ...], us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Delays of lanes ``us``–``vs`` indexed like ``tables``: router ids
+        with ``_by_router``, peer ids with :meth:`peer_tables`.  Same-stub
+        lanes go through the one pool either way."""
+        edge, gw_u, gw_v, dom_u, dom_v, local = tables
+        dom = dom_u[us]
+        out = edge[us] + edge[vs]
+        hop = gw_u[us]
+        hop += gw_v[vs]
         out += self._core[hop]
-        same = (dom == self._dom_v[vs]).nonzero()[0]
+        same = (dom == dom_v[vs]).nonzero()[0]
         if same.size:
             dom = dom[same]
             self._warm(dom)
-            out[same] = self._block_ms(dom, self._local[us[same]], self._local[vs[same]])
+            out[same] = self._block_ms(dom, local[us[same]], local[vs[same]])
         return out
 
 

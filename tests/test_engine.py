@@ -470,6 +470,27 @@ class TestHopLog:
         if stack == "hieras":
             assert batch.low_layer_hops.max() >= 16
 
+    def test_buffer_grows_where_every_step_would_check(self):
+        """``record`` looks at the hop counts only once its calls reach the
+        buffer's rows; the buffer still doubles to the first size holding
+        the longest walk, and keeps every hop where it was written."""
+        rng = np.random.default_rng(7)
+        log = batch_module._HopLog(np.arange(50), cap=4)
+        walks = [[] for _ in range(50)]
+        for step in range(40):
+            lanes = np.flatnonzero(rng.random(50) < 0.3 + 0.6 * (step % 2))
+            log.record(lanes, 100 * step + lanes)
+            for lane in lanes.tolist():
+                walks[lane].append(100 * step + lane)
+            longest, cap = max(map(len, walks)), 4
+            while cap < longest:
+                cap *= 2
+            assert log.peers.shape == (cap, 50)
+        assert log.hop_count.tolist() == list(map(len, walks))
+        paths = log.paths()
+        for lane, walk in enumerate(walks):
+            assert paths[lane].tolist() == [lane, *walk, *[-1] * (len(log.peers) - len(walk))]
+
     @pytest.mark.parametrize("depth", [2, 3])
     def test_pairs_only_after_the_walk_once_per_group(self, depth, monkeypatch):
         """The call-count gate: one ``pairs`` call per pricing group, each

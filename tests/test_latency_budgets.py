@@ -35,7 +35,7 @@ from repro.topology.latency import (
     TransitStubLatencyModel,
     latency_model_for,
 )
-from repro.topology.transit_stub import TransitStubParams, TransitStubTopology
+from repro.topology.transit_stub import TransitStubParams, TransitStubTopology, generate_transit_stub
 
 BUDGETS = ["lazy", "filled"]
 
@@ -134,6 +134,92 @@ def test_transit_stub_pair_kinds_are_scalar_exact(small_topology):
             want = model.pairs(np.asarray([u]), np.asarray([v]))[0]
             assert model.pair(int(u), int(v)) == want == model.pair(int(v), int(u))
             assert want == small_topology.shortest_delays([u])[0][v]
+
+
+# ----------------------------------------------------------------------
+# The peer-indexed tables: a view prices peers as the model prices their routers.
+
+
+class TestPeerIndexedTables:
+    """Over a transit-stub model, ``PeerLatencyView.pairs`` reads the
+    model's tables gathered per peer; it must answer, bit for bit and
+    with the same pool traffic, what the model answers for the peers'
+    routers."""
+
+    @pytest.fixture(scope="class", params=[(320, 7), (900, 2)], ids=["ts320", "ts900"])
+    def topo(self, request):
+        n_routers, seed = request.param
+        return generate_transit_stub(TransitStubParams.for_size(n_routers), seed=seed)
+
+    @staticmethod
+    def _placements(topo):
+        rng = np.random.default_rng(5)
+        stub = topo.stub_routers
+        return {
+            "stub": rng.permutation(stub)[: len(stub) // 2],  # attach_overlay's draw
+            "transit": np.arange(len(topo.transit_routers) + 40),  # every transit router, then stubs
+            "co_located": rng.choice(stub[:60], 300),  # the replace=True fallback
+        }
+
+    @staticmethod
+    def _queries(topo, router_of_peer):
+        """Random lanes first (a lazy pool fills part-way), then every
+        ordered peer pair (``u == v``, same-stub, cross-stub, transit
+        both sides), then neighbours in domain order (same-stub lanes)."""
+        n = len(router_of_peer)
+        us, vs = np.random.default_rng(n).integers(0, n, (2, 2000))
+        by_domain = np.argsort(topo.stub_domain_of[router_of_peer], kind="stable")
+        return [
+            (us, vs),
+            (np.repeat(np.arange(n), n), np.tile(np.arange(n), n)),
+            (by_domain[:-1], by_domain[1:]),
+            (by_domain[1:], by_domain[:-1]),
+        ]
+
+    @pytest.mark.parametrize("budget", [{}, {"streaming_threshold_bytes": 1}], ids=["eager", "lazy"])
+    @pytest.mark.parametrize("placement", ["stub", "transit", "co_located"])
+    def test_view_equals_the_model_at_the_routers(self, topo, budget, placement):
+        router_of_peer = self._placements(topo)[placement]
+        direct = latency_model_for(topo, **budget)
+        view = PeerLatencyView(latency_model_for(topo, **budget), router_of_peer)
+        assert view._tables is not None and view.model is not direct
+        queries = self._queries(topo, router_of_peer)
+        for us, vs in queries:
+            got = view.pairs(us, vs)
+            want = direct.pairs(router_of_peer[us], router_of_peer[vs])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert (view.model.cache_misses, view.model.cache_hits) == (direct.cache_misses, direct.cache_hits)
+        assert direct.cache_hits > 0
+        us, vs = queries[1]
+        dom = topo.stub_domain_of[router_of_peer]
+        same = (dom[us] >= 0) & (dom[us] == dom[vs])
+        assert same.any() and (us == vs).any() and not same.all()
+        shared = (router_of_peer[us] == router_of_peer[vs]) & (us != vs)
+        assert shared.any() == (placement == "co_located")
+        us, vs = queries[0]
+        for u, v in zip(us[::97].tolist(), vs[::97].tolist()):
+            assert view.pair(u, v) == direct.pair(int(router_of_peer[u]), int(router_of_peer[v]))
+            assert view.pair(u, v) == view.pairs(np.asarray([u]), np.asarray([v]))[0]
+
+    def test_tables_are_per_peer_and_read_no_router_of_peer(self, topo, monkeypatch):
+        router_of_peer = self._placements(topo)["stub"]
+        model = latency_model_for(topo)
+        view = PeerLatencyView(model, router_of_peer)
+        assert [t.dtype for t in view._tables] == [np.float64, *[np.int32] * 5]
+        assert all(len(t) == len(router_of_peer) for t in view._tables)
+        assert sum(t.itemsize for t in view._tables) == 28  # bytes a peer
+        us, vs = self._queries(topo, router_of_peer)[1]
+        want = view.pairs(us, vs)
+        monkeypatch.setattr(view, "router_of_peer", None)
+        assert np.array_equal(view.pairs(us, vs), want)
+
+    def test_other_models_keep_the_router_map(self):
+        brite = generate_brite(BriteParams(n_nodes=50), seed=1)
+        model = APSPLatencyModel(brite)
+        view = PeerLatencyView(model, np.arange(50)[::-1])
+        assert view._tables is None
+        us, vs = np.arange(50), np.arange(50)[::3].repeat(3)[:50]
+        assert np.array_equal(view.pairs(us, vs), model.pairs(49 - us, 49 - vs))
 
 
 # ----------------------------------------------------------------------
@@ -425,18 +511,15 @@ class TestObservability:
         # Rows no block was filled into were never written (np.zeros pages stay untouched).
         assert model._filled.sum() == filled and not model._pool[~model._filled].any()
 
-    def test_stats_and_publish(self, filled_by_routing):
+    def test_stats(self, filled_by_routing):
         _, model = filled_by_routing
         stats = model.stats()
         assert list(stats) == ["resident_bytes", "cache_misses", "cache_hits"]
         assert stats["cache_hits"] > 0 and all(type(v) is int for v in stats.values())
-        registry = MetricsRegistry()
-        model.publish(registry)
-        gauges = registry.snapshot()["gauges"]
-        assert gauges == {f"topology.latency.{k}": v for k, v in stats.items()}
+        assert stats == {k: getattr(model, k) for k in stats}
 
     def test_routing_publishes_nothing(self, filled_by_routing):
-        """``publish`` is explicit: a traced batch leaves no latency gauge behind."""
+        """A traced batch leaves no latency gauge behind."""
         from repro.engine import batch_route
         from repro.metrics.spans import SpanRecorder
 
