@@ -6,7 +6,10 @@ catalogue of files is published into the DHT (each file key stored at
 its owner), then peers issue Zipf-distributed lookups (hot files
 dominate, as in real file-sharing traces).  Reports per-lookup latency
 for HIERAS vs flat Chord and shows that the win holds under skewed,
-repeated workloads — not just the paper's uniform keys.
+repeated workloads — not just the paper's uniform keys.  Then the
+service runs under churn: the ``weibull_churn`` campaign (heavy-tailed
+sessions, graceful leaves and silent crashes, Zipf gets and puts over a
+seeded, replicated catalogue) served on both stacks.
 
 Run:  python examples/file_sharing.py
 """
@@ -15,6 +18,8 @@ import numpy as np
 
 from repro import quick_network
 from repro.analysis.stats import collect_routes, ratio_percent, summarize
+from repro.experiments.config import SimConfig
+from repro.scenarios import ScenarioParams, run_scenario_cell
 from repro.workloads.requests import generate_requests
 
 
@@ -80,25 +85,22 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # The assembled application: a churn-tolerant service over rounds.
+    # The service under churn: one campaign, served on both stacks.
     # ------------------------------------------------------------------
-    from repro.apps.filesharing import FileSharingSystem
-
-    print("\nrunning the assembled service for 6 rounds with churn "
-          "(3 crashes + 3 rejoins per round, replicas=2):")
-    service = FileSharingSystem(
-        bundle.hieras, catalog_size=1000, replicas=2, seed=3
-    )
-    for m in service.run(6, queries_per_round=200, churn_per_round=3):
+    config = SimConfig(model="ts", n_peers=n_peers, n_landmarks=4, depth=2, seed=11)
+    params = ScenarioParams(seed=3)
+    print("\nthe weibull_churn campaign (3 s of heavy-tailed session churn, "
+          "Zipf gets and puts, replicas=2, quorum):")
+    for stack in ("chord", "hieras"):
+        cell = run_scenario_cell(config, "weibull_churn", stack, params)
+        notes = cell["notes"]
         print(
-            f"  round {m.round_index}: online={m.online_peers} "
-            f"success={100 * m.success_rate:5.1f}% "
-            f"latency={m.mean_latency_ms:6.1f}ms "
-            f"repair_moves={m.keys_moved_by_repair}"
+            f"  {stack:>6}: {notes['joins']} joins, {notes['graceful_leaves']} leaves, "
+            f"{notes['failures']} crashes; probe availability "
+            f"{100 * cell['availability_mean']:5.1f}% (min {100 * cell['availability_min']:5.1f}%), "
+            f"gets answered {100 * cell['get_success_rate']:5.1f}%, "
+            f"keys lost {100 * cell['loss_probability']:4.1f}%"
         )
-    summary = service.summary()
-    print(f"  availability over all rounds: {100 * summary['availability']:.2f}% "
-          f"(replication absorbs the churn)")
 
 
 if __name__ == "__main__":

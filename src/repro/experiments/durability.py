@@ -102,9 +102,9 @@ def run_bench(
     chain-vs-quorum divergence.
     """
     config = SimConfig(model="ts", n_peers=n_peers, n_landmarks=4, depth=2, seed=seed)
-    # Every cell is the two-wave crash, one op per 1 ms tick and no
+    # Every cell is the two-wave crash, one op per probe tick and no
     # probe cohort, at the cell's policy and churn fraction.
-    base = ScenarioParams(seed=seed, probe_interval_ms=1.0, n_probes=0, catalog_size=n_keys)
+    base = ScenarioParams(seed=seed, n_probes=0, catalog_size=n_keys)
     bench = BenchRun(SCHEMA, seed=seed)
     cells: list[dict[str, object]] = []
     for stack in ("chord", "hieras"):

@@ -81,16 +81,24 @@ class ReplicaContact:
 
 @dataclass
 class ReplicationStats:
-    """Always-on operation counters (plain integer adds)."""
+    """Always-on operation counters (plain integer adds).
+
+    ``put_hops`` (routed hops plus fan-out messages) and the read
+    counters from ``gets`` on are counted by the per-operation
+    :meth:`ReplicatedStore.put` / :meth:`ReplicatedStore.get`;
+    ``stale_values`` are reads that returned an older version than the
+    key's latest acknowledged one."""
 
     puts: int = 0
     put_successes: int = 0
+    put_hops: int = 0
     routed_put_failures: int = 0
     chain_aborts: int = 0
     gets: int = 0
     get_successes: int = 0
     routed_get_failures: int = 0
     stale_reads: int = 0
+    stale_values: int = 0
     read_repairs: int = 0
     lost_reads: int = 0
     replicas_written: int = 0
@@ -369,6 +377,7 @@ class ReplicatedStore:
             result = PutResult(key=key, version=self._stamp_put(), success=False)
             self.stats.routed_put_failures += 1
         result.route = route
+        self.stats.put_hops += result.hops
         return result
 
     def write_at(self, coordinator: int, key: int, value: Any) -> PutResult:
@@ -508,6 +517,8 @@ class ReplicatedStore:
             if result.value is None and key in self._catalog:
                 result.lost = True
                 self.stats.lost_reads += 1
+            elif result.value is not None and result.version < self._latest.get(key, -1):
+                self.stats.stale_values += 1
         return result
 
     def _chain_read(

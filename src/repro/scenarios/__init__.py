@@ -6,7 +6,7 @@ abrupt crash waves, a whole lowest-layer HIERAS ring dying at once,
 flash joins, long-running heavy-tailed session churn, rolling landmark
 outages, and the durability bench's two crash waves with a rejoin —
 each compiled to a concrete :class:`CompiledScenario` (fault plan +
-membership waves + client requests) and replayed
+requests: client gets and puts beside membership waves) and served
 identically against both execution stacks.  Per scenario the runner
 measures availability over time, route stretch versus a fault-free
 twin, sustained recovery time, and data durability.  Compilation and
@@ -15,20 +15,13 @@ replay are pure functions of ``(config, params)``.
 
 from repro.scenarios.library import SCENARIOS, scenario_names
 from repro.scenarios.runner import run_scenario_cell
-from repro.scenarios.spec import (
-    WAVE_KINDS,
-    CompiledScenario,
-    MembershipWave,
-    ScenarioParams,
-)
+from repro.scenarios.spec import CompiledScenario, ScenarioParams
 from repro.scenarios.timeline import recovery_time_ms, series_summary
 
 __all__ = [
     "CompiledScenario",
-    "MembershipWave",
     "SCENARIOS",
     "ScenarioParams",
-    "WAVE_KINDS",
     "recovery_time_ms",
     "run_scenario_cell",
     "scenario_names",

@@ -4,8 +4,14 @@ Each entry is a compiler ``(bundle, params) -> CompiledScenario``; the
 :data:`SCENARIOS` registry maps names to compilers.  All member
 resolution happens against the *pristine* bundle (full initial
 membership), so the same campaign — the identical peer sets, times and
-waves — replays against both the flat Chord baseline and HIERAS for a
-head-to-head comparison.
+requests — replays against both the flat Chord baseline and HIERAS for
+a head-to-head comparison.  Membership waves are
+:class:`~repro.serve.request.Request` records the runner's service
+serves beside the client load: an announced departure is a graceful
+``leave``, a stabilize purge a silent ``leave`` of the peers the
+campaign's own fault plan still has crashed when it fires, a rejoin a
+``join`` (with ``ring_names`` when the joiners were binned blind), a
+re-homing pass a ``rebalance``.
 
 The suite (motivations in DESIGN.md's Scenarios section):
 
@@ -48,10 +54,11 @@ from typing import Any
 import numpy as np
 
 from repro.experiments.runner import SimulationBundle
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.loadgen.schedule import Schedule, constant_rate, flash_crowd
 from repro.loadgen.workload import WorkloadMix, catalog_names, generate
-from repro.scenarios.spec import CompiledScenario, MembershipWave, ScenarioParams
+from repro.scenarios.spec import CompiledScenario, ScenarioParams
 from repro.serve.request import Request
 from repro.util.rng import RngFactory
 from repro.util.validation import require
@@ -70,7 +77,7 @@ def _suite_campaign(
     params: ScenarioParams,
     name: str,
     plan: FaultPlan,
-    waves: tuple[MembershipWave, ...],
+    waves: list[Request],
     notes: dict[str, Any],
     *,
     schedule: Schedule | None = None,
@@ -82,7 +89,8 @@ def _suite_campaign(
     The load is ``params``' Zipf read/write mix over a seeded ``sk-*``
     catalogue, arriving on ``schedule`` (default: constant
     ``rate_per_s``) from the initial membership, drawn from the
-    ``scenario-<name>-arrivals`` / ``-ops`` streams.
+    ``scenario-<name>-arrivals`` / ``-ops`` streams.  ``waves`` merge
+    in by time, each ahead of the client requests at its instant.
     """
     mix = WorkloadMix(
         read_fraction=params.read_fraction,
@@ -96,12 +104,12 @@ def _suite_campaign(
     pool = np.asarray(
         sorted(set(range(bundle.config.n_peers)) - set(initial_offline)), dtype=np.int64
     )
+    client = generate(mix, arrivals, pool, rngs.get(f"scenario-{name}-ops"))
     return CompiledScenario(
         name=name,
         duration_ms=params.duration_ms,
         plan=plan,
-        waves=waves,
-        requests=tuple(generate(mix, arrivals, pool, rngs.get(f"scenario-{name}-ops"))),
+        requests=tuple(sorted([*waves, *client], key=lambda r: r.at_ms)),
         seeded=tuple(catalog_names(mix)),
         initial_offline=initial_offline,
         fault_start_ms=params.fault_at_ms if fault_start_ms is None else fault_start_ms,
@@ -123,14 +131,28 @@ def _departure_peers(bundle: SimulationBundle, params: ScenarioParams) -> list[i
     return sorted(int(p) for p in chosen)
 
 
+def _purges(
+    bundle: SimulationBundle, plan: FaultPlan, purges: list[tuple[float, tuple[int, ...]]]
+) -> list[Request]:
+    """Stabilize purges as silent leaves, resolved against ``plan``: each
+    ``(at_ms, peers)`` keeps the peers the plan still has crashed at
+    ``at_ms``, so a peer revived before its purge fires stays."""
+    injector = FaultInjector(plan, bundle.config.n_peers)
+    leaves = []
+    for at_ms, peers in sorted(purges):
+        injector.advance_to(at_ms)
+        dead = tuple(p for p in peers if injector.state.is_dead(p))
+        if dead:
+            leaves.append(Request("leave", at_ms, peers=dead))
+    return leaves
+
+
 def compile_graceful_leave(
     bundle: SimulationBundle, params: ScenarioParams
 ) -> CompiledScenario:
     """Announced mass departure: handoff first, one atomic rebuild."""
     peers = _departure_peers(bundle, params)
-    waves = (
-        MembershipWave(params.fault_at_ms, "leave_graceful", peers=tuple(peers)),
-    )
+    waves = [Request("leave", params.fault_at_ms, peers=tuple(peers), graceful=True)]
     return _suite_campaign(
         bundle, params, "graceful_leave", FaultPlan(seed=params.seed), waves,
         {"departed": len(peers), "mode": "graceful"},
@@ -145,13 +167,7 @@ def compile_abrupt_crash(
     plan = FaultPlan(seed=params.seed).crash_peers(
         at_ms=params.fault_at_ms, peers=peers
     )
-    waves = (
-        MembershipWave(
-            params.fault_at_ms + params.stabilize_delay_ms,
-            "stabilize",
-            peers=tuple(peers),
-        ),
-    )
+    waves = _purges(bundle, plan, [(params.fault_at_ms + params.stabilize_delay_ms, tuple(peers))])
     return _suite_campaign(
         bundle, params, "abrupt_crash", plan, waves,
         {"departed": len(peers), "mode": "abrupt"},
@@ -183,13 +199,7 @@ def compile_regional_failure(
             rate=params.loss_rate,
             duration_ms=params.stabilize_delay_ms,
         )
-    waves = (
-        MembershipWave(
-            params.fault_at_ms + params.stabilize_delay_ms,
-            "stabilize",
-            peers=tuple(members),
-        ),
-    )
+    waves = _purges(bundle, plan, [(params.fault_at_ms + params.stabilize_delay_ms, tuple(members))])
     return _suite_campaign(
         bundle, params, "regional_failure", plan, waves,
         {
@@ -214,10 +224,7 @@ def compile_flash_join(
     n = bundle.config.n_peers
     held_out = tuple(range(n - int(round(JOIN_FRACTION * n)), n))
     rebalance_at = params.fault_at_ms + (params.duration_ms - params.fault_at_ms) / 2.0
-    waves = (
-        MembershipWave(params.fault_at_ms, "revive", peers=held_out),
-        MembershipWave(rebalance_at, "rebalance"),
-    )
+    waves = [Request("join", params.fault_at_ms, peers=held_out), Request("rebalance", rebalance_at)]
     schedule = flash_crowd(
         params.rate_per_s,
         params.duration_ms,
@@ -240,10 +247,11 @@ def compile_weibull_churn(
 
     A :func:`~repro.workloads.churn.generate_churn` schedule with
     Weibull sessions drives a per-peer state machine: graceful leaves
-    become announced ``remove_peers`` waves, failures become injector
+    become graceful ``leave`` requests, failures become injector
     crashes followed by trailing stabilize purges, rejoins revive the
-    peer at both levels.  Everything is compiled up front — the runner
-    replays a fixed timeline.
+    peer at both levels (a ``join`` is a no-op for a crashed peer whose
+    purge has not fired, and the purge then skips it).  Everything is
+    compiled up front — the runner replays a fixed timeline.
     """
     n = bundle.config.n_peers
     initial = int(round(0.8 * n))
@@ -259,7 +267,8 @@ def compile_weibull_churn(
         weibull_shape=params.weibull_shape,
     )
     plan = FaultPlan(seed=params.seed)
-    waves: list[MembershipWave] = []
+    waves: list[Request] = []
+    purges: list[tuple[float, tuple[int, ...]]] = []
     # Per-peer state: "online" | "left" (net-removed) | "crashed"
     # (injector-dead; net-removed once its stabilize purge fires).
     state = {p: "online" for p in range(initial)}
@@ -270,27 +279,22 @@ def compile_weibull_churn(
         if event.action == "join" and state[p] != "online":
             if state[p] == "crashed":
                 plan.revive_peers(at_ms=t, peers=[p])
-            # The revive wave is filtered at apply time: a crashed peer
-            # whose stabilize purge has not fired yet is still
-            # net-alive, and only net-removed peers re-enter the rings.
-            waves.append(MembershipWave(t, "revive", peers=(p,)))
+            waves.append(Request("join", t, peers=(p,)))
             state[p] = "online"
             joins += 1
         elif event.action == "leave" and state[p] == "online":
-            waves.append(MembershipWave(t, "leave_graceful", peers=(p,)))
+            waves.append(Request("leave", t, peers=(p,), graceful=True))
             state[p] = "left"
             leaves += 1
         elif event.action == "fail" and state[p] == "online":
             plan.crash_peers(at_ms=t, peers=[p])
-            waves.append(
-                MembershipWave(t + params.stabilize_delay_ms, "stabilize", peers=(p,))
-            )
+            purges.append((t + params.stabilize_delay_ms, (p,)))
             state[p] = "crashed"
             fails += 1
-    waves.sort(key=lambda w: w.time_ms)
+    waves += _purges(bundle, plan, purges)
     return _suite_campaign(
         bundle, params, "weibull_churn", plan,
-        tuple(w for w in waves if w.time_ms < params.duration_ms),
+        [w for w in waves if w.at_ms < params.duration_ms],
         {
             "session_model": "weibull",
             "weibull_shape": params.weibull_shape,
@@ -311,9 +315,9 @@ def compile_landmark_outage_rolling(
     Landmarks go down one at a time; between outages, slices of a
     held-out cohort rejoin.  Each slice's landmark orders are
     recomputed with every dead landmark's distance column saturated —
-    the §2.3 blinded-measurement model — and applied through a
-    ``rebind_revive`` wave, so on HIERAS the joiners land in the wrong
-    low-layer rings (flat Chord just sees ordinary rejoins).
+    the §2.3 blinded-measurement model — and carried by the slice's
+    ``join`` as ``ring_names``, so on HIERAS the joiners land in the
+    wrong low-layer rings (flat Chord just sees ordinary rejoins).
     """
     n = bundle.config.n_peers
     n_landmarks = bundle.config.n_landmarks
@@ -327,7 +331,7 @@ def compile_landmark_outage_rolling(
     distances = bundle.attachment.landmark_distances(bundle.peer_latency.model)
     saturate = float(distances.max()) * 4.0 + 100.0
     scheme = bundle.orders.scheme
-    waves: list[MembershipWave] = []
+    waves: list[Request] = []
     dead: list[int] = []
     for i in range(n_outages):
         outage_at = params.fault_at_ms + i * window
@@ -341,17 +345,9 @@ def compile_landmark_outage_rolling(
         ring_names = tuple(
             tuple(orders.order_of(j, k) for k in range(depth - 1)) for j in range(len(joiners))
         )
-        waves.append(
-            MembershipWave(
-                outage_at + window / 2.0,
-                "rebind_revive",
-                peers=tuple(joiners),
-                ring_names=ring_names,
-            )
-        )
-    waves.sort(key=lambda w: w.time_ms)
+        waves.append(Request("join", outage_at + window / 2.0, peers=tuple(joiners), ring_names=ring_names))
     return _suite_campaign(
-        bundle, params, "landmark_outage_rolling", FaultPlan(seed=params.seed), tuple(waves),
+        bundle, params, "landmark_outage_rolling", FaultPlan(seed=params.seed), waves,
         {"outages": n_outages, "rejoined_degraded": len(held_out)},
         initial_offline=tuple(held_out),
     )
@@ -414,7 +410,6 @@ def compile_two_wave_crash(
         name="two_wave_crash",
         duration_ms=(first_read + len(reads)) * step,
         plan=plan,
-        waves=(),
         requests=tuple(requests),
         fault_start_ms=(n_keys + 1) * step,
         notes={"crashed_per_wave": n_crash, "rejoined": len(rejoin)},

@@ -1,14 +1,14 @@
-"""Scenario data model: parameters, membership waves, compiled campaigns.
+"""Scenario data model: parameters and compiled campaigns.
 
 A *scenario* is a named, seeded failure campaign.  Declaring one
 produces a :class:`CompiledScenario` — the fully concrete form the
 runner replays: a :class:`~repro.faults.plan.FaultPlan` (crashes,
-revives, landmark outages applied through the injector), a time-sorted
-tuple of :class:`MembershipWave` records (announced leaves, stabilize
-purges, join/revive waves, rebalance passes — the overlay-level changes
-the injector deliberately does not perform), the time-sorted client
-:class:`~repro.serve.request.Request` records, the key names seeded
-before the run, and the peers held out of the initial membership.
+revives, landmark outages applied through the injector), the
+time-sorted :class:`~repro.serve.request.Request` records — client
+gets and puts, and the overlay-level changes the injector deliberately
+does not perform (announced leaves, stabilize purges, join waves,
+rebalance passes) — the key names seeded before the run, and the peers
+held out of the initial membership.
 
 Compilation is deterministic: every random choice (who leaves, which
 ring dies, who joins when, which peer sends each op) is drawn from
@@ -27,51 +27,7 @@ from repro.replication.policy import ReplicationPolicy
 from repro.serve.request import Request
 from repro.util.validation import require, require_int
 
-__all__ = ["MembershipWave", "CompiledScenario", "ScenarioParams", "WAVE_KINDS"]
-
-#: Overlay-level wave kinds the runner knows how to apply.
-#:
-#: * ``leave_graceful`` — announced departure: ``remove_peers(...,
-#:   graceful=True)``; attached stores hand keys off before disks drop.
-#: * ``remove`` — silent departure: plain ``remove_peers`` (disks gone).
-#: * ``stabilize`` — purge *crashed* peers from the rings, modelling a
-#:   stabilization round: only peers still injector-dead and
-#:   net-alive when the wave fires are removed.
-#: * ``revive`` — previously-removed peers rejoin under their old ring
-#:   names (the injector revives crashed ones separately, via the plan).
-#: * ``rebind_revive`` — rejoin under *new* lower-ring names (degraded
-#:   landmark measurements); flat stacks treat this as ``revive``.
-#: * ``rebalance`` — one storage rebalance pass: every key is re-homed
-#:   onto its current replica group.
-WAVE_KINDS = (
-    "leave_graceful",
-    "remove",
-    "stabilize",
-    "revive",
-    "rebind_revive",
-    "rebalance",
-)
-
-
-@dataclass(frozen=True)
-class MembershipWave:
-    """One overlay-level membership action at a point in scenario time."""
-
-    time_ms: float
-    kind: str
-    peers: tuple[int, ...] = ()
-    #: ``rebind_revive`` only: one ring-name tuple (layer 2 first) per
-    #: peer, in ``peers`` order.
-    ring_names: tuple[tuple[str, ...], ...] = ()
-
-    def __post_init__(self) -> None:
-        require(self.time_ms >= 0.0, "wave time_ms must be >= 0")
-        require(self.kind in WAVE_KINDS, f"unknown wave kind {self.kind!r}")
-        if self.kind == "rebind_revive":
-            require(
-                len(self.ring_names) == len(self.peers),
-                "rebind_revive needs one ring-name tuple per peer",
-            )
+__all__ = ["CompiledScenario", "ScenarioParams"]
 
 
 @dataclass
@@ -80,8 +36,8 @@ class CompiledScenario:
 
     ``fault_start_ms`` marks the beginning of the campaign's main
     damage window — recovery time is measured from here.  ``seeded``
-    names the keys written onto their replica groups before the first
-    tick (value ``"seed-<name>"``).  ``notes``
+    names the keys written onto their replica groups before the run
+    (value ``"seed-<name>"``).  ``notes``
     carries compile-time evidence about what the campaign actually
     does (which ring died and how big it was, how many churn events
     were compiled, …); values must be JSON-safe.
@@ -90,7 +46,6 @@ class CompiledScenario:
     name: str
     duration_ms: float
     plan: FaultPlan
-    waves: tuple[MembershipWave, ...]
     requests: tuple[Request, ...]
     seeded: tuple[str, ...] = ()
     initial_offline: tuple[int, ...] = ()
@@ -99,8 +54,6 @@ class CompiledScenario:
 
     def __post_init__(self) -> None:
         require(self.duration_ms > 0.0, "duration_ms must be > 0")
-        times = [w.time_ms for w in self.waves]
-        require(times == sorted(times), "waves must be time-sorted")
         arrivals = [r.at_ms for r in self.requests]
         require(arrivals == sorted(arrivals), "requests must be time-sorted")
 
@@ -117,7 +70,7 @@ class ScenarioParams:
     seed: int = 42
     duration_ms: float = 3000.0
     #: Probe cohorts fire every ``probe_interval_ms`` (the availability
-    #: time-series resolution — and the wave-application granularity).
+    #: time-series resolution).
     probe_interval_ms: float = 150.0
     #: Lookups per probe cohort; ``0`` runs no probes (no availability
     #: series, no route stretch, no fault-free twin).
@@ -126,8 +79,8 @@ class ScenarioParams:
     rate_per_s: float = 40.0
     #: Time of the main fault wave for single-wave scenarios.
     fault_at_ms: float = 1000.0
-    #: Delay from a crash wave to the stabilize purge that repairs
-    #: routing state (the recovery mechanism on the static stack).
+    #: Delay from a crash wave to the stabilize purge (a silent leave of
+    #: the peers still crashed) that repairs routing state.
     stabilize_delay_ms: float = 600.0
     #: Weibull-churn session shape/means (heavy-tailed below shape 1).
     mean_session_ms: float = 1500.0

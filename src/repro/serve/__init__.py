@@ -2,7 +2,7 @@
 
 ``repro.serve`` turns the routing library into something that serves
 (DESIGN.md §12): a :class:`DHTService` accepts ``get``/``put``/
-``join``/``leave`` requests across an explicit bounded-queue boundary,
+``join``/``leave``/``rebalance`` requests across an explicit bounded-queue boundary,
 dispatches them with configurable worker concurrency on a
 deterministic simulated clock, coalesces queued lookups into batched
 dispatches (routed by one :mod:`repro.engine` call per membership

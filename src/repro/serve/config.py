@@ -6,7 +6,8 @@ The settings split into two groups:
   ``max_batch`` coalescing window (1 = per-request scalar dispatch);
 * **admission** — ``queue_limit`` bounds the pending queue (client
   arrivals beyond the bound are rejected immediately — load shedding
-  at the door; ``join``/``leave`` waves always queue).
+  at the door; ``join``/``leave`` waves and ``rebalance`` passes
+  always queue).
 
 The cost model is fixed: how long one dispatch occupies a worker, in
 *simulated* milliseconds.  ``DISPATCH_OVERHEAD_MS`` is paid once per

@@ -3,15 +3,16 @@
 A :class:`Request` is what a client submits: an operation, its arrival
 time on the simulated clock, and the operands (``get``/``put`` carry a
 source peer and a key name; ``join``/``leave`` carry a membership
-wave).  A :class:`Completion` is the service's account of what happened
-to it — admission outcome, the dispatch batch it rode in, and the
-per-phase latency breakdown (queue wait → dispatch service → route →
-replica fan-out) the SLO reporter aggregates.
+wave; ``rebalance`` carries nothing).  A :class:`Completion` is the
+service's account of what happened to it — admission outcome, the
+dispatch batch it rode in, and the per-phase latency breakdown (queue
+wait → dispatch service → route → replica fan-out) the SLO reporter
+aggregates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.util.validation import require
@@ -19,7 +20,7 @@ from repro.util.validation import require
 __all__ = ["OPS", "Completion", "Request"]
 
 #: Operations the service accepts, in dispatch-priority-free FIFO order.
-OPS = ("get", "put", "join", "leave")
+OPS = ("get", "put", "join", "leave", "rebalance")
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,12 @@ class Request:
 
     ``get``/``put`` require ``source`` and ``name`` (``put`` also
     carries ``value``); ``join``/``leave`` carry the ``peers`` of a
-    membership wave instead.
+    membership wave instead.  A ``leave`` may be ``graceful`` (the
+    store hands its keys off first); a ``join`` may carry
+    ``ring_names``, one lower-ring name tuple (layer 2 first) per peer,
+    which HIERAS rebinds the joiners to (a flat stack just revives
+    them).  ``rebalance`` re-homes every stored key onto its current
+    replica group.
     """
 
     op: str
@@ -37,6 +43,8 @@ class Request:
     name: str = ""
     value: Any = None
     peers: tuple[int, ...] = ()
+    graceful: bool = False
+    ring_names: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self) -> None:
         require(self.op in OPS, f"unknown op {self.op!r}; expected one of {OPS}")
@@ -44,8 +52,16 @@ class Request:
         if self.op in ("get", "put"):
             require(self.source >= 0, f"{self.op} requests need a source peer")
             require(bool(self.name), f"{self.op} requests need a key name")
+        elif self.op == "rebalance":
+            require(not self.peers, "a rebalance carries no peers")
         else:
             require(len(self.peers) > 0, f"{self.op} requests need a peer wave")
+        if self.graceful or self.ring_names:
+            require(not self.graceful or self.op == "leave", "only a leave is graceful")
+            require(
+                not self.ring_names or (self.op == "join" and len(self.ring_names) == len(self.peers)),
+                "ring_names: one name tuple per peer of a join",
+            )
 
 
 @dataclass(frozen=True)
@@ -54,10 +70,11 @@ class Completion:
 
     ``outcome`` is one of ``"ok"`` (served), ``"rejected"`` (admission
     control turned it away at arrival), or ``"failed"`` (dispatched but
-    unservable — e.g. a departed source peer or a failed replicated
-    write).  Latency phases are 0 for requests that never reached the
-    corresponding stage; ``total_ms`` is always the user-visible wait
-    from arrival to the service's last action on the request.
+    unservable — a failed route or replicated write, or no servable
+    peer to send it from).  Latency phases are 0 for requests that
+    never reached the corresponding stage; ``total_ms`` is always the
+    user-visible wait from arrival to the service's last action on the
+    request.
     """
 
     seq: int
@@ -73,7 +90,6 @@ class Completion:
     batch_size: int = 0
     owner: int = -1
     value: Any = None
-    extra: dict[str, float] = field(default_factory=dict)
 
     @property
     def served(self) -> bool:

@@ -2,7 +2,7 @@
 
 The service closes the gap between "a routing library" and "a thing
 that serves": clients submit :class:`~repro.serve.request.Request`
-records (``get``/``put``/``join``/``leave``) which cross an explicit
+records (``get``/``put``/``join``/``leave``/``rebalance``) which cross an explicit
 queue boundary and are dispatched by a pool of ``workers`` slots on a
 **deterministic simulated clock** — no wall time is consulted anywhere
 (the DET002 source scan covers this package), so a run is a pure function of
@@ -23,7 +23,9 @@ sets worker occupancy and ``serve.batch_size``, not the width the host
 routes at (below).
 Writes dispatch one at a time when they reach the head and fan out
 through :class:`~repro.replication.store.ReplicatedStore`; membership
-waves apply the network's batch mutation primitives.
+waves apply the network's batch mutation primitives (a graceful leave
+hands keys off first, a join with ring names rebinds HIERAS joiners),
+and a ``rebalance`` runs the store's background re-homing pass.
 
 A worker slot is occupied for the *dispatch cost* only
 (``DISPATCH_OVERHEAD_MS`` + marginal per-request cost): the front-end
@@ -37,11 +39,15 @@ Schedule, then resolve per membership epoch
 -------------------------------------------
 Occupancy depends on the batch size alone, so the event loop reads no
 route result: it only *schedules*, logging every dispatched get or put
-— and every completion that is final already (``rejected``, an
-unservable source's ``failed``) — in dispatch order.
-A source is servable if one mask says so, read once per membership
-epoch and re-read after each wave: the network's members, less the
-peers a store's injector has crashed.  A route is a function of
+— and every completion that is final already (``rejected``, a
+membership wave, a ``failed`` with no peer to send from) — in dispatch
+order.  A get or put is sent from its source if that peer is
+servable — a member of the network the store's injector has not
+crashed — and otherwise from the next servable peer by index, one lap
+at most; it fails at dispatch only when no peer is servable.  The
+sender of every peer is one table (:meth:`DHTService._senders`),
+computed once per membership epoch and again after each wave, so the
+offered stream does not depend on who is up.  A route is a function of
 (source, key, membership) and membership changes only at a
 ``join``/``leave`` — or at a store's fault event, which the fault clock
 applies before the first dispatch at or after its time, ending the
@@ -65,6 +71,11 @@ network, at the end of the run, and at ``_MAX_LANES`` logged lanes
 the *network*, the epoch's one ``record_batch`` folds gets and puts
 alike, in dispatch order.
 
+A caller that samples the system while it serves (the scenario runner's
+probe cohort) passes ``ticks`` and ``on_tick``: at each tick the
+dispatches up to it are resolved, the store's fault events due by it
+fire, and ``on_tick(t, senders)`` runs with the epoch's sender table.
+
 Every completion contributes a four-phase latency breakdown (queue wait
 → dispatch service → route → replica fan-out) to the service's always-on
 :class:`~repro.metrics.registry.MetricsRegistry` — the registry *is* the
@@ -77,7 +88,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import Counter, deque
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, cast
@@ -142,8 +155,8 @@ class ServeResult:
 #: A queued entry: (sequence number, request).
 _Entry = tuple[int, Request]
 #: A dispatched get/put awaiting its route: (sequence number, request,
-#: dispatch instant, worker occupancy, batch size).
-_Dispatched = tuple[int, Request, float, float, int]
+#: the peer it is sent from, dispatch instant, worker occupancy, batch size).
+_Dispatched = tuple[int, Request, int, float, float, int]
 #: One completion's fold row: (op, outcome, queue wait, service, route, fan-out).
 _Row = tuple[str, str, float, float, float, float]
 
@@ -151,8 +164,8 @@ _Row = tuple[str, str, float, float, float, float]
 @dataclass
 class _Run:
     """State of one :meth:`DHTService.run`: the scheduler's (free-at,
-    worker) ``heap`` and FIFO queues, whether each peer may source a
-    request this epoch (``servable``), and the completion log since the
+    worker) ``heap`` and FIFO queues, the peer each source's requests
+    are sent from this epoch (``senders``), and the completion log since the
     last flush — dispatched ``lanes`` and ``finals``, each with the
     number of lanes logged before it — until
     :meth:`DHTService._resolve` places every completion in ``done`` by
@@ -161,7 +174,7 @@ class _Run:
 
     heap: list[tuple[float, int]]
     done: list[Completion]
-    servable: list[bool]
+    senders: array[int]
     gets: deque[_Entry] = field(default_factory=deque)
     others: deque[_Entry] = field(default_factory=deque)
     lanes: list[_Dispatched] = field(default_factory=list)
@@ -176,7 +189,7 @@ class _Run:
 
 
 class DHTService:
-    """Serve ``get``/``put``/``join``/``leave`` over a DHT stack.
+    """Serve ``get``/``put``/``join``/``leave``/``rebalance`` over a DHT stack.
 
     Parameters
     ----------
@@ -242,14 +255,20 @@ class DHTService:
             return DISPATCH_OVERHEAD_MS + PER_WRITE_MS
         return DISPATCH_OVERHEAD_MS + PER_MEMBERSHIP_MS
 
-    def _servable(self) -> list[bool]:
-        """Per peer, whether a get or put from it can be served now: a
-        member of the network the store's injector has not crashed."""
+    def _senders(self) -> array[int]:
+        """Per peer, the peer a get or put from it is sent from now: the
+        first servable peer at or after it by index, one lap at most, or
+        -1 when none is.  Servable: a member of the network the store's
+        injector has not crashed.  A packed int64 table: a list would
+        hold one int object per peer."""
         mask = self.network._alive
         if self.store is not None and self.store.injector is not None:
             mask = mask & ~self.store.injector.state.dead
-        servable: list[bool] = mask.tolist()
-        return servable
+        servable = np.flatnonzero(mask).astype(np.int64)
+        if not servable.size:
+            return array("q", [-1]) * len(mask)
+        after = np.searchsorted(servable, np.arange(len(mask))) % servable.size
+        return array("q", servable[after].tobytes())
 
     def _validate(self, requests: list[Request]) -> None:
         """Reject a bad stream whole, before anything is served (and while
@@ -302,7 +321,13 @@ class DHTService:
     # ------------------------------------------------------------------
     # the event loop
     # ------------------------------------------------------------------
-    def run(self, requests: list[Request]) -> ServeResult:
+    def run(
+        self,
+        requests: list[Request],
+        *,
+        ticks: Sequence[float] = (),
+        on_tick: Callable[[float, Sequence[int]], None] | None = None,
+    ) -> ServeResult:
         """Serve an arrival-ordered request sequence to completion.
 
         Requests must be sorted by ``at_ms``, and every source and wave
@@ -312,6 +337,11 @@ class DHTService:
         arrival every worker that frees up earlier gets to drain the
         queue, then admission control sees the true queue depth at the
         arrival instant.  After the last arrival the backlog drains.
+
+        ``ticks`` (ascending) are instants between arrivals — each after
+        every arrival at or before it — at which the log is resolved,
+        the store's fault events due by then fire, and ``on_tick(t,
+        senders)`` (if given) sees the system as it stands.
         """
         cfg = self.config
         self._validate(requests)
@@ -319,11 +349,14 @@ class DHTService:
             heap=[(0.0, w) for w in range(cfg.workers)],
             # Every request gets exactly one completion, placed by seq.
             done=cast("list[Completion]", [None] * len(requests)),
-            servable=self._servable(),
+            senders=self._senders(),
         )
         heap, gets, others = run.heap, run.gets, run.others
+        pending = deque(ticks)
         max_depth = 0
         for seq, req in enumerate(requests):
+            while pending and pending[0] < req.at_ms:
+                self._tick(run, pending.popleft(), on_tick)
             if (gets or others) and heap[0][0] <= req.at_ms:
                 self._drain(run, req.at_ms)
             depth = len(gets) + len(others)
@@ -340,6 +373,8 @@ class DHTService:
                 max_depth = depth + 1
             if heap[0][0] <= req.at_ms:
                 self._drain(run, req.at_ms)
+        while pending:
+            self._tick(run, pending.popleft(), on_tick)
         self._drain(run, math.inf)
         self._resolve(run)
         last_at = requests[-1].at_ms if requests else 0.0
@@ -356,26 +391,30 @@ class DHTService:
             counts=counts,
         )
 
-    @staticmethod
-    def _unserved(seq: int, req: Request, now: float) -> Completion:
-        """A request failed at dispatch: its source is not servable."""
-        return Completion(
-            seq=seq, op=req.op, outcome="failed",
-            arrival_ms=req.at_ms, dispatch_ms=now, finish_ms=now,
-            queue_wait_ms=now - req.at_ms,
-        )
+    def _tick(self, run: _Run, t: float, on_tick: Callable[[float, Sequence[int]], None] | None) -> None:
+        """Dispatch and resolve up to ``t``, fire the store's fault events
+        due by then, and hand ``on_tick`` the sender table."""
+        if (run.gets or run.others) and run.heap[0][0] <= t:
+            self._drain(run, t)
+        self._resolve(run)
+        store = self.store
+        if store is not None and store.injector is not None and store.injector.next_event_ms <= t:
+            store.advance_to(t)
+            run.senders = self._senders()
+        if on_tick is not None:
+            on_tick(t, run.senders)
 
     def _drain(self, run: _Run, until: float) -> None:
         """Dispatch until the queue is empty or no worker frees by ``until``.
 
         The freest worker takes the next batch: a get at the head
         coalesces up to ``max_batch`` pending gets (oldest first), any
-        other op dispatches alone.  A get or put whose source is not
-        servable fails there; the rest of its batch is logged for its
-        epoch's engine call.  A store's fault event
+        other op dispatches alone.  Each get or put is logged for its
+        epoch's engine call with the peer it is sent from; with no
+        servable peer the batch fails there.  A store's fault event
         due by a batch's dispatch ends the epoch there, the way a
         membership wave does: the log is resolved, the fault clock
-        advanced, and the servable mask re-read.
+        advanced, and the sender table recomputed.
         """
         cfg, heap, gets, others = self.config, run.heap, run.gets, run.others
         store = self.store
@@ -388,22 +427,23 @@ class DHTService:
             if store is not None and store.injector is not None and store.injector.next_event_ms <= now:
                 self._resolve(run)
                 store.advance_to(now)
-                run.servable = self._servable()
-            op = batch[0][1].op
+                run.senders = self._senders()
+            op, senders = batch[0][1].op, run.senders
             busy_until = now
-            if op in ("join", "leave"):
+            if op not in ("get", "put"):
                 busy_until = self._dispatch_membership(run, now, batch[0])
-            else:
-                live = [(seq, req) for seq, req in batch if run.servable[req.source]]
+            elif senders[0] < 0:  # no peer is servable: nothing to send from
                 for seq, req in batch:
-                    if not run.servable[req.source]:
-                        run.final(self._unserved(seq, req, now))
-                if live:
-                    occupancy = self._occupancy_ms(op, len(live))
-                    if op == "get":
-                        run.get_batches.append(len(live))
-                    run.lanes.extend([(seq, req, now, occupancy, len(live)) for seq, req in live])
-                    busy_until = now + occupancy
+                    run.final(Completion(
+                        seq=seq, op=op, outcome="failed", arrival_ms=req.at_ms,
+                        dispatch_ms=now, finish_ms=now, queue_wait_ms=now - req.at_ms,
+                    ))
+            else:
+                occupancy = self._occupancy_ms(op, len(batch))
+                if op == "get":
+                    run.get_batches.append(len(batch))
+                run.lanes.extend([(seq, req, senders[req.source], now, occupancy, len(batch)) for seq, req in batch])
+                busy_until = now + occupancy
             heapq.heapreplace(heap, (busy_until, worker))
             if len(run.lanes) >= _MAX_LANES:
                 self._resolve(run)
@@ -415,8 +455,10 @@ class DHTService:
         the same lanes, or a store under an injector's own ``get`` /
         ``put`` lane by lane — then the completions and fold rows from
         those columns, in dispatch order."""
+        if not run.lanes and not run.finals:
+            return
         store = self.store
-        seqs, reqs, nows, occupancy, sizes = zip(*run.lanes) if run.lanes else ((),) * 5
+        seqs, reqs, sources, nows, occupancy, sizes = zip(*run.lanes) if run.lanes else ((),) * 6
         owner: list[Any] = []
         value: list[Any] = [None] * len(reqs)
         ok = [True] * len(reqs)
@@ -425,11 +467,11 @@ class DHTService:
             # Lane by lane, so the injector's draws stay in dispatch order:
             # each get and put is the store's own, routed failure-aware.
             cells: list[tuple[Any, ...]] = []
-            for req in reqs:
+            for req, source in zip(reqs, sources):
                 lane: GetResult | PutResult = (
-                    store.get(req.source, req.name)
+                    store.get(source, req.name)
                     if req.op == "get"
-                    else store.put(req.source, req.name, req.value)
+                    else store.put(source, req.name, req.value)
                 )
                 hop = lane.route
                 ms = hop.latency_ms + hop.retry_latency_ms if hop is not None else 0.0
@@ -440,7 +482,7 @@ class DHTService:
             route, fanout = np.asarray(route_ms, dtype=np.float64), np.asarray(fanout_ms, dtype=np.float64)
         elif reqs:
             keys = [self._key_of(req.name) for req in reqs]
-            result = batch_route(self.network, [req.source for req in reqs], keys)
+            result = batch_route(self.network, list(sources), keys)
             self.registry.inc("serve.engine_calls")
             self.registry.inc("serve.engine_lanes", len(reqs))
             owner, route = result.owner.tolist(), result.latency_ms
@@ -473,27 +515,33 @@ class DHTService:
         run.lanes.clear()
         run.finals.clear()
 
-    # -- join/leave: batch membership waves ----------------------------
+    # -- join/leave/rebalance: membership waves and re-homing ----------
     def _dispatch_membership(self, run: _Run, now: float, entry: _Entry) -> float:
+        """Apply a wave to the peers it changes (a leave to members, a join
+        to non-members), or run the store's rebalance pass, which holds
+        no worker: its copies are background transfers."""
         seq, req = entry
+        net = self.network
         peers = np.asarray(req.peers, dtype=np.int64)
-        alive = self.network._alive[peers]
-        if req.op == "leave":
-            wave = peers[alive].tolist()
+        alive = net._alive[peers]
+        wave = peers[alive if req.op == "leave" else ~alive].tolist()
+        if req.op == "leave" and len(wave) >= net.n_peers:
             # Never let a wave empty the overlay: keep at least one peer.
-            members = int(self.network.n_peers)
-            if len(wave) >= members:
-                wave = wave[: max(0, members - 1)]
-            change = self.network.remove_peers
-        else:
-            wave = peers[~alive].tolist()
-            change = self.network.revive_peers
-        if wave:
-            # The epoch ends here: what was dispatched before the wave is
-            # routed, and its store operations run, on the old membership.
+            wave = wave[: max(0, int(net.n_peers) - 1)]
+        if wave or req.op == "rebalance":
+            # The epoch ends here: what was dispatched before is routed,
+            # and its store operations run, on the old membership.
             self._resolve(run)
-            change(wave)
-            run.servable = self._servable()
+            if req.op == "leave":
+                net.remove_peers(wave, graceful=req.graceful)
+            elif req.op == "join":
+                if req.ring_names and hasattr(net, "rebind_peers"):
+                    names = dict(zip(req.peers, req.ring_names))
+                    net.rebind_peers(wave, [list(names[p]) for p in wave])
+                net.revive_peers(wave)
+            elif self.store is not None:
+                self.store.rebalance()
+            run.senders = self._senders()
         occupancy = self._occupancy_ms(req.op, len(wave))
         self.registry.inc(f"serve.{req.op}.peers", len(wave))
         run.final(

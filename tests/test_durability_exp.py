@@ -25,7 +25,6 @@ def run_cell(config=None, **overrides):
     """One ``two_wave_crash`` cell as ``bench durability`` runs it."""
     kwargs = dict(
         seed=42,
-        probe_interval_ms=1.0,
         n_probes=0,
         fail_fraction=0.3,
         catalog_size=N_KEYS,

@@ -87,8 +87,9 @@ class TestCompile:
         for name in scenario_names():
             compiled = SCENARIOS[name](bundle, PARAMS)
             assert compiled.name == name
-            times = [w.time_ms for w in compiled.waves]
+            times = [r.at_ms for r in compiled.requests]
             assert times == sorted(times)
+            assert any(r.op not in ("get", "put") for r in compiled.requests)
             assert compiled.duration_ms == PARAMS.duration_ms
 
     def test_compilation_is_deterministic(self, bundle):
@@ -96,7 +97,7 @@ class TestCompile:
             a = SCENARIOS[name](bundle, PARAMS)
             b = SCENARIOS[name](build_bundle(CONFIG), PARAMS)
             assert a.plan.events(N_PEERS) == b.plan.events(N_PEERS)
-            assert a.waves == b.waves
+            assert a.requests == b.requests
             assert a.initial_offline == b.initial_offline
             assert a.notes == b.notes
 
@@ -104,7 +105,10 @@ class TestCompile:
         graceful = compile_graceful_leave(bundle, PARAMS)
         abrupt = compile_abrupt_crash(bundle, PARAMS)
         crash = [e for e in abrupt.plan.events(N_PEERS) if e.kind == "crash"][0]
-        assert graceful.waves[0].peers == crash.peers
+        (leave,) = [r for r in graceful.requests if r.op == "leave"]
+        assert leave.graceful and leave.peers == crash.peers
+        (purge,) = [r for r in abrupt.requests if r.op == "leave"]
+        assert not purge.graceful and purge.peers == crash.peers
         assert graceful.notes["departed"] == abrupt.notes["departed"]
 
     def test_regional_failure_kills_a_whole_ring(self, bundle):
@@ -131,7 +135,7 @@ class TestCompile:
             float(t) for t in range(writes + 2, writes + 2 + reads)
         ]
         assert compiled.duration_ms == writes + 2 + reads
-        assert compiled.seeded == () and compiled.waves == ()
+        assert compiled.seeded == ()
         kinds = [(e.time_ms, e.kind) for e in compiled.plan.events(N_PEERS)]
         assert kinds == [
             (n_keys + 1.0, "crash"), (writes + 1.0, "crash"), (writes + 2.0, "revive")
@@ -145,12 +149,34 @@ class TestCompile:
 
     def test_landmark_waves_carry_ring_names(self, bundle):
         compiled = SCENARIOS["landmark_outage_rolling"](bundle, PARAMS)
-        rebinds = [w for w in compiled.waves if w.kind == "rebind_revive"]
+        rebinds = [r for r in compiled.requests if r.op == "join"]
         assert rebinds
         for wave in rebinds:
             assert len(wave.ring_names) == len(wave.peers)
             for names in wave.ring_names:
                 assert len(names) == CONFIG.depth - 1
+
+    def test_weibull_purge_skips_a_peer_revived_before_it_fires(self, bundle):
+        """A stabilize purge is a silent leave of the peers the plan still
+        has crashed when it fires: one revived in between stays."""
+        compiled = SCENARIOS["weibull_churn"](bundle, PARAMS)
+        events = compiled.plan.events(N_PEERS)
+
+        def crashed_at(peer, t):
+            last = [e.kind for e in events if peer in e.peers and e.time_ms <= t]
+            return bool(last) and last[-1] == "crash"
+
+        purged = {
+            (r.at_ms, p) for r in compiled.requests if r.op == "leave" and not r.graceful for p in r.peers
+        }
+        outcomes = []
+        for crash in (e for e in events if e.kind == "crash"):
+            at = crash.time_ms + PARAMS.stabilize_delay_ms
+            if at < PARAMS.duration_ms:
+                (peer,) = crash.peers
+                outcomes.append(crashed_at(peer, at))
+                assert ((at, peer) in purged) == outcomes[-1]
+        assert len(purged) == sum(outcomes) and not all(outcomes)
 
 
 class TestRunner:
@@ -197,27 +223,34 @@ class TestRunner:
         assert cell["probes_per_tick"] == 0.0 and cell["stretch_samples"] == 0.0
         assert (cell["availability_mean"], cell["stretch_mean"]) == (0.0, -1.0)
         assert (cell["recovery_ms"], cell["recovered"]) == (-1.0, 0.0)
-        # The client load still replays, tick by tick.
+        # The client load is still served, and counted per tick.
         n_ticks = int(PARAMS.duration_ms // PARAMS.probe_interval_ms)
         assert len(cell["gets_total_timeline"]) == n_ticks
         assert cell["gets"] == sum(cell["gets_total_timeline"]) > 0
         run_scenario_cell(CONFIG, "abrupt_crash", "hieras", PARAMS)
         assert len(builds) == 3
 
-    def test_a_plan_that_crashes_every_peer_raises_naming_the_op(self, monkeypatch):
+    def test_a_request_fails_when_no_peer_is_servable(self, monkeypatch):
         def everyone_down(bundle, params):
             return CompiledScenario(
                 name="everyone_down",
                 duration_ms=3.0,
                 plan=FaultPlan(seed=1).crash_peers(at_ms=1.0, peers=range(N_PEERS)),
-                waves=(),
-                requests=(Request("get", 2.0, source=5, name="k"),),
+                requests=(
+                    Request("get", 0.5, source=5, name="k"),
+                    Request("get", 2.0, source=5, name="k"),
+                ),
             )
 
         monkeypatch.setitem(SCENARIOS, "everyone_down", everyone_down)
-        params = dataclasses.replace(PARAMS, probe_interval_ms=1.0, n_probes=0)
-        with pytest.raises(ValueError, match=r"no live peer to send Request\(op='get'"):
-            run_scenario_cell(CONFIG, "everyone_down", "chord", params)
+        params = dataclasses.replace(PARAMS, probe_interval_ms=1.0, n_probes=2)
+        cell = run_scenario_cell(CONFIG, "everyone_down", "chord", params)
+        # The first get is served before the crash; the second finds no
+        # peer to send from and fails without reaching the store.
+        assert cell["gets_total_timeline"] == [1.0, 1.0, 0.0]
+        assert cell["gets_ok_timeline"] == [0.0, 0.0, 0.0]  # "k" was never written
+        assert (cell["gets"], cell["get_successes"]) == (1.0, 1.0)
+        assert cell["availability"] == [0.0] * 3 and cell["crashed_final"] == N_PEERS
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,19 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             Request(op="leave", at_ms=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(op="join", peers=(1,), graceful=True),
+            dict(op="leave", peers=(1, 2), ring_names=(("a",), ("b",))),
+            dict(op="join", peers=(1, 2), ring_names=(("a",),)),
+            dict(op="rebalance", peers=(1,)),
+        ],
+    )
+    def test_wave_data_belongs_to_its_op(self, kwargs):
+        with pytest.raises(ValueError):
+            Request(at_ms=0.0, **kwargs)
+
     def test_completion_total_is_phase_sum(self):
         c = Completion(
             seq=0, op="get", outcome="ok", arrival_ms=0.0,
@@ -209,23 +222,23 @@ class TestStoreIntegration:
         store = make_store(bundle.chord)
         assert store.read_at(0, int(bundle.chord.space.hash_key("nope"))) is None
 
-    def test_dead_source_fails_cleanly(self, bundle):
+    def test_a_dead_source_is_sent_from_the_next_peer(self, bundle):
+        """A get or put from a departed peer completes exactly as the
+        same request from the next member by index."""
         net = bundle.chord
         net.remove_peers([9])
         try:
-            result = DHTService(net).run(
-                [
-                    Request(op="get", at_ms=0.0, source=9, name="k"),
-                    Request(op="put", at_ms=0.0, source=9, name="k", value="v"),
-                    Request(op="get", at_ms=0.0, source=10, name="k"),
-                ]
-            )
+            def served(source):
+                store = make_store(net)
+                store.seed_key("k", "v0")
+                return DHTService(net, store=store).run([
+                    Request(op="get", at_ms=0.0, source=source, name="k"),
+                    Request(op="put", at_ms=0.0, source=source, name="k", value="v"),
+                ]).completions
+            assert served(9) == served(10)
+            assert [c.outcome for c in served(9)] == ["ok", "ok"]
         finally:
             net.revive_peers([9])
-        dead_get, dead_put, live_get = result.completions
-        assert dead_get.outcome == "failed"
-        assert dead_put.outcome == "failed"
-        assert live_get.outcome == "ok"
 
 
 class TestMembership:
@@ -259,6 +272,73 @@ class TestMembership:
         result = DHTService(net).run([Request(op="join", at_ms=0.0, peers=(1, 2))])
         c = result.completions[0]
         assert c.batch_size == 0 and c.service_ms == 0.0
+
+    def test_graceful_leave_hands_keys_off(self, bundle):
+        """A graceful leave is counted in ``graceful_handoffs`` and loses
+        no bare key; a silent leave of the same peers hands nothing off."""
+        net = bundle.chord
+        leavers = tuple(range(0, N_PEERS, 3))
+
+        def leave(graceful):
+            store = ReplicatedStore(net, ReplicationPolicy(replicas=0))
+            for i in range(24):
+                store.seed_key(f"k-{i}", i)
+            net.attach_store(store)
+            try:
+                DHTService(net, store=store).run([
+                    Request(op="leave", at_ms=0.0, peers=leavers, graceful=graceful),
+                    Request(op="join", at_ms=10.0, peers=leavers),
+                ])
+            finally:
+                net.detach_store(store)
+            return store.stats.graceful_handoffs, store.loss_audit()["loss_probability"]
+
+        handoffs, loss = leave(graceful=True)
+        assert handoffs > 0 and loss == 0.0
+        handoffs, loss = leave(graceful=False)
+        assert handoffs == 0 and loss > 0.0
+
+    @pytest.mark.parametrize("stack", ["chord", "hieras"])
+    def test_a_join_with_ring_names_rebinds_on_hieras_only(self, stack):
+        fresh = build_bundle(SimConfig(model="ts", n_peers=N_PEERS, n_landmarks=4, depth=2, seed=42))
+        net, rings = getattr(fresh, stack), fresh.hieras.rings_at_layer(2)
+        peer = 5
+        old = next(n for n, r in sorted(rings.items()) if peer in set(r.peers))
+        new = next(n for n in sorted(rings) if n != old)
+        keys = range(0, net.space.size, net.space.size // 64)
+        owners = [net.owner_of(k) for k in keys]
+        result = DHTService(net).run([
+            Request(op="leave", at_ms=0.0, peers=(peer,)),
+            Request(op="join", at_ms=10.0, peers=(peer,), ring_names=((new,),)),
+        ])
+        assert [c.batch_size for c in result.completions] == [1, 1] and net.is_alive(peer)
+        if stack == "hieras":
+            after = net.rings_at_layer(2)
+            assert peer in set(after[new].peers) and peer not in set(after[old].peers)
+        else:  # a plain revive: every key has its old owner back
+            assert [net.owner_of(k) for k in keys] == owners
+
+    def test_rebalance_rehomes_keys_after_a_join(self, bundle):
+        """Keys seeded while a cohort is away sit off their new replica
+        groups once it joins, until a ``rebalance`` writes them there."""
+        net = bundle.hieras
+        cohort = tuple(range(N_PEERS - 40, N_PEERS))
+        net.remove_peers(list(cohort))
+        store = make_store(net)
+        for i in range(32):
+            store.seed_key(f"k-{i}", i)
+        net.attach_store(store)
+        try:
+            result = DHTService(net, store=store).run([
+                Request(op="join", at_ms=0.0, peers=cohort),
+                Request(op="rebalance", at_ms=10.0),
+            ])
+        finally:
+            net.detach_store(store)
+        join, rebalance = result.completions
+        assert join.batch_size == 40 and rebalance.outcome == "ok"
+        assert rebalance.service_ms == 0.0  # background transfers hold no worker
+        assert store.stats.rebalanced > 0 and store.stats.replicas_written > 96
 
 
 class TestFailBeforeServing:
@@ -344,9 +424,10 @@ class TestMembershipEpochs:
         assert [c.value for c in result.completions] == [None, "v1", None, "v2"]
         assert result.registry.counters["serve.engine_calls"].value == 1
 
-    def test_departed_source_fails_alone_in_its_batch(self, bundle):
+    def test_a_departed_source_keeps_its_place_in_the_batch(self, bundle):
         """The leave dispatches first; the three gets queued behind it
-        form one simulated batch, which the dead source shrinks to two."""
+        form one simulated batch, and the departed source's get rides it
+        from the next member."""
         cfg = ServiceConfig(workers=1)
         reqs = [
             Request(op="leave", at_ms=0.0, peers=(9,)),
@@ -354,13 +435,13 @@ class TestMembershipEpochs:
             Request(op="join", at_ms=50.0, peers=(9,)),
         ]
         result = DHTService(bundle.chord, config=cfg).run(reqs)
-        leave, ok_a, failed, ok_b, _ = result.completions
-        assert failed.outcome == "failed" and failed.total_ms == failed.queue_wait_ms
-        for c in (ok_a, ok_b):
-            assert c.outcome == "ok" and c.batch_size == 2
-            assert c.service_ms == DISPATCH_OVERHEAD_MS + 2 * PER_LOOKUP_MS
-            assert c.dispatch_ms == failed.dispatch_ms == leave.service_ms
-        assert result.registry.histograms["serve.batch_size"].to_dict()["total"] == 2.0
+        leave, *batch, _ = result.completions
+        for c in batch:
+            assert c.outcome == "ok" and c.batch_size == 3
+            assert c.service_ms == DISPATCH_OVERHEAD_MS + 3 * PER_LOOKUP_MS
+            assert c.dispatch_ms == leave.service_ms
+        assert (batch[1].owner, batch[1].route_ms) == (batch[2].owner, batch[2].route_ms)
+        assert result.registry.histograms["serve.batch_size"].to_dict()["total"] == 3.0
 
     def test_storeless_scalar_matches_batched_across_epochs(self, bundle):
         reqs, wave = mixed_stream(bundle.hieras, 60)
