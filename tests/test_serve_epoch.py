@@ -195,7 +195,7 @@ class TestPinnedServing:
         )
 
     @pytest.mark.parametrize("policy", [QUORUM, CHAIN])
-    def test_a_crashed_source_is_served_from_the_next_servable_peer(self, bundle, policy):
+    def test_a_crashed_source_is_sent_from_the_next_peer(self, bundle, policy):
         """Every down-source get or put completes exactly as the same
         request sent from the next servable peer by index."""
         net = bundle.hieras
